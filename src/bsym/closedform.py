@@ -195,11 +195,13 @@ def validity_interval(
 ) -> Validity:
     """Bracket the first zero of G on each side of 0 within search_radius.
 
-    Scans with a fixed step of search_radius/scan_points, then bisects any
-    sign change (or exact zero hit) down to 1e-9.  Boundary kinds: Asymptote
-    when the root exponent is negative (the solution diverges), RootBoundary
-    otherwise (the root loses its real branch / uniqueness), SearchLimit when
-    no zero is found, and Unbounded for the radicand-free unit exponent.
+    G comes from the dense (A, B) path of one integration per side.  Scans G
+    with a fixed step of search_radius/scan_points, then bisects any sign
+    change (or exact zero hit) of the same G down to 1e-9.  Boundary kinds:
+    Asymptote when the root exponent is negative (the solution diverges),
+    RootBoundary otherwise (the root loses its real branch / uniqueness),
+    SearchLimit when no zero is found, and Unbounded for the radicand-free
+    unit exponent.
     """
     if search_radius <= 0.0:
         raise DomainError("search_radius must be positive")
@@ -217,23 +219,16 @@ def validity_interval(
     for direction in (1.0, -1.0):
         path = nested_path(p.a, p.b, m, direction * search_radius, cfg)
 
-        def g_scan(tau: float) -> float:
+        def g(tau: float) -> float:
             return g0 - m * path.value(tau)[1]
-
-        def g_fine(tau: float) -> float:
-            return g0 - m * path.value_refined(tau)[1]
 
         prev_t, prev_g = 0.0, g0
         found = None
         for i in range(1, scan_points + 1):
             tau = direction * (search_radius if i == scan_points else i * step)
-            gv = g_scan(tau)
+            gv = g(tau)
             if prev_g * gv <= 0.0:
-                g_in = g_fine(prev_t)
-                if g_in * g_fine(tau) <= 0.0:
-                    found = _bisect_zero(g_fine, prev_t, tau, g_in)
-                else:  # interpolation artifact near a grazing zero
-                    found = _bisect_zero(g_scan, prev_t, tau, prev_g)
+                found = _bisect_zero(g, prev_t, tau, prev_g)
                 break
             prev_t, prev_g = tau, gv
         if found is None:

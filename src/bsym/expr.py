@@ -256,7 +256,9 @@ def _codegen(node: Node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-@lru_cache(maxsize=None)
+# bounded: callers of as_callable keep their compiled function, so an
+# eviction only costs a later recompile
+@lru_cache(maxsize=1024)
 def _compiled(node: Node) -> Callable[[float], float]:
     ns = {name: getattr(math, name) for name in FUNCTIONS}
     args = ", ".join(f"{name}={name}" for name in FUNCTIONS)

@@ -43,8 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
+    abs_tol: float = 1e-11
+    rel_tol: float = 1e-10
     max_steps: int = 1_000_000
     blowup_threshold: float = 1e12
 
@@ -69,7 +69,8 @@ _BLOWUP_UNDERFLOW_FRACTION = 1e-3
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes with dense interpolation in between."""
+    """Accepted integration nodes with the stepper's continuous extension
+    in between."""
 
     points: list[tuple[float, float]]
     blew_up: bool
@@ -82,7 +83,7 @@ class Trajectory:
             raise ValueError(
                 f"t={t!r} outside the integrated range [0, {self.t_last!r}]"
             )
-        return self._path.value_refined(t)[0]
+        return self._path.value(t)[0]
 
 
 def rk_solve(

@@ -141,7 +141,7 @@ def _dense_eval(make_path, ts: Sequence[float]) -> list[tuple]:
         extreme = max(t * sign for _, t in sel) * sign
         path = make_path(extreme)
         for i, t in sel:
-            out[i] = path.value_refined(t)
+            out[i] = path.value(t)
     zero = None
     for i, t in enumerate(ts):
         if out[i] is None:  # t == 0

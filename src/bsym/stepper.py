@@ -1,4 +1,4 @@
-"""Embedded Dormand-Prince 5(4) stepper with cubic-Hermite dense output.
+"""Embedded Dormand-Prince 5(4) stepper with continuous-extension dense output.
 
 Shared integration core: the quadrature module drives it over the
 integral-accumulator system, the direct-ODE oracle drives it over the
@@ -7,6 +7,10 @@ scalar Bernoulli equation.  Each caller owns its instance and tolerances.
 States are plain tuples of floats (dimension 1 or 2 here), which beats
 array machinery at these sizes.  Negative spans are integrated by stepping
 with negative h; nodes then appear in decreasing t order.
+
+Dense output is the 4th-order continuous extension of each accepted step,
+built from the stages the step already computed, so a query between nodes
+costs no right-hand-side evaluation.
 """
 
 from __future__ import annotations
@@ -64,24 +68,39 @@ class StepBudgetExceeded(Exception):
         self.path = path
 
 
+# Continuous extension of DP5 (Hairer-Norsett-Wanner, Solving ODEs I, II.6;
+# Shampine 1986): y(t0 + th*h) = y0 + h * sum_s k_s * sum_j P[s][j] * th^(j+1)
+# over the stages k1, k3, k4, k5, k6, k7 (k2 has zero weight).  At th = 1 the
+# rows sum to _B1.._B6 and 0 for k7, so the extension ends on the step's node.
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_P_COLS = tuple(zip(*_P))  # one column of stage weights per power of th
+
+
 @dataclass
 class DensePath:
-    """Accepted nodes plus derivatives, queryable between nodes.
+    """Accepted nodes plus each step's stages, queryable between nodes.
 
-    Two query modes: `value` interpolates with cubic Hermite pieces (cheap,
-    adequate for scanning and bracketing); `value_refined` re-integrates
-    from the nearest earlier node to the query point with the original
-    tolerances, matching the accuracy of the nodes themselves.
+    `value` evaluates the 4th-order continuous extension of the bracketing
+    step.  Its polynomial coefficients are built on the first query inside a
+    step and cached, so a path that is queried only at a few points pays for
+    only those steps.
     """
 
     t0: float
     t_target: float
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
-    fs: list = field(default_factory=list)
+    ks: list = field(default_factory=list)  # (k1, k3, k4, k5, k6, k7) per step
     stopped: bool = False  # a stop callback ended integration early
-    _rhs: Optional[RHS] = None
-    _ctl: Optional["StepControl"] = None
+    _hint: int = field(default=0, repr=False, compare=False)  # last query's step
+    _coefs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def t_reached(self) -> float:
@@ -96,54 +115,64 @@ class DensePath:
         return lo <= t <= hi
 
     def _segment(self, t: float) -> int:
+        """Index i of the step with t in [ts[i], ts[i+1]), or the last step
+        for t on the final node.
+
+        Tries the previous query's step and the next one before bisecting.
+        """
         ts = self.ts
+        last = len(ts) - 2
+        d = 1.0 if ts[-1] >= ts[0] else -1.0
+        x = d * t
+        i = self._hint
+        if d * ts[i] <= x:
+            if x < d * ts[i + 1]:
+                return i
+            if i < last and x < d * ts[i + 2]:
+                self._hint = i + 1
+                return i + 1
         if not self.covers(t):
             raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}, {ts[-1]!r}]")
-        direction = 1.0 if ts[-1] >= ts[0] else -1.0
-        keys = [direction * x for x in ts]
-        i = bisect_right(keys, direction * t) - 1
-        return min(max(i, 0), len(ts) - 2)
+        i = min(bisect_right(ts, x, key=lambda s: d * s) - 1, last)
+        self._hint = i
+        return i
 
     def value(self, t: float) -> State:
-        """Cubic-Hermite interpolation at t within the covered range."""
+        """State at t within the covered range; nodes are returned as stored."""
         ts = self.ts
         if len(ts) == 1:
-            if not self.covers(t):
+            if t != ts[0]:
                 raise ValueError(f"t={t!r} outside integrated range")
             return self.ys[0]
         i = self._segment(t)
         t0, t1 = ts[i], ts[i + 1]
-        h = t1 - t0
-        if h == 0.0 or t == t0:
+        if t == t0:
             return self.ys[i]
         if t == t1:
             return self.ys[i + 1]
-        th = (t - t0) / h
-        u = 1.0 - th
-        h00 = u * u * (1.0 + 2.0 * th)
-        h01 = th * th * (3.0 - 2.0 * th)
-        h10 = th * u * u * h
-        h11 = -th * th * u * h
-        y0, y1, f0, f1 = self.ys[i], self.ys[i + 1], self.fs[i], self.fs[i + 1]
+        coefs = self._coefs.get(i)
+        if coefs is None:
+            coefs = self._coefs[i] = self._extension(i)
+        th = (t - t0) / (t1 - t0)
         return tuple(
-            h00 * a + h01 * b + h10 * fa + h11 * fb
-            for a, b, fa, fb in zip(y0, y1, f0, f1)
+            y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
+            for y0, c1, c2, c3, c4 in coefs
         )
 
-    def value_refined(self, t: float) -> State:
-        """State at t re-integrated from the bracketing node."""
-        ts = self.ts
-        if len(ts) == 1:
-            return self.value(t)
-        i = self._segment(t)
-        if t == ts[i]:
-            return self.ys[i]
-        if t == ts[i + 1]:
-            return self.ys[i + 1]
-        if self._rhs is None or self._ctl is None:
-            return self.value(t)
-        sub = integrate(self._rhs, ts[i], self.ys[i], t, self._ctl)
-        return sub.y_end
+    # bench/tracing.py wraps `DensePath.value_refined` by name; the one
+    # dense-output query keeps answering to it so traced runs still start
+    value_refined = value
+
+    def _extension(self, i: int) -> list:
+        """Per component (y0, h*c1, .., h*c4) of step i's continuous extension."""
+        h = self.ts[i + 1] - self.ts[i]
+        return [
+            (y0,) + tuple(
+                h * (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7)
+                for p1, p3, p4, p5, p6, p7 in _P_COLS
+            )
+            for y0, e1, e3, e4, e5, e6, e7 in zip(self.ys[i], *self.ks[i])
+        ]
 
 
 def integrate(
@@ -161,11 +190,10 @@ def integrate(
     integration ends there with path.stopped set.
     """
     y0 = tuple(y0)
-    path = DensePath(t0=t0, t_target=t_end, _rhs=f, _ctl=ctl)
+    path = DensePath(t0=t0, t_target=t_end)
     k1 = f(t0, y0)
     path.ts.append(t0)
     path.ys.append(y0)
-    path.fs.append(k1)
     span = t_end - t0
     if span == 0.0:
         return path
@@ -232,10 +260,10 @@ def integrate(
             h *= 0.1
             continue
         if err_norm <= 1.0:
+            path.ks.append((k1, k3, k4, k5, k6, k7))
             t, y, k1 = t1, y1, k7
             path.ts.append(t)
             path.ys.append(y)
-            path.fs.append(k7)
             if stop is not None and stop(t, y):
                 path.stopped = True
                 break

@@ -8,6 +8,7 @@ from bsym import (
     StepFailure,
     problem,
     rk_solve,
+    solve_on_grid,
     transform_problem,
     validity_interval,
 )
@@ -43,6 +44,21 @@ def test_negative_direction():
     ts = [t for t, _ in tr.points]
     assert ts[0] == 0.0 and ts[-1] == -1.0
     assert all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))
+
+
+def test_default_tolerance_near_asymptote():
+    # y = -exp(A) / sqrt(G) with G -> 0 just beyond t; the reference is the
+    # closed form evaluated with 30-digit mpmath quadrature
+    p = problem(
+        "-(0.24*cosh(t/3)/2)",
+        "-(0.37*t^2/9 + 0.25*cos(t)) + 0.58*t/3 + 0.29*sin(2*t)",
+        3,
+        -1.634,
+    )
+    t = 1.7204470613319427
+    reference = -11.999668841520855
+    y = solve_on_grid(p, [t])[0]
+    assert abs(y - reference) <= 1e-7 * abs(reference)
 
 
 def test_query_outside_range_rejected():
