@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bsym import applicable_cases, problem, verify_pair  # noqa: E402
+from bsym import applicable_cases, problem, verify_cases  # noqa: E402
 
 SHOWCASE = [
     ("riccati, even/odd coefficients", problem("cos(t)", "sin(t)", 2, 1.0)),
@@ -36,10 +36,9 @@ def main() -> int:
         if not cases:
             print(f"{label:38} (no applicable cases)")
             continue
-        for case in cases:
-            rep = verify_pair(p, case, args.points, args.tol, args.method)
+        for rep in verify_cases(p, cases, args.points, args.tol, args.method):
             print(
-                f"{label:38} {case.id:6} {rep.relation.value:8} "
+                f"{label:38} {rep.case_id:6} {rep.relation.value:8} "
                 f"{rep.max_residual:13.3e} {rep.verdict}"
             )
     return 0

@@ -61,6 +61,7 @@ from .symmetry import (
     VerificationReport,
     applicable_cases,
     transform_problem,
+    verify_cases,
     verify_pair,
 )
 
@@ -114,5 +115,6 @@ __all__ = [
     "solve_on_grid",
     "transform_problem",
     "validity_interval",
+    "verify_cases",
     "verify_pair",
 ]

@@ -34,10 +34,9 @@ from .quad import Identity, identity_residuals, require_identity_parity
 from .symmetry import (
     CATALOG,
     applicable_cases,
-    explain_inapplicable,
     resolve_case,
     transform_problem,
-    verify_pair,
+    verify_cases,
 )
 
 EXIT_OK = 0
@@ -138,9 +137,6 @@ def cmd_cases(args) -> int:
 def cmd_pair(args) -> int:
     p = load_problem(args.problem)
     case = resolve_case(args.case)
-    reason = explain_inapplicable(p, case)
-    if reason is not None:
-        raise CaseNotApplicable(reason)
     p2 = transform_problem(p, case)
     payload = {
         "a": p2.a.source,
@@ -157,17 +153,10 @@ def cmd_pair(args) -> int:
 
 def cmd_verify(args) -> int:
     p = load_problem(args.problem)
-    if args.case == "all":
-        cases = applicable_cases(p)
-    else:
-        cases = [resolve_case(args.case)]
-        reason = explain_inapplicable(p, cases[0])
-        if reason is not None:
-            raise CaseNotApplicable(reason)
+    cases = applicable_cases(p) if args.case == "all" else [args.case]
     reports = []
     all_passed = True
-    for case in cases:
-        rep = verify_pair(p, case, grid_points=args.points, tol=args.tol, method=args.method)
+    for rep in verify_cases(p, cases, grid_points=args.points, tol=args.tol, method=args.method):
         all_passed &= rep.passed
         reports.append(
             {

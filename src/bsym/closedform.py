@@ -196,8 +196,9 @@ def validity_interval(
     """Bracket the first zero of G on each side of 0 within search_radius.
 
     G comes from the dense (A, B) path of one integration per side.  Scans G
-    with a fixed step of search_radius/scan_points, then bisects any sign
-    change (or exact zero hit) of the same G down to 1e-9.  Boundary kinds:
+    with a fixed step of search_radius/scan_points in one walk over the
+    path's steps, then bisects any sign change (or exact zero hit) of the
+    same G down to 1e-9.  Boundary kinds:
     Asymptote when the root exponent is negative (the solution diverges),
     RootBoundary otherwise (the root loses its real branch / uniqueness),
     SearchLimit when no zero is found, and Unbounded for the radicand-free
@@ -222,11 +223,14 @@ def validity_interval(
         def g(tau: float) -> float:
             return g0 - m * path.value(tau)[1]
 
+        taus = [
+            direction * (search_radius if i == scan_points else i * step)
+            for i in range(1, scan_points + 1)
+        ]
         prev_t, prev_g = 0.0, g0
         found = None
-        for i in range(1, scan_points + 1):
-            tau = direction * (search_radius if i == scan_points else i * step)
-            gv = g(tau)
+        for tau, bval in zip(taus, path.component_values(taus, 1)):
+            gv = g0 - m * bval
             if prev_g * gv <= 0.0:
                 found = _bisect_zero(g, prev_t, tau, prev_g)
                 break

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = ["StepControl", "DensePath", "StepUnderflow", "StepBudgetExceeded", "integrate"]
 
@@ -88,9 +88,10 @@ class DensePath:
     """Accepted nodes plus each step's stages, queryable between nodes.
 
     `value` evaluates the 4th-order continuous extension of the bracketing
-    step.  Its polynomial coefficients are built on the first query inside a
-    step and cached, so a path that is queried only at a few points pays for
-    only those steps.
+    step; `component_values` answers a monotone run of points with the same
+    arithmetic in one walk over the steps.  A step's polynomial coefficients
+    are built on the first query inside it and cached, so a path that is
+    queried only at a few points pays for only those steps.
     """
 
     t0: float
@@ -145,19 +146,47 @@ class DensePath:
                 raise ValueError(f"t={t!r} outside integrated range")
             return self.ys[0]
         i = self._segment(t)
-        t0, t1 = ts[i], ts[i + 1]
+        return tuple([self._component(i, t, k) for k in range(len(self.ys[0]))])
+
+    def component_values(self, ts: Iterable[float], k: int) -> Iterator[float]:
+        """Component k of the state at each of ts, lazily and in order.
+
+        The points must run monotonically away from t0, so the steps are
+        walked once; each answer equals `value(t)[k]`.  Raises ValueError on
+        reaching a point outside the covered range or out of order.
+        """
+        nodes = self.ts
+        if len(nodes) == 1:
+            yield from (self.value(t)[k] for t in ts)
+            return
+        last = len(nodes) - 2
+        d = 1.0 if nodes[-1] >= nodes[0] else -1.0
+        i = 0
+        for t in ts:
+            x = d * t
+            while i < last and x >= d * nodes[i + 1]:
+                i += 1
+            if not d * nodes[i] <= x <= d * nodes[i + 1]:
+                raise ValueError(
+                    f"t={t!r} outside integrated range [{nodes[0]!r}, {nodes[-1]!r}] "
+                    "or out of order"
+                )
+            yield self._component(i, t, k)
+
+    def _component(self, i: int, t: float, k: int) -> float:
+        """Component k at t in step i: the stored node on either end of the
+        step, else the step's continuous extension."""
+        t0, t1 = self.ts[i], self.ts[i + 1]
         if t == t0:
-            return self.ys[i]
+            return self.ys[i][k]
         if t == t1:
-            return self.ys[i + 1]
+            return self.ys[i + 1][k]
         coefs = self._coefs.get(i)
         if coefs is None:
             coefs = self._coefs[i] = self._extension(i)
+        y0, c1, c2, c3, c4 = coefs[k]
         th = (t - t0) / (t1 - t0)
-        return tuple(
-            y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
-            for y0, c1, c2, c3, c4 in coefs
-        )
+        return y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
 
     # bench/tracing.py wraps `DensePath.value_refined` by name; the one
     # dense-output query keeps answering to it so traced runs still start

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .closedform import ProblemSpec, Validity, solution_values, validity_interval
 from .errors import CaseNotApplicable, EmptyDomain
@@ -42,6 +42,7 @@ __all__ = [
     "transform_problem",
     "VerificationReport",
     "verify_pair",
+    "verify_cases",
     "DEFAULT_SEARCH_RADIUS",
 ]
 
@@ -97,17 +98,6 @@ _NEGATIVE_D_OK = frozenset(
     {ExponentClass.EVEN_OVER_ODD, ExponentClass.ODD_OVER_ODD, ExponentClass.ONE}
 )
 
-_CLASS_HINT = {
-    "T2i": "an even-numerator/odd-denominator exponent",
-    "T2ii": "an even-numerator/odd-denominator exponent",
-    "T2iii": "an even-numerator/odd-denominator exponent",
-    "T2iv": "an even-numerator/odd-denominator exponent",
-    "T4i": "an odd-numerator/odd-denominator exponent",
-    "T4ii": "an odd-numerator/odd-denominator exponent",
-    "T4iii": "an odd-numerator/odd-denominator exponent",
-    "T4iv": "an odd-numerator/odd-denominator exponent",
-}
-
 
 def resolve_case(case: Union[SymmetryCase, str]) -> SymmetryCase:
     if isinstance(case, SymmetryCase):
@@ -122,8 +112,10 @@ def explain_inapplicable(p: ProblemSpec, case: Union[SymmetryCase, str]) -> Opti
     """Why the case's hypotheses fail for p, or None if they all hold."""
     case = resolve_case(case)
     if case.classes is not None and p.n.cls not in case.classes:
+        (cls,) = case.classes  # each catalog row names one class, e.g. even/odd
+        num, den = cls.value.split("/")
         return (
-            f"{case.id} requires {_CLASS_HINT[case.id]}; "
+            f"{case.id} requires an {num}-numerator/{den}-denominator exponent; "
             f"n = {p.n} is {p.n.cls.value}"
         )
     if case.parity is not None:
@@ -218,45 +210,82 @@ def verify_pair(
     relation residual is reported.  Pass iff
     max residual <= tol * (1 + max |y1|).
     """
-    case = resolve_case(case)
+    return verify_cases(
+        p1,
+        [case],
+        grid_points,
+        tol,
+        method,
+        search_radius=search_radius,
+        force=force,
+        quad_cfg=quad_cfg,
+        oracle_cfg=oracle_cfg,
+    )[0]
+
+
+def verify_cases(
+    p1: ProblemSpec,
+    cases: Sequence[Union[SymmetryCase, str]],
+    grid_points: int = 51,
+    tol: float = 1e-6,
+    method: str = "oracle",
+    *,
+    search_radius: float = DEFAULT_SEARCH_RADIUS,
+    force: bool = False,
+    quad_cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
+    oracle_cfg: OracleConfig = DEFAULT_ORACLE_CONFIG,
+) -> list[VerificationReport]:
+    """verify_pair for each case in order, computing p1's validity once.
+
+    Every partner is built first, so an inapplicable case raises
+    CaseNotApplicable before any integration.
+    """
+    cases = [resolve_case(case) for case in cases]
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    p2 = transform_problem(p1, case, force=force)
+    partners = [transform_problem(p1, case, force=force) for case in cases]
+    if not cases:
+        return []
     v1 = validity_interval(p1, search_radius, quad_cfg)
-    v2 = validity_interval(p2, search_radius, quad_cfg)
-    if case.relation is Relation.T_AXIS:
-        lo2, lo2_kind, hi2, hi2_kind = v2.lo, v2.lo_kind, v2.hi, v2.hi_kind
-    else:  # y2 is sampled at -t: reflect its interval before intersecting
-        lo2, lo2_kind, hi2, hi2_kind = -v2.hi, v2.hi_kind, -v2.lo, v2.lo_kind
-    lo, lo_kind = max((v1.lo, v1.lo_kind), (lo2, lo2_kind), key=lambda e: e[0])
-    hi, hi_kind = min((v1.hi, v1.hi_kind), (hi2, hi2_kind), key=lambda e: e[0])
-    if not lo < hi:
-        raise EmptyDomain(
-            f"no common interval: [{v1.lo}, {v1.hi}] against [{lo2}, {hi2}]"
+    reports = []
+    for case, p2 in zip(cases, partners):
+        v2 = validity_interval(p2, search_radius, quad_cfg)
+        if case.relation is Relation.T_AXIS:
+            lo2, lo2_kind, hi2, hi2_kind = v2.lo, v2.lo_kind, v2.hi, v2.hi_kind
+        else:  # y2 is sampled at -t: reflect its interval before intersecting
+            lo2, lo2_kind, hi2, hi2_kind = -v2.hi, v2.hi_kind, -v2.lo, v2.lo_kind
+        lo, lo_kind = max((v1.lo, v1.lo_kind), (lo2, lo2_kind), key=lambda e: e[0])
+        hi, hi_kind = min((v1.hi, v1.hi_kind), (hi2, hi2_kind), key=lambda e: e[0])
+        if not lo < hi:
+            raise EmptyDomain(
+                f"no common interval: [{v1.lo}, {v1.hi}] against [{lo2}, {hi2}]"
+            )
+        common = Validity(lo, hi, lo_kind, hi_kind)
+        glo, ghi = common.interior()
+        step = (ghi - glo) / (grid_points - 1)
+        grid = [glo + i * step for i in range(grid_points)]
+        q2 = grid if case.relation is Relation.T_AXIS else [-t for t in grid]
+
+        y1 = _evaluate(p1, grid, method, quad_cfg, oracle_cfg)
+        y2 = _evaluate(p2, q2, method, quad_cfg, oracle_cfg)
+
+        if case.relation is Relation.Y_AXIS:
+            residuals = tuple(abs(v2_ - v1_) for v1_, v2_ in zip(y1, y2))
+        else:
+            residuals = tuple(abs(v2_ + v1_) for v1_, v2_ in zip(y1, y2))
+        max_residual = max(residuals)
+        y_scale = max(abs(v) for v in y1)
+        reports.append(
+            VerificationReport(
+                case_id=case.id,
+                relation=case.relation,
+                grid=tuple(grid),
+                residuals=residuals,
+                max_residual=max_residual,
+                y_scale=y_scale,
+                common_validity=common,
+                tol=tol,
+                passed=max_residual <= tol * (1.0 + y_scale),
+            )
         )
-    common = Validity(lo, hi, lo_kind, hi_kind)
-    glo, ghi = common.interior()
-    step = (ghi - glo) / (grid_points - 1)
-    grid = [glo + i * step for i in range(grid_points)]
-    q2 = grid if case.relation is Relation.T_AXIS else [-t for t in grid]
-
-    y1 = _evaluate(p1, grid, method, quad_cfg, oracle_cfg)
-    y2 = _evaluate(p2, q2, method, quad_cfg, oracle_cfg)
-
-    if case.relation is Relation.Y_AXIS:
-        residuals = tuple(abs(v2_ - v1_) for v1_, v2_ in zip(y1, y2))
-    else:
-        residuals = tuple(abs(v2_ + v1_) for v1_, v2_ in zip(y1, y2))
-    max_residual = max(residuals)
-    y_scale = max(abs(v) for v in y1)
-    return VerificationReport(
-        case_id=case.id,
-        relation=case.relation,
-        grid=tuple(grid),
-        residuals=residuals,
-        max_residual=max_residual,
-        y_scale=y_scale,
-        common_validity=common,
-        tol=tol,
-        passed=max_residual <= tol * (1.0 + y_scale),
-    )
+    return reports

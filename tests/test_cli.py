@@ -141,10 +141,14 @@ def test_pair_golden(tmp_path):
 
 def test_pair_inapplicable_is_exit_3(tmp_path):
     prob = write_problem(tmp_path / "p.json", RICCATI)
-    res = run_cli("pair", "--problem", prob, "--case", "T4i",
-                  "--out", str(tmp_path / "x.json"))
+    out = tmp_path / "x.json"
+    res = run_cli("pair", "--problem", prob, "--case", "T4i", "--out", str(out))
     assert res.returncode == 3
-    assert "exponent" in res.stderr
+    assert res.stderr == (
+        "bsym: case not applicable: T4i requires an odd-numerator/odd-denominator "
+        "exponent; n = 2 is even/odd\n"
+    )
+    assert not out.exists()
 
 
 def test_pair_preserves_sign_conventions(tmp_path):
@@ -183,9 +187,39 @@ def test_verify_all_passes_and_report_schema(tmp_path):
 
 def test_verify_inapplicable_case_is_exit_3(tmp_path):
     prob = write_problem(tmp_path / "p.json", RICCATI)
-    res = run_cli("verify", "--problem", prob, "--case", "T3i",
-                  "--report", str(tmp_path / "r.json"))
+    report = tmp_path / "r.json"
+    res = run_cli("verify", "--problem", prob, "--case", "T3i", "--report", str(report))
     assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == "bsym: case not applicable: T3i requires b(t) odd; got even\n"
+    assert not report.exists()
+
+
+def test_verify_all_computes_p1_validity_once(tmp_path, monkeypatch):
+    # three cases: one validity interval for p1 plus one per partner
+    import bsym.closedform
+    from bsym.cli import main
+
+    orig = bsym.closedform.validity_interval
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bsym" or name.startswith("bsym."):
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, counted)
+    prob = write_problem(
+        tmp_path / "p.json", {"a": "cos(t)", "b": "sin(t)", "n": "2", "d": "1"}
+    )
+    report = tmp_path / "rep.json"
+    assert main(["verify", "--problem", prob, "--case", "all", "--report", str(report)]) == 0
+    assert [r["case"] for r in json.loads(report.read_text())] == ["T2i", "T2iv", "T3i"]
+    assert len(calls) == 1 + 3
+    assert calls.count(calls[0]) == 1  # p1 is not among the partners
 
 
 def test_verify_failure_is_exit_4(tmp_path):

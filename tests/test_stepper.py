@@ -66,11 +66,43 @@ def test_out_of_range_queries_raise(t_end):
             path.value(t)
 
 
+@pytest.mark.parametrize("t_end", [4.0, -4.0])
+@pytest.mark.parametrize("k", [0, 1])
+def test_component_values_equal_value(t_end, k):
+    # the validity scan's grid, with every node merged in, ending on the
+    # final node
+    path = pair_path(t_end)
+    grid = [t_end * i / 1024 for i in range(1, 1025)]
+    ts = sorted(set(grid) | set(path.ts), key=lambda t: t * t_end)
+    assert ts[0] == 0.0 and ts[-1] == path.ts[-1] == t_end
+    assert set(path.ts) < set(ts) and len(ts) > len(grid)
+    got = list(path.component_values(ts, k))
+    fresh = pair_path(t_end)  # no coefficients cached by the walk
+    assert got == [fresh.value(t)[k] for t in ts]
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_component_values_raise_past_the_covered_range(t_end):
+    path = cos_path(t_end)
+    ts = [0.5 * t_end, t_end, 1.001 * t_end]
+    values = path.component_values(ts, 0)
+    assert next(values) == path.value(0.5 * t_end)[0]
+    assert next(values) == path.ys[-1][0]
+    with pytest.raises(ValueError):
+        next(values)
+    for bad in ([-0.1 * t_end], [math.nan], [0.5 * t_end, 0.25 * t_end]):
+        with pytest.raises(ValueError):
+            list(path.component_values(bad, 0))
+
+
 def test_zero_span_path_answers_only_its_node():
     path = cos_path(0.0)
     assert path.value(0.0) == (0.0,)
+    assert list(path.component_values([0.0], 0)) == [0.0]
     with pytest.raises(ValueError):
         path.value(1e-3)
+    with pytest.raises(ValueError):
+        list(path.component_values([0.0, 1e-3], 0))
 
 
 def test_extension_weights_at_step_end_are_the_fifth_order_weights():

@@ -12,6 +12,7 @@ from bsym import (
     eval_solution,
     problem,
     transform_problem,
+    verify_cases,
     verify_pair,
 )
 from bsym.exponent import ExponentClass
@@ -81,6 +82,16 @@ def test_inapplicable_reasons_name_the_hypothesis():
     assert "exponent" in explain_inapplicable(p, "T4i")
     assert "a(t)" in explain_inapplicable(p, "T2ii")
     assert explain_inapplicable(p, "T2i") is None
+
+
+def test_wrong_class_reasons_are_exact():
+    # the hint names the row's exponent class in words
+    assert explain_inapplicable(problem("cos(t)", "sin(t)", 3, 1.0), "T2i") == (
+        "T2i requires an even-numerator/odd-denominator exponent; n = 3 is odd/odd"
+    )
+    assert explain_inapplicable(problem("t", "1", "1/2", 1.0), "T4ii") == (
+        "T4ii requires an odd-numerator/odd-denominator exponent; n = 1/2 is odd/even"
+    )
 
 
 def test_unknown_case_id_rejected():
@@ -187,6 +198,41 @@ def test_relation_soundness_sampled():
         p = conforming_problem(case, rng)
         rep = verify_pair(p, case, 31, 1e-6, "oracle")
         assert rep.passed, (case.id, p.a.source, p.b.source, str(p.n), p.d)
+
+
+def test_verify_cases_equals_one_verify_pair_per_case():
+    # the sampled conforming problem of every catalog row that admits more
+    # than one case
+    rng = random.Random(5150)
+    checked = 0
+    for row in CATALOG:
+        p = conforming_problem(row, rng)
+        cases = applicable_cases(p)
+        if len(cases) < 2:
+            continue
+        checked += 1
+        assert verify_cases(p, cases) == [verify_pair(p, c) for c in cases]
+    assert checked >= 5
+
+
+def _forbid_validity(monkeypatch):
+    import bsym.symmetry as symmetry
+
+    def fail(*args, **kwargs):
+        raise AssertionError("validity_interval called")
+
+    monkeypatch.setattr(symmetry, "validity_interval", fail)
+
+
+def test_verify_cases_of_no_cases_does_no_work(monkeypatch):
+    _forbid_validity(monkeypatch)
+    assert verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), []) == []
+
+
+def test_verify_cases_rejects_an_inapplicable_case_before_integrating(monkeypatch):
+    _forbid_validity(monkeypatch)
+    with pytest.raises(CaseNotApplicable, match="T4i requires"):
+        verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), ["T2i", "T4i"])
 
 
 def test_grid_stays_inside_common_validity():
