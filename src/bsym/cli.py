@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -98,6 +99,8 @@ def _validity_json(v: Validity) -> dict:
 
 def cmd_solve(args) -> int:
     p = load_problem(args.problem)
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        raise DomainError("--t-min and --t-max must be finite")
     if not args.t_min < args.t_max:
         raise DomainError("--t-min must be below --t-max")
     if args.points < 2:
@@ -179,11 +182,12 @@ def cmd_identities(args) -> int:
     a = parse_expr(args.a)
     b = parse_expr(args.b)
     n = parse_exponent(args.n)
-    if args.t_max <= 0:
-        raise DomainError("--t-max must be positive")
     if args.samples < 1:
         raise DomainError("--samples must be >= 1")
     ts = [args.t_max * (i + 1) / args.samples for i in range(args.samples)]
+    # ts[-1] is t_max up to rounding, or inf where t_max * samples overflows
+    if not 0.0 < ts[-1] < math.inf:
+        raise DomainError("--t-max must be positive and finite")
     ok = True
     for ident in Identity:
         try:

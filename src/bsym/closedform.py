@@ -15,7 +15,8 @@ denominator decides which real branch exists:
 * odd p, odd q:      |p-q| even, so the root demands G > 0 and returns the
                      positive branch; the solution sign sigma = sign(d).
 
-For n = 1 the solution is d * exp(int_0^t (a+b)) with no radicand at all.
+For n = 1 the solution is d * exp(A(t) + B(t)) with no radicand at all;
+n - 1 = 0 there makes B plain int_0^t b.
 
 The validity interval around t = 0 is bounded by zeros of G: with a
 negative root exponent the solution blows up there (asymptote); with a
@@ -30,7 +31,7 @@ from enum import Enum
 from typing import Sequence, Union
 
 from .errors import DomainError, EvalError, OutsideValidity
-from .expr import BinOp, Expr, parse_expr
+from .expr import Expr, parse_expr
 from .exponent import (
     ExponentClass,
     RationalExponent,
@@ -42,7 +43,6 @@ from .quad import (
     DEFAULT_QUAD_CONFIG,
     QuadConfig,
     ab_values,
-    integral_values,
     nested_path,
 )
 
@@ -140,10 +140,6 @@ def radicand(p: ProblemSpec, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) ->
     return g0 - m * bval
 
 
-def _sum_expr(p: ProblemSpec) -> Expr:
-    return Expr(BinOp("+", p.a.ast, p.b.ast))
-
-
 def solution_values(
     p: ProblemSpec, ts: Sequence[float], cfg: QuadConfig = DEFAULT_QUAD_CONFIG
 ) -> list[float]:
@@ -153,15 +149,21 @@ def solution_values(
     with an even reduced root denominator, or G = 0 with a negative root
     exponent.
     """
+    m = _mult(p.n)  # 0 for n = 1, where B is plain int_0^t b
+    values = zip(ab_values(p.a, p.b, m, ts, cfg), ts)
+    out = []
     if p.n.cls is ExponentClass.ONE:
-        return [p.d * math.exp(s) for s in integral_values(_sum_expr(p), ts, cfg)]
+        for (aval, bval), t in values:
+            try:
+                out.append(p.d * math.exp(aval + bval))
+            except OverflowError:
+                raise EvalError(f"solution overflow at t={t!r}") from None
+        return out
     g0 = signed_pow(p.d, _recip_exponent(p.n))
-    m = _mult(p.n)
     root = _root_exponent(p.n)
     even_root = root.q % 2 == 0
     sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
-    out = []
-    for (aval, bval), t in zip(ab_values(p.a, p.b, m, ts, cfg), ts):
+    for (aval, bval), t in values:
         g = g0 - m * bval
         # a radicand this small is indistinguishable from its zero at
         # quadrature precision
@@ -204,8 +206,8 @@ def validity_interval(
     SearchLimit when no zero is found, and Unbounded for the radicand-free
     unit exponent.
     """
-    if search_radius <= 0.0:
-        raise DomainError("search_radius must be positive")
+    if not 0.0 < search_radius < math.inf:
+        raise DomainError("search_radius must be positive and finite")
     if p.n.cls is ExponentClass.ONE:
         return Validity(
             -search_radius, search_radius, BoundaryKind.UNBOUNDED, BoundaryKind.UNBOUNDED

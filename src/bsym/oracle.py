@@ -29,6 +29,7 @@ from .stepper import (
     StepBudgetExceeded,
     StepControl,
     StepUnderflow,
+    grid_values,
     integrate,
 )
 
@@ -69,21 +70,20 @@ _BLOWUP_UNDERFLOW_FRACTION = 1e-3
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes with the stepper's continuous extension
-    in between."""
+    """The oracle's dense path from (0, d): accepted nodes with the
+    stepper's continuous extension in between."""
 
-    points: list[tuple[float, float]]
+    path: DensePath
     blew_up: bool
-    t_last: float
-    _path: DensePath
+
+    @property
+    def t_last(self) -> float:
+        """Last reliable time: the target, or where blow-up stopped the run."""
+        return self.path.t_reached
 
     def __call__(self, t: float) -> float:
-        """Dense-output y(t) for t between 0 and the last reliable time."""
-        if not self._path.covers(t):
-            raise ValueError(
-                f"t={t!r} outside the integrated range [0, {self.t_last!r}]"
-            )
-        return self._path.value(t)[0]
+        """Dense-output y(t); ValueError outside the integrated range."""
+        return self.path.value(t)[0]
 
 
 def rk_solve(
@@ -129,25 +129,21 @@ def rk_solve(
     except StepBudgetExceeded as exc:
         raise StepFailure(str(exc)) from None
 
-    points = [(t, y[0]) for t, y in zip(path.ts, path.ys)]
-    return Trajectory(points=points, blew_up=blew_up, t_last=path.t_reached, _path=path)
+    return Trajectory(path, blew_up)
 
 
 def solve_on_grid(
     p: ProblemSpec, ts: Sequence[float], cfg: OracleConfig = DEFAULT_ORACLE_CONFIG
 ) -> list[float]:
-    """Oracle y at every t, sharing one solve per direction."""
-    out: list[float] = [p.d] * len(ts)
-    for sign in (1.0, -1.0):
-        sel = [(i, t) for i, t in enumerate(ts) if t * sign > 0.0]
-        if not sel:
-            continue
-        extreme = max(t * sign for _, t in sel) * sign
-        traj = rk_solve(p, extreme, cfg)
+    """Oracle y at every t, sharing one solve per side of 0; StepFailure if
+    the solution blows up before the farthest point of a side."""
+
+    def solve(t_end: float) -> DensePath:
+        traj = rk_solve(p, t_end, cfg)
         if traj.blew_up:
             raise StepFailure(
-                f"oracle blew up at t={traj.t_last!r} before reaching {extreme!r}"
+                f"oracle blew up at t={traj.t_last!r} before reaching {t_end!r}"
             )
-        for i, t in sel:
-            out[i] = traj(t)
-    return out
+        return traj.path
+
+    return [y for (y,) in grid_values(solve, ts)]

@@ -8,7 +8,10 @@ Everything here reduces to the accumulator pair
 driven as the coupled system (A' = a, B' = b*exp(m*A), A(0) = B(0) = 0)
 through the shared adaptive stepper, so B never re-integrates A.  Reversed
 limits are handled by the sign of the step, not by re-parameterization:
-integrating from 0 toward a negative t directly yields int_0^t.
+integrating from 0 toward a negative t directly yields int_0^t.  A grid of
+t is answered by `ab_values` from one path per side of 0 through
+`stepper.grid_values`.  With m = 0 the pair is (int_0^t a, int_0^t b), which
+is all the unit exponent's closed form d * exp(A + B) needs.
 
 The checkable integral identities relate mirrored values of B:
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import EvalError, NoConvergence, ParityViolation
 from .expr import Expr, Parity, as_callable, detect_parity
@@ -37,6 +40,7 @@ from .stepper import (
     StepBudgetExceeded,
     StepControl,
     StepUnderflow,
+    grid_values,
     integrate,
 )
 
@@ -46,7 +50,6 @@ __all__ = [
     "Identity",
     "integral_A",
     "integral_B",
-    "integral_values",
     "ab_values",
     "nested_path",
     "check_identity",
@@ -92,11 +95,6 @@ def _run(rhs, y0, t: float, cfg: QuadConfig) -> DensePath:
         raise EvalError(f"integrand overflow: {exc}") from None
 
 
-def _single_path(e: Expr, t: float, cfg: QuadConfig) -> DensePath:
-    fe = as_callable(e)
-    return _run(lambda s, y: (fe(s),), (0.0,), t, cfg)
-
-
 def nested_path(a: Expr, b: Expr, mult: float, t: float, cfg: QuadConfig) -> DensePath:
     """Dense (A, B) path over [0, t] with B' = b * exp(mult * A)."""
     fa, fb = as_callable(a), as_callable(b)
@@ -110,14 +108,8 @@ def nested_path(a: Expr, b: Expr, mult: float, t: float, cfg: QuadConfig) -> Den
 
 def integral_A(a: Expr, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> float:
     """int_0^t a(s) ds; reversed limits negate by the sign convention."""
-    return _single_path(a, t, cfg).y_end[0]
-
-
-def integral_values(
-    e: Expr, ts: Sequence[float], cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> list[float]:
-    """int_0^t e(s) ds for every t, sharing one solve per direction."""
-    return [pair[0] for pair in _dense_eval(lambda x: _single_path(e, x, cfg), ts)]
+    fa = as_callable(a)
+    return _run(lambda s, y: (fa(s),), (0.0,), t, cfg).y_end[0]
 
 
 def integral_B(
@@ -131,26 +123,6 @@ def integral_B(
     return nested_path(a, b, (n.p - n.q) / n.q, t, cfg).y_end[1]
 
 
-def _dense_eval(make_path, ts: Sequence[float]) -> list[tuple]:
-    """Evaluate a 0-anchored dense path at many t, one solve per direction."""
-    out: list[Optional[tuple]] = [None] * len(ts)
-    for sign in (1.0, -1.0):
-        sel = [(i, t) for i, t in enumerate(ts) if t * sign > 0.0]
-        if not sel:
-            continue
-        extreme = max(t * sign for _, t in sel) * sign
-        path = make_path(extreme)
-        for i, t in sel:
-            out[i] = path.value(t)
-    zero = None
-    for i, t in enumerate(ts):
-        if out[i] is None:  # t == 0
-            if zero is None:
-                zero = make_path(0.0).value(0.0)
-            out[i] = zero
-    return out  # type: ignore[return-value]
-
-
 def ab_values(
     a: Expr,
     b: Expr,
@@ -158,8 +130,8 @@ def ab_values(
     ts: Sequence[float],
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> list[tuple[float, float]]:
-    """(A(t), B(t)) pairs for every t, sharing one solve per direction."""
-    return _dense_eval(lambda x: nested_path(a, b, mult, x, cfg), ts)
+    """(A(t), B(t)) pairs for every t, sharing one solve per side of 0."""
+    return grid_values(lambda x: nested_path(a, b, mult, x, cfg), ts)
 
 
 # --- Integral identities ----------------------------------------------------

@@ -10,7 +10,8 @@ with negative h; nodes then appear in decreasing t order.
 
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
-costs no right-hand-side evaluation.
+costs no right-hand-side evaluation.  `grid_values` answers a grid that
+straddles t = 0 from one 0-anchored path per side.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-__all__ = ["StepControl", "DensePath", "StepUnderflow", "StepBudgetExceeded", "integrate"]
+__all__ = ["StepControl", "DensePath", "StepUnderflow", "StepBudgetExceeded", "integrate", "grid_values"]
 
 State = tuple
 RHS = Callable[[float, State], State]
@@ -94,8 +95,6 @@ class DensePath:
     queried only at a few points pays for only those steps.
     """
 
-    t0: float
-    t_target: float
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     ks: list = field(default_factory=list)  # (k1, k3, k4, k5, k6, k7) per step
@@ -219,7 +218,7 @@ def integrate(
     integration ends there with path.stopped set.
     """
     y0 = tuple(y0)
-    path = DensePath(t0=t0, t_target=t_end)
+    path = DensePath()
     k1 = f(t0, y0)
     path.ts.append(t0)
     path.ys.append(y0)
@@ -302,3 +301,22 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm**-0.2)
 
     return path
+
+
+def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> list[State]:
+    """State at every t of the paths `solve(t_end)` returns from t = 0.
+
+    One solve per side: points with t >= 0 share the path toward the largest
+    of them, points with t < 0 the path toward the smallest, and t = 0 is
+    that path's first node.  Raises ValueError if any t is not finite.
+    """
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError("grid times must be finite")
+    out: list[State] = [None] * len(ts)
+    for right in (True, False):
+        side = [i for i, t in enumerate(ts) if (t >= 0.0) is right]
+        if side:
+            path = solve((max if right else min)(ts[i] for i in side))
+            for i in side:
+                out[i] = path.value(ts[i])
+    return out

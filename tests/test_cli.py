@@ -98,6 +98,29 @@ def test_solve_bad_range_is_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("t_min,t_max", [("-1", "inf"), ("-inf", "1"), ("nan", "1")])
+def test_solve_non_finite_range_is_exit_2(tmp_path, t_min, t_max):
+    prob = write_problem(
+        tmp_path / "p.json", {"a": "cos(t)", "b": "sin(t)", "n": "1", "d": "0.5"}
+    )
+    out = tmp_path / "x.csv"
+    res = run_cli("solve", "--problem", prob, f"--t-min={t_min}", f"--t-max={t_max}",
+                  "--out", str(out))
+    assert res.returncode == 2
+    assert "must be finite" in res.stderr
+    assert not out.exists()
+
+
+def test_solve_unit_exponent_overflow_is_exit_2(tmp_path):
+    # y = exp(100 t) overflows a float before t = 8
+    prob = write_problem(tmp_path / "p.json", {"a": "100", "b": "0", "n": "1", "d": "1"})
+    res = run_cli("solve", "--problem", prob, "--t-min", "0", "--t-max", "8",
+                  "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2
+    assert "overflow" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # --- cases -----------------------------------------------------------------------
 
 def test_cases_golden(tmp_path):
@@ -285,6 +308,13 @@ def test_identities_even_even_routes_eq8_eq9():
 def test_identities_parse_error_is_exit_1():
     res = run_cli("identities", "cos(t", "sin(t)", "3")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "0", "1e308"])
+def test_identities_bad_t_max_is_exit_2(t_max):
+    res = run_cli("identities", "cos(t)", "cos(t)", "2", "--t-max", t_max)
+    assert res.returncode == 2
+    assert res.stdout == ""
 
 
 def test_identities_failure_is_exit_4():

@@ -6,6 +6,7 @@ import pytest
 from bsym import (
     BoundaryKind,
     DomainError,
+    EvalError,
     OutsideValidity,
     eval_solution,
     problem,
@@ -67,6 +68,35 @@ def test_solution_reduces_to_linear():
 def test_solution_unit_exponent_formula():
     y = eval_solution(problem("1", "1", 1, 2.0), 0.3)
     assert y == pytest.approx(2.0 * math.exp(0.6), abs=1e-10)
+    p = problem("cos(t)", "1", 1, 0.7)
+    for t in (1.3, -1.3):
+        y = eval_solution(p, t)
+        assert abs(y - 0.7 * math.exp(math.sin(t) + t)) <= 1e-9
+
+
+def test_unit_exponent_overflow_is_eval_error():
+    with pytest.raises(EvalError):
+        solution_values(problem("100", "0", 1, 1.0), [1.0, 8.0])
+
+
+def test_both_routes_evaluate_the_coefficients_at_zero():
+    # a = 1/t is undefined at t = 0, so a grid holding t = 0 fails on the
+    # closed-form and the oracle route alike
+    p = problem("1/t", "1", 2, 1.0)
+    with pytest.raises(EvalError):
+        eval_solution(p, 0.0)
+    with pytest.raises(EvalError):
+        solve_on_grid(p, [0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [2, 1])
+def test_non_finite_times_are_rejected(bad, n):
+    p = problem("cos(t)", "sin(t)", n, 0.5)
+    with pytest.raises(ValueError):
+        solution_values(p, [0.5, bad, -0.5])
+    with pytest.raises(ValueError):
+        solve_on_grid(p, [0.5, bad, -0.5])
 
 
 def test_solution_oracle_fixture():
@@ -202,6 +232,13 @@ def test_validity_unit_exponent_unbounded():
 def test_validity_requires_positive_radius():
     with pytest.raises(DomainError):
         validity_interval(problem("0", "1", 2, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+@pytest.mark.parametrize("n", [2, 1])
+def test_validity_requires_finite_radius(radius, n):
+    with pytest.raises(DomainError):
+        validity_interval(problem("0", "1", n, 1.0), radius)
 
 
 def test_solution_continues_through_g_zero_for_odd_root():

@@ -29,19 +29,19 @@ def test_blow_up_marker():
     tr = rk_solve(problem("0", "1", 2, 1.0), 1.5)
     assert tr.blew_up
     assert tr.t_last == pytest.approx(1.0, abs=1e-3)
-    assert abs(tr.points[-1][1]) > 1e10
+    assert abs(tr.path.ys[-1][0]) > 1e10
 
 
 def test_trajectory_starts_at_initial_value():
     tr = rk_solve(problem("cos(t)", "sin(t)", 2, 0.5), 1.0)
-    assert tr.points[0] == (0.0, 0.5)
+    assert (tr.path.ts[0], tr.path.ys[0]) == (0.0, (0.5,))
     assert tr(0.0) == 0.5
 
 
 def test_negative_direction():
     tr = rk_solve(problem("1", "0", 2, 1.0), -1.0)
     assert tr(-1.0) == pytest.approx(1.0 / math.e, rel=1e-9)
-    ts = [t for t, _ in tr.points]
+    ts = tr.path.ts
     assert ts[0] == 0.0 and ts[-1] == -1.0
     assert all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))
 

@@ -99,6 +99,13 @@ def test_identity_residuals_batches_match_single():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_identity_residuals_reject_non_finite_times(bad):
+    a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
+    with pytest.raises(ValueError):
+        identity_residuals(Identity.EQ4, a, b, N3, [0.5, bad])
+
+
 @pytest.mark.parametrize(
     "ident,gen_a,gen_b",
     [

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bsym import QuadConfig
-from bsym.stepper import _B1, _B3, _B4, _B5, _B6, _P, integrate
+from bsym.stepper import _B1, _B3, _B4, _B5, _B6, _P, grid_values, integrate
 
 CTL = QuadConfig().control()
 
@@ -117,3 +117,60 @@ def test_extension_matches_scipy_rk45():
     assert list(P[1]) == [0.0] * 4  # k2 carries no weight
     for ours, row in zip(_P, (P[0], P[2], P[3], P[4], P[5], P[6])):
         assert list(ours) == pytest.approx(list(row), rel=1e-15, abs=0.0)
+
+
+class CountingSolve:
+    """A `solve` for grid_values that records every t_end it is asked for."""
+
+    def __init__(self, y0=(0.0,)):
+        self.y0 = y0
+        self.calls = []
+
+    def __call__(self, t_end):
+        self.calls.append(t_end)
+        return integrate(lambda t, y: (math.cos(t),), 0.0, self.y0, t_end, CTL)
+
+
+@pytest.mark.parametrize(
+    "ts,calls",
+    [  # t = 0 belongs to the t >= 0 side
+        ([0.5, -1.0, 2.0, 0.0, -0.25, 1.0], [2.0, -1.0]),
+        ([0.5, 2.0, 1.0], [2.0]),
+        ([-0.5, -2.0], [-2.0]),
+        ([0.0, 1.5], [1.5]),
+        ([0.0], [0.0]),
+        ([-1.0, 0.0], [0.0, -1.0]),
+        ([], []),
+    ],
+)
+def test_grid_values_solves_once_per_side(ts, calls):
+    solve = CountingSolve()
+    assert len(grid_values(solve, ts)) == len(ts)
+    assert solve.calls == calls
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("others", [[], [1.0], [-1.0], [-1.0, 1.0]])
+def test_grid_values_answer_zero_with_the_first_node(zero, others):
+    solve = CountingSolve(y0=(0.3,))
+    out = grid_values(solve, [*others, zero])
+    assert out[-1] == (0.3,)
+
+
+def test_grid_values_keep_the_input_order():
+    ts = [3.0 * k / 40 for k in range(-40, 41)]
+    random.Random(5).shuffle(ts)
+    right, left = cos_path(3.0), cos_path(-3.0)
+    expected = [(right if t >= 0.0 else left).value(t) for t in ts]
+    assert grid_values(CountingSolve(), ts) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_grid_values_reject_non_finite_times(bad, where):
+    ts = [-0.5, 0.5]
+    ts.insert(where, bad)
+    solve = CountingSolve()
+    with pytest.raises(ValueError):
+        grid_values(solve, ts)
+    assert solve.calls == []
