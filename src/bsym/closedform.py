@@ -130,11 +130,19 @@ def _root_exponent(n: RationalExponent) -> RationalExponent:
     return classify_exponent(-n.q, n.p - n.q)
 
 
+def _g0(p: ProblemSpec) -> float:
+    """G(0) = d^(1-n); DomainError when it overflows (|d| too near 0)."""
+    try:
+        return signed_pow(p.d, _recip_exponent(p.n))
+    except OverflowError:
+        raise DomainError(f"initial value d={p.d!r} is too small: d^(1-n) overflows") from None
+
+
 def radicand(p: ProblemSpec, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> float:
     """G(t) = d^(1-n) - (n-1)*B(t); undefined for n = 1."""
     if p.n.cls is ExponentClass.ONE:
         raise DomainError("radicand is undefined for the unit exponent")
-    g0 = signed_pow(p.d, _recip_exponent(p.n))
+    g0 = _g0(p)
     m = _mult(p.n)
     bval = ab_values(p.a, p.b, m, [t], cfg)[0][1]
     return g0 - m * bval
@@ -159,7 +167,7 @@ def solution_values(
             except OverflowError:
                 raise EvalError(f"solution overflow at t={t!r}") from None
         return out
-    g0 = signed_pow(p.d, _recip_exponent(p.n))
+    g0 = _g0(p)
     root = _root_exponent(p.n)
     even_root = root.q % 2 == 0
     sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
@@ -212,7 +220,7 @@ def validity_interval(
         return Validity(
             -search_radius, search_radius, BoundaryKind.UNBOUNDED, BoundaryKind.UNBOUNDED
         )
-    g0 = signed_pow(p.d, _recip_exponent(p.n))
+    g0 = _g0(p)
     m = _mult(p.n)
     root = _root_exponent(p.n)
     zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY

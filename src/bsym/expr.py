@@ -10,7 +10,16 @@ Grammar (whitespace insignificant)::
 
 '^' takes a non-negative integer-constant exponent only, so parity of any
 subterm stays decidable by structural rules.  Fractions such as "1/2" are
-ordinary constant divisions; there is no scientific notation.
+ordinary constant divisions; there is no scientific notation.  A number
+too large for a float is a syntax error.
+
+Expressions nest at most MAX_DEPTH = 100 levels deep.  A leaf counts one
+level, and each unary minus, '^', function call and binary operator one
+more than its deepest operand, so a sum of 101 terms is too deep (operators
+of one precedence associate to the left).  Parentheses add no level, but
+at most 100 parentheses and calls may be open at once.  Deeper input is a
+syntax error, raised before the parser's recursion or Python's compiler
+could fail.
 """
 
 from __future__ import annotations
@@ -110,6 +119,10 @@ def negated(e: Expr) -> Expr:
 
 _NUM_RE = re.compile(r"\d+\.?\d*|\.\d+")
 
+# Code generation writes one parenthesis level per tree level, and CPython
+# accepts at most 200 nested parentheses in a source expression.
+MAX_DEPTH = 100
+
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     toks = []
@@ -146,6 +159,7 @@ class _Parser:
         self.source = source
         self.toks = _tokenize(source)
         self.i = 0
+        self.open = 0  # parentheses and calls being parsed
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -166,33 +180,52 @@ class _Parser:
         self.i += 1
         return tok
 
+    def _check_depth(self, depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", off)
+        return depth
+
+    def _descend(self, off: int) -> None:
+        """Enter parentheses or a call, before recursing."""
+        self.open += 1
+        self._check_depth(self.open, off)
+
+    # each method returns (node, depth): the node's levels counted as in
+    # MAX_DEPTH, a leaf being one level
+
     def parse(self) -> Node:
-        node = self._expr()
+        node, _ = self._expr()
         tok = self._peek()
         if tok is not None:
             raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
         return node
 
-    def _expr(self) -> Node:
-        node = self._term()
+    def _expr(self) -> tuple[Node, int]:
+        node, depth = self._term()
         while (tok := self._peek()) is not None and tok[0] in "+-":
             self.i += 1
-            node = BinOp(tok[0], node, self._term())
-        return node
+            right, right_depth = self._term()
+            node = BinOp(tok[0], node, right)
+            depth = self._check_depth(1 + max(depth, right_depth), tok[2])
+        return node, depth
 
-    def _term(self) -> Node:
-        node = self._factor()
+    def _term(self) -> tuple[Node, int]:
+        node, depth = self._factor()
         while (tok := self._peek()) is not None and tok[0] in "*/":
             self.i += 1
-            node = BinOp(tok[0], node, self._factor())
-        return node
+            right, right_depth = self._factor()
+            node = BinOp(tok[0], node, right)
+            depth = self._check_depth(1 + max(depth, right_depth), tok[2])
+        return node, depth
 
-    def _factor(self) -> Node:
-        tok = self._peek()
-        if tok is not None and tok[0] == "-":
+    def _factor(self) -> tuple[Node, int]:
+        # leading minuses are counted, not recursed into, so a long run of
+        # them fails the depth check instead of the interpreter's stack
+        start = self.i
+        while (tok := self._peek()) is not None and tok[0] == "-":
             self.i += 1
-            return Neg(self._factor())
-        node = self._primary()
+        minuses = self.i - start
+        node, depth = self._primary()
         tok = self._peek()
         if tok is not None and tok[0] == "^":
             self.i += 1
@@ -203,26 +236,36 @@ class _Parser:
                 raise ExprSyntaxError("exponent must be an integer constant", etok[2])
             self.i += 1
             node = Pow(node, int(etok[1]))
-        return node
+            depth = self._check_depth(depth + 1, tok[2])
+        for _ in range(minuses):
+            node = Neg(node)
+        return node, self._check_depth(depth + minuses, self.toks[start][2])
 
-    def _primary(self) -> Node:
+    def _primary(self) -> tuple[Node, int]:
         tok = self._next()
         kind, text, off = tok
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number too large for a float", off)
+            return Const(value), 1
         if kind == "name":
             if text == "t":
-                return Var()
+                return Var(), 1
             if text in FUNCTIONS:
                 self._expect("(")
-                arg = self._expr()
+                self._descend(off)
+                arg, depth = self._expr()
+                self.open -= 1
                 self._expect(")")
-                return Call(text, arg)
+                return Call(text, arg), self._check_depth(depth + 1, off)
             raise ExprSyntaxError(f"unknown name {text!r}", off)
         if kind == "(":
-            node = self._expr()
+            self._descend(off)
+            result = self._expr()
+            self.open -= 1
             self._expect(")")
-            return node
+            return result
         raise ExprSyntaxError(f"unexpected token {text!r}", off)
 
 

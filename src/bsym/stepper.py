@@ -8,6 +8,14 @@ States are plain tuples of floats (dimension 1 or 2 here), which beats
 array machinery at these sizes.  Negative spans are integrated by stepping
 with negative h; nodes then appear in decreasing t order.
 
+The adaptive loop is generated and compiled once per state dimension
+(`_kernel`), with every state component and stage value in a local of its
+own, so a step does no per-component zip or generator work.  Its source is
+registered in `linecache`, so tracebacks and profiles show the generated
+lines.  Paths (nodes, states, stages, stop flag) are bit-identical to
+those of the plain component-wise loop, which the tests keep as the
+reference.
+
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
 costs no right-hand-side evaluation.  `grid_values` answers a grid that
@@ -16,9 +24,12 @@ straddles t = 0 from one 0-anchored path per side.
 
 from __future__ import annotations
 
+import linecache
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = ["StepControl", "DensePath", "StepUnderflow", "StepBudgetExceeded", "integrate", "grid_values"]
@@ -218,10 +229,23 @@ def integrate(
     integration ends there with path.stopped set.
     """
     y0 = tuple(y0)
+    return _kernel(len(y0))(f, t0, y0, t_end, ctl, stop)
+
+
+# The adaptive loop, written once for every state dimension.  `vec<e>`
+# expands to the tuple of e over the components and `sum<e>` to their sum
+# from the first component on, with each `_i` suffix replaced by the
+# component index: y_i is a state component, k2_i a stage value and z_i a
+# component of the proposed new state.  Each expression keeps the operation
+# order of the component-wise loop kept in tests/test_stepper.py, which the
+# tests require to be reproduced bit for bit.
+_KERNEL = """\
+def dp5_dim{dim}(f, t0, y0, t_end, ctl, stop):
     path = DensePath()
+    ts, ys, ks = path.ts, path.ys, path.ks
     k1 = f(t0, y0)
-    path.ts.append(t0)
-    path.ys.append(y0)
+    ts.append(t0)
+    ys.append(y0)
     span = t_end - t0
     if span == 0.0:
         return path
@@ -229,70 +253,62 @@ def integrate(
     direction = 1.0 if span > 0 else -1.0
     min_h = abs(span) * ctl.min_step_fraction
     h = span / 64.0
-    t, y = t0, y0
-    atol, rtol = ctl.abs_tol, ctl.rel_tol
+    t = t0
+    vec<y_i> = y0
+    vec<k1_i> = k1
+    atol, rtol, max_steps = ctl.abs_tol, ctl.rel_tol, ctl.max_steps
     steps = 0
 
     while (t_end - t) * direction > 0.0:
         steps += 1
-        if steps > ctl.max_steps:
+        if steps > max_steps:
             raise StepBudgetExceeded(path)
         if abs(h) < min_h:
             raise StepUnderflow(path)
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        k2 = f(t + _C2 * h, tuple(a + h * _A21 * b for a, b in zip(y, k1)))
-        k3 = f(
-            t + _C3 * h,
-            tuple(a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)),
-        )
-        k4 = f(
-            t + _C4 * h,
-            tuple(
-                a + h * (_A41 * b + _A42 * c + _A43 * d)
-                for a, b, c, d in zip(y, k1, k2, k3)
-            ),
-        )
+        k2 = f(t + _C2 * h, vec<y_i + h * _A21 * k1_i>)
+        vec<k2_i> = k2
+        k3 = f(t + _C3 * h, vec<y_i + h * (_A31 * k1_i + _A32 * k2_i)>)
+        vec<k3_i> = k3
+        k4 = f(t + _C4 * h, vec<y_i + h * (_A41 * k1_i + _A42 * k2_i + _A43 * k3_i)>)
+        vec<k4_i> = k4
         k5 = f(
             t + _C5 * h,
-            tuple(
-                a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
-                for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-            ),
+            vec<y_i + h * (_A51 * k1_i + _A52 * k2_i + _A53 * k3_i + _A54 * k4_i)>,
         )
+        vec<k5_i> = k5
         k6 = f(
             t + h,
-            tuple(
-                a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
-                for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)
-            ),
+            vec<y_i + h * (_A61 * k1_i + _A62 * k2_i + _A63 * k3_i + _A64 * k4_i + _A65 * k5_i)>,
         )
-        y1 = tuple(
-            a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * j)
-            for a, b, d, e, g, j in zip(y, k1, k3, k4, k5, k6)
-        )
+        vec<k6_i> = k6
+        z = vec<y_i + h * (_B1 * k1_i + _B3 * k3_i + _B4 * k4_i + _B5 * k5_i + _B6 * k6_i)>
+        vec<z_i> = z
         t1 = t + h
-        k7 = f(t1, y1)
+        k7 = f(t1, z)
+        vec<k7_i> = k7
 
-        err_sq = 0.0
-        for a, b, e1, e3, e4, e5, e6, e7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
-            err = h * (
-                _E1 * e1 + _E3 * e3 + _E4 * e4 + _E5 * e5 + _E6 * e6 + _E7 * e7
-            )
-            scale = atol + rtol * max(abs(a), abs(b))
-            err_sq += (err / scale) ** 2
-        err_norm = math.sqrt(err_sq / len(y))
+        # squares summed in component order; a leading 0.0 + would change
+        # no bit, since 0.0 + x == x for x >= 0 and for NaN
+        err_sq = sum<(
+            h * (_E1 * k1_i + _E3 * k3_i + _E4 * k4_i + _E5 * k5_i + _E6 * k6_i + _E7 * k7_i)
+            / (atol + rtol * max(abs(y_i), abs(z_i)))
+        ) ** 2>
+        err_norm = sqrt(err_sq / {dim})
 
-        if not math.isfinite(err_norm):
+        if not isfinite(err_norm):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            path.ks.append((k1, k3, k4, k5, k6, k7))
-            t, y, k1 = t1, y1, k7
-            path.ts.append(t)
-            path.ys.append(y)
-            if stop is not None and stop(t, y):
+            ks.append((k1, k3, k4, k5, k6, k7))
+            t, k1 = t1, k7
+            vec<y_i> = vec<z_i>
+            vec<k1_i> = vec<k7_i>
+            ts.append(t)
+            ys.append(z)
+            if stop is not None and stop(t, z):
                 path.stopped = True
                 break
             factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
@@ -301,6 +317,42 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm**-0.2)
 
     return path
+"""
+
+
+@lru_cache(maxsize=None)
+def _kernel(dim: int) -> Callable:
+    """The DP5 loop for states of `dim` components, compiled once.
+
+    The rendered source is registered in `linecache` under the kernel's
+    file name, so tracebacks and profilers show its lines.
+    """
+
+    def expand(match: re.Match) -> str:
+        terms = [re.sub(r"_i\b", f"_{i}", match[2]) for i in range(dim)]
+        if match[1] == "sum":
+            return "(" + " + ".join(terms) + ")"
+        return "(" + ", ".join(terms) + ",)"
+
+    def constant(match: re.Match) -> str:
+        value = globals()[match[0]]
+        return f"({value!r})" if value < 0 else repr(value)
+
+    source = re.sub(r"(vec|sum)<(.*?)>", expand, _KERNEL, flags=re.S).replace("{dim}", str(dim))
+    # tableau names become their values (repr round-trips a float exactly),
+    # a constant load in place of a global lookup at every use
+    source = re.sub(r"\b_[ABCE]\d+\b", constant, source)
+    filename = f"<bsym.stepper DP5 kernel dim={dim}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {
+        "DensePath": DensePath,
+        "StepBudgetExceeded": StepBudgetExceeded,
+        "StepUnderflow": StepUnderflow,
+        "sqrt": math.sqrt,
+        "isfinite": math.isfinite,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[f"dp5_dim{dim}"]
 
 
 def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> list[State]:

@@ -84,6 +84,24 @@ def test_solve_syntax_error_is_exit_1(tmp_path):
     assert "parse error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "a",
+    ["1" * 401, "(" * 300 + "t" + ")" * 300, "-" * 300 + "t", "+".join(["t"] * 250)],
+    ids=["401-digit-literal", "parens-300", "minus-300", "sum-250"],
+)
+def test_solve_unparseable_coefficient_is_exit_1(tmp_path, a):
+    # a non-finite literal and three over-deep expressions, each of which
+    # used to end in a traceback
+    prob = write_problem(tmp_path / "p.json", {**RICCATI, "a": a})
+    out = tmp_path / "x.csv"
+    res = run_cli("solve", "--problem", prob, "--t-min", "0", "--t-max", "1",
+                  "--out", str(out))
+    assert res.returncode == 1
+    assert "parse error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_solve_domain_error_is_exit_2(tmp_path):
     prob = write_problem(tmp_path / "p.json", {**RICCATI, "d": "0"})
     res = run_cli("solve", "--problem", prob, "--t-min", "0", "--t-max", "1",
@@ -119,6 +137,33 @@ def test_solve_unit_exponent_overflow_is_exit_2(tmp_path):
     assert res.returncode == 2
     assert "overflow" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# d^(1-n) = 1e400 overflows a float before any integration starts
+TINY_D = {"a": "0", "b": "1", "n": "3", "d": "1e-200"}
+
+
+def test_solve_tiny_initial_value_is_exit_2(tmp_path):
+    prob = write_problem(tmp_path / "p.json", TINY_D)
+    out = tmp_path / "x.csv"
+    res = run_cli("solve", "--problem", prob, "--t-min", "-1", "--t-max", "1",
+                  "--out", str(out))
+    assert res.returncode == 2
+    assert "d=1e-200" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+def test_verify_tiny_initial_value_is_exit_2(tmp_path, method):
+    prob = write_problem(tmp_path / "p.json", TINY_D)
+    report = tmp_path / "r.json"
+    res = run_cli("verify", "--problem", prob, "--case", "all", "--method", method,
+                  "--report", str(report))
+    assert res.returncode == 2
+    assert "d=1e-200" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not report.exists()
 
 
 # --- cases -----------------------------------------------------------------------

@@ -13,7 +13,9 @@ from bsym.expr import (
     Expr,
     Neg,
     Pow,
+    MAX_DEPTH,
     Var,
+    as_callable,
     detect_parity,
     format_expr,
     sampled_parity,
@@ -67,6 +69,72 @@ def test_parse_error_offsets():
 
 @pytest.mark.parametrize("src", ["", "   ", "sin()", "2 +", "(t", "t)", "foo(t)", "2 2"])
 def test_parse_rejects_malformed(src):
+    with pytest.raises(ExprSyntaxError):
+        parse_expr(src)
+
+
+@pytest.mark.parametrize(
+    "src,offset", [("1" * 401, 0), ("t + " + "9" * 400 + ".5", 4)], ids=["alone", "in-a-sum"]
+)
+def test_parse_rejects_non_finite_literal(src, offset):
+    # float() of a 401-digit literal is inf, which codegen cannot spell
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(src)
+    assert info.value.offset == offset
+    assert "too large" in str(info.value)
+
+
+def test_parse_accepts_the_largest_finite_literal():
+    src = "9" * 308
+    assert parse_expr(src).ast == Const(float(src))
+
+
+@pytest.mark.parametrize(
+    "src,offset",
+    [  # each failed past the parser before the bound: RecursionError in the
+        # parser, then two SyntaxErrors from compiling the generated lambda
+        ("(" * 300 + "t" + ")" * 300, 100),
+        ("-" * 300 + "t", 0),
+        ("+".join(["t"] * 250), 199),
+        ("(" * 3000 + "t" + ")" * 3000, 100),
+        ("sin(" * 101 + "t" + ")" * 101, 400),
+        ("-" * 5000 + "t", 0),
+    ],
+    ids=["parens-300", "minus-300", "sum-250", "parens-3000", "calls-101", "minus-5000"],
+)
+def test_parse_bounds_the_depth(src, offset):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(src)
+    assert info.value.offset == offset
+    assert "deeper than 100" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "+".join(["t"] * MAX_DEPTH),
+        "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+        "-" * (MAX_DEPTH - 1) + "1",
+        "sin(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+        "-(" * (MAX_DEPTH // 2 - 1) + "t^2" + ")" * (MAX_DEPTH // 2 - 1),
+    ],
+    ids=["sum", "parens", "minus", "calls", "minus-parens-pow"],
+)
+def test_expressions_at_the_depth_bound_compile(src):
+    # the deepest accepted trees stay within CPython's nesting limits
+    assert math.isfinite(as_callable(parse_expr(src))(0.5))
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "+".join(["t"] * (MAX_DEPTH + 1)),
+        "-" * MAX_DEPTH + "1",
+        "(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1),
+    ],
+    ids=["sum", "minus", "parens"],
+)
+def test_parse_rejects_one_level_past_the_bound(src):
     with pytest.raises(ExprSyntaxError):
         parse_expr(src)
 

@@ -1,10 +1,17 @@
+import linecache
 import math
 import random
+import traceback
 
 import pytest
 
-from bsym import QuadConfig
-from bsym.stepper import _B1, _B3, _B4, _B5, _B6, _P, grid_values, integrate
+from bsym import QuadConfig, stepper
+from bsym.stepper import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _P,
+    DensePath, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
+)
 
 CTL = QuadConfig().control()
 
@@ -174,3 +181,225 @@ def test_grid_values_reject_non_finite_times(bad, where):
     with pytest.raises(ValueError):
         grid_values(solve, ts)
     assert solve.calls == []
+
+
+# --- the generated kernel against the component-wise loop it replaced --------
+
+def reference_integrate(f, t0, y0, t_end, ctl, stop=None):
+    """The generic zip/generator loop `integrate` ran before its kernel was
+    generated per dimension; the kernel must reproduce it bit for bit."""
+    y0 = tuple(y0)
+    path = DensePath()
+    k1 = f(t0, y0)
+    path.ts.append(t0)
+    path.ys.append(y0)
+    span = t_end - t0
+    if span == 0.0:
+        return path
+
+    direction = 1.0 if span > 0 else -1.0
+    min_h = abs(span) * ctl.min_step_fraction
+    h = span / 64.0
+    t, y = t0, y0
+    atol, rtol = ctl.abs_tol, ctl.rel_tol
+    steps = 0
+
+    while (t_end - t) * direction > 0.0:
+        steps += 1
+        if steps > ctl.max_steps:
+            raise StepBudgetExceeded(path)
+        if abs(h) < min_h:
+            raise StepUnderflow(path)
+        if (t + h - t_end) * direction > 0.0:
+            h = t_end - t
+
+        k2 = f(t + _C2 * h, tuple(a + h * _A21 * b for a, b in zip(y, k1)))
+        k3 = f(
+            t + _C3 * h,
+            tuple(a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)),
+        )
+        k4 = f(
+            t + _C4 * h,
+            tuple(
+                a + h * (_A41 * b + _A42 * c + _A43 * d)
+                for a, b, c, d in zip(y, k1, k2, k3)
+            ),
+        )
+        k5 = f(
+            t + _C5 * h,
+            tuple(
+                a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+                for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+            ),
+        )
+        k6 = f(
+            t + h,
+            tuple(
+                a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+                for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)
+            ),
+        )
+        y1 = tuple(
+            a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * j)
+            for a, b, d, e, g, j in zip(y, k1, k3, k4, k5, k6)
+        )
+        t1 = t + h
+        k7 = f(t1, y1)
+
+        err_sq = 0.0
+        for a, b, e1, e3, e4, e5, e6, e7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
+            err = h * (
+                _E1 * e1 + _E3 * e3 + _E4 * e4 + _E5 * e5 + _E6 * e6 + _E7 * e7
+            )
+            scale = atol + rtol * max(abs(a), abs(b))
+            err_sq += (err / scale) ** 2
+        err_norm = math.sqrt(err_sq / len(y))
+
+        if not math.isfinite(err_norm):
+            h *= 0.1
+            continue
+        if err_norm <= 1.0:
+            path.ks.append((k1, k3, k4, k5, k6, k7))
+            t, y, k1 = t1, y1, k7
+            path.ts.append(t)
+            path.ys.append(y)
+            if stop is not None and stop(t, y):
+                path.stopped = True
+                break
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+            h *= factor
+        else:
+            h *= max(0.2, 0.9 * err_norm**-0.2)
+
+    return path
+
+
+def run(integrator, make_rhs, y0, t_end, ctl=CTL, stop=None):
+    """(outcome, repr of ts, ys, ks, stopped); repr tells every float bit
+    apart, -0.0 from 0.0 included.  make_rhs gives each run a fresh RHS."""
+    try:
+        path, outcome = integrator(make_rhs(), 0.0, y0, t_end, ctl, stop), "done"
+    except (StepUnderflow, StepBudgetExceeded) as exc:
+        path, outcome = exc.path, type(exc).__name__
+    return outcome, repr((path.ts, path.ys, path.ks, path.stopped))
+
+
+def rhs_1():
+    return lambda t, y: (math.cos(3.0 * t) - 0.2 * y[0] * abs(y[0]),)
+
+
+def rhs_2():
+    # the nested quadrature's shape, with a non-trivial A
+    return lambda t, y: (math.cos(t) - 0.5 * t, math.sin(2.0 * t) * math.exp(0.7 * y[0]))
+
+
+def rhs_3():
+    # a list, not a tuple: the stages are stored as the objects f returns
+    return lambda t, y: [y[1], -y[0] + 0.3 * math.sin(t) * y[2], math.cos(t) - 0.5 * y[2]]
+
+
+DIMS = {1: (rhs_1, (0.4,)), 2: (rhs_2, (0.0, 0.0)), 3: (rhs_3, (1.0, -0.5, 0.25))}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("t_end", [5.0, -5.0, 1e-3, 0.0])
+def test_kernel_is_bit_identical_to_the_vector_loop(dim, t_end):
+    make_rhs, y0 = DIMS[dim]
+    expected = run(reference_integrate, make_rhs, y0, t_end)
+    assert run(integrate, make_rhs, y0, t_end) == expected
+    assert expected[0] == "done"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("t_end", [6.0, -6.0])
+def test_kernel_matches_with_a_stop_callback(dim, t_end):
+    make_rhs, y0 = DIMS[dim]
+    target = abs(reference_integrate(make_rhs(), 0.0, y0, t_end, CTL).ys[5][0])
+
+    def stop(t, y):
+        return abs(y[0]) >= target
+
+    expected = run(reference_integrate, make_rhs, y0, t_end, stop=stop)
+    assert run(integrate, make_rhs, y0, t_end, stop=stop) == expected
+    assert expected[1].endswith(", True)")  # stopped
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("t_end", [4.0, -4.0])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_kernel_matches_after_a_non_finite_stage(dim, t_end, bad):
+    make_clean, y0 = DIMS[dim]
+    returned = []
+
+    def make_rhs():
+        clean, calls = make_clean(), [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            k = clean(t, y)
+            if calls[0] == 40:  # one stage of one step attempt
+                returned.append(bad)
+                return (*k[:-1], bad)
+            return k
+
+        return rhs
+
+    expected = run(reference_integrate, make_rhs, y0, t_end)
+    assert run(integrate, make_rhs, y0, t_end) == expected
+    assert len(returned) == 2  # both runs took the h *= 0.1 retry
+    assert expected[0] == "done"
+    assert expected != run(reference_integrate, make_clean, y0, t_end)
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_kernel_matches_the_partial_path_on_underflow(t_end):
+    def make_rhs():  # y' = y^2 from y(0) = sign: a pole at |t| = 1
+        return lambda t, y: (y[0] * y[0], math.cos(t))
+
+    y0 = (math.copysign(1.0, t_end), 0.0)
+    ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, min_step_fraction=2.0**-20)
+    expected = run(reference_integrate, make_rhs, y0, t_end, ctl)
+    assert run(integrate, make_rhs, y0, t_end, ctl) == expected
+    assert expected[0] == "StepUnderflow"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_matches_the_partial_path_on_an_exhausted_budget(dim):
+    make_rhs, y0 = DIMS[dim]
+    ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=7)
+    expected = run(reference_integrate, make_rhs, y0, -5.0, ctl)
+    assert run(integrate, make_rhs, y0, -5.0, ctl) == expected
+    assert expected[0] == "StepBudgetExceeded"
+
+
+def test_kernel_is_generated_once_per_dimension(monkeypatch):
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(stepper, "compile", counting_compile, raising=False)
+    stepper._kernel.cache_clear()
+    for dim in (2, 1, 2, 1, 2, 3):
+        make_rhs, y0 = DIMS[dim]
+        integrate(make_rhs(), 0.0, y0, 1.0, CTL)
+    assert compiled == [f"<bsym.stepper DP5 kernel dim={dim}>" for dim in (2, 1, 3)]
+    assert stepper._kernel(2) is stepper._kernel(2)
+
+
+def test_traceback_shows_the_kernel_source():
+    calls = []
+
+    def failing(t, y):
+        calls.append(t)
+        if len(calls) == 3:  # k1, k2, then k3 of the first step
+            raise ZeroDivisionError("from the right-hand side")
+        return (1.0, 1.0)
+
+    with pytest.raises(ZeroDivisionError) as info:
+        integrate(failing, 0.0, (0.0, 0.0), 1.0, CTL)
+    frame = traceback.extract_tb(info.tb)[-2]
+    assert frame.filename == "<bsym.stepper DP5 kernel dim=2>"
+    assert frame.line.startswith("k3 = f(t + 0.3 * h, (y_0 + h * (0.075 * k1_0")
+    assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
