@@ -2,6 +2,8 @@
 """Sweep showcase problems through the symmetry catalog and print a table.
 
 Usage: python scripts/run_catalog.py [--method closed|oracle] [--points N]
+
+Exits 4, like `bsym verify`, when any verdict is fail, and 0 otherwise.
 """
 
 import argparse
@@ -31,17 +33,19 @@ def main() -> int:
 
     print(f"{'problem':38} {'case':6} {'relation':8} {'max residual':>13} verdict")
     print("-" * 80)
+    all_passed = True
     for label, p in SHOWCASE:
         cases = applicable_cases(p)
         if not cases:
             print(f"{label:38} (no applicable cases)")
             continue
         for rep in verify_cases(p, cases, args.points, args.tol, args.method):
+            all_passed &= rep.passed
             print(
                 f"{label:38} {rep.case_id:6} {rep.relation.value:8} "
                 f"{rep.max_residual:13.3e} {rep.verdict}"
             )
-    return 0
+    return 0 if all_passed else 4
 
 
 if __name__ == "__main__":

@@ -141,6 +141,11 @@ def cmd_pair(args) -> int:
     p = load_problem(args.problem)
     case = resolve_case(args.case)
     p2 = transform_problem(p, case)
+    for key, expr in (("a", p2.a), ("b", p2.b)):
+        try:  # the partner must read back: a built tree can nest too deep
+            parse_expr(expr.source)
+        except ExprSyntaxError as exc:
+            raise DomainError(f"partner coefficient {key} cannot be written: {exc}") from None
     payload = {
         "a": p2.a.source,
         "b": p2.b.source,
@@ -156,6 +161,10 @@ def cmd_pair(args) -> int:
 
 def cmd_verify(args) -> int:
     p = load_problem(args.problem)
+    if args.points < 3:
+        raise DomainError("--points must be >= 3")
+    if not 0.0 < args.tol < math.inf:
+        raise DomainError("--tol must be positive and finite")
     cases = applicable_cases(p) if args.case == "all" else [args.case]
     reports = []
     all_passed = True

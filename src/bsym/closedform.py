@@ -57,10 +57,6 @@ __all__ = [
     "validity_interval",
 ]
 
-VALIDITY_SCAN_POINTS = 1024  # scan resolution ahead of bisection
-_BISECT_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """One Bernoulli IVP: y' = a(t)*y + b(t)*y^n, y(0) = d."""
@@ -95,7 +91,7 @@ class BoundaryKind(Enum):
 class Validity:
     """Interval around 0 on which the closed form is real and finite.
 
-    For Unbounded and SearchLimit ends, lo/hi hold the scanned bound rather
+    For Unbounded and SearchLimit ends, lo/hi hold the search radius rather
     than a boundary location.
     """
 
@@ -198,21 +194,18 @@ def eval_solution(
 
 
 def validity_interval(
-    p: ProblemSpec,
-    search_radius: float,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    scan_points: int = VALIDITY_SCAN_POINTS,
+    p: ProblemSpec, search_radius: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
 ) -> Validity:
-    """Bracket the first zero of G on each side of 0 within search_radius.
+    """The first zero of G on each side of 0 within search_radius.
 
-    G comes from the dense (A, B) path of one integration per side.  Scans G
-    with a fixed step of search_radius/scan_points in one walk over the
-    path's steps, then bisects any sign change (or exact zero hit) of the
-    same G down to 1e-9.  Boundary kinds:
-    Asymptote when the root exponent is negative (the solution diverges),
-    RootBoundary otherwise (the root loses its real branch / uniqueness),
-    SearchLimit when no zero is found, and Unbounded for the radicand-free
-    unit exponent.
+    G = g0 - (n-1)*B vanishes where B reaches g0/(n-1), which
+    `DensePath.first_crossing` finds step by step on the dense (A, B) path
+    of one integration per side, to full float resolution; a tangent touch
+    within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
+    Boundary kinds: Asymptote when the root exponent is negative (the
+    solution diverges), RootBoundary otherwise (the root loses its real
+    branch / uniqueness), SearchLimit when no zero is found, and Unbounded
+    for the radicand-free unit exponent.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
@@ -224,42 +217,15 @@ def validity_interval(
     m = _mult(p.n)
     root = _root_exponent(p.n)
     zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
-    step = search_radius / scan_points
 
-    ends: dict[float, tuple[float, BoundaryKind]] = {}
+    level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
+    if level == 0.0:
+        raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
+    ends = []
     for direction in (1.0, -1.0):
         path = nested_path(p.a, p.b, m, direction * search_radius, cfg)
-
-        def g(tau: float) -> float:
-            return g0 - m * path.value(tau)[1]
-
-        taus = [
-            direction * (search_radius if i == scan_points else i * step)
-            for i in range(1, scan_points + 1)
-        ]
-        prev_t, prev_g = 0.0, g0
-        found = None
-        for tau, bval in zip(taus, path.component_values(taus, 1)):
-            gv = g0 - m * bval
-            if prev_g * gv <= 0.0:
-                found = _bisect_zero(g, prev_t, tau, prev_g)
-                break
-            prev_t, prev_g = tau, gv
-        if found is None:
-            ends[direction] = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
-        else:
-            ends[direction] = (found, zero_kind)
-
-    (hi, hi_kind), (lo, lo_kind) = ends[1.0], ends[-1.0]
+        found = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
+        limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
+        ends.append(limit if found is None else (found, zero_kind))
+    (hi, hi_kind), (lo, lo_kind) = ends
     return Validity(lo, hi, lo_kind, hi_kind)
-
-
-def _bisect_zero(g, t_in: float, t_out: float, g_in: float) -> float:
-    """Refine a bracketed sign change of g to within _BISECT_TOL."""
-    while abs(t_out - t_in) > _BISECT_TOL:
-        mid = 0.5 * (t_in + t_out)
-        if g(mid) * g_in > 0.0:
-            t_in = mid
-        else:
-            t_out = mid
-    return 0.5 * (t_in + t_out)

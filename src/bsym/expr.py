@@ -111,7 +111,9 @@ class Expr:
 
 
 def negated(e: Expr) -> Expr:
-    """Structurally negate: wrap the tree in a unary minus."""
+    """Structurally negate: wrap the tree in a unary minus, or unwrap one."""
+    if isinstance(e.ast, Neg):
+        return Expr(e.ast.arg)
     return Expr(Neg(e.ast))
 
 

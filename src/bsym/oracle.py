@@ -94,8 +94,9 @@ def rk_solve(
     Stops early with a blow-up marker once |y| exceeds the configured
     threshold (or the step size collapses while |y| is already huge); the
     trajectory then ends at the last accepted step.  Raises StepFailure when
-    the step size underflows at moderate |y|, and DomainError when y leaves
-    the legal domain of y^n (e.g. y < 0 with an even root denominator).
+    the step size underflows at moderate |y| or y^n overflows, and
+    DomainError when y leaves the legal domain of y^n (e.g. y < 0 with an
+    even root denominator).
     """
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite")
@@ -128,6 +129,8 @@ def rk_solve(
             raise StepFailure(str(exc)) from None
     except StepBudgetExceeded as exc:
         raise StepFailure(str(exc)) from None
+    except OverflowError as exc:  # y^n of an overshooting trial stage
+        raise StepFailure(f"right-hand side overflow: {exc}") from None
 
     return Trajectory(path, blew_up)
 

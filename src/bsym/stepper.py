@@ -18,8 +18,9 @@ reference.
 
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
-costs no right-hand-side evaluation.  `grid_values` answers a grid that
-straddles t = 0 from one 0-anchored path per side.
+costs no right-hand-side evaluation.  `DensePath.first_crossing` locates
+events on the same per-step polynomials.  `grid_values` answers a grid
+that straddles t = 0 from one 0-anchored path per side.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = ["StepControl", "DensePath", "StepUnderflow", "StepBudgetExceeded", "integrate", "grid_values"]
 
@@ -100,10 +101,9 @@ class DensePath:
     """Accepted nodes plus each step's stages, queryable between nodes.
 
     `value` evaluates the 4th-order continuous extension of the bracketing
-    step; `component_values` answers a monotone run of points with the same
-    arithmetic in one walk over the steps.  A step's polynomial coefficients
-    are built on the first query inside it and cached, so a path that is
-    queried only at a few points pays for only those steps.
+    step and `first_crossing` finds where a component first reaches a level
+    on it.  A step's coefficients are built on its first query and cached,
+    so a path queried at only a few points pays for only those steps.
     """
 
     ts: list = field(default_factory=list)
@@ -120,10 +120,6 @@ class DensePath:
     @property
     def y_end(self) -> State:
         return self.ys[-1]
-
-    def covers(self, t: float) -> bool:
-        lo, hi = sorted((self.ts[0], self.ts[-1]))
-        return lo <= t <= hi
 
     def _segment(self, t: float) -> int:
         """Index i of the step with t in [ts[i], ts[i+1]), or the last step
@@ -142,7 +138,7 @@ class DensePath:
             if i < last and x < d * ts[i + 2]:
                 self._hint = i + 1
                 return i + 1
-        if not self.covers(t):
+        if not min(ts[0], ts[-1]) <= t <= max(ts[0], ts[-1]):
             raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}, {ts[-1]!r}]")
         i = min(bisect_right(ts, x, key=lambda s: d * s) - 1, last)
         self._hint = i
@@ -156,62 +152,84 @@ class DensePath:
                 raise ValueError(f"t={t!r} outside integrated range")
             return self.ys[0]
         i = self._segment(t)
-        return tuple([self._component(i, t, k) for k in range(len(self.ys[0]))])
-
-    def component_values(self, ts: Iterable[float], k: int) -> Iterator[float]:
-        """Component k of the state at each of ts, lazily and in order.
-
-        The points must run monotonically away from t0, so the steps are
-        walked once; each answer equals `value(t)[k]`.  Raises ValueError on
-        reaching a point outside the covered range or out of order.
-        """
-        nodes = self.ts
-        if len(nodes) == 1:
-            yield from (self.value(t)[k] for t in ts)
-            return
-        last = len(nodes) - 2
-        d = 1.0 if nodes[-1] >= nodes[0] else -1.0
-        i = 0
-        for t in ts:
-            x = d * t
-            while i < last and x >= d * nodes[i + 1]:
-                i += 1
-            if not d * nodes[i] <= x <= d * nodes[i + 1]:
-                raise ValueError(
-                    f"t={t!r} outside integrated range [{nodes[0]!r}, {nodes[-1]!r}] "
-                    "or out of order"
-                )
-            yield self._component(i, t, k)
-
-    def _component(self, i: int, t: float, k: int) -> float:
-        """Component k at t in step i: the stored node on either end of the
-        step, else the step's continuous extension."""
-        t0, t1 = self.ts[i], self.ts[i + 1]
+        t0, t1 = ts[i], ts[i + 1]
         if t == t0:
-            return self.ys[i][k]
+            return self.ys[i]
         if t == t1:
-            return self.ys[i + 1][k]
-        coefs = self._coefs.get(i)
-        if coefs is None:
-            coefs = self._coefs[i] = self._extension(i)
-        y0, c1, c2, c3, c4 = coefs[k]
+            return self.ys[i + 1]
         th = (t - t0) / (t1 - t0)
-        return y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
+        return tuple([
+            y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
+            for y0, c1, c2, c3, c4 in self._coefs.get(i) or self._extension(i)
+        ])
 
     # bench/tracing.py wraps `DensePath.value_refined` by name; the one
     # dense-output query keeps answering to it so traced runs still start
     value_refined = value
 
+    def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
+        """First t past ts[0] where component k reaches `level`, or None.
+
+        Event location on the continuous extension (Hairer-Norsett-Wanner
+        II.6; Shampine and Thompson 2000), step by step from ts[0], where
+        y_k must differ from level.  On a step, y_k - level is a quartic in
+        the step fraction; its first root is bisected to full resolution.
+        A stationary point within abs_tol + rel_tol * |y_k| of level, the
+        error the step control allowed y_k, counts as a tangent crossing.
+        """
+        ts, ys = self.ts, self.ys
+        side = 1.0 if ys[0][k] > level else -1.0
+        for i in range(len(ts) - 1):
+            y0, *c = (self._coefs.get(i) or self._extension(i))[k]
+            vary = sum(map(abs, c))  # bounds |y_k - y0| on the step
+            tol = abs_tol + rel_tol * (abs(y0) + vary)
+            if abs(y0 - level) <= vary + tol and (found := _roots([y0 - level, *c], tol)):
+                return ts[i] + found[0] * (ts[i + 1] - ts[i])
+            if side * (ys[i + 1][k] - level) <= 0.0:
+                return ts[i + 1]
+        return None
+
     def _extension(self, i: int) -> list:
-        """Per component (y0, h*c1, .., h*c4) of step i's continuous extension."""
+        """Per component (y0, h*c1, .., h*c4) of step i's extension, cached."""
         h = self.ts[i + 1] - self.ts[i]
-        return [
+        coefs = self._coefs[i] = [
             (y0,) + tuple(
                 h * (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7)
                 for p1, p3, p4, p5, p6, p7 in _P_COLS
             )
             for y0, e1, e3, e4, e5, e6, e7 in zip(self.ys[i], *self.ks[i])
         ]
+        return coefs
+
+
+def _roots(c: Sequence[float], tol: float = 0.0) -> list:
+    """Increasing roots in (0, 1] of the polynomial p with ascending
+    coefficients c, bisected to full float resolution between stationary
+    points (the derivative's roots), and the stationary points with |p| <= tol."""
+    if len(c) < 2:
+        return []
+    ends = [0.0, *_roots([j * cj for j, cj in enumerate(c)][1:]), 1.0]
+    found = []
+    for lo, hi in zip(ends, ends[1:]):
+        p_lo, p_hi = _horner(c, lo), _horner(c, hi)
+        if p_lo > 0.0 >= p_hi or p_lo < 0.0 <= p_hi:
+            sign = 1.0 if p_lo > 0.0 else -1.0
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if sign * _horner(c, mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            found.append(hi)
+        elif hi < 1.0 and abs(p_hi) <= tol:
+            found.append(hi)
+    return found
+
+
+def _horner(c: Sequence[float], x: float) -> float:
+    acc = 0.0
+    for cj in reversed(c):
+        acc = acc * x + cj
+    return acc
 
 
 def integrate(

@@ -166,6 +166,36 @@ def test_verify_tiny_initial_value_is_exit_2(tmp_path, method):
     assert not report.exists()
 
 
+# y' = y^2 with its pole at t = 1e-13; the oracle's first trial step overflows
+STEEP = {"a": "0", "b": "1", "n": "2", "d": "1e13"}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_oracle_overflow_is_exit_2(tmp_path, command):
+    prob = write_problem(tmp_path / "p.json", STEEP)
+    out = tmp_path / "out"
+    if command == "solve":
+        args = ("--t-min", "-1", "--t-max", "1", "--out", str(out))
+    else:
+        args = ("--case", "all", "--report", str(out))
+    res = run_cli(command, "--problem", prob, "--method", "oracle", *args)
+    assert res.returncode == 2
+    assert "right-hand side overflow" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_verify_closed_form_stops_at_the_pole_next_to_zero(tmp_path):
+    prob = write_problem(tmp_path / "p.json", STEEP)
+    report = tmp_path / "r.json"
+    res = run_cli("verify", "--problem", prob, "--method", "closed", "--report", str(report))
+    assert res.returncode == 0
+    for entry in json.loads(report.read_text()):
+        validity = entry["validity"]
+        assert validity["hi_kind"] == "Asymptote"
+        assert validity["hi"] == pytest.approx(1e-13, rel=1e-12)
+
+
 # --- cases -----------------------------------------------------------------------
 
 def test_cases_golden(tmp_path):
@@ -230,7 +260,48 @@ def test_pair_preserves_sign_conventions(tmp_path):
     assert data == {"a": "t", "b": "1", "n": "3", "d": "2", "relation": "t-axis"}
 
 
+def test_pair_applied_twice_gives_back_the_problem(tmp_path):
+    src = {"a": "cos(t)", "b": "-(sin(t))", "n": "2", "d": "1"}
+    prob = write_problem(tmp_path / "p.json", src)
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert run_cli("pair", "--problem", prob, "--case", "T2iv", "--out", str(once)).returncode == 0
+    assert json.loads(once.read_text())["b"] == "sin(t)"
+    assert run_cli("pair", "--problem", str(once), "--case", "T2iv", "--out", str(twice)).returncode == 0
+    assert json.loads(twice.read_text()) == {**src, "relation": "t-axis"}
+
+
+def test_pair_too_deep_to_read_back_is_exit_2(tmp_path):
+    # b at exactly the 100-level bound; its T2iv partner -(b) is 101 deep
+    deep = "sin(" * 99 + "t" + ")" * 99
+    prob = write_problem(tmp_path / "p.json", {"a": "0", "b": deep, "n": "2", "d": "1"})
+    out = tmp_path / "pair.json"
+    res = run_cli("pair", "--problem", prob, "--case", "T2iv", "--out", str(out))
+    assert res.returncode == 2
+    assert "partner coefficient b cannot be written" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 # --- verify ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--points", "2", "--points must be >= 3"),
+        ("--tol", "nan", "--tol must be positive and finite"),
+        ("--tol", "inf", "--tol must be positive and finite"),
+        ("--tol", "0", "--tol must be positive and finite"),
+    ],
+)
+def test_verify_bad_options_are_exit_2(tmp_path, option, value, message):
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    report = tmp_path / "r.json"
+    res = run_cli("verify", "--problem", prob, f"{option}={value}", "--report", str(report))
+    assert res.returncode == 2
+    assert res.stderr == f"bsym: {message}\n"
+    assert res.stdout == ""
+    assert not report.exists()
+
 
 def test_verify_all_passes_and_report_schema(tmp_path):
     prob = write_problem(
@@ -324,6 +395,23 @@ def test_verify_round_trip_through_pair(tmp_path):
     r2 = json.loads(rep2.read_text())[0]
     assert r1["verdict"] == r2["verdict"] == "pass"
     assert abs(r1["max_residual"] - r2["max_residual"]) <= 1e-8
+
+
+def test_run_catalog_exit_code(monkeypatch, capsys):
+    import importlib.util
+
+    from bsym import problem
+
+    path = Path(__file__).parents[1] / "scripts" / "run_catalog.py"
+    spec = importlib.util.spec_from_file_location("run_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_catalog.py", "--method", "closed", "--points", "21"])
+    monkeypatch.setattr(script, "SHOWCASE", [("riccati", problem("0", "1", 2, 1.0))])
+    assert script.main() == 0
+    monkeypatch.setattr(script, "SHOWCASE", [("spiked", problem("cos(t)", SPIKED_B, 2, 1.0))])
+    assert script.main() == 4
+    assert "fail" in capsys.readouterr().out
 
 
 # --- identities --------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bsym import (
+    CATALOG,
     BoundaryKind,
     DomainError,
     EvalError,
@@ -19,7 +20,7 @@ from bsym import (
 from bsym.closedform import ProblemSpec
 from bsym.exponent import ExponentClass
 
-from helpers import random_problem, simpson
+from helpers import conforming_problem, random_problem, simpson
 
 # int_0^0.3 s*e^s ds via the Simpson oracle, then G = 1/d - B with d = -1
 # (analytic cross-check: B = 1 - 0.7*e^0.3)
@@ -250,3 +251,56 @@ def test_solution_continues_through_g_zero_for_odd_root():
     assert v.hi_kind is BoundaryKind.ROOT_BOUNDARY
     y = eval_solution(p, 4.0)  # G = 1 - t/3 = -1/3, odd cube
     assert y == pytest.approx((1.0 - 4.0 / 3.0) ** 3, rel=1e-9)
+
+
+# G = cos^2 t, which touches zero at +-pi/2: y = 1/cos^2 t for n = 2, a
+# grazing root boundary for n = 1/3, 1/(|cos t|) for n = 3
+@pytest.mark.parametrize(
+    "n, b, d, kind",
+    [
+        (2, "sin(2*t)", 1.0, BoundaryKind.ASYMPTOTE),
+        ("1/3", "-1.5*sin(2*t)", 1.0, BoundaryKind.ROOT_BOUNDARY),
+        (3, "0.5*sin(2*t)", 1.0, BoundaryKind.ASYMPTOTE),
+        (3, "0.5*sin(2*t)", -1.0, BoundaryKind.ASYMPTOTE),
+    ],
+)
+def test_validity_finds_tangent_zeros(n, b, d, kind):
+    v = validity_interval(problem("0", b, n, d), 4.0)
+    assert v.lo_kind is v.hi_kind is kind
+    assert v.hi == pytest.approx(math.pi / 2, abs=1e-4)
+    assert v.lo == pytest.approx(-math.pi / 2, abs=1e-4)
+    if n == 2:  # the dense G dips below zero just inside the pole
+        assert math.pi / 2 - 1e-4 <= v.hi <= math.pi / 2
+
+
+def test_validity_pole_next_to_zero():
+    # y' = y^2, y(0) = 1e13: G = 1e-13 - t, a pole at t = 1e-13
+    v = validity_interval(problem("0", "1", 2, 1e13), 4.0)
+    assert v.hi == pytest.approx(1e-13, rel=1e-12)
+    assert v.hi_kind is BoundaryKind.ASYMPTOTE
+    assert (v.lo, v.lo_kind) == (-4.0, BoundaryKind.SEARCH_LIMIT)
+
+
+def test_validity_small_g0_without_zero():
+    # G = 1e-13 + t^2/2 is smallest at t = 0 and never vanishes
+    v = validity_interval(problem("0", "-t", 2, 1e13), 4.0)
+    assert (v.lo, v.hi) == (-4.0, 4.0)
+    assert v.lo_kind is v.hi_kind is BoundaryKind.SEARCH_LIMIT
+
+
+@pytest.mark.parametrize("n, d", [(3, 1e300), (1000, 2.1)])
+def test_validity_g0_underflow_is_domain_error(n, d):
+    # G = d^(1-n) - (n-1)*t: the pole at d^(1-n)/(n-1) is 0.0 in floats
+    # (5e-601 and 1.3e-325), and no interval around 0 is left
+    with pytest.raises(DomainError, match="underflows"):
+        validity_interval(problem("0", "1", n, d), 4.0)
+
+
+def test_solution_defined_across_validity_of_conforming_problems():
+    # no OutsideValidity anywhere inside the interval's 1% margins
+    rng = random.Random(4242)
+    for i in range(110):
+        p = conforming_problem(CATALOG[i % len(CATALOG)], rng)
+        lo, hi = validity_interval(p, 4.0).interior()
+        ts = [lo + k * (hi - lo) / 400 for k in range(401)]
+        assert all(math.isfinite(y) for y in solution_values(p, ts))

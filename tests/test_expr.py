@@ -212,6 +212,15 @@ def test_format_matches_structural_negation_style():
     assert negated(parse_expr("t^2")).source == "-(t^2)"
 
 
+@pytest.mark.parametrize("src", ["sin(t)", "-(sin(t))", "-t^2", "t - 1", "-1"])
+def test_negated_twice_is_the_original(src):
+    from bsym.expr import negated
+
+    e = parse_expr(src)
+    assert negated(negated(e)) == e
+    assert negated(negated(e)).source == e.source
+
+
 # --- parity -------------------------------------------------------------------
 
 @pytest.mark.parametrize(

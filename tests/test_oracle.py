@@ -111,6 +111,14 @@ def test_domain_error_when_solution_hits_zero_with_even_root():
         rk_solve(problem("0", "-(1)", "1/2", 1.0), 3.0)
 
 
+@pytest.mark.parametrize("t_end", [1.0, -1.0])
+def test_right_hand_side_overflow_is_step_failure(t_end):
+    # y' = y^2 from 1e13: the first trial step's stages square past a
+    # float's range (the pole is at t = 1e-13)
+    with pytest.raises(StepFailure, match="overflow"):
+        rk_solve(problem("0", "1", 2, 1e13), t_end)
+
+
 def test_step_budget_exhaustion_is_step_failure():
     with pytest.raises(StepFailure):
         rk_solve(problem("0", "1", 2, 1.0), 0.999999, OracleConfig(max_steps=10))

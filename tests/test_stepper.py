@@ -73,43 +73,82 @@ def test_out_of_range_queries_raise(t_end):
             path.value(t)
 
 
-@pytest.mark.parametrize("t_end", [4.0, -4.0])
-@pytest.mark.parametrize("k", [0, 1])
-def test_component_values_equal_value(t_end, k):
-    # the validity scan's grid, with every node merged in, ending on the
-    # final node
-    path = pair_path(t_end)
-    grid = [t_end * i / 1024 for i in range(1, 1025)]
-    ts = sorted(set(grid) | set(path.ts), key=lambda t: t * t_end)
-    assert ts[0] == 0.0 and ts[-1] == path.ts[-1] == t_end
-    assert set(path.ts) < set(ts) and len(ts) > len(grid)
-    got = list(path.component_values(ts, k))
-    fresh = pair_path(t_end)  # no coefficients cached by the walk
-    assert got == [fresh.value(t)[k] for t in ts]
-
-
-@pytest.mark.parametrize("t_end", [2.0, -2.0])
-def test_component_values_raise_past_the_covered_range(t_end):
-    path = cos_path(t_end)
-    ts = [0.5 * t_end, t_end, 1.001 * t_end]
-    values = path.component_values(ts, 0)
-    assert next(values) == path.value(0.5 * t_end)[0]
-    assert next(values) == path.ys[-1][0]
-    with pytest.raises(ValueError):
-        next(values)
-    for bad in ([-0.1 * t_end], [math.nan], [0.5 * t_end, 0.25 * t_end]):
-        with pytest.raises(ValueError):
-            list(path.component_values(bad, 0))
-
-
 def test_zero_span_path_answers_only_its_node():
     path = cos_path(0.0)
     assert path.value(0.0) == (0.0,)
-    assert list(path.component_values([0.0], 0)) == [0.0]
     with pytest.raises(ValueError):
         path.value(1e-3)
-    with pytest.raises(ValueError):
-        list(path.component_values([0.0, 1e-3], 0))
+    assert path.first_crossing(0, 1.0, 1e-12, 1e-10) is None
+
+
+# --- first_crossing ---------------------------------------------------------
+
+def square_path(t_end: float):
+    # y = t^2 - 2ct with c = +-1 on the side of t_end: y reaches its minimum
+    # -1 at t = c; the extension reproduces a quadratic up to rounding
+    c = math.copysign(1.0, t_end)
+    return integrate(lambda t, y: (2.0 * (t - c),), 0.0, (0.0,), t_end, CTL), c
+
+
+def first_crossing(path, level):
+    return path.first_crossing(0, level, CTL.abs_tol, CTL.rel_tol)
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_first_crossing_simple_root(t_end):
+    # sin t reaches +-1/2 first at +-pi/6
+    path = cos_path(t_end)
+    level = math.copysign(0.5, t_end)
+    t = first_crossing(path, level)
+    assert t == pytest.approx(math.copysign(math.pi / 6, t_end), abs=1e-9)
+    assert t not in path.ts
+    # located on the dense path to full resolution, not to the sine
+    assert abs(path.value(t)[0] - level) <= 4 * math.ulp(level)
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_first_crossing_double_root(t_end):
+    # y touches -1 at c without passing it
+    path, c = square_path(t_end)
+    t = first_crossing(path, -1.0)
+    assert t == pytest.approx(c, abs=1e-6)
+    assert abs(path.value(t)[0] + 1.0) <= CTL.abs_tol + CTL.rel_tol
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_first_crossing_tangent_within_the_error_scale(t_end):
+    # a minimum that misses the level by less than abs_tol + rel_tol * |y|
+    # (about 1.01e-10 here) counts as reaching it; a wider miss does not
+    path, c = square_path(t_end)
+    t = first_crossing(path, -1.0 - 1e-11)
+    assert t == pytest.approx(c, abs=1e-9)
+    assert path.value(t)[0] > -1.0 - 1e-11
+    assert first_crossing(path, -1.0 - 1e-9) is None
+
+
+@pytest.mark.parametrize("level", [1.5, -1.5, 1.0 + 1e-6])
+def test_first_crossing_no_root(level):
+    # |sin t| <= 1 on both sides; 1 + 1e-6 is a near miss far above the
+    # error scale
+    for t_end in (3.0, -3.0):
+        assert first_crossing(cos_path(t_end), level) is None
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_first_crossing_root_on_a_node(t_end):
+    # every node where sin t still rises (falls for t_end < 0); at some of
+    # them the step's polynomial, rounded, stops just short of the node
+    path = cos_path(t_end)
+    nodes = [j for j, t in enumerate(path.ts) if 0.0 < abs(t) < 1.4]
+    assert len(nodes) > 10
+    for j in nodes:
+        assert first_crossing(path, path.ys[j][0]) == pytest.approx(path.ts[j], abs=1e-14)
+
+
+def test_first_crossing_tiny_first_root():
+    # y = t reaches 1e-13 a 1.6e-12 fraction into a first step 1/16 long
+    path = integrate(lambda t, y: (1.0,), 0.0, (0.0,), 4.0, CTL)
+    assert first_crossing(path, 1e-13) == pytest.approx(1e-13, rel=1e-15)
 
 
 def test_extension_weights_at_step_end_are_the_fifth_order_weights():
