@@ -15,6 +15,7 @@ from .closedform import (
     radicand,
     solution_values,
     validity_interval,
+    validity_intervals,
 )
 from .errors import (
     BsymError,
@@ -115,6 +116,7 @@ __all__ = [
     "solve_on_grid",
     "transform_problem",
     "validity_interval",
+    "validity_intervals",
     "verify_cases",
     "verify_pair",
 ]

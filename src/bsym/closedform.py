@@ -55,6 +55,7 @@ __all__ = [
     "eval_solution",
     "solution_values",
     "validity_interval",
+    "validity_intervals",
 ]
 
 @dataclass(frozen=True)
@@ -170,8 +171,9 @@ def solution_values(
     for (aval, bval), t in values:
         g = g0 - m * bval
         # a radicand this small is indistinguishable from its zero at
-        # quadrature precision
-        g_eps = 1e-13 * (1.0 + abs(g0) + abs(m * bval))
+        # quadrature precision; relative to the terms of G only, so that
+        # G(0) = g0 != 0 always passes, however small d^(1-n) is
+        g_eps = 1e-13 * (abs(g0) + abs(m * bval))
         if even_root:
             if g <= (g_eps if root.p < 0 else 0.0):
                 raise OutsideValidity(
@@ -193,39 +195,59 @@ def eval_solution(
     return solution_values(p, [t], cfg)[0]
 
 
-def validity_interval(
-    p: ProblemSpec, search_radius: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> Validity:
-    """The first zero of G on each side of 0 within search_radius.
+def validity_intervals(
+    problems: Sequence[ProblemSpec],
+    search_radius: float,
+    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
+) -> list[Validity]:
+    """The first zero of G on each side of 0 within search_radius, per problem.
 
     G = g0 - (n-1)*B vanishes where B reaches g0/(n-1), which
     `DensePath.first_crossing` finds step by step on the dense (A, B) path
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
-    Boundary kinds: Asymptote when the root exponent is negative (the
-    solution diverges), RootBoundary otherwise (the root loses its real
+    A and B depend on a, b and n-1 only, so problems that share them (such
+    as a problem and its partners that flip only d, or two partners that
+    flip the same coefficient) share one path per side; d only moves the
+    level.  Boundary kinds: Asymptote when the root exponent is negative
+    (the solution diverges), RootBoundary otherwise (the root loses its real
     branch / uniqueness), SearchLimit when no zero is found, and Unbounded
-    for the radicand-free unit exponent.
+    for the radicand-free unit exponent.  Errors are raised in problem order.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    if p.n.cls is ExponentClass.ONE:
-        return Validity(
-            -search_radius, search_radius, BoundaryKind.UNBOUNDED, BoundaryKind.UNBOUNDED
-        )
-    g0 = _g0(p)
-    m = _mult(p.n)
-    root = _root_exponent(p.n)
-    zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
+    paths = {}  # (a, b, n-1, direction) -> that side's (A, B) path
+    out = []
+    for p in problems:
+        if p.n.cls is ExponentClass.ONE:
+            out.append(Validity(
+                -search_radius, search_radius, BoundaryKind.UNBOUNDED, BoundaryKind.UNBOUNDED
+            ))
+            continue
+        g0 = _g0(p)
+        m = _mult(p.n)
+        root = _root_exponent(p.n)
+        zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
 
-    level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
-    if level == 0.0:
-        raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
-    ends = []
-    for direction in (1.0, -1.0):
-        path = nested_path(p.a, p.b, m, direction * search_radius, cfg)
-        found = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
-        limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
-        ends.append(limit if found is None else (found, zero_kind))
-    (hi, hi_kind), (lo, lo_kind) = ends
-    return Validity(lo, hi, lo_kind, hi_kind)
+        level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
+        if level == 0.0:
+            raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
+        ends = []
+        for direction in (1.0, -1.0):
+            key = (p.a, p.b, m, direction)
+            path = paths.get(key)
+            if path is None:
+                path = paths[key] = nested_path(p.a, p.b, m, direction * search_radius, cfg)
+            found = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
+            limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
+            ends.append(limit if found is None else (found, zero_kind))
+        (hi, hi_kind), (lo, lo_kind) = ends
+        out.append(Validity(lo, hi, lo_kind, hi_kind))
+    return out
+
+
+def validity_interval(
+    p: ProblemSpec, search_radius: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
+) -> Validity:
+    """p's validity interval: `validity_intervals` of p alone."""
+    return validity_intervals([p], search_radius, cfg)[0]

@@ -94,6 +94,10 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 _P_COLS = tuple(zip(*_P))  # one column of stage weights per power of th
+# |h| * sum_s _W[s] * |k_s| bounds sum_j |h * sum_s P[s][j] * k_s|, how far a
+# component can move on the step; the 1e-12 margin covers the rounding of
+# both sums, so the bound never falls below the extension's own
+_W = tuple((1.0 + 1e-12) * sum(map(abs, row)) for row in _P)
 
 
 @dataclass
@@ -177,14 +181,24 @@ class DensePath:
         A stationary point within abs_tol + rel_tol * |y_k| of level, the
         error the step control allowed y_k, counts as a tangent crossing.
         """
-        ts, ys = self.ts, self.ys
+        ts, ys, ks = self.ts, self.ys, self.ks
+        w1, w3, w4, w5, w6, w7 = _W
         side = 1.0 if ys[0][k] > level else -1.0
         for i in range(len(ts) - 1):
-            y0, *c = (self._coefs.get(i) or self._extension(i))[k]
-            vary = sum(map(abs, c))  # bounds |y_k - y0| on the step
-            tol = abs_tol + rel_tol * (abs(y0) + vary)
-            if abs(y0 - level) <= vary + tol and (found := _roots([y0 - level, *c], tol)):
-                return ts[i] + found[0] * (ts[i + 1] - ts[i])
+            # a step whose stages cannot carry y_k to the level needs no
+            # extension: the skip test below would pass it over anyway
+            k1, k3, k4, k5, k6, k7 = ks[i]
+            reach = abs(ts[i + 1] - ts[i]) * (
+                w1 * abs(k1[k]) + w3 * abs(k3[k]) + w4 * abs(k4[k])
+                + w5 * abs(k5[k]) + w6 * abs(k6[k]) + w7 * abs(k7[k])
+            )
+            y_i = ys[i][k]
+            if abs(y_i - level) <= reach + abs_tol + rel_tol * (abs(y_i) + reach):
+                y0, *c = (self._coefs.get(i) or self._extension(i))[k]
+                vary = sum(map(abs, c))  # bounds |y_k - y0| on the step
+                tol = abs_tol + rel_tol * (abs(y0) + vary)
+                if abs(y0 - level) <= vary + tol and (found := _roots([y0 - level, *c], tol)):
+                    return ts[i] + found[0] * (ts[i + 1] - ts[i])
             if side * (ys[i + 1][k] - level) <= 0.0:
                 return ts[i + 1]
         return None

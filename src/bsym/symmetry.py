@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .closedform import ProblemSpec, Validity, solution_values, validity_interval
+from .closedform import ProblemSpec, Validity, solution_values, validity_intervals
 from .errors import CaseNotApplicable, EmptyDomain
 from .expr import Parity, detect_parity, negated
 from .exponent import ExponentClass
@@ -235,10 +235,17 @@ def verify_cases(
     quad_cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     oracle_cfg: OracleConfig = DEFAULT_ORACLE_CONFIG,
 ) -> list[VerificationReport]:
-    """verify_pair for each case in order, computing p1's validity once.
+    """verify_pair for each case in order, integrating each distinct path once.
 
     Every partner is built first, so an inapplicable case raises
-    CaseNotApplicable before any integration.
+    CaseNotApplicable before any integration.  Then every case's common
+    interval and grid come from one `validity_intervals` call, which
+    integrates one (A, B) path per side for each distinct (a, b, n-1), and
+    an EmptyDomain is raised for the first case without one.  p1 is
+    evaluated once on all case grids joined together (one solve per side of
+    0), and each partner on its own grid.  Where the cases' common
+    intervals coincide, as the theorem makes them for applicable cases, the
+    reports equal those of one verify_pair per case bit for bit.
     """
     cases = [resolve_case(case) for case in cases]
     if grid_points < 3:
@@ -246,10 +253,9 @@ def verify_cases(
     partners = [transform_problem(p1, case, force=force) for case in cases]
     if not cases:
         return []
-    v1 = validity_interval(p1, search_radius, quad_cfg)
-    reports = []
-    for case, p2 in zip(cases, partners):
-        v2 = validity_interval(p2, search_radius, quad_cfg)
+    v1, *v2s = validity_intervals([p1, *partners], search_radius, quad_cfg)
+    commons, grids = [], []
+    for case, v2 in zip(cases, v2s):
         if case.relation is Relation.T_AXIS:
             lo2, lo2_kind, hi2, hi2_kind = v2.lo, v2.lo_kind, v2.hi, v2.hi_kind
         else:  # y2 is sampled at -t: reflect its interval before intersecting
@@ -263,10 +269,14 @@ def verify_cases(
         common = Validity(lo, hi, lo_kind, hi_kind)
         glo, ghi = common.interior()
         step = (ghi - glo) / (grid_points - 1)
-        grid = [glo + i * step for i in range(grid_points)]
-        q2 = grid if case.relation is Relation.T_AXIS else [-t for t in grid]
+        commons.append(common)
+        grids.append([glo + i * step for i in range(grid_points)])
 
-        y1 = _evaluate(p1, grid, method, quad_cfg, oracle_cfg)
+    y1_joined = _evaluate(p1, [t for grid in grids for t in grid], method, quad_cfg, oracle_cfg)
+    reports = []
+    for i, (case, p2, common, grid) in enumerate(zip(cases, partners, commons, grids)):
+        y1 = y1_joined[i * grid_points:(i + 1) * grid_points]
+        q2 = grid if case.relation is Relation.T_AXIS else [-t for t in grid]
         y2 = _evaluate(p2, q2, method, quad_cfg, oracle_cfg)
 
         if case.relation is Relation.Y_AXIS:

@@ -1,5 +1,5 @@
-"""Shared test utilities: an independent Simpson oracle and random
-parity-conforming problem generators.
+"""Shared test utilities: an independent Simpson oracle, random
+parity-conforming problem generators and a call counter for work-count tests.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
 no shared code with the package) so it can serve as an independent check of
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 from bsym import ExponentClass, Parity, ProblemSpec, classify_exponent, parse_expr
 
@@ -122,3 +123,26 @@ def random_problem(rng: random.Random) -> ProblemSpec:
         n,
         _random_d(cls, rng),
     )
+
+
+# --- work counts ----------------------------------------------------------------
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Record the arguments of every call of `module.name`.
+
+    The counter replaces the function in every loaded bsym module namespace
+    that holds it, since the package binds names with `from .x import f`.
+    """
+    orig = getattr(sys.modules[module], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "bsym" or key.startswith("bsym."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -334,31 +334,29 @@ def test_verify_inapplicable_case_is_exit_3(tmp_path):
     assert not report.exists()
 
 
-def test_verify_all_computes_p1_validity_once(tmp_path, monkeypatch):
-    # three cases: one validity interval for p1 plus one per partner
-    import bsym.closedform
+def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
+    # a odd, b even: T2ii flips d only, T2iv and T3ii both flip b, so the
+    # validity search needs the (A, B) paths of (a, b) and (a, -b) only, one
+    # per side; p1 is solved once per side for all three cases, each partner
+    # once per side on its own grid
     from bsym.cli import main
+    from helpers import count_calls
 
-    orig = bsym.closedform.validity_interval
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return orig(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "bsym" or name.startswith("bsym."):
-            for key, value in list(vars(module).items()):
-                if value is orig:
-                    monkeypatch.setattr(module, key, counted)
+    nested = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
     prob = write_problem(
-        tmp_path / "p.json", {"a": "cos(t)", "b": "sin(t)", "n": "2", "d": "1"}
+        tmp_path / "p.json", {"a": "sin(t)", "b": "cos(t)", "n": "2", "d": "1"}
     )
     report = tmp_path / "rep.json"
-    assert main(["verify", "--problem", prob, "--case", "all", "--report", str(report)]) == 0
-    assert [r["case"] for r in json.loads(report.read_text())] == ["T2i", "T2iv", "T3i"]
-    assert len(calls) == 1 + 3
-    assert calls.count(calls[0]) == 1  # p1 is not among the partners
+    # (method, nested_path calls, rk_solve calls); the closed form adds one
+    # ab_values path per side for p1 and for each partner
+    for method, want_nested, want_solves in (("oracle", 4, 8), ("closed", 4 + 2 + 3 * 2, 0)):
+        nested.clear()
+        solves.clear()
+        args = ["verify", "--problem", prob, "--case", "all", "--method", method]
+        assert main([*args, "--report", str(report)]) == 0
+        assert [r["case"] for r in json.loads(report.read_text())] == ["T2ii", "T2iv", "T3ii"]
+        assert (len(nested), len(solves)) == (want_nested, want_solves), method
 
 
 def test_verify_failure_is_exit_4(tmp_path):

@@ -16,11 +16,12 @@ from bsym import (
     solution_values,
     solve_on_grid,
     validity_interval,
+    validity_intervals,
 )
 from bsym.closedform import ProblemSpec
 from bsym.exponent import ExponentClass
 
-from helpers import conforming_problem, random_problem, simpson
+from helpers import conforming_problem, count_calls, random_problem, simpson
 
 # int_0^0.3 s*e^s ds via the Simpson oracle, then G = 1/d - B with d = -1
 # (analytic cross-check: B = 1 - 0.7*e^0.3)
@@ -286,6 +287,34 @@ def test_validity_small_g0_without_zero():
     v = validity_interval(problem("0", "-t", 2, 1e13), 4.0)
     assert (v.lo, v.hi) == (-4.0, 4.0)
     assert v.lo_kind is v.hi_kind is BoundaryKind.SEARCH_LIMIT
+
+
+@pytest.mark.parametrize(
+    "b, y_before",
+    [("1", 1.0 / (1e-13 + 1e-3)), ("-t", 1.0 / (1e-13 + 5e-7))],
+    ids=["b=1", "b=-t"],
+)
+def test_solution_at_zero_with_tiny_g0(b, y_before):
+    # G(0) = d^(1-n) = 1e-13 is small but not a zero of G: y(0) = d, and
+    # y(-1e-3) = 1/G with G = 1e-13 + 1e-3 or 1e-13 + (1e-3)^2/2
+    p = problem("0", b, 2, 1e13)
+    assert solution_values(p, [0.0]) == [1e13]
+    assert solution_values(p, [-1e-3]) == [pytest.approx(y_before, rel=1e-9)]
+
+
+def test_validity_intervals_share_one_path_per_side_and_integrand(monkeypatch):
+    # (b, 1), (-b, 1) and (b, 2) as (B's coefficient, n-1): three integrands,
+    # however many d; the unit exponent integrates nothing
+    b = "0.5 + t"
+    ps = [problem("cos(t)", b, 2, d) for d in (1.0, -1.0, 0.5)]
+    ps += [problem("cos(t)", f"-({b})", 2, 1.0), problem("cos(t)", b, 3, 2.0)]
+    ps += [problem("cos(t)", b, 1, 1.0)]
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    got = validity_intervals(ps, 4.0)
+    assert len(calls) == 3 * 2
+    monkeypatch.undo()
+    assert got == [validity_interval(p, 4.0) for p in ps]
+    assert len({v.hi for v in got[:3]}) == 3  # d moves the level
 
 
 @pytest.mark.parametrize("n, d", [(3, 1e300), (1000, 2.1)])

@@ -12,13 +12,15 @@ from bsym import (
     eval_solution,
     problem,
     transform_problem,
+    validity_interval,
+    validity_intervals,
     verify_cases,
     verify_pair,
 )
 from bsym.exponent import ExponentClass
-from bsym.symmetry import explain_inapplicable
+from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import conforming_problem
+from helpers import conforming_problem, count_calls
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -202,7 +204,8 @@ def test_relation_soundness_sampled():
 
 def test_verify_cases_equals_one_verify_pair_per_case():
     # the sampled conforming problem of every catalog row that admits more
-    # than one case
+    # than one case: the cases share one common interval, so p1's values on
+    # the joined grid come from the same paths as one verify_pair per case
     rng = random.Random(5150)
     checked = 0
     for row in CATALOG:
@@ -211,28 +214,56 @@ def test_verify_cases_equals_one_verify_pair_per_case():
         if len(cases) < 2:
             continue
         checked += 1
-        assert verify_cases(p, cases) == [verify_pair(p, c) for c in cases]
+        for method in ("oracle", "closed"):
+            reports = verify_cases(p, cases, method=method)
+            assert len({r.common_validity for r in reports}) == 1
+            assert reports == [verify_pair(p, c, method=method) for c in cases]
     assert checked >= 5
 
 
-def _forbid_validity(monkeypatch):
-    import bsym.symmetry as symmetry
+@pytest.mark.parametrize("method", ["oracle", "closed"])
+def test_verify_cases_with_differing_intervals_agrees_with_verify_pair(method):
+    # b = 1 + t has no parity: G = 1 - t - t^2/2 vanishes at -1 -+ sqrt(3),
+    # T2iv's partner shares those zeros, forced T2i's reflects them, so the
+    # common intervals differ and p1's path runs past one case's grid
+    p = problem("0", "1 + t", 2, 1.0)
+    cases = ["T2i", "T2iv"]
+    joined = verify_cases(p, cases, method=method, force=True)
+    single = [verify_pair(p, c, method=method, force=True) for c in cases]
+    assert joined[0].common_validity != joined[1].common_validity
+    partners = [transform_problem(p, c, force=True) for c in cases]
+    assert validity_intervals([p, *partners], DEFAULT_SEARCH_RADIUS) == [
+        validity_interval(q, DEFAULT_SEARCH_RADIUS) for q in (p, *partners)
+    ]
+    for rj, rs in zip(joined, single):
+        assert (rj.grid, rj.common_validity, rj.passed) == (rs.grid, rs.common_validity, rs.passed)
+        assert max(
+            abs(a - b) / (1.0 + rs.y_scale) for a, b in zip(rj.residuals, rs.residuals)
+        ) <= 1e-8
+    assert [r.passed for r in joined] == [False, True]
 
-    def fail(*args, **kwargs):
-        raise AssertionError("validity_interval called")
 
-    monkeypatch.setattr(symmetry, "validity_interval", fail)
+def _integrations(monkeypatch):
+    """The recorded nested_path and rk_solve calls."""
+    return (
+        count_calls(monkeypatch, "bsym.quad", "nested_path"),
+        count_calls(monkeypatch, "bsym.oracle", "rk_solve"),
+    )
 
 
 def test_verify_cases_of_no_cases_does_no_work(monkeypatch):
-    _forbid_validity(monkeypatch)
-    assert verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), []) == []
+    calls = _integrations(monkeypatch)
+    for method in ("oracle", "closed"):
+        assert verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), [], method=method) == []
+    assert calls == ([], [])
 
 
 def test_verify_cases_rejects_an_inapplicable_case_before_integrating(monkeypatch):
-    _forbid_validity(monkeypatch)
-    with pytest.raises(CaseNotApplicable, match="T4i requires"):
-        verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), ["T2i", "T4i"])
+    calls = _integrations(monkeypatch)
+    for method in ("oracle", "closed"):
+        with pytest.raises(CaseNotApplicable, match="T4i requires"):
+            verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), ["T2i", "T4i"], method=method)
+    assert calls == ([], [])
 
 
 def test_grid_stays_inside_common_validity():
