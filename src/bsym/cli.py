@@ -3,7 +3,9 @@
 Subcommands: solve, cases, pair, verify, identities.  Problem files are
 JSON objects with exactly the keys {"a", "b", "n", "d"} (pair output adds
 "relation").  Exit codes: 0 success, 1 parse error, 2 domain or quadrature
-error, 3 inapplicable case, 4 verification failure.
+error, 3 inapplicable case, 4 verification failure.  Only input that does
+not parse (a problem file, a coefficient, the identities exponent, a case
+id) exits 1; a ValueError raised inside the library exits 2.
 """
 
 from __future__ import annotations
@@ -53,6 +55,18 @@ _PROBLEM_KEYS = ("a", "b", "n", "d")
 
 class ProblemFileError(BsymError):
     """Problem file is not a valid serialized IVP."""
+
+
+class _ArgumentError(BsymError):
+    """A command-line argument does not parse."""
+
+
+def _parse_arg(parse, text: str):
+    """parse(text), with its ValueError typed as a parse error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise _ArgumentError(str(exc)) from None
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -139,7 +153,7 @@ def cmd_cases(args) -> int:
 
 def cmd_pair(args) -> int:
     p = load_problem(args.problem)
-    case = resolve_case(args.case)
+    case = _parse_arg(resolve_case, args.case)
     p2 = transform_problem(p, case)
     for key, expr in (("a", p2.a), ("b", p2.b)):
         try:  # the partner must read back: a built tree can nest too deep
@@ -165,7 +179,7 @@ def cmd_verify(args) -> int:
         raise DomainError("--points must be >= 3")
     if not 0.0 < args.tol < math.inf:
         raise DomainError("--tol must be positive and finite")
-    cases = applicable_cases(p) if args.case == "all" else [args.case]
+    cases = applicable_cases(p) if args.case == "all" else [_parse_arg(resolve_case, args.case)]
     reports = []
     all_passed = True
     for rep in verify_cases(p, cases, grid_points=args.points, tol=args.tol, method=args.method):
@@ -190,7 +204,7 @@ def cmd_verify(args) -> int:
 def cmd_identities(args) -> int:
     a = parse_expr(args.a)
     b = parse_expr(args.b)
-    n = parse_exponent(args.n)
+    n = _parse_arg(parse_exponent, args.n)
     if args.samples < 1:
         raise DomainError("--samples must be >= 1")
     ts = [args.t_max * (i + 1) / args.samples for i in range(args.samples)]
@@ -266,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ExprSyntaxError, ProblemFileError, ValueError) as exc:
+    except (ExprSyntaxError, ProblemFileError, _ArgumentError) as exc:
         print(f"bsym: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CaseNotApplicable as exc:
@@ -282,6 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         OutsideValidity,
         ParityViolation,
         StepFailure,
+        ValueError,
         ZeroDenominator,
     ) as exc:
         print(f"bsym: {exc}", file=sys.stderr)

@@ -42,6 +42,7 @@ from .exponent import (
 from .quad import (
     DEFAULT_QUAD_CONFIG,
     QuadConfig,
+    _search_paths,
     ab_values,
     nested_path,
 )
@@ -150,6 +151,11 @@ def solution_values(
 ) -> list[float]:
     """Closed-form y at every t, sharing one quadrature per direction.
 
+    (A, B) come from `ab_values`: a side of 0 that the latest validity
+    search's path for p's (a, b, n-1) and cfg reaches is answered from that
+    path, to the quadrature tolerance of a fresh one; otherwise a fresh
+    path is integrated.
+
     Raises OutsideValidity where the required root does not exist: G <= 0
     with an even reduced root denominator, or G = 0 with a negative root
     exponent.
@@ -213,10 +219,16 @@ def validity_intervals(
     (the solution diverges), RootBoundary otherwise (the root loses its real
     branch / uniqueness), SearchLimit when no zero is found, and Unbounded
     for the radicand-free unit exponent.  Errors are raised in problem order.
+
+    The call first forgets the previous search's paths; its own paths,
+    each integrated to exactly +-search_radius, are then kept for
+    `ab_values` (so `solution_values`) until the next search.  A search
+    never reads paths kept by an earlier one, so its intervals do not
+    depend on earlier calls.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    paths = {}  # (a, b, n-1, direction) -> that side's (A, B) path
+    paths = _search_paths()  # (a, b, n-1, cfg, direction) -> that side's (A, B) path
     out = []
     for p in problems:
         if p.n.cls is ExponentClass.ONE:
@@ -234,7 +246,7 @@ def validity_intervals(
             raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
         ends = []
         for direction in (1.0, -1.0):
-            key = (p.a, p.b, m, direction)
+            key = (p.a, p.b, m, cfg, direction)
             path = paths.get(key)
             if path is None:
                 path = paths[key] = nested_path(p.a, p.b, m, direction * search_radius, cfg)

@@ -10,8 +10,10 @@ through the shared adaptive stepper, so B never re-integrates A.  Reversed
 limits are handled by the sign of the step, not by re-parameterization:
 integrating from 0 toward a negative t directly yields int_0^t.  A grid of
 t is answered by `ab_values` from one path per side of 0 through
-`stepper.grid_values`.  With m = 0 the pair is (int_0^t a, int_0^t b), which
-is all the unit exponent's closed form d * exp(A + B) needs.
+`stepper.grid_values`, the latest validity search's path where it reaches
+the grid's farthest t on that side.  With m = 0 the pair is
+(int_0^t a, int_0^t b), which is all the unit exponent's closed form
+d * exp(A + B) needs.
 
 The checkable integral identities relate mirrored values of B:
 
@@ -123,6 +125,19 @@ def integral_B(
     return nested_path(a, b, (n.p - n.q) / n.q, t, cfg).y_end[1]
 
 
+# (a, b, mult, cfg, side of 0) -> the (A, B) path the latest validity
+# search integrated from 0 to that side's search radius
+_searched: dict = {}
+
+
+def _search_paths() -> dict:
+    """Forget the previous validity search's paths; return the empty dict
+    the new search fills, which `ab_values` reads until the next search."""
+    global _searched
+    _searched = {}
+    return _searched
+
+
 def ab_values(
     a: Expr,
     b: Expr,
@@ -130,8 +145,22 @@ def ab_values(
     ts: Sequence[float],
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> list[tuple[float, float]]:
-    """(A(t), B(t)) pairs for every t, sharing one solve per side of 0."""
-    return grid_values(lambda x: nested_path(a, b, mult, x, cfg), ts)
+    """(A(t), B(t)) pairs for every t, sharing one solve per side of 0.
+
+    A side is answered from the path the latest validity search integrated
+    for the same (a, b, mult, cfg) on that side of 0, if that path reaches
+    the side's farthest t; otherwise one fresh path is integrated to that
+    t.  Either way the values agree with a fresh path to the quadrature
+    tolerance.
+    """
+
+    def solve(x: float) -> DensePath:
+        path = _searched.get((a, b, mult, cfg, 1.0 if x >= 0.0 else -1.0))
+        if path is not None and abs(x) <= abs(path.t_reached):
+            return path
+        return nested_path(a, b, mult, x, cfg)
+
+    return grid_values(solve, ts)
 
 
 # --- Integral identities ----------------------------------------------------

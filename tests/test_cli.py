@@ -41,6 +41,12 @@ def test_solve_golden_csv(tmp_path):
     )
     assert res.returncode == 0
     assert out.read_bytes() == (GOLDEN / "solve_riccati.csv").read_bytes()
+    # every golden row is the exact solution y = 1/(1 - t) to the last bits
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+    assert len(rows) == 3
+    for t, y in rows:
+        exact = 1.0 / (1.0 - float(t))
+        assert abs(float(y) - exact) <= 1e-15 * exact
 
 
 def test_solve_csv_shape(tmp_path):
@@ -337,8 +343,8 @@ def test_verify_inapplicable_case_is_exit_3(tmp_path):
 def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
     # a odd, b even: T2ii flips d only, T2iv and T3ii both flip b, so the
     # validity search needs the (A, B) paths of (a, b) and (a, -b) only, one
-    # per side; p1 is solved once per side for all three cases, each partner
-    # once per side on its own grid
+    # per side; the oracle solves p1 once per side for all three cases, each
+    # partner once per side on its own grid
     from bsym.cli import main
     from helpers import count_calls
 
@@ -348,15 +354,29 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
         tmp_path / "p.json", {"a": "sin(t)", "b": "cos(t)", "n": "2", "d": "1"}
     )
     report = tmp_path / "rep.json"
-    # (method, nested_path calls, rk_solve calls); the closed form adds one
-    # ab_values path per side for p1 and for each partner
-    for method, want_nested, want_solves in (("oracle", 4, 8), ("closed", 4 + 2 + 3 * 2, 0)):
+    # (method, nested_path calls, rk_solve calls); the closed form answers
+    # every grid from the validity search's paths, which reach +-4
+    for method, want_nested, want_solves in (("oracle", 4, 8), ("closed", 4, 0)):
         nested.clear()
         solves.clear()
         args = ["verify", "--problem", prob, "--case", "all", "--method", method]
         assert main([*args, "--report", str(report)]) == 0
         assert [r["case"] for r in json.loads(report.read_text())] == ["T2ii", "T2iv", "T3ii"]
         assert (len(nested), len(solves)) == (want_nested, want_solves), method
+
+    # a partner that flips only d (T2ii on even/odd n, T4ii on odd/odd n)
+    # has p1's (A, B): the closed form integrates p1's two sides and nothing
+    # of its own
+    odd_odd = write_problem(
+        tmp_path / "q.json", {"a": "sin(t)", "b": "cos(t)", "n": "3", "d": "1"}
+    )
+    for path, case in ((prob, "T2ii"), (odd_odd, "T4ii")):
+        nested.clear()
+        args = ["verify", "--problem", path, "--case", case, "--method", "closed"]
+        assert main([*args, "--report", str(report)]) == 0
+        assert [(call[0].source, call[1].source, call[3]) for call in nested] == [
+            ("sin(t)", "cos(t)", 4.0), ("sin(t)", "cos(t)", -4.0)
+        ], case
 
 
 def test_verify_failure_is_exit_4(tmp_path):
@@ -439,6 +459,39 @@ def test_identities_even_even_routes_eq8_eq9():
 def test_identities_parse_error_is_exit_1():
     res = run_cli("identities", "cos(t", "sin(t)", "3")
     assert res.returncode == 1
+
+
+def test_identities_bad_exponent_is_exit_1(capsys):
+    from bsym.cli import main
+
+    assert main(["identities", "cos(t)", "sin(t)", "1.5"]) == 1
+    assert capsys.readouterr().err.startswith("bsym: parse error: ")
+
+
+@pytest.mark.parametrize("command", ["pair", "verify"])
+def test_unknown_case_id_is_exit_1(tmp_path, capsys, command):
+    from bsym.cli import main
+
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    out = "--out" if command == "pair" else "--report"
+    assert main([command, "--problem", prob, "--case", "T9", out, str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "bsym: parse error: unknown case id 'T9'\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_library_value_error_is_exit_2(tmp_path, monkeypatch, capsys):
+    # a ValueError raised past parsing (a dense-path range error, say) is
+    # not a parse error
+    from bsym import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("t=5.0 outside integrated range [0.0, 4.0]")
+
+    monkeypatch.setattr(cli, "validity_interval", broken)
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    args = ["solve", "--problem", prob, "--t-min", "0", "--t-max", "1", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "bsym: t=5.0 outside integrated range [0.0, 4.0]\n"
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf", "0", "1e308"])

@@ -8,7 +8,9 @@ from bsym import (
     BoundaryKind,
     DomainError,
     EvalError,
+    NoConvergence,
     OutsideValidity,
+    QuadConfig,
     eval_solution,
     problem,
     radicand,
@@ -18,7 +20,9 @@ from bsym import (
     validity_interval,
     validity_intervals,
 )
+from bsym import quad
 from bsym.closedform import ProblemSpec
+from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values
 from bsym.exponent import ExponentClass
 
 from helpers import conforming_problem, count_calls, random_problem, simpson
@@ -333,3 +337,100 @@ def test_solution_defined_across_validity_of_conforming_problems():
         lo, hi = validity_interval(p, 4.0).interior()
         ts = [lo + k * (hi - lo) / 400 for k in range(401)]
         assert all(math.isfinite(y) for y in solution_values(p, ts))
+
+
+# --- grids answered from the validity search's paths -----------------------
+
+def _rel_diff(x: float, y: float) -> float:
+    return abs(x - y) / (1.0 + abs(y))
+
+
+def test_ab_values_reuses_a_searched_path_only_on_a_full_key_match(monkeypatch):
+    p = problem("sin(t)", "cos(t)", 2, 1.0)
+    validity_interval(p, 4.0)
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    # same a, b, n-1 and cfg: both sides come from the searched paths
+    ab_values(p.a, p.b, 1.0, [-3.0, -0.5, 0.0, 0.5, 3.0])
+    assert calls == []
+    # any one of a, b, n-1 or cfg differing integrates a fresh path
+    other = problem("cos(t)", "sin(t)", 2, 1.0)
+    for args in (
+        (other.a, p.b, 1.0, [0.5], DEFAULT_QUAD_CONFIG),
+        (p.a, other.b, 1.0, [0.5], DEFAULT_QUAD_CONFIG),
+        (p.a, p.b, 2.0, [0.5], DEFAULT_QUAD_CONFIG),
+        (p.a, p.b, 1.0, [0.5], QuadConfig(rel_tol=1e-9)),
+    ):
+        calls.clear()
+        ab_values(*args)
+        assert [call[3] for call in calls] == [0.5], args[2:]
+
+
+def test_ab_values_reuses_only_the_matching_side(monkeypatch):
+    # b has a pole at t = -1: the search keeps its path to +4, then fails
+    # toward -4, so only the right side of 0 has a searched path
+    p = problem("0", "1/(1 + t)", 2, 0.05)
+    with pytest.raises(NoConvergence):
+        validity_interval(p, 4.0)
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    ab_values(p.a, p.b, 1.0, [0.5])
+    assert calls == []
+    assert ab_values(p.a, p.b, 1.0, [-0.5])[0][1] == pytest.approx(-math.log(2.0), rel=1e-9)
+    assert [call[3] for call in calls] == [-0.5]
+
+
+def test_ab_values_past_the_searched_path_integrates_afresh(monkeypatch):
+    p = problem("sin(t)", "cos(t)", 2, 1.0)
+    validity_interval(p, 1.0)
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0])
+    assert [call[3] for call in calls] == [2.0]  # the left side reuses its path
+    monkeypatch.undo()
+    quad._search_paths()
+    fresh = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0])
+    assert got[1:] == fresh[1:]  # the same fresh path to 2.0
+    assert all(_rel_diff(x, y) <= 1e-8 for g, f in zip(got, fresh) for x, y in zip(g, f))
+
+
+def test_validity_after_a_wider_search_equals_a_fresh_search():
+    # G = 5 - t: a zero past radius 4 but inside radius 8
+    p = problem("0", "1", 2, 0.2)
+    fresh = validity_interval(p, 4.0)
+    assert validity_interval(p, 8.0).hi == pytest.approx(5.0, rel=1e-12)
+    assert repr(validity_interval(p, 4.0)) == repr(fresh)
+    assert fresh.hi == 4.0 and fresh.hi_kind is BoundaryKind.SEARCH_LIMIT
+
+
+def test_only_the_latest_search_paths_are_kept():
+    from bsym import verify_cases
+
+    validity_interval(problem("cos(t)", "1", 3, 1.0), 4.0)  # forgotten below
+    p = problem("sin(t)", "cos(t)", 2, 1.0)
+    verify_cases(p, ["T2ii", "T2iv", "T3ii"], method="closed")
+    keys = {(k[0].source, k[1].source, k[2], k[4]) for k in quad._searched}
+    assert len(quad._searched) == 4 and keys == {
+        (a, b, 1.0, side) for a, b in (("sin(t)", "cos(t)"), ("sin(t)", "-(cos(t))"))
+        for side in (1.0, -1.0)
+    }
+    # a grid's fresh paths, here past the searched radius, are not kept
+    solution_values(problem("0", "1", 2, 0.1), [-5.0, 5.0])
+    assert len(quad._searched) == 4
+    assert {(k[0].source, k[1].source, k[2], k[4]) for k in quad._searched} == keys
+
+
+def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
+    rng = random.Random(808)
+    reused = 0
+    for _ in range(40):
+        p = random_problem(rng)
+        lo, hi = validity_interval(p, 4.0).interior()
+        ts = [lo + k * (hi - lo) / 400 for k in range(401)] + [0.0]
+        m = (p.n.p - p.n.q) / p.n.q
+        calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+        got = ab_values(p.a, p.b, m, ts)
+        monkeypatch.undo()
+        reused += not calls
+        quad._search_paths()
+        fresh = ab_values(p.a, p.b, m, ts)
+        worst = max(_rel_diff(x, y) for g, f in zip(got, fresh) for x, y in zip(g, f))
+        assert worst <= 1e-8, (p.a.source, p.b.source, str(p.n), p.d)
+    assert reused >= 30  # the unit exponent searches nothing
