@@ -74,7 +74,10 @@ def classify_exponent(p: int, q: int) -> RationalExponent:
 
 
 def parse_exponent(text: Union[str, int, float]) -> RationalExponent:
-    """Parse "p/q" or integer text (ValueError on anything else)."""
+    """Parse "p/q" or integer text, or an integral number.
+
+    ValueError on other text or numbers, TypeError on any other type.
+    """
     if isinstance(text, RationalExponent):
         return text
     if isinstance(text, int):
@@ -83,6 +86,8 @@ def parse_exponent(text: Union[str, int, float]) -> RationalExponent:
         if not text.is_integer():
             raise ValueError(f"non-integer exponent {text!r}; use the p/q form")
         return classify_exponent(int(text), 1)
+    if not isinstance(text, str):
+        raise TypeError(f"exponent must be text or a number, not {type(text).__name__}")
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")

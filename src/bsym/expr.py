@@ -20,6 +20,15 @@ of one precedence associate to the left).  Parentheses add no level, but
 at most 100 parentheses and calls may be open at once.  Deeper input is a
 syntax error, raised before the parser's recursion or Python's compiler
 could fail.
+
+Evaluation is generated code.  `checked_factory` renders one function for
+a `CheckedForm` (how the quadrature or the oracle combines coefficient
+values) and its coefficient trees.  The function evaluates the coefficients
+in order inside one try, checks each value for finiteness, and runs the
+form's body.  Every failure raises EvalError through one helper, with the
+texts "division by zero at t=..", "evaluation failed at t=..: <reason>" and
+"non-finite value at t=..".  `as_callable` is the form that returns the one
+value.  The compiled factories share one small LRU cache.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import EvalError, ExprSyntaxError
 
@@ -42,6 +51,8 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "as_callable",
+    "CheckedForm",
+    "checked_factory",
     "format_expr",
     "detect_parity",
     "structural_parity",
@@ -301,32 +312,82 @@ def _codegen(node: Node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-# bounded: callers of as_callable keep their compiled function, so an
-# eviction only costs a later recompile
-@lru_cache(maxsize=1024)
-def _compiled(node: Node) -> Callable[[float], float]:
-    ns = {name: getattr(math, name) for name in FUNCTIONS}
-    args = ", ".join(f"{name}={name}" for name in FUNCTIONS)
-    return eval(f"lambda t, {args}: {_codegen(node)}", ns)  # noqa: S307
+def _failed(t: float, exc: Optional[Exception]) -> EvalError:
+    """The EvalError for a coefficient evaluated at t: exc is what the
+    evaluation raised, None when it returned an infinity or a NaN."""
+    if exc is None:
+        return EvalError(f"non-finite value at t={t!r}")
+    if isinstance(exc, ZeroDivisionError):
+        return EvalError(f"division by zero at t={t!r}")
+    return EvalError(f"evaluation failed at t={t!r}: {exc}")
+
+
+class CheckedForm(NamedTuple):
+    """How a generated function combines its checked coefficient values.
+
+    The function takes `args` (t first), evaluates coefficient i into the
+    local f<i>, and then runs `body`, which ends in a return.  `env` names
+    the values each built function is bound to: the parameters of the
+    factory that `checked_factory` returns.
+    """
+
+    args: str
+    body: str
+    env: str = ""
+
+
+# One try around the coefficient evaluations, and one finite check per
+# value: x - x is 0.0 for a finite x and NaN (true) for an infinity or a
+# NaN.  The EvalError of a non-finite value passes the except clause, so a
+# coefficient's failure wins over those of the coefficients after it.  No
+# f-strings and a single except clause: every fresh expression pays the
+# compile time.
+_FACTORY = """\
+def factory({env}):
+    def checked({args}):
+        try:
+{evals}        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise _failed(t, exc) from None
+{body}
+    return checked
+"""
+_EVAL = """\
+            f{i} = {code}
+            if f{i} - f{i}:
+                raise _failed(t, None)
+"""
+_GLOBALS = {name: getattr(math, name) for name in FUNCTIONS}
+_GLOBALS["_failed"] = _failed
+
+
+# bounded to one operation's working set: an eviction only costs a
+# recompile, while fresh expressions would otherwise grow it without end
+@lru_cache(maxsize=32)
+def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable:
+    """The factory of `form`'s function over the coefficients, compiled
+    once per (form, coefficient trees) while it stays in a small cache.
+
+    A coefficient evaluation that divides by zero, overflows, fails in a
+    math function or gives a non-finite value raises EvalError, before
+    `body` runs; coefficients are evaluated in order.
+    """
+    source = _FACTORY.format(
+        env=form.env,
+        args=form.args,
+        evals="".join(_EVAL.format(i=i, code=_codegen(c.ast)) for i, c in enumerate(coefs)),
+        body=" " * 8 + form.body.replace("\n", "\n" + " " * 8),
+    )
+    built: dict = {}
+    exec(compile(source, "<bsym.expr checked>", "exec"), _GLOBALS, built)  # noqa: S102
+    return built["factory"]
+
+
+_VALUE = CheckedForm("t", "return f0")
 
 
 def as_callable(e: Expr) -> Callable[[float], float]:
     """A fast float->float form of the expression with checked evaluation."""
-    fn = _compiled(e.ast)
-    isfinite = math.isfinite
-
-    def call(t: float) -> float:
-        try:
-            v = fn(t)
-        except ZeroDivisionError:
-            raise EvalError(f"division by zero at t={t!r}") from None
-        except (OverflowError, ValueError) as exc:
-            raise EvalError(f"evaluation failed at t={t!r}: {exc}") from None
-        if not isfinite(v):
-            raise EvalError(f"non-finite value at t={t!r}")
-        return v
-
-    return call
+    return checked_factory(_VALUE, e)()
 
 
 def eval_expr(e: Expr, t: float) -> float:

@@ -8,7 +8,10 @@ own (looser) tolerances, over the scalar equation
 
 using the same sign-correct power semantics as the rest of the package, so
 odd/odd exponents follow the sign of the initial value and odd/even
-exponents enforce y > 0 at runtime.
+exponents enforce y > 0 at runtime.  The right-hand side is one function
+generated by `expr.checked_factory` per (a, b, exponent class), with
+`signed_pow` inlined for the class; its values and errors are those of the
+coefficient-by-coefficient closure with `signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.
@@ -23,7 +26,7 @@ from typing import Sequence
 from .closedform import ProblemSpec
 from .errors import StepFailure
 from .exponent import ExponentClass, signed_pow
-from .expr import as_callable
+from .expr import CheckedForm, checked_factory
 from .stepper import (
     DensePath,
     StepBudgetExceeded,
@@ -86,6 +89,44 @@ class Trajectory:
         return self.path.value(t)[0]
 
 
+# y' = a*y + b*y^n, with y^n computed as signed_pow computes it: the same
+# math.pow(|y|, p/q) and sign rule inline, and signed_pow itself at y = 0
+# and wherever it raises DomainError, so the values and error texts match
+_RHS_ENV = "n, e, pow, signed_pow"
+_RHS = {
+    ExponentClass.ONE: CheckedForm("t, y", "return ((f0 + f1) * y[0],)", _RHS_ENV),
+    ExponentClass.EVEN_OVER_ODD: CheckedForm(
+        "t, y",
+        """\
+x = y[0]
+xn = pow(abs(x), e) if x != 0.0 else signed_pow(x, n)
+return (f0 * x + f1 * xn,)""",
+        _RHS_ENV,
+    ),
+    ExponentClass.ODD_OVER_ODD: CheckedForm(
+        "t, y",
+        """\
+x = y[0]
+if x != 0.0:
+    xn = pow(abs(x), e)
+    if x < 0.0:
+        xn = -xn
+else:
+    xn = signed_pow(x, n)
+return (f0 * x + f1 * xn,)""",
+        _RHS_ENV,
+    ),
+    ExponentClass.ODD_OVER_EVEN: CheckedForm(
+        "t, y",
+        """\
+x = y[0]
+xn = pow(x, e) if x > 0.0 else signed_pow(x, n)
+return (f0 * x + f1 * xn,)""",
+        _RHS_ENV,
+    ),
+}
+
+
 def rk_solve(
     p: ProblemSpec, t_end: float, cfg: OracleConfig = DEFAULT_ORACLE_CONFIG
 ) -> Trajectory:
@@ -100,19 +141,9 @@ def rk_solve(
     """
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite")
-    fa, fb = as_callable(p.a), as_callable(p.b)
     n = p.n
     threshold = cfg.blowup_threshold
-
-    if n.cls is ExponentClass.ONE:
-
-        def rhs(t, y):
-            return ((fa(t) + fb(t)) * y[0],)
-
-    else:
-
-        def rhs(t, y):
-            return (fa(t) * y[0] + fb(t) * signed_pow(y[0], n),)
+    rhs = checked_factory(_RHS[n.cls], p.a, p.b)(n, n.p / n.q, math.pow, signed_pow)
 
     def stop(t, y):
         return abs(y[0]) > threshold

@@ -6,9 +6,13 @@ Everything here reduces to the accumulator pair
     B(t) = int_0^t b(s) * exp(m * A(s)) ds
 
 driven as the coupled system (A' = a, B' = b*exp(m*A), A(0) = B(0) = 0)
-through the shared adaptive stepper, so B never re-integrates A.  Reversed
-limits are handled by the sign of the step, not by re-parameterization:
-integrating from 0 toward a negative t directly yields int_0^t.  A grid of
+through the shared adaptive stepper, so B never re-integrates A.  The
+right-hand side (a, b*exp(m*A)) is one function generated by
+`expr.checked_factory` per (a, b) and bound to m per path.  A failing or
+non-finite coefficient raises EvalError, and so does an overflowing
+exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by the
+sign of the step, not by re-parameterization: integrating from 0 toward a
+negative t directly yields int_0^t.  A grid of
 t is answered by `ab_values` from one path per side of 0 through
 `stepper.grid_values`, the latest validity search's path where it reaches
 the grid's farthest t on that side.  With m = 0 the pair is
@@ -29,13 +33,12 @@ for it.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
 from .errors import EvalError, NoConvergence, ParityViolation
-from .expr import Expr, Parity, as_callable, detect_parity
+from .expr import CheckedForm, Expr, Parity, checked_factory, detect_parity
 from .exponent import RationalExponent
 from .stepper import (
     DensePath,
@@ -97,21 +100,19 @@ def _run(rhs, y0, t: float, cfg: QuadConfig) -> DensePath:
         raise EvalError(f"integrand overflow: {exc}") from None
 
 
+# the accumulator right-hand sides, (A', B') and A' alone
+_AB = CheckedForm("t, y", "return (f0, f1 * exp(mult * y[0]))", "mult")
+_A = CheckedForm("t, y", "return (f0,)")
+
+
 def nested_path(a: Expr, b: Expr, mult: float, t: float, cfg: QuadConfig) -> DensePath:
     """Dense (A, B) path over [0, t] with B' = b * exp(mult * A)."""
-    fa, fb = as_callable(a), as_callable(b)
-    exp = math.exp
-
-    def rhs(s, y):
-        return (fa(s), fb(s) * exp(mult * y[0]))
-
-    return _run(rhs, (0.0, 0.0), t, cfg)
+    return _run(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, cfg)
 
 
 def integral_A(a: Expr, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> float:
     """int_0^t a(s) ds; reversed limits negate by the sign convention."""
-    fa = as_callable(a)
-    return _run(lambda s, y: (fa(s),), (0.0,), t, cfg).y_end[0]
+    return _run(checked_factory(_A, a)(), (0.0,), t, cfg).y_end[0]
 
 
 def integral_B(

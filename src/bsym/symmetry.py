@@ -30,7 +30,7 @@ from .errors import CaseNotApplicable, EmptyDomain
 from .expr import Parity, detect_parity, negated
 from .exponent import ExponentClass
 from .oracle import DEFAULT_ORACLE_CONFIG, OracleConfig, solve_on_grid
-from .quad import DEFAULT_QUAD_CONFIG, QuadConfig
+from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, _search_paths
 
 __all__ = [
     "Relation",
@@ -241,11 +241,13 @@ def verify_cases(
     CaseNotApplicable before any integration.  Then every case's common
     interval and grid come from one `validity_intervals` call, which
     integrates one (A, B) path per side for each distinct (a, b, n-1), and
-    an EmptyDomain is raised for the first case without one.  p1 is
-    evaluated once on all case grids joined together (one solve per side of
-    0), and each partner on its own grid.  Where the cases' common
-    intervals coincide, as the theorem makes them for applicable cases, the
-    reports equal those of one verify_pair per case bit for bit.
+    an EmptyDomain is raised for the first case without one.  The oracle
+    method forgets that search's paths at once, since only the closed form
+    reads them.  p1 is evaluated once on all case grids joined together
+    (one solve per side of 0), and each partner on its own grid.  Where the
+    cases' common intervals coincide, as the theorem makes them for
+    applicable cases, the reports equal those of one verify_pair per case
+    bit for bit.
     """
     cases = [resolve_case(case) for case in cases]
     if grid_points < 3:
@@ -254,6 +256,8 @@ def verify_cases(
     if not cases:
         return []
     v1, *v2s = validity_intervals([p1, *partners], search_radius, quad_cfg)
+    if method == "oracle":
+        _search_paths()  # the oracle integrates y itself: no grid reads them
     commons, grids = [], []
     for case, v2 in zip(cases, v2s):
         if case.relation is Relation.T_AXIS:

@@ -233,6 +233,16 @@ def test_cases_malformed_json_is_exit_1(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("n", [None, [2], {"p": 2}])
+def test_cases_exponent_of_another_type_is_exit_1(tmp_path, capsys, n):
+    from bsym.cli import main
+
+    prob = write_problem(tmp_path / "p.json", {**RICCATI, "n": n})
+    assert main(["cases", "--problem", prob]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bsym: parse error: ") and "exponent must be text or a number" in err
+
+
 # --- pair ------------------------------------------------------------------------
 
 def test_pair_golden(tmp_path):

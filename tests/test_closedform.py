@@ -417,6 +417,21 @@ def test_only_the_latest_search_paths_are_kept():
     assert {(k[0].source, k[1].source, k[2], k[4]) for k in quad._searched} == keys
 
 
+def test_an_oracle_verification_keeps_no_searched_paths(monkeypatch):
+    # the oracle integrates y itself, so its validity search's (A, B) paths
+    # are forgotten at once; the closed form answers its grids from them
+    from bsym import verify_cases
+
+    p = problem("sin(t)", "cos(t)", 2, 1.0)
+    verify_cases(p, ["T2ii", "T2iv"], method="oracle")
+    assert quad._searched == {}
+    verify_cases(p, ["T2ii", "T2iv"], method="closed")
+    assert len(quad._searched) == 4
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    solution_values(p, [-1.0, 0.5])
+    assert calls == []
+
+
 def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
     rng = random.Random(808)
     reused = 0

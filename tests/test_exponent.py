@@ -58,6 +58,9 @@ def test_parse_exponent_forms():
         parse_exponent("two")
     with pytest.raises(ValueError):
         parse_exponent("1.5")
+    for other in (None, [2], {"p": 2}):
+        with pytest.raises(TypeError):
+            parse_exponent(other)
 
 
 # --- signed_pow ----------------------------------------------------------------
