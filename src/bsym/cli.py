@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .closedform import ProblemSpec, Validity, solution_values, validity_interval
@@ -276,8 +277,57 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process."""
+    return build_parser()
+
+
+# the options that take a number
+_NUMBER_OPTIONS = frozenset({"--t-min", "--t-max", "--points", "--tol", "--samples"})
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined(argv: Sequence[str]) -> list[str]:
+    """argv with `--t-min -1e-05` written as `--t-min=-1e-05`, and so on for
+    every option that takes a number, also when abbreviated.
+
+    argparse reads a value that starts with '-' and is not a plain negative
+    decimal (-1e-05, -inf, -nan) as an option name, and stops with "expected
+    one argument"; joined, the value reaches the option.  Arguments after
+    `--` are left alone.
+    """
+    out: list[str] = []
+    k = 0
+    while k < len(argv):
+        arg = argv[k]
+        if arg == "--":
+            out.extend(argv[k:])
+            break
+        if (
+            arg.startswith("--")
+            and k + 1 < len(argv)
+            and argv[k + 1].startswith("-")
+            # a prefix too: argparse resolves abbreviations, or rejects them
+            and any(o.startswith(arg) for o in _NUMBER_OPTIONS)
+            and _is_number(argv[k + 1])
+        ):
+            arg = f"{arg}={argv[k + 1]}"
+            k += 1
+        out.append(arg)
+        k += 1
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ExprSyntaxError, ProblemFileError, _ArgumentError) as exc:

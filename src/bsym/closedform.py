@@ -154,7 +154,10 @@ def solution_values(
     (A, B) come from `ab_values`: a side of 0 that the latest validity
     search's path for p's (a, b, n-1) and cfg reaches is answered from that
     path, to the quadrature tolerance of a fresh one; otherwise a fresh
-    path is integrated.
+    path is integrated.  The exponent class is decided once per call: the
+    per-point loop raises G to the root exponent with `math.pow` and the
+    sign rule of `signed_pow`, which it calls only at G = 0 and where
+    `signed_pow` would raise, so every value and error is `signed_pow`'s.
 
     Raises OutsideValidity where the required root does not exist: G <= 0
     with an even reduced root denominator, or G = 0 with a negative root
@@ -162,33 +165,48 @@ def solution_values(
     """
     m = _mult(p.n)  # 0 for n = 1, where B is plain int_0^t b
     values = zip(ab_values(p.a, p.b, m, ts, cfg), ts)
+    exp = math.exp
     out = []
     if p.n.cls is ExponentClass.ONE:
+        d = p.d
         for (aval, bval), t in values:
             try:
-                out.append(p.d * math.exp(aval + bval))
+                out.append(d * exp(aval + bval))
             except OverflowError:
                 raise EvalError(f"solution overflow at t={t!r}") from None
         return out
     g0 = _g0(p)
+    abs_g0 = abs(g0)
     root = _root_exponent(p.n)
-    even_root = root.q % 2 == 0
+    e = root.p / root.q  # as signed_pow computes it
+    even_root = root.q % 2 == 0  # G must be positive
+    odd_power = root.p % 2 != 0  # (-G)^e = -(G^e) on an odd root
+    asymptote = root.p < 0  # G = 0 is a pole
     sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
+    pow_ = math.pow
     for (aval, bval), t in values:
-        g = g0 - m * bval
+        mb = m * bval
+        g = g0 - mb
         # a radicand this small is indistinguishable from its zero at
         # quadrature precision; relative to the terms of G only, so that
         # G(0) = g0 != 0 always passes, however small d^(1-n) is
-        g_eps = 1e-13 * (abs(g0) + abs(m * bval))
+        g_eps = 1e-13 * (abs_g0 + abs(mb)) if asymptote else 0.0
         if even_root:
-            if g <= (g_eps if root.p < 0 else 0.0):
+            if g <= g_eps:
                 raise OutsideValidity(
                     f"radicand {g!r} at t={t!r} but the root requires positivity"
                 )
-        elif root.p < 0 and abs(g) <= g_eps:
+        elif asymptote and abs(g) <= g_eps:
             raise OutsideValidity(f"asymptote: radicand vanishes at t={t!r}")
         try:
-            out.append(sigma * math.exp(aval) * signed_pow(g, root))
+            scale = sigma * exp(aval)
+            if g > 0.0:
+                out.append(scale * pow_(g, e))
+            elif g < 0.0 and not even_root:
+                mag = pow_(-g, e)
+                out.append(scale * (-mag if odd_power else mag))
+            else:
+                out.append(scale * signed_pow(g, root))
         except OverflowError:
             raise EvalError(f"solution overflow at t={t!r}") from None
     return out

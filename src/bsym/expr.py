@@ -33,11 +33,12 @@ value.  The compiled factories share one small LRU cache.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from functools import lru_cache
@@ -106,9 +107,26 @@ FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh")
 
 @dataclass(frozen=True)
 class Expr:
-    """An immutable parsed coefficient function of t."""
+    """An immutable parsed coefficient function of t.
+
+    Equality compares the trees; the hash is computed once, at
+    construction, since every compile-cache and path-memory lookup hashes
+    the key's trees.
+    """
 
     ast: Node
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.ast,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: string hashes differ between
+        # processes, so a stored hash must not travel with a pickle
+        return Expr, (self.ast,)
 
     @property
     def source(self) -> str:
@@ -358,6 +376,7 @@ _EVAL = """\
 """
 _GLOBALS = {name: getattr(math, name) for name in FUNCTIONS}
 _GLOBALS["_failed"] = _failed
+_compiled_count = itertools.count(1)
 
 
 # bounded to one operation's working set: an eviction only costs a
@@ -377,8 +396,11 @@ def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable:
         evals="".join(_EVAL.format(i=i, code=_codegen(c.ast)) for i, c in enumerate(coefs)),
         body=" " * 8 + form.body.replace("\n", "\n" + " " * 8),
     )
+    # a file name of its own per factory: profilers key functions by
+    # (file, line, name) and would merge every `checked` under one name
+    filename = f"<bsym.expr checked #{next(_compiled_count)}>"
     built: dict = {}
-    exec(compile(source, "<bsym.expr checked>", "exec"), _GLOBALS, built)  # noqa: S102
+    exec(compile(source, filename, "exec"), _GLOBALS, built)  # noqa: S102
     return built["factory"]
 
 

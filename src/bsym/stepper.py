@@ -18,9 +18,11 @@ reference.
 
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
-costs no right-hand-side evaluation.  `DensePath.first_crossing` locates
-events on the same per-step polynomials.  `grid_values` answers a grid
-that straddles t = 0 from one 0-anchored path per side.
+costs no right-hand-side evaluation.  `DensePath.values` answers times that
+run outward from the path's start in one walk over its steps, and
+`DensePath.first_crossing` locates events on the same per-step
+polynomials.  `grid_values` answers a grid that straddles t = 0 from one
+0-anchored path per side, each side in one ordered walk.
 """
 
 from __future__ import annotations
@@ -104,17 +106,18 @@ _W = tuple((1.0 + 1e-12) * sum(map(abs, row)) for row in _P)
 class DensePath:
     """Accepted nodes plus each step's stages, queryable between nodes.
 
-    `value` evaluates the 4th-order continuous extension of the bracketing
-    step and `first_crossing` finds where a component first reaches a level
-    on it.  A step's coefficients are built on its first query and cached,
-    so a path queried at only a few points pays for only those steps.
+    `values` evaluates the 4th-order continuous extension of the bracketing
+    step at each of a run of times, walking the steps once; `value` is its
+    one-time call.  `first_crossing` finds where a component first reaches
+    a level on the same extensions.  A step's coefficients are built on its
+    first query and cached, so a path queried at only a few points pays
+    for only those steps.
     """
 
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     ks: list = field(default_factory=list)  # (k1, k3, k4, k5, k6, k7) per step
     stopped: bool = False  # a stop callback ended integration early
-    _hint: int = field(default=0, repr=False, compare=False)  # last query's step
     _coefs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -125,47 +128,61 @@ class DensePath:
     def y_end(self) -> State:
         return self.ys[-1]
 
-    def _segment(self, t: float) -> int:
-        """Index i of the step with t in [ts[i], ts[i+1]), or the last step
-        for t on the final node.
+    def values(self, qs: Sequence[float]) -> list[State]:
+        """States at times that run outward from ts[0], in one walk.
 
-        Tries the previous query's step and the next one before bisecting.
+        The first time's step is found by bisection, every later one by
+        stepping forward from the last.  A time on a node returns the
+        stored state; between nodes the bracketing step's extension is
+        evaluated.  Raises ValueError for a time outside the covered range
+        or one nearer ts[0] than the time before it.
         """
-        ts = self.ts
-        last = len(ts) - 2
+        ts, ys = self.ts, self.ys
+        last = len(ts) - 2  # the final step
+        if last < 0:
+            for t in qs:
+                if t != ts[0]:
+                    raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}]")
+            return [ys[0]] * len(qs)
         d = 1.0 if ts[-1] >= ts[0] else -1.0
-        x = d * t
-        i = self._hint
-        if d * ts[i] <= x:
-            if x < d * ts[i + 1]:
-                return i
-            if i < last and x < d * ts[i + 2]:
-                self._hint = i + 1
-                return i + 1
-        if not min(ts[0], ts[-1]) <= t <= max(ts[0], ts[-1]):
-            raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}, {ts[-1]!r}]")
-        i = min(bisect_right(ts, x, key=lambda s: d * s) - 1, last)
-        self._hint = i
-        return i
+        x_start = x_prev = d * ts[0]  # x_prev: the time before, as d * t
+        x_end = d * ts[-1]
+        i = -1  # no step located yet
+        out = []
+        for t in qs:
+            x = d * t
+            if not x_prev <= x <= x_end:  # also true for NaN
+                if x_start <= x < x_prev:
+                    raise ValueError(f"t={t!r} is nearer {ts[0]!r} than the time before it")
+                raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}, {ts[-1]!r}]")
+            x_prev = x
+            if i < 0 or (x >= x_hi and i < last):
+                if i < 0:
+                    i = min(bisect_right(ts, x, key=lambda s: d * s) - 1, last)
+                else:
+                    i += 1
+                    while i < last and d * ts[i + 1] <= x:
+                        i += 1
+                t0, t1 = ts[i], ts[i + 1]
+                x_hi = d * t1
+                coefs = None
+            if t == t0:
+                out.append(ys[i])
+            elif t == t1:
+                out.append(ys[i + 1])
+            else:
+                if coefs is None:
+                    coefs = self._coefs.get(i) or self._extension(i)
+                th = (t - t0) / (t1 - t0)
+                out.append(tuple([
+                    y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
+                    for y0, c1, c2, c3, c4 in coefs
+                ]))
+        return out
 
     def value(self, t: float) -> State:
         """State at t within the covered range; nodes are returned as stored."""
-        ts = self.ts
-        if len(ts) == 1:
-            if t != ts[0]:
-                raise ValueError(f"t={t!r} outside integrated range")
-            return self.ys[0]
-        i = self._segment(t)
-        t0, t1 = ts[i], ts[i + 1]
-        if t == t0:
-            return self.ys[i]
-        if t == t1:
-            return self.ys[i + 1]
-        th = (t - t0) / (t1 - t0)
-        return tuple([
-            y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
-            for y0, c1, c2, c3, c4 in self._coefs.get(i) or self._extension(i)
-        ])
+        return self.values([t])[0]
 
     # bench/tracing.py wraps `DensePath.value_refined` by name; the one
     # dense-output query keeps answering to it so traced runs still start
@@ -206,10 +223,15 @@ class DensePath:
     def _extension(self, i: int) -> list:
         """Per component (y0, h*c1, .., h*c4) of step i's extension, cached."""
         h = self.ts[i + 1] - self.ts[i]
+        (a1, a3, a4, a5, a6, a7), (b1, b3, b4, b5, b6, b7), \
+            (c1, c3, c4, c5, c6, c7), (d1, d3, d4, d5, d6, d7) = _P_COLS
         coefs = self._coefs[i] = [
-            (y0,) + tuple(
-                h * (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7)
-                for p1, p3, p4, p5, p6, p7 in _P_COLS
+            (
+                y0,
+                h * (a1 * e1 + a3 * e3 + a4 * e4 + a5 * e5 + a6 * e6 + a7 * e7),
+                h * (b1 * e1 + b3 * e3 + b4 * e4 + b5 * e5 + b6 * e6 + b7 * e7),
+                h * (c1 * e1 + c3 * e3 + c4 * e4 + c5 * e5 + c6 * e6 + c7 * e7),
+                h * (d1 * e1 + d3 * e3 + d4 * e4 + d5 * e5 + d6 * e6 + d7 * e7),
             )
             for y0, e1, e3, e4, e5, e6, e7 in zip(self.ys[i], *self.ks[i])
         ]
@@ -392,7 +414,9 @@ def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> lis
 
     One solve per side: points with t >= 0 share the path toward the largest
     of them, points with t < 0 the path toward the smallest, and t = 0 is
-    that path's first node.  Raises ValueError if any t is not finite.
+    that path's first node.  Each side is answered by one `DensePath.values`
+    walk over its points in order of |t|; the output keeps the input order.
+    Raises ValueError if any t is not finite.
     """
     if not all(math.isfinite(t) for t in ts):
         raise ValueError("grid times must be finite")
@@ -401,6 +425,7 @@ def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> lis
         side = [i for i, t in enumerate(ts) if (t >= 0.0) is right]
         if side:
             path = solve((max if right else min)(ts[i] for i in side))
-            for i in side:
-                out[i] = path.value(ts[i])
+            side.sort(key=ts.__getitem__, reverse=not right)  # by |t|, stably
+            for i, y in zip(side, path.values([ts[i] for i in side])):
+                out[i] = y
     return out

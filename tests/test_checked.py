@@ -7,7 +7,9 @@ wrapped by the old `as_callable` (kept below as `reference_callable`), and
 y^n from `signed_pow`.
 """
 
+import cProfile
 import math
+import pstats
 import random
 
 import pytest
@@ -382,3 +384,21 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     for n in ("2", "4/3", "3", "1/2", "1"):
         rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5)
     assert len(compiled) == 4
+
+
+def test_profiles_see_each_coefficient_function():
+    # pstats keys functions by (file, line, name): every factory compiles
+    # under a file name of its own, so two coefficient pairs give two entries
+    pairs = [(parse_expr("cos(t)"), parse_expr("t")), (parse_expr("sin(t)"), parse_expr("2"))]
+    fns = [expr.checked_factory(quad._AB, a, b)(1.0) for a, b in pairs]
+    profile = cProfile.Profile()
+    profile.enable()
+    for fn in fns:
+        for k in range(5):
+            fn(0.1 * k, (0.0, 0.0))
+    profile.disable()
+    entries = {
+        key: stat[1] for key, stat in pstats.Stats(profile).stats.items() if key[2] == "checked"
+    }
+    assert len(entries) == 2 and len({file for file, _, _ in entries}) == 2
+    assert sorted(entries.values()) == [5, 5]

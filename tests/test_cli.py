@@ -530,3 +530,92 @@ def test_seed_env_var_changes_parity_sampling(tmp_path):
     res = run_cli("verify", "--problem", prob, "--case", "T2i",
                   "--report", str(tmp_path / "r.json"), env=env)
     assert res.returncode in (3, 4)
+
+
+# --- option values that start with '-' ------------------------------------------
+# argparse reads a value such as -1e-05 or -inf (anything but a plain
+# negative decimal) as an option name; both spellings must reach the option
+
+def spelled(option, value, joined):
+    return [f"{option}={value}"] if joined else [option, value]
+
+
+def main_in_process(capsys, argv):
+    from bsym import cli
+
+    code = cli.main(argv)
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_solve_takes_a_negative_time_in_exponent_notation(tmp_path, capsys, joined):
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--problem", prob, *spelled("--t-min", "-1e-05", joined),
+            *spelled("--t-max", "-1e-06", joined), "--points", "3", "--out", str(out)]
+    code, _ = main_in_process(capsys, argv)
+    assert code == 0
+    assert out.read_text().splitlines()[1].startswith("-1.0000000000000001e-05,")
+
+
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_solve_non_finite_negative_time_is_exit_2(tmp_path, capsys, joined, value):
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    argv = ["solve", "--problem", prob, *spelled("--t-min", value, joined), "--t-max", "1",
+            "--out", str(tmp_path / "x.csv")]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == "bsym: --t-min and --t-max must be finite\n"
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_identities_negative_t_max_in_exponent_notation_is_exit_2(capsys, joined):
+    argv = ["identities", "cos(t)", "cos(t)", "2", *spelled("--t-max", "-1e-05", joined)]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == "bsym: --t-max must be positive and finite\n"
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_verify_negative_tol_in_exponent_notation_is_exit_2(tmp_path, capsys, joined):
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    argv = ["verify", "--problem", prob, *spelled("--tol", "-1e-05", joined),
+            "--report", str(tmp_path / "r.json")]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == "bsym: --tol must be positive and finite\n"
+
+
+def test_arguments_after_the_separator_are_not_joined():
+    from bsym.cli import _joined
+
+    assert _joined(["identities", "--samples", "-1e0", "--", "--t-max", "-1e-05"]) == [
+        "identities", "--samples=-1e0", "--", "--t-max", "-1e-05"]
+    assert _joined(["solve", "--t-min", "-x", "--t-max", "-2", "--out"]) == [
+        "solve", "--t-min", "-x", "--t-max=-2", "--out"]
+    # abbreviations are joined too, and argparse resolves or rejects them
+    assert _joined(["solve", "--t-mi", "-inf", "--t", "-1e-05", "--out", "-1e-05"]) == [
+        "solve", "--t-mi=-inf", "--t=-1e-05", "--out", "-1e-05"]
+
+
+def test_an_abbreviated_option_takes_a_negative_number(tmp_path, capsys):
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    argv = ["solve", "--problem", prob, "--t-mi", "-inf", "--t-max", "1", "--out", str(tmp_path / "x.csv")]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == "bsym: --t-min and --t-max must be finite\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    from bsym import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    for _ in range(3):
+        assert cli.main(["cases", "--problem", prob]) == 0
+    assert built == [1]
+    cli._parser.cache_clear()

@@ -89,8 +89,9 @@ _CASES = [c.id for c in CATALOG]
 
 def _command(draw, problem: str, out: str, valid: bool) -> list:
     """A command line for one subcommand; with valid set, every option
-    but the problem itself is in range.  Times are passed as --t-min=x, so
-    that argparse reads "-inf" or "-1e-05" as a value, not an option."""
+    but the problem itself is in range.  A time is passed as `--t-min x`
+    or as `--t-min=x`, both of which must carry "-inf" or "-1e-05" to the
+    option."""
     kind = draw(st.sampled_from(["solve", "cases", "pair", "verify", "identities"]))
     if valid:
         case = st.sampled_from(_CASES)
@@ -103,11 +104,15 @@ def _command(draw, problem: str, out: str, valid: bool) -> list:
         points = st.integers(-1, 30)
         tol = st.sampled_from([1e-6, 0.0, -1.0, float("inf"), 1e-12])
     method = draw(st.sampled_from(["closed", "oracle"]))
+
+    def option(name, value):
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, str(value)]
+
     if kind == "solve":
         t_min, t_max = draw(time), draw(time)
         if valid:
             t_min, t_max = min(t_min, t_max) - 0.1, max(t_min, t_max)
-        return ["solve", "--problem", problem, f"--t-min={t_min}", f"--t-max={t_max}",
+        return ["solve", "--problem", problem, *option("--t-min", t_min), *option("--t-max", t_max),
                 "--points", str(draw(points)), "--method", method, "--out", out]
     if kind == "cases":
         return ["cases", "--problem", problem]
@@ -120,7 +125,7 @@ def _command(draw, problem: str, out: str, valid: bool) -> list:
     coefs = DSL if valid else st.one_of(DSL, JUNK.map(str))
     a, b = draw(coefs), draw(coefs)
     n = str(draw(_N if valid else EXPONENT))
-    return ["identities", f"--t-max={abs(draw(time)) + 0.1 if valid else draw(time)}",
+    return ["identities", *option("--t-max", abs(draw(time)) + 0.1 if valid else draw(time)),
             "--samples", str(draw(st.integers(1, 6) if valid else st.integers(-1, 6))), "--", a, b, n]
 
 

@@ -6,6 +6,7 @@ import pytest
 from bsym import (
     CATALOG,
     BoundaryKind,
+    BsymError,
     DomainError,
     EvalError,
     NoConvergence,
@@ -20,10 +21,10 @@ from bsym import (
     validity_interval,
     validity_intervals,
 )
-from bsym import quad
+from bsym import closedform, quad
 from bsym.closedform import ProblemSpec
 from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values
-from bsym.exponent import ExponentClass
+from bsym.exponent import ExponentClass, classify_exponent
 
 from helpers import conforming_problem, count_calls, random_problem, simpson
 
@@ -449,3 +450,112 @@ def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
         worst = max(_rel_diff(x, y) for g, f in zip(got, fresh) for x, y in zip(g, f))
         assert worst <= 1e-8, (p.a.source, p.b.source, str(p.n), p.d)
     assert reused >= 30  # the unit exponent searches nothing
+
+
+# --- the per-point loop against the one it replaced --------------------------
+
+def reference_solution_values(p, pairs, ts):
+    """`solution_values` before the class decisions left its loop, given
+    the (A, B) pairs: signed_pow at every point."""
+    m = (p.n.p - p.n.q) / p.n.q
+    out = []
+    if p.n.cls is ExponentClass.ONE:
+        for (aval, bval), t in zip(pairs, ts):
+            try:
+                out.append(p.d * math.exp(aval + bval))
+            except OverflowError:
+                raise EvalError(f"solution overflow at t={t!r}") from None
+        return out
+    g0 = signed_pow(p.d, classify_exponent(p.n.q - p.n.p, p.n.q))
+    root = classify_exponent(-p.n.q, p.n.p - p.n.q)
+    even_root = root.q % 2 == 0
+    sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
+    for (aval, bval), t in zip(pairs, ts):
+        g = g0 - m * bval
+        g_eps = 1e-13 * (abs(g0) + abs(m * bval))
+        if even_root:
+            if g <= (g_eps if root.p < 0 else 0.0):
+                raise OutsideValidity(
+                    f"radicand {g!r} at t={t!r} but the root requires positivity"
+                )
+        elif root.p < 0 and abs(g) <= g_eps:
+            raise OutsideValidity(f"asymptote: radicand vanishes at t={t!r}")
+        try:
+            out.append(sigma * math.exp(aval) * signed_pow(g, root))
+        except OverflowError:
+            raise EvalError(f"solution overflow at t={t!r}") from None
+    return out
+
+
+def outcome(fn):
+    try:
+        return [repr(y) for y in fn()]
+    except BsymError as exc:
+        return type(exc), str(exc)
+
+
+# n, root exponent -1/(n-1): 2 -> -1, 4/3 -> -3 (odd roots, poles); 3 -> -1/2,
+# 5/3 -> -3/2 (even roots, poles); 0 -> 1, 1/2 -> 2, 2/3 -> 3, -2 -> 1/3
+# (odd roots); 1/3 -> 3/2, 3/5 -> 5/2, -1 -> 1/2 (even roots); 1
+EXPONENTS = ["2", "4/3", "3", "5/3", "0", "1/2", "2/3", "-2", "1/3", "3/5", "-1", "1"]
+
+
+@pytest.mark.parametrize("n", EXPONENTS)
+@pytest.mark.parametrize("d", [1.0, -1.0, 0.7, -2.5])
+def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
+    if d < 0 and n == "1/2":
+        pytest.skip("an exponent with an even denominator takes a positive d only")
+    p = problem("0", "1", n, d)
+    m = (p.n.p - p.n.q) / p.n.q
+    g0 = signed_pow(d, classify_exponent(p.n.q - p.n.p, p.n.q))
+    # B where G = g0 - m*B is zero (exactly, for some of these), positive,
+    # negative, within the asymptote threshold, huge or not finite; A
+    # moderate, large enough to overflow exp, or not finite
+    bvals = [0.0, 0.5, -0.5, 3.0, -3.0, 1e300, -1e300, math.inf, math.nan, g0 / m if m else 0.0]
+    bvals += [b * (1.0 + 1e-14) for b in bvals[-1:]]
+    avals = [0.0, -0.25, 1.5, 800.0, -800.0, math.nan]
+    seen = set()
+    for aval in avals:
+        for k, bval in enumerate(bvals):
+            pairs = [(0.0, 0.0), (0.1, 0.2), (aval, bval), (-0.3, 0.1)]
+            ts = [0.0, 0.5, 1.0 + k, -0.5]
+            monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg: pairs)
+            got = outcome(lambda: solution_values(p, ts))
+            assert got == outcome(lambda: reference_solution_values(p, pairs, ts)), (aval, bval)
+            if p.n.cls is not ExponentClass.ONE:
+                seen.add(math.copysign(1.0, g0 - m * bval) if g0 - m * bval else 0.0)
+    if p.n.cls is not ExponentClass.ONE:
+        assert seen >= {-1.0, 1.0}  # G = 0 exactly: test_solution_at_a_zero_radicand
+
+
+def test_solution_loop_error_texts(monkeypatch):
+    def at(n, d, pair):
+        monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg: [pair])
+        with pytest.raises(BsymError) as info:
+            solution_values(problem("0", "1", n, d), [0.25])
+        return type(info.value), str(info.value)
+
+    # G = 1 - (n-1)*B
+    assert at("3", 1.0, (0.0, 1.0)) == (
+        OutsideValidity, "radicand -1.0 at t=0.25 but the root requires positivity")
+    assert at("1/3", 1.0, (0.0, -3.0)) == (
+        OutsideValidity, "radicand -1.0 at t=0.25 but the root requires positivity")
+    assert at("2", 1.0, (0.0, 1.0)) == (OutsideValidity, "asymptote: radicand vanishes at t=0.25")
+    assert at("2", 1.0, (800.0, 0.5)) == (EvalError, "solution overflow at t=0.25")
+    assert at("1/3", 1.0, (0.0, 1e300)) == (EvalError, "solution overflow at t=0.25")
+    assert at("1", 1.0, (400.0, 400.0)) == (EvalError, "solution overflow at t=0.25")
+
+
+@pytest.mark.parametrize("n,y", [("0", 0.0), ("1/2", 0.0), ("2/3", 0.0), ("1/3", None)])
+def test_solution_at_a_zero_radicand(monkeypatch, n, y):
+    # G = 1 - (n-1)*B is exactly 0: a root of 0 is 0 for a positive root
+    # exponent; an even root requires G > 0
+    p = problem("0", "1", n, 1.0)
+    m = (p.n.p - p.n.q) / p.n.q
+    monkeypatch.setattr(closedform, "ab_values", lambda a, b, mult, ts, cfg: [(0.0, 1.0 / m)])
+    assert 1.0 - m * (1.0 / m) == 0.0
+    if y is None:
+        with pytest.raises(OutsideValidity, match="requires positivity"):
+            solution_values(p, [0.5])
+    else:
+        assert solution_values(p, [0.5]) == [y]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -218,7 +219,30 @@ def test_negated_twice_is_the_original(src):
 
     e = parse_expr(src)
     assert negated(negated(e)) == e
+    assert hash(negated(negated(e))) == hash(e)
     assert negated(negated(e)).source == e.source
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_equal_trees_hash_equal(seed):
+    src = random_source(random.Random(seed))
+    e, again = parse_expr(src), parse_expr(src)
+    assert e is not again and e == again and hash(e) == hash(again)
+    assert Expr(e.ast) == e and hash(Expr(e.ast)) == hash(e)
+    # equality stays structural: a different tree is a different key
+    other = parse_expr(f"({src}) + 1")
+    assert other != e and {e: 1, other: 2}[again] == 1
+    assert repr(e) == f"Expr(ast={e.ast!r})"
+
+
+def test_a_pickled_expr_hashes_its_tree_again():
+    # string hashes differ between processes: the stored hash must not
+    # travel with the pickle, so a stale one is not restored
+    e = parse_expr("sin(t) - 2*t")
+    fresh = hash(e)
+    object.__setattr__(e, "_hash", fresh + 1)
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and hash(copy) == fresh
 
 
 # --- parity -------------------------------------------------------------------

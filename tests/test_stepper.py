@@ -2,10 +2,11 @@ import linecache
 import math
 import random
 import traceback
+from bisect import bisect_right
 
 import pytest
 
-from bsym import QuadConfig, stepper
+from bsym import QuadConfig, problem, rk_solve, stepper
 from bsym.stepper import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
@@ -67,7 +68,7 @@ def test_query_order_does_not_change_values(t_end):
 @pytest.mark.parametrize("t_end", [2.0, -2.0])
 def test_out_of_range_queries_raise(t_end):
     path = cos_path(t_end)
-    path.value(0.5 * t_end)  # leave a segment hint behind
+    path.value(0.5 * t_end)  # an answered query first
     for t in (1.5 * t_end, -0.1 * t_end, math.nan):
         with pytest.raises(ValueError):
             path.value(t)
@@ -79,6 +80,107 @@ def test_zero_span_path_answers_only_its_node():
     with pytest.raises(ValueError):
         path.value(1e-3)
     assert path.first_crossing(0, 1.0, 1e-12, 1e-10) is None
+
+
+# --- values: one ordered walk ---------------------------------------------------
+
+def reference_value(path, t):
+    """`DensePath.value` before `values`: the step found by bisection, the
+    extension's coefficients built column by column from _P."""
+    ts, ys = path.ts, path.ys
+    if len(ts) == 1:
+        if t != ts[0]:
+            raise ValueError(t)
+        return ys[0]
+    d = 1.0 if ts[-1] >= ts[0] else -1.0
+    if not min(ts[0], ts[-1]) <= t <= max(ts[0], ts[-1]):
+        raise ValueError(t)
+    i = min(bisect_right(ts, d * t, key=lambda s: d * s) - 1, len(ts) - 2)
+    t0, t1 = ts[i], ts[i + 1]
+    if t == t0:
+        return ys[i]
+    if t == t1:
+        return ys[i + 1]
+    h = t1 - t0
+    coefs = [
+        (y0,) + tuple(
+            h * (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7)
+            for p1, p3, p4, p5, p6, p7 in zip(*_P)
+        )
+        for y0, e1, e3, e4, e5, e6, e7 in zip(ys[i], *path.ks[i])
+    ]
+    th = (t - t0) / (t1 - t0)
+    return tuple([y0 + th * (c1 + th * (c2 + th * (c3 + th * c4))) for y0, c1, c2, c3, c4 in coefs])
+
+
+def stopped_oracle_path():
+    # y = exp(50 t) passes the oracle's blow-up threshold 1e12 at t = 0.55
+    path = rk_solve(problem("50", "0", 0, 1.0), 1.0).path
+    assert path.stopped and 0.55 < path.t_reached < 0.56
+    return path
+
+
+def outward_times(path, seed, count):
+    """`count` random times across the path, every third node, its end
+    twice and (on a path from 0) both zeros, in order of distance from
+    ts[0]; few times leave steps between two of them."""
+    rng = random.Random(seed)
+    t0, t1 = path.ts[0], path.ts[-1]
+    ts = [t0 + rng.random() * (t1 - t0) for _ in range(count)] + path.ts[::3] + [t1, t1]
+    if t0 == 0.0:
+        ts += [0.0, -0.0]
+    return sorted(ts, key=lambda t: abs(t - t0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pair_path(3.0),
+        lambda: pair_path(-3.0),
+        lambda: cos_path(6.0),
+        lambda: cos_path(-6.0),
+        lambda: cos_path(0.0),
+        stopped_oracle_path,
+    ],
+    ids=["pair+", "pair-", "cos+", "cos-", "single-node", "stopped-oracle"],
+)
+@pytest.mark.parametrize("seed,count", [(1, 300), (2, 5)])
+def test_values_match_the_per_point_value(make, seed, count):
+    path = make()
+    ts = outward_times(path, seed, count)
+    got = [repr(y) for y in path.values(ts)]
+    fresh = make()
+    assert got == [repr(fresh.value(t)) for t in ts]
+    assert got == [repr(reference_value(path, t)) for t in ts]
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_values_answer_nodes_as_stored(t_end):
+    path = pair_path(t_end)
+    assert path.values(path.ts) == path.ys
+    assert path.values([]) == []
+
+
+@pytest.mark.parametrize("make", [lambda: cos_path(2.0), lambda: cos_path(-2.0), lambda: cos_path(0.0)])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_values_reject_a_time_outside_the_path(make, where):
+    path = make()
+    end = path.ts[-1]
+    for bad in (1.5 * end + 0.1 * math.copysign(1.0, end), -0.1 if end >= 0 else 0.1, math.nan, math.inf):
+        ts = [0.25 * end, 0.5 * end]
+        ts.insert(where, bad)
+        with pytest.raises(ValueError, match="outside integrated range"):
+            path.values(ts)
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_values_reject_a_run_out_of_order(t_end):
+    path = cos_path(t_end)
+    for ts in ([0.5 * t_end, 0.25 * t_end], [0.1 * t_end, 0.9 * t_end, 0.0]):
+        with pytest.raises(ValueError, match="nearer"):
+            path.values(ts)
+    # a repeated time is in order
+    assert path.values([0.5 * t_end] * 3) == [path.value(0.5 * t_end)] * 3
 
 
 # --- first_crossing ---------------------------------------------------------
