@@ -12,7 +12,6 @@ from .closedform import (
     Validity,
     eval_solution,
     problem,
-    radicand,
     solution_values,
     validity_interval,
     validity_intervals,
@@ -49,10 +48,8 @@ from .oracle import OracleConfig, Trajectory, rk_solve, solve_on_grid
 from .quad import (
     Identity,
     QuadConfig,
-    check_identity,
     identity_residuals,
     integral_A,
-    integral_B,
 )
 from .symmetry import (
     CATALOG,
@@ -97,7 +94,6 @@ __all__ = [
     "VerificationReport",
     "ZeroDenominator",
     "applicable_cases",
-    "check_identity",
     "classify_exponent",
     "detect_parity",
     "eval_expr",
@@ -105,11 +101,9 @@ __all__ = [
     "format_expr",
     "identity_residuals",
     "integral_A",
-    "integral_B",
     "parse_expr",
     "parse_exponent",
     "problem",
-    "radicand",
     "rk_solve",
     "signed_pow",
     "solution_values",

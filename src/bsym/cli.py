@@ -326,8 +326,36 @@ def _joined(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _dashed_positionals(argv: list[str]) -> list[str]:
+    """`identities` argv with its options first and its positionals after
+    `--`, when one of them starts with '-'.
+
+    argparse reads a positional such as "-t^2" or "-1/2" as an unknown
+    option and stops with "the following arguments are required"; after
+    `--` it reaches its parser.  Every option of `identities` but the help
+    takes one value; an argv that already has `--` is left alone.
+    """
+    if argv[:1] != ["identities"] or "--" in argv:
+        return argv
+    options, positionals = [], []
+    k = 1
+    while k < len(argv):
+        arg = argv[k]
+        takes_value = arg.startswith("--") and "=" not in arg and not "--help".startswith(arg)
+        if arg.startswith("--") or arg == "-h":
+            options += argv[k:k + 1 + takes_value]
+            k += takes_value
+        else:
+            positionals.append(arg)
+        k += 1
+    if not any(arg.startswith("-") for arg in positionals):
+        return argv
+    return ["identities", *options, "--", *positionals]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
+    argv = _joined(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(_dashed_positionals(argv))
     try:
         return args.fn(args)
     except (ExprSyntaxError, ProblemFileError, _ArgumentError) as exc:

@@ -26,7 +26,7 @@ positive one the root loses the positivity the branch requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
@@ -42,7 +42,6 @@ from .exponent import (
 from .quad import (
     DEFAULT_QUAD_CONFIG,
     QuadConfig,
-    _search_paths,
     ab_values,
     nested_path,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "problem",
     "BoundaryKind",
     "Validity",
-    "radicand",
     "eval_solution",
     "solution_values",
     "validity_interval",
@@ -61,12 +59,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One Bernoulli IVP: y' = a(t)*y + b(t)*y^n, y(0) = d."""
+    """One Bernoulli IVP: y' = a(t)*y + b(t)*y^n, y(0) = d.
+
+    _searched holds the (A, B) paths of the problem's latest validity
+    search, keyed by (QuadConfig, side of 0), for `solution_values` to
+    answer grids from.
+    """
 
     a: Expr
     b: Expr
     n: RationalExponent
     d: float
+    _searched: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.d) or self.d == 0.0:
@@ -136,25 +140,15 @@ def _g0(p: ProblemSpec) -> float:
         raise DomainError(f"initial value d={p.d!r} is too small: d^(1-n) overflows") from None
 
 
-def radicand(p: ProblemSpec, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """G(t) = d^(1-n) - (n-1)*B(t); undefined for n = 1."""
-    if p.n.cls is ExponentClass.ONE:
-        raise DomainError("radicand is undefined for the unit exponent")
-    g0 = _g0(p)
-    m = _mult(p.n)
-    bval = ab_values(p.a, p.b, m, [t], cfg)[0][1]
-    return g0 - m * bval
-
-
 def solution_values(
     p: ProblemSpec, ts: Sequence[float], cfg: QuadConfig = DEFAULT_QUAD_CONFIG
 ) -> list[float]:
     """Closed-form y at every t, sharing one quadrature per direction.
 
-    (A, B) come from `ab_values`: a side of 0 that the latest validity
-    search's path for p's (a, b, n-1) and cfg reaches is answered from that
-    path, to the quadrature tolerance of a fresh one; otherwise a fresh
-    path is integrated.  The exponent class is decided once per call: the
+    (A, B) come from `ab_values`: a side of 0 that p's latest validity
+    search path for cfg reaches is answered from that path, to the
+    quadrature tolerance of a fresh one; otherwise a fresh path is
+    integrated.  The exponent class is decided once per call: the
     per-point loop raises G to the root exponent with `math.pow` and the
     sign rule of `signed_pow`, which it calls only at G = 0 and where
     `signed_pow` would raise, so every value and error is `signed_pow`'s.
@@ -164,7 +158,7 @@ def solution_values(
     exponent.
     """
     m = _mult(p.n)  # 0 for n = 1, where B is plain int_0^t b
-    values = zip(ab_values(p.a, p.b, m, ts, cfg), ts)
+    values = zip(ab_values(p.a, p.b, m, ts, cfg, p._searched), ts)
     exp = math.exp
     out = []
     if p.n.cls is ExponentClass.ONE:
@@ -238,15 +232,15 @@ def validity_intervals(
     branch / uniqueness), SearchLimit when no zero is found, and Unbounded
     for the radicand-free unit exponent.  Errors are raised in problem order.
 
-    The call first forgets the previous search's paths; its own paths,
-    each integrated to exactly +-search_radius, are then kept for
-    `ab_values` (so `solution_values`) until the next search.  A search
-    never reads paths kept by an earlier one, so its intervals do not
-    depend on earlier calls.
+    Each problem keeps the paths of its search, each integrated to exactly
+    +-search_radius, for `solution_values` until its next search replaces
+    them; a path lives only as long as its problem.  A search never reads
+    paths kept by an earlier one, so its intervals do not depend on
+    earlier calls.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    paths = _search_paths()  # (a, b, n-1, cfg, direction) -> that side's (A, B) path
+    paths = {}  # (a, b, n-1, direction) -> that side's (A, B) path
     out = []
     for p in problems:
         if p.n.cls is ExponentClass.ONE:
@@ -262,12 +256,14 @@ def validity_intervals(
         level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
         if level == 0.0:
             raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
+        p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            key = (p.a, p.b, m, cfg, direction)
+            key = (p.a, p.b, m, direction)
             path = paths.get(key)
             if path is None:
                 path = paths[key] = nested_path(p.a, p.b, m, direction * search_radius, cfg)
+            p._searched[cfg, direction] = path
             found = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
             ends.append(limit if found is None else (found, zero_kind))

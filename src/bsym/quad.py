@@ -14,8 +14,9 @@ exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by the
 sign of the step, not by re-parameterization: integrating from 0 toward a
 negative t directly yields int_0^t.  A grid of
 t is answered by `ab_values` from one path per side of 0 through
-`stepper.grid_values`, the latest validity search's path where it reaches
-the grid's farthest t on that side.  With m = 0 the pair is
+`stepper.grid_values`: a path the caller hands in (a problem's validity
+search paths) where it reaches the grid's farthest t on that side, else a
+fresh one.  With m = 0 the pair is
 (int_0^t a, int_0^t b), which is all the unit exponent's closed form
 d * exp(A + B) needs.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import EvalError, NoConvergence, ParityViolation
 from .expr import CheckedForm, Expr, Parity, checked_factory, detect_parity
@@ -54,10 +55,8 @@ __all__ = [
     "DEFAULT_QUAD_CONFIG",
     "Identity",
     "integral_A",
-    "integral_B",
     "ab_values",
     "nested_path",
-    "check_identity",
     "identity_residuals",
 ]
 
@@ -115,48 +114,27 @@ def integral_A(a: Expr, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> floa
     return _run(checked_factory(_A, a)(), (0.0,), t, cfg).y_end[0]
 
 
-def integral_B(
-    a: Expr,
-    b: Expr,
-    n: RationalExponent,
-    t: float,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> float:
-    """int_0^t b(s) * exp((n-1) * A(s)) ds to the configured tolerance."""
-    return nested_path(a, b, (n.p - n.q) / n.q, t, cfg).y_end[1]
-
-
-# (a, b, mult, cfg, side of 0) -> the (A, B) path the latest validity
-# search integrated from 0 to that side's search radius
-_searched: dict = {}
-
-
-def _search_paths() -> dict:
-    """Forget the previous validity search's paths; return the empty dict
-    the new search fills, which `ab_values` reads until the next search."""
-    global _searched
-    _searched = {}
-    return _searched
-
-
 def ab_values(
     a: Expr,
     b: Expr,
     mult: float,
     ts: Sequence[float],
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
+    searched: Optional[Mapping[tuple[QuadConfig, float], DensePath]] = None,
 ) -> list[tuple[float, float]]:
     """(A(t), B(t)) pairs for every t, sharing one solve per side of 0.
 
-    A side is answered from the path the latest validity search integrated
-    for the same (a, b, mult, cfg) on that side of 0, if that path reaches
-    the side's farthest t; otherwise one fresh path is integrated to that
-    t.  Either way the values agree with a fresh path to the quadrature
-    tolerance.
+    `searched` maps (cfg, side of 0) to (A, B) paths already integrated
+    from 0 for the same (a, b, mult), such as a problem's validity-search
+    paths.  A side is answered from searched[(cfg, side)] if that path
+    reaches the side's farthest t; otherwise one fresh path is integrated
+    to that t.  Either way the values agree with a fresh path to the
+    quadrature tolerance.
     """
+    searched = searched or {}
 
     def solve(x: float) -> DensePath:
-        path = _searched.get((a, b, mult, cfg, 1.0 if x >= 0.0 else -1.0))
+        path = searched.get((cfg, 1.0 if x >= 0.0 else -1.0))
         if path is not None and abs(x) <= abs(path.t_reached):
             return path
         return nested_path(a, b, mult, x, cfg)
@@ -209,7 +187,8 @@ def identity_residuals(
 ) -> list[float]:
     """|LHS - RHS| of the chosen identity at each t, sharing quadratures.
 
-    Raises ParityViolation unless (a, b) carry the parities the identity
+    Every path is integrated afresh, so the residuals do not depend on
+    earlier calls.  Raises ParityViolation unless (a, b) carry the parities the identity
     assumes.
     """
     if isinstance(ident, str):
@@ -225,14 +204,3 @@ def identity_residuals(
         abs(-bl[1] - rhs_sign * br[1]) for bl, br in zip(left, right)
     ]
 
-
-def check_identity(
-    ident: Union[Identity, str],
-    a: Expr,
-    b: Expr,
-    n: RationalExponent,
-    t: float,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> float:
-    """Residual |LHS - RHS| of one mirrored-integral identity at t."""
-    return identity_residuals(ident, a, b, n, [t], cfg)[0]

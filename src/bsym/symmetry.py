@@ -30,7 +30,7 @@ from .errors import CaseNotApplicable, EmptyDomain
 from .expr import Parity, detect_parity, negated
 from .exponent import ExponentClass
 from .oracle import DEFAULT_ORACLE_CONFIG, OracleConfig, solve_on_grid
-from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, _search_paths
+from .quad import DEFAULT_QUAD_CONFIG, QuadConfig
 
 __all__ = [
     "Relation",
@@ -240,14 +240,14 @@ def verify_cases(
     Every partner is built first, so an inapplicable case raises
     CaseNotApplicable before any integration.  Then every case's common
     interval and grid come from one `validity_intervals` call, which
-    integrates one (A, B) path per side for each distinct (a, b, n-1), and
-    an EmptyDomain is raised for the first case without one.  The oracle
-    method forgets that search's paths at once, since only the closed form
-    reads them.  p1 is evaluated once on all case grids joined together
-    (one solve per side of 0), and each partner on its own grid.  Where the
-    cases' common intervals coincide, as the theorem makes them for
-    applicable cases, the reports equal those of one verify_pair per case
-    bit for bit.
+    integrates one (A, B) path per side for each distinct (a, b, n-1) and
+    keeps them on p1 and the partners, and an EmptyDomain is raised for the
+    first case without one.  p1 is evaluated once on all case grids joined
+    together (one solve per side of 0), and each partner on its own grid;
+    the closed form answers them from those kept paths, while the oracle
+    integrates y itself.  Where the cases' common intervals coincide, as
+    the theorem makes them for applicable cases, the reports equal those
+    of one verify_pair per case bit for bit.
     """
     cases = [resolve_case(case) for case in cases]
     if grid_points < 3:
@@ -256,8 +256,6 @@ def verify_cases(
     if not cases:
         return []
     v1, *v2s = validity_intervals([p1, *partners], search_radius, quad_cfg)
-    if method == "oracle":
-        _search_paths()  # the oracle integrates y itself: no grid reads them
     commons, grids = [], []
     for case, v2 in zip(cases, v2s):
         if case.relation is Relation.T_AXIS:

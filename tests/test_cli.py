@@ -619,3 +619,30 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
         assert cli.main(["cases", "--problem", prob]) == 0
     assert built == [1]
     cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv, separated", [
+    (["cos(t)", "-t^2", "2"], ["--", "cos(t)", "-t^2", "2"]),
+    (["cos(t)", "cos(t)", "-1/2", "--samples", "2"], ["--samples", "2", "--", "cos(t)", "cos(t)", "-1/2"]),
+    (["--t-max", "1", "-t^2", "cos(t)", "2"], ["--t-max", "1", "--", "-t^2", "cos(t)", "2"]),
+    (["cos(t)", "--samples=2", "-t^2", "2", "-h"], ["--samples=2", "-h", "--", "cos(t)", "-t^2", "2"]),
+])
+def test_identities_positional_starting_with_a_dash(capsys, argv, separated):
+    # argparse reads "-t^2" or "-1/2" as an option unless it follows `--`:
+    # main moves the positionals there itself
+    from bsym.cli import _dashed_positionals
+
+    assert _dashed_positionals(["identities", *argv]) == ["identities", *separated]
+    if "-h" not in argv:
+        code, captured = main_in_process(capsys, ["identities", *argv])
+        assert code == 0 and captured.err == ""
+        assert (code, captured) == main_in_process(capsys, ["identities", *separated])
+
+
+def test_identities_missing_positional_after_a_dash_is_still_a_usage_error(capsys):
+    from bsym.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(["identities", "cos(t)", "-t^2"])
+    assert info.value.code == 2
+    assert "the following arguments are required: n" in capsys.readouterr().err

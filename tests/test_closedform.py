@@ -14,14 +14,13 @@ from bsym import (
     QuadConfig,
     eval_solution,
     problem,
-    radicand,
     signed_pow,
     solution_values,
     solve_on_grid,
     validity_interval,
     validity_intervals,
 )
-from bsym import closedform, quad
+from bsym import closedform
 from bsym.closedform import ProblemSpec
 from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values
 from bsym.exponent import ExponentClass, classify_exponent
@@ -38,26 +37,35 @@ G_FIXTURE = -1.0550988346967978
 Y_FIXTURE = 3.0200706670159803
 
 
-# --- radicand -----------------------------------------------------------------
+# --- the radicand G = d^(1-n) - (n-1)*B --------------------------------------
+
+def _radicand(p: ProblemSpec, t: float) -> float:
+    """G(t) from `ab_values`' B, for n != 1."""
+    m = (p.n.p - p.n.q) / p.n.q
+    g0 = signed_pow(p.d, classify_exponent(p.n.q - p.n.p, p.n.q))
+    return g0 - m * ab_values(p.a, p.b, m, [t])[0][1]
+
 
 def test_radicand_at_zero_is_reciprocal_power():
-    assert radicand(problem("0", "1", 2, 1.0), 0.0) == pytest.approx(1.0, abs=1e-12)
+    p = problem("0", "1", 2, 1.0)
+    assert _radicand(p, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert solution_values(p, [0.0]) == [1.0]  # y(0) = G(0)^-1 = d
 
 
 def test_radicand_linear_decay():
-    assert radicand(problem("0", "1", 2, 1.0), 0.5) == pytest.approx(0.5, abs=1e-10)
+    p = problem("0", "1", 2, 1.0)
+    assert _radicand(p, 0.5) == pytest.approx(0.5, abs=1e-10)
+    assert solution_values(p, [0.5]) == [pytest.approx(1.0 / 0.5, rel=1e-10)]
 
 
 def test_radicand_simpson_fixture():
-    g = radicand(problem("1", "t", 2, -1.0), 0.3)
+    p = problem("1", "t", 2, -1.0)
+    g = _radicand(p, 0.3)
     assert g == pytest.approx(G_FIXTURE, abs=1e-9)
     analytic = -1.0 - (1.0 - 0.7 * math.exp(0.3))
     assert g == pytest.approx(analytic, abs=1e-9)
-
-
-def test_radicand_rejects_unit_exponent():
-    with pytest.raises(DomainError):
-        radicand(problem("1", "1", 1, 1.0), 0.5)
+    # y = e^A / G with A = t
+    assert solution_values(p, [0.3]) == [pytest.approx(math.exp(0.3) / G_FIXTURE, rel=1e-9)]
 
 
 # --- eval_solution --------------------------------------------------------------
@@ -350,20 +358,24 @@ def test_ab_values_reuses_a_searched_path_only_on_a_full_key_match(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 4.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    # same a, b, n-1 and cfg: both sides come from the searched paths
-    ab_values(p.a, p.b, 1.0, [-3.0, -0.5, 0.0, 0.5, 3.0])
+    # p's own grid, same cfg: both sides come from p's searched paths
+    solution_values(p, [-3.0, -0.5, 0.0, 0.5, 3.0])
     assert calls == []
-    # any one of a, b, n-1 or cfg differing integrates a fresh path
-    other = problem("cos(t)", "sin(t)", 2, 1.0)
-    for args in (
-        (other.a, p.b, 1.0, [0.5], DEFAULT_QUAD_CONFIG),
-        (p.a, other.b, 1.0, [0.5], DEFAULT_QUAD_CONFIG),
-        (p.a, p.b, 2.0, [0.5], DEFAULT_QUAD_CONFIG),
-        (p.a, p.b, 1.0, [0.5], QuadConfig(rel_tol=1e-9)),
+    # another problem, even one equal to p, or another cfg integrates a fresh
+    # path: a, b, n-1 and cfg all match only on p's own paths with p's cfg
+    for q, cfg in (
+        (problem("cos(t)", "cos(t)", 2, 1.0), DEFAULT_QUAD_CONFIG),
+        (problem("sin(t)", "sin(t)", 2, 1.0), DEFAULT_QUAD_CONFIG),
+        (problem("sin(t)", "cos(t)", 3, 0.5), DEFAULT_QUAD_CONFIG),
+        (problem("sin(t)", "cos(t)", 2, 1.0), DEFAULT_QUAD_CONFIG),
+        (p, QuadConfig(rel_tol=1e-9)),
     ):
         calls.clear()
-        ab_values(*args)
-        assert [call[3] for call in calls] == [0.5], args[2:]
+        solution_values(q, [0.5], cfg)
+        assert [call[3] for call in calls] == [0.5], (q, cfg)
+    calls.clear()
+    ab_values(p.a, p.b, 1.0, [0.5], QuadConfig(rel_tol=1e-9), p._searched)
+    assert [call[3] for call in calls] == [0.5]
 
 
 def test_ab_values_reuses_only_the_matching_side(monkeypatch):
@@ -372,10 +384,12 @@ def test_ab_values_reuses_only_the_matching_side(monkeypatch):
     p = problem("0", "1/(1 + t)", 2, 0.05)
     with pytest.raises(NoConvergence):
         validity_interval(p, 4.0)
+    assert [side for _, side in p._searched] == [1.0]
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    ab_values(p.a, p.b, 1.0, [0.5])
+    solution_values(p, [0.5])
     assert calls == []
-    assert ab_values(p.a, p.b, 1.0, [-0.5])[0][1] == pytest.approx(-math.log(2.0), rel=1e-9)
+    got = ab_values(p.a, p.b, 1.0, [-0.5], DEFAULT_QUAD_CONFIG, p._searched)
+    assert got[0][1] == pytest.approx(-math.log(2.0), rel=1e-9)
     assert [call[3] for call in calls] == [-0.5]
 
 
@@ -383,10 +397,9 @@ def test_ab_values_past_the_searched_path_integrates_afresh(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 1.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0])
+    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0], DEFAULT_QUAD_CONFIG, p._searched)
     assert [call[3] for call in calls] == [2.0]  # the left side reuses its path
     monkeypatch.undo()
-    quad._search_paths()
     fresh = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0])
     assert got[1:] == fresh[1:]  # the same fresh path to 2.0
     assert all(_rel_diff(x, y) <= 1e-8 for g, f in zip(got, fresh) for x, y in zip(g, f))
@@ -402,34 +415,53 @@ def test_validity_after_a_wider_search_equals_a_fresh_search():
 
 
 def test_only_the_latest_search_paths_are_kept():
-    from bsym import verify_cases
-
-    validity_interval(problem("cos(t)", "1", 3, 1.0), 4.0)  # forgotten below
+    # each problem keeps its own latest search's paths, one per side of 0
     p = problem("sin(t)", "cos(t)", 2, 1.0)
-    verify_cases(p, ["T2ii", "T2iv", "T3ii"], method="closed")
-    keys = {(k[0].source, k[1].source, k[2], k[4]) for k in quad._searched}
-    assert len(quad._searched) == 4 and keys == {
-        (a, b, 1.0, side) for a, b in (("sin(t)", "cos(t)"), ("sin(t)", "-(cos(t))"))
-        for side in (1.0, -1.0)
+    validity_interval(p, 8.0)
+    validity_interval(p, 4.0)  # replaces the radius-8 paths
+    kept = dict(p._searched)
+    assert {key: path.t_reached for key, path in kept.items()} == {
+        (DEFAULT_QUAD_CONFIG, 1.0): 4.0, (DEFAULT_QUAD_CONFIG, -1.0): -4.0
     }
+    # another problem's search, shared paths included, leaves p's alone
+    q, r = problem("sin(t)", "cos(t)", 2, -1.0), problem("cos(t)", "1", 3, 1.0)
+    validity_intervals([q, r], 4.0)
+    assert p._searched == kept and all(p._searched[k] is kept[k] for k in kept)
+    assert all(q._searched[k] is not kept[k] for k in kept)
+    v, w = problem("sin(t)", "cos(t)", 2, 0.5), problem("sin(t)", "cos(t)", 2, 2.0)
+    validity_intervals([v, w], 4.0)  # same a, b, n-1: one path per side
+    assert all(v._searched[k] is w._searched[k] for k in kept)
     # a grid's fresh paths, here past the searched radius, are not kept
-    solution_values(problem("0", "1", 2, 0.1), [-5.0, 5.0])
-    assert len(quad._searched) == 4
-    assert {(k[0].source, k[1].source, k[2], k[4]) for k in quad._searched} == keys
+    solution_values(p, [-5.0, 5.0])
+    assert p._searched == kept
+    # the unit exponent searches nothing and keeps nothing
+    u = problem("sin(t)", "cos(t)", 1, 1.0)
+    validity_interval(u, 4.0)
+    assert u._searched == {}
 
 
-def test_an_oracle_verification_keeps_no_searched_paths(monkeypatch):
-    # the oracle integrates y itself, so its validity search's (A, B) paths
-    # are forgotten at once; the closed form answers its grids from them
+def test_a_verification_leaves_p1_its_paths(monkeypatch):
+    # verify_cases' validity search keeps its (A, B) paths on p1 by either
+    # method (the oracle integrates y itself and reads none of them); the
+    # closed form answers p1's later grids from them
     from bsym import verify_cases
 
+    for method in ("oracle", "closed"):
+        p = problem("sin(t)", "cos(t)", 2, 1.0)
+        verify_cases(p, ["T2ii", "T2iv"], method=method)
+        assert len(p._searched) == 2
+        calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+        solution_values(p, [-1.0, 0.5])
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_a_solve_after_another_problems_search_reuses_its_own_paths(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
-    verify_cases(p, ["T2ii", "T2iv"], method="oracle")
-    assert quad._searched == {}
-    verify_cases(p, ["T2ii", "T2iv"], method="closed")
-    assert len(quad._searched) == 4
+    validity_interval(p, 4.0)
+    validity_interval(problem("cos(t)", "1", 3, 1.0), 4.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    solution_values(p, [-1.0, 0.5])
+    solution_values(p, [-1.0, 0.5, 2.0])
     assert calls == []
 
 
@@ -442,10 +474,9 @@ def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
         ts = [lo + k * (hi - lo) / 400 for k in range(401)] + [0.0]
         m = (p.n.p - p.n.q) / p.n.q
         calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-        got = ab_values(p.a, p.b, m, ts)
+        got = ab_values(p.a, p.b, m, ts, DEFAULT_QUAD_CONFIG, p._searched)
         monkeypatch.undo()
         reused += not calls
-        quad._search_paths()
         fresh = ab_values(p.a, p.b, m, ts)
         worst = max(_rel_diff(x, y) for g, f in zip(got, fresh) for x, y in zip(g, f))
         assert worst <= 1e-8, (p.a.source, p.b.source, str(p.n), p.d)
@@ -519,7 +550,7 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
         for k, bval in enumerate(bvals):
             pairs = [(0.0, 0.0), (0.1, 0.2), (aval, bval), (-0.3, 0.1)]
             ts = [0.0, 0.5, 1.0 + k, -0.5]
-            monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg: pairs)
+            monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg, searched: pairs)
             got = outcome(lambda: solution_values(p, ts))
             assert got == outcome(lambda: reference_solution_values(p, pairs, ts)), (aval, bval)
             if p.n.cls is not ExponentClass.ONE:
@@ -530,7 +561,7 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
 
 def test_solution_loop_error_texts(monkeypatch):
     def at(n, d, pair):
-        monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg: [pair])
+        monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg, searched: [pair])
         with pytest.raises(BsymError) as info:
             solution_values(problem("0", "1", n, d), [0.25])
         return type(info.value), str(info.value)
@@ -552,7 +583,7 @@ def test_solution_at_a_zero_radicand(monkeypatch, n, y):
     # exponent; an even root requires G > 0
     p = problem("0", "1", n, 1.0)
     m = (p.n.p - p.n.q) / p.n.q
-    monkeypatch.setattr(closedform, "ab_values", lambda a, b, mult, ts, cfg: [(0.0, 1.0 / m)])
+    monkeypatch.setattr(closedform, "ab_values", lambda a, b, mult, ts, cfg, searched: [(0.0, 1.0 / m)])
     assert 1.0 - m * (1.0 / m) == 0.0
     if y is None:
         with pytest.raises(OutsideValidity, match="requires positivity"):

@@ -8,12 +8,12 @@ from bsym import (
     NoConvergence,
     ParityViolation,
     QuadConfig,
-    check_identity,
     classify_exponent,
     identity_residuals,
     integral_A,
-    integral_B,
     parse_expr,
+    problem,
+    validity_interval,
 )
 from bsym.expr import BinOp, Const, Expr
 from bsym.quad import Identity, ab_values
@@ -46,19 +46,28 @@ def test_integral_A_negative_t():
     assert integral_A(parse_expr("t^2"), -3.0) == pytest.approx(-9.0, abs=1e-9)
 
 
+def _integral_B(a: str, b: str, mult: float, t: float) -> float:
+    """B(t) = int_0^t b(s) * exp(mult * A(s)) ds, from `ab_values` alone."""
+    return ab_values(parse_expr(a), parse_expr(b), mult, [t])[0][1]
+
+
 def test_integral_B_unit_integrand():
-    v = integral_B(parse_expr("0"), parse_expr("1"), N2, 0.75)
-    assert v == pytest.approx(0.75, abs=1e-10)
+    assert _integral_B("0", "1", 1.0, 0.75) == pytest.approx(0.75, abs=1e-10)
 
 
 def test_integral_B_exponential():
-    v = integral_B(parse_expr("1"), parse_expr("1"), N2, 1.0)
-    assert v == pytest.approx(math.e - 1.0, abs=1e-9)
+    assert _integral_B("1", "1", 1.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-9)
 
 
 def test_integral_B_against_simpson_fixture():
-    v = integral_B(parse_expr("cos(t)"), parse_expr("sin(t)"), N3, 1.2)
+    v = _integral_B("cos(t)", "sin(t)", 2.0, 1.2)
     assert v == pytest.approx(B_COS_SIN_N3_T12, abs=1e-8)
+    # the mirrored side through a grid on both sides of 0, and by Simpson
+    left, right = ab_values(parse_expr("cos(t)"), parse_expr("sin(t)"), 2.0, [-1.2, 1.2])
+    assert right[1] == v
+    assert left[1] == pytest.approx(
+        -simpson(lambda s: math.sin(s) * math.exp(2.0 * math.sin(s)), -1.2, 0.0), abs=1e-8
+    )
 
 
 def test_no_convergence_near_pole():
@@ -70,7 +79,7 @@ def test_no_convergence_near_pole():
 # --- identities ---------------------------------------------------------------
 
 def test_identity_eq4_example():
-    r = check_identity("Eq4", parse_expr("cos(t)"), parse_expr("sin(t)"), N3, 1.2)
+    (r,) = identity_residuals("Eq4", parse_expr("cos(t)"), parse_expr("sin(t)"), N3, [1.2])
     assert r <= 1e-9
 
 
@@ -81,22 +90,31 @@ def test_identity_eq4_sides_match_simpson():
 
 
 def test_identity_eq7_example():
-    r = check_identity("Eq7", parse_expr("t"), parse_expr("cos(t)"), N2, 2.0)
+    (r,) = identity_residuals("Eq7", parse_expr("t"), parse_expr("cos(t)"), N2, [2.0])
     assert r <= 1e-9
 
 
 def test_identity_parity_violation():
     with pytest.raises(ParityViolation):
-        check_identity("Eq4", parse_expr("t"), parse_expr("cos(t)"), N2, 1.0)
+        identity_residuals("Eq4", parse_expr("t"), parse_expr("cos(t)"), N2, [1.0])
 
 
 def test_identity_residuals_batches_match_single():
     a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
     ts = [0.5, -1.0, 2.0]
     batch = identity_residuals(Identity.EQ4, a, b, N3, ts)
-    singles = [check_identity(Identity.EQ4, a, b, N3, t) for t in ts]
+    singles = [identity_residuals(Identity.EQ4, a, b, N3, [t])[0] for t in ts]
     for got, want in zip(batch, singles):
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_identity_residuals_do_not_depend_on_an_earlier_search():
+    # a validity search of the same (a, b, n) keeps its paths on its problem
+    # only: the identities integrate their own paths either way
+    a, b = parse_expr("cos(t)"), parse_expr("1")
+    fresh = identity_residuals("Eq8", a, b, N3, [1.0, 2.0])
+    validity_interval(problem("cos(t)", "1", "3", 1.0), 4.0)
+    assert identity_residuals("Eq8", a, b, N3, [1.0, 2.0]) == fresh
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -158,8 +176,7 @@ def test_ab_values_consistent_with_pointwise():
     pairs = ab_values(a, b, 1.0, ts)
     for t, (av, bv) in zip(ts, pairs):
         assert av == pytest.approx(integral_A(a, t), abs=1e-9)
-        n2 = classify_exponent(2, 1)
-        assert bv == pytest.approx(integral_B(a, b, n2, t), abs=1e-9)
+        assert bv == pytest.approx(ab_values(a, b, 1.0, [t])[0][1], abs=1e-9)
 
 
 def test_quad_config_validation():
