@@ -49,7 +49,6 @@ from .quad import (
     Identity,
     QuadConfig,
     identity_residuals,
-    integral_A,
 )
 from .symmetry import (
     CATALOG,
@@ -100,7 +99,6 @@ __all__ = [
     "eval_solution",
     "format_expr",
     "identity_residuals",
-    "integral_A",
     "parse_expr",
     "parse_exponent",
     "problem",

@@ -36,7 +36,6 @@ from .exponent import parse_exponent
 from .oracle import solve_on_grid
 from .quad import Identity, identity_residuals, require_identity_parity
 from .symmetry import (
-    CATALOG,
     applicable_cases,
     resolve_case,
     transform_problem,
@@ -143,12 +142,7 @@ def cmd_solve(args) -> int:
 def cmd_cases(args) -> int:
     p = load_problem(args.problem)
     for case in applicable_cases(p):
-        transform = (
-            f"a2={'-' if case.flip_a else '+'}a1,"
-            f"b2={'-' if case.flip_b else '+'}b1,"
-            f"d2={'-' if case.flip_d else '+'}d1"
-        )
-        print(f"{case.id}\t{case.relation.value}\t{transform}")
+        print(f"{case.id}\t{case.relation.value}\t{case.transform_text}")
     return EXIT_OK
 
 
@@ -181,6 +175,8 @@ def cmd_verify(args) -> int:
     if not 0.0 < args.tol < math.inf:
         raise DomainError("--tol must be positive and finite")
     cases = applicable_cases(p) if args.case == "all" else [_parse_arg(resolve_case, args.case)]
+    if not cases:  # an empty report would read as a pass
+        raise CaseNotApplicable("no catalog case applies to this problem")
     reports = []
     all_passed = True
     for rep in verify_cases(p, cases, grid_points=args.points, tol=args.tol, method=args.method):

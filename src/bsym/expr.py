@@ -473,6 +473,11 @@ class Parity(Enum):
     ODD = "odd"
     NEITHER = "neither"
 
+    @property
+    def sign(self) -> int:
+        """f(-t) = sign * f(t): +1 for even, -1 for odd; KeyError for neither."""
+        return {"even": 1, "odd": -1}[self.value]
+
 
 DEFAULT_PARITY_SEED = 424243
 PARITY_SAMPLE_DOMAIN = (-4.0, 4.0)

@@ -12,24 +12,26 @@ right-hand side (a, b*exp(m*A)) is one function generated by
 non-finite coefficient raises EvalError, and so does an overflowing
 exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by the
 sign of the step, not by re-parameterization: integrating from 0 toward a
-negative t directly yields int_0^t.  A grid of
-t is answered by `ab_values` from one path per side of 0 through
-`stepper.grid_values`: a path the caller hands in (a problem's validity
-search paths) where it reaches the grid's farthest t on that side, else a
-fresh one.  With m = 0 the pair is
-(int_0^t a, int_0^t b), which is all the unit exponent's closed form
-d * exp(A + B) needs.
+negative t directly yields int_0^t.  A grid of t is answered by
+`ab_values` from one path per side of 0 through `stepper.grid_values`: a
+path the caller hands in (a problem's validity search paths) where it
+reaches the grid's farthest t on that side, else a fresh one.  A(t) is the
+first component of every pair; with m = 0 the pair is (int_0^t a,
+int_0^t b), which is all the unit exponent's closed form d * exp(A + B)
+needs.
 
-The checkable integral identities relate mirrored values of B:
+The checkable integral identities relate mirrored values of B, with
+m = n - 1:
 
     Eq4 (a even, b odd):   int_{-t}^0 b e^{-mA} = -int_0^t b e^{mA}
     Eq7 (a odd,  b even):  int_{-t}^0 b e^{mA}  =  int_0^t b e^{mA}
     Eq8 (a even, b even):  int_{-t}^0 b e^{mA}  =  int_0^t b e^{-mA}
     Eq9 (a even, b even):  int_{-t}^0 b e^{-mA} =  int_0^t b e^{mA}
 
-with m = n - 1.  (Eq7 is the even-integrand mirror; it is the same identity
-regardless of which exponent class consumes it, so there is exactly one tag
-for it.)
+Each is the substitution s -> -s in its left side, so it is fixed by the
+(a, b) parities and the sign of m on the mirrored side.  (Eq7 is the
+even-integrand mirror; it is the same identity regardless of which
+exponent class consumes it, so there is exactly one tag for it.)
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "QuadConfig",
     "DEFAULT_QUAD_CONFIG",
     "Identity",
-    "integral_A",
     "ab_values",
     "nested_path",
     "identity_residuals",
@@ -99,19 +100,13 @@ def _run(rhs, y0, t: float, cfg: QuadConfig) -> DensePath:
         raise EvalError(f"integrand overflow: {exc}") from None
 
 
-# the accumulator right-hand sides, (A', B') and A' alone
+# the accumulator right-hand side (A', B')
 _AB = CheckedForm("t, y", "return (f0, f1 * exp(mult * y[0]))", "mult")
-_A = CheckedForm("t, y", "return (f0,)")
 
 
 def nested_path(a: Expr, b: Expr, mult: float, t: float, cfg: QuadConfig) -> DensePath:
     """Dense (A, B) path over [0, t] with B' = b * exp(mult * A)."""
     return _run(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, cfg)
-
-
-def integral_A(a: Expr, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """int_0^t a(s) ds; reversed limits negate by the sign convention."""
-    return _run(checked_factory(_A, a)(), (0.0,), t, cfg).y_end[0]
 
 
 def ab_values(
@@ -151,24 +146,17 @@ class Identity(Enum):
     EQ9 = "Eq9"
 
 
-_REQUIRED_PARITY = {
-    Identity.EQ4: (Parity.EVEN, Parity.ODD),
-    Identity.EQ7: (Parity.ODD, Parity.EVEN),
-    Identity.EQ8: (Parity.EVEN, Parity.EVEN),
-    Identity.EQ9: (Parity.EVEN, Parity.EVEN),
-}
-
-# (multiplier sign on the left/negative side, on the right side, RHS sign)
-_IDENTITY_FORM = {
-    Identity.EQ4: (-1.0, +1.0, -1.0),
-    Identity.EQ7: (+1.0, +1.0, +1.0),
-    Identity.EQ8: (+1.0, -1.0, +1.0),
-    Identity.EQ9: (-1.0, +1.0, +1.0),
+# (a parity, b parity, sign sigma of m on the mirrored side)
+_IDENTITIES = {
+    Identity.EQ4: (Parity.EVEN, Parity.ODD, -1.0),
+    Identity.EQ7: (Parity.ODD, Parity.EVEN, +1.0),
+    Identity.EQ8: (Parity.EVEN, Parity.EVEN, +1.0),
+    Identity.EQ9: (Parity.EVEN, Parity.EVEN, -1.0),
 }
 
 
 def require_identity_parity(ident: Identity, a: Expr, b: Expr) -> None:
-    want_a, want_b = _REQUIRED_PARITY[ident]
+    want_a, want_b, _ = _IDENTITIES[ident]
     got_a, got_b = detect_parity(a), detect_parity(b)
     if (got_a, got_b) != (want_a, want_b):
         raise ParityViolation(
@@ -195,10 +183,14 @@ def identity_residuals(
         ident = Identity(ident)
     require_identity_parity(ident, a, b)
     m = (n.p - n.q) / n.q
-    sign_l, sign_r, rhs_sign = _IDENTITY_FORM[ident]
+    par_a, par_b, sigma = _IDENTITIES[ident]
+    # with eps = Parity.sign, s -> -s turns A(-u) into -eps_a * A(u) and
+    # b(-u) into eps_b * b(u), so
+    # int_{-t}^0 b e^{sigma*m*A} = eps_b * int_0^t b e^{-eps_a*sigma*m*A}
+    sign_r, rhs_sign = -par_a.sign * sigma, par_b.sign
 
-    # LHS(t) = int_{-t}^0 b e^{sign_l*m*A} = -B_{sign_l*m}(-t)
-    left = ab_values(a, b, sign_l * m, [-t for t in ts], cfg)
+    # LHS(t) = int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t)
+    left = ab_values(a, b, sigma * m, [-t for t in ts], cfg)
     right = ab_values(a, b, sign_r * m, list(ts), cfg)
     return [
         abs(-bl[1] - rhs_sign * br[1]) for bl, br in zip(left, right)

@@ -1,22 +1,23 @@
 """The eleven symmetry cases: applicability, partner construction, checking.
 
-Each catalog row pairs hypotheses (an exponent-class predicate plus optional
-parities of a and b) with a sign transformation of (a, b, d) and the
-reflection relation it predicts between the two solutions:
+Every case is one reflection rule, y2(r t) = s y1(t) with r, s = +-1:
 
-    origin:  y2(-t) = -y1(t)
-    t-axis:  y2(t)  = -y1(t)
-    y-axis:  y2(-t) =  y1(t)
+    origin  (r = -1, s = -1):  y2(-t) = -y1(t)
+    t-axis  (r = +1, s = -1):  y2(t)  = -y1(t)
+    y-axis  (r = -1, s = +1):  y2(-t) =  y1(t)
 
+Substituting y1(t) = s y2(r t) into y1' = a1 y1 + b1 y1^n, with n = p/q
+and q odd when s = -1, gives the partner problem
+
+    a2(t) = r a1(r t),   b2(t) = r s^(1-p) b1(r t),   d2 = s d.
+
+A catalog row holds only the paper's hypotheses (exponent class, (a, b)
+parities) and its relation; the parities make a1(r t) and b1(r t) equal to
++-a1(t) and +-b1(t), so the signs of (a2, b2, d2) are derived.
+`verify_cases` samples the partner at r t and takes |y2(r t) - s y1(t)|.
 Coefficient negation is structural (the tree is wrapped in a unary minus)
 and the transformed coefficients are re-classified by detect_parity, never
 assumed.
-
-The y-axis rows hold for any rational exponent; for negative initial values
-they additionally require the exponent's reduced denominator to be odd
-(classes even/odd, odd/odd, or the unit exponent).  Since problems with an
-even-denominator exponent already require d > 0, that caveat can only
-trigger on hand-built specs.
 """
 
 from __future__ import annotations
@@ -50,53 +51,67 @@ DEFAULT_SEARCH_RADIUS = 4.0
 
 
 class Relation(Enum):
+    """The reflection y2(r * t) = s * y1(t) between two solutions."""
+
     ORIGIN = "origin"
     T_AXIS = "t-axis"
     Y_AXIS = "y-axis"
+
+    @property
+    def r(self) -> int:
+        return 1 if self is Relation.T_AXIS else -1
+
+    @property
+    def s(self) -> int:
+        return 1 if self is Relation.Y_AXIS else -1
 
 
 @dataclass(frozen=True)
 class SymmetryCase:
     id: str
-    classes: Optional[frozenset[ExponentClass]]  # None = any rational exponent
+    cls: Optional[ExponentClass]  # None = any rational exponent
     parity: Optional[tuple[Parity, Parity]]  # required (a, b) parities
-    flip_a: bool
-    flip_b: bool
-    flip_d: bool
     relation: Relation
 
     @property
-    def transform_signs(self) -> str:
-        return ",".join("-" if f else "+" for f in (self.flip_a, self.flip_b, self.flip_d))
+    def signs(self) -> tuple[int, int, int]:
+        """The signs of (a2, b2, d2) against (a1, b1, d1)."""
+        r, s = self.relation.r, self.relation.s
+        # a1(r t) = eps_a * a1(t), b1(r t) = eps_b * b1(t)
+        eps_a, eps_b = (1, 1) if r == 1 else (self.parity[0].sign, self.parity[1].sign)
+        # s^(1-p) is -1 only for s = -1 and an even p
+        s_pow = s if self.cls is ExponentClass.EVEN_OVER_ODD else 1
+        return (r * eps_a, r * s_pow * eps_b, s)
+
+    @property
+    def transform_text(self) -> str:
+        """The signs as text, such as "a2=-a1,b2=+b1,d2=-d1"."""
+        return ",".join(
+            f"{x}2={'-' if sign < 0 else '+'}{x}1" for x, sign in zip("abd", self.signs)
+        )
 
     def __str__(self) -> str:
-        return f"{self.id}({self.transform_signs} -> {self.relation.value})"
+        return f"{self.id}({self.transform_text} -> {self.relation.value})"
 
 
-_EVEN_ODD = frozenset({ExponentClass.EVEN_OVER_ODD})
-_ODD_ODD = frozenset({ExponentClass.ODD_OVER_ODD})
+_EVEN_ODD, _ODD_ODD = ExponentClass.EVEN_OVER_ODD, ExponentClass.ODD_OVER_ODD
 _E, _O = Parity.EVEN, Parity.ODD
 
 CATALOG: tuple[SymmetryCase, ...] = (
-    SymmetryCase("T2i", _EVEN_ODD, (_E, _O), True, True, True, Relation.ORIGIN),
-    SymmetryCase("T2ii", _EVEN_ODD, (_O, _E), False, False, True, Relation.ORIGIN),
-    SymmetryCase("T2iii", _EVEN_ODD, (_E, _E), True, False, True, Relation.ORIGIN),
-    SymmetryCase("T2iv", _EVEN_ODD, None, False, True, True, Relation.T_AXIS),
-    SymmetryCase("T3i", None, (_E, _O), True, False, False, Relation.Y_AXIS),
-    SymmetryCase("T3ii", None, (_O, _E), False, True, False, Relation.Y_AXIS),
-    SymmetryCase("T3iii", None, (_E, _E), True, True, False, Relation.Y_AXIS),
-    SymmetryCase("T4i", _ODD_ODD, (_O, _E), False, True, True, Relation.ORIGIN),
-    SymmetryCase("T4ii", _ODD_ODD, None, False, False, True, Relation.T_AXIS),
-    SymmetryCase("T4iii", _ODD_ODD, (_E, _O), True, False, True, Relation.ORIGIN),
-    SymmetryCase("T4iv", _ODD_ODD, (_E, _E), True, True, True, Relation.ORIGIN),
+    SymmetryCase("T2i", _EVEN_ODD, (_E, _O), Relation.ORIGIN),
+    SymmetryCase("T2ii", _EVEN_ODD, (_O, _E), Relation.ORIGIN),
+    SymmetryCase("T2iii", _EVEN_ODD, (_E, _E), Relation.ORIGIN),
+    SymmetryCase("T2iv", _EVEN_ODD, None, Relation.T_AXIS),
+    SymmetryCase("T3i", None, (_E, _O), Relation.Y_AXIS),
+    SymmetryCase("T3ii", None, (_O, _E), Relation.Y_AXIS),
+    SymmetryCase("T3iii", None, (_E, _E), Relation.Y_AXIS),
+    SymmetryCase("T4i", _ODD_ODD, (_O, _E), Relation.ORIGIN),
+    SymmetryCase("T4ii", _ODD_ODD, None, Relation.T_AXIS),
+    SymmetryCase("T4iii", _ODD_ODD, (_E, _O), Relation.ORIGIN),
+    SymmetryCase("T4iv", _ODD_ODD, (_E, _E), Relation.ORIGIN),
 )
 
 CASE_BY_ID = {c.id: c for c in CATALOG}
-
-# classes whose solutions admit negative initial values
-_NEGATIVE_D_OK = frozenset(
-    {ExponentClass.EVEN_OVER_ODD, ExponentClass.ODD_OVER_ODD, ExponentClass.ONE}
-)
 
 
 def resolve_case(case: Union[SymmetryCase, str]) -> SymmetryCase:
@@ -111,9 +126,8 @@ def resolve_case(case: Union[SymmetryCase, str]) -> SymmetryCase:
 def explain_inapplicable(p: ProblemSpec, case: Union[SymmetryCase, str]) -> Optional[str]:
     """Why the case's hypotheses fail for p, or None if they all hold."""
     case = resolve_case(case)
-    if case.classes is not None and p.n.cls not in case.classes:
-        (cls,) = case.classes  # each catalog row names one class, e.g. even/odd
-        num, den = cls.value.split("/")
+    if case.cls is not None and p.n.cls is not case.cls:
+        num, den = case.cls.value.split("/")
         return (
             f"{case.id} requires an {num}-numerator/{den}-denominator exponent; "
             f"n = {p.n} is {p.n.cls.value}"
@@ -126,15 +140,6 @@ def explain_inapplicable(p: ProblemSpec, case: Union[SymmetryCase, str]) -> Opti
         got_b = detect_parity(p.b)
         if got_b is not want_b:
             return f"{case.id} requires b(t) {want_b.value}; got {got_b.value}"
-    if (
-        case.relation is Relation.Y_AXIS
-        and p.d < 0.0
-        and p.n.cls not in _NEGATIVE_D_OK
-    ):
-        return (
-            f"{case.id} with a negative initial value requires an exponent "
-            f"with odd reduced denominator; n = {p.n} is {p.n.cls.value}"
-        )
     return None
 
 
@@ -157,11 +162,12 @@ def transform_problem(
         reason = explain_inapplicable(p, case)
         if reason is not None:
             raise CaseNotApplicable(reason)
+    sign_a, sign_b, s = case.signs
     return ProblemSpec(
-        a=negated(p.a) if case.flip_a else p.a,
-        b=negated(p.b) if case.flip_b else p.b,
+        a=negated(p.a) if sign_a < 0 else p.a,
+        b=negated(p.b) if sign_b < 0 else p.b,
         n=p.n,
-        d=-p.d if case.flip_d else p.d,
+        d=s * p.d,
     )
 
 
@@ -204,10 +210,10 @@ def verify_pair(
 ) -> VerificationReport:
     """Check the case's predicted relation between p1 and its partner.
 
-    The two validity intervals are intersected (the partner's is reflected
-    through t -> -t for origin and y-axis relations), both solutions are
-    evaluated on a uniform grid over the interior (1% end margins), and the
-    relation residual is reported.  Pass iff
+    The two validity intervals are intersected (the partner's reflected
+    by the relation's r), y1 is evaluated on a uniform grid over the
+    interior (1% end margins) and y2 at r * t, and the residual
+    |y2(r t) - s * y1(t)| is reported.  Pass iff
     max residual <= tol * (1 + max |y1|).
     """
     return verify_cases(
@@ -258,10 +264,11 @@ def verify_cases(
     v1, *v2s = validity_intervals([p1, *partners], search_radius, quad_cfg)
     commons, grids = [], []
     for case, v2 in zip(cases, v2s):
-        if case.relation is Relation.T_AXIS:
-            lo2, lo2_kind, hi2, hi2_kind = v2.lo, v2.lo_kind, v2.hi, v2.hi_kind
-        else:  # y2 is sampled at -t: reflect its interval before intersecting
-            lo2, lo2_kind, hi2, hi2_kind = -v2.hi, v2.hi_kind, -v2.lo, v2.lo_kind
+        # y2 is sampled at r * t: reflect its interval by r before intersecting
+        r = case.relation.r
+        (lo2, lo2_kind), (hi2, hi2_kind) = sorted(
+            ((r * v2.lo, v2.lo_kind), (r * v2.hi, v2.hi_kind)), key=lambda e: e[0]
+        )
         lo, lo_kind = max((v1.lo, v1.lo_kind), (lo2, lo2_kind), key=lambda e: e[0])
         hi, hi_kind = min((v1.hi, v1.hi_kind), (hi2, hi2_kind), key=lambda e: e[0])
         if not lo < hi:
@@ -278,13 +285,9 @@ def verify_cases(
     reports = []
     for i, (case, p2, common, grid) in enumerate(zip(cases, partners, commons, grids)):
         y1 = y1_joined[i * grid_points:(i + 1) * grid_points]
-        q2 = grid if case.relation is Relation.T_AXIS else [-t for t in grid]
-        y2 = _evaluate(p2, q2, method, quad_cfg, oracle_cfg)
-
-        if case.relation is Relation.Y_AXIS:
-            residuals = tuple(abs(v2_ - v1_) for v1_, v2_ in zip(y1, y2))
-        else:
-            residuals = tuple(abs(v2_ + v1_) for v1_, v2_ in zip(y1, y2))
+        r, s = case.relation.r, case.relation.s
+        y2 = _evaluate(p2, [r * t for t in grid], method, quad_cfg, oracle_cfg)
+        residuals = tuple(abs(v2_ - s * v1_) for v1_, v2_ in zip(y1, y2))
         max_residual = max(residuals)
         y_scale = max(abs(v) for v in y1)
         reports.append(

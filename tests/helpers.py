@@ -1,5 +1,6 @@
 """Shared test utilities: an independent Simpson oracle, random
-parity-conforming problem generators and a call counter for work-count tests.
+parity-conforming problem generators, a call counter for work-count tests
+and the environment for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
 no shared code with the package) so it can serve as an independent check of
@@ -9,9 +10,12 @@ the adaptive quadrature.
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
+from pathlib import Path
 
+import bsym
 from bsym import ExponentClass, Parity, ProblemSpec, classify_exponent, parse_expr
 
 
@@ -99,10 +103,7 @@ def _random_d(cls, rng: random.Random) -> float:
 
 def conforming_problem(case, rng: random.Random) -> ProblemSpec:
     """A random problem satisfying the case's class and parity hypotheses."""
-    if case.classes is not None:
-        cls = next(iter(case.classes))
-    else:
-        cls = rng.choice(tuple(N_POOL))
+    cls = case.cls if case.cls is not None else rng.choice(tuple(N_POOL))
     n = classify_exponent(*rng.choice(N_POOL[cls]))
     if case.parity is not None:
         a_src = _GEN_BY_PARITY[case.parity[0]](rng)
@@ -146,3 +147,15 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
                 if value is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+# --- child processes ------------------------------------------------------------
+
+def cli_env(env=None) -> dict:
+    """env (default: this process's) with the directory this process
+    imports bsym from first on PYTHONPATH, so that `python -m bsym` in a
+    child runs the same package, installed or not."""
+    env = dict(os.environ if env is None else env)
+    root = str(Path(bsym.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env

@@ -33,6 +33,7 @@ from bsym.quad import Identity
 
 from helpers import (
     LEMMA_EXPONENTS,
+    cli_env,
     conforming_problem,
     random_even_source,
     random_odd_source,
@@ -202,6 +203,7 @@ def _run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=cli_env(),
     )
 
 

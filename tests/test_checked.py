@@ -1,6 +1,6 @@
 """The generated, checked right-hand sides of the quadrature and the oracle.
 
-`quad.nested_path`, `quad.integral_A` and `oracle.rk_solve` integrate
+`quad.nested_path` and `oracle.rk_solve` integrate
 functions rendered by `expr.checked_factory`.  They must reproduce, bit for
 bit and error for error, the closures they replaced: each coefficient
 wrapped by the old `as_callable` (kept below as `reference_callable`), and
@@ -21,7 +21,6 @@ from bsym import (
     OracleConfig,
     StepFailure,
     expr,
-    integral_A,
     oracle,
     parse_expr,
     problem,
@@ -66,9 +65,6 @@ def reference_factory(form, *coefs):
         fa, fb = fs
         exp = math.exp
         return lambda mult: lambda s, y: (fa(s), fb(s) * exp(mult * y[0]))
-    if form is quad._A:
-        (fa,) = fs
-        return lambda: lambda s, y: (fa(s),)
     fa, fb = fs
 
     def factory(n, e, pow, signed_pow_):
@@ -122,17 +118,6 @@ def test_nested_path_is_bit_identical_to_the_closures(monkeypatch, a, b, mult, t
     got, expected = both(
         monkeypatch, quad, lambda: nested_path(a, b, mult, t_end, DEFAULT_QUAD_CONFIG)
     )
-    assert got == expected
-
-
-@pytest.mark.parametrize("a", ["cos(t)", "t^2/9 - sinh(t/3)/2", "1/t"])
-@pytest.mark.parametrize("t_end", [2.0, -2.0])
-def test_integral_A_path_is_bit_identical_to_the_closure(monkeypatch, a, t_end):
-    a = parse_expr(a)
-    paths = []
-    run = quad._run
-    monkeypatch.setattr(quad, "_run", lambda *args: paths.append(run(*args)) or paths[-1])
-    got, expected = both(monkeypatch, quad, lambda: (integral_A(a, t_end), paths[-1])[1])
     assert got == expected
 
 
@@ -377,8 +362,7 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     compiled.clear()
     for mult in (2.0, -2.0, 0.0):
         nested_path(a, b, mult, 1.0, DEFAULT_QUAD_CONFIG)
-    integral_A(a, 1.0)
-    assert len(compiled) == 2
+    assert len(compiled) == 1
     # every exponent class has its own form, and n = 2 and n = 4/3 share one
     compiled.clear()
     for n in ("2", "4/3", "3", "1/2", "1"):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cli_env
+
 GOLDEN = Path(__file__).parent / "golden"
 
 RICCATI = {"a": "0", "b": "1", "n": "2", "d": "1"}
@@ -21,7 +23,7 @@ def run_cli(*args, env=None):
         [sys.executable, "-m", "bsym", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env),
     )
 
 
@@ -347,6 +349,21 @@ def test_verify_inapplicable_case_is_exit_3(tmp_path):
     assert res.returncode == 3
     assert res.stdout == ""
     assert res.stderr == "bsym: case not applicable: T3i requires b(t) odd; got even\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+def test_verify_all_with_no_applicable_case_is_exit_3(tmp_path, method):
+    # an empty report would read as a pass without a single residual
+    prob = write_problem(
+        tmp_path / "p.json", {"a": "t+1", "b": "t+1", "n": "1/2", "d": "1"}
+    )
+    report = tmp_path / "r.json"
+    res = run_cli("verify", "--problem", prob, "--case", "all", "--method", method,
+                  "--report", str(report))
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == "bsym: case not applicable: no catalog case applies to this problem\n"
     assert not report.exists()
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,10 +7,14 @@ from bsym import (
     CASE_BY_ID,
     CATALOG,
     CaseNotApplicable,
+    DomainError,
     Parity,
+    ProblemSpec,
     Relation,
     applicable_cases,
+    classify_exponent,
     eval_solution,
+    parse_expr,
     problem,
     transform_problem,
     validity_interval,
@@ -17,14 +22,14 @@ from bsym import (
     verify_cases,
     verify_pair,
 )
-from bsym.exponent import ExponentClass
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
 from helpers import conforming_problem, count_calls
 
 _E, _O = Parity.EVEN, Parity.ODD
 
-# (class set or None, required parity or None, flips (a, b, d), relation)
+# (class or None, required parity or None, flips (a, b, d), relation): the
+# paper's table, kept literally as the reference for the derived signs
 EXPECTED_ROWS = {
     "T2i": ("even/odd", (_E, _O), (True, True, True), Relation.ORIGIN),
     "T2ii": ("even/odd", (_O, _E), (False, False, True), Relation.ORIGIN),
@@ -45,21 +50,71 @@ def test_catalog_is_complete_and_exact():
     assert [c.id for c in CATALOG] == list(EXPECTED_ROWS)
     for case in CATALOG:
         cls, parity, flips, relation = EXPECTED_ROWS[case.id]
-        if cls is None:
-            assert case.classes is None
-        else:
-            assert case.classes == frozenset(
-                {c for c in ExponentClass if c.value == cls}
-            )
+        assert (case.cls.value if case.cls else None) == cls
         assert case.parity == parity
-        assert (case.flip_a, case.flip_b, case.flip_d) == flips
+        assert tuple(sign < 0 for sign in case.signs) == flips
         assert case.relation is relation
 
 
 def test_d_flip_follows_relation():
     # y-axis rows preserve d; origin and t-axis rows flip it
     for case in CATALOG:
-        assert case.flip_d == (case.relation is not Relation.Y_AXIS)
+        assert case.signs[2] == (1 if case.relation is Relation.Y_AXIS else -1)
+
+
+def test_relations_are_the_reflections_they_name():
+    # y2(r t) = s y1(t)
+    assert (Relation.ORIGIN.r, Relation.ORIGIN.s) == (-1, -1)
+    assert (Relation.T_AXIS.r, Relation.T_AXIS.s) == (1, -1)
+    assert (Relation.Y_AXIS.r, Relation.Y_AXIS.s) == (-1, 1)
+
+
+def test_partners_follow_the_reflection_rule():
+    # a2(t) = r a1(r t), b2(t) = r s^(1-p) b1(r t) and d2 = s d, with the
+    # partner's coefficients evaluated from its own tree
+    rng = random.Random(2718)
+    ts = [k * 0.13 - 3.9 for k in range(61)]
+    for case in CATALOG:
+        r, s = case.relation.r, case.relation.s
+        for _ in range(6):
+            p = conforming_problem(case, rng)
+            p2 = transform_problem(p, case)
+            s_pow = s ** (1 - p.n.p)
+            assert p2.d == s * p.d
+            assert p2.n is p.n
+            for t in ts:
+                assert p2.a(t) == pytest.approx(r * p.a(r * t), rel=1e-12, abs=1e-12)
+                assert p2.b(t) == pytest.approx(
+                    r * s_pow * p.b(r * t), rel=1e-12, abs=1e-12
+                )
+
+
+def test_str_and_cases_print_the_same_transform(tmp_path, capsys):
+    from bsym.cli import main
+
+    for case in CATALOG:
+        p = conforming_problem(case, random.Random(case.id))
+        path = tmp_path / f"{case.id}.json"
+        path.write_text(json.dumps(
+            {"a": p.a.source, "b": p.b.source, "n": str(p.n), "d": repr(p.d)}
+        ))
+        assert main(["cases", "--problem", str(path)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        (relation, transform), = [row[1:] for row in rows if row[0] == case.id]
+        assert relation == case.relation.value
+        assert str(case) == f"{case.id}({transform} -> {relation})"
+
+
+def test_negative_d_needs_an_odd_denominator():
+    # an even-denominator exponent refuses d < 0 when the problem is built,
+    # so no catalog row has to: a y-axis partner keeps d, and the others
+    # need an odd denominator by their class
+    a, b = parse_expr("cos(t)"), parse_expr("t")
+    for p, q in ((1, 2), (3, 2), (-1, 2), (1, 4)):
+        with pytest.raises(DomainError, match="even denominator"):
+            ProblemSpec(a, b, classify_exponent(p, q), -1.0)
+    for p, q in ((2, 1), (2, 3), (3, 1), (1, 3), (1, 1)):
+        assert ProblemSpec(a, b, classify_exponent(p, q), -1.0).d == -1.0
 
 
 # --- applicability ----------------------------------------------------------------
