@@ -43,6 +43,7 @@ from .quad import (
     DEFAULT_QUAD_CONFIG,
     QuadConfig,
     ab_values,
+    canonical,
     nested_path,
 )
 
@@ -63,7 +64,8 @@ class ProblemSpec:
 
     _searched holds the (A, B) paths of the problem's latest validity
     search, keyed by (QuadConfig, side of 0), for `solution_values` to
-    answer grids from.
+    answer grids from.  They are the paths of the canonical triple
+    `quad.canonical(a, b, n-1)`, which `ab_values` signs back.
     """
 
     a: Expr
@@ -224,23 +226,30 @@ def validity_intervals(
     `DensePath.first_crossing` finds step by step on the dense (A, B) path
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
-    A and B depend on a, b and n-1 only, so problems that share them (such
-    as a problem and its partners that flip only d, or two partners that
-    flip the same coefficient) share one path per side; d only moves the
-    level.  Boundary kinds: Asymptote when the root exponent is negative
-    (the solution diverges), RootBoundary otherwise (the root loses its real
-    branch / uniqueness), SearchLimit when no zero is found, and Unbounded
-    for the radicand-free unit exponent.  Errors are raised in problem order.
+    A and B depend on a, b and n-1 only, and on a and b only up to their
+    signs: one path per side is integrated for each distinct canonical
+    triple `quad.canonical(a, b, n-1)` = (a0, b0, sa*(n-1)), on which a
+    problem with b = sb*b0 looks for B0 reaching sb*g0/(n-1).  So a problem
+    shares its paths with its partners that flip d, b or both, and a
+    partner that flips a shares with any problem of the same canonical
+    triple; d only moves the level.  Each (path, level) pair is walked once
+    per call, so a problem whose level coincides with an earlier one's on
+    the same path walks nothing.  Boundary kinds: Asymptote when the root
+    exponent is negative (the solution diverges), RootBoundary otherwise
+    (the root loses its real branch / uniqueness), SearchLimit when no zero
+    is found, and Unbounded for the radicand-free unit exponent.  Errors
+    are raised in problem order.
 
-    Each problem keeps the paths of its search, each integrated to exactly
-    +-search_radius, for `solution_values` until its next search replaces
-    them; a path lives only as long as its problem.  A search never reads
-    paths kept by an earlier one, so its intervals do not depend on
-    earlier calls.
+    Each problem keeps the canonical paths of its search, each integrated
+    to exactly +-search_radius, for `solution_values` until its next search
+    replaces them; a path lives only as long as its problem.  A search
+    never reads paths kept by an earlier one, so its intervals do not
+    depend on earlier calls.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    paths = {}  # (a, b, n-1, direction) -> that side's (A, B) path
+    paths = {}  # (a0, b0, sa*(n-1), direction) -> that side's (A0, B0) path
+    crossings = {}  # (path key, level of B0) -> first crossing or None
     out = []
     for p in problems:
         if p.n.cls is ExponentClass.ONE:
@@ -256,15 +265,19 @@ def validity_intervals(
         level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
         if level == 0.0:
             raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
+        a0, b0, m0, _, sb = canonical(p.a, p.b, m)
+        level0 = sb * level  # B = sb*B0 reaches level where B0 reaches sb*level
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            key = (p.a, p.b, m, direction)
+            key = (a0, b0, m0, direction)
             path = paths.get(key)
             if path is None:
-                path = paths[key] = nested_path(p.a, p.b, m, direction * search_radius, cfg)
+                path = paths[key] = nested_path(a0, b0, m0, direction * search_radius, cfg)
             p._searched[cfg, direction] = path
-            found = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
+            if (key, level0) not in crossings:
+                crossings[key, level0] = path.first_crossing(1, level0, cfg.abs_tol, cfg.rel_tol)
+            found = crossings[key, level0]
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
             ends.append(limit if found is None else (found, zero_kind))
         (hi, hi_kind), (lo, lo_kind) = ends

@@ -1,6 +1,7 @@
 """Shared test utilities: an independent Simpson oracle, random
-parity-conforming problem generators, a call counter for work-count tests
-and the environment for running `python -m bsym` in a child process.
+parity-conforming problem generators, the (A, B) path of a coefficient
+pair's own trees, a call counter for work-count tests and the environment
+for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
 no shared code with the package) so it can serve as an independent check of
@@ -16,7 +17,19 @@ import sys
 from pathlib import Path
 
 import bsym
-from bsym import ExponentClass, Parity, ProblemSpec, classify_exponent, parse_expr
+from bsym import (
+    EvalError,
+    ExponentClass,
+    NoConvergence,
+    Parity,
+    ProblemSpec,
+    classify_exponent,
+    parse_expr,
+    quad,
+)
+from bsym.expr import checked_factory
+from bsym.quad import DEFAULT_QUAD_CONFIG
+from bsym.stepper import StepUnderflow, integrate
 
 
 def simpson(f, a: float, b: float, h: float = 1e-5) -> float:
@@ -124,6 +137,21 @@ def random_problem(rng: random.Random) -> ProblemSpec:
         n,
         _random_d(cls, rng),
     )
+
+
+# --- paths of the coefficients' own trees ------------------------------------------
+
+def own_path(a, b, mult: float, t_end: float, cfg=DEFAULT_QUAD_CONFIG):
+    """The (A, B) path from 0 to t_end integrated over the trees a and b
+    themselves, with no sign taken out of either; its failures are raised
+    as `quad.nested_path` reports them."""
+    rhs = checked_factory(quad._AB, a, b)(mult)
+    try:
+        return integrate(rhs, 0.0, (0.0, 0.0), t_end, cfg.control())
+    except StepUnderflow as exc:
+        raise NoConvergence(str(exc)) from None
+    except OverflowError as exc:  # exp(mult * A)
+        raise EvalError(f"integrand overflow: {exc}") from None
 
 
 # --- work counts ----------------------------------------------------------------

@@ -368,10 +368,11 @@ def test_verify_all_with_no_applicable_case_is_exit_3(tmp_path, method):
 
 
 def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
-    # a odd, b even: T2ii flips d only, T2iv and T3ii both flip b, so the
-    # validity search needs the (A, B) paths of (a, b) and (a, -b) only, one
-    # per side; the oracle solves p1 once per side for all three cases, each
-    # partner once per side on its own grid
+    # a odd, b even: T2ii flips d only, T2iv and T3ii both flip b, and the
+    # path of (a, -b) is that of (a, b) with B negated, so the validity
+    # search integrates the (A, B) path of (a, b) alone, one per side; the
+    # oracle solves p1 once per side for all three cases, each partner once
+    # per side on its own grid
     from bsym.cli import main
     from helpers import count_calls
 
@@ -383,7 +384,7 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
     report = tmp_path / "rep.json"
     # (method, nested_path calls, rk_solve calls); the closed form answers
     # every grid from the validity search's paths, which reach +-4
-    for method, want_nested, want_solves in (("oracle", 4, 8), ("closed", 4, 0)):
+    for method, want_nested, want_solves in (("oracle", 2, 8), ("closed", 2, 0)):
         nested.clear()
         solves.clear()
         args = ["verify", "--problem", prob, "--case", "all", "--method", method]

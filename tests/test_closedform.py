@@ -20,12 +20,14 @@ from bsym import (
     validity_interval,
     validity_intervals,
 )
-from bsym import closedform
+from bsym import closedform, transform_problem
 from bsym.closedform import ProblemSpec
 from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values
 from bsym.exponent import ExponentClass, classify_exponent
+from bsym.expr import negated
+from bsym.stepper import DensePath, grid_values
 
-from helpers import conforming_problem, count_calls, random_problem, simpson
+from helpers import conforming_problem, count_calls, own_path, random_problem, simpson
 
 # int_0^0.3 s*e^s ds via the Simpson oracle, then G = 1/d - B with d = -1
 # (analytic cross-check: B = 1 - 0.7*e^0.3)
@@ -316,18 +318,39 @@ def test_solution_at_zero_with_tiny_g0(b, y_before):
 
 
 def test_validity_intervals_share_one_path_per_side_and_integrand(monkeypatch):
-    # (b, 1), (-b, 1) and (b, 2) as (B's coefficient, n-1): three integrands,
-    # however many d; the unit exponent integrates nothing
+    # (b, 1), (-b, 1) and (b, 2) as (B's coefficient, n-1): (-b, 1) is the
+    # path of (b, 1) with B negated, so two integrands, however many d; the
+    # unit exponent integrates nothing
     b = "0.5 + t"
     ps = [problem("cos(t)", b, 2, d) for d in (1.0, -1.0, 0.5)]
     ps += [problem("cos(t)", f"-({b})", 2, 1.0), problem("cos(t)", b, 3, 2.0)]
     ps += [problem("cos(t)", b, 1, 1.0)]
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     got = validity_intervals(ps, 4.0)
-    assert len(calls) == 3 * 2
+    assert len(calls) == 2 * 2
     monkeypatch.undo()
     assert got == [validity_interval(p, 4.0) for p in ps]
     assert len({v.hi for v in got[:3]}) == 3  # d moves the level
+
+
+def test_a_partner_that_shares_p1s_level_walks_nothing(monkeypatch):
+    # T2iv flips b and d: on n = 2 the level g0/(n-1) = 1/d flips with d,
+    # so the partner looks for B0 reaching p1's own level on p1's paths;
+    # T2ii flips d alone and needs a level of its own
+    walks = []
+    crossing = DensePath.first_crossing
+
+    def counted(path, k, level, *tol):
+        walks.append(level)
+        return crossing(path, k, level, *tol)
+
+    p1 = problem("sin(t)", "cos(t)", 2, 1.0)
+    partners = [transform_problem(p1, case) for case in ("T2iv", "T2ii")]
+    monkeypatch.setattr(DensePath, "first_crossing", counted)
+    got = validity_intervals([p1, *partners], 4.0)
+    assert walks == [1.0, 1.0, -1.0, -1.0]  # p1, T2ii; one per side
+    monkeypatch.undo()
+    assert got == [validity_interval(p, 4.0) for p in (p1, *partners)]
 
 
 @pytest.mark.parametrize("n, d", [(3, 1e300), (1000, 2.1)])
@@ -590,3 +613,104 @@ def test_solution_at_a_zero_radicand(monkeypatch, n, y):
             solution_values(p, [0.5])
     else:
         assert solution_values(p, [0.5]) == [y]
+
+
+
+# --- paths shared up to the signs of a and b, against each problem's own ------
+
+def reference_search(p, radius: float = 4.0, cfg: QuadConfig = DEFAULT_QUAD_CONFIG):
+    """p's validity ends as [hi, lo], None where no zero lies within
+    radius, and its two paths keyed by side of 0: nothing shared."""
+    m = (p.n.p - p.n.q) / p.n.q
+    level = signed_pow(p.d, classify_exponent(p.n.q - p.n.p, p.n.q)) / m
+    paths = {direction: own_path(p.a, p.b, m, direction * radius, cfg) for direction in (1.0, -1.0)}
+    ends = [path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol) for path in paths.values()]
+    return ends, paths
+
+
+def _ends(v):
+    """A Validity's ends as reference_search gives them."""
+    return [
+        None if kind is BoundaryKind.SEARCH_LIMIT else x
+        for x, kind in ((v.hi, v.hi_kind), (v.lo, v.lo_kind))
+    ]
+
+
+def _variants(p1):
+    """p1 and every flip of a, b and d that ProblemSpec takes, made from
+    p1's trees by `negated`."""
+    out = []
+    for sa in (1, -1):
+        for sb in (1, -1):
+            for sd in (1, -1):
+                if sd < 0 and p1.n.cls is ExponentClass.ODD_OVER_EVEN:
+                    continue
+                a = p1.a if sa > 0 else negated(p1.a)
+                b = p1.b if sb > 0 else negated(p1.b)
+                out.append(ProblemSpec(a, b, p1.n, sd * p1.d))
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, b, n, d",
+    [
+        ("sin(t)", "cos(t)", "2", 1.0),  # the showcase Riccati problem
+        ("-(t/3)", "0.5 + t", "3", 0.8),  # a topped by a minus
+        ("cos(t)", "-(sin(t))", "2/3", -1.2),  # b topped by a minus
+        ("--t", "1 + t^2", "-1", 0.5),  # a double negation
+        ("0.3*t", "-(-(cos(t)))", "3/2", 1.5),  # even denominator: d > 0 only
+        ("t", "1", "4/3", 0.9),
+    ],
+)
+def test_flipped_coefficients_search_and_solve_as_their_own_trees(a, b, n, d):
+    # every flip of a, b and d, searched together so that they share
+    # paths, gets the ends and values of its own trees' paths bit for bit
+    problems = _variants(problem(a, b, n, d))
+    refs = [reference_search(p) for p in problems]
+    got = validity_intervals(problems, 4.0)
+    assert [_ends(v) for v in got] == [ends for ends, _ in refs]
+    for p, v, (_, paths) in zip(problems, got, refs):
+        lo, hi = v.interior()
+        ts = [lo + k * (hi - lo) / 100 for k in range(101)]
+        # from the kept paths, and from fresh ones to the grid's ends
+        pairs = grid_values(lambda x: paths[1.0 if x >= 0.0 else -1.0], ts)
+        assert outcome(lambda: solution_values(p, ts)) == outcome(
+            lambda: reference_solution_values(p, pairs, ts)
+        )
+        fresh = ProblemSpec(p.a, p.b, p.n, p.d)
+        m = (p.n.p - p.n.q) / p.n.q
+        pairs = grid_values(lambda x: own_path(p.a, p.b, m, x), ts)
+        assert outcome(lambda: solution_values(fresh, ts)) == outcome(
+            lambda: reference_solution_values(p, pairs, ts)
+        )
+
+
+def failure(fn):
+    with pytest.raises(BsymError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "a, b, n, want",
+    [
+        # the first trial step's last stage lands on t = +-1/16
+        ("0", "1/(t - 0.0625)", "2", (EvalError, "division by zero at t=0.0625")),
+        ("1/(0.0625 + t)", "1", "2", (EvalError, "division by zero at t=-0.0625")),
+        # exp((n-1)*A) overflows on the side where (n-1)*A grows
+        ("100", "1", "3", (EvalError, "integrand overflow: math range error")),
+        ("-(100)", "-(1)", "3", (EvalError, "integrand overflow: math range error")),
+        ("1", "1/(t - 1.5)", "2", (NoConvergence, "step size underflow at t=1.4999999999479559")),
+    ],
+)
+def test_flipped_coefficients_fail_as_their_own_trees(a, b, n, want):
+    # want is p1's failure; a flip of a changes the path, and may change
+    # how it fails, but each variant fails as its own trees do
+    problems = _variants(problem(a, b, n, 1.0))
+    assert failure(lambda: reference_search(problems[0])) == want
+    for p in problems:
+        own = failure(lambda: reference_search(p))
+        assert failure(lambda: validity_intervals([p], 4.0)) == own
+        fresh = ProblemSpec(p.a, p.b, p.n, p.d)
+        assert failure(lambda: solution_values(fresh, [-4.0, 4.0])) == own  # same paths
+    assert failure(lambda: validity_intervals(problems, 4.0)) == want

@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsym import (
     EvalError,
@@ -14,11 +17,14 @@ from bsym import (
     problem,
     validity_interval,
 )
-from bsym.expr import BinOp, Const, Expr
+from bsym.closedform import ProblemSpec
+from bsym.expr import BinOp, Const, Expr, negated
 from bsym.quad import DEFAULT_QUAD_CONFIG, Identity, ab_values
+from bsym.stepper import grid_values
 
 from helpers import (
     LEMMA_EXPONENTS,
+    own_path,
     random_even_source,
     random_odd_source,
     random_source,
@@ -189,3 +195,51 @@ def test_quad_config_validation():
         QuadConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_depth=0)
+
+
+# --- signs of a and b ---------------------------------------------------------
+
+_COEFS = ["cos(t)", "t/3", "-(sin(t))", "--t", "0.5 + t", "-(t^2/9)", "1", "-(-(exp(t/2)))"]
+_T = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
+
+
+def _searched(a, b, m: float):
+    """The validity-search paths, to +-2, of a problem with coefficients a
+    and b and exponent n = m + 1 (none for the unit exponent)."""
+    n = Fraction(m + 1.0).limit_denominator(4)
+    p = ProblemSpec(a, b, classify_exponent(n.numerator, n.denominator), 1.0)
+    validity_interval(p, 2.0)
+    return p._searched
+
+
+def _own_pairs(a, b, m: float, ts, searched):
+    """(A, B) at every t on paths of the trees a and b themselves, each side
+    to +-2 where `searched` holds a path reaching the side, else to the
+    side's farthest t."""
+    def solve(x):
+        reach = 2.0 if searched and abs(x) <= 2.0 else abs(x)
+        return own_path(a, b, m, math.copysign(reach, x))
+
+    return grid_values(solve, ts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.sampled_from(_COEFS),
+    b=st.sampled_from(_COEFS),
+    m=st.sampled_from([-2.0, -1.0, 0.0, 0.5, 2.0]),
+    ts=st.lists(_T, min_size=1, max_size=5),
+    with_searched=st.booleans(),
+)
+def test_ab_values_of_negated_coefficients_negate_the_pair(a, b, m, ts, with_searched):
+    # ab_values(-a, -b, m) is ab_values(a, b, -m) with both components
+    # negated, and both are the values on the flipped trees' own paths
+    a, b = parse_expr(a), parse_expr(b)
+    na, nb = negated(a), negated(b)
+    flipped, plain = ({}, {})
+    if with_searched:
+        flipped, plain = _searched(na, nb, m), _searched(a, b, -m)
+    got = ab_values(na, nb, m, ts, DEFAULT_QUAD_CONFIG, flipped)
+    signed_back = ab_values(a, b, -m, ts, DEFAULT_QUAD_CONFIG, plain)
+    assert got == [(-aval, -bval) for aval, bval in signed_back]
+    assert got == _own_pairs(na, nb, m, ts, flipped)
