@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DomainError, EvalError, OutsideValidity
-from .expr import Expr, parse_expr
+from .expr import Expr, parse_expr, structural_parity
 from .exponent import (
     ExponentClass,
     RationalExponent,
@@ -46,6 +46,7 @@ from .quad import (
     canonical,
     nested_path,
 )
+from .stepper import ReflectedPath
 
 __all__ = [
     "ProblemSpec",
@@ -65,7 +66,11 @@ class ProblemSpec:
     _searched holds the (A, B) paths of the problem's latest validity
     search, keyed by (QuadConfig, side of 0), for `solution_values` to
     answer grids from.  They are the paths of the canonical triple
-    `quad.canonical(a, b, n-1)`, which `ab_values` signs back.
+    `quad.canonical(a, b, n-1)`, which `ab_values` signs back; a side may
+    hold a `stepper.ReflectedPath`, the other side's path (or a partner's)
+    read at -t, which answers bit for bit as the integrated path would,
+    given the C library's exact parities of sin, sinh, cos, cosh and
+    pow(-x, k) (see `quad`).
     """
 
     a: Expr
@@ -234,22 +239,63 @@ def validity_intervals(
     partner that flips a shares with any problem of the same canonical
     triple; d only moves the level.  Each (path, level) pair is walked once
     per call, so a problem whose level coincides with an earlier one's on
-    the same path walks nothing.  Boundary kinds: Asymptote when the root
-    exponent is negative (the solution diverges), RootBoundary otherwise
-    (the root loses its real branch / uniqueness), SearchLimit when no zero
-    is found, and Unbounded for the radicand-free unit exponent.  Errors
-    are raised in problem order.
+    the same path walks nothing.
 
-    Each problem keeps the canonical paths of its search, each integrated
-    to exactly +-search_radius, for `solution_values` until its next search
+    Paths are shared across t -> -t too when `expr.structural_parity`
+    gives both canonical trees a parity, eps_a and eps_b (+1 even, -1 odd);
+    sampled parity never shares.  The path of (a0, b0, m0) toward side d
+    is that of (a0, b0, -eps_a*m0) toward -d read at -t, with A and B
+    multiplied by (-eps_a, -eps_b): before it integrates a side, the search
+    looks for that mirror among the paths it has, and if found keeps one
+    `stepper.ReflectedPath` view of it for the key, shared by every problem
+    of the key.  This is bit for bit the integrated path provided the C
+    library evaluates sin and sinh as odd, cos and cosh as even and
+    pow(-x, k) as +-pow(x, k) exactly.  Crossings are walked once per
+    integrated path and level, a view's at its source's signed level, so a
+    partner whose interval is the reflection of p1's walks nothing.  With
+    a odd, one integration serves both sides of a problem.
+
+    Boundary kinds: Asymptote when the root exponent is negative (the
+    solution diverges), RootBoundary otherwise (the root loses its real
+    branch / uniqueness), SearchLimit when no zero is found, and Unbounded
+    for the radicand-free unit exponent.  Errors are raised in problem
+    order.
+
+    Each problem keeps the canonical paths of its search, each reaching
+    exactly +-search_radius, for `solution_values` until its next search
     replaces them; a path lives only as long as its problem.  A search
     never reads paths kept by an earlier one, so its intervals do not
     depend on earlier calls.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    paths = {}  # (a0, b0, sa*(n-1), direction) -> that side's (A0, B0) path
-    crossings = {}  # (path key, level of B0) -> first crossing or None
+    paths = {}  # (a0, b0, m0, direction) -> that side's (A0, B0) path or its view
+    crossings = {}  # (id of an integrated path, level of its B) -> first crossing
+
+    def search_path(a0: Expr, b0: Expr, m0: float, direction: float):
+        key = (a0, b0, m0, direction)
+        if key not in paths:
+            pa, pb = structural_parity(a0), structural_parity(b0)
+            mirror = None
+            if pa is not None and pb is not None:
+                mirror = paths.get((a0, b0, -pa.sign * m0, -direction))
+            if mirror is None:
+                paths[key] = nested_path(a0, b0, m0, direction * search_radius, cfg)
+            else:
+                paths[key] = ReflectedPath(mirror, (-pa.sign, -pb.sign))
+        return paths[key]
+
+    def first_zero(path, level: float) -> Optional[float]:
+        # a reflection's B reaches level where its source's reaches the
+        # signed level, read at -t; each integrated path is walked once per
+        # level, for its own problems and for those of its reflection
+        if isinstance(path, ReflectedPath):
+            found = first_zero(path.source, path.signs[1] * level)
+            return None if found is None else -found
+        if (id(path), level) not in crossings:
+            crossings[id(path), level] = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
+        return crossings[id(path), level]
+
     out = []
     for p in problems:
         if p.n.cls is ExponentClass.ONE:
@@ -266,18 +312,11 @@ def validity_intervals(
         if level == 0.0:
             raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
         a0, b0, m0, _, sb = canonical(p.a, p.b, m)
-        level0 = sb * level  # B = sb*B0 reaches level where B0 reaches sb*level
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            key = (a0, b0, m0, direction)
-            path = paths.get(key)
-            if path is None:
-                path = paths[key] = nested_path(a0, b0, m0, direction * search_radius, cfg)
-            p._searched[cfg, direction] = path
-            if (key, level0) not in crossings:
-                crossings[key, level0] = path.first_crossing(1, level0, cfg.abs_tol, cfg.rel_tol)
-            found = crossings[key, level0]
+            path = p._searched[cfg, direction] = search_path(a0, b0, m0, direction)
+            found = first_zero(path, sb * level)  # B = sb*B0 reaches level where B0 reaches sb*level
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
             ends.append(limit if found is None else (found, zero_kind))
         (hi, hi_kind), (lo, lo_kind) = ends

@@ -29,6 +29,19 @@ round-to-nearest (the step control reads only magnitudes), so the two
 agree bit for bit, up to the sign of a zero; the coefficient evaluation
 fails, and the exponential overflows, at the same t with the same message.
 
+Paths are shared across t -> -t as well, where `closedform`'s validity
+search has the structural parities eps_a and eps_b of both canonical trees
+(`expr.structural_parity`; the sampled fallback of `detect_parity` never
+decides this): the path of (a0, b0, m) toward -T is that of
+(a0, b0, -eps_a * m) toward T read at -t, with A and B multiplied by
+-eps_a and -eps_b, a `stepper.ReflectedPath`.  It is bit for bit the path
+integrated toward -T provided the C library evaluates sin and sinh as odd,
+cos and cosh as even, and pow(-x, k) as +-pow(x, k) exactly, so that a
+coefficient of structural parity eps satisfies f(-t) = eps * f(t) bit for
+bit; the evaluation fails at -t exactly where it fails at t.  `ab_values`
+reads such views among the paths it is handed; it never makes one, so its
+fresh paths, `identity_residuals` and the oracle never reflect.
+
 The checkable integral identities relate mirrored values of B, with
 m = n - 1:
 
@@ -54,6 +67,7 @@ from .expr import CheckedForm, Expr, Neg, Parity, checked_factory, detect_parity
 from .exponent import RationalExponent
 from .stepper import (
     DensePath,
+    ReflectedPath,
     StepBudgetExceeded,
     StepControl,
     StepUnderflow,
@@ -141,7 +155,7 @@ def ab_values(
     mult: float,
     ts: Sequence[float],
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    searched: Optional[Mapping[tuple[QuadConfig, float], DensePath]] = None,
+    searched: Optional[Mapping[tuple[QuadConfig, float], Union[DensePath, ReflectedPath]]] = None,
 ) -> list[tuple[float, float]]:
     """(A(t), B(t)) pairs for every t, sharing one solve per side of 0.
 
@@ -149,8 +163,8 @@ def ab_values(
     (a0, b0, sa * mult), and the pairs are multiplied by the signs
     (sa, sb), so they equal those of the path of (a, b, mult) itself up
     to the sign of a zero.  `searched` maps (cfg, side of 0) to paths
-    already integrated from 0 for that canonical triple, such as a
-    problem's validity-search paths.  A side is answered from
+    from 0 of that canonical triple, integrated or `ReflectedPath` views,
+    such as a problem's validity-search paths.  A side is answered from
     searched[(cfg, side)] if that path reaches the side's farthest t;
     otherwise one fresh path is integrated to that t.  Either way the
     values agree with a fresh path to the quadrature tolerance.
@@ -158,7 +172,7 @@ def ab_values(
     a, b, mult, sa, sb = canonical(a, b, mult)
     searched = searched or {}
 
-    def solve(x: float) -> DensePath:
+    def solve(x: float) -> Union[DensePath, ReflectedPath]:
         path = searched.get((cfg, 1.0 if x >= 0.0 else -1.0))
         if path is not None and abs(x) <= abs(path.t_reached):
             return path
@@ -208,9 +222,12 @@ def identity_residuals(
 ) -> list[float]:
     """|LHS - RHS| of the chosen identity at each t, sharing quadratures.
 
-    Every path is integrated afresh, so the residuals do not depend on
-    earlier calls.  Raises ParityViolation unless (a, b) carry the parities the identity
-    assumes.
+    Every path is integrated afresh and none is reflected, so the residuals
+    do not depend on earlier calls and the mirrored side is integrated, not
+    derived from the other.  Eq7's two sides read the same (a, b, m), so
+    one `ab_values` call over both grids answers them, from one path per
+    side of 0 reaching the farther of t and -t there.  Raises
+    ParityViolation unless (a, b) carry the parities the identity assumes.
     """
     if isinstance(ident, str):
         ident = Identity(ident)
@@ -223,8 +240,13 @@ def identity_residuals(
     sign_r, rhs_sign = -par_a.sign * sigma, par_b.sign
 
     # LHS(t) = int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t)
-    left = ab_values(a, b, sigma * m, [-t for t in ts], cfg)
-    right = ab_values(a, b, sign_r * m, list(ts), cfg)
+    mirrored = [-t for t in ts]
+    if sign_r == sigma:  # Eq7: both sides read one (a, b, m) path per side of 0
+        pairs = ab_values(a, b, sigma * m, mirrored + list(ts), cfg)
+        left, right = pairs[:len(ts)], pairs[len(ts):]
+    else:
+        left = ab_values(a, b, sigma * m, mirrored, cfg)
+        right = ab_values(a, b, sign_r * m, list(ts), cfg)
     return [
         abs(-bl[1] - rhs_sign * br[1]) for bl, br in zip(left, right)
     ]

@@ -23,6 +23,13 @@ run outward from the path's start in one walk over its steps, and
 `DensePath.first_crossing` locates events on the same per-step
 polynomials.  `grid_values` answers a grid that straddles t = 0 from one
 0-anchored path per side, each side in one ordered walk.
+
+`ReflectedPath` is a path read through t -> -t with its components'
+signs flipped, a view that queries its source and copies nothing.  The
+quadrature uses it for the mirror symmetry of coefficients of known
+parity; it is the path the kernel would integrate toward the other side
+bit for bit, because every operation of a step commutes with negation
+under round-to-nearest (the step control reads only magnitudes).
 """
 
 from __future__ import annotations
@@ -35,7 +42,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-__all__ = ["StepControl", "DensePath", "StepUnderflow", "StepBudgetExceeded", "integrate", "grid_values"]
+__all__ = [
+    "StepControl",
+    "DensePath",
+    "ReflectedPath",
+    "StepUnderflow",
+    "StepBudgetExceeded",
+    "integrate",
+    "grid_values",
+]
 
 State = tuple
 RHS = Callable[[float, State], State]
@@ -238,6 +253,42 @@ class DensePath:
         return coefs
 
 
+@dataclass(frozen=True, eq=False)
+class ReflectedPath:
+    """Read-only view of `source` through t -> -t: at t it holds
+    signs[k] * source(-t)[k] in each component k.
+
+    Let `source` be the kernel's path of g from 0 toward T, and S the
+    diagonal of the signs.  If f(-t, S*y) = -S*g(t, y) bit for bit, the
+    kernel's path of f from 0 toward -T is this view: its h, nodes, states
+    and stages are the source's with their signs changed, exactly, since
+    negation is exact and the step control reads only magnitudes.  Its
+    `values` and `first_crossing` then equal that path's, because a query's
+    step fraction and a quartic's roots do not change under negation
+    either.  No node, state or stage is copied.
+    """
+
+    source: DensePath
+    signs: tuple
+
+    @property
+    def t_reached(self) -> float:
+        return -self.source.t_reached
+
+    def values(self, qs: Sequence[float]) -> list[State]:
+        """States at times that run outward from the start, as `DensePath.values`."""
+        signs = self.signs
+        return [
+            tuple([s * y for s, y in zip(signs, state)])
+            for state in self.source.values([-t for t in qs])
+        ]
+
+    def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
+        """The source's first crossing of signs[k] * level, read at -t."""
+        found = self.source.first_crossing(k, self.signs[k] * level, abs_tol, rel_tol)
+        return None if found is None else -found
+
+
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:
     """Increasing roots in (0, 1] of the polynomial p with ascending
     coefficients c, bisected to full float resolution between stationary
@@ -305,8 +356,11 @@ def dp5_dim{dim}(f, t0, y0, t_end, ctl, stop):
         return path
 
     direction = 1.0 if span > 0 else -1.0
-    min_h = abs(span) * ctl.min_step_fraction
-    h = span / 64.0
+    # on a span below 64 * 5e-324 the first step is the whole span, and the
+    # smallest subnormal floors min_h, so a step that underflows to 0.0
+    # raises StepUnderflow instead of spinning through the step budget
+    min_h = max(abs(span) * ctl.min_step_fraction, 5e-324)
+    h = span / 64.0 or span
     t = t0
     vec<y_i> = y0
     vec<k1_i> = k1

@@ -163,6 +163,22 @@ def test_solve_tiny_initial_value_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["closed", "oracle"])
+def test_solve_on_a_subnormal_range(tmp_path, method):
+    # the oracle once spent its whole step budget at t = 0.0 on such a range
+    # and exited 2; both methods answer y = d at every point
+    prob = write_problem(tmp_path / "p.json", {"a": "cos(t)", "b": "cos(t)", "n": "2", "d": "1"})
+    out = tmp_path / "out.csv"
+    res = run_cli(
+        "solve", "--problem", prob, "--t-min", "-1e-322", "--t-max", "1e-322",
+        "--points", "3", "--method", method, "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+    assert [float(t) for t, _ in rows] == [-1e-322, 0.0, 1e-322]
+    assert [float(y) for _, y in rows] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
 def test_verify_tiny_initial_value_is_exit_2(tmp_path, method):
     prob = write_problem(tmp_path / "p.json", TINY_D)
     report = tmp_path / "r.json"
@@ -370,9 +386,11 @@ def test_verify_all_with_no_applicable_case_is_exit_3(tmp_path, method):
 def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
     # a odd, b even: T2ii flips d only, T2iv and T3ii both flip b, and the
     # path of (a, -b) is that of (a, b) with B negated, so the validity
-    # search integrates the (A, B) path of (a, b) alone, one per side; the
-    # oracle solves p1 once per side for all three cases, each partner once
-    # per side on its own grid
+    # search integrates the (A, B) path of (a, b) alone; with a odd and b
+    # even its path toward -4 is its path toward +4 read at -t with B
+    # negated, so one integration serves both sides (it was one per side
+    # before reflections were shared).  The oracle solves p1 once per side
+    # for all three cases, each partner once per side on its own grid
     from bsym.cli import main
     from helpers import count_calls
 
@@ -384,7 +402,7 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
     report = tmp_path / "rep.json"
     # (method, nested_path calls, rk_solve calls); the closed form answers
     # every grid from the validity search's paths, which reach +-4
-    for method, want_nested, want_solves in (("oracle", 2, 8), ("closed", 2, 0)):
+    for method, want_nested, want_solves in (("oracle", 1, 8), ("closed", 1, 0)):
         nested.clear()
         solves.clear()
         args = ["verify", "--problem", prob, "--case", "all", "--method", method]
@@ -393,8 +411,8 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
         assert (len(nested), len(solves)) == (want_nested, want_solves), method
 
     # a partner that flips only d (T2ii on even/odd n, T4ii on odd/odd n)
-    # has p1's (A, B): the closed form integrates p1's two sides and nothing
-    # of its own
+    # has p1's (A, B): the closed form integrates p1's side toward +4, whose
+    # reflection is its side toward -4, and nothing of its own
     odd_odd = write_problem(
         tmp_path / "q.json", {"a": "sin(t)", "b": "cos(t)", "n": "3", "d": "1"}
     )
@@ -403,7 +421,7 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
         args = ["verify", "--problem", path, "--case", case, "--method", "closed"]
         assert main([*args, "--report", str(report)]) == 0
         assert [(call[0].source, call[1].source, call[3]) for call in nested] == [
-            ("sin(t)", "cos(t)", 4.0), ("sin(t)", "cos(t)", -4.0)
+            ("sin(t)", "cos(t)", 4.0)
         ], case
 
 

@@ -20,12 +20,12 @@ from bsym import (
     validity_interval,
     validity_intervals,
 )
-from bsym import closedform, transform_problem
+from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
-from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values
+from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values, canonical
 from bsym.exponent import ExponentClass, classify_exponent
 from bsym.expr import negated
-from bsym.stepper import DensePath, grid_values
+from bsym.stepper import DensePath, ReflectedPath, grid_values
 
 from helpers import conforming_problem, count_calls, own_path, random_problem, simpson
 
@@ -336,7 +336,11 @@ def test_validity_intervals_share_one_path_per_side_and_integrand(monkeypatch):
 def test_a_partner_that_shares_p1s_level_walks_nothing(monkeypatch):
     # T2iv flips b and d: on n = 2 the level g0/(n-1) = 1/d flips with d,
     # so the partner looks for B0 reaching p1's own level on p1's paths;
-    # T2ii flips d alone and needs a level of its own
+    # T2ii flips d alone and needs a level of its own.  With a = sin odd and
+    # b = cos even, the path toward -4 is the one toward +4 read at -t with
+    # B negated, so every walk is on the +4 path: p1 walks level 1 there,
+    # and its -4 side level -1, which are T2ii's two sides as well.  Before
+    # reflections were shared this read [1.0, 1.0, -1.0, -1.0]
     walks = []
     crossing = DensePath.first_crossing
 
@@ -348,7 +352,7 @@ def test_a_partner_that_shares_p1s_level_walks_nothing(monkeypatch):
     partners = [transform_problem(p1, case) for case in ("T2iv", "T2ii")]
     monkeypatch.setattr(DensePath, "first_crossing", counted)
     got = validity_intervals([p1, *partners], 4.0)
-    assert walks == [1.0, 1.0, -1.0, -1.0]  # p1, T2ii; one per side
+    assert walks == [1.0, -1.0]  # p1's two sides; T2iv and T2ii walk nothing
     monkeypatch.undo()
     assert got == [validity_interval(p, 4.0) for p in (p1, *partners)]
 
@@ -665,7 +669,12 @@ def _variants(p1):
 def test_flipped_coefficients_search_and_solve_as_their_own_trees(a, b, n, d):
     # every flip of a, b and d, searched together so that they share
     # paths, gets the ends and values of its own trees' paths bit for bit
-    problems = _variants(problem(a, b, n, d))
+    _search_and_solve_as_own_trees(_variants(problem(a, b, n, d)))
+
+
+def _search_and_solve_as_own_trees(problems):
+    """Search `problems` together, then check each one's validity ends and
+    `solution_values` against paths of its own trees, nothing shared."""
     refs = [reference_search(p) for p in problems]
     got = validity_intervals(problems, 4.0)
     assert [_ends(v) for v in got] == [ends for ends, _ in refs]
@@ -683,6 +692,91 @@ def test_flipped_coefficients_search_and_solve_as_their_own_trees(a, b, n, d):
         assert outcome(lambda: solution_values(fresh, ts)) == outcome(
             lambda: reference_solution_values(p, pairs, ts)
         )
+
+
+# --- paths shared across t -> -t, against each problem's own ------------------
+
+@pytest.mark.parametrize(
+    "a, b, n, d",
+    [
+        ("sin(t)", "cos(t)", "2", 1.0),  # a odd: p1's sides share one path
+        ("sinh(t/2)", "cosh(t/3)", "3", 0.7),
+        ("cos(t)", "t^3", "2", 1.0),  # a even: partners that flip a share
+        ("t^2*cos(t)", "sin(t)*cosh(t)", "-1", 0.5),  # products
+        ("0.3*t", "2", "3/2", 1.2),  # a constant b
+        ("-(sinh(t))", "-(t^4 + 1)", "3", 0.9),  # Neg-topped trees
+        ("--t", "cos(2*t)", "5/3", 0.8),
+        ("1.5", "sin(t)^2", "1/3", -0.6),  # a constant a
+        ("cosh(t) - 1", "t*cosh(t)", "4/3", 2.0),  # a zero at t = 0
+    ],
+)
+def test_reflected_paths_search_and_solve_as_their_own_trees(a, b, n, d):
+    # p1 and its partners, searched together: a side answered by the
+    # reflection of another path gets the ends and values of the problem's
+    # own path toward that side, bit for bit
+    p1 = problem(a, b, n, d)
+    problems = [p1, *(transform_problem(p1, case) for case in applicable_cases(p1))]
+    assert len(problems) > 1
+    _search_and_solve_as_own_trees(problems)
+    kept = [path for p in problems for path in p._searched.values()]
+    assert any(isinstance(path, ReflectedPath) for path in kept)
+
+
+@pytest.mark.parametrize(
+    "a, b, n",
+    [
+        # a pole at t = +-1/16, where the first trial step's last stage
+        # lands on either side; the side toward +4 is integrated first
+        ("1/(t^2 - 0.00390625)", "cos(t)", "2"),  # in a, even
+        ("sin(t)", "t/(t^2 - 0.00390625)", "2"),  # in b, odd
+        # a even, so exp((n-1)*A) overflows toward one side only: toward
+        # +4 for p1, toward -4 for a flip of a
+        ("100*cosh(0*t)", "cos(t)", "3"),
+        # toward -4 for p1: its path toward +4 is integrated, and the one
+        # toward -4 then fails on its own (NoConvergence as the step shrinks)
+        ("-(100)", "t^2", "3"),
+    ],
+)
+def test_reflected_paths_fail_as_their_own_trees(a, b, n):
+    # a problem whose paths cannot be integrated fails as its own trees
+    # do, alone and among its partners and flips, error type and text alike
+    p1 = problem(a, b, n, 1.0)
+    problems = _variants(p1)
+    for p in problems:
+        own = failure(lambda: reference_search(p))
+        assert failure(lambda: validity_intervals([p], 4.0)) == own
+    assert failure(lambda: validity_intervals(problems, 4.0)) == failure(
+        lambda: reference_search(problems[0])
+    )
+    partners = [transform_problem(p1, case) for case in applicable_cases(p1)]
+    for p in [*partners, p1]:  # each partner first
+        assert failure(lambda: validity_intervals([p, *problems], 4.0)) == failure(
+            lambda: reference_search(p)
+        )
+
+
+def test_sampled_parity_never_shares_a_reflection(monkeypatch):
+    # t^2 + 1e-11*t samples as even, t + 1e-11*t^2 as odd; neither has a
+    # structural parity, so no side is the reflection of another: every
+    # distinct (a0, b0, m0) integrates both of its sides
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    for a in ("t^2 + 0.00000000001*t", "t + 0.00000000001*t^2"):
+        p1 = problem(a, "cos(t)", 2, 1.0)
+        problems = [p1, *(transform_problem(p1, case) for case in applicable_cases(p1))]
+        calls.clear()
+        validity_intervals(problems, 4.0)
+        assert len(calls) == 2 * len({canonical_key(p) for p in problems})
+        calls.clear()
+        validity_interval(p1, 4.0)
+        assert [call[3] for call in calls] == [4.0, -4.0]
+        kept = [path for p in problems for path in p._searched.values()]
+        assert not any(isinstance(path, ReflectedPath) for path in kept)
+
+
+def canonical_key(p):
+    """The (a0, b0, m0) whose paths p's validity search reads."""
+    a0, b0, m0, _, _ = canonical(p.a, p.b, (p.n.p - p.n.q) / p.n.q)
+    return a0, b0, m0
 
 
 def failure(fn):

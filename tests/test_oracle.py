@@ -129,3 +129,10 @@ def test_oracle_config_validation():
         OracleConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         OracleConfig(max_steps=0)
+
+
+def test_subnormal_grid():
+    # the oracle's paths toward +-1e-322 are one step each; the first step
+    # was once 1e-322 / 64 = 0.0, and the step budget ran out at t = 0.0
+    p = problem("cos(t)", "cos(t)", 2, 1.0)
+    assert solve_on_grid(p, [-1e-322, 0.0, 1e-322]) == [1.0, 1.0, 1.0]

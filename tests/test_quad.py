@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsym import (
@@ -19,11 +19,13 @@ from bsym import (
 )
 from bsym.closedform import ProblemSpec
 from bsym.expr import BinOp, Const, Expr, negated
-from bsym.quad import DEFAULT_QUAD_CONFIG, Identity, ab_values
-from bsym.stepper import grid_values
+from bsym.expr import structural_parity
+from bsym.quad import DEFAULT_QUAD_CONFIG, Identity, ab_values, nested_path
+from bsym.stepper import ReflectedPath, grid_values
 
 from helpers import (
     LEMMA_EXPONENTS,
+    count_calls,
     own_path,
     random_even_source,
     random_odd_source,
@@ -126,6 +128,25 @@ def test_identity_residuals_do_not_depend_on_an_earlier_search():
     fresh = identity_residuals("Eq8", a, b, N3, [1.0, 2.0])
     validity_interval(problem("cos(t)", "1", "3", 1.0), 4.0)
     assert identity_residuals("Eq8", a, b, N3, [1.0, 2.0]) == fresh
+
+
+@pytest.mark.parametrize(
+    "ident, a, b, want",
+    [("Eq7", "t", "cos(t)", 2), ("Eq4", "cos(t)", "t", 4), ("Eq8", "cos(t)", "1", 4)],
+)
+def test_eq7_integrates_its_one_path_once_per_side(monkeypatch, ident, a, b, want):
+    # Eq7's two sides read the same (a, b, m): one path per side of 0 for
+    # both, with the residuals of two separate calls on a grid whose sides
+    # reach equally far; the other identities read two m's, four paths
+    a, b, ts = parse_expr(a), parse_expr(b), [-3.0, -0.5, 0.5, 1.5, 3.0]
+    m = (N3.p - N3.q) / N3.q
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    got = identity_residuals(ident, a, b, N3, ts)
+    assert len(calls) == want
+    if ident == "Eq7":
+        left = ab_values(a, b, m, [-t for t in ts])
+        right = ab_values(a, b, m, ts)
+        assert got == [abs(-bl - br) for (_, bl), (_, br) in zip(left, right)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -231,6 +252,8 @@ def _own_pairs(a, b, m: float, ts, searched):
     ts=st.lists(_T, min_size=1, max_size=5),
     with_searched=st.booleans(),
 )
+# a subnormal t once made the stepper spin its whole step budget
+@example(a="cos(t)", b="cos(t)", m=-2.0, ts=[5e-324], with_searched=False)
 def test_ab_values_of_negated_coefficients_negate_the_pair(a, b, m, ts, with_searched):
     # ab_values(-a, -b, m) is ab_values(a, b, -m) with both components
     # negated, and both are the values on the flipped trees' own paths
@@ -243,3 +266,80 @@ def test_ab_values_of_negated_coefficients_negate_the_pair(a, b, m, ts, with_sea
     signed_back = ab_values(a, b, -m, ts, DEFAULT_QUAD_CONFIG, plain)
     assert got == [(-aval, -bval) for aval, bval in signed_back]
     assert got == _own_pairs(na, nb, m, ts, flipped)
+
+
+@pytest.mark.parametrize("ts", [[5e-324], [-5e-324, 1e-322], [-1.5e-322, 0.0, 3e-320]])
+def test_ab_values_at_subnormal_times(ts):
+    # A and B grow like t from 0; a span whose 64th part underflows to 0.0
+    # is one step (it once spun the 1 000 000-step budget into NoConvergence)
+    a, b = parse_expr("cos(t)"), parse_expr("cos(t)")
+    assert ab_values(a, b, -2.0, ts) == [(t, t) for t in ts]
+
+
+# --- reflections t -> -t of paths with coefficients of structural parity ----
+
+_ODD_CALLS, _EVEN_CALLS = ("sin", "sinh"), ("cos", "cosh")
+
+
+def _combine(draw, children):
+    """One node over children, as (source, parity sign): a call, a product,
+    a sum of two of one parity, or a negation."""
+    kind = draw(st.sampled_from(["call", "product", "sum", "neg"]))
+    x, ex = draw(children)
+    if kind == "call":
+        func = draw(st.sampled_from(_ODD_CALLS + _EVEN_CALLS))
+        return f"{func}({x})", ex if func in _ODD_CALLS else 1
+    if kind == "neg":
+        return f"-({x})", ex
+    y, ey = draw(children)
+    if kind == "sum" and ex == ey:
+        return f"({x}) + ({y})", ex
+    return f"({x})*({y})", ex * ey
+
+
+_PARITY_TREES = st.recursive(
+    st.sampled_from([("t", -1), ("0.5", 1), ("2", 1), ("t^2", 1), ("t^3", -1), ("--t", -1)]),
+    lambda children: st.composite(lambda draw: _combine(draw, children))(),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_PARITY_TREES,
+    b=_PARITY_TREES,
+    m=st.sampled_from([-2.0, -0.5, 0.5, 1.0, 2.0]),
+    end=st.builds(math.copysign, st.floats(min_value=0.1, max_value=2.0), st.sampled_from([1.0, -1.0])),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    level_fraction=st.floats(min_value=0.05, max_value=1.5),
+)
+def test_reflected_path_is_the_mirrored_triples_own_path(a, b, m, end, fractions, level_fraction):
+    # the path of (a, b, m) toward `end` is that of (a, b, -eps_a * m)
+    # toward -end read at -t with A and B multiplied by (-eps_a, -eps_b),
+    # for the structural parities eps of a and b: same values, same first
+    # crossings, bit for bit (== ignores the sign of a zero)
+    (a, ea), (b, eb) = a, b
+    a, b = parse_expr(a), parse_expr(b)
+    assert [structural_parity(a).sign, structural_parity(b).sign] == [ea, eb]
+
+    def path_or_failure(mult, t):
+        try:
+            return nested_path(a, b, mult, t, DEFAULT_QUAD_CONFIG)
+        except (EvalError, NoConvergence) as exc:
+            return type(exc)
+
+    direct = path_or_failure(m, end)
+    source = path_or_failure(-ea * m, -end)
+    if isinstance(direct, type) or isinstance(source, type):
+        assert direct == source  # the same failure on both
+        return
+    view = ReflectedPath(source, (-ea, -eb))
+    assert view.t_reached == direct.t_reached
+    qs = [f * end for f in sorted(fractions)] + [end]
+    assert view.values(qs) == direct.values(qs)
+    tols = (DEFAULT_QUAD_CONFIG.abs_tol, DEFAULT_QUAD_CONFIG.rel_tol)
+    for k in (0, 1):
+        reached = direct.y_end[k]
+        for level in (level_fraction * reached, -level_fraction * reached):
+            if level != 0.0:
+                assert view.first_crossing(k, level, *tols) == direct.first_crossing(k, level, *tols)

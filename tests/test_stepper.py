@@ -339,8 +339,10 @@ def reference_integrate(f, t0, y0, t_end, ctl, stop=None):
         return path
 
     direction = 1.0 if span > 0 else -1.0
-    min_h = abs(span) * ctl.min_step_fraction
-    h = span / 64.0
+    # the subnormal-span guards of the kernel: a first step of the whole
+    # span where span / 64 underflows, and h = 0.0 always below min_h
+    min_h = max(abs(span) * ctl.min_step_fraction, 5e-324)
+    h = span / 64.0 or span
     t, y = t0, y0
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     steps = 0
@@ -443,7 +445,7 @@ DIMS = {1: (rhs_1, (0.4,)), 2: (rhs_2, (0.0, 0.0)), 3: (rhs_3, (1.0, -0.5, 0.25)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("t_end", [5.0, -5.0, 1e-3, 0.0])
+@pytest.mark.parametrize("t_end", [5.0, -5.0, 1e-3, 0.0, 5e-324, -1e-322])
 def test_kernel_is_bit_identical_to_the_vector_loop(dim, t_end):
     make_rhs, y0 = DIMS[dim]
     expected = run(reference_integrate, make_rhs, y0, t_end)
@@ -502,6 +504,26 @@ def test_kernel_matches_the_partial_path_on_underflow(t_end):
     expected = run(reference_integrate, make_rhs, y0, t_end, ctl)
     assert run(integrate, make_rhs, y0, t_end, ctl) == expected
     assert expected[0] == "StepUnderflow"
+
+
+@pytest.mark.parametrize("t_end", [5e-324, -5e-324, 1e-322, -1.5e-322])
+def test_subnormal_span_takes_the_whole_span_at_once(t_end):
+    # span / 64 underflows to 0.0 here; the first step is the whole span
+    # (it used to be 0.0, which spun through the whole step budget)
+    ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=100)
+    path = integrate(lambda t, y: (math.cos(t),), 0.0, (1.0,), t_end, ctl)
+    assert path.ts == [0.0, t_end]
+    assert path.value(t_end) == (1.0 + t_end,)
+
+
+@pytest.mark.parametrize("t_end", [5e-324, -1e-322, 2.0])
+def test_a_step_that_shrinks_to_zero_underflows(t_end):
+    # every stage non-finite: h shrinks tenfold per attempt down to 0.0,
+    # which lies below min_h even where span * min_step_fraction is 0.0
+    ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=10_000)
+    with pytest.raises(StepUnderflow) as info:
+        integrate(lambda t, y: (math.nan,), 0.0, (1.0,), t_end, ctl)
+    assert info.value.path.ts == [0.0]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
