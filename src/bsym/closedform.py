@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, EvalError, OutsideValidity
-from .expr import Expr, parse_expr, structural_parity
+from .expr import Expr, Neg, parse_expr, structural_parity
 from .exponent import (
     ExponentClass,
     RationalExponent,
@@ -39,14 +39,8 @@ from .exponent import (
     parse_exponent,
     signed_pow,
 )
-from .quad import (
-    DEFAULT_QUAD_CONFIG,
-    QuadConfig,
-    ab_values,
-    canonical,
-    nested_path,
-)
-from .stepper import ReflectedPath
+from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, ab_values, nested_path
+from .stepper import PathView
 
 __all__ = [
     "ProblemSpec",
@@ -63,14 +57,10 @@ __all__ = [
 class ProblemSpec:
     """One Bernoulli IVP: y' = a(t)*y + b(t)*y^n, y(0) = d.
 
-    _searched holds the (A, B) paths of the problem's latest validity
-    search, keyed by (QuadConfig, side of 0), for `solution_values` to
-    answer grids from.  They are the paths of the canonical triple
-    `quad.canonical(a, b, n-1)`, which `ab_values` signs back; a side may
-    hold a `stepper.ReflectedPath`, the other side's path (or a partner's)
-    read at -t, which answers bit for bit as the integrated path would,
-    given the C library's exact parities of sin, sinh, cos, cosh and
-    pow(-x, k) (see `quad`).
+    _searched holds the (A, B) paths of (a, b, n-1) from the problem's
+    latest validity search, keyed by (QuadConfig, side of 0), for
+    `solution_values` to answer grids from: an integrated path or a
+    `stepper.PathView` of one (see `validity_intervals`).
     """
 
     a: Expr
@@ -231,29 +221,23 @@ def validity_intervals(
     `DensePath.first_crossing` finds step by step on the dense (A, B) path
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
-    A and B depend on a, b and n-1 only, and on a and b only up to their
-    signs: one path per side is integrated for each distinct canonical
-    triple `quad.canonical(a, b, n-1)` = (a0, b0, sa*(n-1)), on which a
-    problem with b = sb*b0 looks for B0 reaching sb*g0/(n-1).  So a problem
-    shares its paths with its partners that flip d, b or both, and a
-    partner that flips a shares with any problem of the same canonical
-    triple; d only moves the level.  Each (path, level) pair is walked once
-    per call, so a problem whose level coincides with an earlier one's on
-    the same path walks nothing.
-
-    Paths are shared across t -> -t too when `expr.structural_parity`
-    gives both canonical trees a parity, eps_a and eps_b (+1 even, -1 odd);
-    sampled parity never shares.  The path of (a0, b0, m0) toward side d
-    is that of (a0, b0, -eps_a*m0) toward -d read at -t, with A and B
-    multiplied by (-eps_a, -eps_b): before it integrates a side, the search
-    looks for that mirror among the paths it has, and if found keeps one
-    `stepper.ReflectedPath` view of it for the key, shared by every problem
-    of the key.  This is bit for bit the integrated path provided the C
-    library evaluates sin and sinh as odd, cos and cosh as even and
-    pow(-x, k) as +-pow(x, k) exactly.  Crossings are walked once per
-    integrated path and level, a view's at its source's signed level, so a
-    partner whose interval is the reflection of p1's walks nothing.  With
-    a odd, one integration serves both sides of a problem.
+    A and B depend on a, b and n-1 only.  Write a = sa*a0 and b = sb*b0,
+    a0 and b0 the trees under the unary minuses at the top of a and b, and
+    m0 = sa*(n-1); only such Neg-free triples are integrated.  The path of
+    (a, b, n-1) toward a side is (sa*A0, sb*B0) on the path of (a0, b0, m0)
+    toward that side, or, where `expr.structural_parity` gives a0 and b0
+    parities eps_a and eps_b (+1 even, -1 odd; sampled parity never
+    shares), (-eps_a*sa*A0, -eps_b*sb*B0) on the path of
+    (a0, b0, -eps_a*m0) toward the other side read at -t.  A problem keeps
+    that integrated path itself where the signs change nothing, else one
+    `stepper.PathView` of it, shared by every problem with the same
+    (a, b, n-1); a side with neither path integrates (a0, b0, m0).  So p1
+    shares its paths with the partners that flip d, a or b and, with a and
+    b of structural parity, with those that reflect t; with a odd, one
+    integration serves both sides of a problem.  Each (integrated path,
+    signed level) is walked once per call, so a problem whose interval is
+    an earlier one's, or its reflection, walks nothing.  See `PathView` for
+    why a view is bit for bit the path it stands for.
 
     Boundary kinds: Asymptote when the root exponent is negative (the
     solution diverges), RootBoundary otherwise (the root loses its real
@@ -261,40 +245,42 @@ def validity_intervals(
     for the radicand-free unit exponent.  Errors are raised in problem
     order.
 
-    Each problem keeps the canonical paths of its search, each reaching
-    exactly +-search_radius, for `solution_values` until its next search
-    replaces them; a path lives only as long as its problem.  A search
+    Each problem keeps the paths of its search, each reaching exactly
+    +-search_radius, for `solution_values` until its next search replaces
+    them; a path lives only as long as its problem.  A search
     never reads paths kept by an earlier one, so its intervals do not
     depend on earlier calls.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    paths = {}  # (a0, b0, m0, direction) -> that side's (A0, B0) path or its view
+    integrated = {}  # (a0, b0, m0, direction) -> that side's (A0, B0) path
+    paths = {}  # (a, b, n-1, direction) -> that side's path or a view of one
     crossings = {}  # (id of an integrated path, level of its B) -> first crossing
 
-    def search_path(a0: Expr, b0: Expr, m0: float, direction: float):
-        key = (a0, b0, m0, direction)
-        if key not in paths:
-            pa, pb = structural_parity(a0), structural_parity(b0)
-            mirror = None
-            if pa is not None and pb is not None:
-                mirror = paths.get((a0, b0, -pa.sign * m0, -direction))
-            if mirror is None:
-                paths[key] = nested_path(a0, b0, m0, direction * search_radius, cfg)
-            else:
-                paths[key] = ReflectedPath(mirror, (-pa.sign, -pb.sign))
-        return paths[key]
+    def search_path(a0, b0, m0, direction, sa, sb, parities):
+        # the path of (sa*a0, sb*b0, sa*m0) toward direction
+        r, source = 1.0, integrated.get((a0, b0, m0, direction))
+        if source is None and parities is not None:
+            ea, eb = parities
+            source = integrated.get((a0, b0, -ea * m0, -direction))
+            if source is not None:
+                r, sa, sb = -1.0, -ea * sa, -eb * sb
+        if source is None:
+            source = integrated[a0, b0, m0, direction] = nested_path(
+                a0, b0, m0, direction * search_radius, cfg
+            )
+        return source if r == sa == sb == 1.0 else PathView(source, r, (sa, sb))
 
     def first_zero(path, level: float) -> Optional[float]:
-        # a reflection's B reaches level where its source's reaches the
-        # signed level, read at -t; each integrated path is walked once per
-        # level, for its own problems and for those of its reflection
-        if isinstance(path, ReflectedPath):
-            found = first_zero(path.source, path.signs[1] * level)
-            return None if found is None else -found
+        # a view's B reaches level where its source's reaches the signed
+        # level, read at r*t; each integrated path is walked once per level
+        r = 1.0
+        if isinstance(path, PathView):
+            path, r, level = path.source, path.r, path.signs[1] * level
         if (id(path), level) not in crossings:
             crossings[id(path), level] = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
-        return crossings[id(path), level]
+        found = crossings[id(path), level]
+        return None if found is None else r * found
 
     out = []
     for p in problems:
@@ -311,12 +297,21 @@ def validity_intervals(
         level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
         if level == 0.0:
             raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
-        a0, b0, m0, _, sb = canonical(p.a, p.b, m)
+        a0, b0, m0, sa, sb = p.a, p.b, m, 1.0, 1.0
+        while isinstance(a0.ast, Neg):
+            a0, m0, sa = Expr(a0.ast.arg), -m0, -sa
+        while isinstance(b0.ast, Neg):
+            b0, sb = Expr(b0.ast.arg), -sb
+        pa, pb = structural_parity(a0), structural_parity(b0)
+        parities = None if pa is None or pb is None else (pa.sign, pb.sign)
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            path = p._searched[cfg, direction] = search_path(a0, b0, m0, direction)
-            found = first_zero(path, sb * level)  # B = sb*B0 reaches level where B0 reaches sb*level
+            key = (p.a, p.b, m, direction)
+            if key not in paths:
+                paths[key] = search_path(a0, b0, m0, direction, sa, sb, parities)
+            path = p._searched[cfg, direction] = paths[key]
+            found = first_zero(path, level)
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
             ends.append(limit if found is None else (found, zero_kind))
         (hi, hi_kind), (lo, lo_kind) = ends

@@ -150,7 +150,7 @@ def rk_solve(
 
     blew_up = False
     try:
-        path = integrate(rhs, 0.0, (p.d,), t_end, cfg.control(), stop=stop)
+        path = integrate(rhs, (p.d,), t_end, cfg.control(), stop=stop)
         blew_up = path.stopped
     except StepUnderflow as exc:
         path = exc.path

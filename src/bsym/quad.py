@@ -20,28 +20,6 @@ first component of every pair; with m = 0 the pair is (int_0^t a,
 int_0^t b), which is all the unit exponent's closed form d * exp(A + B)
 needs.
 
-Paths are integrated only up to the signs of a and b: `canonical` strips
-the unary minus wrappers at the top of both trees, and the path of
-(-a, b, m) is that of (a, b, -m) with A negated, the path of (a, -b, m)
-that of (a, b, m) with B negated.  Negation is exact and every operation
-of the coefficient evaluation and of the stepper commutes with it under
-round-to-nearest (the step control reads only magnitudes), so the two
-agree bit for bit, up to the sign of a zero; the coefficient evaluation
-fails, and the exponential overflows, at the same t with the same message.
-
-Paths are shared across t -> -t as well, where `closedform`'s validity
-search has the structural parities eps_a and eps_b of both canonical trees
-(`expr.structural_parity`; the sampled fallback of `detect_parity` never
-decides this): the path of (a0, b0, m) toward -T is that of
-(a0, b0, -eps_a * m) toward T read at -t, with A and B multiplied by
--eps_a and -eps_b, a `stepper.ReflectedPath`.  It is bit for bit the path
-integrated toward -T provided the C library evaluates sin and sinh as odd,
-cos and cosh as even, and pow(-x, k) as +-pow(x, k) exactly, so that a
-coefficient of structural parity eps satisfies f(-t) = eps * f(t) bit for
-bit; the evaluation fails at -t exactly where it fails at t.  `ab_values`
-reads such views among the paths it is handed; it never makes one, so its
-fresh paths, `identity_residuals` and the oracle never reflect.
-
 The checkable integral identities relate mirrored values of B, with
 m = n - 1:
 
@@ -63,11 +41,11 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import EvalError, NoConvergence, ParityViolation
-from .expr import CheckedForm, Expr, Neg, Parity, checked_factory, detect_parity
+from .expr import CheckedForm, Expr, Parity, checked_factory, detect_parity
 from .exponent import RationalExponent
 from .stepper import (
     DensePath,
-    ReflectedPath,
+    PathView,
     StepBudgetExceeded,
     StepControl,
     StepUnderflow,
@@ -80,7 +58,6 @@ __all__ = [
     "DEFAULT_QUAD_CONFIG",
     "Identity",
     "ab_values",
-    "canonical",
     "nested_path",
     "identity_residuals",
 ]
@@ -117,7 +94,7 @@ DEFAULT_QUAD_CONFIG = QuadConfig()
 
 def _run(rhs, y0, t: float, cfg: QuadConfig) -> DensePath:
     try:
-        return integrate(rhs, 0.0, y0, t, cfg.control())
+        return integrate(rhs, y0, t, cfg.control())
     except (StepUnderflow, StepBudgetExceeded) as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:
@@ -133,55 +110,32 @@ def nested_path(a: Expr, b: Expr, mult: float, t: float, cfg: QuadConfig) -> Den
     return _run(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, cfg)
 
 
-def canonical(a: Expr, b: Expr, mult: float) -> tuple[Expr, Expr, float, float, float]:
-    """(a0, b0, sa * mult, sa, sb) with a = sa * a0 and b = sb * b0.
-
-    a0 and b0 are a and b with every unary minus at the top of the tree
-    stripped, sa and sb the signs (+-1.0) those minuses make.  The (A, B)
-    path of (a, b, mult) is (sa * A0, sb * B0) on the path of
-    (a0, b0, sa * mult), bit for bit up to the sign of a zero.
-    """
-    sa = sb = 1.0
-    while isinstance(a.ast, Neg):
-        a, sa = Expr(a.ast.arg), -sa
-    while isinstance(b.ast, Neg):
-        b, sb = Expr(b.ast.arg), -sb
-    return a, b, sa * mult, sa, sb
-
-
 def ab_values(
     a: Expr,
     b: Expr,
     mult: float,
     ts: Sequence[float],
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    searched: Optional[Mapping[tuple[QuadConfig, float], Union[DensePath, ReflectedPath]]] = None,
+    searched: Optional[Mapping[tuple[QuadConfig, float], Union[DensePath, PathView]]] = None,
 ) -> list[tuple[float, float]]:
     """(A(t), B(t)) pairs for every t, sharing one solve per side of 0.
 
-    Each side is answered on a path of `canonical(a, b, mult)`'s triple
-    (a0, b0, sa * mult), and the pairs are multiplied by the signs
-    (sa, sb), so they equal those of the path of (a, b, mult) itself up
-    to the sign of a zero.  `searched` maps (cfg, side of 0) to paths
-    from 0 of that canonical triple, integrated or `ReflectedPath` views,
-    such as a problem's validity-search paths.  A side is answered from
-    searched[(cfg, side)] if that path reaches the side's farthest t;
-    otherwise one fresh path is integrated to that t.  Either way the
-    values agree with a fresh path to the quadrature tolerance.
+    `searched` maps (cfg, side of 0) to paths from 0 of (a, b, mult),
+    integrated or `PathView`s, such as a problem's validity-search paths.
+    A side is answered from searched[(cfg, side)] if that path reaches the
+    side's farthest t; otherwise one fresh path of (a, b, mult) is
+    integrated to that t.  Either way the values agree with a fresh path to
+    the quadrature tolerance.
     """
-    a, b, mult, sa, sb = canonical(a, b, mult)
     searched = searched or {}
 
-    def solve(x: float) -> Union[DensePath, ReflectedPath]:
+    def solve(x: float) -> Union[DensePath, PathView]:
         path = searched.get((cfg, 1.0 if x >= 0.0 else -1.0))
         if path is not None and abs(x) <= abs(path.t_reached):
             return path
         return nested_path(a, b, mult, x, cfg)
 
-    pairs = grid_values(solve, ts)
-    if sa == sb == 1.0:
-        return pairs
-    return [(sa * aval, sb * bval) for aval, bval in pairs]
+    return grid_values(solve, ts)
 
 
 # --- Integral identities ----------------------------------------------------

@@ -24,12 +24,10 @@ run outward from the path's start in one walk over its steps, and
 polynomials.  `grid_values` answers a grid that straddles t = 0 from one
 0-anchored path per side, each side in one ordered walk.
 
-`ReflectedPath` is a path read through t -> -t with its components'
-signs flipped, a view that queries its source and copies nothing.  The
-quadrature uses it for the mirror symmetry of coefficients of known
-parity; it is the path the kernel would integrate toward the other side
-bit for bit, because every operation of a step commutes with negation
-under round-to-nearest (the step control reads only magnitudes).
+`PathView` is a path read through t -> r*t, r = +-1, with its components'
+signs changed, a view that queries its source and copies nothing.  The
+closed form's validity search uses it for the signs of the coefficients
+and the mirror symmetry of coefficients of known parity.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from typing import Callable, Optional, Sequence
 __all__ = [
     "StepControl",
     "DensePath",
-    "ReflectedPath",
+    "PathView",
     "StepUnderflow",
     "StepBudgetExceeded",
     "integrate",
@@ -254,39 +252,41 @@ class DensePath:
 
 
 @dataclass(frozen=True, eq=False)
-class ReflectedPath:
-    """Read-only view of `source` through t -> -t: at t it holds
-    signs[k] * source(-t)[k] in each component k.
+class PathView:
+    """Read-only view of a two-component `source`, such as the quadrature's
+    (A, B) paths, through t -> r*t, r = +-1: at t it holds
+    signs[k] * source(r*t)[k] in each component k.
 
     Let `source` be the kernel's path of g from 0 toward T, and S the
-    diagonal of the signs.  If f(-t, S*y) = -S*g(t, y) bit for bit, the
-    kernel's path of f from 0 toward -T is this view: its h, nodes, states
+    diagonal of the signs.  If f(r*t, S*y) = r*S*g(t, y) bit for bit, the
+    kernel's path of f from 0 toward r*T is this view: its h, nodes, states
     and stages are the source's with their signs changed, exactly, since
     negation is exact and the step control reads only magnitudes.  Its
     `values` and `first_crossing` then equal that path's, because a query's
     step fraction and a quartic's roots do not change under negation
-    either.  No node, state or stage is copied.
+    either.  For r = -1 and a coefficient of structural parity eps this
+    assumes f(-t) = eps * f(t) bit for bit, that is a C library that
+    evaluates sin and sinh as odd, cos and cosh as even and pow(-x, k) as
+    +-pow(x, k) exactly.  No node, state or stage is copied.
     """
 
     source: DensePath
+    r: float
     signs: tuple
 
     @property
     def t_reached(self) -> float:
-        return -self.source.t_reached
+        return self.r * self.source.t_reached
 
     def values(self, qs: Sequence[float]) -> list[State]:
         """States at times that run outward from the start, as `DensePath.values`."""
-        signs = self.signs
-        return [
-            tuple([s * y for s, y in zip(signs, state)])
-            for state in self.source.values([-t for t in qs])
-        ]
+        r, (s0, s1) = self.r, self.signs
+        return [(s0 * y0, s1 * y1) for y0, y1 in self.source.values([r * t for t in qs])]
 
     def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
-        """The source's first crossing of signs[k] * level, read at -t."""
+        """The source's first crossing of signs[k] * level, read at r*t."""
         found = self.source.first_crossing(k, self.signs[k] * level, abs_tol, rel_tol)
-        return None if found is None else -found
+        return None if found is None else self.r * found
 
 
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:
@@ -321,20 +321,19 @@ def _horner(c: Sequence[float], x: float) -> float:
 
 def integrate(
     f: RHS,
-    t0: float,
     y0: Sequence[float],
     t_end: float,
     ctl: StepControl,
     stop: Optional[Callable[[float, State], bool]] = None,
 ) -> DensePath:
-    """Integrate y' = f(t, y) from t0 to t_end adaptively.
+    """Integrate y' = f(t, y) from t = 0 to t_end adaptively.
 
     Returns the dense path of accepted steps.  The final step is clamped to
     land exactly on t_end.  If `stop` returns true on an accepted state the
     integration ends there with path.stopped set.
     """
     y0 = tuple(y0)
-    return _kernel(len(y0))(f, t0, y0, t_end, ctl, stop)
+    return _kernel(len(y0))(f, y0, t_end, ctl, stop)
 
 
 # The adaptive loop, written once for every state dimension.  `vec<e>`
@@ -345,13 +344,13 @@ def integrate(
 # order of the component-wise loop kept in tests/test_stepper.py, which the
 # tests require to be reproduced bit for bit.
 _KERNEL = """\
-def dp5_dim{dim}(f, t0, y0, t_end, ctl, stop):
+def dp5_dim{dim}(f, y0, t_end, ctl, stop):
     path = DensePath()
     ts, ys, ks = path.ts, path.ys, path.ks
-    k1 = f(t0, y0)
-    ts.append(t0)
+    k1 = f(0.0, y0)
+    ts.append(0.0)
     ys.append(y0)
-    span = t_end - t0
+    span = t_end
     if span == 0.0:
         return path
 
@@ -361,7 +360,7 @@ def dp5_dim{dim}(f, t0, y0, t_end, ctl, stop):
     # raises StepUnderflow instead of spinning through the step budget
     min_h = max(abs(span) * ctl.min_step_fraction, 5e-324)
     h = span / 64.0 or span
-    t = t0
+    t = 0.0
     vec<y_i> = y0
     vec<k1_i> = k1
     atol, rtol, max_steps = ctl.abs_tol, ctl.rel_tol, ctl.max_steps

@@ -1,6 +1,7 @@
 """Shared test utilities: an independent Simpson oracle, random
 parity-conforming problem generators, the (A, B) path of a coefficient
-pair's own trees, a call counter for work-count tests and the environment
+pair's own trees, the Neg-free triple whose paths a validity search
+integrates, a call counter for work-count tests and the environment
 for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
@@ -27,7 +28,7 @@ from bsym import (
     parse_expr,
     quad,
 )
-from bsym.expr import checked_factory
+from bsym.expr import Expr, Neg, checked_factory
 from bsym.quad import DEFAULT_QUAD_CONFIG
 from bsym.stepper import StepUnderflow, integrate
 
@@ -147,11 +148,23 @@ def own_path(a, b, mult: float, t_end: float, cfg=DEFAULT_QUAD_CONFIG):
     as `quad.nested_path` reports them."""
     rhs = checked_factory(quad._AB, a, b)(mult)
     try:
-        return integrate(rhs, 0.0, (0.0, 0.0), t_end, cfg.control())
+        return integrate(rhs, (0.0, 0.0), t_end, cfg.control())
     except StepUnderflow as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:  # exp(mult * A)
         raise EvalError(f"integrand overflow: {exc}") from None
+
+
+def canonical_key(p):
+    """The (a0, b0, m0) whose paths p's validity search integrates: a and b
+    with the unary minuses at the top of their trees stripped, and n - 1
+    times the sign taken out of a."""
+    a, b, m = p.a, p.b, (p.n.p - p.n.q) / p.n.q
+    while isinstance(a.ast, Neg):
+        a, m = Expr(a.ast.arg), -m
+    while isinstance(b.ast, Neg):
+        b = Expr(b.ast.arg)
+    return a, b, m
 
 
 # --- work counts ----------------------------------------------------------------

@@ -157,12 +157,12 @@ def test_the_oracle_problems_reach_both_signs_of_y(monkeypatch):
     assert crossed.path.ys[0][0] > 0.0 > crossed.path.y_end[0]
     seen = []
 
-    def recording(f, t0, y0, *args, **kwargs):
+    def recording(f, y0, *args, **kwargs):
         def rhs(t, y):
             seen.append(y[0])
             return f(t, y)
 
-        return stepper.integrate(rhs, t0, y0, *args, **kwargs)
+        return stepper.integrate(rhs, y0, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "integrate", recording)
     with pytest.raises(StepFailure, match="step budget exhausted"):

@@ -22,12 +22,19 @@ from bsym import (
 )
 from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
-from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values, canonical
+from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values
 from bsym.exponent import ExponentClass, classify_exponent
 from bsym.expr import negated
-from bsym.stepper import DensePath, ReflectedPath, grid_values
+from bsym.stepper import DensePath, PathView, grid_values
 
-from helpers import conforming_problem, count_calls, own_path, random_problem, simpson
+from helpers import (
+    canonical_key,
+    conforming_problem,
+    count_calls,
+    own_path,
+    random_problem,
+    simpson,
+)
 
 # int_0^0.3 s*e^s ds via the Simpson oracle, then G = 1/d - B with d = -1
 # (analytic cross-check: B = 1 - 0.7*e^0.3)
@@ -719,7 +726,7 @@ def test_reflected_paths_search_and_solve_as_their_own_trees(a, b, n, d):
     assert len(problems) > 1
     _search_and_solve_as_own_trees(problems)
     kept = [path for p in problems for path in p._searched.values()]
-    assert any(isinstance(path, ReflectedPath) for path in kept)
+    assert any(isinstance(path, PathView) and path.r < 0 for path in kept)
 
 
 @pytest.mark.parametrize(
@@ -770,13 +777,7 @@ def test_sampled_parity_never_shares_a_reflection(monkeypatch):
         validity_interval(p1, 4.0)
         assert [call[3] for call in calls] == [4.0, -4.0]
         kept = [path for p in problems for path in p._searched.values()]
-        assert not any(isinstance(path, ReflectedPath) for path in kept)
-
-
-def canonical_key(p):
-    """The (a0, b0, m0) whose paths p's validity search reads."""
-    a0, b0, m0, _, _ = canonical(p.a, p.b, (p.n.p - p.n.q) / p.n.q)
-    return a0, b0, m0
+        assert not any(isinstance(path, PathView) and path.r < 0 for path in kept)
 
 
 def failure(fn):

@@ -18,10 +18,10 @@ from bsym import (
     validity_interval,
 )
 from bsym.closedform import ProblemSpec
-from bsym.expr import BinOp, Const, Expr, negated
+from bsym.expr import BinOp, Const, Expr, Neg, negated
 from bsym.expr import structural_parity
 from bsym.quad import DEFAULT_QUAD_CONFIG, Identity, ab_values, nested_path
-from bsym.stepper import ReflectedPath, grid_values
+from bsym.stepper import PathView, grid_values
 
 from helpers import (
     LEMMA_EXPONENTS,
@@ -304,7 +304,7 @@ _PARITY_TREES = st.recursive(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     a=_PARITY_TREES,
     b=_PARITY_TREES,
@@ -312,28 +312,39 @@ _PARITY_TREES = st.recursive(
     end=st.builds(math.copysign, st.floats(min_value=0.1, max_value=2.0), st.sampled_from([1.0, -1.0])),
     fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
     level_fraction=st.floats(min_value=0.05, max_value=1.5),
+    r=st.sampled_from([1.0, -1.0]),
+    flip_a=st.booleans(),
+    flip_b=st.booleans(),
 )
-def test_reflected_path_is_the_mirrored_triples_own_path(a, b, m, end, fractions, level_fraction):
-    # the path of (a, b, m) toward `end` is that of (a, b, -eps_a * m)
-    # toward -end read at -t with A and B multiplied by (-eps_a, -eps_b),
-    # for the structural parities eps of a and b: same values, same first
+def test_reflected_path_is_the_mirrored_triples_own_path(
+    a, b, m, end, fractions, level_fraction, r, flip_a, flip_b
+):
+    # the path of (sa*a, sb*b, m) toward `end` is a view of the path of
+    # (a, b, sa*m) toward `end` with A and B multiplied by (sa, sb) (r = +1),
+    # and of the path of (a, b, -eps_a*sa*m) toward -end read at -t with A
+    # and B multiplied by (-eps_a*sa, -eps_b*sb) (r = -1), for the
+    # structural parities eps of a and b: same values, same first
     # crossings, bit for bit (== ignores the sign of a zero)
     (a, ea), (b, eb) = a, b
     a, b = parse_expr(a), parse_expr(b)
     assert [structural_parity(a).sign, structural_parity(b).sign] == [ea, eb]
+    sa, sb = (-1.0 if flip_a else 1.0), (-1.0 if flip_b else 1.0)
+    ra, rb = (1.0, 1.0) if r > 0 else (-ea, -eb)
 
-    def path_or_failure(mult, t):
+    def path_or_failure(a, b, mult, t):
         try:
             return nested_path(a, b, mult, t, DEFAULT_QUAD_CONFIG)
         except (EvalError, NoConvergence) as exc:
             return type(exc)
 
-    direct = path_or_failure(m, end)
-    source = path_or_failure(-ea * m, -end)
+    direct = path_or_failure(
+        Expr(Neg(a.ast)) if flip_a else a, Expr(Neg(b.ast)) if flip_b else b, m, end
+    )
+    source = path_or_failure(a, b, ra * sa * m, r * end)
     if isinstance(direct, type) or isinstance(source, type):
         assert direct == source  # the same failure on both
         return
-    view = ReflectedPath(source, (-ea, -eb))
+    view = PathView(source, r, (ra * sa, rb * sb))
     assert view.t_reached == direct.t_reached
     qs = [f * end for f in sorted(fractions)] + [end]
     assert view.values(qs) == direct.values(qs)

@@ -18,14 +18,13 @@ CTL = QuadConfig().control()
 
 
 def cos_path(t_end: float):
-    return integrate(lambda t, y: (math.cos(t),), 0.0, (0.0,), t_end, CTL)
+    return integrate(lambda t, y: (math.cos(t),), (0.0,), t_end, CTL)
 
 
 def pair_path(t_end: float):
     # the quadrature's coupled (A, B) shape: A' = a, B' = b * exp(A)
     return integrate(
         lambda t, y: (math.cos(t), math.sin(2.0 * t) * math.exp(y[0])),
-        0.0,
         (0.0, 0.0),
         t_end,
         CTL,
@@ -189,7 +188,7 @@ def square_path(t_end: float):
     # y = t^2 - 2ct with c = +-1 on the side of t_end: y reaches its minimum
     # -1 at t = c; the extension reproduces a quadratic up to rounding
     c = math.copysign(1.0, t_end)
-    return integrate(lambda t, y: (2.0 * (t - c),), 0.0, (0.0,), t_end, CTL), c
+    return integrate(lambda t, y: (2.0 * (t - c),), (0.0,), t_end, CTL), c
 
 
 def first_crossing(path, level):
@@ -249,7 +248,7 @@ def test_first_crossing_root_on_a_node(t_end):
 
 def test_first_crossing_tiny_first_root():
     # y = t reaches 1e-13 a 1.6e-12 fraction into a first step 1/16 long
-    path = integrate(lambda t, y: (1.0,), 0.0, (0.0,), 4.0, CTL)
+    path = integrate(lambda t, y: (1.0,), (0.0,), 4.0, CTL)
     assert first_crossing(path, 1e-13) == pytest.approx(1e-13, rel=1e-15)
 
 
@@ -276,7 +275,7 @@ class CountingSolve:
 
     def __call__(self, t_end):
         self.calls.append(t_end)
-        return integrate(lambda t, y: (math.cos(t),), 0.0, self.y0, t_end, CTL)
+        return integrate(lambda t, y: (math.cos(t),), self.y0, t_end, CTL)
 
 
 @pytest.mark.parametrize(
@@ -326,15 +325,16 @@ def test_grid_values_reject_non_finite_times(bad, where):
 
 # --- the generated kernel against the component-wise loop it replaced --------
 
-def reference_integrate(f, t0, y0, t_end, ctl, stop=None):
+def reference_integrate(f, y0, t_end, ctl, stop=None):
     """The generic zip/generator loop `integrate` ran before its kernel was
-    generated per dimension; the kernel must reproduce it bit for bit."""
+    generated per dimension, from t = 0; the kernel must reproduce it bit
+    for bit."""
     y0 = tuple(y0)
     path = DensePath()
-    k1 = f(t0, y0)
-    path.ts.append(t0)
+    k1 = f(0.0, y0)
+    path.ts.append(0.0)
     path.ys.append(y0)
-    span = t_end - t0
+    span = t_end
     if span == 0.0:
         return path
 
@@ -343,7 +343,7 @@ def reference_integrate(f, t0, y0, t_end, ctl, stop=None):
     # span where span / 64 underflows, and h = 0.0 always below min_h
     min_h = max(abs(span) * ctl.min_step_fraction, 5e-324)
     h = span / 64.0 or span
-    t, y = t0, y0
+    t, y = 0.0, y0
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     steps = 0
 
@@ -421,7 +421,7 @@ def run(integrator, make_rhs, y0, t_end, ctl=CTL, stop=None):
     """(outcome, repr of ts, ys, ks, stopped); repr tells every float bit
     apart, -0.0 from 0.0 included.  make_rhs gives each run a fresh RHS."""
     try:
-        path, outcome = integrator(make_rhs(), 0.0, y0, t_end, ctl, stop), "done"
+        path, outcome = integrator(make_rhs(), y0, t_end, ctl, stop), "done"
     except (StepUnderflow, StepBudgetExceeded) as exc:
         path, outcome = exc.path, type(exc).__name__
     return outcome, repr((path.ts, path.ys, path.ks, path.stopped))
@@ -457,7 +457,7 @@ def test_kernel_is_bit_identical_to_the_vector_loop(dim, t_end):
 @pytest.mark.parametrize("t_end", [6.0, -6.0])
 def test_kernel_matches_with_a_stop_callback(dim, t_end):
     make_rhs, y0 = DIMS[dim]
-    target = abs(reference_integrate(make_rhs(), 0.0, y0, t_end, CTL).ys[5][0])
+    target = abs(reference_integrate(make_rhs(), y0, t_end, CTL).ys[5][0])
 
     def stop(t, y):
         return abs(y[0]) >= target
@@ -511,7 +511,7 @@ def test_subnormal_span_takes_the_whole_span_at_once(t_end):
     # span / 64 underflows to 0.0 here; the first step is the whole span
     # (it used to be 0.0, which spun through the whole step budget)
     ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=100)
-    path = integrate(lambda t, y: (math.cos(t),), 0.0, (1.0,), t_end, ctl)
+    path = integrate(lambda t, y: (math.cos(t),), (1.0,), t_end, ctl)
     assert path.ts == [0.0, t_end]
     assert path.value(t_end) == (1.0 + t_end,)
 
@@ -522,7 +522,7 @@ def test_a_step_that_shrinks_to_zero_underflows(t_end):
     # which lies below min_h even where span * min_step_fraction is 0.0
     ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=10_000)
     with pytest.raises(StepUnderflow) as info:
-        integrate(lambda t, y: (math.nan,), 0.0, (1.0,), t_end, ctl)
+        integrate(lambda t, y: (math.nan,), (1.0,), t_end, ctl)
     assert info.value.path.ts == [0.0]
 
 
@@ -546,7 +546,7 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
     stepper._kernel.cache_clear()
     for dim in (2, 1, 2, 1, 2, 3):
         make_rhs, y0 = DIMS[dim]
-        integrate(make_rhs(), 0.0, y0, 1.0, CTL)
+        integrate(make_rhs(), y0, 1.0, CTL)
     assert compiled == [f"<bsym.stepper DP5 kernel dim={dim}>" for dim in (2, 1, 3)]
     assert stepper._kernel(2) is stepper._kernel(2)
 
@@ -561,7 +561,7 @@ def test_traceback_shows_the_kernel_source():
         return (1.0, 1.0)
 
     with pytest.raises(ZeroDivisionError) as info:
-        integrate(failing, 0.0, (0.0, 0.0), 1.0, CTL)
+        integrate(failing, (0.0, 0.0), 1.0, CTL)
     frame = traceback.extract_tb(info.tb)[-2]
     assert frame.filename == "<bsym.stepper DP5 kernel dim=2>"
     assert frame.line.startswith("k3 = f(t + 0.3 * h, (y_0 + h * (0.075 * k1_0")
