@@ -88,6 +88,10 @@ def load_problem(path: str) -> ProblemSpec:
     for key in ("a", "b"):
         if not isinstance(data[key], str):
             raise ProblemFileError(f"{path}: key {key!r} must be a DSL string")
+    for key in ("n", "d"):
+        # JSON true and false would otherwise read as the numbers 1 and 0
+        if isinstance(data[key], bool):
+            raise ProblemFileError(f"{path}: key {key!r} must be text or a number, not a boolean")
     try:
         n = parse_exponent(data["n"])
         d = float(data["d"])

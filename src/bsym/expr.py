@@ -29,13 +29,16 @@ form's body.  Every failure raises EvalError through one helper, with the
 texts "division by zero at t=..", "evaluation failed at t=..: <reason>" and
 "non-finite value at t=..".  `as_callable` is the form that returns the one
 value.  The compiled factories share one small LRU cache.
+
+`detect_parity` applies exact structural rules and, where they are
+inconclusive, compares f(t) with f(-t) at 64 fixed points of [-4, 4].  The
+points take no seed and no setting, so parity depends on the tree alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -59,8 +62,6 @@ __all__ = [
     "structural_parity",
     "sampled_parity",
     "negated",
-    "DEFAULT_PARITY_SEED",
-    "PARITY_SAMPLE_DOMAIN",
 ]
 
 
@@ -479,8 +480,9 @@ class Parity(Enum):
         return {"even": 1, "odd": -1}[self.value]
 
 
-DEFAULT_PARITY_SEED = 424243
-PARITY_SAMPLE_DOMAIN = (-4.0, 4.0)
+# the sampled fallback's points, drawn once at import
+_SAMPLE_POINTS = tuple(random.Random(424243).uniform(-4.0, 4.0) for _ in range(64))
+_SAMPLE_TOL = 1e-10
 
 _ODD_FUNCS = frozenset({"sin", "sinh"})
 _EVEN_FUNCS = frozenset({"cos", "cosh"})
@@ -529,38 +531,19 @@ def structural_parity(e: Expr) -> Optional[Parity]:
     return _structural(e.ast)
 
 
-def _resolve_seed(seed: Optional[int]) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("BSYM_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_PARITY_SEED
+def sampled_parity(e: Expr) -> Parity:
+    """Classify by comparing f(t) with f(-t) at the 64 fixed points of [-4, 4].
 
-
-def sampled_parity(
-    e: Expr,
-    *,
-    samples: int = 64,
-    seed: Optional[int] = None,
-    domain: tuple[float, float] = PARITY_SAMPLE_DOMAIN,
-    tol: float = 1e-10,
-) -> Parity:
-    """Classify by comparing f(t) with f(-t) at pseudo-random points.
-
-    Even (checked first) requires |f(-t) - f(t)| <= tol*(1+|f(t)|) at every
+    Even (checked first) requires |f(-t) - f(t)| <= 1e-10*(1+|f(t)|) at every
     point; Odd likewise for the sum.  An identically-zero function therefore
     reports Even.
     """
-    rng = random.Random(_resolve_seed(seed))
-    lo, hi = domain
     fn = as_callable(e)
     even = odd = True
-    for _ in range(samples):
-        t = rng.uniform(lo, hi)
+    for t in _SAMPLE_POINTS:
         ft = fn(t)
         fmt = fn(-t)
-        scale = tol * (1.0 + abs(ft))
+        scale = _SAMPLE_TOL * (1.0 + abs(ft))
         if abs(fmt - ft) > scale:
             even = False
         if abs(fmt + ft) > scale:
@@ -570,18 +553,10 @@ def sampled_parity(
     return Parity.EVEN if even else Parity.ODD
 
 
-@lru_cache(maxsize=4096)
-def _detect_cached(node: Node, seed: int) -> Parity:
-    found = _structural(node)
-    if found is not None:
-        return found
-    return sampled_parity(Expr(node), seed=seed)
-
-
-def detect_parity(e: Expr, *, seed: Optional[int] = None) -> Parity:
-    """Structural rules first; numerical sampling on [-4, 4] as fallback.
-
-    The sampling seed defaults to DEFAULT_PARITY_SEED and may be overridden
-    by the BSYM_SEED environment variable (or the seed argument).
+def detect_parity(e: Expr) -> Parity:
+    """Structural rules first; sampling at 64 fixed points of [-4, 4] as
+    fallback.  The points take no seed, so the parity of an expression is a
+    function of its tree alone.
     """
-    return _detect_cached(e.ast, _resolve_seed(seed))
+    found = _structural(e.ast)
+    return found if found is not None else sampled_parity(e)

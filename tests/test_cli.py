@@ -13,8 +13,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 RICCATI = {"a": "0", "b": "1", "n": "2", "d": "1"}
 
-# sin(t) plus a narrow bump the parity sampler cannot see at the default
-# seed: classified odd, but the symmetry relations genuinely fail
+# sin(t) plus a narrow bump that falls between the parity sampler's fixed
+# points: classified odd, but the symmetry relations genuinely fail
 SPIKED_B = "sin(t) + exp(-(10000*(t - 0.86)^2))"
 
 
@@ -259,6 +259,17 @@ def test_cases_exponent_of_another_type_is_exit_1(tmp_path, capsys, n):
     assert main(["cases", "--problem", prob]) == 1
     err = capsys.readouterr().err
     assert err.startswith("bsym: parse error: ") and "exponent must be text or a number" in err
+
+
+@pytest.mark.parametrize("key", ["n", "d"])
+def test_cases_boolean_exponent_or_initial_value_is_exit_1(tmp_path, capsys, key):
+    from bsym.cli import main
+
+    prob = write_problem(tmp_path / "p.json", {**RICCATI, key: True})
+    assert main(["cases", "--problem", prob]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"bsym: parse error: {prob}: key {key!r} must be text or a number, not a boolean\n"
 
 
 # --- pair ------------------------------------------------------------------------
@@ -553,19 +564,19 @@ def test_identities_failure_is_exit_4():
     assert res.returncode == 4
 
 
-def test_seed_env_var_changes_parity_sampling(tmp_path):
+def test_cases_do_not_depend_on_bsym_seed(tmp_path):
     import os
 
-    # under a different seed the sampler may land on the bump; all we pin is
-    # that the override is honored end to end (exit code flips from 0 to 3
-    # if the bump is detected and T2i stops applying, or stays 4)
+    # parity takes no seed: the sampler's points are fixed, so BSYM_SEED
+    # in the environment changes no catalog answer
     prob = write_problem(
         tmp_path / "p.json", {"a": "cos(t)", "b": SPIKED_B, "n": "2", "d": "1"}
     )
-    env = {**os.environ, "BSYM_SEED": "7"}
-    res = run_cli("verify", "--problem", prob, "--case", "T2i",
-                  "--report", str(tmp_path / "r.json"), env=env)
-    assert res.returncode in (3, 4)
+    plain = run_cli("cases", "--problem", prob)
+    seeded = run_cli("cases", "--problem", prob, env={**os.environ, "BSYM_SEED": "2"})
+    assert plain.returncode == seeded.returncode == 0
+    assert [line.split()[0] for line in plain.stdout.splitlines()] == ["T2i", "T2iv", "T3i"]
+    assert seeded.stdout == plain.stdout
 
 
 # --- option values that start with '-' ------------------------------------------

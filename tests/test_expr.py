@@ -275,18 +275,6 @@ def test_exp_of_degenerate_odd_argument_falls_back_to_sampling():
     assert detect_parity(e) is Parity.EVEN
 
 
-def test_seed_override_changes_sample_stream(monkeypatch):
-    # the env override must be honored; classification of honest functions
-    # is seed-independent
-    monkeypatch.setenv("BSYM_SEED", "12345")
-    assert detect_parity(parse_expr("sin(2*t)")) is Parity.ODD
-    from bsym.expr import _resolve_seed
-
-    assert _resolve_seed(None) == 12345
-    monkeypatch.delenv("BSYM_SEED")
-    assert _resolve_seed(None) == 424243
-
-
 def test_parity_soundness_on_fresh_samples():
     # whenever Even (resp. Odd) is reported, the defining residual stays small
     # at 1000 fresh points
