@@ -44,12 +44,9 @@ from .expr import (
     format_expr,
     parse_expr,
 )
-from .oracle import OracleConfig, Trajectory, rk_solve, solve_on_grid
-from .quad import (
-    Identity,
-    QuadConfig,
-    identity_residuals,
-)
+from .oracle import Trajectory, rk_solve, solve_on_grid
+from .quad import Identity, identity_residuals
+from .stepper import StepControl
 from .symmetry import (
     CATALOG,
     CASE_BY_ID,
@@ -78,14 +75,13 @@ __all__ = [
     "ExprSyntaxError",
     "Identity",
     "NoConvergence",
-    "OracleConfig",
     "OutsideValidity",
     "Parity",
     "ParityViolation",
     "ProblemSpec",
-    "QuadConfig",
     "RationalExponent",
     "Relation",
+    "StepControl",
     "StepFailure",
     "SymmetryCase",
     "Trajectory",

@@ -21,6 +21,10 @@ n - 1 = 0 there makes B plain int_0^t b.
 The validity interval around t = 0 is bounded by zeros of G: with a
 negative root exponent the solution blows up there (asymptote); with a
 positive one the root loses the positivity the branch requires.
+
+A and B come from paths integrated at the quadrature's one fixed step
+control, `quad.QUAD_CONTROL`; its tolerances are also the error scale at
+which the validity search counts a tangent touch of G = 0.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .exponent import (
     parse_exponent,
     signed_pow,
 )
-from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, ab_values, nested_path
+from .quad import QUAD_CONTROL, ab_values, nested_path
 from .stepper import PathView
 
 __all__ = [
@@ -58,7 +62,7 @@ class ProblemSpec:
     """One Bernoulli IVP: y' = a(t)*y + b(t)*y^n, y(0) = d.
 
     _searched holds the (A, B) paths of (a, b, n-1) from the problem's
-    latest validity search, keyed by (QuadConfig, side of 0), for
+    latest validity search, keyed by side of 0 (1.0 or -1.0), for
     `solution_values` to answer grids from: an integrated path or a
     `stepper.PathView` of one (see `validity_intervals`).
     """
@@ -79,7 +83,12 @@ class ProblemSpec:
 
 
 def problem(a: str, b: str, n: Union[str, int], d: float) -> ProblemSpec:
-    """Convenience constructor from source texts."""
+    """Convenience constructor from source texts.
+
+    TypeError for a boolean n or d, which would otherwise read as 1 or 0.
+    """
+    if isinstance(d, bool):
+        raise TypeError("initial value d must be a number, not a boolean")
     return ProblemSpec(parse_expr(a), parse_expr(b), parse_exponent(n), float(d))
 
 
@@ -137,14 +146,12 @@ def _g0(p: ProblemSpec) -> float:
         raise DomainError(f"initial value d={p.d!r} is too small: d^(1-n) overflows") from None
 
 
-def solution_values(
-    p: ProblemSpec, ts: Sequence[float], cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> list[float]:
+def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     """Closed-form y at every t, sharing one quadrature per direction.
 
     (A, B) come from `ab_values`: a side of 0 that p's latest validity
-    search path for cfg reaches is answered from that path, to the
-    quadrature tolerance of a fresh one; otherwise a fresh path is
+    search path reaches is answered from that path, which was integrated
+    at the same `QUAD_CONTROL` as a fresh one; otherwise a fresh path is
     integrated.  The exponent class is decided once per call: the
     per-point loop raises G to the root exponent with `math.pow` and the
     sign rule of `signed_pow`, which it calls only at G = 0 and where
@@ -155,7 +162,7 @@ def solution_values(
     exponent.
     """
     m = _mult(p.n)  # 0 for n = 1, where B is plain int_0^t b
-    values = zip(ab_values(p.a, p.b, m, ts, cfg, p._searched), ts)
+    values = zip(ab_values(p.a, p.b, m, ts, p._searched), ts)
     exp = math.exp
     out = []
     if p.n.cls is ExponentClass.ONE:
@@ -203,18 +210,12 @@ def solution_values(
     return out
 
 
-def eval_solution(
-    p: ProblemSpec, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> float:
+def eval_solution(p: ProblemSpec, t: float) -> float:
     """Closed-form y(t); equals d at t = 0 up to rounding."""
-    return solution_values(p, [t], cfg)[0]
+    return solution_values(p, [t])[0]
 
 
-def validity_intervals(
-    problems: Sequence[ProblemSpec],
-    search_radius: float,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> list[Validity]:
+def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) -> list[Validity]:
     """The first zero of G on each side of 0 within search_radius, per problem.
 
     G = g0 - (n-1)*B vanishes where B reaches g0/(n-1), which
@@ -267,7 +268,7 @@ def validity_intervals(
                 r, sa, sb = -1.0, -ea * sa, -eb * sb
         if source is None:
             source = integrated[a0, b0, m0, direction] = nested_path(
-                a0, b0, m0, direction * search_radius, cfg
+                a0, b0, m0, direction * search_radius
             )
         return source if r == sa == sb == 1.0 else PathView(source, r, (sa, sb))
 
@@ -278,7 +279,9 @@ def validity_intervals(
         if isinstance(path, PathView):
             path, r, level = path.source, path.r, path.signs[1] * level
         if (id(path), level) not in crossings:
-            crossings[id(path), level] = path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol)
+            crossings[id(path), level] = path.first_crossing(
+                1, level, QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol
+            )
         found = crossings[id(path), level]
         return None if found is None else r * found
 
@@ -310,7 +313,7 @@ def validity_intervals(
             key = (p.a, p.b, m, direction)
             if key not in paths:
                 paths[key] = search_path(a0, b0, m0, direction, sa, sb, parities)
-            path = p._searched[cfg, direction] = paths[key]
+            path = p._searched[direction] = paths[key]
             found = first_zero(path, level)
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
             ends.append(limit if found is None else (found, zero_kind))
@@ -319,8 +322,6 @@ def validity_intervals(
     return out
 
 
-def validity_interval(
-    p: ProblemSpec, search_radius: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> Validity:
+def validity_interval(p: ProblemSpec, search_radius: float) -> Validity:
     """p's validity interval: `validity_intervals` of p alone."""
-    return validity_intervals([p], search_radius, cfg)[0]
+    return validity_intervals([p], search_radius)[0]

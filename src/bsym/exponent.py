@@ -76,11 +76,12 @@ def classify_exponent(p: int, q: int) -> RationalExponent:
 def parse_exponent(text: Union[str, int, float]) -> RationalExponent:
     """Parse "p/q" or integer text, or an integral number.
 
-    ValueError on other text or numbers, TypeError on any other type.
+    ValueError on other text or numbers, TypeError on any other type,
+    booleans included.
     """
     if isinstance(text, RationalExponent):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return classify_exponent(text, 1)
     if isinstance(text, float):
         if not text.is_integer():

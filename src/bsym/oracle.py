@@ -1,8 +1,7 @@
 """Direct numerical integration of the Bernoulli ODE for cross-validation.
 
 This is the independent route: it never touches the closed-form code path.
-It drives its own instance of the shared adaptive 5(4) stepper, with its
-own (looser) tolerances, over the scalar equation
+It drives the shared adaptive 5(4) stepper over the scalar equation
 
     y' = a(t) * y + b(t) * y^n
 
@@ -15,6 +14,11 @@ coefficient-by-coefficient closure with `signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.
+
+Every solve runs at `ORACLE_CONTROL` (relative tolerance 1e-10, absolute
+1e-11, looser than the quadrature's 1e-12) unless the caller passes
+another `StepControl`.  A run stops with a blow-up marker once |y| exceeds
+the fixed `_BLOWUP_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -37,37 +41,18 @@ from .stepper import (
 )
 
 __all__ = [
-    "OracleConfig",
-    "DEFAULT_ORACLE_CONFIG",
+    "ORACLE_CONTROL",
     "Trajectory",
     "rk_solve",
     "solve_on_grid",
 ]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-10
-    max_steps: int = 1_000_000
-    blowup_threshold: float = 1e12
+ORACLE_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-11)
 
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-
-    def control(self) -> StepControl:
-        return StepControl(
-            rel_tol=self.rel_tol, abs_tol=self.abs_tol, max_steps=self.max_steps
-        )
-
-
-DEFAULT_ORACLE_CONFIG = OracleConfig()
-
-# step-size collapse this far up the magnitude scale counts as blow-up,
-# not failure
+# |y| past the threshold ends a run as blow-up; so does a step-size
+# collapse with |y| past the fraction of it, rather than failure
+_BLOWUP_THRESHOLD = 1e12
 _BLOWUP_UNDERFLOW_FRACTION = 1e-3
 
 
@@ -127,34 +112,31 @@ return (f0 * x + f1 * xn,)""",
 }
 
 
-def rk_solve(
-    p: ProblemSpec, t_end: float, cfg: OracleConfig = DEFAULT_ORACLE_CONFIG
-) -> Trajectory:
+def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) -> Trajectory:
     """Integrate the IVP from (0, d) toward t_end (either direction).
 
-    Stops early with a blow-up marker once |y| exceeds the configured
-    threshold (or the step size collapses while |y| is already huge); the
+    Stops early with a blow-up marker once |y| exceeds `_BLOWUP_THRESHOLD`
+    (or the step size collapses while |y| is already huge); the
     trajectory then ends at the last accepted step.  Raises StepFailure when
-    the step size underflows at moderate |y| or y^n overflows, and
-    DomainError when y leaves the legal domain of y^n (e.g. y < 0 with an
-    even root denominator).
+    the step size underflows at moderate |y|, ctl's step budget runs out or
+    y^n overflows, and DomainError when y leaves the legal domain of y^n
+    (e.g. y < 0 with an even root denominator).
     """
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite")
     n = p.n
-    threshold = cfg.blowup_threshold
     rhs = checked_factory(_RHS[n.cls], p.a, p.b)(n, n.p / n.q, math.pow, signed_pow)
 
     def stop(t, y):
-        return abs(y[0]) > threshold
+        return abs(y[0]) > _BLOWUP_THRESHOLD
 
     blew_up = False
     try:
-        path = integrate(rhs, (p.d,), t_end, cfg.control(), stop=stop)
+        path = integrate(rhs, (p.d,), t_end, ctl, stop=stop)
         blew_up = path.stopped
     except StepUnderflow as exc:
         path = exc.path
-        if abs(path.y_end[0]) > _BLOWUP_UNDERFLOW_FRACTION * threshold:
+        if abs(path.y_end[0]) > _BLOWUP_UNDERFLOW_FRACTION * _BLOWUP_THRESHOLD:
             blew_up = True
         else:
             raise StepFailure(str(exc)) from None
@@ -167,13 +149,13 @@ def rk_solve(
 
 
 def solve_on_grid(
-    p: ProblemSpec, ts: Sequence[float], cfg: OracleConfig = DEFAULT_ORACLE_CONFIG
+    p: ProblemSpec, ts: Sequence[float], ctl: StepControl = ORACLE_CONTROL
 ) -> list[float]:
     """Oracle y at every t, sharing one solve per side of 0; StepFailure if
     the solution blows up before the farthest point of a side."""
 
     def solve(t_end: float) -> DensePath:
-        traj = rk_solve(p, t_end, cfg)
+        traj = rk_solve(p, t_end, ctl)
         if traj.blew_up:
             raise StepFailure(
                 f"oracle blew up at t={traj.t_last!r} before reaching {t_end!r}"

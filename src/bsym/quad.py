@@ -6,7 +6,10 @@ Everything here reduces to the accumulator pair
     B(t) = int_0^t b(s) * exp(m * A(s)) ds
 
 driven as the coupled system (A' = a, B' = b*exp(m*A), A(0) = B(0) = 0)
-through the shared adaptive stepper, so B never re-integrates A.  The
+through the shared adaptive stepper, so B never re-integrates A.  Every
+path runs at the one fixed `QUAD_CONTROL`: relative tolerance 1e-10,
+absolute tolerance 1e-12 and a smallest step of 2**-40 of the span, below
+which the integration reports NoConvergence.  The
 right-hand side (a, b*exp(m*A)) is one function generated by
 `expr.checked_factory` per (a, b) and bound to m per path.  A failing or
 non-finite coefficient raises EvalError, and so does an overflowing
@@ -36,7 +39,6 @@ exponent class consumes it, so there is exactly one tag for it.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
@@ -54,8 +56,7 @@ from .stepper import (
 )
 
 __all__ = [
-    "QuadConfig",
-    "DEFAULT_QUAD_CONFIG",
+    "QUAD_CONTROL",
     "Identity",
     "ab_values",
     "nested_path",
@@ -63,51 +64,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances for the quadrature stepper.
-
-    max_depth bounds step halving: the minimum step is span * 2**-max_depth,
-    below which the integration reports NoConvergence.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_depth: int = 40
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-    def control(self) -> StepControl:
-        return StepControl(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            min_step_fraction=2.0 ** -self.max_depth,
-        )
-
-
-DEFAULT_QUAD_CONFIG = QuadConfig()
-
-
-def _run(rhs, y0, t: float, cfg: QuadConfig) -> DensePath:
-    try:
-        return integrate(rhs, y0, t, cfg.control())
-    except (StepUnderflow, StepBudgetExceeded) as exc:
-        raise NoConvergence(str(exc)) from None
-    except OverflowError as exc:
-        raise EvalError(f"integrand overflow: {exc}") from None
+QUAD_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-12)
 
 
 # the accumulator right-hand side (A', B')
 _AB = CheckedForm("t, y", "return (f0, f1 * exp(mult * y[0]))", "mult")
 
 
-def nested_path(a: Expr, b: Expr, mult: float, t: float, cfg: QuadConfig) -> DensePath:
+def nested_path(a: Expr, b: Expr, mult: float, t: float) -> DensePath:
     """Dense (A, B) path over [0, t] with B' = b * exp(mult * A)."""
-    return _run(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, cfg)
+    try:
+        return integrate(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, QUAD_CONTROL)
+    except (StepUnderflow, StepBudgetExceeded) as exc:
+        raise NoConvergence(str(exc)) from None
+    except OverflowError as exc:
+        raise EvalError(f"integrand overflow: {exc}") from None
 
 
 def ab_values(
@@ -115,25 +86,25 @@ def ab_values(
     b: Expr,
     mult: float,
     ts: Sequence[float],
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    searched: Optional[Mapping[tuple[QuadConfig, float], Union[DensePath, PathView]]] = None,
+    searched: Optional[Mapping[float, Union[DensePath, PathView]]] = None,
 ) -> list[tuple[float, float]]:
     """(A(t), B(t)) pairs for every t, sharing one solve per side of 0.
 
-    `searched` maps (cfg, side of 0) to paths from 0 of (a, b, mult),
-    integrated or `PathView`s, such as a problem's validity-search paths.
-    A side is answered from searched[(cfg, side)] if that path reaches the
-    side's farthest t; otherwise one fresh path of (a, b, mult) is
-    integrated to that t.  Either way the values agree with a fresh path to
-    the quadrature tolerance.
+    `searched` maps a side of 0 (1.0 or -1.0) to a path from 0 of
+    (a, b, mult), integrated or a `PathView`, such as a problem's
+    validity-search paths.  A side is answered from searched[side] if that
+    path reaches the side's farthest t; otherwise one fresh path of
+    (a, b, mult) is integrated to that t.  Every path runs at
+    `QUAD_CONTROL`, so either way the values agree with a fresh path to the
+    quadrature tolerance.
     """
     searched = searched or {}
 
     def solve(x: float) -> Union[DensePath, PathView]:
-        path = searched.get((cfg, 1.0 if x >= 0.0 else -1.0))
+        path = searched.get(1.0 if x >= 0.0 else -1.0)
         if path is not None and abs(x) <= abs(path.t_reached):
             return path
-        return nested_path(a, b, mult, x, cfg)
+        return nested_path(a, b, mult, x)
 
     return grid_values(solve, ts)
 
@@ -172,7 +143,6 @@ def identity_residuals(
     b: Expr,
     n: RationalExponent,
     ts: Sequence[float],
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> list[float]:
     """|LHS - RHS| of the chosen identity at each t, sharing quadratures.
 
@@ -196,11 +166,11 @@ def identity_residuals(
     # LHS(t) = int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t)
     mirrored = [-t for t in ts]
     if sign_r == sigma:  # Eq7: both sides read one (a, b, m) path per side of 0
-        pairs = ab_values(a, b, sigma * m, mirrored + list(ts), cfg)
+        pairs = ab_values(a, b, sigma * m, mirrored + list(ts))
         left, right = pairs[:len(ts)], pairs[len(ts):]
     else:
-        left = ab_values(a, b, sigma * m, mirrored, cfg)
-        right = ab_values(a, b, sign_r * m, list(ts), cfg)
+        left = ab_values(a, b, sigma * m, mirrored)
+        right = ab_values(a, b, sign_r * m, list(ts))
     return [
         abs(-bl[1] - rhs_sign * br[1]) for bl, br in zip(left, right)
     ]

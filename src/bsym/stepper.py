@@ -2,7 +2,7 @@
 
 Shared integration core: the quadrature module drives it over the
 integral-accumulator system, the direct-ODE oracle drives it over the
-scalar Bernoulli equation.  Each caller owns its instance and tolerances.
+scalar Bernoulli equation.  Each caller passes its own `StepControl`.
 
 States are plain tuples of floats (dimension 1 or 2 here), which beats
 array machinery at these sizes.  Negative spans are integrated by stepping
@@ -74,10 +74,26 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 @dataclass(frozen=True)
 class StepControl:
+    """Tolerances and limits of one adaptive integration.
+
+    A step is accepted when its error, scaled per component by
+    abs_tol + rel_tol * |y|, has an RMS norm of at most 1.  More than
+    max_steps step attempts raise StepBudgetExceeded, and a step below
+    min_step_fraction of the requested span raises StepUnderflow.
+    """
+
     rel_tol: float
     abs_tol: float
     max_steps: int = 1_000_000
     min_step_fraction: float = 2.0**-40  # of the requested span
+
+    def __post_init__(self):
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
+            raise ValueError("tolerances must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        if not 0.0 < self.min_step_fraction < 1.0:
+            raise ValueError("min_step_fraction must lie strictly between 0 and 1")
 
 
 class StepUnderflow(Exception):

@@ -30,8 +30,7 @@ from .closedform import ProblemSpec, Validity, solution_values, validity_interva
 from .errors import CaseNotApplicable, EmptyDomain
 from .expr import Parity, detect_parity, negated
 from .exponent import ExponentClass
-from .oracle import DEFAULT_ORACLE_CONFIG, OracleConfig, solve_on_grid
-from .quad import DEFAULT_QUAD_CONFIG, QuadConfig
+from .oracle import solve_on_grid
 
 __all__ = [
     "Relation",
@@ -188,12 +187,8 @@ class VerificationReport:
         return "pass" if self.passed else "fail"
 
 
-def _evaluate(p, ts, method, quad_cfg, oracle_cfg):
-    if method == "closed":
-        return solution_values(p, ts, quad_cfg)
-    if method == "oracle":
-        return solve_on_grid(p, ts, oracle_cfg)
-    raise ValueError(f"unknown method {method!r} (expected 'closed' or 'oracle')")
+def _evaluate(p, ts, method):
+    return solution_values(p, ts) if method == "closed" else solve_on_grid(p, ts)
 
 
 def verify_pair(
@@ -203,10 +198,7 @@ def verify_pair(
     tol: float = 1e-6,
     method: str = "oracle",
     *,
-    search_radius: float = DEFAULT_SEARCH_RADIUS,
     force: bool = False,
-    quad_cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    oracle_cfg: OracleConfig = DEFAULT_ORACLE_CONFIG,
 ) -> VerificationReport:
     """Check the case's predicted relation between p1 and its partner.
 
@@ -216,17 +208,7 @@ def verify_pair(
     |y2(r t) - s * y1(t)| is reported.  Pass iff
     max residual <= tol * (1 + max |y1|).
     """
-    return verify_cases(
-        p1,
-        [case],
-        grid_points,
-        tol,
-        method,
-        search_radius=search_radius,
-        force=force,
-        quad_cfg=quad_cfg,
-        oracle_cfg=oracle_cfg,
-    )[0]
+    return verify_cases(p1, [case], grid_points, tol, method, force=force)[0]
 
 
 def verify_cases(
@@ -236,16 +218,14 @@ def verify_cases(
     tol: float = 1e-6,
     method: str = "oracle",
     *,
-    search_radius: float = DEFAULT_SEARCH_RADIUS,
     force: bool = False,
-    quad_cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    oracle_cfg: OracleConfig = DEFAULT_ORACLE_CONFIG,
 ) -> list[VerificationReport]:
     """verify_pair for each case in order, integrating each distinct path once.
 
-    Every partner is built first, so an inapplicable case raises
-    CaseNotApplicable before any integration.  Then every case's common
-    interval and grid come from one `validity_intervals` call, which
+    An unknown method raises ValueError and an inapplicable case
+    CaseNotApplicable, both before any integration: every partner is built
+    first.  Then every case's common interval and grid come from one
+    `validity_intervals` call within DEFAULT_SEARCH_RADIUS, which
     integrates one (A, B) path per side for each distinct (a, b, n-1) and
     keeps them on p1 and the partners, and an EmptyDomain is raised for the
     first case without one.  p1 is evaluated once on all case grids joined
@@ -258,10 +238,12 @@ def verify_cases(
     cases = [resolve_case(case) for case in cases]
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
+    if method not in ("closed", "oracle"):
+        raise ValueError(f"unknown method {method!r} (expected 'closed' or 'oracle')")
     partners = [transform_problem(p1, case, force=force) for case in cases]
     if not cases:
         return []
-    v1, *v2s = validity_intervals([p1, *partners], search_radius, quad_cfg)
+    v1, *v2s = validity_intervals([p1, *partners], DEFAULT_SEARCH_RADIUS)
     commons, grids = [], []
     for case, v2 in zip(cases, v2s):
         # y2 is sampled at r * t: reflect its interval by r before intersecting
@@ -281,12 +263,12 @@ def verify_cases(
         commons.append(common)
         grids.append([glo + i * step for i in range(grid_points)])
 
-    y1_joined = _evaluate(p1, [t for grid in grids for t in grid], method, quad_cfg, oracle_cfg)
+    y1_joined = _evaluate(p1, [t for grid in grids for t in grid], method)
     reports = []
     for i, (case, p2, common, grid) in enumerate(zip(cases, partners, commons, grids)):
         y1 = y1_joined[i * grid_points:(i + 1) * grid_points]
         r, s = case.relation.r, case.relation.s
-        y2 = _evaluate(p2, [r * t for t in grid], method, quad_cfg, oracle_cfg)
+        y2 = _evaluate(p2, [r * t for t in grid], method)
         residuals = tuple(abs(v2_ - s * v1_) for v1_, v2_ in zip(y1, y2))
         max_residual = max(residuals)
         y_scale = max(abs(v) for v in y1)

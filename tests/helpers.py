@@ -29,7 +29,6 @@ from bsym import (
     quad,
 )
 from bsym.expr import Expr, Neg, checked_factory
-from bsym.quad import DEFAULT_QUAD_CONFIG
 from bsym.stepper import StepUnderflow, integrate
 
 
@@ -142,13 +141,13 @@ def random_problem(rng: random.Random) -> ProblemSpec:
 
 # --- paths of the coefficients' own trees ------------------------------------------
 
-def own_path(a, b, mult: float, t_end: float, cfg=DEFAULT_QUAD_CONFIG):
+def own_path(a, b, mult: float, t_end: float):
     """The (A, B) path from 0 to t_end integrated over the trees a and b
     themselves, with no sign taken out of either; its failures are raised
     as `quad.nested_path` reports them."""
     rhs = checked_factory(quad._AB, a, b)(mult)
     try:
-        return integrate(rhs, (0.0, 0.0), t_end, cfg.control())
+        return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL)
     except StepUnderflow as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:  # exp(mult * A)

@@ -8,6 +8,7 @@ y^n from `signed_pow`.
 """
 
 import cProfile
+import dataclasses
 import math
 import pstats
 import random
@@ -18,7 +19,6 @@ from bsym import (
     BsymError,
     DomainError,
     EvalError,
-    OracleConfig,
     StepFailure,
     expr,
     oracle,
@@ -30,7 +30,8 @@ from bsym import (
 )
 from bsym.exponent import ExponentClass, signed_pow
 from bsym.expr import FUNCTIONS, _codegen, as_callable
-from bsym.quad import DEFAULT_QUAD_CONFIG, nested_path
+from bsym.oracle import ORACLE_CONTROL
+from bsym.quad import nested_path
 
 from helpers import random_source
 
@@ -116,7 +117,7 @@ AB_PAIRS = [
 def test_nested_path_is_bit_identical_to_the_closures(monkeypatch, a, b, mult, t_end):
     a, b = parse_expr(a), parse_expr(b)
     got, expected = both(
-        monkeypatch, quad, lambda: nested_path(a, b, mult, t_end, DEFAULT_QUAD_CONFIG)
+        monkeypatch, quad, lambda: nested_path(a, b, mult, t_end)
     )
     assert got == expected
 
@@ -136,7 +137,7 @@ ORACLE_PROBLEMS = [
     ("sin(t)", "-cos(t)", -0.7),
 ]
 # a small step budget keeps the straddling runs short
-ORACLE_CFG = OracleConfig(max_steps=3000)
+ORACLE_CTL = dataclasses.replace(ORACLE_CONTROL, max_steps=3000)
 
 
 @pytest.mark.parametrize("n,a,b,d", [
@@ -146,7 +147,7 @@ ORACLE_CFG = OracleConfig(max_steps=3000)
 @pytest.mark.parametrize("t_end", [2.5, -2.5])
 def test_oracle_is_bit_identical_to_the_closures(monkeypatch, n, a, b, d, t_end):
     p = problem(a, b, n, d)
-    got, expected = both(monkeypatch, oracle, lambda: rk_solve(p, t_end, ORACLE_CFG))
+    got, expected = both(monkeypatch, oracle, lambda: rk_solve(p, t_end, ORACLE_CTL))
     assert got == expected
 
 
@@ -166,7 +167,7 @@ def test_the_oracle_problems_reach_both_signs_of_y(monkeypatch):
 
     monkeypatch.setattr(oracle, "integrate", recording)
     with pytest.raises(StepFailure, match="step budget exhausted"):
-        rk_solve(problem("0.3", "-1", "1/3", 0.5), 2.5, ORACLE_CFG)
+        rk_solve(problem("0.3", "-1", "1/3", 0.5), 2.5, ORACLE_CTL)
     assert min(seen) < 0.0 < max(seen)
     with pytest.raises(DomainError, match=r"^even root \(1/2\) of negative base -"):
         rk_solve(problem("0.3", "-1", "1/2", 0.5), 2.5)
@@ -215,7 +216,7 @@ def _errors(a, b):
     first evaluated at t = 0."""
     pa, pb = parse_expr(a), parse_expr(b)
     runs = {
-        "nested_path": lambda: nested_path(pa, pb, 1.0, 1.0, DEFAULT_QUAD_CONFIG),
+        "nested_path": lambda: nested_path(pa, pb, 1.0, 1.0),
         "rk_solve": lambda: rk_solve(problem(a, b, 2, 1.0), 1.0),
         "rk_solve n=1": lambda: rk_solve(problem(a, b, 1, 1.0), 1.0),
     }
@@ -272,7 +273,7 @@ def test_as_callable_errors_keep_their_texts(src, t, text):
 def test_integrand_overflow_stays_an_integrand_error():
     # A = 1000 t: exp(A) overflows past t = 0.7098 while a and b stay finite
     with pytest.raises(EvalError) as info:
-        nested_path(parse_expr("1000"), parse_expr("1"), 1.0, 1.0, DEFAULT_QUAD_CONFIG)
+        nested_path(parse_expr("1000"), parse_expr("1"), 1.0, 1.0)
     assert str(info.value) == "integrand overflow: math range error"
 
 
@@ -305,11 +306,11 @@ _JUMP = f"(1{'0' * 300}*t)*(1{'0' * 300}*t)"  # 0 at t = 0, infinite past 1e-146
 
 @pytest.mark.parametrize("module,run", [
     # the first stage after t = 0 is at 0.2 * h = 0.2 / 64
-    (quad, lambda: nested_path(parse_expr(_JUMP), parse_expr("1"), 1.0, 1.0, DEFAULT_QUAD_CONFIG)),
+    (quad, lambda: nested_path(parse_expr(_JUMP), parse_expr("1"), 1.0, 1.0)),
     (oracle, lambda: rk_solve(problem("1", _JUMP, 2, 1.0), 1.0)),
     # multiplier 0: exp(mult * A) cannot overflow before b turns infinite
     (quad, lambda: nested_path(
-        parse_expr("1"), parse_expr("cosh(700*t)*cosh(700*t)"), 0.0, -1.0, DEFAULT_QUAD_CONFIG)),
+        parse_expr("1"), parse_expr("cosh(700*t)*cosh(700*t)"), 0.0, -1.0)),
     # y^n underflows to 0, so y stays put until b turns infinite
     (oracle, lambda: rk_solve(problem("0", "exp(700*t)*exp(700*t)", 2, 1e-300), 1.0)),
     (oracle, lambda: rk_solve(problem("0", "cosh(700*t)*cosh(700*t)", 3, 1e-300), -1.0)),
@@ -361,7 +362,7 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
     compiled.clear()
     for mult in (2.0, -2.0, 0.0):
-        nested_path(a, b, mult, 1.0, DEFAULT_QUAD_CONFIG)
+        nested_path(a, b, mult, 1.0)
     assert len(compiled) == 1
     # every exponent class has its own form, and n = 2 and n = 4/3 share one
     compiled.clear()

@@ -11,7 +11,6 @@ from bsym import (
     EvalError,
     NoConvergence,
     OutsideValidity,
-    QuadConfig,
     eval_solution,
     problem,
     signed_pow,
@@ -22,7 +21,7 @@ from bsym import (
 )
 from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
-from bsym.quad import DEFAULT_QUAD_CONFIG, ab_values
+from bsym.quad import QUAD_CONTROL, ab_values
 from bsym.exponent import ExponentClass, classify_exponent
 from bsym.expr import negated
 from bsym.stepper import DensePath, PathView, grid_values
@@ -146,6 +145,14 @@ def test_problem_invariants():
         problem("0", "1", "1/2", -1.0)
     with pytest.raises(DomainError):
         problem("0", "1", 2, math.inf)
+
+
+@pytest.mark.parametrize("n,d", [(True, 1.0), (2, True), (True, True), (2, False)])
+def test_problem_rejects_a_boolean_exponent_or_initial_value(n, d):
+    # True would otherwise read as n = 1 or d = 1.0, and (True, True) as a
+    # unit-exponent problem to which T3iii applies
+    with pytest.raises(TypeError):
+        problem("0", "1", n, d)
 
 
 def test_initial_condition_on_random_problems():
@@ -392,24 +399,20 @@ def test_ab_values_reuses_a_searched_path_only_on_a_full_key_match(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 4.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    # p's own grid, same cfg: both sides come from p's searched paths
+    # p's own grid: both sides come from p's searched paths
     solution_values(p, [-3.0, -0.5, 0.0, 0.5, 3.0])
     assert calls == []
-    # another problem, even one equal to p, or another cfg integrates a fresh
-    # path: a, b, n-1 and cfg all match only on p's own paths with p's cfg
-    for q, cfg in (
-        (problem("cos(t)", "cos(t)", 2, 1.0), DEFAULT_QUAD_CONFIG),
-        (problem("sin(t)", "sin(t)", 2, 1.0), DEFAULT_QUAD_CONFIG),
-        (problem("sin(t)", "cos(t)", 3, 0.5), DEFAULT_QUAD_CONFIG),
-        (problem("sin(t)", "cos(t)", 2, 1.0), DEFAULT_QUAD_CONFIG),
-        (p, QuadConfig(rel_tol=1e-9)),
+    # another problem, even one equal to p, integrates a fresh path: a, b
+    # and n-1 all match only on p's own paths
+    for q in (
+        problem("cos(t)", "cos(t)", 2, 1.0),
+        problem("sin(t)", "sin(t)", 2, 1.0),
+        problem("sin(t)", "cos(t)", 3, 0.5),
+        problem("sin(t)", "cos(t)", 2, 1.0),
     ):
         calls.clear()
-        solution_values(q, [0.5], cfg)
-        assert [call[3] for call in calls] == [0.5], (q, cfg)
-    calls.clear()
-    ab_values(p.a, p.b, 1.0, [0.5], QuadConfig(rel_tol=1e-9), p._searched)
-    assert [call[3] for call in calls] == [0.5]
+        solution_values(q, [0.5])
+        assert [call[3] for call in calls] == [0.5], q
 
 
 def test_ab_values_reuses_only_the_matching_side(monkeypatch):
@@ -418,11 +421,11 @@ def test_ab_values_reuses_only_the_matching_side(monkeypatch):
     p = problem("0", "1/(1 + t)", 2, 0.05)
     with pytest.raises(NoConvergence):
         validity_interval(p, 4.0)
-    assert [side for _, side in p._searched] == [1.0]
+    assert list(p._searched) == [1.0]
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     solution_values(p, [0.5])
     assert calls == []
-    got = ab_values(p.a, p.b, 1.0, [-0.5], DEFAULT_QUAD_CONFIG, p._searched)
+    got = ab_values(p.a, p.b, 1.0, [-0.5], p._searched)
     assert got[0][1] == pytest.approx(-math.log(2.0), rel=1e-9)
     assert [call[3] for call in calls] == [-0.5]
 
@@ -431,7 +434,7 @@ def test_ab_values_past_the_searched_path_integrates_afresh(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 1.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0], DEFAULT_QUAD_CONFIG, p._searched)
+    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0], p._searched)
     assert [call[3] for call in calls] == [2.0]  # the left side reuses its path
     monkeypatch.undo()
     fresh = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0])
@@ -455,7 +458,7 @@ def test_only_the_latest_search_paths_are_kept():
     validity_interval(p, 4.0)  # replaces the radius-8 paths
     kept = dict(p._searched)
     assert {key: path.t_reached for key, path in kept.items()} == {
-        (DEFAULT_QUAD_CONFIG, 1.0): 4.0, (DEFAULT_QUAD_CONFIG, -1.0): -4.0
+        1.0: 4.0, -1.0: -4.0
     }
     # another problem's search, shared paths included, leaves p's alone
     q, r = problem("sin(t)", "cos(t)", 2, -1.0), problem("cos(t)", "1", 3, 1.0)
@@ -508,7 +511,7 @@ def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
         ts = [lo + k * (hi - lo) / 400 for k in range(401)] + [0.0]
         m = (p.n.p - p.n.q) / p.n.q
         calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-        got = ab_values(p.a, p.b, m, ts, DEFAULT_QUAD_CONFIG, p._searched)
+        got = ab_values(p.a, p.b, m, ts, p._searched)
         monkeypatch.undo()
         reused += not calls
         fresh = ab_values(p.a, p.b, m, ts)
@@ -584,7 +587,7 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
         for k, bval in enumerate(bvals):
             pairs = [(0.0, 0.0), (0.1, 0.2), (aval, bval), (-0.3, 0.1)]
             ts = [0.0, 0.5, 1.0 + k, -0.5]
-            monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg, searched: pairs)
+            monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, searched: pairs)
             got = outcome(lambda: solution_values(p, ts))
             assert got == outcome(lambda: reference_solution_values(p, pairs, ts)), (aval, bval)
             if p.n.cls is not ExponentClass.ONE:
@@ -595,7 +598,7 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
 
 def test_solution_loop_error_texts(monkeypatch):
     def at(n, d, pair):
-        monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, cfg, searched: [pair])
+        monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, searched: [pair])
         with pytest.raises(BsymError) as info:
             solution_values(problem("0", "1", n, d), [0.25])
         return type(info.value), str(info.value)
@@ -617,7 +620,7 @@ def test_solution_at_a_zero_radicand(monkeypatch, n, y):
     # exponent; an even root requires G > 0
     p = problem("0", "1", n, 1.0)
     m = (p.n.p - p.n.q) / p.n.q
-    monkeypatch.setattr(closedform, "ab_values", lambda a, b, mult, ts, cfg, searched: [(0.0, 1.0 / m)])
+    monkeypatch.setattr(closedform, "ab_values", lambda a, b, mult, ts, searched: [(0.0, 1.0 / m)])
     assert 1.0 - m * (1.0 / m) == 0.0
     if y is None:
         with pytest.raises(OutsideValidity, match="requires positivity"):
@@ -629,13 +632,13 @@ def test_solution_at_a_zero_radicand(monkeypatch, n, y):
 
 # --- paths shared up to the signs of a and b, against each problem's own ------
 
-def reference_search(p, radius: float = 4.0, cfg: QuadConfig = DEFAULT_QUAD_CONFIG):
+def reference_search(p, radius: float = 4.0):
     """p's validity ends as [hi, lo], None where no zero lies within
     radius, and its two paths keyed by side of 0: nothing shared."""
     m = (p.n.p - p.n.q) / p.n.q
     level = signed_pow(p.d, classify_exponent(p.n.q - p.n.p, p.n.q)) / m
-    paths = {direction: own_path(p.a, p.b, m, direction * radius, cfg) for direction in (1.0, -1.0)}
-    ends = [path.first_crossing(1, level, cfg.abs_tol, cfg.rel_tol) for path in paths.values()]
+    paths = {direction: own_path(p.a, p.b, m, direction * radius) for direction in (1.0, -1.0)}
+    ends = [path.first_crossing(1, level, QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol) for path in paths.values()]
     return ends, paths
 
 

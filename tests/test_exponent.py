@@ -63,6 +63,13 @@ def test_parse_exponent_forms():
             parse_exponent(other)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_parse_exponent_rejects_a_boolean(flag):
+    # bool is an int subclass; True would otherwise read as n = 1
+    with pytest.raises(TypeError, match="not bool"):
+        parse_exponent(flag)
+
+
 # --- signed_pow ----------------------------------------------------------------
 
 def test_signed_pow_examples():

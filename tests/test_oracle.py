@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from bsym import (
     DomainError,
-    OracleConfig,
     StepFailure,
     problem,
     rk_solve,
@@ -12,6 +12,7 @@ from bsym import (
     transform_problem,
     validity_interval,
 )
+from bsym.oracle import ORACLE_CONTROL
 
 
 def test_exponential_growth():
@@ -75,8 +76,8 @@ def test_convergence_with_tolerance():
     p = problem("0", "1", 2, 1.0)
     errors = []
     for scale in (1.0, 1.0 / 16.0, 1.0 / 256.0):
-        cfg = OracleConfig(rel_tol=1e-6 * scale, abs_tol=1e-7 * scale)
-        errors.append(abs(rk_solve(p, 0.9, cfg)(0.9) - 10.0))
+        ctl = dataclasses.replace(ORACLE_CONTROL, rel_tol=1e-6 * scale, abs_tol=1e-7 * scale)
+        errors.append(abs(rk_solve(p, 0.9, ctl)(0.9) - 10.0))
     assert errors[0] / errors[1] >= 4.0
     assert errors[1] / errors[2] >= 4.0
     assert errors[2] <= 1e-8
@@ -121,14 +122,9 @@ def test_right_hand_side_overflow_is_step_failure(t_end):
 
 def test_step_budget_exhaustion_is_step_failure():
     with pytest.raises(StepFailure):
-        rk_solve(problem("0", "1", 2, 1.0), 0.999999, OracleConfig(max_steps=10))
-
-
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        OracleConfig(max_steps=0)
+        rk_solve(
+            problem("0", "1", 2, 1.0), 0.999999, dataclasses.replace(ORACLE_CONTROL, max_steps=10)
+        )
 
 
 def test_subnormal_grid():

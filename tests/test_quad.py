@@ -10,7 +10,6 @@ from bsym import (
     EvalError,
     NoConvergence,
     ParityViolation,
-    QuadConfig,
     classify_exponent,
     identity_residuals,
     parse_expr,
@@ -20,7 +19,7 @@ from bsym import (
 from bsym.closedform import ProblemSpec
 from bsym.expr import BinOp, Const, Expr, Neg, negated
 from bsym.expr import structural_parity
-from bsym.quad import DEFAULT_QUAD_CONFIG, Identity, ab_values, nested_path
+from bsym.quad import QUAD_CONTROL, Identity, ab_values, nested_path
 from bsym.stepper import PathView, grid_values
 
 from helpers import (
@@ -41,10 +40,10 @@ N3 = classify_exponent(3, 1)
 B_COS_SIN_N3_T12 = 2.668211572897583
 
 
-def _integral_A(a, t: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> float:
+def _integral_A(a, t: float) -> float:
     """A(t) = int_0^t a(s) ds, the first component of `ab_values` at m = 0."""
     a = parse_expr(a) if isinstance(a, str) else a
-    return ab_values(a, parse_expr("0"), 0.0, [t], cfg)[0][0]
+    return ab_values(a, parse_expr("0"), 0.0, [t])[0][0]
 
 
 def test_integral_A_constant():
@@ -84,9 +83,8 @@ def test_integral_B_against_simpson_fixture():
 
 
 def test_no_convergence_near_pole():
-    cfg = QuadConfig(max_depth=12)
     with pytest.raises((NoConvergence, EvalError)):
-        _integral_A("1/(t - 1)", 2.0, cfg)
+        _integral_A("1/(t - 1)", 2.0)
 
 
 # --- identities ---------------------------------------------------------------
@@ -211,13 +209,6 @@ def test_ab_values_consistent_with_pointwise():
         assert bv == pytest.approx(ab_values(a, b, 1.0, [t])[0][1], abs=1e-9)
 
 
-def test_quad_config_validation():
-    with pytest.raises(ValueError):
-        QuadConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_depth=0)
-
-
 # --- signs of a and b ---------------------------------------------------------
 
 _COEFS = ["cos(t)", "t/3", "-(sin(t))", "--t", "0.5 + t", "-(t^2/9)", "1", "-(-(exp(t/2)))"]
@@ -262,8 +253,8 @@ def test_ab_values_of_negated_coefficients_negate_the_pair(a, b, m, ts, with_sea
     flipped, plain = ({}, {})
     if with_searched:
         flipped, plain = _searched(na, nb, m), _searched(a, b, -m)
-    got = ab_values(na, nb, m, ts, DEFAULT_QUAD_CONFIG, flipped)
-    signed_back = ab_values(a, b, -m, ts, DEFAULT_QUAD_CONFIG, plain)
+    got = ab_values(na, nb, m, ts, flipped)
+    signed_back = ab_values(a, b, -m, ts, plain)
     assert got == [(-aval, -bval) for aval, bval in signed_back]
     assert got == _own_pairs(na, nb, m, ts, flipped)
 
@@ -333,7 +324,7 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
 
     def path_or_failure(a, b, mult, t):
         try:
-            return nested_path(a, b, mult, t, DEFAULT_QUAD_CONFIG)
+            return nested_path(a, b, mult, t)
         except (EvalError, NoConvergence) as exc:
             return type(exc)
 
@@ -348,7 +339,7 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
     assert view.t_reached == direct.t_reached
     qs = [f * end for f in sorted(fractions)] + [end]
     assert view.values(qs) == direct.values(qs)
-    tols = (DEFAULT_QUAD_CONFIG.abs_tol, DEFAULT_QUAD_CONFIG.rel_tol)
+    tols = (QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol)
     for k in (0, 1):
         reached = direct.y_end[k]
         for level in (level_fraction * reached, -level_fraction * reached):

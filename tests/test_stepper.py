@@ -1,3 +1,4 @@
+import dataclasses
 import linecache
 import math
 import random
@@ -6,7 +7,8 @@ from bisect import bisect_right
 
 import pytest
 
-from bsym import QuadConfig, problem, rk_solve, stepper
+from bsym import problem, rk_solve, stepper
+from bsym.quad import QUAD_CONTROL
 from bsym.stepper import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
@@ -14,7 +16,7 @@ from bsym.stepper import (
     DensePath, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
 )
 
-CTL = QuadConfig().control()
+CTL = QUAD_CONTROL
 
 
 def cos_path(t_end: float):
@@ -524,6 +526,26 @@ def test_a_step_that_shrinks_to_zero_underflows(t_end):
     with pytest.raises(StepUnderflow) as info:
         integrate(lambda t, y: (math.nan,), (1.0,), t_end, ctl)
     assert info.value.path.ts == [0.0]
+
+
+def test_step_control_validation():
+    # each bad field alone raises, in the constructor and in a replace()
+    # of a valid control (NaN fails every comparison, so it is bad too)
+    for bad in (
+        {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan},
+        {"abs_tol": 0.0}, {"abs_tol": -1.0}, {"abs_tol": math.nan},
+        {"max_steps": 0}, {"max_steps": -5},
+        {"min_step_fraction": 0.0}, {"min_step_fraction": -2.0**-40},
+        {"min_step_fraction": 1.0}, {"min_step_fraction": 2.0},
+        {"min_step_fraction": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            StepControl(**{"rel_tol": 1e-10, "abs_tol": 1e-12, **bad})
+        with pytest.raises(ValueError):
+            dataclasses.replace(CTL, **bad)
+    # the edges of the valid ranges
+    StepControl(rel_tol=5e-324, abs_tol=5e-324, max_steps=1, min_step_fraction=5e-324)
+    StepControl(rel_tol=1e-10, abs_tol=1e-12, min_step_fraction=1.0 - 2.0**-53)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -321,6 +321,17 @@ def test_verify_cases_rejects_an_inapplicable_case_before_integrating(monkeypatc
     assert calls == ([], [])
 
 
+def test_verify_cases_rejects_an_unknown_method_before_integrating(monkeypatch):
+    calls = _integrations(monkeypatch)
+    p = problem("cos(t)", "sin(t)", 2, 1.0)
+    for cases in (["T2i"], []):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            verify_cases(p, cases, method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        verify_pair(p, "T2i", method="bogus")
+    assert calls == ([], [])
+
+
 def test_grid_stays_inside_common_validity():
     rep = verify_pair(problem("0", "1", 2, 1.0), "T2iv", 51, 1e-6, "closed")
     lo, hi = rep.common_validity.lo, rep.common_validity.hi
