@@ -127,6 +127,14 @@ def test_step_budget_exhaustion_is_step_failure():
         )
 
 
+def test_oracle_config_validation():
+    # the oracle's control rejects a bad tolerance or step budget
+    with pytest.raises(ValueError):
+        dataclasses.replace(ORACLE_CONTROL, abs_tol=-1.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(ORACLE_CONTROL, max_steps=0)
+
+
 def test_subnormal_grid():
     # the oracle's paths toward +-1e-322 are one step each; the first step
     # was once 1e-322 / 64 = 0.0, and the step budget ran out at t = 0.0

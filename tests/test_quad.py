@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -207,6 +208,14 @@ def test_ab_values_consistent_with_pointwise():
     for t, (av, bv) in zip(ts, pairs):
         assert av == pytest.approx(_integral_A(a, t), abs=1e-9)
         assert bv == pytest.approx(ab_values(a, b, 1.0, [t])[0][1], abs=1e-9)
+
+
+def test_quad_config_validation():
+    # the quadrature's control rejects a bad tolerance or minimum step
+    with pytest.raises(ValueError):
+        dataclasses.replace(QUAD_CONTROL, abs_tol=0.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(QUAD_CONTROL, min_step_fraction=0.0)
 
 
 # --- signs of a and b ---------------------------------------------------------
