@@ -74,6 +74,11 @@ class ProblemSpec:
     _searched: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # True would otherwise read as d = 1.0; an int d is stored as a float,
+        # so d and every partner's s * d are floats
+        if isinstance(self.d, bool):
+            raise TypeError("initial value d must be a number, not a boolean")
+        object.__setattr__(self, "d", float(self.d))
         if not math.isfinite(self.d) or self.d == 0.0:
             raise DomainError("initial value d must be finite and nonzero")
         if self.n.cls is ExponentClass.ODD_OVER_EVEN and self.d < 0.0:
@@ -87,9 +92,7 @@ def problem(a: str, b: str, n: Union[str, int], d: float) -> ProblemSpec:
 
     TypeError for a boolean n or d, which would otherwise read as 1 or 0.
     """
-    if isinstance(d, bool):
-        raise TypeError("initial value d must be a number, not a boolean")
-    return ProblemSpec(parse_expr(a), parse_expr(b), parse_exponent(n), float(d))
+    return ProblemSpec(parse_expr(a), parse_expr(b), parse_exponent(n), d)
 
 
 class BoundaryKind(Enum):

@@ -10,11 +10,15 @@ with negative h; nodes then appear in decreasing t order.
 
 The adaptive loop is generated and compiled once per state dimension
 (`_kernel`), with every state component and stage value in a local of its
-own, so a step does no per-component zip or generator work.  Its source is
-registered in `linecache`, so tracebacks and profiles show the generated
-lines.  Paths (nodes, states, stages, stop flag) are bit-identical to
-those of the plain component-wise loop, which the tests keep as the
-reference.
+own, so a step does no per-component zip or generator work and calls no
+max or min.  The same source renders the dense output for that dimension:
+the kernel's paths are a `DensePath` subclass whose `values` walk and
+`_extension` unpack a step's coefficients once and evaluate each point's
+Horner form as straight-line code over locals.  The source is registered
+in `linecache`, so tracebacks and profiles show the generated lines.
+Paths (nodes, states, stages, stop flag) are bit-identical to those of the
+plain component-wise loop, and dense values to those of the
+column-by-column extension, which the tests keep as the references.
 
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
@@ -124,7 +128,6 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-_P_COLS = tuple(zip(*_P))  # one column of stage weights per power of th
 # |h| * sum_s _W[s] * |k_s| bounds sum_j |h * sum_s P[s][j] * k_s|, how far a
 # component can move on the step; the 1e-12 margin covers the rounding of
 # both sums, so the bound never falls below the extension's own
@@ -141,6 +144,9 @@ class DensePath:
     a level on the same extensions.  A step's coefficients are built on its
     first query and cached, so a path queried at only a few points pays
     for only those steps.
+
+    `integrate` returns an instance of the subclass `_kernel` renders for
+    the state's dimension, which defines `values` and `_extension`.
     """
 
     ts: list = field(default_factory=list)
@@ -157,64 +163,13 @@ class DensePath:
     def y_end(self) -> State:
         return self.ys[-1]
 
-    def values(self, qs: Sequence[float]) -> list[State]:
-        """States at times that run outward from ts[0], in one walk.
-
-        The first time's step is found by bisection, every later one by
-        stepping forward from the last.  A time on a node returns the
-        stored state; between nodes the bracketing step's extension is
-        evaluated.  Raises ValueError for a time outside the covered range
-        or one nearer ts[0] than the time before it.
-        """
-        ts, ys = self.ts, self.ys
-        last = len(ts) - 2  # the final step
-        if last < 0:
-            for t in qs:
-                if t != ts[0]:
-                    raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}]")
-            return [ys[0]] * len(qs)
-        d = 1.0 if ts[-1] >= ts[0] else -1.0
-        x_start = x_prev = d * ts[0]  # x_prev: the time before, as d * t
-        x_end = d * ts[-1]
-        i = -1  # no step located yet
-        out = []
-        for t in qs:
-            x = d * t
-            if not x_prev <= x <= x_end:  # also true for NaN
-                if x_start <= x < x_prev:
-                    raise ValueError(f"t={t!r} is nearer {ts[0]!r} than the time before it")
-                raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}, {ts[-1]!r}]")
-            x_prev = x
-            if i < 0 or (x >= x_hi and i < last):
-                if i < 0:
-                    i = min(bisect_right(ts, x, key=lambda s: d * s) - 1, last)
-                else:
-                    i += 1
-                    while i < last and d * ts[i + 1] <= x:
-                        i += 1
-                t0, t1 = ts[i], ts[i + 1]
-                x_hi = d * t1
-                coefs = None
-            if t == t0:
-                out.append(ys[i])
-            elif t == t1:
-                out.append(ys[i + 1])
-            else:
-                if coefs is None:
-                    coefs = self._coefs.get(i) or self._extension(i)
-                th = (t - t0) / (t1 - t0)
-                out.append(tuple([
-                    y0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
-                    for y0, c1, c2, c3, c4 in coefs
-                ]))
-        return out
-
     def value(self, t: float) -> State:
         """State at t within the covered range; nodes are returned as stored."""
         return self.values([t])[0]
 
-    # bench/tracing.py wraps `DensePath.value_refined` by name; the one
-    # dense-output query keeps answering to it so traced runs still start
+    # bench/tracing.py wraps `DensePath.value` and `DensePath.value_refined`
+    # by name; the one dense-output query keeps answering to both, on the
+    # base class, so traced runs still start and see every subclass's calls
     value_refined = value
 
     def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
@@ -248,23 +203,6 @@ class DensePath:
             if side * (ys[i + 1][k] - level) <= 0.0:
                 return ts[i + 1]
         return None
-
-    def _extension(self, i: int) -> list:
-        """Per component (y0, h*c1, .., h*c4) of step i's extension, cached."""
-        h = self.ts[i + 1] - self.ts[i]
-        (a1, a3, a4, a5, a6, a7), (b1, b3, b4, b5, b6, b7), \
-            (c1, c3, c4, c5, c6, c7), (d1, d3, d4, d5, d6, d7) = _P_COLS
-        coefs = self._coefs[i] = [
-            (
-                y0,
-                h * (a1 * e1 + a3 * e3 + a4 * e4 + a5 * e5 + a6 * e6 + a7 * e7),
-                h * (b1 * e1 + b3 * e3 + b4 * e4 + b5 * e5 + b6 * e6 + b7 * e7),
-                h * (c1 * e1 + c3 * e3 + c4 * e4 + c5 * e5 + c6 * e6 + c7 * e7),
-                h * (d1 * e1 + d3 * e3 + d4 * e4 + d5 * e5 + d6 * e6 + d7 * e7),
-            )
-            for y0, e1, e3, e4, e5, e6, e7 in zip(self.ys[i], *self.ks[i])
-        ]
-        return coefs
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,20 +290,94 @@ def integrate(
     return _kernel(len(y0))(f, y0, t_end, ctl, stop)
 
 
-# The adaptive loop, written once for every state dimension.  `vec<e>`
-# expands to the tuple of e over the components and `sum<e>` to their sum
-# from the first component on, with each `_i` suffix replaced by the
-# component index: y_i is a state component, k2_i a stage value and z_i a
-# component of the proposed new state.  Each expression keeps the operation
-# order of the component-wise loop kept in tests/test_stepper.py, which the
-# tests require to be reproduced bit for bit.
+# The adaptive loop and the dense output, written once for every state
+# dimension.  `vec<e>` expands to the tuple of e over the components and
+# `sum<e>` to their sum from the first component on, with each `_i` suffix
+# replaced by the component index: y_i is a state component, k2_i a stage
+# value and z_i a component of the proposed new state.  A macro ends at the
+# first `>`, so the comparisons inside one are written with `<`.  Each
+# expression keeps the operation order of the component-wise loop and the
+# column-by-column extension kept in tests/test_stepper.py, which the tests
+# require to be reproduced bit for bit.  The builtins max and min are
+# written out as the comparisons they make: max(a, b) is `b if a < b else a`
+# and min(a, b) is `b if b < a else a`, NaN included.  _Psj is _P[s][j].
 _KERNEL = """\
+class DensePath{dim}(DensePath):
+    \"""A `DensePath` of {dim}-component states.\"""
+
+    def values(self, qs):
+        \"""States at times that run outward from ts[0], in one walk.
+
+        The first time's step is found by bisection, every later one by
+        stepping forward from the last.  A time on a node returns the
+        stored state; between nodes the bracketing step's extension is
+        evaluated.  Raises ValueError for a time outside the covered range
+        or one nearer ts[0] than the time before it.
+        \"""
+        ts, ys = self.ts, self.ys
+        last = len(ts) - 2  # the final step
+        if last < 0:
+            for t in qs:
+                if t != ts[0]:
+                    raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}]")
+            return [ys[0]] * len(qs)
+        d = 1.0 if ts[-1] >= ts[0] else -1.0
+        x_start = x_prev = d * ts[0]  # x_prev: the time before, as d * t
+        x_end = d * ts[-1]
+        i = -1  # no step located yet
+        out = []
+        append = out.append
+        cached, extension = self._coefs.get, self._extension
+        for t in qs:
+            x = d * t
+            if not x_prev <= x <= x_end:  # also true for NaN
+                if x_start <= x < x_prev:
+                    raise ValueError(f"t={t!r} is nearer {ts[0]!r} than the time before it")
+                raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}, {ts[-1]!r}]")
+            x_prev = x
+            if i < 0 or (x >= x_hi and i < last):
+                if i < 0:
+                    i = min(bisect_right(ts, x, key=lambda s: d * s) - 1, last)
+                else:
+                    i += 1
+                    while i < last and d * ts[i + 1] <= x:
+                        i += 1
+                t0, t1 = ts[i], ts[i + 1]
+                x_hi = d * t1
+                unpacked = False  # on the step's first query between nodes
+            if t == t0:
+                append(ys[i])
+            elif t == t1:
+                append(ys[i + 1])
+            else:
+                if not unpacked:
+                    vec<(y0_i, c1_i, c2_i, c3_i, c4_i)> = cached(i) or extension(i)
+                    unpacked = True
+                th = (t - t0) / (t1 - t0)
+                append(vec<y0_i + th * (c1_i + th * (c2_i + th * (c3_i + th * c4_i)))>)
+        return out
+
+    def _extension(self, i):
+        \"""Per component (y0, h*c1, .., h*c4) of step i's extension, cached.\"""
+        h = self.ts[i + 1] - self.ts[i]
+        vec<y_i> = self.ys[i]
+        vec<e1_i>, vec<e3_i>, vec<e4_i>, vec<e5_i>, vec<e6_i>, vec<e7_i> = self.ks[i]
+        coefs = self._coefs[i] = vec<(
+            y_i,
+            h * (_P00 * e1_i + _P10 * e3_i + _P20 * e4_i + _P30 * e5_i + _P40 * e6_i + _P50 * e7_i),
+            h * (_P01 * e1_i + _P11 * e3_i + _P21 * e4_i + _P31 * e5_i + _P41 * e6_i + _P51 * e7_i),
+            h * (_P02 * e1_i + _P12 * e3_i + _P22 * e4_i + _P32 * e5_i + _P42 * e6_i + _P52 * e7_i),
+            h * (_P03 * e1_i + _P13 * e3_i + _P23 * e4_i + _P33 * e5_i + _P43 * e6_i + _P53 * e7_i),
+        )>
+        return coefs
+
+
 def dp5_dim{dim}(f, y0, t_end, ctl, stop):
-    path = DensePath()
-    ts, ys, ks = path.ts, path.ys, path.ks
+    path = DensePath{dim}()
+    append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
     k1 = f(0.0, y0)
-    ts.append(0.0)
-    ys.append(y0)
+    append_t(0.0)
+    append_y(y0)
     span = t_end
     if span == 0.0:
         return path
@@ -414,10 +426,11 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
         vec<k7_i> = k7
 
         # squares summed in component order; a leading 0.0 + would change
-        # no bit, since 0.0 + x == x for x >= 0 and for NaN
+        # no bit, since 0.0 + x == x for x >= 0 and for NaN.  The scale is
+        # atol + rtol * max(abs(y_i), abs(z_i))
         err_sq = sum<(
             h * (_E1 * k1_i + _E3 * k3_i + _E4 * k4_i + _E5 * k5_i + _E6 * k6_i + _E7 * k7_i)
-            / (atol + rtol * max(abs(y_i), abs(z_i)))
+            / (atol + rtol * (az_i if (ay_i := abs(y_i)) < (az_i := abs(z_i)) else ay_i))
         ) ** 2>
         err_norm = sqrt(err_sq / {dim})
 
@@ -425,19 +438,23 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            ks.append((k1, k3, k4, k5, k6, k7))
+            append_k((k1, k3, k4, k5, k6, k7))
             t, k1 = t1, k7
             vec<y_i> = vec<z_i>
             vec<k1_i> = vec<k7_i>
-            ts.append(t)
-            ys.append(z)
+            append_t(t)
+            append_y(z)
             if stop is not None and stop(t, z):
                 path.stopped = True
                 break
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
-            h *= factor
-        else:
-            h *= max(0.2, 0.9 * err_norm**-0.2)
+            if err_norm == 0.0:
+                h *= 5.0
+            else:  # min(5.0, max(0.2, factor))
+                factor = 0.9 * err_norm**-0.2
+                h *= (factor if factor < 5.0 else 5.0) if 0.2 < factor else 0.2
+        else:  # max(0.2, factor)
+            factor = 0.9 * err_norm**-0.2
+            h *= factor if 0.2 < factor else 0.2
 
     return path
 """
@@ -445,7 +462,9 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
 
 @lru_cache(maxsize=None)
 def _kernel(dim: int) -> Callable:
-    """The DP5 loop for states of `dim` components, compiled once.
+    """The DP5 loop for states of `dim` components, compiled once, together
+    with the `DensePath` subclass its paths are made of, whose `values`
+    walk and `_extension` are rendered for the same dimension.
 
     The rendered source is registered in `linecache` under the kernel's
     file name, so tracebacks and profilers show its lines.
@@ -458,19 +477,22 @@ def _kernel(dim: int) -> Callable:
         return "(" + ", ".join(terms) + ",)"
 
     def constant(match: re.Match) -> str:
-        value = globals()[match[0]]
+        name = match[0]
+        value = _P[int(name[2])][int(name[3])] if name[1] == "P" else globals()[name]
         return f"({value!r})" if value < 0 else repr(value)
 
     source = re.sub(r"(vec|sum)<(.*?)>", expand, _KERNEL, flags=re.S).replace("{dim}", str(dim))
     # tableau names become their values (repr round-trips a float exactly),
     # a constant load in place of a global lookup at every use
-    source = re.sub(r"\b_[ABCE]\d+\b", constant, source)
+    source = re.sub(r"\b_(?:[ABCE]\d+|P\d\d)\b", constant, source)
     filename = f"<bsym.stepper DP5 kernel dim={dim}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {
+        "__name__": __name__,  # the rendered class's __module__
         "DensePath": DensePath,
         "StepBudgetExceeded": StepBudgetExceeded,
         "StepUnderflow": StepUnderflow,
+        "bisect_right": bisect_right,
         "sqrt": math.sqrt,
         "isfinite": math.isfinite,
     }

@@ -229,7 +229,8 @@ def verify_cases(
     integrates one (A, B) path per side for each distinct (a, b, n-1) and
     keeps them on p1 and the partners, and an EmptyDomain is raised for the
     first case without one.  p1 is evaluated once on all case grids joined
-    together (one solve per side of 0), and each partner on its own grid;
+    together (one solve per side of 0), each distinct time once, and each
+    partner on its own grid;
     the closed form answers them from those kept paths, while the oracle
     integrates y itself.  Where the cases' common intervals coincide, as
     the theorem makes them for applicable cases, the reports equal those
@@ -263,10 +264,13 @@ def verify_cases(
         commons.append(common)
         grids.append([glo + i * step for i in range(grid_points)])
 
-    y1_joined = _evaluate(p1, [t for grid in grids for t in grid], method)
+    # applicable cases share one grid: evaluate each distinct time once, in
+    # order of first appearance (a grid starts past lo < 0 and holds no -0.0)
+    distinct = list(dict.fromkeys(t for grid in grids for t in grid))
+    y1_at = dict(zip(distinct, _evaluate(p1, distinct, method)))
     reports = []
-    for i, (case, p2, common, grid) in enumerate(zip(cases, partners, commons, grids)):
-        y1 = y1_joined[i * grid_points:(i + 1) * grid_points]
+    for case, p2, common, grid in zip(cases, partners, commons, grids):
+        y1 = [y1_at[t] for t in grid]
         r, s = case.relation.r, case.relation.s
         y2 = _evaluate(p2, [r * t for t in grid], method)
         residuals = tuple(abs(v2_ - s * v1_) for v1_, v2_ in zip(y1, y2))

@@ -22,8 +22,8 @@ from bsym import (
 from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
 from bsym.quad import QUAD_CONTROL, ab_values
-from bsym.exponent import ExponentClass, classify_exponent
-from bsym.expr import negated
+from bsym.exponent import ExponentClass, classify_exponent, parse_exponent
+from bsym.expr import negated, parse_expr
 from bsym.stepper import DensePath, PathView, grid_values
 
 from helpers import (
@@ -153,6 +153,22 @@ def test_problem_rejects_a_boolean_exponent_or_initial_value(n, d):
     # unit-exponent problem to which T3iii applies
     with pytest.raises(TypeError):
         problem("0", "1", n, d)
+
+
+@pytest.mark.parametrize("d", [True, False])
+def test_problem_spec_rejects_a_boolean_initial_value(d):
+    # ProblemSpec itself, not only problem(): True kept as d made T2iii,
+    # T2iv and T3iii applicable and eval_solution(p, 0.5) 1.9999999999999996
+    with pytest.raises(TypeError, match="not a boolean"):
+        ProblemSpec(parse_expr("0"), parse_expr("1"), parse_exponent(2), d)
+
+
+def test_problem_spec_stores_an_int_initial_value_as_a_float():
+    p = ProblemSpec(parse_expr("0"), parse_expr("1"), parse_exponent(2), 3)
+    assert type(p.d) is float and p.d == 3.0
+    partner = transform_problem(p, "T2iv")
+    assert type(partner.d) is float and partner.d == -3.0
+    assert p == ProblemSpec(parse_expr("0"), parse_expr("1"), parse_exponent(2), 3.0)
 
 
 def test_initial_condition_on_random_problems():

@@ -142,8 +142,10 @@ def outward_times(path, seed, count):
         lambda: cos_path(-6.0),
         lambda: cos_path(0.0),
         stopped_oracle_path,
+        lambda: integrate(rhs_3(), DIMS[3][1], 4.0, CTL),
+        lambda: integrate(rhs_3(), DIMS[3][1], -4.0, CTL),
     ],
-    ids=["pair+", "pair-", "cos+", "cos-", "single-node", "stopped-oracle"],
+    ids=["pair+", "pair-", "cos+", "cos-", "single-node", "stopped-oracle", "dim3+", "dim3-"],
 )
 @pytest.mark.parametrize("seed,count", [(1, 300), (2, 5)])
 def test_values_match_the_per_point_value(make, seed, count):
@@ -496,6 +498,62 @@ def test_kernel_matches_after_a_non_finite_stage(dim, t_end, bad):
     assert expected != run(reference_integrate, make_clean, y0, t_end)
 
 
+def err_numerator(path, i):
+    """h * (E . stages) of accepted step i, component 0, as the kernel and
+    the reference loop compute it."""
+    k1, k3, k4, k5, k6, k7 = (k[0] for k in path.ks[i])
+    h = path.ts[i + 1] - path.ts[i]
+    return h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("branch", ["zero error", "growth clamped"])
+def test_kernel_matches_where_the_step_grows_fivefold(dim, branch):
+    # from h = 64 / 64 = 1 every t is an integer, so each step length is
+    # exact: 1, 5 and 25, then 33 clamped to t_end.  y' = 0 makes every
+    # error exactly 0 (factor 5.0 by the err_norm == 0.0 branch); y' = 1e-30
+    # t^4 is integrated exactly by the 5th-order weights but not by the
+    # embedded 4th-order ones, so the error is nonzero and so small that
+    # 0.9 * err_norm**-0.2 exceeds 5 and the growth clamp gives 5.0
+    c = 0.0 if branch == "zero error" else 1e-30
+
+    def make_rhs():
+        return lambda t, y: (c * t**4,) * dim
+
+    y0 = (1.0,) * dim
+    expected = run(reference_integrate, make_rhs, y0, 64.0)
+    assert run(integrate, make_rhs, y0, 64.0) == expected
+    path = integrate(make_rhs(), y0, 64.0, CTL)
+    assert path.ts == [0.0, 1.0, 6.0, 31.0, 64.0]
+    errors = [err_numerator(path, i) for i in range(3)]
+    assert all(e == 0.0 for e in errors) if c == 0.0 else all(e != 0.0 for e in errors)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_matches_where_a_rejection_is_clamped(dim):
+    # y' = 50 y over a first trial step of 1/64: the error is near 1e-3 of
+    # y against rel_tol 1e-10, so err_norm is about 1e6 and the unclamped
+    # factor 0.9 * err_norm**-0.2 about 0.06; the rejection clamp makes it
+    # 0.2.  From t = 0 the FSAL stage is evaluated at 0.0 + h, exactly h,
+    # so the recorded times give the first two trial steps, the second at
+    # t = 0 again (an accepted first step would put it past 1/64)
+    times = []
+
+    def make_rhs():
+        def rhs(t, y):
+            times.append(t)
+            return tuple(50.0 * v for v in y)
+
+        return rhs
+
+    y0 = (1.0,) * dim
+    expected = run(reference_integrate, make_rhs, y0, 1.0)
+    del times[:]
+    assert run(integrate, make_rhs, y0, 1.0) == expected
+    trials = times[6::6]  # the FSAL stage of each attempt of the kernel's run
+    assert trials[:2] == [1.0 / 64.0, 1.0 / 64.0 * 0.2]
+
+
 @pytest.mark.parametrize("t_end", [2.0, -2.0])
 def test_kernel_matches_the_partial_path_on_underflow(t_end):
     def make_rhs():  # y' = y^2 from y(0) = sign: a pole at |t| = 1
@@ -566,11 +624,25 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
 
     monkeypatch.setattr(stepper, "compile", counting_compile, raising=False)
     stepper._kernel.cache_clear()
+    paths = {}
     for dim in (2, 1, 2, 1, 2, 3):
         make_rhs, y0 = DIMS[dim]
-        integrate(make_rhs(), y0, 1.0, CTL)
+        path = integrate(make_rhs(), y0, 1.0, CTL)
+        path.values([0.25, 0.5, 1.0])  # dense queries compile nothing
+        path.first_crossing(0, 1e9, CTL.abs_tol, CTL.rel_tol)
+        paths.setdefault(dim, []).append(path)
     assert compiled == [f"<bsym.stepper DP5 kernel dim={dim}>" for dim in (2, 1, 3)]
     assert stepper._kernel(2) is stepper._kernel(2)
+    # the dense output is rendered with the kernel, one path class per
+    # dimension, and no generic walk or extension is kept beside it
+    for dim, same in paths.items():
+        cls = type(same[0])
+        assert cls is not DensePath and issubclass(cls, DensePath)
+        assert all(type(path) is cls for path in same)
+        for method in (cls.values, cls._extension):
+            assert method.__code__.co_filename == f"<bsym.stepper DP5 kernel dim={dim}>"
+    assert len({type(same[0]) for same in paths.values()}) == 3
+    assert "values" not in vars(DensePath) and "_extension" not in vars(DensePath)
 
 
 def test_traceback_shows_the_kernel_source():

@@ -22,6 +22,7 @@ from bsym import (
     verify_cases,
     verify_pair,
 )
+from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
 from helpers import conforming_problem, count_calls
@@ -274,6 +275,40 @@ def test_verify_cases_equals_one_verify_pair_per_case():
             assert len({r.common_validity for r in reports}) == 1
             assert reports == [verify_pair(p, c, method=method) for c in cases]
     assert checked >= 5
+
+
+@pytest.mark.parametrize("method", ["oracle", "closed"])
+def test_verify_cases_walks_p1_once_per_distinct_time(monkeypatch, method):
+    # the three cases share one interval and so one grid: p1's dense
+    # output is asked for each of its 51 times once, not three times
+    p = problem("cos(t)", "sin(t)", 2, 1.0)
+    cases = applicable_cases(p)
+    assert [c.id for c in cases] == ["T2i", "T2iv", "T3i"]
+    expected = [verify_pair(p, c, method=method) for c in cases]
+    calls = []  # per grid_values call, the times of each values walk
+
+    class Recorded:
+        def __init__(self, path, walks):
+            self.path, self.walks = path, walks
+
+        def values(self, qs):
+            self.walks.append(list(qs))
+            return self.path.values(qs)
+
+    def recording(solve, ts):
+        walks = []
+        calls.append(walks)
+        return grid_values(lambda t_end: Recorded(solve(t_end), walks), ts)
+
+    monkeypatch.setattr("bsym.oracle.grid_values", recording)
+    monkeypatch.setattr("bsym.quad.grid_values", recording)
+    reports = verify_cases(p, cases, method=method)
+    assert reports == expected
+    assert len(calls) == 1 + len(cases)  # p1 first, then each partner
+    p1_times = [t for walk in calls[0] for t in walk]
+    assert sorted(p1_times) == sorted(set(expected[0].grid))
+    assert len(p1_times) == len(expected[0].grid) == 51
+    assert all(r.grid == expected[0].grid for r in expected)
 
 
 @pytest.mark.parametrize("method", ["oracle", "closed"])
