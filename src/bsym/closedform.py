@@ -35,7 +35,7 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, EvalError, OutsideValidity
-from .expr import Expr, Neg, parse_expr, structural_parity
+from .expr import Expr, parse_expr, split_sign, structural_parity
 from .exponent import (
     ExponentClass,
     RationalExponent,
@@ -226,8 +226,8 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
     A and B depend on a, b and n-1 only.  Write a = sa*a0 and b = sb*b0,
-    a0 and b0 the trees under the unary minuses at the top of a and b, and
-    m0 = sa*(n-1); only such Neg-free triples are integrated.  The path of
+    a0 and b0 the trees under the unary minuses at the top of a and b
+    (`expr.split_sign`), and m0 = sa*(n-1); only such Neg-free triples are integrated.  The path of
     (a, b, n-1) toward a side is (sa*A0, sb*B0) on the path of (a0, b0, m0)
     toward that side, or, where `expr.structural_parity` gives a0 and b0
     parities eps_a and eps_b (+1 even, -1 odd; sampled parity never
@@ -303,11 +303,8 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
         level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
         if level == 0.0:
             raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
-        a0, b0, m0, sa, sb = p.a, p.b, m, 1.0, 1.0
-        while isinstance(a0.ast, Neg):
-            a0, m0, sa = Expr(a0.ast.arg), -m0, -sa
-        while isinstance(b0.ast, Neg):
-            b0, sb = Expr(b0.ast.arg), -sb
+        (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
+        m0 = sa * m
         pa, pb = structural_parity(a0), structural_parity(b0)
         parities = None if pa is None or pb is None else (pa.sign, pb.sign)
         p._searched.clear()

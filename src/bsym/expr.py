@@ -62,6 +62,7 @@ __all__ = [
     "structural_parity",
     "sampled_parity",
     "negated",
+    "split_sign",
 ]
 
 
@@ -145,6 +146,15 @@ def negated(e: Expr) -> Expr:
     if isinstance(e.ast, Neg):
         return Expr(e.ast.arg)
     return Expr(Neg(e.ast))
+
+
+def split_sign(e: Expr) -> tuple[float, Expr]:
+    """(sign, e0) with e = sign * e0, sign = +-1.0 and e0 the tree under the
+    unary minuses at the top of e (all of them, so --t is t)."""
+    sign, node = 1.0, e.ast
+    while isinstance(node, Neg):
+        sign, node = -sign, node.arg
+    return sign, (e if node is e.ast else Expr(node))
 
 
 # --- Tokenizer / parser ---------------------------------------------------

@@ -7,9 +7,12 @@ It drives the shared adaptive 5(4) stepper over the scalar equation
 
 using the same sign-correct power semantics as the rest of the package, so
 odd/odd exponents follow the sign of the initial value and odd/even
-exponents enforce y > 0 at runtime.  The right-hand side is one function
-generated by `expr.checked_factory` per (a, b, exponent class), with
-`signed_pow` inlined for the class; its values and errors are those of the
+exponents enforce y > 0 at runtime.  The right-hand side (t, y) -> a*y +
+b*y^n takes y as a float.  It is one function generated by
+`expr.checked_factory` per exponent class and (a, b) up to sign: the
+unary minuses at the top of a and b become +-1.0 factors bound to the
+function, so a problem and its partners share one compile.  `signed_pow`
+is inlined for the class; its values and errors are those of the
 coefficient-by-coefficient closure with `signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and
@@ -30,7 +33,7 @@ from typing import Sequence
 from .closedform import ProblemSpec
 from .errors import StepFailure
 from .exponent import ExponentClass, signed_pow
-from .expr import CheckedForm, checked_factory
+from .expr import CheckedForm, checked_factory, split_sign
 from .stepper import (
     DensePath,
     StepBudgetExceeded,
@@ -76,37 +79,37 @@ class Trajectory:
 
 # y' = a*y + b*y^n, with y^n computed as signed_pow computes it: the same
 # math.pow(|y|, p/q) and sign rule inline, and signed_pow itself at y = 0
-# and wherever it raises DomainError, so the values and error texts match
-_RHS_ENV = "n, e, pow, signed_pow"
+# and wherever it raises DomainError, so the values and error texts match.
+# a = sa*a0 and b = sb*b0 with sa, sb = +-1.0 bound to the factory, so a
+# problem and its partners that flip the signs of a or b share one compile;
+# (sa*f0)*x is (-f0)*x bit for bit, since multiplying by -1.0 is exact
+_RHS_ENV = "sa, sb, n, e, pow, signed_pow"
 _RHS = {
-    ExponentClass.ONE: CheckedForm("t, y", "return ((f0 + f1) * y[0],)", _RHS_ENV),
+    ExponentClass.ONE: CheckedForm("t, x", "return ((sa * f0 + sb * f1) * x,)", _RHS_ENV),
     ExponentClass.EVEN_OVER_ODD: CheckedForm(
-        "t, y",
+        "t, x",
         """\
-x = y[0]
 xn = pow(abs(x), e) if x != 0.0 else signed_pow(x, n)
-return (f0 * x + f1 * xn,)""",
+return (sa * f0 * x + sb * f1 * xn,)""",
         _RHS_ENV,
     ),
     ExponentClass.ODD_OVER_ODD: CheckedForm(
-        "t, y",
+        "t, x",
         """\
-x = y[0]
 if x != 0.0:
     xn = pow(abs(x), e)
     if x < 0.0:
         xn = -xn
 else:
     xn = signed_pow(x, n)
-return (f0 * x + f1 * xn,)""",
+return (sa * f0 * x + sb * f1 * xn,)""",
         _RHS_ENV,
     ),
     ExponentClass.ODD_OVER_EVEN: CheckedForm(
-        "t, y",
+        "t, x",
         """\
-x = y[0]
 xn = pow(x, e) if x > 0.0 else signed_pow(x, n)
-return (f0 * x + f1 * xn,)""",
+return (sa * f0 * x + sb * f1 * xn,)""",
         _RHS_ENV,
     ),
 }
@@ -119,13 +122,13 @@ def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) ->
     (or the step size collapses while |y| is already huge); the
     trajectory then ends at the last accepted step.  Raises StepFailure when
     the step size underflows at moderate |y|, ctl's step budget runs out or
-    y^n overflows, and DomainError when y leaves the legal domain of y^n
-    (e.g. y < 0 with an even root denominator).
+    y^n overflows, DomainError when y leaves the legal domain of y^n
+    (e.g. y < 0 with an even root denominator), and ValueError, from
+    `integrate`, for a non-finite t_end.
     """
-    if not math.isfinite(t_end):
-        raise ValueError("t_end must be finite")
     n = p.n
-    rhs = checked_factory(_RHS[n.cls], p.a, p.b)(n, n.p / n.q, math.pow, signed_pow)
+    (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
+    rhs = checked_factory(_RHS[n.cls], a0, b0)(sa, sb, n, n.p / n.q, math.pow, signed_pow)
 
     def stop(t, y):
         return abs(y[0]) > _BLOWUP_THRESHOLD

@@ -6,11 +6,13 @@ Everything here reduces to the accumulator pair
     B(t) = int_0^t b(s) * exp(m * A(s)) ds
 
 driven as the coupled system (A' = a, B' = b*exp(m*A), A(0) = B(0) = 0)
-through the shared adaptive stepper, so B never re-integrates A.  Every
+through the shared adaptive stepper, so B never re-integrates A.  B never
+feeds back, so it is a pure quadrature: the right-hand side reads A alone
+(`reads=1`), and the stepper builds no stage state for B.  Every
 path runs at the one fixed `QUAD_CONTROL`: relative tolerance 1e-10,
 absolute tolerance 1e-12 and a smallest step of 2**-40 of the span, below
 which the integration reports NoConvergence.  The
-right-hand side (a, b*exp(m*A)) is one function generated by
+right-hand side (t, A) -> (a, b*exp(m*A)) is one function generated by
 `expr.checked_factory` per (a, b) and bound to m per path.  A failing or
 non-finite coefficient raises EvalError, and so does an overflowing
 exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by the
@@ -67,14 +69,14 @@ __all__ = [
 QUAD_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-12)
 
 
-# the accumulator right-hand side (A', B')
-_AB = CheckedForm("t, y", "return (f0, f1 * exp(mult * y[0]))", "mult")
+# the accumulator right-hand side (A', B'), which reads A only
+_AB = CheckedForm("t, A", "return (f0, f1 * exp(mult * A))", "mult")
 
 
 def nested_path(a: Expr, b: Expr, mult: float, t: float) -> DensePath:
     """Dense (A, B) path over [0, t] with B' = b * exp(mult * A)."""
     try:
-        return integrate(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, QUAD_CONTROL)
+        return integrate(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, QUAD_CONTROL, reads=1)
     except (StepUnderflow, StepBudgetExceeded) as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:

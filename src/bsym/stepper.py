@@ -8,17 +8,23 @@ States are plain tuples of floats (dimension 1 or 2 here), which beats
 array machinery at these sizes.  Negative spans are integrated by stepping
 with negative h; nodes then appear in decreasing t order.
 
-The adaptive loop is generated and compiled once per state dimension
-(`_kernel`), with every state component and stage value in a local of its
-own, so a step does no per-component zip or generator work and calls no
-max or min.  The same source renders the dense output for that dimension:
-the kernel's paths are a `DensePath` subclass whose `values` walk and
-`_extension` unpack a step's coefficients once and evaluate each point's
-Horner form as straight-line code over locals.  The source is registered
-in `linecache`, so tracebacks and profiles show the generated lines.
-Paths (nodes, states, stages, stop flag) are bit-identical to those of the
-plain component-wise loop, and dense values to those of the
-column-by-column extension, which the tests keep as the references.
+The right-hand side is called as f(t, y_0, .., y_{r-1}): the first r
+state components, the ones it reads, as positional floats, and it returns
+the derivatives of all of them.  A component it does not read, such as
+the quadrature's B, which never feeds back, is a pure quadrature: it gets
+no stage states, only its new value and its error term.  The adaptive loop
+is generated and compiled once per pair (state dimension, components
+read) (`_kernel`), with every state component and stage value in a local
+of its own, so a step builds no state tuple, does no per-component zip or
+generator work and calls no max or min.  The same source renders the dense
+output for that dimension: the kernel's paths are a `DensePath` subclass
+whose `values` walk and `_extension` unpack a step's coefficients once and
+evaluate each point's Horner form as straight-line code over locals.  The
+source is registered in `linecache`, so tracebacks and profiles show the
+generated lines.  Paths (nodes, states, stages, stop flag) are
+bit-identical to those of the plain component-wise loop, and dense values
+to those of the column-by-column extension, which the tests keep as the
+references.
 
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
@@ -55,7 +61,7 @@ __all__ = [
 ]
 
 State = tuple
-RHS = Callable[[float, State], State]
+RHS = Callable[..., Sequence[float]]  # f(t, y_0, .., y_{reads-1})
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
@@ -279,22 +285,40 @@ def integrate(
     t_end: float,
     ctl: StepControl,
     stop: Optional[Callable[[float, State], bool]] = None,
+    reads: Optional[int] = None,
 ) -> DensePath:
-    """Integrate y' = f(t, y) from t = 0 to t_end adaptively.
+    """Integrate y' = f(t, y_0, .., y_{reads-1}) from t = 0 to t_end adaptively.
 
-    Returns the dense path of accepted steps.  The final step is clamped to
-    land exactly on t_end.  If `stop` returns true on an accepted state the
-    integration ends there with path.stopped set.
+    f receives the first `reads` state components (every one by default)
+    as positional floats and returns the derivatives of all of them.
+    `reads` states which components f depends on: the others get no stage
+    states, only their new values and error terms.  Returns the dense path
+    of accepted steps.  The final step is clamped to land exactly on t_end.
+    If `stop` returns true on an accepted state (a tuple) the integration
+    ends there with path.stopped set.  Raises ValueError for an empty
+    state, a non-finite t_end or `reads` outside 1..len(y0).
     """
     y0 = tuple(y0)
-    return _kernel(len(y0))(f, y0, t_end, ctl, stop)
+    dim = len(y0)
+    if reads is None:
+        reads = dim
+    if not dim:
+        raise ValueError("the state needs at least one component")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, not {t_end!r}")
+    if not (isinstance(reads, int) and 1 <= reads <= dim):
+        raise ValueError(f"reads must be an int in 1..{dim}, not {reads!r}")
+    return _kernel(dim, reads)(f, y0, t_end, ctl, stop)
 
 
 # The adaptive loop and the dense output, written once for every state
-# dimension.  `vec<e>` expands to the tuple of e over the components and
-# `sum<e>` to their sum from the first component on, with each `_i` suffix
-# replaced by the component index: y_i is a state component, k2_i a stage
-# value and z_i a component of the proposed new state.  A macro ends at the
+# dimension and number of components the right-hand side reads.  `vec<e>`
+# expands to the tuple of e over the components, `sum<e>` to their sum from
+# the first component on and `args<e>` to the argument list of e over the
+# components f reads, with each `_i` suffix replaced by the component
+# index: y_i is a state component, k2_i a stage value and z_i a component
+# of the proposed new state.  A stage state is built only as f's
+# arguments, so a component f does not read has none.  A macro ends at the
 # first `>`, so the comparisons inside one are written with `<`.  Each
 # expression keeps the operation order of the component-wise loop and the
 # column-by-column extension kept in tests/test_stepper.py, which the tests
@@ -372,10 +396,11 @@ class DensePath{dim}(DensePath):
         return coefs
 
 
-def dp5_dim{dim}(f, y0, t_end, ctl, stop):
+def dp5_dim{dim}_reads{reads}(f, y0, t_end, ctl, stop):
     path = DensePath{dim}()
     append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
-    k1 = f(0.0, y0)
+    vec<y_i> = y0
+    k1 = f(0.0, args<y_i>)
     append_t(0.0)
     append_y(y0)
     span = t_end
@@ -389,7 +414,6 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
     min_h = max(abs(span) * ctl.min_step_fraction, 5e-324)
     h = span / 64.0 or span
     t = 0.0
-    vec<y_i> = y0
     vec<k1_i> = k1
     atol, rtol, max_steps = ctl.abs_tol, ctl.rel_tol, ctl.max_steps
     steps = 0
@@ -403,26 +427,26 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        k2 = f(t + _C2 * h, vec<y_i + h * _A21 * k1_i>)
+        # a stage state exists only for the components f reads
+        k2 = f(t + _C2 * h, args<y_i + h * _A21 * k1_i>)
         vec<k2_i> = k2
-        k3 = f(t + _C3 * h, vec<y_i + h * (_A31 * k1_i + _A32 * k2_i)>)
+        k3 = f(t + _C3 * h, args<y_i + h * (_A31 * k1_i + _A32 * k2_i)>)
         vec<k3_i> = k3
-        k4 = f(t + _C4 * h, vec<y_i + h * (_A41 * k1_i + _A42 * k2_i + _A43 * k3_i)>)
+        k4 = f(t + _C4 * h, args<y_i + h * (_A41 * k1_i + _A42 * k2_i + _A43 * k3_i)>)
         vec<k4_i> = k4
         k5 = f(
             t + _C5 * h,
-            vec<y_i + h * (_A51 * k1_i + _A52 * k2_i + _A53 * k3_i + _A54 * k4_i)>,
+            args<y_i + h * (_A51 * k1_i + _A52 * k2_i + _A53 * k3_i + _A54 * k4_i)>,
         )
         vec<k5_i> = k5
         k6 = f(
             t + h,
-            vec<y_i + h * (_A61 * k1_i + _A62 * k2_i + _A63 * k3_i + _A64 * k4_i + _A65 * k5_i)>,
+            args<y_i + h * (_A61 * k1_i + _A62 * k2_i + _A63 * k3_i + _A64 * k4_i + _A65 * k5_i)>,
         )
         vec<k6_i> = k6
-        z = vec<y_i + h * (_B1 * k1_i + _B3 * k3_i + _B4 * k4_i + _B5 * k5_i + _B6 * k6_i)>
-        vec<z_i> = z
+        vec<z_i> = vec<y_i + h * (_B1 * k1_i + _B3 * k3_i + _B4 * k4_i + _B5 * k5_i + _B6 * k6_i)>
         t1 = t + h
-        k7 = f(t1, z)
+        k7 = f(t1, args<z_i>)
         vec<k7_i> = k7
 
         # squares summed in component order; a leading 0.0 + would change
@@ -442,6 +466,7 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
             t, k1 = t1, k7
             vec<y_i> = vec<z_i>
             vec<k1_i> = vec<k7_i>
+            z = vec<z_i>
             append_t(t)
             append_y(z)
             if stop is not None and stop(t, z):
@@ -461,17 +486,21 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
 
 
 @lru_cache(maxsize=None)
-def _kernel(dim: int) -> Callable:
-    """The DP5 loop for states of `dim` components, compiled once, together
-    with the `DensePath` subclass its paths are made of, whose `values`
-    walk and `_extension` are rendered for the same dimension.
+def _kernel(dim: int, reads: int) -> Callable:
+    """The DP5 loop for states of `dim` components whose right-hand side
+    reads the first `reads` of them, compiled once, together with the
+    `DensePath` subclass its paths are made of, whose `values` walk and
+    `_extension` are rendered for the same dimension.
 
     The rendered source is registered in `linecache` under the kernel's
     file name, so tracebacks and profilers show its lines.
     """
 
     def expand(match: re.Match) -> str:
-        terms = [re.sub(r"_i\b", f"_{i}", match[2]) for i in range(dim)]
+        count = reads if match[1] == "args" else dim
+        terms = [re.sub(r"_i\b", f"_{i}", match[2]) for i in range(count)]
+        if match[1] == "args":
+            return ", ".join(terms)
         if match[1] == "sum":
             return "(" + " + ".join(terms) + ")"
         return "(" + ", ".join(terms) + ",)"
@@ -481,11 +510,12 @@ def _kernel(dim: int) -> Callable:
         value = _P[int(name[2])][int(name[3])] if name[1] == "P" else globals()[name]
         return f"({value!r})" if value < 0 else repr(value)
 
-    source = re.sub(r"(vec|sum)<(.*?)>", expand, _KERNEL, flags=re.S).replace("{dim}", str(dim))
+    source = re.sub(r"(vec|sum|args)<(.*?)>", expand, _KERNEL, flags=re.S)
+    source = source.replace("{dim}", str(dim)).replace("{reads}", str(reads))
     # tableau names become their values (repr round-trips a float exactly),
     # a constant load in place of a global lookup at every use
     source = re.sub(r"\b_(?:[ABCE]\d+|P\d\d)\b", constant, source)
-    filename = f"<bsym.stepper DP5 kernel dim={dim}>"
+    filename = f"<bsym.stepper DP5 kernel dim={dim} reads={reads}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {
         "__name__": __name__,  # the rendered class's __module__
@@ -497,7 +527,7 @@ def _kernel(dim: int) -> Callable:
         "isfinite": math.isfinite,
     }
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"dp5_dim{dim}"]
+    return namespace[f"dp5_dim{dim}_reads{reads}"]
 
 
 def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> list[State]:

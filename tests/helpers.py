@@ -147,7 +147,7 @@ def own_path(a, b, mult: float, t_end: float):
     as `quad.nested_path` reports them."""
     rhs = checked_factory(quad._AB, a, b)(mult)
     try:
-        return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL)
+        return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL, reads=1)
     except StepUnderflow as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:  # exp(mult * A)

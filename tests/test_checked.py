@@ -27,9 +27,10 @@ from bsym import (
     quad,
     rk_solve,
     stepper,
+    verify_cases,
 )
 from bsym.exponent import ExponentClass, signed_pow
-from bsym.expr import FUNCTIONS, _codegen, as_callable
+from bsym.expr import FUNCTIONS, _codegen, as_callable, negated
 from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import nested_path
 
@@ -60,18 +61,22 @@ def reference_callable(e):
 
 def reference_factory(form, *coefs):
     """The closures quad and oracle built before, with the factory
-    signature of the form they stand in for."""
-    fs = [reference_callable(c) for c in coefs]
+    signature of the form they stand in for.  The oracle's closures
+    evaluate its coefficients with the signs bound to the factory put back
+    as unary minuses at the top of their trees."""
     if form is quad._AB:
-        fa, fb = fs
+        fa, fb = (reference_callable(c) for c in coefs)
         exp = math.exp
-        return lambda mult: lambda s, y: (fa(s), fb(s) * exp(mult * y[0]))
-    fa, fb = fs
+        return lambda mult: lambda s, A: (fa(s), fb(s) * exp(mult * A))
 
-    def factory(n, e, pow, signed_pow_):
+    def factory(sa, sb, n, e, pow, signed_pow_):
+        fa, fb = (
+            reference_callable(c if sign > 0.0 else negated(c))
+            for sign, c in zip((sa, sb), coefs)
+        )
         if n.cls is ExponentClass.ONE:
-            return lambda t, y: ((fa(t) + fb(t)) * y[0],)
-        return lambda t, y: (fa(t) * y[0] + fb(t) * signed_pow(y[0], n),)
+            return lambda t, x: ((fa(t) + fb(t)) * x,)
+        return lambda t, x: (fa(t) * x + fb(t) * signed_pow(x, n),)
 
     return factory
 
@@ -159,9 +164,9 @@ def test_the_oracle_problems_reach_both_signs_of_y(monkeypatch):
     seen = []
 
     def recording(f, y0, *args, **kwargs):
-        def rhs(t, y):
-            seen.append(y[0])
-            return f(t, y)
+        def rhs(t, x):
+            seen.append(x)
+            return f(t, x)
 
         return stepper.integrate(rhs, y0, *args, **kwargs)
 
@@ -189,24 +194,26 @@ def generated_oracle_rhs(monkeypatch, p):
 
 @pytest.mark.parametrize("n", EXPONENTS)
 def test_oracle_rhs_matches_signed_pow_at_every_kind_of_y(monkeypatch, n):
-    p = problem("cos(t)", "sin(t) - 2", n, 0.5)
-    rhs = generated_oracle_rhs(monkeypatch, p)
-    fa, fb = reference_callable(p.a), reference_callable(p.b)
-    if p.n.cls is ExponentClass.ONE:
-        def reference(t, y):
-            return ((fa(t) + fb(t)) * y[0],)
-    else:
-        def reference(t, y):
-            return (fa(t) * y[0] + fb(t) * signed_pow(y[0], p.n),)
+    # the second problem's signs of a and b become the rhs's +-1.0 factors
+    for a, b in (("cos(t)", "sin(t) - 2"), ("-cos(t)", "-(sin(t) - 2)")):
+        p = problem(a, b, n, 0.5)
+        rhs = generated_oracle_rhs(monkeypatch, p)
+        fa, fb = reference_callable(p.a), reference_callable(p.b)
+        if p.n.cls is ExponentClass.ONE:
+            def reference(t, x):
+                return ((fa(t) + fb(t)) * x,)
+        else:
+            def reference(t, x):
+                return (fa(t) * x + fb(t) * signed_pow(x, p.n),)
 
-    def result(f, y):
-        try:
-            return repr(f(0.3, (y,)))
-        except (DomainError, OverflowError) as exc:
-            return type(exc).__name__, str(exc)
+        def result(f, y):
+            try:
+                return repr(f(0.3, y))
+            except (DomainError, OverflowError) as exc:
+                return type(exc).__name__, str(exc)
 
-    for y in (0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, 1e200, -1e200, math.inf, -math.inf, math.nan):
-        assert result(rhs, y) == result(reference, y), y
+        for y in (0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, 1e200, -1e200, math.inf, -math.inf, math.nan):
+            assert result(rhs, y) == result(reference, y), (a, y)
 
 
 # --- the error contract ---------------------------------------------------------
@@ -297,7 +304,7 @@ def test_power_overflow_stays_a_step_failure():
 def test_domain_errors_keep_their_texts(monkeypatch, n, y, text):
     rhs = generated_oracle_rhs(monkeypatch, problem("1", "1", n, 0.5))
     with pytest.raises(DomainError) as info:
-        rhs(0.25, (y,))
+        rhs(0.25, y)
     assert str(info.value) == text
 
 
@@ -321,8 +328,8 @@ def test_an_infinite_coefficient_never_reaches_the_step_retry(monkeypatch, modul
     returned = []
 
     def recording(f, *args, **kwargs):
-        def rhs(t, y):
-            k = f(t, y)
+        def rhs(*state):
+            k = f(*state)
             returned.append(all(map(math.isfinite, k)))
             return k
 
@@ -380,10 +387,47 @@ def test_profiles_see_each_coefficient_function():
     profile.enable()
     for fn in fns:
         for k in range(5):
-            fn(0.1 * k, (0.0, 0.0))
+            fn(0.1 * k, 0.0)
     profile.disable()
     entries = {
         key: stat[1] for key, stat in pstats.Stats(profile).stats.items() if key[2] == "checked"
     }
     assert len(entries) == 2 and len({file for file, _, _ in entries}) == 2
     assert sorted(entries.values()) == [5, 5]
+
+
+def test_the_oracle_compiles_once_per_pair_up_to_sign():
+    # the partners of T2i, T2iv and T3i flip the signs of cos(t) and sin(t);
+    # with the signs bound to the oracle's factory, one compile serves the
+    # four problems, beside the one of the validity search's (A, B) form
+    expr.checked_factory.cache_clear()
+    reports = verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), ["T2i", "T2iv", "T3i"])
+    assert [r.passed for r in reports] == [True] * 3
+    assert expr.checked_factory.cache_info().misses == 2
+
+
+# --- what the stepper hands the right-hand side ---------------------------------
+
+@pytest.mark.parametrize("module,run", [
+    (quad, lambda: nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), 2.0, 3.0)),
+    (quad, lambda: nested_path(parse_expr("t"), parse_expr("-1"), -0.5, -3.0)),
+    (oracle, lambda: rk_solve(problem("cos(t)", "sin(t)", 2, 0.5), 3.0)),
+    (oracle, lambda: rk_solve(problem("-cos(t)", "-1", 1, 0.5), -3.0)),
+])
+def test_each_rhs_call_receives_one_float(monkeypatch, module, run):
+    # B never feeds back, so a quadrature stage carries A alone; the oracle's
+    # state is y alone; neither receives a state tuple
+    calls = []
+
+    def recording(f, *args, **kwargs):
+        def rhs(*received):
+            calls.append(received)
+            return f(*received)
+
+        return stepper.integrate(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", recording)
+    result = run()
+    path = getattr(result, "path", result)
+    assert len(calls) > 6 * (len(path.ts) - 1)
+    assert all(len(c) == 2 and type(c[0]) is float and type(c[1]) is float for c in calls)

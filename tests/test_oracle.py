@@ -127,6 +127,13 @@ def test_step_budget_exhaustion_is_step_failure():
         )
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_is_value_error(t_end):
+    # the stepper rejects it before any step: no path "arrives" at t = 0
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        rk_solve(problem("1", "1", 2, 0.5), t_end)
+
+
 def test_oracle_config_validation():
     # the oracle's control rejects a bad tolerance or step budget
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import linecache
 import math
 import random
@@ -24,12 +25,13 @@ def cos_path(t_end: float):
 
 
 def pair_path(t_end: float):
-    # the quadrature's coupled (A, B) shape: A' = a, B' = b * exp(A)
+    # the quadrature's coupled (A, B) shape: A' = a, B' = b * exp(A), B unread
     return integrate(
-        lambda t, y: (math.cos(t), math.sin(2.0 * t) * math.exp(y[0])),
+        lambda t, a: (math.cos(t), math.sin(2.0 * t) * math.exp(a)),
         (0.0, 0.0),
         t_end,
         CTL,
+        reads=1,
     )
 
 
@@ -142,8 +144,8 @@ def outward_times(path, seed, count):
         lambda: cos_path(-6.0),
         lambda: cos_path(0.0),
         stopped_oracle_path,
-        lambda: integrate(rhs_3(), DIMS[3][1], 4.0, CTL),
-        lambda: integrate(rhs_3(), DIMS[3][1], -4.0, CTL),
+        lambda: integrate(rhs_3(), SYSTEMS[3, 3][1], 4.0, CTL),
+        lambda: integrate(rhs_3(), SYSTEMS[3, 3][1], -4.0, CTL),
     ],
     ids=["pair+", "pair-", "cos+", "cos-", "single-node", "stopped-oracle", "dim3+", "dim3-"],
 )
@@ -421,6 +423,17 @@ def reference_integrate(f, y0, t_end, ctl, stop=None):
     return path
 
 
+def reference(reads):
+    """`reference_integrate` driving a right-hand side of the kernel's
+    contract: the loop's state tuple spread into its first `reads`
+    components."""
+
+    def integrator(f, y0, t_end, ctl, stop=None):
+        return reference_integrate(lambda t, y: f(t, *y[:reads]), y0, t_end, ctl, stop)
+
+    return integrator
+
+
 def run(integrator, make_rhs, y0, t_end, ctl=CTL, stop=None):
     """(outcome, repr of ts, ys, ks, stopped); repr tells every float bit
     apart, -0.0 from 0.0 included.  make_rhs gives each run a fresh RHS."""
@@ -431,59 +444,106 @@ def run(integrator, make_rhs, y0, t_end, ctl=CTL, stop=None):
     return outcome, repr((path.ts, path.ys, path.ks, path.stopped))
 
 
+def both(shape, make_rhs, y0, t_end, ctl=CTL, stop=None):
+    """run's outcome from the kernel for shape = (dim, reads), then from the
+    reference loop."""
+    reads = shape[1]
+    return (
+        run(functools.partial(integrate, reads=reads), make_rhs, y0, t_end, ctl, stop),
+        run(reference(reads), make_rhs, y0, t_end, ctl, stop),
+    )
+
+
 def rhs_1():
-    return lambda t, y: (math.cos(3.0 * t) - 0.2 * y[0] * abs(y[0]),)
+    return lambda t, y: (math.cos(3.0 * t) - 0.2 * y * abs(y),)
 
 
 def rhs_2():
-    # the nested quadrature's shape, with a non-trivial A
-    return lambda t, y: (math.cos(t) - 0.5 * t, math.sin(2.0 * t) * math.exp(0.7 * y[0]))
+    # rhs_2_reads_1 passed B too, which it does not read
+    f = rhs_2_reads_1()
+    return lambda t, a, b: f(t, a)
 
 
 def rhs_3():
     # a list, not a tuple: the stages are stored as the objects f returns
-    return lambda t, y: [y[1], -y[0] + 0.3 * math.sin(t) * y[2], math.cos(t) - 0.5 * y[2]]
+    return lambda t, y0, y1, y2: [y1, -y0 + 0.3 * math.sin(t) * y2, math.cos(t) - 0.5 * y2]
 
 
-DIMS = {1: (rhs_1, (0.4,)), 2: (rhs_2, (0.0, 0.0)), 3: (rhs_3, (1.0, -0.5, 0.25))}
+def rhs_2_reads_1():
+    # the nested quadrature's shape, with a non-trivial A; B never feeds back
+    return lambda t, a: (math.cos(t) - 0.5 * t, math.sin(2.0 * t) * math.exp(0.7 * a))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+def rhs_3_reads_1():
+    # two quadratures driven by the first component
+    return lambda t, y0: (
+        math.cos(3.0 * t) - 0.2 * y0 * abs(y0),
+        math.sin(t) * y0,
+        math.exp(-0.3 * y0) - 0.5,
+    )
+
+
+def rhs_3_reads_2():
+    # a forced oscillator and the integral of its velocity against cos t
+    return lambda t, y0, y1: [y1, -y0 + 0.3 * math.sin(t), math.cos(t) * y1 * y0]
+
+
+# (dim, reads) -> (make_rhs, y0)
+SYSTEMS = {
+    (1, 1): (rhs_1, (0.4,)),
+    (2, 2): (rhs_2, (0.0, 0.0)),
+    (3, 3): (rhs_3, (1.0, -0.5, 0.25)),
+    (2, 1): (rhs_2_reads_1, (0.0, 0.0)),
+    (3, 1): (rhs_3_reads_1, (0.4, 0.0, -1.0)),
+    (3, 2): (rhs_3_reads_2, (1.0, -0.5, 0.25)),
+}
+# a system whose right-hand side reads every component keeps the id of its
+# dimension alone
+SHAPES = [
+    pytest.param(shape, id=str(shape[0]) if shape[0] == shape[1] else "{}reads{}".format(*shape))
+    for shape in SYSTEMS
+]
+PARTIAL_SHAPES = [param for param in SHAPES if param.values[0][1] < param.values[0][0]]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("t_end", [5.0, -5.0, 1e-3, 0.0, 5e-324, -1e-322])
-def test_kernel_is_bit_identical_to_the_vector_loop(dim, t_end):
-    make_rhs, y0 = DIMS[dim]
-    expected = run(reference_integrate, make_rhs, y0, t_end)
-    assert run(integrate, make_rhs, y0, t_end) == expected
+def test_kernel_is_bit_identical_to_the_vector_loop(shape, t_end):
+    make_rhs, y0 = SYSTEMS[shape]
+    got, expected = both(shape, make_rhs, y0, t_end)
+    assert got == expected
     assert expected[0] == "done"
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("t_end", [6.0, -6.0])
-def test_kernel_matches_with_a_stop_callback(dim, t_end):
-    make_rhs, y0 = DIMS[dim]
-    target = abs(reference_integrate(make_rhs(), y0, t_end, CTL).ys[5][0])
+def test_kernel_matches_with_a_stop_callback(shape, t_end):
+    make_rhs, y0 = SYSTEMS[shape]
+    target = abs(reference(shape[1])(make_rhs(), y0, t_end, CTL).ys[5][0])
 
     def stop(t, y):
         return abs(y[0]) >= target
 
-    expected = run(reference_integrate, make_rhs, y0, t_end, stop=stop)
-    assert run(integrate, make_rhs, y0, t_end, stop=stop) == expected
+    got, expected = both(shape, make_rhs, y0, t_end, stop=stop)
+    assert got == expected
     assert expected[1].endswith(", True)")  # stopped
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("t_end", [4.0, -4.0])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_kernel_matches_after_a_non_finite_stage(dim, t_end, bad):
-    make_clean, y0 = DIMS[dim]
+def test_kernel_matches_after_a_non_finite_stage(shape, t_end, bad):
+    # the last component's stage turns bad: one f does not read, where
+    # reads < dim
+    make_clean, y0 = SYSTEMS[shape]
     returned = []
 
     def make_rhs():
         clean, calls = make_clean(), [0]
 
-        def rhs(t, y):
+        def rhs(t, *y):
             calls[0] += 1
-            k = clean(t, y)
+            k = clean(t, *y)
             if calls[0] == 40:  # one stage of one step attempt
                 returned.append(bad)
                 return (*k[:-1], bad)
@@ -491,11 +551,11 @@ def test_kernel_matches_after_a_non_finite_stage(dim, t_end, bad):
 
         return rhs
 
-    expected = run(reference_integrate, make_rhs, y0, t_end)
-    assert run(integrate, make_rhs, y0, t_end) == expected
+    got, expected = both(shape, make_rhs, y0, t_end)
+    assert got == expected
     assert len(returned) == 2  # both runs took the h *= 0.1 retry
     assert expected[0] == "done"
-    assert expected != run(reference_integrate, make_clean, y0, t_end)
+    assert expected != run(reference(shape[1]), make_clean, y0, t_end)
 
 
 def err_numerator(path, i):
@@ -506,9 +566,9 @@ def err_numerator(path, i):
     return h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("branch", ["zero error", "growth clamped"])
-def test_kernel_matches_where_the_step_grows_fivefold(dim, branch):
+def test_kernel_matches_where_the_step_grows_fivefold(shape, branch):
     # from h = 64 / 64 = 1 every t is an integer, so each step length is
     # exact: 1, 5 and 25, then 33 clamped to t_end.  y' = 0 makes every
     # error exactly 0 (factor 5.0 by the err_norm == 0.0 branch); y' = 1e-30
@@ -516,40 +576,42 @@ def test_kernel_matches_where_the_step_grows_fivefold(dim, branch):
     # embedded 4th-order ones, so the error is nonzero and so small that
     # 0.9 * err_norm**-0.2 exceeds 5 and the growth clamp gives 5.0
     c = 0.0 if branch == "zero error" else 1e-30
+    dim, reads = shape
 
     def make_rhs():
-        return lambda t, y: (c * t**4,) * dim
+        return lambda t, *y: (c * t**4,) * dim
 
     y0 = (1.0,) * dim
-    expected = run(reference_integrate, make_rhs, y0, 64.0)
-    assert run(integrate, make_rhs, y0, 64.0) == expected
-    path = integrate(make_rhs(), y0, 64.0, CTL)
+    got, expected = both(shape, make_rhs, y0, 64.0)
+    assert got == expected
+    path = integrate(make_rhs(), y0, 64.0, CTL, reads=reads)
     assert path.ts == [0.0, 1.0, 6.0, 31.0, 64.0]
     errors = [err_numerator(path, i) for i in range(3)]
     assert all(e == 0.0 for e in errors) if c == 0.0 else all(e != 0.0 for e in errors)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_kernel_matches_where_a_rejection_is_clamped(dim):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_kernel_matches_where_a_rejection_is_clamped(shape):
     # y' = 50 y over a first trial step of 1/64: the error is near 1e-3 of
     # y against rel_tol 1e-10, so err_norm is about 1e6 and the unclamped
     # factor 0.9 * err_norm**-0.2 about 0.06; the rejection clamp makes it
     # 0.2.  From t = 0 the FSAL stage is evaluated at 0.0 + h, exactly h,
     # so the recorded times give the first two trial steps, the second at
-    # t = 0 again (an accepted first step would put it past 1/64)
+    # t = 0 again (an accepted first step would put it past 1/64).  A
+    # component f does not read takes 50 times one it reads
     times = []
+    dim = shape[0]
 
     def make_rhs():
-        def rhs(t, y):
+        def rhs(t, *y):
             times.append(t)
-            return tuple(50.0 * v for v in y)
+            return tuple(50.0 * y[i % len(y)] for i in range(dim))
 
         return rhs
 
     y0 = (1.0,) * dim
-    expected = run(reference_integrate, make_rhs, y0, 1.0)
-    del times[:]
-    assert run(integrate, make_rhs, y0, 1.0) == expected
+    got, expected = both(shape, make_rhs, y0, 1.0)
+    assert got == expected
     trials = times[6::6]  # the FSAL stage of each attempt of the kernel's run
     assert trials[:2] == [1.0 / 64.0, 1.0 / 64.0 * 0.2]
 
@@ -557,13 +619,14 @@ def test_kernel_matches_where_a_rejection_is_clamped(dim):
 @pytest.mark.parametrize("t_end", [2.0, -2.0])
 def test_kernel_matches_the_partial_path_on_underflow(t_end):
     def make_rhs():  # y' = y^2 from y(0) = sign: a pole at |t| = 1
-        return lambda t, y: (y[0] * y[0], math.cos(t))
+        return lambda t, y, *unread: (y * y, math.cos(t))
 
     y0 = (math.copysign(1.0, t_end), 0.0)
     ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, min_step_fraction=2.0**-20)
-    expected = run(reference_integrate, make_rhs, y0, t_end, ctl)
-    assert run(integrate, make_rhs, y0, t_end, ctl) == expected
-    assert expected[0] == "StepUnderflow"
+    for shape in ((2, 2), (2, 1)):
+        got, expected = both(shape, make_rhs, y0, t_end, ctl)
+        assert got == expected
+        assert expected[0] == "StepUnderflow"
 
 
 @pytest.mark.parametrize("t_end", [5e-324, -5e-324, 1e-322, -1.5e-322])
@@ -606,16 +669,69 @@ def test_step_control_validation():
     StepControl(rel_tol=1e-10, abs_tol=1e-12, min_step_fraction=1.0 - 2.0**-53)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_kernel_matches_the_partial_path_on_an_exhausted_budget(dim):
-    make_rhs, y0 = DIMS[dim]
+@pytest.mark.parametrize("shape", SHAPES)
+def test_kernel_matches_the_partial_path_on_an_exhausted_budget(shape):
+    make_rhs, y0 = SYSTEMS[shape]
     ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=7)
-    expected = run(reference_integrate, make_rhs, y0, -5.0, ctl)
-    assert run(integrate, make_rhs, y0, -5.0, ctl) == expected
+    got, expected = both(shape, make_rhs, y0, -5.0, ctl)
+    assert got == expected
     assert expected[0] == "StepBudgetExceeded"
 
 
-def test_kernel_is_generated_once_per_dimension(monkeypatch):
+@pytest.mark.parametrize("shape", PARTIAL_SHAPES)
+@pytest.mark.parametrize("t_end", [4.0, -4.0])
+def test_partial_reads_keep_dense_values_and_crossings(shape, t_end):
+    # a kernel that skips the stage states of unread components gives the
+    # dense values of the reference loop's path and the crossings of the
+    # kernel that reads every component
+    dim, reads = shape
+    make_rhs, y0 = SYSTEMS[shape]
+    path = integrate(make_rhs(), y0, t_end, CTL, reads=reads)
+    expected = reference(reads)(make_rhs(), y0, t_end, CTL)
+    ts = outward_times(path, 4, 200)
+    assert [repr(y) for y in path.values(ts)] == [repr(reference_value(expected, t)) for t in ts]
+    f = make_rhs()
+    every = integrate(lambda t, *y: f(t, *y[:reads]), y0, t_end, CTL)
+    assert type(every) is not type(path)
+    found = 0
+    for k in range(dim):
+        for node in (len(path.ts) // 3, len(path.ts) // 2, -1):
+            for level in (path.ys[node][k], 0.5 * (path.ys[0][k] + path.ys[node][k])):
+                crossing = path.first_crossing(k, level, CTL.abs_tol, CTL.rel_tol)
+                assert crossing == every.first_crossing(k, level, CTL.abs_tol, CTL.rel_tol)
+                found += crossing is not None
+    assert found >= dim
+
+
+@pytest.mark.parametrize(
+    "y0,t_end,reads,match",
+    [
+        ((), 1.0, None, "at least one component"),
+        ((0.0,), math.nan, None, "t_end must be finite"),
+        ((0.0,), math.inf, None, "t_end must be finite"),
+        ((0.0,), -math.inf, None, "t_end must be finite"),
+        ((0.0, 0.0), 1.0, 0, "reads"),
+        ((0.0, 0.0), 1.0, 3, "reads"),
+        ((0.0, 0.0), 1.0, -1, "reads"),
+        ((0.0, 0.0), 1.0, 1.0, "reads"),
+    ],
+)
+def test_integrate_rejects_what_no_kernel_integrates(y0, t_end, reads, match):
+    # an empty state used to reach the renderer (a SyntaxError), t_end = nan
+    # returned a one-node path as if it had arrived, and t_end = inf ran the
+    # whole step budget at t = 0
+    calls = []
+
+    def rhs(t, *y):
+        calls.append(t)
+        return (1.0,) * len(y0)
+
+    with pytest.raises(ValueError, match=match):
+        integrate(rhs, y0, t_end, CTL, reads=reads)
+    assert calls == []
+
+
+def test_kernel_is_generated_once_per_dimension_and_reads(monkeypatch):
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -625,38 +741,42 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
     monkeypatch.setattr(stepper, "compile", counting_compile, raising=False)
     stepper._kernel.cache_clear()
     paths = {}
-    for dim in (2, 1, 2, 1, 2, 3):
-        make_rhs, y0 = DIMS[dim]
-        path = integrate(make_rhs(), y0, 1.0, CTL)
+    order = [(2, 2), (1, 1), (2, 1), (2, 2), (1, 1), (3, 3), (2, 1), (3, 1), (3, 2), (3, 1)]
+    for dim, reads in order:
+        make_rhs, y0 = SYSTEMS[dim, reads]
+        path = integrate(make_rhs(), y0, 1.0, CTL, reads=reads)
         path.values([0.25, 0.5, 1.0])  # dense queries compile nothing
         path.first_crossing(0, 1e9, CTL.abs_tol, CTL.rel_tol)
-        paths.setdefault(dim, []).append(path)
-    assert compiled == [f"<bsym.stepper DP5 kernel dim={dim}>" for dim in (2, 1, 3)]
-    assert stepper._kernel(2) is stepper._kernel(2)
+        paths.setdefault((dim, reads), []).append(path)
+    names = {shape: "<bsym.stepper DP5 kernel dim={} reads={}>".format(*shape) for shape in paths}
+    assert compiled == list(names.values())
+    assert stepper._kernel(2, 1) is stepper._kernel(2, 1)
     # the dense output is rendered with the kernel, one path class per
-    # dimension, and no generic walk or extension is kept beside it
-    for dim, same in paths.items():
+    # kernel, and no generic walk or extension is kept beside it
+    for shape, same in paths.items():
         cls = type(same[0])
         assert cls is not DensePath and issubclass(cls, DensePath)
+        assert cls.__name__ == f"DensePath{shape[0]}"
         assert all(type(path) is cls for path in same)
         for method in (cls.values, cls._extension):
-            assert method.__code__.co_filename == f"<bsym.stepper DP5 kernel dim={dim}>"
-    assert len({type(same[0]) for same in paths.values()}) == 3
+            assert method.__code__.co_filename == names[shape]
+    assert len({type(same[0]) for same in paths.values()}) == len(paths) == 6
     assert "values" not in vars(DensePath) and "_extension" not in vars(DensePath)
 
 
 def test_traceback_shows_the_kernel_source():
     calls = []
 
-    def failing(t, y):
+    def failing(t, a):
         calls.append(t)
         if len(calls) == 3:  # k1, k2, then k3 of the first step
             raise ZeroDivisionError("from the right-hand side")
         return (1.0, 1.0)
 
     with pytest.raises(ZeroDivisionError) as info:
-        integrate(failing, (0.0, 0.0), 1.0, CTL)
+        integrate(failing, (0.0, 0.0), 1.0, CTL, reads=1)
     frame = traceback.extract_tb(info.tb)[-2]
-    assert frame.filename == "<bsym.stepper DP5 kernel dim=2>"
-    assert frame.line.startswith("k3 = f(t + 0.3 * h, (y_0 + h * (0.075 * k1_0")
+    assert frame.filename == "<bsym.stepper DP5 kernel dim=2 reads=1>"
+    # the stage state of the component f reads is its one argument
+    assert frame.line == "k3 = f(t + 0.3 * h, y_0 + h * (0.075 * k1_0 + 0.225 * k2_0))"
     assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
