@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DomainError, EvalError, OutsideValidity
 from .expr import Expr, parse_expr, split_sign, structural_parity
@@ -40,6 +40,7 @@ from .exponent import (
     ExponentClass,
     RationalExponent,
     classify_exponent,
+    minus_one,
     parse_exponent,
     signed_pow,
 )
@@ -85,6 +86,7 @@ class ProblemSpec:
             raise DomainError(
                 "exponent with even denominator requires a positive initial value"
             )
+        minus_one(self.n)  # DomainError where n - 1 is no usable float
 
 
 def problem(a: str, b: str, n: Union[str, int], d: float) -> ProblemSpec:
@@ -127,10 +129,6 @@ class Validity:
         return self.lo + m, self.hi - m
 
 
-def _mult(n: RationalExponent) -> float:
-    return (n.p - n.q) / n.q  # n - 1 without an extra rounding
-
-
 def _recip_exponent(n: RationalExponent) -> RationalExponent:
     """Exponent of d in d^(1-n) = 1/d^(n-1)."""
     return classify_exponent(n.q - n.p, n.q)
@@ -164,7 +162,7 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     with an even reduced root denominator, or G = 0 with a negative root
     exponent.
     """
-    m = _mult(p.n)  # 0 for n = 1, where B is plain int_0^t b
+    m = minus_one(p.n)  # 0 for n = 1, where B is plain int_0^t b
     values = zip(ab_values(p.a, p.b, m, ts, p._searched), ts)
     exp = math.exp
     out = []
@@ -221,26 +219,27 @@ def eval_solution(p: ProblemSpec, t: float) -> float:
 def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) -> list[Validity]:
     """The first zero of G on each side of 0 within search_radius, per problem.
 
-    G = g0 - (n-1)*B vanishes where B reaches g0/(n-1), which
+    G = g0 - (n-1)*B vanishes where B reaches level = g0/(n-1), which
     `DensePath.first_crossing` finds step by step on the dense (A, B) path
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
     A and B depend on a, b and n-1 only.  Write a = sa*a0 and b = sb*b0,
     a0 and b0 the trees under the unary minuses at the top of a and b
-    (`expr.split_sign`), and m0 = sa*(n-1); only such Neg-free triples are integrated.  The path of
-    (a, b, n-1) toward a side is (sa*A0, sb*B0) on the path of (a0, b0, m0)
-    toward that side, or, where `expr.structural_parity` gives a0 and b0
-    parities eps_a and eps_b (+1 even, -1 odd; sampled parity never
-    shares), (-eps_a*sa*A0, -eps_b*sb*B0) on the path of
-    (a0, b0, -eps_a*m0) toward the other side read at -t.  A problem keeps
-    that integrated path itself where the signs change nothing, else one
-    `stepper.PathView` of it, shared by every problem with the same
-    (a, b, n-1); a side with neither path integrates (a0, b0, m0).  So p1
-    shares its paths with the partners that flip d, a or b and, with a and
-    b of structural parity, with those that reflect t; with a odd, one
-    integration serves both sides of a problem.  Each (integrated path,
-    signed level) is walked once per call, so a problem whose interval is
-    an earlier one's, or its reflection, walks nothing.  See `PathView` for
+    (`expr.split_sign`), and m0 = sa*(n-1).  One table holds the paths of
+    such Neg-free triples, one per side, and each side of a problem
+    resolves once to (source, r, signs): the path of (a0, b0, m0) toward
+    that side, r = 1, signs (sa, sb); else, where `expr.structural_parity`
+    gives a0 and b0 parities eps_a and eps_b (+1 even, -1 odd; sampled
+    parity never shares), the path of (a0, b0, -eps_a*m0) toward the other
+    side, r = -1, signs (-eps_a*sa, -eps_b*sb); else a fresh path of
+    (a0, b0, m0), r = 1, signs (sa, sb).  The problem keeps source where r
+    and both signs are 1, else `stepper.PathView(source, r, signs)`, and its
+    end is r times source's first crossing of signs[1]*level.  So p1 shares
+    its paths with the partners that flip d, a or b and, with a and b of
+    structural parity, with those that reflect t; with a odd, one
+    integration serves both sides of a problem.  Each (source, signed
+    level) is walked once per call, so a problem whose interval is an
+    earlier one's, or its reflection, walks nothing.  See `PathView` for
     why a view is bit for bit the path it stands for.
 
     Boundary kinds: Asymptote when the root exponent is negative (the
@@ -258,36 +257,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
     integrated = {}  # (a0, b0, m0, direction) -> that side's (A0, B0) path
-    paths = {}  # (a, b, n-1, direction) -> that side's path or a view of one
     crossings = {}  # (id of an integrated path, level of its B) -> first crossing
-
-    def search_path(a0, b0, m0, direction, sa, sb, parities):
-        # the path of (sa*a0, sb*b0, sa*m0) toward direction
-        r, source = 1.0, integrated.get((a0, b0, m0, direction))
-        if source is None and parities is not None:
-            ea, eb = parities
-            source = integrated.get((a0, b0, -ea * m0, -direction))
-            if source is not None:
-                r, sa, sb = -1.0, -ea * sa, -eb * sb
-        if source is None:
-            source = integrated[a0, b0, m0, direction] = nested_path(
-                a0, b0, m0, direction * search_radius
-            )
-        return source if r == sa == sb == 1.0 else PathView(source, r, (sa, sb))
-
-    def first_zero(path, level: float) -> Optional[float]:
-        # a view's B reaches level where its source's reaches the signed
-        # level, read at r*t; each integrated path is walked once per level
-        r = 1.0
-        if isinstance(path, PathView):
-            path, r, level = path.source, path.r, path.signs[1] * level
-        if (id(path), level) not in crossings:
-            crossings[id(path), level] = path.first_crossing(
-                1, level, QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol
-            )
-        found = crossings[id(path), level]
-        return None if found is None else r * found
-
     out = []
     for p in problems:
         if p.n.cls is ExponentClass.ONE:
@@ -296,7 +266,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
             ))
             continue
         g0 = _g0(p)
-        m = _mult(p.n)
+        m = minus_one(p.n)
         root = _root_exponent(p.n)
         zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
 
@@ -306,17 +276,29 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
         (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
         m0 = sa * m
         pa, pb = structural_parity(a0), structural_parity(b0)
-        parities = None if pa is None or pb is None else (pa.sign, pb.sign)
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            key = (p.a, p.b, m, direction)
-            if key not in paths:
-                paths[key] = search_path(a0, b0, m0, direction, sa, sb, parities)
-            path = p._searched[direction] = paths[key]
-            found = first_zero(path, level)
+            r, signs = 1.0, (sa, sb)
+            source = integrated.get((a0, b0, m0, direction))
+            if source is None and pa is not None and pb is not None:
+                mirror = integrated.get((a0, b0, -pa.sign * m0, -direction))
+                if mirror is not None:
+                    source, r, signs = mirror, -1.0, (-pa.sign * sa, -pb.sign * sb)
+            if source is None:
+                source = integrated[a0, b0, m0, direction] = nested_path(
+                    a0, b0, m0, direction * search_radius
+                )
+            as_is = r == signs[0] == signs[1] == 1.0
+            p._searched[direction] = source if as_is else PathView(source, r, signs)
+            key = (id(source), signs[1] * level)
+            if key not in crossings:
+                crossings[key] = source.first_crossing(
+                    1, key[1], QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol
+                )
+            found = crossings[key]
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
-            ends.append(limit if found is None else (found, zero_kind))
+            ends.append(limit if found is None else (r * found, zero_kind))
         (hi, hi_kind), (lo, lo_kind) = ends
         out.append(Validity(lo, hi, lo_kind, hi_kind))
     return out

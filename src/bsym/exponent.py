@@ -20,6 +20,7 @@ __all__ = [
     "ExponentClass",
     "RationalExponent",
     "classify_exponent",
+    "minus_one",
     "parse_exponent",
     "signed_pow",
 ]
@@ -71,6 +72,23 @@ def classify_exponent(p: int, q: int) -> RationalExponent:
     else:
         cls = ExponentClass.ODD_OVER_ODD
     return RationalExponent(rp, rq, cls)
+
+
+def minus_one(n: RationalExponent) -> float:
+    """n - 1 as the float (p - q)/q, rounded once.
+
+    The closed form divides by n - 1 and raises to -1/(n - 1), so
+    DomainError, naming n, where n, n - 1 or 1/(n - 1) is not a finite
+    float, or where n - 1 rounds to 0.0 for n != 1.
+    """
+    p, q = n.p, n.q
+    try:  # int / int raises OverflowError rather than round to inf
+        m, _, _ = (p - q) / q, p / q, q / (p - q or 1)  # n = 1 has m = 0.0
+    except OverflowError:
+        m = 0.0
+    if m == 0.0 and p != q:
+        raise DomainError(f"exponent n={n}: n, n-1 or 1/(n-1) is out of float range")
+    return m
 
 
 def parse_exponent(text: Union[str, int, float]) -> RationalExponent:

@@ -46,7 +46,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import EvalError, NoConvergence, ParityViolation
 from .expr import CheckedForm, Expr, Parity, checked_factory, detect_parity
-from .exponent import RationalExponent
+from .exponent import RationalExponent, minus_one
 from .stepper import (
     DensePath,
     PathView,
@@ -158,7 +158,7 @@ def identity_residuals(
     if isinstance(ident, str):
         ident = Identity(ident)
     require_identity_parity(ident, a, b)
-    m = (n.p - n.q) / n.q
+    m = minus_one(n)
     par_a, par_b, sigma = _IDENTITIES[ident]
     # with eps = Parity.sign, s -> -s turns A(-u) into -eps_a * A(u) and
     # b(-u) into eps_b * b(u), so

@@ -222,12 +222,14 @@ class PathView:
     kernel's path of f from 0 toward r*T is this view: its h, nodes, states
     and stages are the source's with their signs changed, exactly, since
     negation is exact and the step control reads only magnitudes.  Its
-    `values` and `first_crossing` then equal that path's, because a query's
-    step fraction and a quartic's roots do not change under negation
-    either.  For r = -1 and a coefficient of structural parity eps this
-    assumes f(-t) = eps * f(t) bit for bit, that is a C library that
-    evaluates sin and sinh as odd, cos and cosh as even and pow(-x, k) as
-    +-pow(x, k) exactly.  No node, state or stage is copied.
+    `values` then equal that path's, because a query's step fraction does
+    not change under negation either; and since a quartic's roots do not
+    either, that path's first crossing of a level in component k is r times
+    the source's first crossing of signs[k] * level.  For r = -1 and a
+    coefficient of structural parity eps this assumes f(-t) = eps * f(t)
+    bit for bit, that is a C library that evaluates sin and sinh as odd,
+    cos and cosh as even and pow(-x, k) as +-pow(x, k) exactly.  No node,
+    state or stage is copied.
     """
 
     source: DensePath
@@ -242,11 +244,6 @@ class PathView:
         """States at times that run outward from the start, as `DensePath.values`."""
         r, (s0, s1) = self.r, self.signs
         return [(s0 * y0, s1 * y1) for y0, y1 in self.source.values([r * t for t in qs])]
-
-    def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
-        """The source's first crossing of signs[k] * level, read at r*t."""
-        found = self.source.first_crossing(k, self.signs[k] * level, abs_tol, rel_tol)
-        return None if found is None else self.r * found
 
 
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:

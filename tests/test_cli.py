@@ -209,6 +209,53 @@ def test_oracle_overflow_is_exit_2(tmp_path, command):
     assert not out.exists()
 
 
+# exponents whose float forms break: n - 1 rounds to 0.0, and n overflows
+NEAR_ONE = f"{10**400 + 1}/{10**400}"
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        pytest.param("solve", NEAR_ONE, id="solve-near-one"),
+        pytest.param("verify", NEAR_ONE, id="verify-near-one"),
+        pytest.param("cases", NEAR_ONE, id="cases-near-one"),
+        pytest.param("pair", NEAR_ONE, id="pair-near-one"),
+        # once read as "initial value d=1.0 is too small"
+        pytest.param("solve", HUGE, id="solve-huge"),
+        pytest.param("identities", HUGE, id="identities-huge"),
+    ],
+)
+def test_an_exponent_out_of_float_range_is_exit_2(tmp_path, command, n):
+    prob = write_problem(tmp_path / "p.json", {"a": "cos(t)", "b": "sin(t)", "n": n, "d": "1"})
+    out = str(tmp_path / "out")
+    args = {
+        "solve": ("--problem", prob, "--t-min", "-1", "--t-max", "1", "--out", out),
+        "verify": ("--problem", prob, "--report", out),
+        "cases": ("--problem", prob),
+        "pair": ("--problem", prob, "--case", "T2ii", "--out", out),
+        "identities": ("cos(t)", "sin(t)", n),
+    }[command]
+    res = run_cli(command, *args)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    [line] = res.stderr.splitlines()
+    assert line == f"bsym: exponent n={n}: n, n-1 or 1/(n-1) is out of float range"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_tiny_exponent_still_solves(tmp_path):
+    # n = 3e-400 is 0.0 as a float, but n - 1 = -1.0 and 1/(n - 1) are fine
+    prob = write_problem(
+        tmp_path / "p.json", {"a": "cos(t)", "b": "sin(t)", "n": f"3/{10**400}", "d": "1"}
+    )
+    out = tmp_path / "out.csv"
+    res = run_cli("solve", "--problem", prob, "--t-min", "-1", "--t-max", "1",
+                  "--points", "3", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert len(out.read_text().splitlines()) == 5
+
+
 def test_verify_closed_form_stops_at_the_pole_next_to_zero(tmp_path):
     prob = write_problem(tmp_path / "p.json", STEEP)
     report = tmp_path / "r.json"

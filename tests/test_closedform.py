@@ -482,8 +482,17 @@ def test_only_the_latest_search_paths_are_kept():
     assert p._searched == kept and all(p._searched[k] is kept[k] for k in kept)
     assert all(q._searched[k] is not kept[k] for k in kept)
     v, w = problem("sin(t)", "cos(t)", 2, 0.5), problem("sin(t)", "cos(t)", 2, 2.0)
-    validity_intervals([v, w], 4.0)  # same a, b, n-1: one path per side
-    assert all(v._searched[k] is w._searched[k] for k in kept)
+    validity_intervals([v, w], 4.0)  # same a, b, n-1: one integrated path
+
+    def source(path):
+        return path.source if isinstance(path, PathView) else path
+
+    # each problem reads its own view of it, and a = sin odd makes the side
+    # toward -4 the one toward +4 read at -t
+    assert isinstance(v._searched[-1.0], PathView) and v._searched[-1.0].r == -1.0
+    assert v._searched[-1.0] is not w._searched[-1.0]
+    assert all(source(v._searched[k]) is source(w._searched[k]) for k in kept)
+    assert source(v._searched[-1.0]) is v._searched[1.0]
     # a grid's fresh paths, here past the searched radius, are not kept
     solution_values(p, [-5.0, 5.0])
     assert p._searched == kept
@@ -699,25 +708,28 @@ def test_flipped_coefficients_search_and_solve_as_their_own_trees(a, b, n, d):
 
 
 def _search_and_solve_as_own_trees(problems):
-    """Search `problems` together, then check each one's validity ends and
-    `solution_values` against paths of its own trees, nothing shared."""
+    """Search `problems` together, in their order and reversed, then check
+    each one's validity ends and `solution_values` against paths of its
+    own trees, nothing shared.  Reversed, another problem integrates first
+    and the others find its paths; the answers must not change."""
     refs = [reference_search(p) for p in problems]
-    got = validity_intervals(problems, 4.0)
-    assert [_ends(v) for v in got] == [ends for ends, _ in refs]
-    for p, v, (_, paths) in zip(problems, got, refs):
-        lo, hi = v.interior()
-        ts = [lo + k * (hi - lo) / 100 for k in range(101)]
-        # from the kept paths, and from fresh ones to the grid's ends
-        pairs = grid_values(lambda x: paths[1.0 if x >= 0.0 else -1.0], ts)
-        assert outcome(lambda: solution_values(p, ts)) == outcome(
-            lambda: reference_solution_values(p, pairs, ts)
-        )
-        fresh = ProblemSpec(p.a, p.b, p.n, p.d)
-        m = (p.n.p - p.n.q) / p.n.q
-        pairs = grid_values(lambda x: own_path(p.a, p.b, m, x), ts)
-        assert outcome(lambda: solution_values(fresh, ts)) == outcome(
-            lambda: reference_solution_values(p, pairs, ts)
-        )
+    for order in (1, -1):
+        got = validity_intervals(problems[::order], 4.0)[::order]
+        assert [_ends(v) for v in got] == [ends for ends, _ in refs]
+        for p, v, (_, paths) in zip(problems, got, refs):
+            lo, hi = v.interior()
+            ts = [lo + k * (hi - lo) / 100 for k in range(101)]
+            # from the kept paths, and from fresh ones to the grid's ends
+            pairs = grid_values(lambda x: paths[1.0 if x >= 0.0 else -1.0], ts)
+            assert outcome(lambda: solution_values(p, ts)) == outcome(
+                lambda: reference_solution_values(p, pairs, ts)
+            )
+            fresh = ProblemSpec(p.a, p.b, p.n, p.d)
+            m = (p.n.p - p.n.q) / p.n.q
+            pairs = grid_values(lambda x: own_path(p.a, p.b, m, x), ts)
+            assert outcome(lambda: solution_values(fresh, ts)) == outcome(
+                lambda: reference_solution_values(p, pairs, ts)
+            )
 
 
 # --- paths shared across t -> -t, against each problem's own ------------------

@@ -123,3 +123,34 @@ def test_signed_pow_odd_root_sign_law(x, p, qhalf):
     right = (-1.0) ** r.p * signed_pow(x, r)
     assert math.copysign(1.0, left) == math.copysign(1.0, right)
     assert left == pytest.approx(right, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(2, 1), (1, 1), (0, 1), (-1, 1), (1, 3), (5, 3), pytest.param(3, 10**400, id="3-tiny")],
+)
+def test_minus_one_is_n_minus_one_rounded_once(p, q):
+    from bsym.exponent import minus_one
+
+    assert minus_one(classify_exponent(p, q)) == (p - q) / q
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        pytest.param(10**400 + 1, 10**400, id="n-1-rounds-to-0"),
+        pytest.param(10**310 + 1, 10**310, id="n-1-subnormal"),  # 1/(n - 1) overflows
+        pytest.param(10**400, 1, id="n-overflows"),
+        pytest.param(-(10**400), 3, id="n-overflows-negative"),
+    ],
+)
+def test_minus_one_rejects_an_exponent_out_of_float_range(p, q):
+    from bsym import problem
+    from bsym.exponent import minus_one
+
+    n = classify_exponent(p, q)
+    with pytest.raises(DomainError, match=r"out of float range") as info:
+        minus_one(n)
+    assert f"n={n}" in str(info.value)
+    with pytest.raises(DomainError, match=r"out of float range"):
+        problem("cos(t)", "sin(t)", str(n), 1.0)
