@@ -40,7 +40,6 @@ from .expr import (
     Expr,
     Parity,
     detect_parity,
-    eval_expr,
     format_expr,
     parse_expr,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "applicable_cases",
     "classify_exponent",
     "detect_parity",
-    "eval_expr",
     "eval_solution",
     "format_expr",
     "identity_residuals",

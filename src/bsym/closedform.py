@@ -82,7 +82,7 @@ class ProblemSpec:
         object.__setattr__(self, "d", float(self.d))
         if not math.isfinite(self.d) or self.d == 0.0:
             raise DomainError("initial value d must be finite and nonzero")
-        if self.n.cls is ExponentClass.ODD_OVER_EVEN and self.d < 0.0:
+        if not self.n.cls.negative_sign and self.d < 0.0:
             raise DomainError(
                 "exponent with even denominator requires a positive initial value"
             )
@@ -153,10 +153,10 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     (A, B) come from `ab_values`: a side of 0 that p's latest validity
     search path reaches is answered from that path, which was integrated
     at the same `QUAD_CONTROL` as a fresh one; otherwise a fresh path is
-    integrated.  The exponent class is decided once per call: the
-    per-point loop raises G to the root exponent with `math.pow` and the
-    sign rule of `signed_pow`, which it calls only at G = 0 and where
-    `signed_pow` would raise, so every value and error is `signed_pow`'s.
+    integrated.  The per-point loop raises G to the root exponent with
+    `math.pow` times the root's `negative_sign` where G < 0, and calls
+    `signed_pow` only at G = 0 and where it would raise, so every value and
+    error is `signed_pow`'s.
 
     Raises OutsideValidity where the required root does not exist: G <= 0
     with an even reduced root denominator, or G = 0 with a negative root
@@ -178,8 +178,7 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     abs_g0 = abs(g0)
     root = _root_exponent(p.n)
     e = root.p / root.q  # as signed_pow computes it
-    even_root = root.q % 2 == 0  # G must be positive
-    odd_power = root.p % 2 != 0  # (-G)^e = -(G^e) on an odd root
+    neg = root.cls.negative_sign  # G^e = neg * (-G)^e for G < 0; 0.0: G must be > 0
     asymptote = root.p < 0  # G = 0 is a pole
     sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
     pow_ = math.pow
@@ -190,7 +189,7 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
         # quadrature precision; relative to the terms of G only, so that
         # G(0) = g0 != 0 always passes, however small d^(1-n) is
         g_eps = 1e-13 * (abs_g0 + abs(mb)) if asymptote else 0.0
-        if even_root:
+        if not neg:
             if g <= g_eps:
                 raise OutsideValidity(
                     f"radicand {g!r} at t={t!r} but the root requires positivity"
@@ -201,9 +200,8 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
             scale = sigma * exp(aval)
             if g > 0.0:
                 out.append(scale * pow_(g, e))
-            elif g < 0.0 and not even_root:
-                mag = pow_(-g, e)
-                out.append(scale * (-mag if odd_power else mag))
+            elif g < 0.0 and neg:
+                out.append(scale * (neg * pow_(-g, e)))
             else:
                 out.append(scale * signed_pow(g, root))
         except OverflowError:

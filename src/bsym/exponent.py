@@ -32,6 +32,14 @@ class ExponentClass(Enum):
     ODD_OVER_ODD = "odd/odd"
     ONE = "one"
 
+    @property
+    def negative_sign(self) -> float:
+        """The sign of x^n for x < 0: 1.0 for even/odd, -1.0 for odd/odd and
+        one, and 0.0 for odd/even, where x^n has no real value."""
+        if self is ExponentClass.ODD_OVER_EVEN:
+            return 0.0
+        return 1.0 if self is ExponentClass.EVEN_OVER_ODD else -1.0
+
 
 @dataclass(frozen=True)
 class RationalExponent:
@@ -40,10 +48,6 @@ class RationalExponent:
     p: int
     q: int
     cls: ExponentClass
-
-    @property
-    def value(self) -> float:
-        return self.p / self.q
 
     def negated(self) -> "RationalExponent":
         return classify_exponent(-self.p, self.q)

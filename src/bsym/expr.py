@@ -53,7 +53,6 @@ __all__ = [
     "Expr",
     "Parity",
     "parse_expr",
-    "eval_expr",
     "as_callable",
     "CheckedForm",
     "checked_factory",
@@ -135,7 +134,8 @@ class Expr:
         return format_expr(self.ast)
 
     def __call__(self, t: float) -> float:
-        return eval_expr(self, t)
+        """Evaluate at t; EvalError on division by zero or non-finite results."""
+        return as_callable(self)(t)
 
     def __str__(self) -> str:
         return self.source
@@ -421,11 +421,6 @@ _VALUE = CheckedForm("t", "return f0")
 def as_callable(e: Expr) -> Callable[[float], float]:
     """A fast float->float form of the expression with checked evaluation."""
     return checked_factory(_VALUE, e)()
-
-
-def eval_expr(e: Expr, t: float) -> float:
-    """Evaluate at t; EvalError on division by zero or non-finite results."""
-    return as_callable(e)(t)
 
 
 # --- Printing -------------------------------------------------------------

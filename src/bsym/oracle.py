@@ -8,12 +8,13 @@ It drives the shared adaptive 5(4) stepper over the scalar equation
 using the same sign-correct power semantics as the rest of the package, so
 odd/odd exponents follow the sign of the initial value and odd/even
 exponents enforce y > 0 at runtime.  The right-hand side (t, y) -> a*y +
-b*y^n takes y as a float.  It is one function generated by
-`expr.checked_factory` per exponent class and (a, b) up to sign: the
-unary minuses at the top of a and b become +-1.0 factors bound to the
-function, so a problem and its partners share one compile.  `signed_pow`
-is inlined for the class; its values and errors are those of the
-coefficient-by-coefficient closure with `signed_pow`.
+b*y^n takes y as a float.  It is one of two functions generated by
+`expr.checked_factory`: a linear one for n = 1 and a power one for every
+other n, with the sign of y^n for y < 0 (`ExponentClass.negative_sign`)
+and the unary minuses at the top of a and b bound to it as factors, so a
+problem and its partners share one compile per (a, b) up to sign.  Its
+values and errors are those of the coefficient-by-coefficient closure
+with `signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.
@@ -77,42 +78,26 @@ class Trajectory:
         return self.path.value(t)[0]
 
 
-# y' = a*y + b*y^n, with y^n computed as signed_pow computes it: the same
-# math.pow(|y|, p/q) and sign rule inline, and signed_pow itself at y = 0
-# and wherever it raises DomainError, so the values and error texts match.
-# a = sa*a0 and b = sb*b0 with sa, sb = +-1.0 bound to the factory, so a
-# problem and its partners that flip the signs of a or b share one compile;
-# (sa*f0)*x is (-f0)*x bit for bit, since multiplying by -1.0 is exact
-_RHS_ENV = "sa, sb, n, e, pow, signed_pow"
-_RHS = {
-    ExponentClass.ONE: CheckedForm("t, x", "return ((sa * f0 + sb * f1) * x,)", _RHS_ENV),
-    ExponentClass.EVEN_OVER_ODD: CheckedForm(
-        "t, x",
-        """\
-xn = pow(abs(x), e) if x != 0.0 else signed_pow(x, n)
-return (sa * f0 * x + sb * f1 * xn,)""",
-        _RHS_ENV,
-    ),
-    ExponentClass.ODD_OVER_ODD: CheckedForm(
-        "t, x",
-        """\
-if x != 0.0:
-    xn = pow(abs(x), e)
-    if x < 0.0:
-        xn = -xn
+# y' = a*y + b*y^n, with y^n computed as signed_pow computes it: math.pow
+# of |y| times the sign of y^n for y < 0 inline, and signed_pow itself at
+# y = 0, for NaN and for an even root of y < 0, so values and error texts
+# match.  a = sa*a0 and b = sb*b0 with sa, sb = +-1.0, so a problem and its
+# partners that flip the signs of a or b share one compile; multiplying by
+# +-1.0 is exact, so (sa*f0)*x is (-f0)*x and neg*pow(-x, e) is signed_pow's
+_RHS_ENV = "sa, sb, n, neg, e, pow, signed_pow"
+_LINEAR = CheckedForm("t, x", "return ((sa * f0 + sb * f1) * x,)", _RHS_ENV)
+_POWER = CheckedForm(
+    "t, x",
+    """\
+if x > 0.0:
+    xn = pow(x, e)
+elif x < 0.0 and neg:
+    xn = neg * pow(-x, e)
 else:
     xn = signed_pow(x, n)
 return (sa * f0 * x + sb * f1 * xn,)""",
-        _RHS_ENV,
-    ),
-    ExponentClass.ODD_OVER_EVEN: CheckedForm(
-        "t, x",
-        """\
-xn = pow(x, e) if x > 0.0 else signed_pow(x, n)
-return (sa * f0 * x + sb * f1 * xn,)""",
-        _RHS_ENV,
-    ),
-}
+    _RHS_ENV,
+)
 
 
 def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) -> Trajectory:
@@ -128,7 +113,8 @@ def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) ->
     """
     n = p.n
     (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
-    rhs = checked_factory(_RHS[n.cls], a0, b0)(sa, sb, n, n.p / n.q, math.pow, signed_pow)
+    form = _LINEAR if n.cls is ExponentClass.ONE else _POWER
+    rhs = checked_factory(form, a0, b0)(sa, sb, n, n.cls.negative_sign, n.p / n.q, math.pow, signed_pow)
 
     def stop(t, y):
         return abs(y[0]) > _BLOWUP_THRESHOLD

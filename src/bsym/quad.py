@@ -129,16 +129,6 @@ _IDENTITIES = {
 }
 
 
-def require_identity_parity(ident: Identity, a: Expr, b: Expr) -> None:
-    want_a, want_b, _ = _IDENTITIES[ident]
-    got_a, got_b = detect_parity(a), detect_parity(b)
-    if (got_a, got_b) != (want_a, want_b):
-        raise ParityViolation(
-            f"{ident.value} needs a {want_a.value}, b {want_b.value}; "
-            f"got a {got_a.value}, b {got_b.value}"
-        )
-
-
 def identity_residuals(
     ident: Union[Identity, str],
     a: Expr,
@@ -153,13 +143,19 @@ def identity_residuals(
     derived from the other.  Eq7's two sides read the same (a, b, m), so
     one `ab_values` call over both grids answers them, from one path per
     side of 0 reaching the farther of t and -t there.  Raises
+    DomainError where n - 1 is no usable float (`exponent.minus_one`), then
     ParityViolation unless (a, b) carry the parities the identity assumes.
     """
     if isinstance(ident, str):
         ident = Identity(ident)
-    require_identity_parity(ident, a, b)
     m = minus_one(n)
     par_a, par_b, sigma = _IDENTITIES[ident]
+    got_a, got_b = detect_parity(a), detect_parity(b)
+    if (got_a, got_b) != (par_a, par_b):
+        raise ParityViolation(
+            f"{ident.value} needs a {par_a.value}, b {par_b.value}; "
+            f"got a {got_a.value}, b {got_b.value}"
+        )
     # with eps = Parity.sign, s -> -s turns A(-u) into -eps_a * A(u) and
     # b(-u) into eps_b * b(u), so
     # int_{-t}^0 b e^{sigma*m*A} = eps_b * int_0^t b e^{-eps_a*sigma*m*A}

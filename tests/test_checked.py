@@ -22,6 +22,7 @@ from bsym import (
     StepFailure,
     expr,
     oracle,
+    parse_exponent,
     parse_expr,
     problem,
     quad,
@@ -69,7 +70,7 @@ def reference_factory(form, *coefs):
         exp = math.exp
         return lambda mult: lambda s, A: (fa(s), fb(s) * exp(mult * A))
 
-    def factory(sa, sb, n, e, pow, signed_pow_):
+    def factory(sa, sb, n, neg, e, pow, signed_pow_):
         fa, fb = (
             reference_callable(c if sign > 0.0 else negated(c))
             for sign, c in zip((sa, sb), coefs)
@@ -190,6 +191,16 @@ def generated_oracle_rhs(monkeypatch, p):
         m.setattr(oracle, "integrate", capture)
         rk_solve(p, 0.0)
     return seen[0]
+
+
+@pytest.mark.parametrize("n", EXPONENTS)
+def test_negative_sign_is_the_sign_of_minus_one_to_the_n(n):
+    n = parse_exponent(n)
+    try:
+        expected = math.copysign(1.0, signed_pow(-1.0, n))
+    except DomainError:
+        expected = 0.0
+    assert repr(n.cls.negative_sign) == repr(expected)
 
 
 @pytest.mark.parametrize("n", EXPONENTS)
@@ -371,11 +382,11 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     for mult in (2.0, -2.0, 0.0):
         nested_path(a, b, mult, 1.0)
     assert len(compiled) == 1
-    # every exponent class has its own form, and n = 2 and n = 4/3 share one
+    # n = 1 has the linear form and every other exponent the power form
     compiled.clear()
     for n in ("2", "4/3", "3", "1/2", "1"):
         rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5)
-    assert len(compiled) == 4
+    assert len(compiled) == 2
 
 
 def test_profiles_see_each_coefficient_function():

@@ -244,6 +244,17 @@ def test_an_exponent_out_of_float_range_is_exit_2(tmp_path, command, n):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n", [HUGE, NEAR_ONE], ids=["huge", "near-one"])
+def test_identities_check_the_exponent_when_every_identity_is_skipped(capsys, n):
+    # a = b = t meets no identity's parity premise, so no identity runs
+    from bsym.cli import main
+
+    assert main(["identities", "t", "t", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"bsym: exponent n={n}: n, n-1 or 1/(n-1) is out of float range\n"
+
+
 def test_a_tiny_exponent_still_solves(tmp_path):
     # n = 3e-400 is 0.0 as a float, but n - 1 = -1.0 and 1/(n - 1) are fine
     prob = write_problem(

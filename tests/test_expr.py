@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsym import EvalError, ExprSyntaxError, Parity, eval_expr, parse_expr
+from bsym import EvalError, ExprSyntaxError, Parity, parse_expr
 from bsym.expr import (
     BinOp,
     Call,
@@ -143,18 +143,18 @@ def test_parse_rejects_one_level_past_the_bound(src):
 # --- evaluation ---------------------------------------------------------------
 
 def test_eval_examples():
-    assert eval_expr(parse_expr("cos(t)"), 0.0) == 1.0
-    assert eval_expr(parse_expr("2*t^3 - t"), 2.0) == 14.0
+    assert parse_expr("cos(t)")(0.0) == 1.0
+    assert parse_expr("2*t^3 - t")(2.0) == 14.0
 
 
 def test_eval_division_by_zero():
     with pytest.raises(EvalError):
-        eval_expr(parse_expr("1/t"), 0.0)
+        parse_expr("1/t")(0.0)
 
 
 def test_eval_overflow_reported():
     with pytest.raises(EvalError):
-        eval_expr(parse_expr("exp(t)"), 1e4)
+        parse_expr("exp(t)")(1e4)
 
 
 def test_eval_all_functions():
@@ -163,7 +163,7 @@ def test_eval_all_functions():
     expected = (
         math.sin(t) + math.cos(t) + math.exp(t) + math.sinh(t) + math.cosh(t)
     )
-    assert eval_expr(e, t) == pytest.approx(expected, rel=1e-15)
+    assert e(t) == pytest.approx(expected, rel=1e-15)
 
 
 # --- printing round trip -------------------------------------------------------
@@ -198,10 +198,10 @@ def test_format_parse_round_trip(ast):
     for _ in range(100):
         t = rng.uniform(-3.0, 3.0)
         try:
-            v1 = eval_expr(Expr(ast), t)
+            v1 = Expr(ast)(t)
         except EvalError:
             continue  # generated exprs may be singular at sampled points
-        v2 = eval_expr(reparsed, t)
+        v2 = reparsed(t)
         assert abs(v2 - v1) <= 1e-14 * (1.0 + abs(v1))
 
 
@@ -245,7 +245,7 @@ def test_split_sign_takes_out_every_leading_minus(src, sign, rest):
         assert e0 is e  # nothing taken out: the same tree
     # the sign times the rest evaluates to the tree, bit for bit
     for t in (-1.5, 0.0, 0.7):
-        assert repr(sign * eval_expr(e0, t)) == repr(eval_expr(e, t))
+        assert repr(sign * e0(t)) == repr(e(t))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -312,7 +312,7 @@ def test_parity_soundness_on_fresh_samples():
         if parity is Parity.NEITHER:
             continue
         for t in points:
-            ft, fmt = eval_expr(e, t), eval_expr(e, -t)
+            ft, fmt = e(t), e(-t)
             bound = 1e-9 * (1.0 + abs(ft))
             if parity is Parity.EVEN:
                 assert abs(fmt - ft) <= bound
@@ -328,7 +328,7 @@ def test_structural_and_sampling_agree_on_closed_fragment():
         structural = structural_parity(e)
         assert structural is not None, src
         # skip degenerate near-zero functions where both classifications hold
-        peak = max(abs(eval_expr(e, 0.1 + 0.39 * k)) for k in range(10))
+        peak = max(abs(e(0.1 + 0.39 * k)) for k in range(10))
         if peak < 1e-6:
             continue
         assert sampled_parity(e) is structural, src
