@@ -3,7 +3,7 @@
 Parse coefficient functions, classify rational exponents, evaluate the
 closed-form solution of y' = a(t)y + b(t)y^n with y(0) = d, construct the
 symmetric partner problem for each catalog case, and verify the predicted
-origin / t-axis / y-axis relation against an independent direct integrator.
+origin / t-axis / y-axis relation against a direct integrator.
 """
 
 from .closedform import (
@@ -43,7 +43,7 @@ from .expr import (
     format_expr,
     parse_expr,
 )
-from .oracle import Trajectory, rk_solve, solve_on_grid
+from .oracle import Trajectory, rk_solve, solve_on_grid, solve_on_grids
 from .quad import Identity, identity_residuals
 from .stepper import StepControl
 from .symmetry import (
@@ -100,6 +100,7 @@ __all__ = [
     "signed_pow",
     "solution_values",
     "solve_on_grid",
+    "solve_on_grids",
     "transform_problem",
     "validity_interval",
     "validity_intervals",

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DomainError, ZeroDenominator
 
@@ -22,6 +22,7 @@ __all__ = [
     "classify_exponent",
     "minus_one",
     "parse_exponent",
+    "reflection_signs",
     "signed_pow",
 ]
 
@@ -93,6 +94,22 @@ def minus_one(n: RationalExponent) -> float:
     if m == 0.0 and p != q:
         raise DomainError(f"exponent n={n}: n, n-1 or 1/(n-1) is out of float range")
     return m
+
+
+def reflection_signs(
+    cls: Optional[ExponentClass], r: int, s: int, eps_a: int = 1, eps_b: int = 1
+) -> tuple[int, int, int]:
+    """The signs of (a2, b2, d2) against (a1, b1, d1) whose solutions obey
+    y2(r*t) = s*y1(t), r, s = +-1, where a1(r*t) = eps_a*a1(t) and
+    b1(r*t) = eps_b*b1(t): (r*eps_a, r*s^(1-p)*eps_b, s).
+
+    Substituting y1 = s*y2(r*t) into y1' = a1*y1 + b1*y1^n gives them,
+    since (s*y)^n = s*s^(1-p)*y^n.  s^(1-p) is 1 for s = 1, where cls may
+    be None (any exponent), and -cls.negative_sign for s = -1, which needs
+    a class with a real power of a negative base.
+    """
+    s_pow = 1 if s == 1 else int(-cls.negative_sign)
+    return (r * eps_a, r * s_pow * eps_b, s)
 
 
 def parse_exponent(text: Union[str, int, float]) -> RationalExponent:

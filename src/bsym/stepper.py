@@ -37,7 +37,8 @@ polynomials.  `grid_values` answers a grid that straddles t = 0 from one
 `PathView` is a path read through t -> r*t, r = +-1, with its components'
 signs changed, a view that queries its source and copies nothing.  The
 closed form's validity search uses it for the signs of the coefficients
-and the mirror symmetry of coefficients of known parity.
+and the mirror symmetry of coefficients of known parity, and the oracle
+for partner problems whose solutions are reflections of one it solved.
 """
 
 from __future__ import annotations
@@ -213,9 +214,10 @@ class DensePath:
 
 @dataclass(frozen=True, eq=False)
 class PathView:
-    """Read-only view of a two-component `source`, such as the quadrature's
-    (A, B) paths, through t -> r*t, r = +-1: at t it holds
-    signs[k] * source(r*t)[k] in each component k.
+    """Read-only view of a `source` path, of any number of components,
+    through t -> r*t, r = +-1: at t it holds signs[k] * source(r*t)[k] in
+    each component k.  The quadrature reads its (A, B) paths through views,
+    and the oracle its one-component y paths.
 
     Let `source` be the kernel's path of g from 0 toward T, and S the
     diagonal of the signs.  If f(r*t, S*y) = r*S*g(t, y) bit for bit, the
@@ -242,8 +244,10 @@ class PathView:
 
     def values(self, qs: Sequence[float]) -> list[State]:
         """States at times that run outward from the start, as `DensePath.values`."""
-        r, (s0, s1) = self.r, self.signs
-        return [(s0 * y0, s1 * y1) for y0, y1 in self.source.values([r * t for t in qs])]
+        r = self.r
+        columns = zip(*self.source.values([r * t for t in qs]))
+        # one comprehension per component, transposed back into states
+        return list(zip(*[[sign * y for y in col] for sign, col in zip(self.signs, columns)]))
 
 
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:

@@ -13,8 +13,10 @@ and q odd when s = -1, gives the partner problem
 
 A catalog row holds only the paper's hypotheses (exponent class, (a, b)
 parities) and its relation; the parities make a1(r t) and b1(r t) equal to
-+-a1(t) and +-b1(t), so the signs of (a2, b2, d2) are derived.
-`verify_cases` samples the partner at r t and takes |y2(r t) - s y1(t)|.
++-a1(t) and +-b1(t), so the signs of (a2, b2, d2) are derived by
+`exponent.reflection_signs`, the rule the oracle's path table reads its
+mirrors by.  `verify_cases` samples the partner at r t and takes
+|y2(r t) - s y1(t)|.
 Coefficient negation is structural (the tree is wrapped in a unary minus)
 and the transformed coefficients are re-classified by detect_parity, never
 assumed.
@@ -22,6 +24,7 @@ assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -29,8 +32,8 @@ from typing import Optional, Sequence, Union
 from .closedform import ProblemSpec, Validity, solution_values, validity_intervals
 from .errors import CaseNotApplicable, EmptyDomain
 from .expr import Parity, detect_parity, negated
-from .exponent import ExponentClass
-from .oracle import solve_on_grid
+from .exponent import ExponentClass, reflection_signs
+from .oracle import solve_on_grids
 
 __all__ = [
     "Relation",
@@ -75,12 +78,10 @@ class SymmetryCase:
     @property
     def signs(self) -> tuple[int, int, int]:
         """The signs of (a2, b2, d2) against (a1, b1, d1)."""
-        r, s = self.relation.r, self.relation.s
+        r = self.relation.r
         # a1(r t) = eps_a * a1(t), b1(r t) = eps_b * b1(t)
-        eps_a, eps_b = (1, 1) if r == 1 else (self.parity[0].sign, self.parity[1].sign)
-        # s^(1-p) is -1 only for s = -1 and an even p
-        s_pow = s if self.cls is ExponentClass.EVEN_OVER_ODD else 1
-        return (r * eps_a, r * s_pow * eps_b, s)
+        eps = (1, 1) if r == 1 else (self.parity[0].sign, self.parity[1].sign)
+        return reflection_signs(self.cls, r, self.relation.s, *eps)
 
     @property
     def transform_text(self) -> str:
@@ -187,10 +188,6 @@ class VerificationReport:
         return "pass" if self.passed else "fail"
 
 
-def _evaluate(p, ts, method):
-    return solution_values(p, ts) if method == "closed" else solve_on_grid(p, ts)
-
-
 def verify_pair(
     p1: ProblemSpec,
     case: Union[SymmetryCase, str],
@@ -222,23 +219,33 @@ def verify_cases(
 ) -> list[VerificationReport]:
     """verify_pair for each case in order, integrating each distinct path once.
 
-    An unknown method raises ValueError and an inapplicable case
-    CaseNotApplicable, both before any integration: every partner is built
-    first.  Then every case's common interval and grid come from one
-    `validity_intervals` call within DEFAULT_SEARCH_RADIUS, which
-    integrates one (A, B) path per side for each distinct (a, b, n-1) and
-    keeps them on p1 and the partners, and an EmptyDomain is raised for the
-    first case without one.  p1 is evaluated once on all case grids joined
-    together (one solve per side of 0), each distinct time once, and each
-    partner on its own grid;
-    the closed form answers them from those kept paths, while the oracle
-    integrates y itself.  Where the cases' common intervals coincide, as
-    the theorem makes them for applicable cases, the reports equal those
-    of one verify_pair per case bit for bit.
+    An inapplicable case raises CaseNotApplicable before any integration:
+    every partner is built first.  Then every case's common interval and
+    grid come from one `validity_intervals` call within
+    DEFAULT_SEARCH_RADIUS, which integrates one (A, B) path per side for
+    each distinct (a, b, n-1) and keeps them on p1 and the partners, and an
+    EmptyDomain is raised for the first case without one.  p1 is evaluated
+    once on all case grids joined together (one solve per side of 0), each
+    distinct time once, and each partner at r times its grid.  The closed
+    form answers them from those kept paths.  The oracle answers them all
+    from one `solve_on_grids` call, p1's request first and then the
+    partners' in case order, so errors come in that order.  A partner side
+    whose y is p1's reflected reads p1's integrated path through a mirror
+    and integrates nothing, where the reflection is certified: always for
+    y -> -y, and for t -> -t only where a and b have structural parity.
+    Its residual is then a shared-path residual, 0 by construction rather
+    than independent evidence of the relation.  Where the cases' common
+    intervals coincide, as the theorem makes them for applicable cases, the
+    reports equal those of one verify_pair per case bit for bit.
+
+    ValueError, before any integration, for an unknown method, a tol that
+    is not positive and finite, or grid_points that is not an int >= 3.
     """
     cases = [resolve_case(case) for case in cases]
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
+    if not (isinstance(grid_points, int) and grid_points >= 3):
+        raise ValueError(f"grid_points must be an int >= 3, not {grid_points!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     if method not in ("closed", "oracle"):
         raise ValueError(f"unknown method {method!r} (expected 'closed' or 'oracle')")
     partners = [transform_problem(p1, case, force=force) for case in cases]
@@ -267,12 +274,20 @@ def verify_cases(
     # applicable cases share one grid: evaluate each distinct time once, in
     # order of first appearance (a grid starts past lo < 0 and holds no -0.0)
     distinct = list(dict.fromkeys(t for grid in grids for t in grid))
-    y1_at = dict(zip(distinct, _evaluate(p1, distinct, method)))
+    # y2 is sampled at r * t
+    requests = [(p1, distinct)] + [
+        (p2, [case.relation.r * t for t in grid])
+        for case, p2, grid in zip(cases, partners, grids)
+    ]
+    if method == "oracle":
+        y1s, *y2s = solve_on_grids(requests)
+    else:
+        y1s, *y2s = [solution_values(p, ts) for p, ts in requests]
+    y1_at = dict(zip(distinct, y1s))
     reports = []
-    for case, p2, common, grid in zip(cases, partners, commons, grids):
+    for case, common, grid, y2 in zip(cases, commons, grids, y2s):
         y1 = [y1_at[t] for t in grid]
-        r, s = case.relation.r, case.relation.s
-        y2 = _evaluate(p2, [r * t for t in grid], method)
+        s = case.relation.s
         residuals = tuple(abs(v2_ - s * v1_) for v1_, v2_ in zip(y1, y2))
         max_residual = max(residuals)
         y_scale = max(abs(v) for v in y1)

@@ -459,7 +459,10 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
     # even its path toward -4 is its path toward +4 read at -t with B
     # negated, so one integration serves both sides (it was one per side
     # before reflections were shared).  The oracle solves p1 once per side
-    # for all three cases, each partner once per side on its own grid
+    # for all three cases; every partner's y is p1's read through a
+    # reflection (T2ii: y2(-t) = -y1(t); T2iv: y2 = -y1; T3ii: y2(-t) = y1(t)),
+    # and the cases share one grid, so each partner side reads a mirror
+    # of one of p1's two paths and integrates nothing
     from bsym.cli import main
     from helpers import count_calls
 
@@ -471,7 +474,7 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
     report = tmp_path / "rep.json"
     # (method, nested_path calls, rk_solve calls); the closed form answers
     # every grid from the validity search's paths, which reach +-4
-    for method, want_nested, want_solves in (("oracle", 1, 8), ("closed", 1, 0)):
+    for method, want_nested, want_solves in (("oracle", 1, 2), ("closed", 1, 0)):
         nested.clear()
         solves.clear()
         args = ["verify", "--problem", prob, "--case", "all", "--method", method]
@@ -492,6 +495,18 @@ def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
         assert [(call[0].source, call[1].source, call[3]) for call in nested] == [
             ("sin(t)", "cos(t)", 4.0)
         ], case
+
+    # sampling, not structure, calls SPIKED_B odd, so no reflection in t is
+    # certified: T2i's partner (r = -1) integrates both of its own sides,
+    # and its residual shows that the relation fails
+    spiked = write_problem(
+        tmp_path / "s.json", {"a": "cos(t)", "b": SPIKED_B, "n": "2", "d": "1"}
+    )
+    solves.clear()
+    args = ["verify", "--problem", spiked, "--case", "T2i", "--method", "oracle"]
+    assert main([*args, "--report", str(report)]) == 4
+    assert len(solves) == 4
+    assert [call[0].d for call in solves] == [1.0, 1.0, -1.0, -1.0]  # d2 = -d1
 
 
 def test_verify_failure_is_exit_4(tmp_path):

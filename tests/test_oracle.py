@@ -12,7 +12,10 @@ from bsym import (
     transform_problem,
     validity_interval,
 )
-from bsym.oracle import ORACLE_CONTROL
+from bsym.oracle import ORACLE_CONTROL, solve_on_grids
+from bsym.stepper import grid_values
+
+from helpers import count_calls
 
 
 def test_exponential_growth():
@@ -147,3 +150,53 @@ def test_subnormal_grid():
     # was once 1e-322 / 64 = 0.0, and the step budget ran out at t = 0.0
     p = problem("cos(t)", "cos(t)", 2, 1.0)
     assert solve_on_grid(p, [-1e-322, 0.0, 1e-322]) == [1.0, 1.0, 1.0]
+
+
+def _own_values(p, ts):
+    """p's y on ts from a fresh rk_solve per side of 0."""
+    return [y for (y,) in grid_values(lambda t_end: rk_solve(p, t_end).path, ts)]
+
+
+def test_solve_on_grids_reads_partners_from_mirrors_of_integrated_paths(monkeypatch):
+    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
+    p1 = problem("cos(t)", "sin(t)", 2, 1.0)
+    ts = [-0.6 + 0.1 * i for i in range(15)]  # -0.6 .. 0.8
+    # T2i: origin, y2(-t) = -y1(t); T2iv: t-axis, y2(t) = -y1(t); T3i:
+    # y-axis, y2(-t) = y1(t); each reads p1's two paths, as r * ts
+    partners = [(transform_problem(p1, c), r) for c, r in (("T2i", -1), ("T2iv", 1), ("T3i", -1))]
+    requests = [(p1, ts)] + [(p2, [r * t for t in ts]) for p2, r in partners]
+    shared = solve_on_grids(requests)
+    assert [call[1] for call in solves] == [ts[-1], ts[0]]  # p1's two sides only
+    assert shared == [_own_values(p, grid) for p, grid in requests]
+    # the one-request wrapper answers from a table of its own
+    assert solve_on_grid(*requests[1]) == shared[1]
+
+
+def test_solve_on_grids_keys_the_exact_end(monkeypatch):
+    # a path that merely reaches past a grid's end is not reused: the first
+    # step (span/64) and the clamped last step depend on the end, so the
+    # partner integrates the side whose farthest point differs
+    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
+    p1 = problem("cos(t)", "sin(t)", 2, 1.0)
+    p2 = transform_problem(p1, "T2iv")  # y2(t) = -y1(t), same side
+    shared = solve_on_grids([(p1, [-0.5, 0.8]), (p2, [-0.5, 0.7])])
+    assert [(call[0].d, call[1]) for call in solves] == [(1.0, 0.8), (1.0, -0.5), (-1.0, 0.7)]
+    assert shared == [_own_values(p1, [-0.5, 0.8]), _own_values(p2, [-0.5, 0.7])]
+
+
+@pytest.mark.parametrize(
+    "a, b, n, ts, want",
+    [
+        # a and b odd: y is even, so the side toward -0.7 reads the path
+        # toward 0.7 (r = -1, s = 1) within one problem
+        ("sin(t)", "t", 2, [-0.7, 0.7], [0.7]),
+        # the sampled parity never certifies a reflection in t
+        ("sin(t)", "t + 0.0*exp(t)", 2, [-0.7, 0.7], [0.7, -0.7]),
+    ],
+)
+def test_solve_on_grids_mirrors_in_t_only_for_structural_parity(monkeypatch, a, b, n, ts, want):
+    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
+    p = problem(a, b, n, 1.0)
+    assert solve_on_grids([(p, ts)]) == [_own_values(p, ts)]
+    assert [call[1] for call in solves] == want
+

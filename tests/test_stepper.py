@@ -14,7 +14,7 @@ from bsym.stepper import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _P,
-    DensePath, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
+    DensePath, PathView, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
 )
 
 CTL = QUAD_CONTROL
@@ -780,3 +780,30 @@ def test_traceback_shows_the_kernel_source():
     # the stage state of the component f reads is its one argument
     assert frame.line == "k3 = f(t + 0.3 * h, y_0 + h * (0.075 * k1_0 + 0.225 * k2_0))"
     assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
+
+
+@pytest.mark.parametrize("r", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "signs", [(-1.0,), (1.0, -1.0), (-1.0, 1.0, -1.0)], ids=["dim1", "dim2", "dim3"]
+)
+def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
+    # f(t, y) = r*S*g(r*t, S*y) is computed with exact negations only, so
+    # f(r*t, S*y) = r*S*g(t, y) bit for bit and the kernel's path of f
+    # toward r*T is the view of g's path toward T
+    dim = len(signs)
+
+    def g(t, *y):
+        return tuple(math.cos(t + k) * y[k] + math.sin(2.0 * t) * y[k - 1] for k in range(dim))
+
+    def f(t, *y):
+        dy = g(r * t, *(s * v for s, v in zip(signs, y)))
+        return tuple(r * s * v for s, v in zip(signs, dy))
+
+    y0 = tuple(1.0 + 0.5 * k for k in range(dim))
+    source = integrate(g, y0, 2.0, CTL)
+    direct = integrate(f, tuple(s * v for s, v in zip(signs, y0)), r * 2.0, CTL)
+    view = PathView(source, r, signs)
+    assert view.t_reached == direct.t_reached
+    qs = [r * (0.05 * i) for i in range(41)]
+    assert view.values(qs) == direct.values(qs)
+    assert view.values([]) == []

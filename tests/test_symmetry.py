@@ -1,11 +1,15 @@
+import importlib.util
 import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 from bsym import (
     CASE_BY_ID,
     CATALOG,
+    BsymError,
     CaseNotApplicable,
     DomainError,
     Parity,
@@ -15,6 +19,7 @@ from bsym import (
     classify_exponent,
     eval_solution,
     parse_expr,
+    oracle,
     problem,
     transform_problem,
     validity_interval,
@@ -22,10 +27,11 @@ from bsym import (
     verify_cases,
     verify_pair,
 )
+from bsym.errors import StepFailure
 from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import conforming_problem, count_calls
+from helpers import conforming_problem, count_calls, random_problem
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -367,6 +373,31 @@ def test_verify_cases_rejects_an_unknown_method_before_integrating(monkeypatch):
     assert calls == ([], [])
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"tol": math.nan}, "tol must be positive and finite"),
+        ({"tol": -1.0}, "tol must be positive and finite"),
+        ({"tol": 0.0}, "tol must be positive and finite"),
+        ({"tol": math.inf}, "tol must be positive and finite"),
+        ({"grid_points": 3.5}, "grid_points must be an int >= 3"),
+        ({"grid_points": 2}, "grid_points must be an int >= 3"),
+    ],
+)
+def test_verify_cases_rejects_a_bad_tol_or_grid_before_integrating(monkeypatch, kwargs, match):
+    # tol = nan or -1 would fail a relation that holds, and tol = inf
+    # would pass anything; 3.5 points would reach range() as a TypeError
+    calls = _integrations(monkeypatch)
+    p = problem("cos(t)", "sin(t)", 2, 1.0)
+    for method in ("oracle", "closed"):
+        for cases in (["T2i"], []):
+            with pytest.raises(ValueError, match=match):
+                verify_cases(p, cases, method=method, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            verify_pair(p, "T2i", method=method, **kwargs)
+    assert calls == ([], [])
+
+
 def test_grid_stays_inside_common_validity():
     rep = verify_pair(problem("0", "1", 2, 1.0), "T2iv", 51, 1e-6, "closed")
     lo, hi = rep.common_validity.lo, rep.common_validity.hi
@@ -402,3 +433,75 @@ def test_forced_y_axis_violation_has_large_residual():
     rep = verify_pair(p, "T3i", 31, 1e-6, "oracle", force=True)
     assert not rep.passed
     assert rep.max_residual > 1e-2
+
+
+# --- the oracle's path table changes no answer ---------------------------------------
+
+def _own_oracle_values(p, ts):
+    """Oracle y of p on ts from p's own `rk_solve` toward each side's
+    farthest point, sharing no path with another problem or side."""
+
+    def solve(t_end):
+        traj = oracle.rk_solve(p, t_end)  # looked up per call, for count_calls
+        if traj.blew_up:
+            raise StepFailure(f"oracle blew up at t={traj.t_last!r} before reaching {t_end!r}")
+        return traj.path
+
+    return [y for (y,) in grid_values(solve, ts)]
+
+
+def _showcase():
+    path = Path(__file__).parents[1] / "scripts" / "run_catalog.py"
+    spec = importlib.util.spec_from_file_location("run_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return [p for _, p in script.SHOWCASE]
+
+
+def _oracle_verify_sets(name):
+    """(p1, cases, force) triples: conforming problems with their applicable
+    cases, random problems with every case forced, and the showcase with
+    each case forced alone and all of them together."""
+    if name == "conforming":
+        rng = random.Random(23)
+        problems = [conforming_problem(case, rng) for case in CATALOG for _ in range(2)]
+        return [(p, applicable_cases(p), False) for p in problems]
+    if name == "random":
+        rng = random.Random(2323)
+        return [(random_problem(rng), CATALOG, True) for _ in range(12)]
+    sets = []
+    for p in _showcase():
+        sets += [(p, [case], True) for case in CATALOG] + [(p, CATALOG, True)]
+    return sets
+
+
+@pytest.mark.parametrize("name", ["conforming", "random", "showcase"])
+def test_oracle_reports_equal_those_of_each_problems_own_solves(monkeypatch, name):
+    # a partner side read as a mirror of an integrated path must give the
+    # report, or the error, that its own integration gives, floats
+    # included; this also checks that the platform's sin and sinh are
+    # exactly odd, cos and cosh exactly even and pow exactly
+    # sign-symmetric, which the mirrors of t -> -t rely on
+    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
+
+    def outcomes():
+        out = []
+        for p, cases, force in _oracle_verify_sets(name):
+            try:
+                out.append(verify_cases(p, cases, method="oracle", force=force))
+            except BsymError as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    shared = outcomes()
+    shared_solves = len(solves)
+    solves.clear()
+    monkeypatch.setattr(
+        "bsym.symmetry.solve_on_grids",
+        lambda requests: [_own_oracle_values(p, ts) for p, ts in requests],
+    )
+    own = outcomes()
+    assert shared == own
+    reports = [r for outcome in shared if isinstance(outcome, list) for r in outcome]
+    assert len(reports) >= len(shared)  # mostly reports, not errors
+    assert shared_solves < len(solves)  # and the table did share paths
