@@ -35,7 +35,7 @@ from enum import Enum
 from typing import Sequence, Union
 
 from .errors import DomainError, EvalError, OutsideValidity
-from .expr import Expr, parse_expr, split_sign, structural_parity
+from .expr import Expr, parse_expr
 from .exponent import (
     ExponentClass,
     RationalExponent,
@@ -44,7 +44,7 @@ from .exponent import (
     parse_exponent,
     signed_pow,
 )
-from .quad import QUAD_CONTROL, ab_values, nested_path
+from .quad import QUAD_CONTROL, ab_values, shared_path
 from .stepper import PathView
 
 __all__ = [
@@ -221,24 +221,15 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     `DensePath.first_crossing` finds step by step on the dense (A, B) path
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
-    A and B depend on a, b and n-1 only.  Write a = sa*a0 and b = sb*b0,
-    a0 and b0 the trees under the unary minuses at the top of a and b
-    (`expr.split_sign`), and m0 = sa*(n-1).  One table holds the paths of
-    such Neg-free triples, one per side, and each side of a problem
-    resolves once to (source, r, signs): the path of (a0, b0, m0) toward
-    that side, r = 1, signs (sa, sb); else, where `expr.structural_parity`
-    gives a0 and b0 parities eps_a and eps_b (+1 even, -1 odd; sampled
-    parity never shares), the path of (a0, b0, -eps_a*m0) toward the other
-    side, r = -1, signs (-eps_a*sa, -eps_b*sb); else a fresh path of
-    (a0, b0, m0), r = 1, signs (sa, sb).  The problem keeps source where r
-    and both signs are 1, else `stepper.PathView(source, r, signs)`, and its
-    end is r times source's first crossing of signs[1]*level.  So p1 shares
-    its paths with the partners that flip d, a or b and, with a and b of
-    structural parity, with those that reflect t; with a odd, one
+    A and B depend on a, b and n-1 only, and each side of a problem
+    resolves once, from one table per call, to (source, r, signs) by
+    `quad.shared_path`.  The problem keeps `PathView.of(source, r, signs)`,
+    and its end is r times source's first crossing of signs[1]*level.  So
+    p1 shares its paths with the partners that flip d, a or b and, with a
+    and b of structural parity, with those that reflect t; with a odd, one
     integration serves both sides of a problem.  Each (source, signed
     level) is walked once per call, so a problem whose interval is an
-    earlier one's, or its reflection, walks nothing.  See `PathView` for
-    why a view is bit for bit the path it stands for.
+    earlier one's, or its reflection, walks nothing.
 
     Boundary kinds: Asymptote when the root exponent is negative (the
     solution diverges), RootBoundary otherwise (the root loses its real
@@ -254,7 +245,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    integrated = {}  # (a0, b0, m0, direction) -> that side's (A0, B0) path
+    paths = {}  # the integrated (A, B) paths, see `quad.shared_path`
     crossings = {}  # (id of an integrated path, level of its B) -> first crossing
     out = []
     for p in problems:
@@ -271,24 +262,11 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
         level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
         if level == 0.0:
             raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
-        (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
-        m0 = sa * m
-        pa, pb = structural_parity(a0), structural_parity(b0)
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            r, signs = 1.0, (sa, sb)
-            source = integrated.get((a0, b0, m0, direction))
-            if source is None and pa is not None and pb is not None:
-                mirror = integrated.get((a0, b0, -pa.sign * m0, -direction))
-                if mirror is not None:
-                    source, r, signs = mirror, -1.0, (-pa.sign * sa, -pb.sign * sb)
-            if source is None:
-                source = integrated[a0, b0, m0, direction] = nested_path(
-                    a0, b0, m0, direction * search_radius
-                )
-            as_is = r == signs[0] == signs[1] == 1.0
-            p._searched[direction] = source if as_is else PathView(source, r, signs)
+            source, r, signs = shared_path(paths, p.a, p.b, m, direction * search_radius)
+            p._searched[direction] = PathView.of(source, r, signs)
             key = (id(source), signs[1] * level)
             if key not in crossings:
                 crossings[key] = source.first_crossing(

@@ -200,7 +200,7 @@ def solve_on_grids(
             for r, s, key in keys:
                 source = paths.get((*key, r * t_end))
                 if source is not None:
-                    return source if r == s == 1.0 else PathView(source, r, (s,))
+                    return PathView.of(source, r, (s,))
             traj = rk_solve(p, t_end, ctl)
             if traj.blew_up:
                 raise StepFailure(

@@ -37,6 +37,10 @@ Each is the substitution s -> -s in its left side, so it is fixed by the
 (a, b) parities and the sign of m on the mirrored side.  (Eq7 is the
 even-integrand mirror; it is the same identity regardless of which
 exponent class consumes it, so there is exactly one tag for it.)
+Under structural parity `shared_path` reads the right side as the mirror
+of the left side's path, so an identity residual is a shared-path
+residual: 0 by construction, and evidence only through the parity
+certificate.
 """
 
 from __future__ import annotations
@@ -45,7 +49,15 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import EvalError, NoConvergence, ParityViolation
-from .expr import CheckedForm, Expr, Parity, checked_factory, detect_parity
+from .expr import (
+    CheckedForm,
+    Expr,
+    Parity,
+    checked_factory,
+    detect_parity,
+    split_sign,
+    structural_parity,
+)
 from .exponent import RationalExponent, minus_one
 from .stepper import (
     DensePath,
@@ -62,6 +74,7 @@ __all__ = [
     "Identity",
     "ab_values",
     "nested_path",
+    "shared_path",
     "identity_residuals",
 ]
 
@@ -81,6 +94,44 @@ def nested_path(a: Expr, b: Expr, mult: float, t: float) -> DensePath:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:
         raise EvalError(f"integrand overflow: {exc}") from None
+
+
+def shared_path(
+    paths: dict, a: Expr, b: Expr, mult: float, t_end: float
+) -> tuple[DensePath, float, tuple[float, float]]:
+    """The (A, B) path of (a, b, mult) from 0 to t_end as (source, r, signs):
+    at t it holds signs[k] * source(r*t)[k] in component k, the path
+    `PathView.of(source, r, signs)`.
+
+    Write a = sa*a0 and b = sb*b0, a0 and b0 the trees under the unary
+    minuses at the top of a and b (`expr.split_sign`), and m0 = sa*mult.
+    `paths` is the caller's table of integrated paths of such Neg-free
+    triples, keyed by (a0, b0, m0, t_end).  The side resolves, in order, to
+
+    * the path of its own key (a0, b0, m0, t_end): r = 1, signs (sa, sb);
+    * only where `expr.structural_parity` gives a0 and b0 parities eps_a
+      and eps_b (+1 even, -1 odd; the sampled parity never shares), the
+      path of the mirror key (a0, b0, -eps_a*m0, -t_end): r = -1, signs
+      (-eps_a*sa, -eps_b*sb);
+    * a fresh `nested_path` of (a0, b0, m0) to t_end, stored under its own
+      key: r = 1, signs (sa, sb).
+
+    Either way the view is, bit for bit, the fresh path of (a, b, mult) to
+    t_end (see `PathView`).  The exact end is part of the key because a
+    path's first step (span/64) and its clamped last step depend on it.
+    """
+    (sa, a0), (sb, b0) = split_sign(a), split_sign(b)
+    m0 = sa * mult
+    source = paths.get((a0, b0, m0, t_end))
+    if source is not None:
+        return source, 1.0, (sa, sb)
+    pa, pb = structural_parity(a0), structural_parity(b0)
+    if pa is not None and pb is not None:
+        source = paths.get((a0, b0, -pa.sign * m0, -t_end))
+        if source is not None:
+            return source, -1.0, (-pa.sign * sa, -pb.sign * sb)
+    source = paths[a0, b0, m0, t_end] = nested_path(a0, b0, m0, t_end)
+    return source, 1.0, (sa, sb)
 
 
 def ab_values(
@@ -138,13 +189,16 @@ def identity_residuals(
 ) -> list[float]:
     """|LHS - RHS| of the chosen identity at each t, sharing quadratures.
 
-    Every path is integrated afresh and none is reflected, so the residuals
-    do not depend on earlier calls and the mirrored side is integrated, not
-    derived from the other.  Eq7's two sides read the same (a, b, m), so
-    one `ab_values` call over both grids answers them, from one path per
-    side of 0 reaching the farther of t and -t there.  Raises
-    DomainError where n - 1 is no usable float (`exponent.minus_one`), then
-    ParityViolation unless (a, b) carry the parities the identity assumes.
+    Each side of 0 of each grid is answered from one path toward its
+    farthest t (`stepper.grid_values`), resolved through one `shared_path`
+    table per call: under structural parity the right side's path toward t
+    is read as the mirror of the left side's toward -t (see the module
+    docstring), and with a sampled parity both are integrated.  Eq7's two
+    sides read the same (a, b, m), so one grid joins them.  Every residual
+    is bit for bit the one fresh paths per side give, and no path outlives
+    the call.  Raises DomainError where n - 1 is no usable float
+    (`exponent.minus_one`), then ParityViolation unless (a, b) carry the
+    parities the identity assumes.
     """
     if isinstance(ident, str):
         ident = Identity(ident)
@@ -160,16 +214,18 @@ def identity_residuals(
     # b(-u) into eps_b * b(u), so
     # int_{-t}^0 b e^{sigma*m*A} = eps_b * int_0^t b e^{-eps_a*sigma*m*A}
     sign_r, rhs_sign = -par_a.sign * sigma, par_b.sign
+    paths: dict = {}
+
+    def pairs(mult: float, grid: Sequence[float]) -> list:
+        return grid_values(lambda x: PathView.of(*shared_path(paths, a, b, mult, x)), grid)
 
     # LHS(t) = int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t)
     mirrored = [-t for t in ts]
     if sign_r == sigma:  # Eq7: both sides read one (a, b, m) path per side of 0
-        pairs = ab_values(a, b, sigma * m, mirrored + list(ts))
-        left, right = pairs[:len(ts)], pairs[len(ts):]
+        joined = pairs(sigma * m, mirrored + list(ts))
+        left, right = joined[:len(ts)], joined[len(ts):]
     else:
-        left = ab_values(a, b, sigma * m, mirrored)
-        right = ab_values(a, b, sign_r * m, list(ts))
+        left, right = pairs(sigma * m, mirrored), pairs(sign_r * m, ts)
     return [
         abs(-bl[1] - rhs_sign * br[1]) for bl, br in zip(left, right)
     ]
-

@@ -49,7 +49,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 __all__ = [
     "StepControl",
@@ -237,6 +237,14 @@ class PathView:
     source: DensePath
     r: float
     signs: tuple
+
+    @classmethod
+    def of(cls, source: DensePath, r: float, signs: tuple) -> Union[DensePath, "PathView"]:
+        """The view of source through (r, signs): source itself where r and
+        every sign are 1."""
+        if r == 1.0 and all(sign == 1.0 for sign in signs):
+            return source
+        return cls(source, r, signs)
 
     @property
     def t_reached(self) -> float:

@@ -90,6 +90,11 @@ def random_source(rng: random.Random) -> str:
     return rng.choice((random_even_source, random_odd_source, random_neither_source))(rng)
 
 
+# sin(t) plus a narrow bump that falls between the parity sampler's fixed
+# points: classified odd, but the symmetry relations genuinely fail
+SPIKED_B = "sin(t) + exp(-(10000*(t - 0.86)^2))"
+
+
 # --- random hypothesis-conforming problems -----------------------------------
 
 N_POOL = {

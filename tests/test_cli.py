@@ -7,15 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cli_env
+from helpers import SPIKED_B, cli_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
 RICCATI = {"a": "0", "b": "1", "n": "2", "d": "1"}
-
-# sin(t) plus a narrow bump that falls between the parity sampler's fixed
-# points: classified odd, but the symmetry relations genuinely fail
-SPIKED_B = "sin(t) + exp(-(10000*(t - 0.86)^2))"
 
 
 def run_cli(*args, env=None):
@@ -584,6 +580,20 @@ def test_identities_even_even_routes_eq8_eq9():
     assert sum(l.startswith("Eq8\tt=") for l in lines) == 3
     assert sum(l.startswith("Eq9\tt=") for l in lines) == 3
     assert any(l.startswith("Eq4\tskipped") for l in lines)
+
+
+def test_identities_read_each_one_sided_grid_from_one_path(capsys, monkeypatch):
+    # the CLI's grid t_max*(i+1)/samples lies on one side of 0; with a and b
+    # even, the right side of Eq8 and of Eq9 reads the mirror of its left
+    # side's path: one integration per identity, not two
+    from bsym.cli import main
+    from helpers import count_calls
+
+    nested = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    assert main(["identities", "cos(t)", "1", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted({line.split("\t")[0] for line in lines if "\tt=" in line}) == ["Eq8", "Eq9"]
+    assert len(nested) == 2
 
 
 def test_identities_parse_error_is_exit_1():

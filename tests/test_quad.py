@@ -15,6 +15,7 @@ from bsym import (
     identity_residuals,
     parse_expr,
     problem,
+    quad,
     validity_interval,
 )
 from bsym.closedform import ProblemSpec
@@ -25,6 +26,7 @@ from bsym.stepper import PathView, grid_values
 
 from helpers import (
     LEMMA_EXPONENTS,
+    SPIKED_B,
     count_calls,
     own_path,
     random_even_source,
@@ -131,12 +133,20 @@ def test_identity_residuals_do_not_depend_on_an_earlier_search():
 
 @pytest.mark.parametrize(
     "ident, a, b, want",
-    [("Eq7", "t", "cos(t)", 2), ("Eq4", "cos(t)", "t", 4), ("Eq8", "cos(t)", "1", 4)],
+    [
+        ("Eq7", "t", "cos(t)", 1),
+        ("Eq4", "cos(t)", "t", 2),
+        ("Eq8", "cos(t)", "1", 2),
+        ("Eq4", "cos(t)", SPIKED_B, 4),
+    ],
 )
 def test_eq7_integrates_its_one_path_once_per_side(monkeypatch, ident, a, b, want):
-    # Eq7's two sides read the same (a, b, m): one path per side of 0 for
-    # both, with the residuals of two separate calls on a grid whose sides
-    # reach equally far; the other identities read two m's, four paths
+    # Eq7's two sides read the same (a, b, m): one grid joins them, with the
+    # residuals of two separate calls on a grid whose sides reach equally
+    # far; the other identities read two m's.  With a and b of structural
+    # parity every path toward t is read as the mirror of one toward -t:
+    # one path for Eq7, two for the others (one per m).  Sampling, not
+    # structure, calls SPIKED_B odd, so none is read as a mirror
     a, b, ts = parse_expr(a), parse_expr(b), [-3.0, -0.5, 0.5, 1.5, 3.0]
     m = (N3.p - N3.q) / N3.q
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
@@ -146,6 +156,81 @@ def test_eq7_integrates_its_one_path_once_per_side(monkeypatch, ident, a, b, wan
         left = ab_values(a, b, m, [-t for t in ts])
         right = ab_values(a, b, m, ts)
         assert got == [abs(-bl - br) for (_, bl), (_, br) in zip(left, right)]
+
+
+# identity -> (sign of m on the left side, on the right side, sign of the
+# right side), from the equations as the paper states them
+_SIDES = {
+    "Eq4": (-1.0, 1.0, -1.0),
+    "Eq7": (1.0, 1.0, 1.0),
+    "Eq8": (1.0, -1.0, 1.0),
+    "Eq9": (-1.0, 1.0, 1.0),
+}
+
+
+def _fresh_sides(ident: str, a, b, m: float, ts) -> tuple:
+    """The (A, B) pairs of the identity's left side (at -t) and right side
+    (at t), each grid side from one fresh `nested_path` of (a, b) as given
+    and no path table; Eq7 joins its two grids."""
+    left_sign, right_sign, _ = _SIDES[ident]
+
+    def pairs(mult, grid):
+        return grid_values(lambda end: nested_path(a, b, mult, end), grid)
+
+    mirrored = [-t for t in ts]
+    if ident == "Eq7":
+        joined = pairs(m, mirrored + list(ts))
+        return joined[:len(ts)], joined[len(ts):]
+    return pairs(left_sign * m, mirrored), pairs(right_sign * m, ts)
+
+
+_GRIDS = [
+    (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0),  # the benchmark's
+    [3.0 * (i + 1) / 4 for i in range(4)],  # the CLI's t_max*(i+1)/samples
+    [0.0, 0.5, -1.25, 2.0],
+    [-0.7, 2.5, 1.0],  # sides ending at different |t|
+    [1.9, -2.6, 0.3, -0.2],
+]
+
+
+@pytest.mark.parametrize(
+    "ident,gen_a,gen_b",
+    [
+        ("Eq4", random_even_source, random_odd_source),
+        ("Eq7", random_odd_source, random_even_source),
+        ("Eq8", random_even_source, random_even_source),
+        ("Eq9", random_even_source, random_even_source),
+    ],
+)
+def test_identity_residuals_are_those_of_fresh_paths(monkeypatch, ident, gen_a, gen_b):
+    # a side read as the mirror of a stored path holds the fresh path's
+    # (A, B) bit for bit, and so does every residual: the exact end is part
+    # of the key, and Eq7's joined grid shows in its values (each from the
+    # path toward the farther of t and -t)
+    read = []
+
+    def spy(solve, grid):
+        pairs = grid_values(solve, grid)
+        read.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(quad, "grid_values", spy)
+    rng = random.Random(sum(map(ord, ident)))
+    cases = []
+    for _ in range(8):
+        a, b = [rng.choice(["", "-", "--"]) + f"({gen(rng)})" for gen in (gen_a, gen_b)]
+        cases.append((ident, parse_expr(a), parse_expr(b), rng.choice(LEMMA_EXPONENTS)))
+    # sampled parity: both sides integrated, residuals far from 0
+    cases.append(("Eq4", parse_expr("cos(t)"), parse_expr(SPIKED_B), (3, 1)))
+    for name, a, b, (p, q) in cases:
+        n = classify_exponent(p, q)
+        for ts in _GRIDS:
+            read.clear()
+            got = identity_residuals(name, a, b, n, ts)
+            left, right = _fresh_sides(name, a, b, (p - q) / q, ts)
+            assert read == left + right
+            rhs_sign = _SIDES[name][2]
+            assert got == [abs(-bl - rhs_sign * br) for (_, bl), (_, br) in zip(left, right)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
