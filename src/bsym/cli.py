@@ -5,7 +5,8 @@ JSON objects with exactly the keys {"a", "b", "n", "d"} (pair output adds
 "relation").  Exit codes: 0 success, 1 parse error, 2 domain or quadrature
 error, 3 inapplicable case, 4 verification failure.  Only input that does
 not parse (a problem file, a coefficient, the identities exponent, a case
-id) exits 1; a ValueError raised inside the library exits 2.
+id) exits 1; a ValueError raised inside the library exits 2.  Each error
+type carries its exit code and message prefix (`errors.BsymError`).
 """
 
 from __future__ import annotations
@@ -18,19 +19,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .closedform import ProblemSpec, Validity, solution_values, validity_interval
-from .errors import (
-    BsymError,
-    CaseNotApplicable,
-    DomainError,
-    EmptyDomain,
-    EvalError,
-    ExprSyntaxError,
-    NoConvergence,
-    OutsideValidity,
-    ParityViolation,
-    StepFailure,
-    ZeroDenominator,
-)
+from .errors import BsymError, CaseNotApplicable, DomainError, ExprSyntaxError, ParityViolation
 from .expr import parse_expr
 from .exponent import parse_exponent
 from .oracle import solve_on_grid
@@ -43,9 +32,6 @@ from .symmetry import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_DOMAIN = 2
-EXIT_NOT_APPLICABLE = 3
 EXIT_VERIFY_FAILED = 4
 
 IDENTITY_TOL = 1e-8
@@ -56,9 +42,15 @@ _PROBLEM_KEYS = ("a", "b", "n", "d")
 class ProblemFileError(BsymError):
     """Problem file is not a valid serialized IVP."""
 
+    exit_code = 1
+    prefix = "parse error: "
+
 
 class _ArgumentError(BsymError):
     """A command-line argument does not parse."""
+
+    exit_code = 1
+    prefix = "parse error: "
 
 
 def _parse_arg(parse, text: str):
@@ -75,7 +67,7 @@ def load_problem(path: str) -> ProblemSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer past the digit limit
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: expected a JSON object")
@@ -357,27 +349,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(_dashed_positionals(argv))
     try:
         return args.fn(args)
-    except (ExprSyntaxError, ProblemFileError, _ArgumentError) as exc:
-        print(f"bsym: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CaseNotApplicable as exc:
-        print(f"bsym: case not applicable: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except EmptyDomain as exc:
-        print(f"bsym: empty domain: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (
-        DomainError,
-        EvalError,
-        NoConvergence,
-        OutsideValidity,
-        ParityViolation,
-        StepFailure,
-        ValueError,
-        ZeroDenominator,
-    ) as exc:
-        print(f"bsym: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (BsymError, ValueError) as exc:
+        # a ValueError raised inside the library reads as a plain BsymError
+        kind = exc if isinstance(exc, BsymError) else BsymError
+        print(f"bsym: {kind.prefix}{exc}", file=sys.stderr)
+        return kind.exit_code
 
 
 if __name__ == "__main__":

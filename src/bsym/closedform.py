@@ -44,7 +44,7 @@ from .exponent import (
     parse_exponent,
     signed_pow,
 )
-from .quad import QUAD_CONTROL, ab_values, shared_path
+from .quad import QUAD_CONTROL, ab_path, ab_values
 from .stepper import PathView
 
 __all__ = [
@@ -222,12 +222,13 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
     A and B depend on a, b and n-1 only, and each side of a problem
-    resolves once, from one table per call, to (source, r, signs) by
-    `quad.shared_path`.  The problem keeps `PathView.of(source, r, signs)`,
-    and its end is r times source's first crossing of signs[1]*level.  So
-    p1 shares its paths with the partners that flip d, a or b and, with a
-    and b of structural parity, with those that reflect t; with a odd, one
-    integration serves both sides of a problem.  Each (source, signed
+    resolves once, from one table per call, to (source, r, signs) by the
+    reflection rule (`quad.ab_path`).  The problem keeps
+    `PathView.of(source, r, signs)`, and its end is r times source's first
+    crossing of signs[1]*level.  So p1 shares its paths with the partners
+    that flip d, a or b and, with a and b of structural parity, with those
+    that reflect t; with a odd, one integration serves both sides of a
+    problem.  Each (source, signed
     level) is walked once per call, so a problem whose interval is an
     earlier one's, or its reflection, walks nothing.
 
@@ -245,7 +246,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    paths = {}  # the integrated (A, B) paths, see `quad.shared_path`
+    paths = {}  # the integrated (A, B) paths, see `quad.ab_path`
     crossings = {}  # (id of an integrated path, level of its B) -> first crossing
     out = []
     for p in problems:
@@ -265,7 +266,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            source, r, signs = shared_path(paths, p.a, p.b, m, direction * search_radius)
+            source, r, signs = ab_path(paths, p.a, p.b, m, direction * search_radius)
             p._searched[direction] = PathView.of(source, r, signs)
             key = (id(source), signs[1] * level)
             if key not in crossings:

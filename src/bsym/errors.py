@@ -2,11 +2,18 @@
 
 
 class BsymError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; the CLI prints one as
+    `bsym: <prefix><message>` and exits with its exit_code."""
+
+    exit_code = 2
+    prefix = ""
 
 
 class ExprSyntaxError(BsymError):
     """Malformed coefficient-expression source; carries the byte offset."""
+
+    exit_code = 1
+    prefix = "parse error: "
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -40,9 +47,14 @@ class OutsideValidity(BsymError):
 class CaseNotApplicable(BsymError):
     """Problem does not satisfy a symmetry case's hypotheses."""
 
+    exit_code = 3
+    prefix = "case not applicable: "
+
 
 class EmptyDomain(BsymError):
     """Two solutions share no interval on which to compare them."""
+
+    prefix = "empty domain: "
 
 
 class StepFailure(BsymError):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError, ZeroDenominator
+from .expr import Expr, split_sign, structural_parity
 
 __all__ = [
     "ExponentClass",
@@ -23,6 +24,7 @@ __all__ = [
     "minus_one",
     "parse_exponent",
     "reflection_signs",
+    "reflections",
     "signed_pow",
 ]
 
@@ -110,6 +112,31 @@ def reflection_signs(
     """
     s_pow = 1 if s == 1 else int(-cls.negative_sign)
     return (r * eps_a, r * s_pow * eps_b, s)
+
+
+def reflections(a: Expr, b: Expr, cls: Optional[ExponentClass] = None) -> tuple:
+    """(a0, b0, views), a = sa*a0 and b = sb*b0 with a0 and b0 the trees
+    under the unary minuses at the top of a and b (`expr.split_sign`): the
+    certified reflections, the one place that decides which problems share
+    a path.  A view (r, s, ka, kb, kd) names the problem (ka*a0, kb*b0,
+    kd*d) whose solution is t -> s*y(r*t), with the signs of
+    `reflection_signs` and sa, sb folded in, the own view (1, 1, sa, sb, 1)
+    first.  r = -1 only where `expr.structural_parity` gives a0 and b0
+    parities (a sampled parity never shares), s = -1 only where cls has a
+    real power of a negative base (never for cls = None).
+    """
+    (sa, a0), (sb, b0) = split_sign(a), split_sign(b)
+    eps = {1.0: (1, 1)}  # r -> (eps_a, eps_b)
+    pa, pb = structural_parity(a0), structural_parity(b0)
+    if pa is not None and pb is not None:
+        eps[-1.0] = (pa.sign, pb.sign)
+    flips = (1.0, -1.0) if cls is not None and cls.negative_sign else (1.0,)
+    views = []
+    for r, (eps_a, eps_b) in eps.items():
+        for s in flips:
+            ka, kb, kd = reflection_signs(cls, r, s, eps_a, eps_b)
+            views.append((r, s, ka * sa, kb * sb, kd))
+    return a0, b0, views
 
 
 def parse_exponent(text: Union[str, int, float]) -> RationalExponent:

@@ -276,8 +276,12 @@ class _Parser:
                 raise ExprSyntaxError("expected integer exponent", len(self.source))
             if etok[0] != "num" or "." in etok[1]:
                 raise ExprSyntaxError("exponent must be an integer constant", etok[2])
+            try:  # past the interpreter's digit limit for int()
+                exponent = int(etok[1])
+            except ValueError:
+                raise ExprSyntaxError("exponent has too many digits", etok[2]) from None
             self.i += 1
-            node = Pow(node, int(etok[1]))
+            node = Pow(node, exponent)
             depth = self._check_depth(depth + 1, tok[2])
         for _ in range(minuses):
             node = Neg(node)

@@ -25,8 +25,10 @@ another `StepControl`.  A run stops with a blow-up marker once |y| exceeds
 the fixed `_BLOWUP_THRESHOLD`.
 
 `solve_on_grids` answers several problems' grids from one table of
-integrated paths, reading a problem whose solution is a reflection of one
-already solved through `stepper.PathView` (a shared-path residual).
+integrated paths by the package's one reflection rule
+(`exponent.reflections`, `stepper.shared_path`): a problem whose solution
+is a reflection of one already solved reads its path through
+`stepper.PathView` (a shared-path residual).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from typing import Sequence
 
 from .closedform import ProblemSpec
 from .errors import StepFailure
-from .exponent import ExponentClass, reflection_signs, signed_pow
-from .expr import CheckedForm, checked_factory, split_sign, structural_parity
+from .exponent import ExponentClass, reflections, signed_pow
+from .expr import CheckedForm, checked_factory, split_sign
 from .stepper import (
     DensePath,
     PathView,
@@ -47,6 +49,7 @@ from .stepper import (
     StepUnderflow,
     grid_values,
     integrate,
+    shared_path,
 )
 
 __all__ = [
@@ -151,27 +154,14 @@ def solve_on_grids(
     order, integrating each distinct path once.
 
     Each side of 0 of a grid is answered from one path toward its farthest
-    point (`stepper.grid_values`).  Write a = sa*a0 and b = sb*b0, a0 and
-    b0 the trees under the unary minuses at the top of a and b
-    (`expr.split_sign`).  One table holds the integrated paths, keyed by
-    (a0, b0, n, sa, sb, d, t_end), and each side resolves once to
-    (source, r, s), trying in order:
-
-    * the path of its own key, r = s = 1;
-    * a mirror, the path of (a0, b0, n, r*eps_a*sa, r*sigma*eps_b*sb,
-      s*d, r*t_end) read as `PathView(source, r, (s,))`, with eps_a, eps_b
-      and sigma = s^(1-p) from `exponent.reflection_signs`.  r = -1 is
-      tried only where `expr.structural_parity` gives a0 and b0 parities
-      eps_a and eps_b (the sampled parity never shares), and s = -1 only
-      where the class has a real power of a negative base;
-    * a fresh `rk_solve` toward t_end, stored in the table.
-
-    The mirror's source solves the problem whose solution is
-    y(t) = s*y_source(r*t) by the reflection rule of the symmetry catalog,
-    and its right-hand side g obeys f(r*t, s*y) = r*s*g(t, y) bit for bit,
-    so the view is the fresh path bit for bit (see `PathView`).  The exact
-    end is part of the key because a path's first step (span/64) and its
-    clamped last step depend on it.  A residual between a mirror and its
+    point (`stepper.grid_values`), resolved to (source, r, s) by the
+    reflection rule (`exponent.reflections`, `stepper.shared_path`) from
+    one table of integrated paths keyed by (a0, b0, n, sa, sb, d, t_end):
+    a view (r, s, ka, kb, kd) reads the path of (a0, b0, n, ka, kb, kd*d)
+    toward r*t_end as `PathView(source, r, (s,))`, and a fresh path is
+    `rk_solve` of p toward t_end.  The source's right-hand side g obeys
+    f(r*t, s*y) = r*s*g(t, y) bit for bit, so the view is the fresh path
+    bit for bit (see `PathView`).  A residual between a mirror and its
     source shares their arithmetic and reads 0 by construction: it is
     evidence only with the certificate that the coefficients are exact
     reflections.
@@ -179,37 +169,22 @@ def solve_on_grids(
     Raises StepFailure if a solution blows up before the farthest point of
     a side, and the errors of `rk_solve`, in request order.
     """
-    paths: dict = {}  # (a0, b0, n, sa, sb, d, t_end) -> integrated path
+    paths: dict = {}
     out = []
     for p, ts in requests:
-        n = p.n
-        (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
-        pa, pb = structural_parity(a0), structural_parity(b0)
-        eps = {1.0: (1, 1)}  # r -> (eps_a, eps_b)
-        if pa is not None and pb is not None:
-            eps[-1.0] = (pa.sign, pb.sign)
-        flips = (1.0, -1.0) if n.cls.negative_sign else (1.0,)
-        # (r, s, the source's key but its end), the side's own key first
-        keys = []
-        for r, (eps_a, eps_b) in eps.items():
-            for s in flips:
-                ka, kb, kd = reflection_signs(n.cls, r, s, eps_a, eps_b)
-                keys.append((r, s, (a0, b0, n, ka * sa, kb * sb, kd * p.d)))
+        a0, b0, views = reflections(p.a, p.b, p.n.cls)
 
-        def solve(t_end: float):
-            for r, s, key in keys:
-                source = paths.get((*key, r * t_end))
-                if source is not None:
-                    return PathView.of(source, r, (s,))
+        def fresh(t_end: float) -> DensePath:
             traj = rk_solve(p, t_end, ctl)
             if traj.blew_up:
                 raise StepFailure(
                     f"oracle blew up at t={traj.t_last!r} before reaching {t_end!r}"
                 )
-            paths[(*keys[0][2], t_end)] = traj.path
             return traj.path
 
-        out.append([y for (y,) in grid_values(solve, ts)])
+        keyed = [(r, (s,), (a0, b0, p.n, ka, kb, kd * p.d)) for r, s, ka, kb, kd in views]
+        ys = grid_values(lambda x: PathView.of(*shared_path(paths, keyed, x, fresh)), ts)
+        out.append([y for (y,) in ys])
     return out
 
 

@@ -37,10 +37,11 @@ Each is the substitution s -> -s in its left side, so it is fixed by the
 (a, b) parities and the sign of m on the mirrored side.  (Eq7 is the
 even-integrand mirror; it is the same identity regardless of which
 exponent class consumes it, so there is exactly one tag for it.)
-Under structural parity `shared_path` reads the right side as the mirror
-of the left side's path, so an identity residual is a shared-path
-residual: 0 by construction, and evidence only through the parity
-certificate.
+`ab_path` resolves each path by the package's one reflection rule
+(`exponent.reflections`, `stepper.shared_path`), so under structural
+parity the right side reads the mirror of the left side's path: an
+identity residual is a shared-path residual, 0 by construction, and
+evidence only through the parity certificate.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ from .expr import (
     Parity,
     checked_factory,
     detect_parity,
-    split_sign,
-    structural_parity,
 )
-from .exponent import RationalExponent, minus_one
+from .exponent import RationalExponent, minus_one, reflection_signs, reflections
 from .stepper import (
     DensePath,
     PathView,
@@ -67,6 +66,7 @@ from .stepper import (
     StepUnderflow,
     grid_values,
     integrate,
+    shared_path,
 )
 
 __all__ = [
@@ -74,7 +74,7 @@ __all__ = [
     "Identity",
     "ab_values",
     "nested_path",
-    "shared_path",
+    "ab_path",
     "identity_residuals",
 ]
 
@@ -96,42 +96,19 @@ def nested_path(a: Expr, b: Expr, mult: float, t: float) -> DensePath:
         raise EvalError(f"integrand overflow: {exc}") from None
 
 
-def shared_path(
+def ab_path(
     paths: dict, a: Expr, b: Expr, mult: float, t_end: float
 ) -> tuple[DensePath, float, tuple[float, float]]:
-    """The (A, B) path of (a, b, mult) from 0 to t_end as (source, r, signs):
-    at t it holds signs[k] * source(r*t)[k] in component k, the path
-    `PathView.of(source, r, signs)`.
-
-    Write a = sa*a0 and b = sb*b0, a0 and b0 the trees under the unary
-    minuses at the top of a and b (`expr.split_sign`), and m0 = sa*mult.
-    `paths` is the caller's table of integrated paths of such Neg-free
-    triples, keyed by (a0, b0, m0, t_end).  The side resolves, in order, to
-
-    * the path of its own key (a0, b0, m0, t_end): r = 1, signs (sa, sb);
-    * only where `expr.structural_parity` gives a0 and b0 parities eps_a
-      and eps_b (+1 even, -1 odd; the sampled parity never shares), the
-      path of the mirror key (a0, b0, -eps_a*m0, -t_end): r = -1, signs
-      (-eps_a*sa, -eps_b*sb);
-    * a fresh `nested_path` of (a0, b0, m0) to t_end, stored under its own
-      key: r = 1, signs (sa, sb).
-
-    Either way the view is, bit for bit, the fresh path of (a, b, mult) to
-    t_end (see `PathView`).  The exact end is part of the key because a
-    path's first step (span/64) and its clamped last step depend on it.
+    """The (A, B) path of (a, b, mult) from 0 to t_end as (source, r,
+    signs) by the reflection rule (`exponent.reflections`), from the
+    caller's table `paths` of integrated (a0, b0, m0) paths keyed by
+    (a0, b0, m0, t_end) (`stepper.shared_path`): a view (r, ka, kb) reads
+    the path of (a0, b0, ka*mult) toward r*t_end with signs (ka, kb), and a
+    fresh path integrates the own view's (a0, b0, sa*mult).
     """
-    (sa, a0), (sb, b0) = split_sign(a), split_sign(b)
-    m0 = sa * mult
-    source = paths.get((a0, b0, m0, t_end))
-    if source is not None:
-        return source, 1.0, (sa, sb)
-    pa, pb = structural_parity(a0), structural_parity(b0)
-    if pa is not None and pb is not None:
-        source = paths.get((a0, b0, -pa.sign * m0, -t_end))
-        if source is not None:
-            return source, -1.0, (-pa.sign * sa, -pb.sign * sb)
-    source = paths[a0, b0, m0, t_end] = nested_path(a0, b0, m0, t_end)
-    return source, 1.0, (sa, sb)
+    a0, b0, views = reflections(a, b)
+    keyed = [(r, (ka, kb), (a0, b0, ka * mult)) for r, _, ka, kb, _ in views]
+    return shared_path(paths, keyed, t_end, lambda x: nested_path(*keyed[0][2], x))
 
 
 def ab_values(
@@ -190,10 +167,10 @@ def identity_residuals(
     """|LHS - RHS| of the chosen identity at each t, sharing quadratures.
 
     Each side of 0 of each grid is answered from one path toward its
-    farthest t (`stepper.grid_values`), resolved through one `shared_path`
+    farthest t (`stepper.grid_values`), resolved by `ab_path` through one
     table per call: under structural parity the right side's path toward t
-    is read as the mirror of the left side's toward -t (see the module
-    docstring), and with a sampled parity both are integrated.  Eq7's two
+    is the mirror of the left side's toward -t, and with a sampled parity
+    both are integrated.  Eq7's two
     sides read the same (a, b, m), so one grid joins them.  Every residual
     is bit for bit the one fresh paths per side give, and no path outlives
     the call.  Raises DomainError where n - 1 is no usable float
@@ -210,14 +187,15 @@ def identity_residuals(
             f"{ident.value} needs a {par_a.value}, b {par_b.value}; "
             f"got a {got_a.value}, b {got_b.value}"
         )
-    # with eps = Parity.sign, s -> -s turns A(-u) into -eps_a * A(u) and
-    # b(-u) into eps_b * b(u), so
-    # int_{-t}^0 b e^{sigma*m*A} = eps_b * int_0^t b e^{-eps_a*sigma*m*A}
-    sign_r, rhs_sign = -par_a.sign * sigma, par_b.sign
+    # the t-mirror of (a, b, mult) is (a, b, ka*mult) with B multiplied by
+    # kb, B_mult(-t) = kb * B_{ka*mult}(t), so
+    # int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t) = -kb * B_{ka*sigma*m}(t)
+    ka, kb, _ = reflection_signs(None, -1, 1, par_a.sign, par_b.sign)
+    sign_r, rhs_sign = ka * sigma, -kb
     paths: dict = {}
 
     def pairs(mult: float, grid: Sequence[float]) -> list:
-        return grid_values(lambda x: PathView.of(*shared_path(paths, a, b, mult, x)), grid)
+        return grid_values(lambda x: PathView.of(*ab_path(paths, a, b, mult, x)), grid)
 
     # LHS(t) = int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t)
     mirrored = [-t for t in ts]

@@ -35,10 +35,11 @@ polynomials.  `grid_values` answers a grid that straddles t = 0 from one
 0-anchored path per side, each side in one ordered walk.
 
 `PathView` is a path read through t -> r*t, r = +-1, with its components'
-signs changed, a view that queries its source and copies nothing.  The
-closed form's validity search uses it for the signs of the coefficients
-and the mirror symmetry of coefficients of known parity, and the oracle
-for partner problems whose solutions are reflections of one it solved.
+signs changed, a view that queries its source and copies nothing.
+`shared_path` is the one lookup of a table of integrated paths: the
+validity search, the identities and the oracle read a problem whose
+solution is a reflection of one already solved (`exponent.reflections`)
+through a view of that one's path.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "StepControl",
     "DensePath",
     "PathView",
+    "shared_path",
     "StepUnderflow",
     "StepBudgetExceeded",
     "integrate",
@@ -216,8 +218,9 @@ class DensePath:
 class PathView:
     """Read-only view of a `source` path, of any number of components,
     through t -> r*t, r = +-1: at t it holds signs[k] * source(r*t)[k] in
-    each component k.  The quadrature reads its (A, B) paths through views,
-    and the oracle its one-component y paths.
+    each component k.  The reflection rule (`exponent.reflections`,
+    `shared_path`) gives (source, r, signs) for the quadrature's (A, B)
+    paths and the oracle's one-component y paths alike.
 
     Let `source` be the kernel's path of g from 0 toward T, and S the
     diagonal of the signs.  If f(r*t, S*y) = r*S*g(t, y) bit for bit, the
@@ -230,8 +233,8 @@ class PathView:
     the source's first crossing of signs[k] * level.  For r = -1 and a
     coefficient of structural parity eps this assumes f(-t) = eps * f(t)
     bit for bit, that is a C library that evaluates sin and sinh as odd,
-    cos and cosh as even and pow(-x, k) as +-pow(x, k) exactly.  No node,
-    state or stage is copied.
+    cos and cosh as even and (-x)**k as (-1)**k * x**k exactly, which the
+    tests check on fixed arguments.  No node, state or stage is copied.
     """
 
     source: DensePath
@@ -256,6 +259,25 @@ class PathView:
         columns = zip(*self.source.values([r * t for t in qs]))
         # one comprehension per component, transposed back into states
         return list(zip(*[[sign * y for y in col] for sign, col in zip(self.signs, columns)]))
+
+
+def shared_path(
+    paths: dict, views: Sequence[tuple], t_end: float, fresh: Callable[[float], DensePath]
+) -> tuple[DensePath, float, tuple]:
+    """(source, r, signs) of a path toward t_end, read as `PathView.of`:
+    the first view (r, signs, key), own view first (`exponent.reflections`),
+    whose source the table `paths` holds under (*key, r*t_end), else
+    fresh(t_end) stored under the first view's key.  The exact end is in
+    the key because a path's first step (span/64) and its clamped last
+    step depend on it.
+    """
+    for r, signs, key in views:
+        source = paths.get((*key, r * t_end))
+        if source is not None:
+            return source, r, signs
+    r, signs, key = views[0]
+    source = paths[(*key, t_end)] = fresh(t_end)
+    return source, r, signs
 
 
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:

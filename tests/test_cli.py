@@ -619,6 +619,83 @@ def test_unknown_case_id_is_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int() digit limit")
+_MANY_DIGITS = "9" * max(5000, _DIGIT_LIMIT + 1)
+
+
+def test_problem_file_that_is_not_utf8_is_exit_1(tmp_path, capsys):
+    from bsym.cli import main
+
+    prob = tmp_path / "p.json"
+    prob.write_bytes(b"\xff\xfe" + json.dumps(RICCATI).encode("utf-16-le"))
+    assert main(["cases", "--problem", str(prob)]) == 1
+    assert capsys.readouterr().err.startswith(f"bsym: parse error: {prob} is not valid JSON: ")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("key", ["n", "d"])
+def test_problem_file_integer_past_the_digit_limit_is_exit_1(tmp_path, capsys, key):
+    from bsym.cli import main
+
+    text = json.dumps({**RICCATI, key: 0}).replace(f'"{key}": 0', f'"{key}": {_MANY_DIGITS}')
+    prob = tmp_path / "p.json"
+    prob.write_text(text, encoding="utf-8")
+    assert main(["cases", "--problem", str(prob)]) == 1
+    assert capsys.readouterr().err.startswith(f"bsym: parse error: {prob} is not valid JSON: ")
+
+
+@needs_digit_limit
+def test_identities_exponent_of_a_power_past_the_digit_limit_is_exit_1(capsys):
+    from bsym.cli import main
+
+    assert main(["identities", "t^" + _MANY_DIGITS, "1", "2"]) == 1
+    assert capsys.readouterr().err.startswith("bsym: parse error: ")
+
+
+# README's exit codes and stderr prefixes, per error type: 1 parse error,
+# 2 domain or quadrature error, 3 case not applicable
+_ERROR_EXITS = {
+    "BsymError": (2, ""),
+    "ExprSyntaxError": (1, "parse error: "),
+    "ProblemFileError": (1, "parse error: "),
+    "_ArgumentError": (1, "parse error: "),
+    "EvalError": (2, ""),
+    "ZeroDenominator": (2, ""),
+    "DomainError": (2, ""),
+    "NoConvergence": (2, ""),
+    "ParityViolation": (2, ""),
+    "OutsideValidity": (2, ""),
+    "CaseNotApplicable": (3, "case not applicable: "),
+    "EmptyDomain": (2, "empty domain: "),
+    "StepFailure": (2, ""),
+}
+
+
+def test_every_error_type_has_a_documented_exit():
+    from bsym import cli  # noqa: F401, defines the CLI's own error types
+    from bsym.errors import BsymError
+
+    assert {"BsymError", *(c.__name__ for c in BsymError.__subclasses__())} == set(_ERROR_EXITS)
+
+
+@pytest.mark.parametrize("name", _ERROR_EXITS)
+def test_error_type_sets_exit_code_and_prefix(tmp_path, monkeypatch, capsys, name):
+    from bsym import cli, errors
+
+    cls = getattr(errors, name, None) or getattr(cli, name)
+    exc = cls("boom", 3) if cls is errors.ExprSyntaxError else cls("boom")
+
+    def broken(p):
+        raise exc
+
+    monkeypatch.setattr(cli, "applicable_cases", broken)
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    code, prefix = _ERROR_EXITS[name]
+    assert cli.main(["cases", "--problem", prob]) == code
+    assert capsys.readouterr().err == f"bsym: {prefix}{exc}\n"
+
+
 def test_library_value_error_is_exit_2(tmp_path, monkeypatch, capsys):
     # a ValueError raised past parsing (a dense-path range error, say) is
     # not a parse error

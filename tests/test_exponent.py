@@ -10,8 +10,10 @@ from bsym import (
     ZeroDenominator,
     classify_exponent,
     parse_exponent,
+    parse_expr,
     signed_pow,
 )
+from bsym.exponent import reflection_signs, reflections
 
 
 @pytest.mark.parametrize(
@@ -154,3 +156,34 @@ def test_minus_one_rejects_an_exponent_out_of_float_range(p, q):
     assert f"n={n}" in str(info.value)
     with pytest.raises(DomainError, match=r"out of float range"):
         problem("cos(t)", "sin(t)", str(n), 1.0)
+
+
+_EVEN_ODD, _ODD_ODD, _ODD_EVEN = (
+    ExponentClass.EVEN_OVER_ODD, ExponentClass.ODD_OVER_ODD, ExponentClass.ODD_OVER_EVEN
+)
+
+
+@pytest.mark.parametrize(
+    "a, b, cls, rs",
+    [
+        # structural parities and a real power of a negative base: all four
+        ("-sin(t)", "--t^2", _ODD_ODD, [(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+        ("-sin(t)", "--t^2", _EVEN_ODD, [(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+        # no real power of a negative base, or no class: s = 1 alone
+        ("-sin(t)", "--t^2", _ODD_EVEN, [(1, 1), (-1, 1)]),
+        ("-sin(t)", "--t^2", None, [(1, 1), (-1, 1)]),
+        # a parity only the sampler decides certifies no t-mirror
+        ("-sin(t)", "exp(t) - exp(-t)", _ODD_ODD, [(1, 1), (1, -1)]),
+        ("exp(t)", "--t^2", None, [(1, 1)]),
+    ],
+)
+def test_reflections_fold_the_top_signs_into_reflection_signs(a, b, cls, rs):
+    a0, b0, views = reflections(parse_expr(a), parse_expr(b), cls)
+    assert (a0, b0) == (parse_expr(a.lstrip("-")), parse_expr(b.lstrip("-")))
+    sa, sb = (-1) ** (len(a) - len(a.lstrip("-"))), (-1) ** (len(b) - len(b.lstrip("-")))
+    assert [(r, s) for r, s, *_ in views] == rs
+    assert views[0] == (1, 1, sa, sb, 1)  # the own view first
+    for r, s, ka, kb, kd in views:
+        eps = (1, 1) if r == 1 else (-1, 1)  # sin(t) odd, t^2 even
+        wa, wb, wd = reflection_signs(cls, r, s, *eps)
+        assert (ka, kb, kd) == (wa * sa, wb * sb, wd)

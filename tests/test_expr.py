@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,17 @@ def test_parse_rejects_non_finite_literal(src, offset):
         parse_expr(src)
     assert info.value.offset == offset
     assert "too large" in str(info.value)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int() digit limit"
+)
+def test_parse_rejects_an_exponent_past_the_int_digit_limit():
+    # int() of 5 000 digits raises a bare ValueError past the default limit
+    digits = max(5000, sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("t^" + "9" * digits)
+    assert info.value.offset == 2
 
 
 def test_parse_accepts_the_largest_finite_literal():

@@ -3,6 +3,7 @@ import functools
 import linecache
 import math
 import random
+import struct
 import traceback
 from bisect import bisect_right
 
@@ -15,6 +16,7 @@ from bsym.stepper import (
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _P,
     DensePath, PathView, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
+    shared_path,
 )
 
 CTL = QUAD_CONTROL
@@ -807,3 +809,64 @@ def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
     qs = [r * (0.05 * i) for i in range(41)]
     assert view.values(qs) == direct.values(qs)
     assert view.values([]) == []
+
+
+# the premise of every t-mirror: generated code calls these math functions
+# and evaluates `^` as float ** int, and a view reads f(-t) as +-f(t)
+_PREMISE_ARGS = [
+    sign * x
+    for x in (0.0, 5e-324, 1e-300, 0.1, 1.0, math.pi / 2, 3.0, 1e15, 1e300)
+    for sign in (1.0, -1.0)
+]
+
+
+def _outcome(fn, x):
+    """fn(x)'s bits, zero signs included, or the type of what it raised."""
+    try:
+        return struct.pack("<d", fn(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _negated(outcome):
+    if isinstance(outcome, type):
+        return outcome
+    return struct.pack("<d", -struct.unpack("<d", outcome)[0])
+
+
+@pytest.mark.parametrize("x", _PREMISE_ARGS)
+def test_sin_sinh_are_exactly_odd_and_cos_cosh_exactly_even(x):
+    for odd in (math.sin, math.sinh):
+        assert _outcome(odd, -x) == _negated(_outcome(odd, x)), odd.__name__
+    for even in (math.cos, math.cosh):
+        assert _outcome(even, -x) == _outcome(even, x), even.__name__
+
+
+@pytest.mark.parametrize("x", _PREMISE_ARGS)
+def test_an_integer_power_of_a_negated_base_is_exactly_signed(x):
+    # (-x)**k == (-1)**k * x**k bit for bit; where the power overflows,
+    # both sides raise
+    for k in range(10):
+        assert _outcome(lambda v: (-v) ** k, x) == _outcome(lambda v: (-1) ** k * v ** k, x), k
+
+
+def test_shared_path_reads_the_first_view_held_else_stores_a_fresh_path():
+    fresh_ends = []
+
+    def fresh(t_end):
+        fresh_ends.append(t_end)
+        return cos_path(t_end)
+
+    paths = {}
+    own = (1.0, (1.0,), ("own",))
+    mirror = (-1.0, (-1.0,), ("mirror",))
+    # nothing held: a fresh path, stored under the first view's key
+    source, r, signs = shared_path(paths, [own, mirror], 0.5, fresh)
+    assert (r, signs) == (1.0, (1.0,)) and paths == {("own", 0.5): source}
+    # the own key answers before any mirror
+    paths[("mirror", -0.5)] = cos_path(-0.5)
+    assert shared_path(paths, [own, mirror], 0.5, fresh) == (source, 1.0, (1.0,))
+    # a mirror is read at r * t_end
+    held = paths[("mirror", -0.7)] = cos_path(-0.7)
+    assert shared_path(paths, [own, mirror], 0.7, fresh) == (held, -1.0, (-1.0,))
+    assert fresh_ends == [0.5]

@@ -28,10 +28,11 @@ from bsym import (
     verify_pair,
 )
 from bsym.errors import StepFailure
+from bsym.exponent import ExponentClass, minus_one, reflections
 from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import conforming_problem, count_calls, random_problem
+from helpers import SPIKED_B, conforming_problem, count_calls, random_problem
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -505,3 +506,34 @@ def test_oracle_reports_equal_those_of_each_problems_own_solves(monkeypatch, nam
     reports = [r for outcome in shared if isinstance(outcome, list) for r in outcome]
     assert len(reports) >= len(shared)  # mostly reports, not errors
     assert shared_solves < len(solves)  # and the table did share paths
+
+
+def _reflection_keys(p):
+    """p's views in the quadrature's key layout, (r, (a0, b0, ka*(n-1))),
+    and in the oracle's, (r, s, (a0, b0, n, ka, kb, kd*d)), own view first."""
+    m = minus_one(p.n)
+    a0, b0, views = reflections(p.a, p.b)
+    quad = [(r, (a0, b0, ka * m)) for r, _, ka, _, _ in views]
+    a0, b0, views = reflections(p.a, p.b, p.n.cls)
+    oracle = [(r, s, (a0, b0, p.n, ka, kb, kd * p.d)) for r, s, ka, kb, kd in views]
+    return quad, oracle
+
+
+@pytest.mark.parametrize("case", CATALOG, ids=lambda case: case.id)
+def test_a_partners_own_key_is_one_of_p1s_reflection_keys(case):
+    # so the path tables of the validity search and of the oracle read the
+    # partner as a reflection of p1's path, under the case's (r, s)
+    rng = random.Random(case.id)
+    r, s = case.relation.r, case.relation.s
+    for _ in range(4):
+        p1 = conforming_problem(case, rng)
+        quad1, oracle1 = _reflection_keys(p1)
+        quad2, oracle2 = _reflection_keys(transform_problem(p1, case))
+        assert (r, quad2[0][1]) in quad1
+        assert (r, s, oracle2[0][2]) in oracle1
+
+
+@pytest.mark.parametrize("cls", [*ExponentClass, None])
+def test_a_sampled_parity_yields_no_t_mirror(cls):
+    _, _, views = reflections(parse_expr("cos(t)"), parse_expr(SPIKED_B), cls)
+    assert all(r == 1 for r, *_ in views)
