@@ -274,79 +274,39 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# the options that take a number
-_NUMBER_OPTIONS = frozenset({"--t-min", "--t-max", "--points", "--tol", "--samples"})
+def _normalised(argv: Sequence[str]) -> list[str]:
+    """argv with every option value and positional where argparse reads it.
 
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _joined(argv: Sequence[str]) -> list[str]:
-    """argv with `--t-min -1e-05` written as `--t-min=-1e-05`, and so on for
-    every option that takes a number, also when abbreviated.
-
-    argparse reads a value that starts with '-' and is not a plain negative
-    decimal (-1e-05, -inf, -nan) as an option name, and stops with "expected
-    one argument"; joined, the value reaches the option.  Arguments after
-    `--` are left alone.
+    Every long option but --help takes exactly one value, abbreviated or
+    not, and a value that starts with '-' (-1e-05, -inf, -p.json) is joined
+    to it as `--opt=value`: argparse would read it as an option name and
+    stop with "expected one argument".  `identities` positionals move after
+    `--` when one of them starts with '-' ("-t^2", "-1/2"), which argparse
+    would read as an unknown option.  Everything from an existing `--` on
+    is left alone.
     """
-    out: list[str] = []
-    k = 0
-    while k < len(argv):
-        arg = argv[k]
-        if arg == "--":
-            out.extend(argv[k:])
-            break
-        if (
-            arg.startswith("--")
-            and k + 1 < len(argv)
-            and argv[k + 1].startswith("-")
-            # a prefix too: argparse resolves abbreviations, or rejects them
-            and any(o.startswith(arg) for o in _NUMBER_OPTIONS)
-            and _is_number(argv[k + 1])
-        ):
-            arg = f"{arg}={argv[k + 1]}"
-            k += 1
-        out.append(arg)
-        k += 1
-    return out
-
-
-def _dashed_positionals(argv: list[str]) -> list[str]:
-    """`identities` argv with its options first and its positionals after
-    `--`, when one of them starts with '-'.
-
-    argparse reads a positional such as "-t^2" or "-1/2" as an unknown
-    option and stops with "the following arguments are required"; after
-    `--` it reaches its parser.  Every option of `identities` but the help
-    takes one value; an argv that already has `--` is left alone.
-    """
-    if argv[:1] != ["identities"] or "--" in argv:
-        return argv
-    options, positionals = [], []
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    out, options, positionals = argv[:min(1, end)], [], []
     k = 1
-    while k < len(argv):
+    while k < end:
         arg = argv[k]
-        takes_value = arg.startswith("--") and "=" not in arg and not "--help".startswith(arg)
-        if arg.startswith("--") or arg == "-h":
-            options += argv[k:k + 1 + takes_value]
-            k += takes_value
+        if arg.startswith("--") and "=" not in arg and not "--help".startswith(arg) and k + 1 < end:
+            value = argv[k + 1]
+            tokens = [f"{arg}={value}"] if value.startswith("-") else [arg, value]
+            k += 2
         else:
-            positionals.append(arg)
-        k += 1
-    if not any(arg.startswith("-") for arg in positionals):
-        return argv
-    return ["identities", *options, "--", *positionals]
+            tokens = [arg]
+            k += 1
+        (options if arg.startswith("--") or arg == "-h" else positionals).extend(tokens)
+        out += tokens
+    if out[:1] == ["identities"] and end == len(argv) and any(a.startswith("-") for a in positionals):
+        return ["identities", *options, "--", *positionals]
+    return out + argv[end:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = _joined(sys.argv[1:] if argv is None else argv)
-    args = _parser().parse_args(_dashed_positionals(argv))
+    args = _parser().parse_args(_normalised(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (BsymError, ValueError) as exc:

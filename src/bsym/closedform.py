@@ -45,7 +45,6 @@ from .exponent import (
     signed_pow,
 )
 from .quad import QUAD_CONTROL, ab_path, ab_values
-from .stepper import PathView
 
 __all__ = [
     "ProblemSpec",
@@ -222,15 +221,14 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     of one integration per side, to full float resolution; a tangent touch
     within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
     A and B depend on a, b and n-1 only, and each side of a problem
-    resolves once, from one table per call, to (source, r, signs) by the
-    reflection rule (`quad.ab_path`).  The problem keeps
-    `PathView.of(source, r, signs)`, and its end is r times source's first
-    crossing of signs[1]*level.  So p1 shares its paths with the partners
-    that flip d, a or b and, with a and b of structural parity, with those
-    that reflect t; with a odd, one integration serves both sides of a
-    problem.  Each (source, signed
-    level) is walked once per call, so a problem whose interval is an
-    earlier one's, or its reflection, walks nothing.
+    resolves once, from one table per call, to a path by the reflection
+    rule (`quad.ab_path`): an integrated path or a `stepper.PathView` of
+    one, which the problem keeps and whose first crossing is its end.  So
+    p1 shares its paths with the partners that flip d, a or b and, with a
+    and b of structural parity, with those that reflect t; with a odd, one
+    integration serves both sides of a problem.  A path caches its
+    crossings, so a problem whose interval is an earlier one's, or its
+    reflection, walks nothing.
 
     Boundary kinds: Asymptote when the root exponent is negative (the
     solution diverges), RootBoundary otherwise (the root loses its real
@@ -247,7 +245,6 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
     paths = {}  # the integrated (A, B) paths, see `quad.ab_path`
-    crossings = {}  # (id of an integrated path, level of its B) -> first crossing
     out = []
     for p in problems:
         if p.n.cls is ExponentClass.ONE:
@@ -266,16 +263,10 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):
-            source, r, signs = ab_path(paths, p.a, p.b, m, direction * search_radius)
-            p._searched[direction] = PathView.of(source, r, signs)
-            key = (id(source), signs[1] * level)
-            if key not in crossings:
-                crossings[key] = source.first_crossing(
-                    1, key[1], QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol
-                )
-            found = crossings[key]
+            path = p._searched[direction] = ab_path(paths, p.a, p.b, m, direction * search_radius)
+            found = path.first_crossing(1, level, QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol)
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
-            ends.append(limit if found is None else (r * found, zero_kind))
+            ends.append(limit if found is None else (found, zero_kind))
         (hi, hi_kind), (lo, lo_kind) = ends
         out.append(Validity(lo, hi, lo_kind, hi_kind))
     return out

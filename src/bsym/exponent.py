@@ -52,9 +52,6 @@ class RationalExponent:
     q: int
     cls: ExponentClass
 
-    def negated(self) -> "RationalExponent":
-        return classify_exponent(-self.p, self.q)
-
     def __str__(self) -> str:
         return str(self.p) if self.q == 1 else f"{self.p}/{self.q}"
 

@@ -20,7 +20,7 @@ Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.
 
 Every solve runs at `ORACLE_CONTROL` (relative tolerance 1e-10, absolute
-1e-11, looser than the quadrature's 1e-12) unless the caller passes
+1e-11, looser than the quadrature's 1e-12); only `rk_solve` takes
 another `StepControl`.  A run stops with a blow-up marker once |y| exceeds
 the fixed `_BLOWUP_THRESHOLD`.
 
@@ -43,7 +43,6 @@ from .exponent import ExponentClass, reflections, signed_pow
 from .expr import CheckedForm, checked_factory, split_sign
 from .stepper import (
     DensePath,
-    PathView,
     StepBudgetExceeded,
     StepControl,
     StepUnderflow,
@@ -146,20 +145,17 @@ def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) ->
     return Trajectory(path, blew_up)
 
 
-def solve_on_grids(
-    requests: Sequence[tuple[ProblemSpec, Sequence[float]]],
-    ctl: StepControl = ORACLE_CONTROL,
-) -> list[list[float]]:
+def solve_on_grids(requests: Sequence[tuple[ProblemSpec, Sequence[float]]]) -> list[list[float]]:
     """Oracle y of each (p, ts) request at every t of its ts, in request
     order, integrating each distinct path once.
 
     Each side of 0 of a grid is answered from one path toward its farthest
-    point (`stepper.grid_values`), resolved to (source, r, s) by the
-    reflection rule (`exponent.reflections`, `stepper.shared_path`) from
-    one table of integrated paths keyed by (a0, b0, n, sa, sb, d, t_end):
-    a view (r, s, ka, kb, kd) reads the path of (a0, b0, n, ka, kb, kd*d)
-    toward r*t_end as `PathView(source, r, (s,))`, and a fresh path is
-    `rk_solve` of p toward t_end.  The source's right-hand side g obeys
+    point (`stepper.grid_values`), resolved by the reflection rule
+    (`exponent.reflections`, `stepper.shared_path`) from one table of
+    integrated paths keyed by (a0, b0, n, sa, sb, d, t_end): a view
+    (r, s, ka, kb, kd) reads the path of (a0, b0, n, ka, kb, kd*d) toward
+    r*t_end as `PathView(source, r, (s,))`, and a fresh path is `rk_solve`
+    of p toward t_end.  The source's right-hand side g obeys
     f(r*t, s*y) = r*s*g(t, y) bit for bit, so the view is the fresh path
     bit for bit (see `PathView`).  A residual between a mirror and its
     source shares their arithmetic and reads 0 by construction: it is
@@ -175,7 +171,7 @@ def solve_on_grids(
         a0, b0, views = reflections(p.a, p.b, p.n.cls)
 
         def fresh(t_end: float) -> DensePath:
-            traj = rk_solve(p, t_end, ctl)
+            traj = rk_solve(p, t_end)
             if traj.blew_up:
                 raise StepFailure(
                     f"oracle blew up at t={traj.t_last!r} before reaching {t_end!r}"
@@ -183,13 +179,11 @@ def solve_on_grids(
             return traj.path
 
         keyed = [(r, (s,), (a0, b0, p.n, ka, kb, kd * p.d)) for r, s, ka, kb, kd in views]
-        ys = grid_values(lambda x: PathView.of(*shared_path(paths, keyed, x, fresh)), ts)
+        ys = grid_values(lambda x: shared_path(paths, keyed, x, fresh), ts)
         out.append([y for (y,) in ys])
     return out
 
 
-def solve_on_grid(
-    p: ProblemSpec, ts: Sequence[float], ctl: StepControl = ORACLE_CONTROL
-) -> list[float]:
+def solve_on_grid(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     """Oracle y at every t: `solve_on_grids` of the one request (p, ts)."""
-    return solve_on_grids([(p, ts)], ctl)[0]
+    return solve_on_grids([(p, ts)])[0]

@@ -98,13 +98,13 @@ def nested_path(a: Expr, b: Expr, mult: float, t: float) -> DensePath:
 
 def ab_path(
     paths: dict, a: Expr, b: Expr, mult: float, t_end: float
-) -> tuple[DensePath, float, tuple[float, float]]:
-    """The (A, B) path of (a, b, mult) from 0 to t_end as (source, r,
-    signs) by the reflection rule (`exponent.reflections`), from the
-    caller's table `paths` of integrated (a0, b0, m0) paths keyed by
-    (a0, b0, m0, t_end) (`stepper.shared_path`): a view (r, ka, kb) reads
-    the path of (a0, b0, ka*mult) toward r*t_end with signs (ka, kb), and a
-    fresh path integrates the own view's (a0, b0, sa*mult).
+) -> Union[DensePath, PathView]:
+    """The (A, B) path of (a, b, mult) from 0 to t_end by the reflection
+    rule (`exponent.reflections`), from the caller's table `paths` of
+    integrated (a0, b0, m0) paths keyed by (a0, b0, m0, t_end)
+    (`stepper.shared_path`): a view (r, ka, kb) reads the path of
+    (a0, b0, ka*mult) toward r*t_end with signs (ka, kb), and a fresh path
+    integrates the own view's (a0, b0, sa*mult).
     """
     a0, b0, views = reflections(a, b)
     keyed = [(r, (ka, kb), (a0, b0, ka * mult)) for r, _, ka, kb, _ in views]
@@ -195,7 +195,7 @@ def identity_residuals(
     paths: dict = {}
 
     def pairs(mult: float, grid: Sequence[float]) -> list:
-        return grid_values(lambda x: PathView.of(*ab_path(paths, a, b, mult, x)), grid)
+        return grid_values(lambda x: ab_path(paths, a, b, mult, x), grid)
 
     # LHS(t) = int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t)
     mirrored = [-t for t in ts]

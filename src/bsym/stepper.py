@@ -35,7 +35,8 @@ polynomials.  `grid_values` answers a grid that straddles t = 0 from one
 0-anchored path per side, each side in one ordered walk.
 
 `PathView` is a path read through t -> r*t, r = +-1, with its components'
-signs changed, a view that queries its source and copies nothing.
+signs changed, a view that queries its source and copies nothing: the one
+place that knows how a reflection acts on a path's values and crossings.
 `shared_path` is the one lookup of a table of integrated paths: the
 validity search, the identities and the oracle read a problem whose
 solution is a reflection of one already solved (`exponent.reflections`)
@@ -152,7 +153,8 @@ class DensePath:
     one-time call.  `first_crossing` finds where a component first reaches
     a level on the same extensions.  A step's coefficients are built on its
     first query and cached, so a path queried at only a few points pays
-    for only those steps.
+    for only those steps; a crossing is cached once found, so a level that
+    several problems read, or their reflections, is walked once.
 
     `integrate` returns an instance of the subclass `_kernel` renders for
     the state's dimension, which defines `values` and `_extension`.
@@ -163,6 +165,7 @@ class DensePath:
     ks: list = field(default_factory=list)  # (k1, k3, k4, k5, k6, k7) per step
     stopped: bool = False  # a stop callback ended integration early
     _coefs: dict = field(default_factory=dict, repr=False, compare=False)
+    _crossings: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def t_reached(self) -> float:
@@ -190,7 +193,15 @@ class DensePath:
         the step fraction; its first root is bisected to full resolution.
         A stationary point within abs_tol + rel_tol * |y_k| of level, the
         error the step control allowed y_k, counts as a tangent crossing.
+        Each answer is cached on the path per (k, level, abs_tol, rel_tol).
         """
+        key = (k, level, abs_tol, rel_tol)
+        if key not in self._crossings:
+            self._crossings[key] = self._walk(k, level, abs_tol, rel_tol)
+        return self._crossings[key]
+
+    def _walk(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
+        """`first_crossing`, uncached: one walk over the steps."""
         ts, ys, ks = self.ts, self.ys, self.ks
         w1, w3, w4, w5, w6, w7 = _W
         side = 1.0 if ys[0][k] > level else -1.0
@@ -219,8 +230,9 @@ class PathView:
     """Read-only view of a `source` path, of any number of components,
     through t -> r*t, r = +-1: at t it holds signs[k] * source(r*t)[k] in
     each component k.  The reflection rule (`exponent.reflections`,
-    `shared_path`) gives (source, r, signs) for the quadrature's (A, B)
-    paths and the oracle's one-component y paths alike.
+    `shared_path`) builds it for the quadrature's (A, B) paths and the
+    oracle's one-component y paths alike, and no other code reads r or
+    signs: a caller queries a view as it queries any path.
 
     Let `source` be the kernel's path of g from 0 toward T, and S the
     diagonal of the signs.  If f(r*t, S*y) = r*S*g(t, y) bit for bit, the
@@ -241,14 +253,6 @@ class PathView:
     r: float
     signs: tuple
 
-    @classmethod
-    def of(cls, source: DensePath, r: float, signs: tuple) -> Union[DensePath, "PathView"]:
-        """The view of source through (r, signs): source itself where r and
-        every sign are 1."""
-        if r == 1.0 and all(sign == 1.0 for sign in signs):
-            return source
-        return cls(source, r, signs)
-
     @property
     def t_reached(self) -> float:
         return self.r * self.source.t_reached
@@ -260,24 +264,35 @@ class PathView:
         # one comprehension per component, transposed back into states
         return list(zip(*[[sign * y for y in col] for sign, col in zip(self.signs, columns)]))
 
+    def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
+        """First t past 0 where component k reaches `level`, or None, as
+        `DensePath.first_crossing`: r times the source's first crossing of
+        signs[k] * level, which the source caches."""
+        found = self.source.first_crossing(k, self.signs[k] * level, abs_tol, rel_tol)
+        return None if found is None else self.r * found
+
 
 def shared_path(
     paths: dict, views: Sequence[tuple], t_end: float, fresh: Callable[[float], DensePath]
-) -> tuple[DensePath, float, tuple]:
-    """(source, r, signs) of a path toward t_end, read as `PathView.of`:
-    the first view (r, signs, key), own view first (`exponent.reflections`),
-    whose source the table `paths` holds under (*key, r*t_end), else
-    fresh(t_end) stored under the first view's key.  The exact end is in
-    the key because a path's first step (span/64) and its clamped last
-    step depend on it.
+) -> Union[DensePath, PathView]:
+    """The path toward t_end through the first view (r, signs, key), own
+    view first (`exponent.reflections`), whose source the table `paths`
+    holds under (*key, r*t_end), else through the first view of
+    fresh(t_end), stored under that view's key: `PathView(source, r,
+    signs)`, or the source itself where r and every sign are 1.  The exact
+    end is in the key because a path's first step (span/64) and its
+    clamped last step depend on it.
     """
     for r, signs, key in views:
         source = paths.get((*key, r * t_end))
         if source is not None:
-            return source, r, signs
-    r, signs, key = views[0]
-    source = paths[(*key, t_end)] = fresh(t_end)
-    return source, r, signs
+            break
+    else:
+        r, signs, key = views[0]
+        source = paths[(*key, t_end)] = fresh(t_end)
+    if r == 1.0 and all(sign == 1.0 for sign in signs):
+        return source
+    return PathView(source, r, signs)
 
 
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:

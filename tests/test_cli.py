@@ -795,15 +795,41 @@ def test_verify_negative_tol_in_exponent_notation_is_exit_2(tmp_path, capsys, jo
 
 
 def test_arguments_after_the_separator_are_not_joined():
-    from bsym.cli import _joined
+    from bsym.cli import _normalised
 
-    assert _joined(["identities", "--samples", "-1e0", "--", "--t-max", "-1e-05"]) == [
+    assert _normalised(["identities", "--samples", "-1e0", "--", "--t-max", "-1e-05"]) == [
         "identities", "--samples=-1e0", "--", "--t-max", "-1e-05"]
-    assert _joined(["solve", "--t-min", "-x", "--t-max", "-2", "--out"]) == [
-        "solve", "--t-min", "-x", "--t-max=-2", "--out"]
+    # a leading separator is kept once, with everything after it
+    assert _normalised(["--", "x"]) == ["--", "x"]
+    assert _normalised(["--"]) == ["--"]
+    # every long option but --help takes one value, a number or not
+    assert _normalised(["solve", "--t-min", "-x", "--t-max", "-2", "--out"]) == [
+        "solve", "--t-min=-x", "--t-max=-2", "--out"]
     # abbreviations are joined too, and argparse resolves or rejects them
-    assert _joined(["solve", "--t-mi", "-inf", "--t", "-1e-05", "--out", "-1e-05"]) == [
-        "solve", "--t-mi=-inf", "--t=-1e-05", "--out", "-1e-05"]
+    assert _normalised(["solve", "--t-mi", "-inf", "--t", "-1e-05", "--out", "-1e-05"]) == [
+        "solve", "--t-mi=-inf", "--t=-1e-05", "--out=-1e-05"]
+
+
+def test_a_path_value_starting_with_a_dash_reaches_its_option(tmp_path, monkeypatch, capsys):
+    # "-p.json" and "-y.csv" are joined to their options like a negative number
+    monkeypatch.chdir(tmp_path)
+    write_problem(tmp_path / "-p.json", RICCATI)
+    code, captured = main_in_process(capsys, ["cases", "--problem", "-p.json"])
+    assert code == 0 and captured.err == ""
+    argv = ["solve", "--problem", "-p.json", "--t-min", "-0.5", "--t-max", "0.5",
+            "--points", "3", "--out", "-y.csv"]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 0 and captured.err == ""
+    assert (tmp_path / "-y.csv").read_text().startswith("t,y\n-0.5,")
+
+
+def test_a_joined_value_that_does_not_parse_is_still_a_usage_error(tmp_path, capsys):
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    with pytest.raises(SystemExit) as info:
+        main_in_process(capsys, ["solve", "--problem", prob, "--t-min", "-x", "--t-max", "1",
+                                 "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert "argument --t-min: invalid float value: '-x'" in capsys.readouterr().err
 
 
 def test_an_abbreviated_option_takes_a_negative_number(tmp_path, capsys):
@@ -837,9 +863,9 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
 def test_identities_positional_starting_with_a_dash(capsys, argv, separated):
     # argparse reads "-t^2" or "-1/2" as an option unless it follows `--`:
     # main moves the positionals there itself
-    from bsym.cli import _dashed_positionals
+    from bsym.cli import _normalised
 
-    assert _dashed_positionals(["identities", *argv]) == ["identities", *separated]
+    assert _normalised(["identities", *argv]) == ["identities", *separated]
     if "-h" not in argv:
         code, captured = main_in_process(capsys, ["identities", *argv])
         assert code == 0 and captured.err == ""

@@ -369,18 +369,19 @@ def test_a_partner_that_shares_p1s_level_walks_nothing(monkeypatch):
     # T2ii flips d alone and needs a level of its own.  With a = sin odd and
     # b = cos even, the path toward -4 is the one toward +4 read at -t with
     # B negated, so every walk is on the +4 path: p1 walks level 1 there,
-    # and its -4 side level -1, which are T2ii's two sides as well.  Before
+    # and its -4 side level -1, which are T2ii's two sides as well; the
+    # path caches each crossing, so only these two are walked.  Before
     # reflections were shared this read [1.0, 1.0, -1.0, -1.0]
     walks = []
-    crossing = DensePath.first_crossing
+    walk = DensePath._walk
 
     def counted(path, k, level, *tol):
         walks.append(level)
-        return crossing(path, k, level, *tol)
+        return walk(path, k, level, *tol)
 
     p1 = problem("sin(t)", "cos(t)", 2, 1.0)
     partners = [transform_problem(p1, case) for case in ("T2iv", "T2ii")]
-    monkeypatch.setattr(DensePath, "first_crossing", counted)
+    monkeypatch.setattr(DensePath, "_walk", counted)
     got = validity_intervals([p1, *partners], 4.0)
     assert walks == [1.0, -1.0]  # p1's two sides; T2iv and T2ii walk nothing
     monkeypatch.undo()

@@ -304,6 +304,16 @@ def test_detect_parity_examples(src, expected):
     assert detect_parity(parse_expr(src)) is expected
 
 
+@pytest.mark.parametrize("src", ["t^2 + 0.0000001*t", "cos(t) + 0.0000001*sin(t)", "t + 0.0000001*t^2"])
+def test_a_small_part_of_the_other_parity_reads_neither(src):
+    # structurally inconclusive, and each part of the other parity is 1e-7
+    # of the function: the sampler's 1e-10 tolerance sees it, where a
+    # tolerance of 1e-6 would read EVEN, EVEN and ODD
+    e = parse_expr(src)
+    assert structural_parity(e) is None
+    assert detect_parity(e) is Parity.NEITHER
+
+
 def test_exp_of_degenerate_odd_argument_falls_back_to_sampling():
     # t - t is structurally odd, so exp(t - t) is inconclusive structurally,
     # but it is identically 1 and sampling must classify it even.

@@ -408,9 +408,8 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
     # (a, b, sa*m) toward `end` with A and B multiplied by (sa, sb) (r = +1),
     # and of the path of (a, b, -eps_a*sa*m) toward -end read at -t with A
     # and B multiplied by (-eps_a*sa, -eps_b*sb) (r = -1), for the
-    # structural parities eps of a and b: same values, and the first
-    # crossing as the validity search reads it, r times the source's
-    # crossing of the signed level, bit for bit (== ignores the sign of a zero)
+    # structural parities eps of a and b: same values, and the same first
+    # crossings, bit for bit (== ignores the sign of a zero)
     (a, ea), (b, eb) = a, b
     a, b = parse_expr(a), parse_expr(b)
     assert [structural_parity(a).sign, structural_parity(b).sign] == [ea, eb]
@@ -440,7 +439,6 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
         reached = direct.y_end[k]
         for level in (level_fraction * reached, -level_fraction * reached):
             if level != 0.0:
-                found = source.first_crossing(k, signs[k] * level, *tols)
-                assert (None if found is None else r * found) == direct.first_crossing(
+                assert view.first_crossing(k, level, *tols) == direct.first_crossing(
                     k, level, *tols
                 )

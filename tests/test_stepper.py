@@ -254,6 +254,27 @@ def test_first_crossing_root_on_a_node(t_end):
         assert first_crossing(path, path.ys[j][0]) == pytest.approx(path.ts[j], abs=1e-14)
 
 
+def test_first_crossing_walks_each_query_once(monkeypatch):
+    # each answer is cached per (k, level, abs_tol, rel_tol): a repeated
+    # query walks nothing, and one that differs in the level or a tolerance
+    # is walked and answered on its own
+    tols = (CTL.abs_tol, CTL.rel_tol)
+    queries = [
+        (0, -0.5, *tols),  # y = t^2 - 2t falls through -1/2 ...
+        (0, 0.5, *tols),  # ... and rises through 1/2 after its minimum
+        (0, -1.0 - 1e-9, *tols),  # a miss wider than the error scale
+        (0, -1.0 - 1e-9, 1e-8, CTL.rel_tol),  # a tangent touch at this one
+    ]
+    expected = [square_path(3.0)[0]._walk(*query) for query in queries]
+    assert expected[2] is None and None not in (expected[:2] + expected[3:])
+    walks = []
+    walk = DensePath._walk
+    monkeypatch.setattr(DensePath, "_walk", lambda path, *query: walks.append(query) or walk(path, *query))
+    path, _ = square_path(3.0)
+    assert [path.first_crossing(*query) for query in queries * 2] == expected * 2
+    assert walks == queries
+
+
 def test_first_crossing_tiny_first_root():
     # y = t reaches 1e-13 a 1.6e-12 fraction into a first step 1/16 long
     path = integrate(lambda t, y: (1.0,), (0.0,), 4.0, CTL)
@@ -809,6 +830,13 @@ def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
     qs = [r * (0.05 * i) for i in range(41)]
     assert view.values(qs) == direct.values(qs)
     assert view.values([]) == []
+    # and so are its crossings, found or not (== ignores the sign of a zero)
+    for k in range(dim):
+        for j in (3, len(direct.ts) // 2, -1):
+            level = 0.5 * (direct.ys[0][k] + direct.ys[j][k])
+            for lv in (level, -level, 1e9):
+                got = view.first_crossing(k, lv, CTL.abs_tol, CTL.rel_tol)
+                assert got == direct.first_crossing(k, lv, CTL.abs_tol, CTL.rel_tol), (k, lv)
 
 
 # the premise of every t-mirror: generated code calls these math functions
@@ -857,16 +885,24 @@ def test_shared_path_reads_the_first_view_held_else_stores_a_fresh_path():
         fresh_ends.append(t_end)
         return cos_path(t_end)
 
+    def parts(path):
+        return (path.source, path.r, path.signs) if isinstance(path, PathView) else path
+
     paths = {}
     own = (1.0, (1.0,), ("own",))
     mirror = (-1.0, (-1.0,), ("mirror",))
-    # nothing held: a fresh path, stored under the first view's key
-    source, r, signs = shared_path(paths, [own, mirror], 0.5, fresh)
-    assert (r, signs) == (1.0, (1.0,)) and paths == {("own", 0.5): source}
+    # nothing held: a fresh path, stored under the first view's key and
+    # returned itself, since r and its sign are 1
+    source = shared_path(paths, [own, mirror], 0.5, fresh)
+    assert type(source) is not PathView and paths == {("own", 0.5): source}
     # the own key answers before any mirror
     paths[("mirror", -0.5)] = cos_path(-0.5)
-    assert shared_path(paths, [own, mirror], 0.5, fresh) == (source, 1.0, (1.0,))
-    # a mirror is read at r * t_end
+    assert shared_path(paths, [own, mirror], 0.5, fresh) is source
+    # a mirror is read at r * t_end, through a view
     held = paths[("mirror", -0.7)] = cos_path(-0.7)
-    assert shared_path(paths, [own, mirror], 0.7, fresh) == (held, -1.0, (-1.0,))
-    assert fresh_ends == [0.5]
+    assert parts(shared_path(paths, [own, mirror], 0.7, fresh)) == (held, -1.0, (-1.0,))
+    # an own view that flips a sign is a view with r = 1
+    flipped = (1.0, (-1.0,), ("flipped",))
+    view = shared_path(paths, [flipped], 0.3, fresh)
+    assert parts(view) == (paths[("flipped", 0.3)], 1.0, (-1.0,))
+    assert fresh_ends == [0.5, 0.3]
