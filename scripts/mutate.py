@@ -130,6 +130,31 @@ MUTANTS = [
         "a path answers every level with the first level it walked",
         ("tests/test_stepper.py", "tests/test_closedform.py"),
     ),
+    Mutant(
+        "second-multiplier-reads-the-first",
+        "quad.py",
+        'terms = ", ".join(f"f1 * exp(mult{i} * A)" for i in range(count))',
+        'terms = ", ".join(f"f1 * exp(mult0 * A)" for i in range(count))',
+        "every B of a path integrates the first multiplier: an identity's two"
+        " sides read one wrong path alike and its residual stays 0",
+        ("tests/test_quad.py",),
+    ),
+    Mutant(
+        "identities-mirror-without-certificate",
+        "quad.py",
+        "mirrored = any(r == -1.0 for r, *_ in reflections(a, b)[2])",
+        "mirrored = True",
+        "a sampled parity is read as a t-mirror: a failing identity reads 0",
+        ("tests/test_quad.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "mirror-keeps-the-multipliers",
+        "quad.py",
+        "paths[-1.0] = view, tuple(ka * mult for mult in mults)",
+        "paths[-1.0] = view, mults",
+        "the mirror of a two-multiplier path reads B_mult where B_{ka*mult} belongs",
+        ("tests/test_quad.py",),
+    ),
 ]
 
 

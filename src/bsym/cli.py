@@ -3,7 +3,8 @@
 Subcommands: solve, cases, pair, verify, identities.  Problem files are
 JSON objects with exactly the keys {"a", "b", "n", "d"} (pair output adds
 "relation").  Exit codes: 0 success, 1 parse error, 2 domain or quadrature
-error, 3 inapplicable case, 4 verification failure.  Only input that does
+error or an output file that cannot be written, 3 inapplicable case, 4
+verification failure.  Only input that does
 not parse (a problem file, a coefficient, the identities exponent, a case
 id) exits 1; a ValueError raised inside the library exits 2.  Each error
 type carries its exit code and message prefix (`errors.BsymError`).
@@ -51,6 +52,19 @@ class _ArgumentError(BsymError):
 
     exit_code = 1
     prefix = "parse error: "
+
+
+class OutputFileError(BsymError):
+    """An output file cannot be written."""
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path, or raise OutputFileError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputFileError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_arg(parse, text: str):
@@ -124,14 +138,12 @@ def cmd_solve(args) -> int:
         ys = solution_values(p, kept)
     else:
         ys = solve_on_grid(p, kept)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,y\n")
-        for t, y in zip(kept, ys):
-            fh.write(f"{t:.17g},{y:.17g}\n")
-        fh.write(
-            f"# validity: [{validity.lo:.17g},{validity.hi:.17g}] "
-            f"{validity.lo_kind.value},{validity.hi_kind.value}\n"
-        )
+    rows = "".join(f"{t:.17g},{y:.17g}\n" for t, y in zip(kept, ys))
+    _write(
+        args.out,
+        f"t,y\n{rows}# validity: [{validity.lo:.17g},{validity.hi:.17g}] "
+        f"{validity.lo_kind.value},{validity.hi_kind.value}\n",
+    )
     return EXIT_OK
 
 
@@ -158,9 +170,7 @@ def cmd_pair(args) -> int:
         "d": _format_d(p2.d),
         "relation": case.relation.value,
     }
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -173,25 +183,22 @@ def cmd_verify(args) -> int:
     cases = applicable_cases(p) if args.case == "all" else [_parse_arg(resolve_case, args.case)]
     if not cases:  # an empty report would read as a pass
         raise CaseNotApplicable("no catalog case applies to this problem")
-    reports = []
-    all_passed = True
-    for rep in verify_cases(p, cases, grid_points=args.points, tol=args.tol, method=args.method):
-        all_passed &= rep.passed
-        reports.append(
-            {
-                "case": rep.case_id,
-                "relation": rep.relation.value,
-                "max_residual": rep.max_residual,
-                "grid_size": len(rep.grid),
-                "validity": _validity_json(rep.common_validity),
-                "verdict": rep.verdict,
-            }
-        )
+    reps = verify_cases(p, cases, grid_points=args.points, tol=args.tol, method=args.method)
+    reports = [
+        {
+            "case": rep.case_id,
+            "relation": rep.relation.value,
+            "max_residual": rep.max_residual,
+            "grid_size": len(rep.grid),
+            "validity": _validity_json(rep.common_validity),
+            "verdict": rep.verdict,
+        }
+        for rep in reps
+    ]
+    _write(args.report, json.dumps(reports, indent=2) + "\n")
+    for rep in reps:  # only once the report is written
         print(f"{rep.case_id}\t{rep.relation.value}\tmax_residual={rep.max_residual:.6e}\t{rep.verdict}")
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(reports, fh, indent=2)
-        fh.write("\n")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(rep.passed for rep in reps) else EXIT_VERIFY_FAILED
 
 
 def cmd_identities(args) -> int:

@@ -8,14 +8,17 @@ Everything here reduces to the accumulator pair
 driven as the coupled system (A' = a, B' = b*exp(m*A), A(0) = B(0) = 0)
 through the shared adaptive stepper, so B never re-integrates A.  B never
 feeds back, so it is a pure quadrature: the right-hand side reads A alone
-(`reads=1`), and the stepper builds no stage state for B.  Every
-path runs at the one fixed `QUAD_CONTROL`: relative tolerance 1e-10,
-absolute tolerance 1e-12 and a smallest step of 2**-40 of the span, below
-which the integration reports NoConvergence.  The
-right-hand side (t, A) -> (a, b*exp(m*A)) is one function generated by
-`expr.checked_factory` per (a, b) and bound to m per path.  A failing or
-non-finite coefficient raises EvalError, and so does an overflowing
-exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by the
+(`reads=1`), and the stepper builds no stage state for B.  A path may
+carry one B per multiplier, (A, B_m1, .., B_mk), from one right-hand side
+that evaluates a and b once per stage; with one multiplier it is the
+(A, B) path.  Every path runs at the one fixed `QUAD_CONTROL`: relative
+tolerance 1e-10, absolute tolerance 1e-12 and a smallest step of 2**-40
+of the span, below which the integration reports NoConvergence.  The
+right-hand side (t, A) -> (a, b*exp(m1*A), ..) is one function generated
+by `expr.checked_factory` per (a, b) and number of multipliers, and bound
+to the multipliers per path.  A failing or non-finite coefficient raises
+EvalError, and so does an overflowing exp(m*A), as "integrand overflow:
+..".  Reversed limits are handled by the
 sign of the step, not by re-parameterization: integrating from 0 toward a
 negative t directly yields int_0^t.  A grid of t is answered by
 `ab_values` from one path per side of 0 through `stepper.grid_values`: a
@@ -36,17 +39,20 @@ m = n - 1:
 Each is the substitution s -> -s in its left side, so it is fixed by the
 (a, b) parities and the sign of m on the mirrored side.  (Eq7 is the
 even-integrand mirror; it is the same identity regardless of which
-exponent class consumes it, so there is exactly one tag for it.)
-`ab_path` resolves each path by the package's one reflection rule
-(`exponent.reflections`, `stepper.shared_path`), so under structural
-parity the right side reads the mirror of the left side's path: an
-identity residual is a shared-path residual, 0 by construction, and
-evidence only through the parity certificate.
+exponent class consumes it, so there is exactly one tag for it.)  Each
+identity reads B_{sigma*m} at -t and B_{ka*sigma*m} at t from one path
+per side of 0, carrying the multipliers read there.  Where
+`exponent.reflections` certifies the t-mirror, the side t < 0 is the
+`stepper.PathView` of the other side's path, so one path answers every
+read: an identity residual is then a shared-path residual, 0 by
+construction, and evidence only through the parity certificate.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import EvalError, NoConvergence, ParityViolation
@@ -86,10 +92,29 @@ QUAD_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-12)
 _AB = CheckedForm("t, A", "return (f0, f1 * exp(mult * A))", "mult")
 
 
-def nested_path(a: Expr, b: Expr, mult: float, t: float) -> DensePath:
-    """Dense (A, B) path over [0, t] with B' = b * exp(mult * A)."""
+@lru_cache(maxsize=None)
+def _ab_form(count: int) -> CheckedForm:
+    """The right-hand side (A', B_0', .., B_{count-1}') of `count`
+    multipliers, which evaluates a and b once per call: `_AB` for one."""
+    if count == 1:
+        return _AB
+    terms = ", ".join(f"f1 * exp(mult{i} * A)" for i in range(count))
+    return CheckedForm("t, A", f"return (f0, {terms})", ", ".join(f"mult{i}" for i in range(count)))
+
+
+def nested_path(a: Expr, b: Expr, mult: Union[float, tuple], t: float) -> DensePath:
+    """Dense (A, B) path over [0, t] with B' = b * exp(mult * A); for a
+    tuple (mult_0, .., mult_k) the path (A, B_0, .., B_k) of one B per
+    multiplier, in that order, from one right-hand side.
+
+    A float and its 1-tuple give the same path.  The error norm sums the
+    components in order, so the multipliers' order is part of the path:
+    its t-mirror is the path of the mirrored multipliers in the same order.
+    """
+    mults = mult if isinstance(mult, tuple) else (mult,)
+    rhs = checked_factory(_ab_form(len(mults)), a, b)(*mults)
     try:
-        return integrate(checked_factory(_AB, a, b)(mult), (0.0, 0.0), t, QUAD_CONTROL, reads=1)
+        return integrate(rhs, (0.0,) * (1 + len(mults)), t, QUAD_CONTROL, reads=1)
     except (StepUnderflow, StepBudgetExceeded) as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:
@@ -164,18 +189,20 @@ def identity_residuals(
     n: RationalExponent,
     ts: Sequence[float],
 ) -> list[float]:
-    """|LHS - RHS| of the chosen identity at each t, sharing quadratures.
+    """|LHS - RHS| of the chosen identity at each t, from one path per side.
 
-    Each side of 0 of each grid is answered from one path toward its
-    farthest t (`stepper.grid_values`), resolved by `ab_path` through one
-    table per call: under structural parity the right side's path toward t
-    is the mirror of the left side's toward -t, and with a sampled parity
-    both are integrated.  Eq7's two
-    sides read the same (a, b, m), so one grid joins them.  Every residual
-    is bit for bit the one fresh paths per side give, and no path outlives
-    the call.  Raises DomainError where n - 1 is no usable float
-    (`exponent.minus_one`), then ParityViolation unless (a, b) carry the
-    parities the identity assumes.
+    The left side reads B_{sigma*m} at -t and the right side B_{ka*sigma*m}
+    at t (`_b_values`).  Where `exponent.reflections` certifies the
+    t-mirror, one path toward the farthest |t| answers every read,
+    carrying both multipliers for Eq4, Eq8 and Eq9 on a grid that
+    straddles 0, and one for Eq7 or a grid on one side of 0: an identity
+    residual is then a shared-path residual, exactly 0, and evidence only
+    through the parity certificate.  With a sampled parity each side of 0
+    integrates its own path.  Every residual is bit for bit the one fresh
+    paths per side give, and no path outlives the call.  Raises
+    DomainError where n - 1 is no usable float (`exponent.minus_one`),
+    then ParityViolation unless (a, b) carry the parities the identity
+    assumes, then ValueError for a non-finite t, before any integration.
     """
     if isinstance(ident, str):
         ident = Identity(ident)
@@ -191,19 +218,47 @@ def identity_residuals(
     # kb, B_mult(-t) = kb * B_{ka*mult}(t), so
     # int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t) = -kb * B_{ka*sigma*m}(t)
     ka, kb, _ = reflection_signs(None, -1, 1, par_a.sign, par_b.sign)
-    sign_r, rhs_sign = ka * sigma, -kb
-    paths: dict = {}
+    mirrored = any(r == -1.0 for r, *_ in reflections(a, b)[2])
+    left, right = sigma * m, ka * sigma * m
+    reads = [(-t, left) for t in ts] + [(t, right) for t in ts]
+    got = _b_values(a, b, reads, (left, right), (ka, kb) if mirrored else None)
+    return [abs(-bl + kb * br) for bl, br in zip(got[:len(ts)], got[len(ts):])]
 
-    def pairs(mult: float, grid: Sequence[float]) -> list:
-        return grid_values(lambda x: ab_path(paths, a, b, mult, x), grid)
 
-    # LHS(t) = int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t)
-    mirrored = [-t for t in ts]
-    if sign_r == sigma:  # Eq7: both sides read one (a, b, m) path per side of 0
-        joined = pairs(sigma * m, mirrored + list(ts))
-        left, right = joined[:len(ts)], joined[len(ts):]
-    else:
-        left, right = pairs(sigma * m, mirrored), pairs(sign_r * m, ts)
-    return [
-        abs(-bl[1] - rhs_sign * br[1]) for bl, br in zip(left, right)
-    ]
+def _b_values(
+    a: Expr, b: Expr, reads: Sequence[tuple], order: tuple, mirror: Optional[tuple]
+) -> list[float]:
+    """B_mult(x) of (a, b) for every read (x, mult), in read order.
+
+    Each side of 0 with reads is answered by one `nested_path` toward its
+    farthest x, carrying the multipliers read there in the order `order`
+    lists them, in one `values` walk in order of |x|.  With `mirror` =
+    (ka, kb), which must be a certified t-mirror of (a, b), the side x < 0
+    reads the `PathView` through t -> -t of the other side's path, whose
+    B_mult is kb times its B_{ka*mult}: that path then also carries ka times
+    every multiplier read at x < 0 and reaches the farthest |x| of both
+    sides.  Raises ValueError for a non-finite x before any integration.
+    """
+    if not all(math.isfinite(x) for x, _ in reads):
+        raise ValueError("grid times must be finite")
+    ka, kb = mirror or (1.0, 1.0)
+    # the reads the integrated paths answer: with a mirror, x < 0 at -x
+    integrated = [(x, mult) if x >= 0.0 or not mirror else (-x, ka * mult) for x, mult in reads]
+    paths = {}  # side of 0 -> (path, the multipliers of its B components)
+    for side in (1.0, -1.0):
+        here = [(x, mult) for x, mult in integrated if (x >= 0.0) is (side > 0.0)]
+        if here:
+            carried = {mult for _, mult in here}
+            mults = tuple(dict.fromkeys(mult for mult in order if mult in carried))
+            paths[side] = nested_path(a, b, mults, side * max(abs(x) for x, _ in here)), mults
+    if mirror and paths:
+        source, mults = paths[1.0]
+        view = PathView(source, -1.0, (ka,) + (kb,) * len(mults))
+        paths[-1.0] = view, tuple(ka * mult for mult in mults)
+    out = [0.0] * len(reads)
+    for side, (path, mults) in paths.items():
+        here = [i for i, (x, _) in enumerate(reads) if (x >= 0.0) is (side > 0.0)]
+        here.sort(key=lambda i: abs(reads[i][0]))  # stably
+        for i, state in zip(here, path.values([reads[i][0] for i in here])):
+            out[i] = state[1 + mults.index(reads[i][1])]
+    return out

@@ -669,6 +669,7 @@ _ERROR_EXITS = {
     "CaseNotApplicable": (3, "case not applicable: "),
     "EmptyDomain": (2, "empty domain: "),
     "StepFailure": (2, ""),
+    "OutputFileError": (2, ""),
 }
 
 
@@ -737,6 +738,33 @@ def test_cases_do_not_depend_on_bsym_seed(tmp_path):
     assert plain.returncode == seeded.returncode == 0
     assert [line.split()[0] for line in plain.stdout.splitlines()] == ["T2i", "T2iv", "T3i"]
     assert seeded.stdout == plain.stdout
+
+
+# --- output paths that cannot be written -------------------------------------------
+
+_WRITES = {
+    "solve": ["--t-min", "0", "--t-max", "0.5", "--points", "3", "--out"],
+    "pair": ["--case", "T2iv", "--out"],
+    "verify": ["--case", "T2iv", "--report"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", _WRITES)
+def test_an_unwritable_output_path_is_exit_2(tmp_path, capsys, command, where):
+    # a typed error naming the path, no traceback, no file and, for verify,
+    # no report rows on stdout, since the rows follow the written report
+    from bsym.cli import main
+
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--problem", prob, *_WRITES[command], str(target)]) == 2
+    out, err = capsys.readouterr()
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    assert err == f"bsym: cannot write {target}: {reason}\n"
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # --- option values that start with '-' ------------------------------------------

@@ -15,14 +15,13 @@ from bsym import (
     identity_residuals,
     parse_expr,
     problem,
-    quad,
     validity_interval,
 )
 from bsym.closedform import ProblemSpec
 from bsym.expr import BinOp, Const, Expr, Neg, negated
-from bsym.expr import structural_parity
+from bsym.expr import as_callable, structural_parity
 from bsym.quad import QUAD_CONTROL, Identity, ab_values, nested_path
-from bsym.stepper import PathView, grid_values
+from bsym.stepper import PathView, grid_values, integrate
 
 from helpers import (
     LEMMA_EXPONENTS,
@@ -135,23 +134,23 @@ def test_identity_residuals_do_not_depend_on_an_earlier_search():
     "ident, a, b, want",
     [
         ("Eq7", "t", "cos(t)", 1),
-        ("Eq4", "cos(t)", "t", 2),
-        ("Eq8", "cos(t)", "1", 2),
-        ("Eq4", "cos(t)", SPIKED_B, 4),
+        ("Eq4", "cos(t)", "t", 1),
+        ("Eq8", "cos(t)", "1", 1),
+        ("Eq4", "cos(t)", SPIKED_B, 2),
     ],
 )
 def test_eq7_integrates_its_one_path_once_per_side(monkeypatch, ident, a, b, want):
-    # Eq7's two sides read the same (a, b, m): one grid joins them, with the
-    # residuals of two separate calls on a grid whose sides reach equally
-    # far; the other identities read two m's.  With a and b of structural
-    # parity every path toward t is read as the mirror of one toward -t:
-    # one path for Eq7, two for the others (one per m).  Sampling, not
-    # structure, calls SPIKED_B odd, so none is read as a mirror
+    # with a and b of structural parity every read at -t is the mirror of
+    # one at t: one path, carrying B for both multipliers where the sides
+    # read two (Eq4, Eq8), and Eq7's residuals are those of its two sides'
+    # own grids.  Sampling, not structure, calls SPIKED_B odd, so none is
+    # read as a mirror: one path per side of 0, each with both multipliers
     a, b, ts = parse_expr(a), parse_expr(b), [-3.0, -0.5, 0.5, 1.5, 3.0]
     m = (N3.p - N3.q) / N3.q
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     got = identity_residuals(ident, a, b, N3, ts)
     assert len(calls) == want
+    assert [len(mults) for _, _, mults, _ in calls] == [1 if ident == "Eq7" else 2] * want
     if ident == "Eq7":
         left = ab_values(a, b, m, [-t for t in ts])
         right = ab_values(a, b, m, ts)
@@ -168,20 +167,31 @@ _SIDES = {
 }
 
 
-def _fresh_sides(ident: str, a, b, m: float, ts) -> tuple:
-    """The (A, B) pairs of the identity's left side (at -t) and right side
-    (at t), each grid side from one fresh `nested_path` of (a, b) as given
-    and no path table; Eq7 joins its two grids."""
-    left_sign, right_sign, _ = _SIDES[ident]
-
-    def pairs(mult, grid):
-        return grid_values(lambda end: nested_path(a, b, mult, end), grid)
-
-    mirrored = [-t for t in ts]
-    if ident == "Eq7":
-        joined = pairs(m, mirrored + list(ts))
-        return joined[:len(ts)], joined[len(ts):]
-    return pairs(left_sign * m, mirrored), pairs(right_sign * m, ts)
+def _fresh_residuals(ident: str, a, b, m: float, ts, mirrored: bool) -> list:
+    """The identity's residuals from fresh `nested_path`s, one per side of 0
+    that has reads, toward its farthest read, carrying the multipliers read
+    there, the left side's first.  The left side reads B_{left*m} at -t and
+    the right side B_{right*m} at t; with `mirrored`, a read B_mult at x < 0
+    is kb * B_{ka*mult} at -x, with ka = right/left and kb = -(the right
+    side's sign), the t-mirror's signs for a and b of parities (-ka, -kb)."""
+    left, right, rhs_sign = _SIDES[ident]
+    ka, kb = right / left, -rhs_sign
+    reads = [(-t, left * m, 1.0) for t in ts] + [(t, right * m, 1.0) for t in ts]
+    if mirrored:
+        reads = [(x, mult, 1.0) if x >= 0.0 else (-x, ka * mult, kb) for x, mult, _ in reads]
+    paths = {}
+    for side in (1.0, -1.0):
+        here = [(x, mult) for x, mult, _ in reads if (x >= 0.0) is (side > 0.0)]
+        if here:
+            carried = {mult for _, mult in here}
+            mults = tuple(dict.fromkeys(u for u in (left * m, right * m) if u in carried))
+            far = max(abs(x) for x, _ in here)
+            paths[side] = nested_path(a, b, mults, side * far), mults
+    values = []
+    for x, mult, sign in reads:
+        path, mults = paths[1.0 if x >= 0.0 else -1.0]
+        values.append(sign * path.value(x)[1 + mults.index(mult)])
+    return [abs(-bl - rhs_sign * br) for bl, br in zip(values[:len(ts)], values[len(ts):])]
 
 
 _GRIDS = [
@@ -190,6 +200,8 @@ _GRIDS = [
     [0.0, 0.5, -1.25, 2.0],
     [-0.7, 2.5, 1.0],  # sides ending at different |t|
     [1.9, -2.6, 0.3, -0.2],
+    [0.5, -1.0],  # the left side's read at x < 0 comes first
+    [-2.0, -0.5],  # all t < 0
 ]
 
 
@@ -202,42 +214,57 @@ _GRIDS = [
         ("Eq9", random_even_source, random_even_source),
     ],
 )
-def test_identity_residuals_are_those_of_fresh_paths(monkeypatch, ident, gen_a, gen_b):
-    # a side read as the mirror of a stored path holds the fresh path's
-    # (A, B) bit for bit, and so does every residual: the exact end is part
-    # of the key, and Eq7's joined grid shows in its values (each from the
-    # path toward the farther of t and -t)
-    read = []
-
-    def spy(solve, grid):
-        pairs = grid_values(solve, grid)
-        read.extend(pairs)
-        return pairs
-
-    monkeypatch.setattr(quad, "grid_values", spy)
+def test_identity_residuals_are_those_of_fresh_paths(ident, gen_a, gen_b):
+    # every residual is bit for bit the one fresh paths per side give, each
+    # carrying the multipliers its side reads; a t-mirror certified by
+    # structural parity reads each x < 0 as the mirror of -x, so every
+    # certified residual is exactly 0.0
     rng = random.Random(sum(map(ord, ident)))
     cases = []
     for _ in range(8):
         a, b = [rng.choice(["", "-", "--"]) + f"({gen(rng)})" for gen in (gen_a, gen_b)]
         cases.append((ident, parse_expr(a), parse_expr(b), rng.choice(LEMMA_EXPONENTS)))
-    # sampled parity: both sides integrated, residuals far from 0
+    # sampled parity: one path per side, residuals far from 0
     cases.append(("Eq4", parse_expr("cos(t)"), parse_expr(SPIKED_B), (3, 1)))
     for name, a, b, (p, q) in cases:
         n = classify_exponent(p, q)
+        mirrored = None not in (structural_parity(a), structural_parity(b))
         for ts in _GRIDS:
-            read.clear()
             got = identity_residuals(name, a, b, n, ts)
-            left, right = _fresh_sides(name, a, b, (p - q) / q, ts)
-            assert read == left + right
-            rhs_sign = _SIDES[name][2]
-            assert got == [abs(-bl - rhs_sign * br) for (_, bl), (_, br) in zip(left, right)]
+            assert got == _fresh_residuals(name, a, b, (p - q) / q, ts, mirrored)
+            if mirrored:
+                assert got == [0.0] * len(ts)
+            elif b.source == SPIKED_B and max(map(abs, ts)) > 1.0:
+                assert max(got) > 1e-3
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_identity_residuals_reject_non_finite_times(bad):
+def test_identity_residuals_of_an_empty_grid_integrate_nothing(monkeypatch):
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    assert identity_residuals("Eq4", parse_expr("cos(t)"), parse_expr("sin(t)"), N3, []) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("b", ["sin(t)", SPIKED_B])
+def test_identity_residuals_at_signed_zeros_and_repeated_times(b):
+    # t = +-0.0 reads B(0) = 0 on the side t >= 0; a repeated t reads the
+    # same point twice
+    a, b = parse_expr("cos(t)"), parse_expr(b)
+    ts = [0.0, -0.0, 2.0, 2.0, -2.0, -0.0, -2.0]
+    got = identity_residuals("Eq4", a, b, N3, ts)
+    mirrored = structural_parity(b) is not None
+    assert got == _fresh_residuals("Eq4", a, b, 2.0, ts, mirrored)
+    assert got[:2] == [0.0, 0.0] and got[5] == 0.0
+    assert got[2] == got[3] and got[4] == got[6]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_identity_residuals_reject_non_finite_times(monkeypatch, bad):
+    # before any integration
     a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     with pytest.raises(ValueError):
         identity_residuals(Identity.EQ4, a, b, N3, [0.5, bad])
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -258,6 +285,56 @@ def test_identity_property_randomized(ident, gen_a, gen_b):
         n = classify_exponent(*rng.choice(LEMMA_EXPONENTS))
         for r in identity_residuals(ident, a, b, n, ts):
             assert r <= 1e-8
+
+
+# --- one path, several multipliers -------------------------------------------
+
+def _outcome(path) -> tuple:
+    """repr of a path's nodes, states and stages: every bit, signed zeros too."""
+    return repr(path.ts), repr(path.ys), repr(path.ks)
+
+
+@pytest.mark.parametrize("mult", [2.0, -1.0, 0.0, -2 / 3])
+@pytest.mark.parametrize("t_end", [3.0, -2.5, 0.0])
+def test_a_one_multiplier_path_is_the_plain_ab_integration(mult, t_end):
+    # a float and its 1-tuple give the path of the (A, B) right-hand side
+    # written out here, through the stepper alone
+    a, b = parse_expr("cos(t) + t/3"), parse_expr("sin(2*t) - t^2/9")
+    fa, fb = as_callable(a), as_callable(b)
+
+    def rhs(t, A):
+        return fa(t), fb(t) * math.exp(mult * A)
+
+    want = _outcome(integrate(rhs, (0.0, 0.0), t_end, QUAD_CONTROL, reads=1))
+    assert _outcome(nested_path(a, b, mult, t_end)) == want
+    assert _outcome(nested_path(a, b, (mult,), t_end)) == want
+
+
+@pytest.mark.parametrize("gen_a, gen_b", [
+    (random_even_source, random_odd_source),
+    (random_odd_source, random_even_source),
+    (random_even_source, random_even_source),
+    (random_odd_source, random_odd_source),
+])
+def test_each_b_of_a_two_multiplier_path_is_its_own_paths(gen_a, gen_b):
+    # B_mu and B_-mu of one (A, B, B) path agree with the (A, B) paths of
+    # mu and of -mu: each B integrates its own multiplier, the second one
+    # included.  Both paths land on the end node, where they agree to
+    # 1e-9; between nodes the dense output holds about 1e-8
+    rng = random.Random(11)
+    ts = (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0)
+    for _ in range(6):
+        a, b = parse_expr(gen_a(rng)), parse_expr(gen_b(rng))
+        p, q = rng.choice([(3, 1), (2, 1), (-1, 1), (5, 3)])
+        mu = (p - q) / q
+        for side in (1.0, -1.0):
+            grid = sorted((t for t in ts if side * t > 0.0), key=abs)
+            both = nested_path(a, b, (mu, -mu), side * 3.0).values(grid)
+            for k, mult in enumerate((mu, -mu)):
+                own = nested_path(a, b, mult, side * 3.0).values(grid)
+                for t, (A, *bs), (A1, B1) in zip(grid, both, own):
+                    tol = (1e-9 if abs(t) == 3.0 else 1e-8) * max(1.0, abs(B1))
+                    assert abs(A - A1) <= tol and abs(bs[k] - B1) <= tol
 
 
 # --- stepper-level properties ---------------------------------------------------
@@ -442,3 +519,34 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
                 assert view.first_crossing(k, level, *tols) == direct.first_crossing(
                     k, level, *tols
                 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_PARITY_TREES,
+    b=_PARITY_TREES,
+    mults=st.lists(st.sampled_from([-2.0, -0.5, 0.5, 1.0, 2.0]), min_size=2, max_size=2),
+    end=st.builds(math.copysign, st.floats(min_value=0.1, max_value=2.0), st.sampled_from([1.0, -1.0])),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+)
+def test_the_mirror_of_a_two_multiplier_path_is_the_mirrored_multipliers_path(
+    a, b, mults, end, fractions
+):
+    # the path of (a, b, (mu1, mu2)) toward -end, read at t -> -t with A
+    # multiplied by ka and each B by kb, is the path of (ka*mu1, ka*mu2),
+    # in that order, toward end: ka = -eps_a, kb = -eps_b for the
+    # structural parities eps of a and b
+    (a, ea), (b, eb) = a, b
+    a, b = parse_expr(a), parse_expr(b)
+    ka, kb = -ea, -eb
+    try:
+        source = nested_path(a, b, tuple(mults), -end)
+    except (EvalError, NoConvergence) as exc:
+        with pytest.raises(type(exc)):
+            nested_path(a, b, tuple(ka * mu for mu in mults), end)
+        return
+    direct = nested_path(a, b, tuple(ka * mu for mu in mults), end)
+    view = PathView(source, -1.0, (ka, kb, kb))
+    assert view.t_reached == direct.t_reached
+    qs = [f * end for f in sorted(fractions)] + [end]
+    assert view.values(qs) == direct.values(qs)
