@@ -107,6 +107,30 @@ MUTANTS = [
         ("tests/test_expr.py",),
     ),
     Mutant(
+        "wrapper-reads-the-first-coefficient",
+        "expr.py",
+        "            f{i} = c{i}(t)\n",
+        "            f{i} = c0(t)\n",
+        "every value of a checked form is a's: b is never evaluated",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "wrapper-drops-the-finite-check",
+        "expr.py",
+        "            if f{i} - f{i}:\n                raise _failed(t, None)\n",
+        "",
+        "an infinite or NaN coefficient reaches the stepper, which retries the step",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "wrapper-checks-only-the-first-value",
+        "expr.py",
+        "            if f{i} - f{i}:\n",
+        "            if f0 - f0:\n",
+        "an infinite b passes unchecked while a is finite",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
         "view-crossing-drops-r",
         "stepper.py",
         "return None if found is None else self.r * found",

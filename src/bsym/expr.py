@@ -21,18 +21,23 @@ at most 100 parentheses and calls may be open at once.  Deeper input is a
 syntax error, raised before the parser's recursion or Python's compiler
 could fail.
 
-Evaluation is generated code.  `checked_factory` renders one function for
-a `CheckedForm` (how the quadrature or the oracle combines coefficient
-values) and its coefficient trees.  The function evaluates the coefficients
-in order inside one try, checks each value for finiteness, and runs the
+Evaluation is generated code, compiled in two pieces.  Each coefficient
+tree compiles once into `lambda t: <expression>`, kept in a small LRU
+cache keyed on the `Expr` and shared by every form, under a file name of
+its own (`<bsym.expr coefficient #N>`).  `checked_factory` binds those
+functions to the wrapper of a `CheckedForm` (how the quadrature or the
+oracle combines coefficient values), which compiles once per form and
+coefficient count per process.  The wrapper calls the coefficients in
+order inside one try, checks each value for finiteness, and runs the
 form's body.  Every failure raises EvalError through one helper, with the
 texts "division by zero at t=..", "evaluation failed at t=..: <reason>" and
 "non-finite value at t=..".  `as_callable` is the form that returns the one
-value.  The compiled factories share one small LRU cache.
+value.
 
 `detect_parity` applies exact structural rules and, where they are
 inconclusive, compares f(t) with f(-t) at 64 fixed points of [-4, 4].  The
-points take no seed and no setting, so parity depends on the tree alone.
+points take no seed and no setting, so parity depends on the tree alone,
+and both parities are memoized per tree in small LRU caches.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import EvalError, ExprSyntaxError
@@ -361,7 +366,9 @@ class CheckedForm(NamedTuple):
     The function takes `args` (t first), evaluates coefficient i into the
     local f<i>, and then runs `body`, which ends in a return.  `env` names
     the values each built function is bound to: the parameters of the
-    factory that `checked_factory` returns.
+    factory that `checked_factory` returns.  Each form's function is
+    compiled once per process and coefficient count, so forms are module
+    constants, never built per problem.
     """
 
     args: str
@@ -369,14 +376,12 @@ class CheckedForm(NamedTuple):
     env: str = ""
 
 
-# One try around the coefficient evaluations, and one finite check per
-# value: x - x is 0.0 for a finite x and NaN (true) for an infinity or a
-# NaN.  The EvalError of a non-finite value passes the except clause, so a
-# coefficient's failure wins over those of the coefficients after it.  No
-# f-strings and a single except clause: every fresh expression pays the
-# compile time.
+# One try around the coefficient calls, and one finite check per value:
+# x - x is 0.0 for a finite x and NaN (true) for an infinity or a NaN.
+# The EvalError of a non-finite value passes the except clause, so a
+# coefficient's failure wins over those of the coefficients after it.
 _FACTORY = """\
-def factory({env}):
+def factory({params}):
     def checked({args}):
         try:
 {evals}        except (ZeroDivisionError, OverflowError, ValueError) as exc:
@@ -385,7 +390,7 @@ def factory({env}):
     return checked
 """
 _EVAL = """\
-            f{i} = {code}
+            f{i} = c{i}(t)
             if f{i} - f{i}:
                 raise _failed(t, None)
 """
@@ -397,26 +402,41 @@ _compiled_count = itertools.count(1)
 # bounded to one operation's working set: an eviction only costs a
 # recompile, while fresh expressions would otherwise grow it without end
 @lru_cache(maxsize=32)
+def _coefficient(e: Expr) -> Callable[[float], float]:
+    """The unchecked function t -> e(t), compiled once per tree while it
+    stays in a small cache, and shared by every form."""
+    # a file name of its own per tree: profilers key functions by (file,
+    # line, name) and would merge every `<lambda>` under one name
+    filename = f"<bsym.expr coefficient #{next(_compiled_count)}>"
+    return eval(compile(f"lambda t: {_codegen(e.ast)}", filename, "eval"), _GLOBALS)  # noqa: S307
+
+
+@lru_cache(maxsize=None)
+def _wrapper(form: CheckedForm, count: int) -> Callable:
+    """`form`'s factory over `count` coefficient functions c0, c1, ..,
+    which come before the form's `env` parameters."""
+    source = _FACTORY.format(
+        params="".join(f"c{i}, " for i in range(count)) + form.env,
+        args=form.args,
+        evals="".join(_EVAL.format(i=i) for i in range(count)),
+        body=" " * 8 + form.body.replace("\n", "\n" + " " * 8),
+    )
+    filename = f"<bsym.expr checked #{next(_compiled_count)}>"
+    built: dict = {}
+    exec(compile(source, filename, "exec"), _GLOBALS, built)  # noqa: S102
+    return built["factory"]
+
+
 def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable:
-    """The factory of `form`'s function over the coefficients, compiled
-    once per (form, coefficient trees) while it stays in a small cache.
+    """The factory of `form`'s function over the coefficients: the form's
+    wrapper, compiled once per process, bound to each coefficient's
+    function, compiled once per tree.
 
     A coefficient evaluation that divides by zero, overflows, fails in a
     math function or gives a non-finite value raises EvalError, before
     `body` runs; coefficients are evaluated in order.
     """
-    source = _FACTORY.format(
-        env=form.env,
-        args=form.args,
-        evals="".join(_EVAL.format(i=i, code=_codegen(c.ast)) for i, c in enumerate(coefs)),
-        body=" " * 8 + form.body.replace("\n", "\n" + " " * 8),
-    )
-    # a file name of its own per factory: profilers key functions by
-    # (file, line, name) and would merge every `checked` under one name
-    filename = f"<bsym.expr checked #{next(_compiled_count)}>"
-    built: dict = {}
-    exec(compile(source, filename, "exec"), _GLOBALS, built)  # noqa: S102
-    return built["factory"]
+    return partial(_wrapper(form, len(coefs)), *map(_coefficient, coefs))
 
 
 _VALUE = CheckedForm("t", "return f0")
@@ -536,6 +556,9 @@ def _structural(node: Node) -> Optional[Parity]:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+# parity is a function of the tree alone, asked for the same few trees
+# many times per operation: memoized per tree, bounded like the compiles
+@lru_cache(maxsize=32)
 def structural_parity(e: Expr) -> Optional[Parity]:
     return _structural(e.ast)
 
@@ -562,10 +585,11 @@ def sampled_parity(e: Expr) -> Parity:
     return Parity.EVEN if even else Parity.ODD
 
 
+@lru_cache(maxsize=32)
 def detect_parity(e: Expr) -> Parity:
     """Structural rules first; sampling at 64 fixed points of [-4, 4] as
     fallback.  The points take no seed, so the parity of an expression is a
     function of its tree alone.
     """
-    found = _structural(e.ast)
+    found = structural_parity(e)
     return found if found is not None else sampled_parity(e)

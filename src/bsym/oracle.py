@@ -8,13 +8,14 @@ It drives the shared adaptive 5(4) stepper over the scalar equation
 using the same sign-correct power semantics as the rest of the package, so
 odd/odd exponents follow the sign of the initial value and odd/even
 exponents enforce y > 0 at runtime.  The right-hand side (t, y) -> a*y +
-b*y^n takes y as a float.  It is one of two functions generated by
-`expr.checked_factory`: a linear one for n = 1 and a power one for every
-other n, with the sign of y^n for y < 0 (`ExponentClass.negative_sign`)
-and the unary minuses at the top of a and b bound to it as factors, so a
-problem and its partners share one compile per (a, b) up to sign.  Its
-values and errors are those of the coefficient-by-coefficient closure
-with `signed_pow`.
+b*y^n takes y as a float.  It is one of two wrappers that
+`expr.checked_factory` compiles once per process: a linear one for n = 1
+and a power one for every other n.  The sign of y^n for y < 0
+(`ExponentClass.negative_sign`) and the unary minuses at the top of a and
+b are bound to it as factors, beside the functions of the trees under
+those minuses, so a problem and its partners share one compile per tree
+up to sign, and the quadrature shares it too.  Its values and errors are
+those of the coefficient-by-coefficient closure with `signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.

@@ -14,12 +14,13 @@ that evaluates a and b once per stage; with one multiplier it is the
 (A, B) path.  Every path runs at the one fixed `QUAD_CONTROL`: relative
 tolerance 1e-10, absolute tolerance 1e-12 and a smallest step of 2**-40
 of the span, below which the integration reports NoConvergence.  The
-right-hand side (t, A) -> (a, b*exp(m1*A), ..) is one function generated
-by `expr.checked_factory` per (a, b) and number of multipliers, and bound
-to the multipliers per path.  A failing or non-finite coefficient raises
-EvalError, and so does an overflowing exp(m*A), as "integrand overflow:
-..".  Reversed limits are handled by the
-sign of the step, not by re-parameterization: integrating from 0 toward a
+right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the wrapper
+`expr.checked_factory` compiles once per number of multipliers, bound per
+path to the multipliers and to a's and b's functions, which compile once
+per tree and are shared with the oracle.  A failing or non-finite
+coefficient raises EvalError, and so does an overflowing exp(m*A), as
+"integrand overflow: ..".  Reversed limits are handled by the sign of the
+step, not by re-parameterization: integrating from 0 toward a
 negative t directly yields int_0^t.  A grid of t is answered by
 `ab_values` from one path per side of 0 through `stepper.grid_values`: a
 path the caller hands in (a problem's validity search paths) where it

@@ -356,42 +356,65 @@ def test_an_infinite_coefficient_never_reaches_the_step_retry(monkeypatch, modul
 
 # --- the compile cache ----------------------------------------------------------
 
-def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
+def counting_compiles(monkeypatch) -> list:
+    """Record (kind, source) of every compile in `expr`: kind is
+    "coefficient" for a tree's function and "checked" for a form's
+    wrapper."""
     compiled = []
 
     def counting_compile(source, filename, mode):
-        compiled.append(source)
+        compiled.append((filename.split()[1], source))
         return compile(source, filename, mode)
 
     monkeypatch.setattr(expr, "compile", counting_compile, raising=False)
-    expr.checked_factory.cache_clear()
-    size = expr.checked_factory.cache_info().maxsize
+    return compiled
+
+
+def sources(compiled, kind) -> list:
+    return [source for k, source in compiled if k == kind]
+
+
+def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
+    compiled = counting_compiles(monkeypatch)
+    expr._coefficient.cache_clear()
+    expr._wrapper.cache_clear()
+    size = expr._coefficient.cache_info().maxsize
     exprs = [parse_expr(f"{k + 1}*t") for k in range(size + 8)]
     for e in exprs:
         as_callable(e)
-    assert len(compiled) == size + 8
-    assert expr.checked_factory.cache_info().currsize == size
+    assert len(sources(compiled, "coefficient")) == size + 8
+    assert expr._coefficient.cache_info().currsize == size
     as_callable(exprs[-1])  # still cached
-    assert len(compiled) == size + 8
+    assert len(sources(compiled, "coefficient")) == size + 8
     as_callable(exprs[0])  # evicted: compiled again
-    assert len(compiled) == size + 9
+    assert len(sources(compiled, "coefficient")) == size + 9
 
-    # one compile per (form, coefficients): every multiplier shares it
+    # one compile per tree: every multiplier, both oracle forms, the
+    # partners that flip a's and b's signs and as_callable share it
     a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
-    compiled.clear()
-    for mult in (2.0, -2.0, 0.0):
+    del compiled[:]
+    for mult in (2.0, -2.0, 0.0, (2.0, -2.0)):
         nested_path(a, b, mult, 1.0)
-    assert len(compiled) == 1
     # n = 1 has the linear form and every other exponent the power form
-    compiled.clear()
     for n in ("2", "4/3", "3", "1/2", "1"):
         rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5)
-    assert len(compiled) == 2
+        rk_solve(problem("-cos(t)", "-sin(t)", n, 0.5), 0.5)
+    as_callable(a)(0.5)
+    as_callable(b)(0.5)
+    assert sources(compiled, "coefficient") == ["lambda t: cos(t)", "lambda t: sin(t)"]
+    # a form's wrapper compiles once per process and coefficient count,
+    # whatever the trees: one each for the (A, B) and (A, B, B) forms and
+    # the oracle's two, and none for as_callable's, compiled above
+    wrappers = sources(compiled, "checked")
+    assert len(wrappers) == 4 and len(set(wrappers)) == 4
+    assert all("f0 = c0(t)" in w and "f1 = c1(t)" in w for w in wrappers)
+    assert expr._wrapper.cache_info().currsize == 5
 
 
 def test_profiles_see_each_coefficient_function():
-    # pstats keys functions by (file, line, name): every factory compiles
-    # under a file name of its own, so two coefficient pairs give two entries
+    # pstats keys functions by (file, line, name): every tree compiles under
+    # a file name of its own, so four coefficients give four entries, while
+    # the two pairs share their form's one wrapper
     pairs = [(parse_expr("cos(t)"), parse_expr("t")), (parse_expr("sin(t)"), parse_expr("2"))]
     fns = [expr.checked_factory(quad._AB, a, b)(1.0) for a, b in pairs]
     profile = cProfile.Profile()
@@ -400,21 +423,62 @@ def test_profiles_see_each_coefficient_function():
         for k in range(5):
             fn(0.1 * k, 0.0)
     profile.disable()
-    entries = {
-        key: stat[1] for key, stat in pstats.Stats(profile).stats.items() if key[2] == "checked"
+    stats = pstats.Stats(profile).stats
+    coefficients = {
+        key: stat[1] for key, stat in stats.items()
+        if key[0].startswith("<bsym.expr coefficient #")
     }
-    assert len(entries) == 2 and len({file for file, _, _ in entries}) == 2
-    assert sorted(entries.values()) == [5, 5]
+    assert len(coefficients) == 4 and len({file for file, _, _ in coefficients}) == 4
+    assert sorted(coefficients.values()) == [5] * 4
+    wrappers = [stat[1] for key, stat in stats.items() if key[2] == "checked"]
+    assert wrappers == [10]
 
 
-def test_the_oracle_compiles_once_per_pair_up_to_sign():
+def test_the_oracle_compiles_once_per_pair_up_to_sign(monkeypatch):
     # the partners of T2i, T2iv and T3i flip the signs of cos(t) and sin(t);
-    # with the signs bound to the oracle's factory, one compile serves the
-    # four problems, beside the one of the validity search's (A, B) form
-    expr.checked_factory.cache_clear()
+    # with the signs bound to the oracle's wrapper, the validity search's
+    # (A, B) paths and the oracle's four problems share one compile per tree
+    compiled = counting_compiles(monkeypatch)
+    expr._coefficient.cache_clear()
     reports = verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), ["T2i", "T2iv", "T3i"])
     assert [r.passed for r in reports] == [True] * 3
-    assert expr.checked_factory.cache_info().misses == 2
+    assert expr._coefficient.cache_info().misses == 2
+    assert sources(compiled, "coefficient") == ["lambda t: cos(t)", "lambda t: sin(t)"]
+
+
+_ORDER_RUNS = {
+    "quad": lambda: nested_path(parse_expr("cos(t) + t^2"), parse_expr("sin(t) - 2"), 2.0, 3.0),
+    "oracle": lambda: rk_solve(problem("cos(t) + t^2", "sin(t) - 2", 2, 0.5), 3.0),
+}
+
+
+@pytest.mark.parametrize("order", [("quad", "oracle"), ("oracle", "quad")])
+def test_shared_coefficient_functions_do_not_depend_on_build_order(order):
+    fresh = {}
+    for name, run in _ORDER_RUNS.items():
+        expr._coefficient.cache_clear()
+        fresh[name] = outcome(run)
+    expr._coefficient.cache_clear()
+    got = {name: outcome(_ORDER_RUNS[name]) for name in order}
+    assert got == fresh
+    assert expr._coefficient.cache_info().misses == 2  # one compile per tree
+
+
+@pytest.mark.parametrize("first,then", [(quad, oracle), (oracle, quad)])
+def test_a_wins_over_b_when_the_other_form_compiled_b_first(first, then):
+    # at t = 0, a divides by zero and b is infinite: b's function compiled
+    # by one form, on its own, must not let b's error win in the other
+    a, b = "1/t", "exp(700 + t)*exp(700 + t)"
+    runs = {
+        quad: lambda a, b: nested_path(parse_expr(a), parse_expr(b), 1.0, 1.0),
+        oracle: lambda a, b: rk_solve(problem(a, b, 2, 1.0), 1.0),
+    }
+    expr._coefficient.cache_clear()
+    with pytest.raises(EvalError, match=r"^non-finite value at t=0\.0$"):
+        runs[first]("1", b)
+    with pytest.raises(EvalError, match=r"^division by zero at t=0\.0$"):
+        runs[then](a, b)
+    assert expr._coefficient.cache_info().misses == 3
 
 
 # --- what the stepper hands the right-hand side ---------------------------------

@@ -18,6 +18,7 @@ from bsym import (
     applicable_cases,
     classify_exponent,
     eval_solution,
+    expr,
     parse_expr,
     oracle,
     problem,
@@ -147,6 +148,29 @@ def test_inapplicable_reasons_name_the_hypothesis():
     assert "exponent" in explain_inapplicable(p, "T4i")
     assert "a(t)" in explain_inapplicable(p, "T2ii")
     assert explain_inapplicable(p, "T2i") is None
+
+
+def test_parity_walks_each_tree_once(monkeypatch):
+    # verify --case all asks for the parities of a and b per case, per path
+    # side and per oracle request; the memo walks each tree once
+    walk, depth, roots = expr._structural, [0], []
+
+    def counting(node):
+        if not depth[0]:
+            roots.append(expr.format_expr(node))
+        depth[0] += 1
+        try:
+            return walk(node)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "_structural", counting)
+    expr.structural_parity.cache_clear()
+    expr.detect_parity.cache_clear()
+    p = problem("cos(t)", "sin(t)", 2, 1.0)
+    reports = verify_cases(p, applicable_cases(p))
+    assert [r.passed for r in reports] == [True] * 3
+    assert roots == ["cos(t)", "sin(t)"]
 
 
 def test_wrong_class_reasons_are_exact():
