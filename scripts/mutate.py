@@ -99,6 +99,32 @@ MUTANTS = [
         ("tests/test_stepper.py",),
     ),
     Mutant(
+        "tangent-allowance-ignores-the-control",
+        "stepper.py",
+        "abs_tol, rel_tol = self.ctl.abs_tol, self.ctl.rel_tol",
+        "abs_tol, rel_tol = 1e-12, 1e-10",
+        "every path counts a tangent touch at the quadrature's error scale,"
+        " whatever control it was integrated at",
+        ("tests/test_stepper.py",),
+    ),
+    Mutant(
+        "closed-form-sigma-is-one",
+        "closedform.py",
+        "sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0",
+        "sigma = 1.0",
+        "an odd/odd exponent with d < 0 gets the positive branch: y has the wrong sign",
+        ("tests/test_closedform.py",),
+    ),
+    Mutant(
+        "root-exponent-drops-its-sign",
+        "closedform.py",
+        "return classify_exponent(-n.q, n.p - n.q)",
+        "return classify_exponent(n.q, n.p - n.q)",
+        "G is raised to 1/(n-1) instead of -1/(n-1): every closed-form value"
+        " and every end's kind is wrong",
+        ("tests/test_closedform.py",),
+    ),
+    Mutant(
         "sampled-parity-tolerance-1e-6",
         "expr.py",
         "_SAMPLE_TOL = 1e-10",
@@ -141,16 +167,16 @@ MUTANTS = [
     Mutant(
         "view-crossing-drops-sign",
         "stepper.py",
-        "found = self.source.first_crossing(k, self.signs[k] * level, abs_tol, rel_tol)",
-        "found = self.source.first_crossing(k, level, abs_tol, rel_tol)",
+        "found = self.source.first_crossing(k, self.signs[k] * level)",
+        "found = self.source.first_crossing(k, level)",
         "a sign-flipped view looks for the level its source never reaches",
         ("tests/test_stepper.py", "tests/test_quad.py", "tests/test_closedform.py"),
     ),
     Mutant(
         "crossing-cache-drops-level",
         "stepper.py",
-        "key = (k, level, abs_tol, rel_tol)",
-        "key = (k, abs_tol, rel_tol)",
+        "key = (k, level)",
+        "key = (k,)",
         "a path answers every level with the first level it walked",
         ("tests/test_stepper.py", "tests/test_closedform.py"),
     ),

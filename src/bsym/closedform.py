@@ -23,8 +23,9 @@ negative root exponent the solution blows up there (asymptote); with a
 positive one the root loses the positivity the branch requires.
 
 A and B come from paths integrated at the quadrature's one fixed step
-control, `quad.QUAD_CONTROL`; its tolerances are also the error scale at
-which the validity search counts a tangent touch of G = 0.
+control, `quad.QUAD_CONTROL`, which each path records; its tolerances are
+also the error scale at which the validity search counts a tangent touch
+of G = 0.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .exponent import (
     parse_exponent,
     signed_pow,
 )
-from .quad import QUAD_CONTROL, ab_path, ab_values
+from .quad import ab_path, ab_values
 
 __all__ = [
     "ProblemSpec",
@@ -123,8 +124,9 @@ class Validity:
     def contains(self, t: float) -> bool:
         return self.lo < t < self.hi
 
-    def interior(self, margin_frac: float = 0.01) -> tuple[float, float]:
-        m = margin_frac * (self.hi - self.lo)
+    def interior(self) -> tuple[float, float]:
+        """The interval less 1% of its width at each end."""
+        m = 0.01 * (self.hi - self.lo)
         return self.lo + m, self.hi - m
 
 
@@ -219,7 +221,8 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     G = g0 - (n-1)*B vanishes where B reaches level = g0/(n-1), which
     `DensePath.first_crossing` finds step by step on the dense (A, B) path
     of one integration per side, to full float resolution; a tangent touch
-    within the quadrature's error scale (abs_tol + rel_tol*|B| in B) counts.
+    within the error scale of the path's control (abs_tol + rel_tol*|B| in
+    B) counts.
     A and B depend on a, b and n-1 only, and each side of a problem
     resolves once, from one table per call, to a path by the reflection
     rule (`quad.ab_path`): an integrated path or a `stepper.PathView` of
@@ -264,7 +267,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
         ends = []
         for direction in (1.0, -1.0):
             path = p._searched[direction] = ab_path(paths, p.a, p.b, m, direction * search_radius)
-            found = path.first_crossing(1, level, QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol)
+            found = path.first_crossing(1, level)
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
             ends.append(limit if found is None else (found, zero_kind))
         (hi, hi_kind), (lo, lo_kind) = ends

@@ -7,13 +7,15 @@ Everything here reduces to the accumulator pair
 
 driven as the coupled system (A' = a, B' = b*exp(m*A), A(0) = B(0) = 0)
 through the shared adaptive stepper, so B never re-integrates A.  B never
-feeds back, so it is a pure quadrature: the right-hand side reads A alone
-(`reads=1`), and the stepper builds no stage state for B.  A path may
-carry one B per multiplier, (A, B_m1, .., B_mk), from one right-hand side
-that evaluates a and b once per stage; with one multiplier it is the
-(A, B) path.  Every path runs at the one fixed `QUAD_CONTROL`: relative
-tolerance 1e-10, absolute tolerance 1e-12 and a smallest step of 2**-40
-of the span, below which the integration reports NoConvergence.  The
+feeds back, so it is a pure quadrature: the right-hand side reads A alone,
+the one component the stepper gives stage states.  A path may carry one B
+per multiplier, (A, B_m1, .., B_mk), from one right-hand side that
+evaluates a and b once per stage; with one multiplier it is the (A, B)
+path.  Every path runs at, and records, the one fixed `QUAD_CONTROL`:
+relative tolerance 1e-10, absolute tolerance 1e-12 and a smallest step of
+2**-40 of the span, below which the integration reports NoConvergence;
+its tolerances are also the error scale at which the path's
+`first_crossing` counts a tangent touch.  The
 right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the wrapper
 `expr.checked_factory` compiles once per number of multipliers, bound per
 path to the multipliers and to a's and b's functions, which compile once
@@ -89,16 +91,10 @@ __all__ = [
 QUAD_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-12)
 
 
-# the accumulator right-hand side (A', B'), which reads A only
-_AB = CheckedForm("t, A", "return (f0, f1 * exp(mult * A))", "mult")
-
-
 @lru_cache(maxsize=None)
 def _ab_form(count: int) -> CheckedForm:
     """The right-hand side (A', B_0', .., B_{count-1}') of `count`
-    multipliers, which evaluates a and b once per call: `_AB` for one."""
-    if count == 1:
-        return _AB
+    multipliers, which reads A only and evaluates a and b once per call."""
     terms = ", ".join(f"f1 * exp(mult{i} * A)" for i in range(count))
     return CheckedForm("t, A", f"return (f0, {terms})", ", ".join(f"mult{i}" for i in range(count)))
 
@@ -115,7 +111,7 @@ def nested_path(a: Expr, b: Expr, mult: Union[float, tuple], t: float) -> DenseP
     mults = mult if isinstance(mult, tuple) else (mult,)
     rhs = checked_factory(_ab_form(len(mults)), a, b)(*mults)
     try:
-        return integrate(rhs, (0.0,) * (1 + len(mults)), t, QUAD_CONTROL, reads=1)
+        return integrate(rhs, (0.0,) * (1 + len(mults)), t, QUAD_CONTROL)
     except (StepUnderflow, StepBudgetExceeded) as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:

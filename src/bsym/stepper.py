@@ -4,34 +4,34 @@ Shared integration core: the quadrature module drives it over the
 integral-accumulator system, the direct-ODE oracle drives it over the
 scalar Bernoulli equation.  Each caller passes its own `StepControl`.
 
-States are plain tuples of floats (dimension 1 or 2 here), which beats
-array machinery at these sizes.  Negative spans are integrated by stepping
-with negative h; nodes then appear in decreasing t order.
+States are plain tuples of floats, which beats array machinery at these
+sizes.  Negative spans are integrated by stepping with negative h; nodes
+then appear in decreasing t order.
 
-The right-hand side is called as f(t, y_0, .., y_{r-1}): the first r
-state components, the ones it reads, as positional floats, and it returns
-the derivatives of all of them.  A component it does not read, such as
-the quadrature's B, which never feeds back, is a pure quadrature: it gets
-no stage states, only its new value and its error term.  The adaptive loop
-is generated and compiled once per pair (state dimension, components
-read) (`_kernel`), with every state component and stage value in a local
-of its own, so a step builds no state tuple, does no per-component zip or
-generator work and calls no max or min.  The same source renders the dense
-output for that dimension: the kernel's paths are a `DensePath` subclass
-whose `values` walk and `_extension` unpack a step's coefficients once and
-evaluate each point's Horner form as straight-line code over locals.  The
-source is registered in `linecache`, so tracebacks and profiles show the
-generated lines.  Paths (nodes, states, stages, stop flag) are
-bit-identical to those of the plain component-wise loop, and dense values
-to those of the column-by-column extension, which the tests keep as the
-references.
+The right-hand side is called as f(t, y_0): component 0 of the state, the
+only one it reads, as a float, and it returns the derivatives of all the
+components.  Every other component, such as the quadrature's B, which
+never feeds back, is a pure quadrature: it gets no stage states, only its
+new value and its error term.  The adaptive loop is generated and compiled
+once per state dimension (`_kernel`), with every state component and stage
+value in a local of its own, so a step builds no state tuple, does no
+per-component zip or generator work and calls no max or min.  The same
+source renders the dense output for that dimension: the kernel's paths are
+a `DensePath` subclass whose `values` walk and `_extension` unpack a step's
+coefficients once and evaluate each point's Horner form as straight-line
+code over locals.  The source is registered in `linecache`, so tracebacks
+and profiles show the generated lines.  Paths (nodes, states, stages, stop
+flag) are bit-identical to those of the plain component-wise loop, and
+dense values to those of the column-by-column extension, which the tests
+keep as the references.
 
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
 costs no right-hand-side evaluation.  `DensePath.values` answers times that
 run outward from the path's start in one walk over its steps, and
 `DensePath.first_crossing` locates events on the same per-step
-polynomials.  `grid_values` answers a grid that straddles t = 0 from one
+polynomials, at the error scale of the control the path was integrated
+at.  `grid_values` answers a grid that straddles t = 0 from one
 0-anchored path per side, each side in one ordered walk.
 
 `PathView` is a path read through t -> r*t, r = +-1, with its components'
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 State = tuple
-RHS = Callable[..., Sequence[float]]  # f(t, y_0, .., y_{reads-1})
+RHS = Callable[[float, float], Sequence[float]]  # f(t, y_0)
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
@@ -158,9 +158,12 @@ class DensePath:
     several problems read, or their reflections, is walked once.
 
     `integrate` returns an instance of the subclass `_kernel` renders for
-    the state's dimension, which defines `values` and `_extension`.
+    the state's dimension, which defines `values` and `_extension`; `ctl`
+    is the control the path was integrated at, whose tolerances
+    `first_crossing` reads.
     """
 
+    ctl: StepControl
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     ks: list = field(default_factory=list)  # (k1, k3, k4, k5, k6, k7) per step
@@ -185,7 +188,7 @@ class DensePath:
     # base class, so traced runs still start and see every subclass's calls
     value_refined = value
 
-    def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
+    def first_crossing(self, k: int, level: float) -> Optional[float]:
         """First t past ts[0] where component k reaches `level`, or None.
 
         Event location on the continuous extension (Hairer-Norsett-Wanner
@@ -193,17 +196,18 @@ class DensePath:
         y_k must differ from level.  On a step, y_k - level is a quartic in
         the step fraction; its first root is bisected to full resolution.
         A stationary point within abs_tol + rel_tol * |y_k| of level, the
-        error the step control allowed y_k, counts as a tangent crossing.
-        Each answer is cached on the path per (k, level, abs_tol, rel_tol).
+        error the path's control allowed y_k, counts as a tangent crossing.
+        Each answer is cached on the path per (k, level).
         """
-        key = (k, level, abs_tol, rel_tol)
+        key = (k, level)
         if key not in self._crossings:
-            self._crossings[key] = self._walk(k, level, abs_tol, rel_tol)
+            self._crossings[key] = self._walk(k, level)
         return self._crossings[key]
 
-    def _walk(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
+    def _walk(self, k: int, level: float) -> Optional[float]:
         """`first_crossing`, uncached: one walk over the steps."""
         ts, ys, ks = self.ts, self.ys, self.ks
+        abs_tol, rel_tol = self.ctl.abs_tol, self.ctl.rel_tol
         w1, w3, w4, w5, w6, w7 = _W
         side = 1.0 if ys[0][k] > level else -1.0
         for i in range(len(ts) - 1):
@@ -267,11 +271,12 @@ class PathView:
         # one comprehension per component, transposed back into states
         return list(zip(*[[sign * y for y in col] for sign, col in zip(self.signs, columns)]))
 
-    def first_crossing(self, k: int, level: float, abs_tol: float, rel_tol: float) -> Optional[float]:
+    def first_crossing(self, k: int, level: float) -> Optional[float]:
         """First t past 0 where component k reaches `level`, or None, as
         `DensePath.first_crossing`: r times the source's first crossing of
-        signs[k] * level, which the source caches."""
-        found = self.source.first_crossing(k, self.signs[k] * level, abs_tol, rel_tol)
+        signs[k] * level, which the source finds at its own control and
+        caches."""
+        found = self.source.first_crossing(k, self.signs[k] * level)
         return None if found is None else self.r * found
 
 
@@ -334,41 +339,33 @@ def integrate(
     t_end: float,
     ctl: StepControl,
     stop: Optional[Callable[[float, State], bool]] = None,
-    reads: Optional[int] = None,
 ) -> DensePath:
-    """Integrate y' = f(t, y_0, .., y_{reads-1}) from t = 0 to t_end adaptively.
+    """Integrate y' = f(t, y_0) from t = 0 to t_end adaptively.
 
-    f receives the first `reads` state components (every one by default)
-    as positional floats and returns the derivatives of all of them.
-    `reads` states which components f depends on: the others get no stage
-    states, only their new values and error terms.  Returns the dense path
-    of accepted steps.  The final step is clamped to land exactly on t_end.
+    f receives state component 0 as a float and returns the derivatives of
+    all the components; the others get no stage states, only their new
+    values and error terms.  Returns the dense path of accepted steps, which
+    records `ctl`.  The final step is clamped to land exactly on t_end.
     If `stop` returns true on an accepted state (a tuple) the integration
     ends there with path.stopped set.  Raises ValueError for an empty
-    state, a non-finite t_end or `reads` outside 1..len(y0).
+    state or a non-finite t_end.
     """
     y0 = tuple(y0)
-    dim = len(y0)
-    if reads is None:
-        reads = dim
-    if not dim:
+    if not y0:
         raise ValueError("the state needs at least one component")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end!r}")
-    if not (isinstance(reads, int) and 1 <= reads <= dim):
-        raise ValueError(f"reads must be an int in 1..{dim}, not {reads!r}")
-    return _kernel(dim, reads)(f, y0, t_end, ctl, stop)
+    return _kernel(len(y0))(f, y0, t_end, ctl, stop)
 
 
 # The adaptive loop and the dense output, written once for every state
-# dimension and number of components the right-hand side reads.  `vec<e>`
-# expands to the tuple of e over the components, `sum<e>` to their sum from
-# the first component on and `args<e>` to the argument list of e over the
-# components f reads, with each `_i` suffix replaced by the component
-# index: y_i is a state component, k2_i a stage value and z_i a component
-# of the proposed new state.  A stage state is built only as f's
-# arguments, so a component f does not read has none.  A macro ends at the
-# first `>`, so the comparisons inside one are written with `<`.  Each
+# dimension.  `vec<e>` expands to the tuple of e over the components and
+# `sum<e>` to their sum from the first component on, with each `_i` suffix
+# replaced by the component index: y_i is a state component, k2_i a stage
+# value and z_i a component of the proposed new state.  f reads component
+# 0 alone, so its stage states are written out for that component, as f's
+# one argument after t, and no other component has any.  A macro ends at
+# the first `>`, so the comparisons inside one are written with `<`.  Each
 # expression keeps the operation order of the component-wise loop and the
 # column-by-column extension kept in tests/test_stepper.py, which the tests
 # require to be reproduced bit for bit.  The builtins max and min are
@@ -445,11 +442,11 @@ class DensePath{dim}(DensePath):
         return coefs
 
 
-def dp5_dim{dim}_reads{reads}(f, y0, t_end, ctl, stop):
-    path = DensePath{dim}()
+def dp5_dim{dim}(f, y0, t_end, ctl, stop):
+    path = DensePath{dim}(ctl=ctl)
     append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
     vec<y_i> = y0
-    k1 = f(0.0, args<y_i>)
+    k1 = f(0.0, y_0)
     append_t(0.0)
     append_y(y0)
     span = t_end
@@ -476,26 +473,25 @@ def dp5_dim{dim}_reads{reads}(f, y0, t_end, ctl, stop):
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        # a stage state exists only for the components f reads
-        k2 = f(t + _C2 * h, args<y_i + h * _A21 * k1_i>)
+        k2 = f(t + _C2 * h, y_0 + h * _A21 * k1_0)
         vec<k2_i> = k2
-        k3 = f(t + _C3 * h, args<y_i + h * (_A31 * k1_i + _A32 * k2_i)>)
+        k3 = f(t + _C3 * h, y_0 + h * (_A31 * k1_0 + _A32 * k2_0))
         vec<k3_i> = k3
-        k4 = f(t + _C4 * h, args<y_i + h * (_A41 * k1_i + _A42 * k2_i + _A43 * k3_i)>)
+        k4 = f(t + _C4 * h, y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0))
         vec<k4_i> = k4
         k5 = f(
             t + _C5 * h,
-            args<y_i + h * (_A51 * k1_i + _A52 * k2_i + _A53 * k3_i + _A54 * k4_i)>,
+            y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
         )
         vec<k5_i> = k5
         k6 = f(
             t + h,
-            args<y_i + h * (_A61 * k1_i + _A62 * k2_i + _A63 * k3_i + _A64 * k4_i + _A65 * k5_i)>,
+            y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0),
         )
         vec<k6_i> = k6
         vec<z_i> = vec<y_i + h * (_B1 * k1_i + _B3 * k3_i + _B4 * k4_i + _B5 * k5_i + _B6 * k6_i)>
         t1 = t + h
-        k7 = f(t1, args<z_i>)
+        k7 = f(t1, z_0)
         vec<k7_i> = k7
 
         # squares summed in component order; a leading 0.0 + would change
@@ -535,21 +531,17 @@ def dp5_dim{dim}_reads{reads}(f, y0, t_end, ctl, stop):
 
 
 @lru_cache(maxsize=None)
-def _kernel(dim: int, reads: int) -> Callable:
-    """The DP5 loop for states of `dim` components whose right-hand side
-    reads the first `reads` of them, compiled once, together with the
-    `DensePath` subclass its paths are made of, whose `values` walk and
-    `_extension` are rendered for the same dimension.
+def _kernel(dim: int) -> Callable:
+    """The DP5 loop for states of `dim` components, compiled once, together
+    with the `DensePath` subclass its paths are made of, whose `values`
+    walk and `_extension` are rendered for the same dimension.
 
     The rendered source is registered in `linecache` under the kernel's
     file name, so tracebacks and profilers show its lines.
     """
 
     def expand(match: re.Match) -> str:
-        count = reads if match[1] == "args" else dim
-        terms = [re.sub(r"_i\b", f"_{i}", match[2]) for i in range(count)]
-        if match[1] == "args":
-            return ", ".join(terms)
+        terms = [re.sub(r"_i\b", f"_{i}", match[2]) for i in range(dim)]
         if match[1] == "sum":
             return "(" + " + ".join(terms) + ")"
         return "(" + ", ".join(terms) + ",)"
@@ -559,12 +551,12 @@ def _kernel(dim: int, reads: int) -> Callable:
         value = _P[int(name[2])][int(name[3])] if name[1] == "P" else globals()[name]
         return f"({value!r})" if value < 0 else repr(value)
 
-    source = re.sub(r"(vec|sum|args)<(.*?)>", expand, _KERNEL, flags=re.S)
-    source = source.replace("{dim}", str(dim)).replace("{reads}", str(reads))
+    source = re.sub(r"(vec|sum)<(.*?)>", expand, _KERNEL, flags=re.S)
+    source = source.replace("{dim}", str(dim))
     # tableau names become their values (repr round-trips a float exactly),
     # a constant load in place of a global lookup at every use
     source = re.sub(r"\b_(?:[ABCE]\d+|P\d\d)\b", constant, source)
-    filename = f"<bsym.stepper DP5 kernel dim={dim} reads={reads}>"
+    filename = f"<bsym.stepper DP5 kernel dim={dim}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {
         "__name__": __name__,  # the rendered class's __module__
@@ -576,7 +568,7 @@ def _kernel(dim: int, reads: int) -> Callable:
         "isfinite": math.isfinite,
     }
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"dp5_dim{dim}_reads{reads}"]
+    return namespace[f"dp5_dim{dim}"]
 
 
 def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> list[State]:

@@ -150,9 +150,9 @@ def own_path(a, b, mult: float, t_end: float):
     """The (A, B) path from 0 to t_end integrated over the trees a and b
     themselves, with no sign taken out of either; its failures are raised
     as `quad.nested_path` reports them."""
-    rhs = checked_factory(quad._AB, a, b)(mult)
+    rhs = checked_factory(quad._ab_form(1), a, b)(mult)
     try:
-        return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL, reads=1)
+        return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL)
     except StepUnderflow as exc:
         raise NoConvergence(str(exc)) from None
     except OverflowError as exc:  # exp(mult * A)

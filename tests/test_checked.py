@@ -65,7 +65,7 @@ def reference_factory(form, *coefs):
     signature of the form they stand in for.  The oracle's closures
     evaluate its coefficients with the signs bound to the factory put back
     as unary minuses at the top of their trees."""
-    if form is quad._AB:
+    if form is quad._ab_form(1):
         fa, fb = (reference_callable(c) for c in coefs)
         exp = math.exp
         return lambda mult: lambda s, A: (fa(s), fb(s) * exp(mult * A))
@@ -416,7 +416,7 @@ def test_profiles_see_each_coefficient_function():
     # a file name of its own, so four coefficients give four entries, while
     # the two pairs share their form's one wrapper
     pairs = [(parse_expr("cos(t)"), parse_expr("t")), (parse_expr("sin(t)"), parse_expr("2"))]
-    fns = [expr.checked_factory(quad._AB, a, b)(1.0) for a, b in pairs]
+    fns = [expr.checked_factory(quad._ab_form(1), a, b)(1.0) for a, b in pairs]
     profile = cProfile.Profile()
     profile.enable()
     for fn in fns:

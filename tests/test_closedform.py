@@ -21,7 +21,7 @@ from bsym import (
 )
 from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
-from bsym.quad import QUAD_CONTROL, ab_values
+from bsym.quad import ab_values
 from bsym.exponent import ExponentClass, classify_exponent, parse_exponent
 from bsym.expr import negated, parse_expr
 from bsym.stepper import DensePath, PathView, grid_values
@@ -188,7 +188,8 @@ def test_sign_law_odd_over_odd():
             continue
         count += 1
         v = validity_interval(p, 4.0)
-        lo, hi = v.interior(0.02)
+        m = 0.02 * (v.hi - v.lo)
+        lo, hi = v.lo + m, v.hi - m
         ts = [lo + i * (hi - lo) / 12 for i in range(13)]
         for y in solution_values(p, ts):
             assert math.copysign(1.0, y) == math.copysign(1.0, p.d)
@@ -204,7 +205,8 @@ def test_ode_residual_by_centered_differences():
         p = random_problem(rng)
         specs += 1
         v = validity_interval(p, 4.0)
-        lo, hi = v.interior(0.1)
+        m = 0.1 * (v.hi - v.lo)
+        lo, hi = v.lo + m, v.hi - m
         points = [lo + (i + 0.5) * (hi - lo) / 20 for i in range(20)]
         for t in points:
             if abs(t) < 2 * h:
@@ -375,9 +377,9 @@ def test_a_partner_that_shares_p1s_level_walks_nothing(monkeypatch):
     walks = []
     walk = DensePath._walk
 
-    def counted(path, k, level, *tol):
+    def counted(path, k, level):
         walks.append(level)
-        return walk(path, k, level, *tol)
+        return walk(path, k, level)
 
     p1 = problem("sin(t)", "cos(t)", 2, 1.0)
     partners = [transform_problem(p1, case) for case in ("T2iv", "T2ii")]
@@ -664,7 +666,7 @@ def reference_search(p, radius: float = 4.0):
     m = (p.n.p - p.n.q) / p.n.q
     level = signed_pow(p.d, classify_exponent(p.n.q - p.n.p, p.n.q)) / m
     paths = {direction: own_path(p.a, p.b, m, direction * radius) for direction in (1.0, -1.0)}
-    ends = [path.first_crossing(1, level, QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol) for path in paths.values()]
+    ends = [path.first_crossing(1, level) for path in paths.values()]
     return ends, paths
 
 

@@ -305,7 +305,7 @@ def test_a_one_multiplier_path_is_the_plain_ab_integration(mult, t_end):
     def rhs(t, A):
         return fa(t), fb(t) * math.exp(mult * A)
 
-    want = _outcome(integrate(rhs, (0.0, 0.0), t_end, QUAD_CONTROL, reads=1))
+    want = _outcome(integrate(rhs, (0.0, 0.0), t_end, QUAD_CONTROL))
     assert _outcome(nested_path(a, b, mult, t_end)) == want
     assert _outcome(nested_path(a, b, (mult,), t_end)) == want
 
@@ -511,14 +511,11 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
     assert view.t_reached == direct.t_reached
     qs = [f * end for f in sorted(fractions)] + [end]
     assert view.values(qs) == direct.values(qs)
-    tols = (QUAD_CONTROL.abs_tol, QUAD_CONTROL.rel_tol)
     for k in (0, 1):
         reached = direct.y_end[k]
         for level in (level_fraction * reached, -level_fraction * reached):
             if level != 0.0:
-                assert view.first_crossing(k, level, *tols) == direct.first_crossing(
-                    k, level, *tols
-                )
+                assert view.first_crossing(k, level) == direct.first_crossing(k, level)
 
 
 @settings(max_examples=60, deadline=None)

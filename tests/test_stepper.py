@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import linecache
 import math
 import random
@@ -28,13 +27,7 @@ def cos_path(t_end: float):
 
 def pair_path(t_end: float):
     # the quadrature's coupled (A, B) shape: A' = a, B' = b * exp(A), B unread
-    return integrate(
-        lambda t, a: (math.cos(t), math.sin(2.0 * t) * math.exp(a)),
-        (0.0, 0.0),
-        t_end,
-        CTL,
-        reads=1,
-    )
+    return integrate(lambda t, a: (math.cos(t), math.sin(2.0 * t) * math.exp(a)), (0.0, 0.0), t_end, CTL)
 
 
 @pytest.mark.parametrize("t_end", [6.0, -6.0])
@@ -84,7 +77,7 @@ def test_zero_span_path_answers_only_its_node():
     assert path.value(0.0) == (0.0,)
     with pytest.raises(ValueError):
         path.value(1e-3)
-    assert path.first_crossing(0, 1.0, 1e-12, 1e-10) is None
+    assert path.first_crossing(0, 1.0) is None
 
 
 # --- values: one ordered walk ---------------------------------------------------
@@ -146,8 +139,8 @@ def outward_times(path, seed, count):
         lambda: cos_path(-6.0),
         lambda: cos_path(0.0),
         stopped_oracle_path,
-        lambda: integrate(rhs_3(), SYSTEMS[3, 3][1], 4.0, CTL),
-        lambda: integrate(rhs_3(), SYSTEMS[3, 3][1], -4.0, CTL),
+        lambda: integrate(rhs_3(), SYSTEMS["3"][1], 4.0, CTL),
+        lambda: integrate(rhs_3(), SYSTEMS["3"][1], -4.0, CTL),
     ],
     ids=["pair+", "pair-", "cos+", "cos-", "single-node", "stopped-oracle", "dim3+", "dim3-"],
 )
@@ -192,15 +185,11 @@ def test_values_reject_a_run_out_of_order(t_end):
 
 # --- first_crossing ---------------------------------------------------------
 
-def square_path(t_end: float):
+def square_path(t_end: float, ctl: StepControl = CTL):
     # y = t^2 - 2ct with c = +-1 on the side of t_end: y reaches its minimum
     # -1 at t = c; the extension reproduces a quadratic up to rounding
     c = math.copysign(1.0, t_end)
-    return integrate(lambda t, y: (2.0 * (t - c),), (0.0,), t_end, CTL), c
-
-
-def first_crossing(path, level):
-    return path.first_crossing(0, level, CTL.abs_tol, CTL.rel_tol)
+    return integrate(lambda t, y: (2.0 * (t - c),), (0.0,), t_end, ctl), c
 
 
 @pytest.mark.parametrize("t_end", [3.0, -3.0])
@@ -208,7 +197,7 @@ def test_first_crossing_simple_root(t_end):
     # sin t reaches +-1/2 first at +-pi/6
     path = cos_path(t_end)
     level = math.copysign(0.5, t_end)
-    t = first_crossing(path, level)
+    t = path.first_crossing(0, level)
     assert t == pytest.approx(math.copysign(math.pi / 6, t_end), abs=1e-9)
     assert t not in path.ts
     # located on the dense path to full resolution, not to the sine
@@ -219,7 +208,7 @@ def test_first_crossing_simple_root(t_end):
 def test_first_crossing_double_root(t_end):
     # y touches -1 at c without passing it
     path, c = square_path(t_end)
-    t = first_crossing(path, -1.0)
+    t = path.first_crossing(0, -1.0)
     assert t == pytest.approx(c, abs=1e-6)
     assert abs(path.value(t)[0] + 1.0) <= CTL.abs_tol + CTL.rel_tol
 
@@ -229,10 +218,27 @@ def test_first_crossing_tangent_within_the_error_scale(t_end):
     # a minimum that misses the level by less than abs_tol + rel_tol * |y|
     # (about 1.01e-10 here) counts as reaching it; a wider miss does not
     path, c = square_path(t_end)
-    t = first_crossing(path, -1.0 - 1e-11)
+    t = path.first_crossing(0, -1.0 - 1e-11)
     assert t == pytest.approx(c, abs=1e-9)
     assert path.value(t)[0] > -1.0 - 1e-11
-    assert first_crossing(path, -1.0 - 1e-9) is None
+    assert path.first_crossing(0, -1.0 - 1e-9) is None
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_first_crossing_reads_the_tangent_allowance_of_the_paths_control(t_end):
+    # the same minimum at a control 100 times looser allows about 1.01e-8:
+    # a miss of 1e-9 counts there, not on the QUAD_CONTROL path, and a view
+    # answers with its source's control
+    loose = StepControl(rel_tol=1e-8, abs_tol=1e-10)
+    tight, c = square_path(t_end)
+    path, _ = square_path(t_end, loose)
+    assert (path.ctl, tight.ctl) == (loose, CTL)
+    assert path.first_crossing(0, -1.0 - 1e-9) == pytest.approx(c, abs=1e-6)
+    assert tight.first_crossing(0, -1.0 - 1e-9) is None
+    for source in (path, tight):
+        found = source.first_crossing(0, -1.0 - 1e-9)
+        view = PathView(source, -1.0, (-1.0,))
+        assert view.first_crossing(0, 1.0 + 1e-9) == (None if found is None else -found)
 
 
 @pytest.mark.parametrize("level", [1.5, -1.5, 1.0 + 1e-6])
@@ -240,7 +246,7 @@ def test_first_crossing_no_root(level):
     # |sin t| <= 1 on both sides; 1 + 1e-6 is a near miss far above the
     # error scale
     for t_end in (3.0, -3.0):
-        assert first_crossing(cos_path(t_end), level) is None
+        assert cos_path(t_end).first_crossing(0, level) is None
 
 
 @pytest.mark.parametrize("t_end", [3.0, -3.0])
@@ -251,22 +257,19 @@ def test_first_crossing_root_on_a_node(t_end):
     nodes = [j for j, t in enumerate(path.ts) if 0.0 < abs(t) < 1.4]
     assert len(nodes) > 10
     for j in nodes:
-        assert first_crossing(path, path.ys[j][0]) == pytest.approx(path.ts[j], abs=1e-14)
+        assert path.first_crossing(0, path.ys[j][0]) == pytest.approx(path.ts[j], abs=1e-14)
 
 
 def test_first_crossing_walks_each_query_once(monkeypatch):
-    # each answer is cached per (k, level, abs_tol, rel_tol): a repeated
-    # query walks nothing, and one that differs in the level or a tolerance
-    # is walked and answered on its own
-    tols = (CTL.abs_tol, CTL.rel_tol)
+    # each answer is cached per (k, level): a repeated query walks nothing,
+    # and one that differs in the level is walked and answered on its own
     queries = [
-        (0, -0.5, *tols),  # y = t^2 - 2t falls through -1/2 ...
-        (0, 0.5, *tols),  # ... and rises through 1/2 after its minimum
-        (0, -1.0 - 1e-9, *tols),  # a miss wider than the error scale
-        (0, -1.0 - 1e-9, 1e-8, CTL.rel_tol),  # a tangent touch at this one
+        (0, -0.5),  # y = t^2 - 2t falls through -1/2 ...
+        (0, 0.5),  # ... and rises through 1/2 after its minimum
+        (0, -1.0 - 1e-9),  # a miss wider than the error scale
     ]
     expected = [square_path(3.0)[0]._walk(*query) for query in queries]
-    assert expected[2] is None and None not in (expected[:2] + expected[3:])
+    assert expected[2] is None and None not in expected[:2]
     walks = []
     walk = DensePath._walk
     monkeypatch.setattr(DensePath, "_walk", lambda path, *query: walks.append(query) or walk(path, *query))
@@ -278,7 +281,7 @@ def test_first_crossing_walks_each_query_once(monkeypatch):
 def test_first_crossing_tiny_first_root():
     # y = t reaches 1e-13 a 1.6e-12 fraction into a first step 1/16 long
     path = integrate(lambda t, y: (1.0,), (0.0,), 4.0, CTL)
-    assert first_crossing(path, 1e-13) == pytest.approx(1e-13, rel=1e-15)
+    assert path.first_crossing(0, 1e-13) == pytest.approx(1e-13, rel=1e-15)
 
 
 def test_extension_weights_at_step_end_are_the_fifth_order_weights():
@@ -359,7 +362,7 @@ def reference_integrate(f, y0, t_end, ctl, stop=None):
     generated per dimension, from t = 0; the kernel must reproduce it bit
     for bit."""
     y0 = tuple(y0)
-    path = DensePath()
+    path = DensePath(ctl)
     k1 = f(0.0, y0)
     path.ts.append(0.0)
     path.ys.append(y0)
@@ -446,15 +449,10 @@ def reference_integrate(f, y0, t_end, ctl, stop=None):
     return path
 
 
-def reference(reads):
+def reference(f, y0, t_end, ctl, stop=None):
     """`reference_integrate` driving a right-hand side of the kernel's
-    contract: the loop's state tuple spread into its first `reads`
-    components."""
-
-    def integrator(f, y0, t_end, ctl, stop=None):
-        return reference_integrate(lambda t, y: f(t, *y[:reads]), y0, t_end, ctl, stop)
-
-    return integrator
+    contract: component 0 of the loop's state tuple."""
+    return reference_integrate(lambda t, y: f(t, y[0]), y0, t_end, ctl, stop)
 
 
 def run(integrator, make_rhs, y0, t_end, ctl=CTL, stop=None):
@@ -467,14 +465,9 @@ def run(integrator, make_rhs, y0, t_end, ctl=CTL, stop=None):
     return outcome, repr((path.ts, path.ys, path.ks, path.stopped))
 
 
-def both(shape, make_rhs, y0, t_end, ctl=CTL, stop=None):
-    """run's outcome from the kernel for shape = (dim, reads), then from the
-    reference loop."""
-    reads = shape[1]
-    return (
-        run(functools.partial(integrate, reads=reads), make_rhs, y0, t_end, ctl, stop),
-        run(reference(reads), make_rhs, y0, t_end, ctl, stop),
-    )
+def both(make_rhs, y0, t_end, ctl=CTL, stop=None):
+    """run's outcome from the kernel, then from the reference loop."""
+    return run(integrate, make_rhs, y0, t_end, ctl, stop), run(reference, make_rhs, y0, t_end, ctl, stop)
 
 
 def rhs_1():
@@ -482,14 +475,14 @@ def rhs_1():
 
 
 def rhs_2():
-    # rhs_2_reads_1 passed B too, which it does not read
-    f = rhs_2_reads_1()
-    return lambda t, a, b: f(t, a)
+    # component 1 a quadrature of t alone; a list, not a tuple: the stages
+    # are stored as the objects f returns
+    return lambda t, a: [math.cos(3.0 * t) - 0.2 * a * abs(a), math.sin(2.0 * t)]
 
 
 def rhs_3():
-    # a list, not a tuple: the stages are stored as the objects f returns
-    return lambda t, y0, y1, y2: [y1, -y0 + 0.3 * math.sin(t) * y2, math.cos(t) - 0.5 * y2]
+    # components 1 and 2 quadratures of t alone, as a list too
+    return lambda t, y0: [0.5 * math.cos(t) - 0.3 * y0, math.sin(t), math.exp(-0.3 * t) - 0.5]
 
 
 def rhs_2_reads_1():
@@ -506,67 +499,61 @@ def rhs_3_reads_1():
     )
 
 
-def rhs_3_reads_2():
-    # a forced oscillator and the integral of its velocity against cos t
-    return lambda t, y0, y1: [y1, -y0 + 0.3 * math.sin(t), math.cos(t) * y1 * y0]
-
-
-# (dim, reads) -> (make_rhs, y0)
+# id -> (make_rhs, y0): the dimension, and `reads1` where component 0, the
+# one f reads, drives the later components
 SYSTEMS = {
-    (1, 1): (rhs_1, (0.4,)),
-    (2, 2): (rhs_2, (0.0, 0.0)),
-    (3, 3): (rhs_3, (1.0, -0.5, 0.25)),
-    (2, 1): (rhs_2_reads_1, (0.0, 0.0)),
-    (3, 1): (rhs_3_reads_1, (0.4, 0.0, -1.0)),
-    (3, 2): (rhs_3_reads_2, (1.0, -0.5, 0.25)),
+    "1": (rhs_1, (0.4,)),
+    "2": (rhs_2, (0.0, 0.0)),
+    "3": (rhs_3, (1.0, -0.5, 0.25)),
+    "2reads1": (rhs_2_reads_1, (0.0, 0.0)),
+    "3reads1": (rhs_3_reads_1, (0.4, 0.0, -1.0)),
 }
-# a system whose right-hand side reads every component keeps the id of its
-# dimension alone
-SHAPES = [
-    pytest.param(shape, id=str(shape[0]) if shape[0] == shape[1] else "{}reads{}".format(*shape))
-    for shape in SYSTEMS
-]
-PARTIAL_SHAPES = [param for param in SHAPES if param.values[0][1] < param.values[0][0]]
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+def shape(name):
+    """(dim, the type f returns) of a system: the kernel keeps each stage as
+    the object f returns."""
+    make_rhs, y0 = SYSTEMS[name]
+    return len(y0), type(make_rhs()(0.0, y0[0]))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("t_end", [5.0, -5.0, 1e-3, 0.0, 5e-324, -1e-322])
-def test_kernel_is_bit_identical_to_the_vector_loop(shape, t_end):
-    make_rhs, y0 = SYSTEMS[shape]
-    got, expected = both(shape, make_rhs, y0, t_end)
+def test_kernel_is_bit_identical_to_the_vector_loop(name, t_end):
+    got, expected = both(*SYSTEMS[name], t_end)
     assert got == expected
     assert expected[0] == "done"
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("t_end", [6.0, -6.0])
-def test_kernel_matches_with_a_stop_callback(shape, t_end):
-    make_rhs, y0 = SYSTEMS[shape]
-    target = abs(reference(shape[1])(make_rhs(), y0, t_end, CTL).ys[5][0])
+def test_kernel_matches_with_a_stop_callback(name, t_end):
+    make_rhs, y0 = SYSTEMS[name]
+    target = abs(reference(make_rhs(), y0, t_end, CTL).ys[5][0])
 
     def stop(t, y):
         return abs(y[0]) >= target
 
-    got, expected = both(shape, make_rhs, y0, t_end, stop=stop)
+    got, expected = both(make_rhs, y0, t_end, stop=stop)
     assert got == expected
     assert expected[1].endswith(", True)")  # stopped
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("t_end", [4.0, -4.0])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_kernel_matches_after_a_non_finite_stage(shape, t_end, bad):
+def test_kernel_matches_after_a_non_finite_stage(name, t_end, bad):
     # the last component's stage turns bad: one f does not read, where
-    # reads < dim
-    make_clean, y0 = SYSTEMS[shape]
+    # dim > 1
+    make_clean, y0 = SYSTEMS[name]
     returned = []
 
     def make_rhs():
         clean, calls = make_clean(), [0]
 
-        def rhs(t, *y):
+        def rhs(t, y):
             calls[0] += 1
-            k = clean(t, *y)
+            k = clean(t, y)
             if calls[0] == 40:  # one stage of one step attempt
                 returned.append(bad)
                 return (*k[:-1], bad)
@@ -574,11 +561,11 @@ def test_kernel_matches_after_a_non_finite_stage(shape, t_end, bad):
 
         return rhs
 
-    got, expected = both(shape, make_rhs, y0, t_end)
+    got, expected = both(make_rhs, y0, t_end)
     assert got == expected
     assert len(returned) == 2  # both runs took the h *= 0.1 retry
     assert expected[0] == "done"
-    assert expected != run(reference(shape[1]), make_clean, y0, t_end)
+    assert expected != run(reference, make_clean, y0, t_end)
 
 
 def err_numerator(path, i):
@@ -589,9 +576,9 @@ def err_numerator(path, i):
     return h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("branch", ["zero error", "growth clamped"])
-def test_kernel_matches_where_the_step_grows_fivefold(shape, branch):
+def test_kernel_matches_where_the_step_grows_fivefold(name, branch):
     # from h = 64 / 64 = 1 every t is an integer, so each step length is
     # exact: 1, 5 and 25, then 33 clamped to t_end.  y' = 0 makes every
     # error exactly 0 (factor 5.0 by the err_norm == 0.0 branch); y' = 1e-30
@@ -599,41 +586,41 @@ def test_kernel_matches_where_the_step_grows_fivefold(shape, branch):
     # embedded 4th-order ones, so the error is nonzero and so small that
     # 0.9 * err_norm**-0.2 exceeds 5 and the growth clamp gives 5.0
     c = 0.0 if branch == "zero error" else 1e-30
-    dim, reads = shape
+    dim, kind = shape(name)
 
     def make_rhs():
-        return lambda t, *y: (c * t**4,) * dim
+        return lambda t, y: kind((c * t**4,) * dim)
 
     y0 = (1.0,) * dim
-    got, expected = both(shape, make_rhs, y0, 64.0)
+    got, expected = both(make_rhs, y0, 64.0)
     assert got == expected
-    path = integrate(make_rhs(), y0, 64.0, CTL, reads=reads)
+    path = integrate(make_rhs(), y0, 64.0, CTL)
     assert path.ts == [0.0, 1.0, 6.0, 31.0, 64.0]
     errors = [err_numerator(path, i) for i in range(3)]
     assert all(e == 0.0 for e in errors) if c == 0.0 else all(e != 0.0 for e in errors)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_kernel_matches_where_a_rejection_is_clamped(shape):
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_kernel_matches_where_a_rejection_is_clamped(name):
     # y' = 50 y over a first trial step of 1/64: the error is near 1e-3 of
     # y against rel_tol 1e-10, so err_norm is about 1e6 and the unclamped
     # factor 0.9 * err_norm**-0.2 about 0.06; the rejection clamp makes it
     # 0.2.  From t = 0 the FSAL stage is evaluated at 0.0 + h, exactly h,
     # so the recorded times give the first two trial steps, the second at
-    # t = 0 again (an accepted first step would put it past 1/64).  A
-    # component f does not read takes 50 times one it reads
+    # t = 0 again (an accepted first step would put it past 1/64).  Every
+    # component takes 50 times component 0
     times = []
-    dim = shape[0]
+    dim, kind = shape(name)
 
     def make_rhs():
-        def rhs(t, *y):
+        def rhs(t, y):
             times.append(t)
-            return tuple(50.0 * y[i % len(y)] for i in range(dim))
+            return kind((50.0 * y,) * dim)
 
         return rhs
 
     y0 = (1.0,) * dim
-    got, expected = both(shape, make_rhs, y0, 1.0)
+    got, expected = both(make_rhs, y0, 1.0)
     assert got == expected
     trials = times[6::6]  # the FSAL stage of each attempt of the kernel's run
     assert trials[:2] == [1.0 / 64.0, 1.0 / 64.0 * 0.2]
@@ -642,14 +629,13 @@ def test_kernel_matches_where_a_rejection_is_clamped(shape):
 @pytest.mark.parametrize("t_end", [2.0, -2.0])
 def test_kernel_matches_the_partial_path_on_underflow(t_end):
     def make_rhs():  # y' = y^2 from y(0) = sign: a pole at |t| = 1
-        return lambda t, y, *unread: (y * y, math.cos(t))
+        return lambda t, y: (y * y, math.cos(t))
 
     y0 = (math.copysign(1.0, t_end), 0.0)
     ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, min_step_fraction=2.0**-20)
-    for shape in ((2, 2), (2, 1)):
-        got, expected = both(shape, make_rhs, y0, t_end, ctl)
-        assert got == expected
-        assert expected[0] == "StepUnderflow"
+    got, expected = both(make_rhs, y0, t_end, ctl)
+    assert got == expected
+    assert expected[0] == "StepUnderflow"
 
 
 @pytest.mark.parametrize("t_end", [5e-324, -5e-324, 1e-322, -1.5e-322])
@@ -692,69 +678,39 @@ def test_step_control_validation():
     StepControl(rel_tol=1e-10, abs_tol=1e-12, min_step_fraction=1.0 - 2.0**-53)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_kernel_matches_the_partial_path_on_an_exhausted_budget(shape):
-    make_rhs, y0 = SYSTEMS[shape]
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_kernel_matches_the_partial_path_on_an_exhausted_budget(name):
     ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=7)
-    got, expected = both(shape, make_rhs, y0, -5.0, ctl)
+    got, expected = both(*SYSTEMS[name], -5.0, ctl)
     assert got == expected
     assert expected[0] == "StepBudgetExceeded"
 
 
-@pytest.mark.parametrize("shape", PARTIAL_SHAPES)
-@pytest.mark.parametrize("t_end", [4.0, -4.0])
-def test_partial_reads_keep_dense_values_and_crossings(shape, t_end):
-    # a kernel that skips the stage states of unread components gives the
-    # dense values of the reference loop's path and the crossings of the
-    # kernel that reads every component
-    dim, reads = shape
-    make_rhs, y0 = SYSTEMS[shape]
-    path = integrate(make_rhs(), y0, t_end, CTL, reads=reads)
-    expected = reference(reads)(make_rhs(), y0, t_end, CTL)
-    ts = outward_times(path, 4, 200)
-    assert [repr(y) for y in path.values(ts)] == [repr(reference_value(expected, t)) for t in ts]
-    f = make_rhs()
-    every = integrate(lambda t, *y: f(t, *y[:reads]), y0, t_end, CTL)
-    assert type(every) is not type(path)
-    found = 0
-    for k in range(dim):
-        for node in (len(path.ts) // 3, len(path.ts) // 2, -1):
-            for level in (path.ys[node][k], 0.5 * (path.ys[0][k] + path.ys[node][k])):
-                crossing = path.first_crossing(k, level, CTL.abs_tol, CTL.rel_tol)
-                assert crossing == every.first_crossing(k, level, CTL.abs_tol, CTL.rel_tol)
-                found += crossing is not None
-    assert found >= dim
-
-
 @pytest.mark.parametrize(
-    "y0,t_end,reads,match",
+    "y0,t_end,match",
     [
-        ((), 1.0, None, "at least one component"),
-        ((0.0,), math.nan, None, "t_end must be finite"),
-        ((0.0,), math.inf, None, "t_end must be finite"),
-        ((0.0,), -math.inf, None, "t_end must be finite"),
-        ((0.0, 0.0), 1.0, 0, "reads"),
-        ((0.0, 0.0), 1.0, 3, "reads"),
-        ((0.0, 0.0), 1.0, -1, "reads"),
-        ((0.0, 0.0), 1.0, 1.0, "reads"),
+        ((), 1.0, "at least one component"),
+        ((0.0,), math.nan, "t_end must be finite"),
+        ((0.0,), math.inf, "t_end must be finite"),
+        ((0.0,), -math.inf, "t_end must be finite"),
     ],
 )
-def test_integrate_rejects_what_no_kernel_integrates(y0, t_end, reads, match):
+def test_integrate_rejects_what_no_kernel_integrates(y0, t_end, match):
     # an empty state used to reach the renderer (a SyntaxError), t_end = nan
     # returned a one-node path as if it had arrived, and t_end = inf ran the
     # whole step budget at t = 0
     calls = []
 
-    def rhs(t, *y):
+    def rhs(t, y):
         calls.append(t)
         return (1.0,) * len(y0)
 
     with pytest.raises(ValueError, match=match):
-        integrate(rhs, y0, t_end, CTL, reads=reads)
+        integrate(rhs, y0, t_end, CTL)
     assert calls == []
 
 
-def test_kernel_is_generated_once_per_dimension_and_reads(monkeypatch):
+def test_kernel_is_generated_once_per_dimension(monkeypatch):
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -764,26 +720,25 @@ def test_kernel_is_generated_once_per_dimension_and_reads(monkeypatch):
     monkeypatch.setattr(stepper, "compile", counting_compile, raising=False)
     stepper._kernel.cache_clear()
     paths = {}
-    order = [(2, 2), (1, 1), (2, 1), (2, 2), (1, 1), (3, 3), (2, 1), (3, 1), (3, 2), (3, 1)]
-    for dim, reads in order:
-        make_rhs, y0 = SYSTEMS[dim, reads]
-        path = integrate(make_rhs(), y0, 1.0, CTL, reads=reads)
+    for name in ("2", "1", "2reads1", "1", "3", "3reads1", "2"):
+        make_rhs, y0 = SYSTEMS[name]
+        path = integrate(make_rhs(), y0, 1.0, CTL)
         path.values([0.25, 0.5, 1.0])  # dense queries compile nothing
-        path.first_crossing(0, 1e9, CTL.abs_tol, CTL.rel_tol)
-        paths.setdefault((dim, reads), []).append(path)
-    names = {shape: "<bsym.stepper DP5 kernel dim={} reads={}>".format(*shape) for shape in paths}
+        path.first_crossing(0, 1e9)
+        paths.setdefault(len(y0), []).append(path)
+    names = {dim: f"<bsym.stepper DP5 kernel dim={dim}>" for dim in paths}
     assert compiled == list(names.values())
-    assert stepper._kernel(2, 1) is stepper._kernel(2, 1)
+    assert stepper._kernel(2) is stepper._kernel(2)
     # the dense output is rendered with the kernel, one path class per
     # kernel, and no generic walk or extension is kept beside it
-    for shape, same in paths.items():
+    for dim, same in paths.items():
         cls = type(same[0])
         assert cls is not DensePath and issubclass(cls, DensePath)
-        assert cls.__name__ == f"DensePath{shape[0]}"
+        assert cls.__name__ == f"DensePath{dim}"
         assert all(type(path) is cls for path in same)
         for method in (cls.values, cls._extension):
-            assert method.__code__.co_filename == names[shape]
-    assert len({type(same[0]) for same in paths.values()}) == len(paths) == 6
+            assert method.__code__.co_filename == names[dim]
+    assert len({type(same[0]) for same in paths.values()}) == len(paths) == 3
     assert "values" not in vars(DensePath) and "_extension" not in vars(DensePath)
 
 
@@ -797,10 +752,10 @@ def test_traceback_shows_the_kernel_source():
         return (1.0, 1.0)
 
     with pytest.raises(ZeroDivisionError) as info:
-        integrate(failing, (0.0, 0.0), 1.0, CTL, reads=1)
+        integrate(failing, (0.0, 0.0), 1.0, CTL)
     frame = traceback.extract_tb(info.tb)[-2]
-    assert frame.filename == "<bsym.stepper DP5 kernel dim=2 reads=1>"
-    # the stage state of the component f reads is its one argument
+    assert frame.filename == "<bsym.stepper DP5 kernel dim=2>"
+    # the stage state of component 0, the one f reads, is its one argument
     assert frame.line == "k3 = f(t + 0.3 * h, y_0 + h * (0.075 * k1_0 + 0.225 * k2_0))"
     assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
 
@@ -812,15 +767,14 @@ def test_traceback_shows_the_kernel_source():
 def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
     # f(t, y) = r*S*g(r*t, S*y) is computed with exact negations only, so
     # f(r*t, S*y) = r*S*g(t, y) bit for bit and the kernel's path of f
-    # toward r*T is the view of g's path toward T
+    # toward r*T is the view of g's path toward T; both read y_0 alone
     dim = len(signs)
 
-    def g(t, *y):
-        return tuple(math.cos(t + k) * y[k] + math.sin(2.0 * t) * y[k - 1] for k in range(dim))
+    def g(t, y0):
+        return tuple(math.cos(t + k) * y0 + math.sin(2.0 * t + k) for k in range(dim))
 
-    def f(t, *y):
-        dy = g(r * t, *(s * v for s, v in zip(signs, y)))
-        return tuple(r * s * v for s, v in zip(signs, dy))
+    def f(t, y0):
+        return tuple(r * s * v for s, v in zip(signs, g(r * t, signs[0] * y0)))
 
     y0 = tuple(1.0 + 0.5 * k for k in range(dim))
     source = integrate(g, y0, 2.0, CTL)
@@ -835,8 +789,7 @@ def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
         for j in (3, len(direct.ts) // 2, -1):
             level = 0.5 * (direct.ys[0][k] + direct.ys[j][k])
             for lv in (level, -level, 1e9):
-                got = view.first_crossing(k, lv, CTL.abs_tol, CTL.rel_tol)
-                assert got == direct.first_crossing(k, lv, CTL.abs_tol, CTL.rel_tol), (k, lv)
+                assert view.first_crossing(k, lv) == direct.first_crossing(k, lv), (k, lv)
 
 
 # the premise of every t-mirror: generated code calls these math functions
