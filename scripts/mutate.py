@@ -200,10 +200,58 @@ MUTANTS = [
     Mutant(
         "mirror-keeps-the-multipliers",
         "quad.py",
-        "paths[-1.0] = view, tuple(ka * mult for mult in mults)",
-        "paths[-1.0] = view, mults",
-        "the mirror of a two-multiplier path reads B_mult where B_{ka*mult} belongs",
+        "(-x, ka * mult, kb)",
+        "(-x, mult, kb)",
+        "a mirrored read at t < 0 reads B_mult where B_{ka*mult} belongs",
         ("tests/test_quad.py",),
+    ),
+    Mutant(
+        "mirror-drops-kb",
+        "quad.py",
+        "(-x, ka * mult, kb)",
+        "(-x, ka * mult, 1.0)",
+        "a mirrored read at t < 0 keeps B's sign where b's parity flips it",
+        ("tests/test_quad.py",),
+    ),
+    Mutant(
+        "quad-rel-tol-1e-6",
+        "quad.py",
+        "QUAD_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-12)",
+        "QUAD_CONTROL = StepControl(rel_tol=1e-6, abs_tol=1e-12)",
+        "the quadrature is 10 000 times less accurate than documented",
+        ("tests/test_quad.py",),
+    ),
+    Mutant(
+        "closed-form-drops-the-negative-radicand-sign",
+        "closedform.py",
+        "out.append(scale * (neg * pow_(-g, e)))",
+        "out.append(scale * pow_(-g, e))",
+        "G^e of a negative radicand loses the sign its exponent class gives it: y has the wrong sign",
+        ("tests/test_closedform.py",),
+    ),
+    Mutant(
+        "minus-one-drops-the-reciprocal-check",
+        "exponent.py",
+        "m, _, _ = (p - q) / q, p / q, q / (p - q or 1)",
+        "m, _ = (p - q) / q, p / q",
+        "an n whose 1/(n-1) overflows a float is accepted: -1/(n-1) is inf",
+        ("tests/test_exponent.py",),
+    ),
+    Mutant(
+        "parser-product-right-associative",
+        "expr.py",
+        "right, right_depth = self._factor()",
+        "right, right_depth = self._term()",
+        "t/2/2 parses as t/(2/2)",
+        ("tests/test_expr.py",),
+    ),
+    Mutant(
+        "parser-sum-right-associative",
+        "expr.py",
+        "right, right_depth = self._term()",
+        "right, right_depth = self._expr()",
+        "t-1-1 parses as t-(1-1)",
+        ("tests/test_expr.py",),
     ),
 ]
 

@@ -129,10 +129,12 @@ def cmd_solve(args) -> int:
         raise DomainError("--t-min must be below --t-max")
     if args.points < 2:
         raise DomainError("--points must be >= 2")
-    radius = 1.05 * max(abs(args.t_min), abs(args.t_max), 1e-3)
-    validity = validity_interval(p, radius)
     step = (args.t_max - args.t_min) / (args.points - 1)
     grid = [args.t_min + i * step for i in range(args.points)]
+    if not all(map(math.isfinite, grid)):
+        raise DomainError("the grid from --t-min to --t-max overflows a float")
+    radius = 1.05 * max(abs(args.t_min), abs(args.t_max), 1e-3)
+    validity = validity_interval(p, radius)
     kept = [t for t in grid if validity.contains(t)]
     if args.method == "closed":
         ys = solution_values(p, kept)
@@ -207,10 +209,11 @@ def cmd_identities(args) -> int:
     n = _parse_arg(parse_exponent, args.n)
     if args.samples < 1:
         raise DomainError("--samples must be >= 1")
-    ts = [args.t_max * (i + 1) / args.samples for i in range(args.samples)]
-    # ts[-1] is t_max up to rounding, or inf where t_max * samples overflows
-    if not 0.0 < ts[-1] < math.inf:
+    if not 0.0 < args.t_max < math.inf:
         raise DomainError("--t-max must be positive and finite")
+    ts = [args.t_max * (i + 1) / args.samples for i in range(args.samples)]
+    if ts[-1] == math.inf:  # the largest time
+        raise DomainError("--t-max * --samples overflows a float")
     ok = True
     for ident in Identity:
         try:

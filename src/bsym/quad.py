@@ -43,17 +43,17 @@ Each is the substitution s -> -s in its left side, so it is fixed by the
 (a, b) parities and the sign of m on the mirrored side.  (Eq7 is the
 even-integrand mirror; it is the same identity regardless of which
 exponent class consumes it, so there is exactly one tag for it.)  Each
-identity reads B_{sigma*m} at -t and B_{ka*sigma*m} at t from one path
-per side of 0, carrying the multipliers read there.  Where
-`exponent.reflections` certifies the t-mirror, the side t < 0 is the
-`stepper.PathView` of the other side's path, so one path answers every
-read: an identity residual is then a shared-path residual, 0 by
-construction, and evidence only through the parity certificate.
+identity reads B_{sigma*m} at -t and B_{ka*sigma*m} at t through
+`stepper.grid_values`, from one path per side of 0 carrying the
+multipliers read there.  Where `exponent.reflections` certifies the
+t-mirror, a read of B_mult at x < 0 is kb times B_{ka*mult} at -x, so one
+path answers every read: an identity residual is then a shared-path
+residual, 0 by construction, and evidence only through the parity
+certificate.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
@@ -99,16 +99,15 @@ def _ab_form(count: int) -> CheckedForm:
     return CheckedForm("t, A", f"return (f0, {terms})", ", ".join(f"mult{i}" for i in range(count)))
 
 
-def nested_path(a: Expr, b: Expr, mult: Union[float, tuple], t: float) -> DensePath:
-    """Dense (A, B) path over [0, t] with B' = b * exp(mult * A); for a
-    tuple (mult_0, .., mult_k) the path (A, B_0, .., B_k) of one B per
-    multiplier, in that order, from one right-hand side.
+def nested_path(a: Expr, b: Expr, mults: tuple, t: float) -> DensePath:
+    """Dense path (A, B_0, .., B_k) over [0, t] with
+    B_i' = b * exp(mults[i] * A): one B per multiplier, in that order,
+    from one right-hand side.
 
-    A float and its 1-tuple give the same path.  The error norm sums the
-    components in order, so the multipliers' order is part of the path:
-    its t-mirror is the path of the mirrored multipliers in the same order.
+    The error norm sums the components in order, so the multipliers' order
+    is part of the path: its t-mirror is the path of the mirrored
+    multipliers in the same order.
     """
-    mults = mult if isinstance(mult, tuple) else (mult,)
     rhs = checked_factory(_ab_form(len(mults)), a, b)(*mults)
     try:
         return integrate(rhs, (0.0,) * (1 + len(mults)), t, QUAD_CONTROL)
@@ -123,13 +122,13 @@ def ab_path(
 ) -> Union[DensePath, PathView]:
     """The (A, B) path of (a, b, mult) from 0 to t_end by the reflection
     rule (`exponent.reflections`), from the caller's table `paths` of
-    integrated (a0, b0, m0) paths keyed by (a0, b0, m0, t_end)
+    integrated (a0, b0, (m0,)) paths keyed by (a0, b0, (m0,), t_end)
     (`stepper.shared_path`): a view (r, ka, kb) reads the path of
-    (a0, b0, ka*mult) toward r*t_end with signs (ka, kb), and a fresh path
-    integrates the own view's (a0, b0, sa*mult).
+    (a0, b0, (ka*mult,)) toward r*t_end with signs (ka, kb), and a fresh
+    path integrates the own view's (a0, b0, (sa*mult,)).
     """
     a0, b0, views = reflections(a, b)
-    keyed = [(r, (ka, kb), (a0, b0, ka * mult)) for r, _, ka, kb, _ in views]
+    keyed = [(r, (ka, kb), (a0, b0, (ka * mult,))) for r, _, ka, kb, _ in views]
     return shared_path(paths, keyed, t_end, lambda x: nested_path(*keyed[0][2], x))
 
 
@@ -156,7 +155,7 @@ def ab_values(
         path = searched.get(1.0 if x >= 0.0 else -1.0)
         if path is not None and abs(x) <= abs(path.t_reached):
             return path
-        return nested_path(a, b, mult, x)
+        return nested_path(a, b, (mult,), x)
 
     return grid_values(solve, ts)
 
@@ -189,17 +188,20 @@ def identity_residuals(
     """|LHS - RHS| of the chosen identity at each t, from one path per side.
 
     The left side reads B_{sigma*m} at -t and the right side B_{ka*sigma*m}
-    at t (`_b_values`).  Where `exponent.reflections` certifies the
-    t-mirror, one path toward the farthest |t| answers every read,
-    carrying both multipliers for Eq4, Eq8 and Eq9 on a grid that
-    straddles 0, and one for Eq7 or a grid on one side of 0: an identity
-    residual is then a shared-path residual, exactly 0, and evidence only
-    through the parity certificate.  With a sampled parity each side of 0
-    integrates its own path.  Every residual is bit for bit the one fresh
-    paths per side give, and no path outlives the call.  Raises
-    DomainError where n - 1 is no usable float (`exponent.minus_one`),
-    then ParityViolation unless (a, b) carry the parities the identity
-    assumes, then ValueError for a non-finite t, before any integration.
+    at t, all in one `stepper.grid_values` call whose path for each side of
+    0 carries the multipliers read there, the left side's first.  Where
+    `exponent.reflections` certifies the t-mirror, a read at x < 0 becomes
+    kb times the read of B_{ka*mult} at -x, so one path toward the farthest
+    |t| answers every read, carrying both multipliers for Eq4, Eq8 and Eq9
+    on a grid that straddles 0, and one for Eq7 or a grid on one side of
+    0: an identity residual is then a shared-path residual, exactly 0, and
+    evidence only through the parity certificate.  With a sampled parity
+    each side of 0 integrates its own path.  Every residual is bit for bit
+    the one fresh paths per side give, and no path outlives the call.
+    Raises DomainError where n - 1 is no usable float
+    (`exponent.minus_one`), then ParityViolation unless (a, b) carry the
+    parities the identity assumes, then ValueError for a non-finite t,
+    before any integration.
     """
     if isinstance(ident, str):
         ident = Identity(ident)
@@ -217,45 +219,19 @@ def identity_residuals(
     ka, kb, _ = reflection_signs(None, -1, 1, par_a.sign, par_b.sign)
     mirrored = any(r == -1.0 for r, *_ in reflections(a, b)[2])
     left, right = sigma * m, ka * sigma * m
-    reads = [(-t, left) for t in ts] + [(t, right) for t in ts]
-    got = _b_values(a, b, reads, (left, right), (ka, kb) if mirrored else None)
+    # each read (x, mult, factor) is factor * B_mult(x); a certified mirror
+    # reads x < 0 at -x
+    reads = [(-t, left, 1.0) for t in ts] + [(t, right, 1.0) for t in ts]
+    if mirrored:
+        reads = [(-x, ka * mult, kb) if x < 0.0 else (x, mult, 1.0) for x, mult, _ in reads]
+    carried = {}  # side of 0 -> the multipliers its path carries, in (left, right) order
+
+    def solve(t_end: float) -> DensePath:
+        side = t_end >= 0.0
+        here = {mult for x, mult, _ in reads if (x >= 0.0) is side}
+        mults = carried[side] = tuple(dict.fromkeys(u for u in (left, right) if u in here))
+        return nested_path(a, b, mults, t_end)
+
+    states = grid_values(solve, [x for x, _, _ in reads])
+    got = [f * y[1 + carried[x >= 0.0].index(mult)] for (x, mult, f), y in zip(reads, states)]
     return [abs(-bl + kb * br) for bl, br in zip(got[:len(ts)], got[len(ts):])]
-
-
-def _b_values(
-    a: Expr, b: Expr, reads: Sequence[tuple], order: tuple, mirror: Optional[tuple]
-) -> list[float]:
-    """B_mult(x) of (a, b) for every read (x, mult), in read order.
-
-    Each side of 0 with reads is answered by one `nested_path` toward its
-    farthest x, carrying the multipliers read there in the order `order`
-    lists them, in one `values` walk in order of |x|.  With `mirror` =
-    (ka, kb), which must be a certified t-mirror of (a, b), the side x < 0
-    reads the `PathView` through t -> -t of the other side's path, whose
-    B_mult is kb times its B_{ka*mult}: that path then also carries ka times
-    every multiplier read at x < 0 and reaches the farthest |x| of both
-    sides.  Raises ValueError for a non-finite x before any integration.
-    """
-    if not all(math.isfinite(x) for x, _ in reads):
-        raise ValueError("grid times must be finite")
-    ka, kb = mirror or (1.0, 1.0)
-    # the reads the integrated paths answer: with a mirror, x < 0 at -x
-    integrated = [(x, mult) if x >= 0.0 or not mirror else (-x, ka * mult) for x, mult in reads]
-    paths = {}  # side of 0 -> (path, the multipliers of its B components)
-    for side in (1.0, -1.0):
-        here = [(x, mult) for x, mult in integrated if (x >= 0.0) is (side > 0.0)]
-        if here:
-            carried = {mult for _, mult in here}
-            mults = tuple(dict.fromkeys(mult for mult in order if mult in carried))
-            paths[side] = nested_path(a, b, mults, side * max(abs(x) for x, _ in here)), mults
-    if mirror and paths:
-        source, mults = paths[1.0]
-        view = PathView(source, -1.0, (ka,) + (kb,) * len(mults))
-        paths[-1.0] = view, tuple(ka * mult for mult in mults)
-    out = [0.0] * len(reads)
-    for side, (path, mults) in paths.items():
-        here = [i for i, (x, _) in enumerate(reads) if (x >= 0.0) is (side > 0.0)]
-        here.sort(key=lambda i: abs(reads[i][0]))  # stably
-        for i, state in zip(here, path.values([reads[i][0] for i in here])):
-            out[i] = state[1 + mults.index(reads[i][1])]
-    return out

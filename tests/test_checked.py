@@ -123,7 +123,7 @@ AB_PAIRS = [
 def test_nested_path_is_bit_identical_to_the_closures(monkeypatch, a, b, mult, t_end):
     a, b = parse_expr(a), parse_expr(b)
     got, expected = both(
-        monkeypatch, quad, lambda: nested_path(a, b, mult, t_end)
+        monkeypatch, quad, lambda: nested_path(a, b, (mult,), t_end)
     )
     assert got == expected
 
@@ -234,7 +234,7 @@ def _errors(a, b):
     first evaluated at t = 0."""
     pa, pb = parse_expr(a), parse_expr(b)
     runs = {
-        "nested_path": lambda: nested_path(pa, pb, 1.0, 1.0),
+        "nested_path": lambda: nested_path(pa, pb, (1.0,), 1.0),
         "rk_solve": lambda: rk_solve(problem(a, b, 2, 1.0), 1.0),
         "rk_solve n=1": lambda: rk_solve(problem(a, b, 1, 1.0), 1.0),
     }
@@ -291,7 +291,7 @@ def test_as_callable_errors_keep_their_texts(src, t, text):
 def test_integrand_overflow_stays_an_integrand_error():
     # A = 1000 t: exp(A) overflows past t = 0.7098 while a and b stay finite
     with pytest.raises(EvalError) as info:
-        nested_path(parse_expr("1000"), parse_expr("1"), 1.0, 1.0)
+        nested_path(parse_expr("1000"), parse_expr("1"), (1.0,), 1.0)
     assert str(info.value) == "integrand overflow: math range error"
 
 
@@ -324,11 +324,11 @@ _JUMP = f"(1{'0' * 300}*t)*(1{'0' * 300}*t)"  # 0 at t = 0, infinite past 1e-146
 
 @pytest.mark.parametrize("module,run", [
     # the first stage after t = 0 is at 0.2 * h = 0.2 / 64
-    (quad, lambda: nested_path(parse_expr(_JUMP), parse_expr("1"), 1.0, 1.0)),
+    (quad, lambda: nested_path(parse_expr(_JUMP), parse_expr("1"), (1.0,), 1.0)),
     (oracle, lambda: rk_solve(problem("1", _JUMP, 2, 1.0), 1.0)),
     # multiplier 0: exp(mult * A) cannot overflow before b turns infinite
     (quad, lambda: nested_path(
-        parse_expr("1"), parse_expr("cosh(700*t)*cosh(700*t)"), 0.0, -1.0)),
+        parse_expr("1"), parse_expr("cosh(700*t)*cosh(700*t)"), (0.0,), -1.0)),
     # y^n underflows to 0, so y stays put until b turns infinite
     (oracle, lambda: rk_solve(problem("0", "exp(700*t)*exp(700*t)", 2, 1e-300), 1.0)),
     (oracle, lambda: rk_solve(problem("0", "cosh(700*t)*cosh(700*t)", 3, 1e-300), -1.0)),
@@ -393,8 +393,8 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     # partners that flip a's and b's signs and as_callable share it
     a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
     del compiled[:]
-    for mult in (2.0, -2.0, 0.0, (2.0, -2.0)):
-        nested_path(a, b, mult, 1.0)
+    for mults in ((2.0,), (-2.0,), (0.0,), (2.0, -2.0)):
+        nested_path(a, b, mults, 1.0)
     # n = 1 has the linear form and every other exponent the power form
     for n in ("2", "4/3", "3", "1/2", "1"):
         rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5)
@@ -447,7 +447,7 @@ def test_the_oracle_compiles_once_per_pair_up_to_sign(monkeypatch):
 
 
 _ORDER_RUNS = {
-    "quad": lambda: nested_path(parse_expr("cos(t) + t^2"), parse_expr("sin(t) - 2"), 2.0, 3.0),
+    "quad": lambda: nested_path(parse_expr("cos(t) + t^2"), parse_expr("sin(t) - 2"), (2.0,), 3.0),
     "oracle": lambda: rk_solve(problem("cos(t) + t^2", "sin(t) - 2", 2, 0.5), 3.0),
 }
 
@@ -470,7 +470,7 @@ def test_a_wins_over_b_when_the_other_form_compiled_b_first(first, then):
     # by one form, on its own, must not let b's error win in the other
     a, b = "1/t", "exp(700 + t)*exp(700 + t)"
     runs = {
-        quad: lambda a, b: nested_path(parse_expr(a), parse_expr(b), 1.0, 1.0),
+        quad: lambda a, b: nested_path(parse_expr(a), parse_expr(b), (1.0,), 1.0),
         oracle: lambda a, b: rk_solve(problem(a, b, 2, 1.0), 1.0),
     }
     expr._coefficient.cache_clear()
@@ -484,8 +484,8 @@ def test_a_wins_over_b_when_the_other_form_compiled_b_first(first, then):
 # --- what the stepper hands the right-hand side ---------------------------------
 
 @pytest.mark.parametrize("module,run", [
-    (quad, lambda: nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), 2.0, 3.0)),
-    (quad, lambda: nested_path(parse_expr("t"), parse_expr("-1"), -0.5, -3.0)),
+    (quad, lambda: nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0,), 3.0)),
+    (quad, lambda: nested_path(parse_expr("t"), parse_expr("-1"), (-0.5,), -3.0)),
     (oracle, lambda: rk_solve(problem("cos(t)", "sin(t)", 2, 0.5), 3.0)),
     (oracle, lambda: rk_solve(problem("-cos(t)", "-1", 1, 0.5), -3.0)),
 ])

@@ -804,6 +804,26 @@ def test_solve_non_finite_negative_time_is_exit_2(tmp_path, capsys, joined, valu
     assert captured.err == "bsym: --t-min and --t-max must be finite\n"
 
 
+def test_solve_grid_whose_step_overflows_is_exit_2(tmp_path, capsys):
+    # t_max - t_min overflows: the grid would be nan and inf, and no row kept
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--problem", prob, "--t-min", "-1e308", "--t-max", "1e308",
+            "--points", "3", "--out", str(out)]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == "bsym: the grid from --t-min to --t-max overflows a float\n"
+    assert not out.exists()
+
+
+def test_identities_times_whose_product_overflows_are_exit_2(capsys):
+    # t_max is finite, but t_max * (i + 1) overflows before the division
+    argv = ["identities", "cos(t)", "sin(t)", "2", "--t-max", "1e308", "--samples", "3"]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == "bsym: --t-max * --samples overflows a float\n"
+
+
 @pytest.mark.parametrize("joined", [False, True])
 def test_identities_negative_t_max_in_exponent_notation_is_exit_2(capsys, joined):
     argv = ["identities", "cos(t)", "cos(t)", "2", *spelled("--t-max", "-1e-05", joined)]

@@ -43,6 +43,14 @@ def test_parse_unary_minus_binds_looser_than_pow():
     assert parse_expr("-t^2").ast == Neg(Pow(Var(), 2))
 
 
+def test_parse_binary_operators_are_left_associative():
+    one, two = Const(1.0), Const(2.0)
+    assert parse_expr("t/2/2").ast == BinOp("/", BinOp("/", Var(), two), two)
+    assert parse_expr("t-1-1").ast == BinOp("-", BinOp("-", Var(), one), one)
+    assert parse_expr("t/2/2")(4.0) == 1.0
+    assert parse_expr("t-1-1")(4.0) == 2.0
+
+
 def test_parse_fraction_literal_is_division():
     assert parse_expr("1/2").ast == BinOp("/", Const(1.0), Const(2.0))
 

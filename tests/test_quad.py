@@ -297,8 +297,8 @@ def _outcome(path) -> tuple:
 @pytest.mark.parametrize("mult", [2.0, -1.0, 0.0, -2 / 3])
 @pytest.mark.parametrize("t_end", [3.0, -2.5, 0.0])
 def test_a_one_multiplier_path_is_the_plain_ab_integration(mult, t_end):
-    # a float and its 1-tuple give the path of the (A, B) right-hand side
-    # written out here, through the stepper alone
+    # a 1-tuple gives the path of the (A, B) right-hand side written out
+    # here, through the stepper alone
     a, b = parse_expr("cos(t) + t/3"), parse_expr("sin(2*t) - t^2/9")
     fa, fb = as_callable(a), as_callable(b)
 
@@ -306,7 +306,6 @@ def test_a_one_multiplier_path_is_the_plain_ab_integration(mult, t_end):
         return fa(t), fb(t) * math.exp(mult * A)
 
     want = _outcome(integrate(rhs, (0.0, 0.0), t_end, QUAD_CONTROL))
-    assert _outcome(nested_path(a, b, mult, t_end)) == want
     assert _outcome(nested_path(a, b, (mult,), t_end)) == want
 
 
@@ -331,7 +330,7 @@ def test_each_b_of_a_two_multiplier_path_is_its_own_paths(gen_a, gen_b):
             grid = sorted((t for t in ts if side * t > 0.0), key=abs)
             both = nested_path(a, b, (mu, -mu), side * 3.0).values(grid)
             for k, mult in enumerate((mu, -mu)):
-                own = nested_path(a, b, mult, side * 3.0).values(grid)
+                own = nested_path(a, b, (mult,), side * 3.0).values(grid)
                 for t, (A, *bs), (A1, B1) in zip(grid, both, own):
                     tol = (1e-9 if abs(t) == 3.0 else 1e-8) * max(1.0, abs(B1))
                     assert abs(A - A1) <= tol and abs(bs[k] - B1) <= tol
@@ -495,7 +494,7 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
 
     def path_or_failure(a, b, mult, t):
         try:
-            return nested_path(a, b, mult, t)
+            return nested_path(a, b, (mult,), t)
         except (EvalError, NoConvergence) as exc:
             return type(exc)
 
