@@ -118,11 +118,37 @@ MUTANTS = [
     Mutant(
         "root-exponent-drops-its-sign",
         "closedform.py",
-        "return classify_exponent(-n.q, n.p - n.q)",
-        "return classify_exponent(n.q, n.p - n.q)",
+        "classify_exponent(-n.q, n.p - n.q)",
+        "classify_exponent(n.q, n.p - n.q)",
         "G is raised to 1/(n-1) instead of -1/(n-1): every closed-form value"
         " and every end's kind is wrong",
         ("tests/test_closedform.py",),
+    ),
+    Mutant(
+        "validity-level-check-never-fires",
+        "closedform.py",
+        "if level == 0.0:",
+        "if level != level:",
+        "a level d^(1-n)/(n-1) that underflows to 0 is searched for: B(0) = 0"
+        " meets it at t = 0 and no interval holds 0, an untyped ValueError",
+        ("tests/test_closedform.py",),
+    ),
+    Mutant(
+        "signed-pow-zero-base-is-zero",
+        "exponent.py",
+        "return 1.0 if p == 0 else 0.0",
+        "return 0.0",
+        "0^0 is 0 instead of 1",
+        ("tests/test_exponent.py",),
+    ),
+    Mutant(
+        "common-interval-takes-the-larger-hi",
+        "symmetry.py",
+        "hi, hi_kind = min(",
+        "hi, hi_kind = max(",
+        "the common interval ends at the farther of the two upper ends: the grid"
+        " runs past one solution's validity",
+        ("tests/test_symmetry.py",),
     ),
     Mutant(
         "sampled-parity-tolerance-1e-6",
@@ -236,6 +262,39 @@ MUTANTS = [
         "m, _ = (p - q) / q, p / q",
         "an n whose 1/(n-1) overflows a float is accepted: -1/(n-1) is inf",
         ("tests/test_exponent.py",),
+    ),
+    Mutant(
+        "solve-search-radius-without-margin",
+        "cli.py",
+        "radius = 1.05 * max(",
+        "radius = 1.0 * max(",
+        "the search stops at the grid's end, so the open validity interval drops"
+        " the grid's end points from the CSV",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "solve-search-radius-overflow-unchecked",
+        "cli.py",
+        "if radius == math.inf:",
+        "if False:",
+        "an overflowing search radius reaches the library, whose message names no option",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "verify-accepts-two-points",
+        "cli.py",
+        "if args.points < 3:",
+        "if args.points < 2:",
+        "verify --points 2 reaches the library's ValueError instead of the CLI's own message",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "verify-skips-the-tol-check",
+        "cli.py",
+        "if not 0.0 < args.tol < math.inf:",
+        "if False:",
+        "a verify --tol that is not positive and finite reaches the library unchecked",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "parser-product-right-associative",

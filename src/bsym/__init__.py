@@ -20,7 +20,6 @@ from .errors import (
     BsymError,
     CaseNotApplicable,
     DomainError,
-    EmptyDomain,
     EvalError,
     ExprSyntaxError,
     NoConvergence,
@@ -67,7 +66,6 @@ __all__ = [
     "CATALOG",
     "CaseNotApplicable",
     "DomainError",
-    "EmptyDomain",
     "EvalError",
     "ExponentClass",
     "Expr",

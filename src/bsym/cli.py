@@ -134,6 +134,8 @@ def cmd_solve(args) -> int:
     if not all(map(math.isfinite, grid)):
         raise DomainError("the grid from --t-min to --t-max overflows a float")
     radius = 1.05 * max(abs(args.t_min), abs(args.t_max), 1e-3)
+    if radius == math.inf:
+        raise DomainError("the search radius 1.05 * max(|--t-min|, |--t-max|) overflows a float")
     validity = validity_interval(p, radius)
     kept = [t for t in grid if validity.contains(t)]
     if args.method == "closed":

@@ -20,7 +20,9 @@ n - 1 = 0 there makes B plain int_0^t b.
 
 The validity interval around t = 0 is bounded by zeros of G: with a
 negative root exponent the solution blows up there (asymptote); with a
-positive one the root loses the positivity the branch requires.
+positive one the root loses the positivity the branch requires.  The
+validity search and the evaluator read G's terms and the root exponent
+from one place, `_radicand`.
 
 A and B come from paths integrated at the quadrature's one fixed step
 control, `quad.QUAD_CONTROL`, which each path records; its tolerances are
@@ -130,22 +132,18 @@ class Validity:
         return self.lo + m, self.hi - m
 
 
-def _recip_exponent(n: RationalExponent) -> RationalExponent:
-    """Exponent of d in d^(1-n) = 1/d^(n-1)."""
-    return classify_exponent(n.q - n.p, n.q)
+def _radicand(p: ProblemSpec) -> tuple[float, float, RationalExponent]:
+    """(g0, m, root) of G = g0 - m*B and y = sigma * exp(A) * G^root.
 
-
-def _root_exponent(n: RationalExponent) -> RationalExponent:
-    """-1/(n-1) as the exact reduced rational (-q)/(p-q)."""
-    return classify_exponent(-n.q, n.p - n.q)
-
-
-def _g0(p: ProblemSpec) -> float:
-    """G(0) = d^(1-n); DomainError when it overflows (|d| too near 0)."""
+    g0 = G(0) = d^(1-n), m = n - 1 and root = -1/(n-1) as the exact reduced
+    rational (-q)/(p-q).  DomainError when g0 overflows (|d| too near 0).
+    """
+    n = p.n
     try:
-        return signed_pow(p.d, _recip_exponent(p.n))
+        g0 = signed_pow(p.d, classify_exponent(n.q - n.p, n.q))
     except OverflowError:
         raise DomainError(f"initial value d={p.d!r} is too small: d^(1-n) overflows") from None
+    return g0, minus_one(n), classify_exponent(-n.q, n.p - n.q)
 
 
 def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
@@ -159,15 +157,16 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     `signed_pow` only at G = 0 and where it would raise, so every value and
     error is `signed_pow`'s.
 
-    Raises OutsideValidity where the required root does not exist: G <= 0
-    with an even reduced root denominator, or G = 0 with a negative root
-    exponent.
+    Raises DomainError before any integration where d^(1-n) overflows, as
+    `validity_intervals` does, and OutsideValidity where the required root
+    does not exist: G <= 0 with an even reduced root denominator, or G = 0
+    with a negative root exponent.
     """
-    m = minus_one(p.n)  # 0 for n = 1, where B is plain int_0^t b
-    values = zip(ab_values(p.a, p.b, m, ts, p._searched), ts)
     exp = math.exp
     out = []
     if p.n.cls is ExponentClass.ONE:
+        # n - 1 = 0, so B is plain int_0^t b
+        values = zip(ab_values(p.a, p.b, 0.0, ts, p._searched), ts)
         d = p.d
         for (aval, bval), t in values:
             try:
@@ -175,9 +174,9 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
             except OverflowError:
                 raise EvalError(f"solution overflow at t={t!r}") from None
         return out
-    g0 = _g0(p)
+    g0, m, root = _radicand(p)
+    values = zip(ab_values(p.a, p.b, m, ts, p._searched), ts)
     abs_g0 = abs(g0)
-    root = _root_exponent(p.n)
     e = root.p / root.q  # as signed_pow computes it
     neg = root.cls.negative_sign  # G^e = neg * (-G)^e for G < 0; 0.0: G must be > 0
     asymptote = root.p < 0  # G = 0 is a pole
@@ -255,9 +254,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
                 -search_radius, search_radius, BoundaryKind.UNBOUNDED, BoundaryKind.UNBOUNDED
             ))
             continue
-        g0 = _g0(p)
-        m = minus_one(p.n)
-        root = _root_exponent(p.n)
+        g0, m, root = _radicand(p)
         zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
 
         level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it

@@ -51,11 +51,5 @@ class CaseNotApplicable(BsymError):
     prefix = "case not applicable: "
 
 
-class EmptyDomain(BsymError):
-    """Two solutions share no interval on which to compare them."""
-
-    prefix = "empty domain: "
-
-
 class StepFailure(BsymError):
     """Direct ODE integration could not continue (step size underflow)."""

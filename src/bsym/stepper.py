@@ -40,8 +40,8 @@ place that knows how a reflection acts on a path's values and crossings.
 `shared_path` is the one lookup of a table of integrated paths: the
 validity search and the oracle read a problem whose solution is a
 reflection of one already solved (`exponent.reflections`) through a view
-of that one's path; the identities read the side t < 0 of a certified
-mirror through a view of the side t > 0.
+of that one's path.  The identities need no view: under a certified
+mirror they rewrite each read at t < 0 as one at -t on the same path.
 """
 
 from __future__ import annotations
@@ -236,10 +236,8 @@ class PathView:
     through t -> r*t, r = +-1: at t it holds signs[k] * source(r*t)[k] in
     each component k.  The reflection rule (`exponent.reflections`)
     builds it for the quadrature's (A, B) paths and the oracle's
-    one-component y paths through `shared_path`, and for the identities'
-    (A, B_m1, .., B_mk) paths, whose mirror carries B_{ka*m1}, ..,
-    B_{ka*mk} in that order.  No other code reads r or signs: a caller
-    queries a view as it queries any path.
+    one-component y paths through `shared_path`.  No other code reads r
+    or signs: a caller queries a view as it queries any path.
 
     Let `source` be the kernel's path of g from 0 toward T, and S the
     diagonal of the signs.  If f(r*t, S*y) = r*S*g(t, y) bit for bit, the

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .closedform import ProblemSpec, Validity, solution_values, validity_intervals
-from .errors import CaseNotApplicable, EmptyDomain
+from .errors import CaseNotApplicable
 from .expr import Parity, detect_parity, negated
 from .exponent import ExponentClass, reflection_signs
 from .oracle import solve_on_grids
@@ -223,8 +223,10 @@ def verify_cases(
     every partner is built first.  Then every case's common interval and
     grid come from one `validity_intervals` call within
     DEFAULT_SEARCH_RADIUS, which integrates one (A, B) path per side for
-    each distinct (a, b, n-1) and keeps them on p1 and the partners, and an
-    EmptyDomain is raised for the first case without one.  p1 is evaluated
+    each distinct (a, b, n-1) and keeps them on p1 and the partners.  A
+    case's common interval is p1's intersected with the partner's reflected
+    by r, with p1's end and kind on a tie; both hold 0, since both problems
+    start at t = 0, so it is never empty.  p1 is evaluated
     once on all case grids joined together (one solve per side of 0), each
     distinct time once, and each partner at r times its grid.  The closed
     form answers them from those kept paths.  The oracle answers them all
@@ -261,10 +263,6 @@ def verify_cases(
         )
         lo, lo_kind = max((v1.lo, v1.lo_kind), (lo2, lo2_kind), key=lambda e: e[0])
         hi, hi_kind = min((v1.hi, v1.hi_kind), (hi2, hi2_kind), key=lambda e: e[0])
-        if not lo < hi:
-            raise EmptyDomain(
-                f"no common interval: [{v1.lo}, {v1.hi}] against [{lo2}, {hi2}]"
-            )
         common = Validity(lo, hi, lo_kind, hi_kind)
         glo, ghi = common.interior()
         step = (ghi - glo) / (grid_points - 1)

@@ -667,7 +667,6 @@ _ERROR_EXITS = {
     "ParityViolation": (2, ""),
     "OutsideValidity": (2, ""),
     "CaseNotApplicable": (3, "case not applicable: "),
-    "EmptyDomain": (2, "empty domain: "),
     "StepFailure": (2, ""),
     "OutputFileError": (2, ""),
 }
@@ -814,6 +813,31 @@ def test_solve_grid_whose_step_overflows_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert captured.err == "bsym: the grid from --t-min to --t-max overflows a float\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t_min,t_max", [("0", "1.75e308"), ("-1.75e308", "0")])
+def test_solve_search_radius_that_overflows_names_the_options(tmp_path, capsys, t_min, t_max):
+    # the grid is finite, but 1.05 * max(|t_min|, |t_max|) is not
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--problem", prob, f"--t-min={t_min}", f"--t-max={t_max}",
+            "--points", "2", "--out", str(out)]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == (
+        "bsym: the search radius 1.05 * max(|--t-min|, |--t-max|) overflows a float\n"
+    )
+    assert not out.exists()
+
+
+def test_solve_largest_finite_search_radius_reaches_the_integration(tmp_path, capsys):
+    # 1.05 * 1.7e308 is still a float: the search starts and its integrand overflows
+    prob = write_problem(tmp_path / "p.json", {"a": "cos(t)", "b": "sin(t)", "n": "2", "d": "1"})
+    argv = ["solve", "--problem", prob, "--t-min", "0", "--t-max", "1.7e308",
+            "--points", "2", "--out", str(tmp_path / "x.csv")]
+    code, captured = main_in_process(capsys, argv)
+    assert code == 2
+    assert captured.err == "bsym: integrand overflow: math range error\n"
 
 
 def test_identities_times_whose_product_overflows_are_exit_2(capsys):

@@ -349,6 +349,17 @@ def test_solution_at_zero_with_tiny_g0(b, y_before):
     assert solution_values(p, [-1e-3]) == [pytest.approx(y_before, rel=1e-9)]
 
 
+def test_tiny_initial_value_is_domain_error_before_any_integration(monkeypatch):
+    # d^(1-n) = 1e400 overflows; b = 1/t would fail the integration at t = 0
+    p = problem("0", "1/t", 3, 1e-200)
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    with pytest.raises(DomainError, match="d=1e-200 is too small"):
+        validity_interval(p, 4.0)
+    with pytest.raises(DomainError, match="d=1e-200 is too small"):
+        solution_values(p, [1.0])
+    assert calls == []
+
+
 def test_validity_intervals_share_one_path_per_side_and_integrand(monkeypatch):
     # (b, 1), (-b, 1) and (b, 2) as (B's coefficient, n-1): (-b, 1) is the
     # path of (b, 1) with B negated, so two integrands, however many d; the

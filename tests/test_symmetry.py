@@ -15,6 +15,7 @@ from bsym import (
     Parity,
     ProblemSpec,
     Relation,
+    Validity,
     applicable_cases,
     classify_exponent,
     eval_solution,
@@ -362,6 +363,47 @@ def test_verify_cases_with_differing_intervals_agrees_with_verify_pair(method):
             abs(a - b) / (1.0 + rs.y_scale) for a, b in zip(rj.residuals, rs.residuals)
         ) <= 1e-8
     assert [r.passed for r in joined] == [False, True]
+
+
+# the showcase problems of scripts/run_catalog.py
+SHOWCASE = [
+    problem("cos(t)", "sin(t)", 2, 1.0),
+    problem("0", "1", 2, 1.0),
+    problem("t", "cos(t)", 3, -1.0),
+    problem("-(t^2/9)", "cos(t)", "1/2", 1.5),
+    problem("cos(t)", "sin(t)", 1, 2.0),
+    problem("sin(t)", "cos(t)", -1, 0.8),
+]
+
+
+def _common(v1, v2, r):
+    """v1 intersected with v2 reflected by r; v1's end and kind on a tie."""
+    ends2 = [(v2.lo, v2.lo_kind), (v2.hi, v2.hi_kind)]
+    (lo2, lo2_kind), (hi2, hi2_kind) = ends2 if r > 0 else [(-t, k) for t, k in ends2[::-1]]
+    lo, lo_kind = (lo2, lo2_kind) if lo2 > v1.lo else (v1.lo, v1.lo_kind)
+    hi, hi_kind = (hi2, hi2_kind) if hi2 < v1.hi else (v1.hi, v1.hi_kind)
+    return Validity(lo, hi, lo_kind, hi_kind)
+
+
+def test_every_forced_common_interval_holds_zero_and_is_the_intersection():
+    # both problems start at t = 0, so no common interval is ever empty
+    outcomes = []
+    for p in SHOWCASE:
+        applicable = {c.id for c in applicable_cases(p)}
+        for case in CATALOG:
+            if case.id in applicable:
+                continue
+            try:
+                rep = verify_pair(p, case, method="closed", force=True)
+            except DomainError:
+                outcomes.append("DomainError")
+                continue
+            outcomes.append(rep.verdict)
+            v1 = validity_interval(p, DEFAULT_SEARCH_RADIUS)
+            v2 = validity_interval(transform_problem(p, case, force=True), DEFAULT_SEARCH_RADIUS)
+            assert rep.common_validity.contains(0.0)
+            assert rep.common_validity == _common(v1, v2, case.relation.r)
+    assert {"DomainError", "fail", "pass"} <= set(outcomes)
 
 
 def _integrations(monkeypatch):
