@@ -161,15 +161,15 @@ MUTANTS = [
     Mutant(
         "wrapper-reads-the-first-coefficient",
         "expr.py",
-        "            f{i} = c{i}(t)\n",
-        "            f{i} = c0(t)\n",
-        "every value of a checked form is a's: b is never evaluated",
+        "    f{i} = c{i}({t})\n",
+        "    f{i} = c0({t})\n",
+        "every value of a checked form is a's, in its wrapper and its loop: b is never evaluated",
         ("tests/test_checked.py",),
     ),
     Mutant(
         "wrapper-drops-the-finite-check",
         "expr.py",
-        "            if f{i} - f{i}:\n                raise _failed(t, None)\n",
+        "    if f{i} - f{i}:\n        raise _failed({t}, None)\n",
         "",
         "an infinite or NaN coefficient reaches the stepper, which retries the step",
         ("tests/test_checked.py",),
@@ -177,9 +177,37 @@ MUTANTS = [
     Mutant(
         "wrapper-checks-only-the-first-value",
         "expr.py",
-        "            if f{i} - f{i}:\n",
-        "            if f0 - f0:\n",
+        "    if f{i} - f{i}:\n",
+        "    if f0 - f0:\n",
         "an infinite b passes unchecked while a is finite",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "form-loop-stage-seven-reuses-stage-five",
+        "stepper.py",
+        "stage<k6; t1;",
+        "reuse<k6; t1;",
+        "a form's loop evaluates no coefficient at t + h: stages 6 and 7 read"
+        " stage 5's values, and every quadrature and oracle path is wrong",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "form-loop-drops-b-finite-check",
+        "stepper.py",
+        'lines += form.source(count if evaluate else 0, "s", f"vec<{k}_i> = ").splitlines()',
+        'lines += form.source(count if evaluate else 0, "s", f"vec<{k}_i> = ")'
+        '.replace("if f1 - f1:", "if False:").splitlines()',
+        "a form's loop lets an infinite b reach the form's body, and the stepper"
+        " retries the step instead of raising EvalError",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "form-loop-reports-the-step-start",
+        "expr.py",
+        "raise _failed({t}, exc) from None",
+        "raise _failed(t, exc) from None",
+        "a coefficient that fails in a form's loop names the time its step started"
+        " from, not the time of the stage that evaluated it",
         ("tests/test_checked.py",),
     ),
     Mutant(

@@ -21,18 +21,20 @@ at most 100 parentheses and calls may be open at once.  Deeper input is a
 syntax error, raised before the parser's recursion or Python's compiler
 could fail.
 
-Evaluation is generated code, compiled in two pieces.  Each coefficient
-tree compiles once into `lambda t: <expression>`, kept in a small LRU
-cache keyed on the `Expr` and shared by every form, under a file name of
-its own (`<bsym.expr coefficient #N>`).  `checked_factory` binds those
-functions to the wrapper of a `CheckedForm` (how the quadrature or the
-oracle combines coefficient values), which compiles once per form and
-coefficient count per process.  The wrapper calls the coefficients in
-order inside one try, checks each value for finiteness, and runs the
-form's body.  Every failure raises EvalError through one helper, with the
-texts "division by zero at t=..", "evaluation failed at t=..: <reason>" and
-"non-finite value at t=..".  `as_callable` is the form that returns the one
-value.
+Evaluation is generated code.  Each coefficient tree compiles once into
+`lambda t: <expression>`, kept in a small LRU cache keyed on the `Expr`
+and shared by every form, under a file name of its own (`<bsym.expr
+coefficient #N>`).  A `CheckedForm` says how the quadrature or the oracle
+combines coefficient values, and `CheckedForm.source` renders its code:
+the coefficients called in order inside one try, each value checked for
+finiteness, then the form's body.  Every failure raises EvalError through
+one helper, with the texts "division by zero at t=..", "evaluation failed
+at t=..: <reason>" and "non-finite value at t=..".  `checked_factory`
+binds the coefficient functions to the form's wrapper, the function that
+source renders, compiled once per form and coefficient count per process;
+the function it builds carries its form and bound arguments, from which
+`stepper.integrate` renders the same source into each stage of the form's
+own DP5 loop.  `as_callable` is the form that returns the one value.
 
 `detect_parity` applies exact structural rules and, where they are
 inconclusive, compares f(t) with f(-t) at 64 fixed points of [-4, 4].  The
@@ -46,10 +48,11 @@ import itertools
 import math
 import random
 import re
+import textwrap
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import EvalError, ExprSyntaxError
@@ -363,36 +366,59 @@ def _failed(t: float, exc: Optional[Exception]) -> EvalError:
 class CheckedForm(NamedTuple):
     """How a generated function combines its checked coefficient values.
 
-    The function takes `args` (t first), evaluates coefficient i into the
-    local f<i>, and then runs `body`, which ends in a return.  `env` names
-    the values each built function is bound to: the parameters of the
-    factory that `checked_factory` returns.  Each form's function is
-    compiled once per process and coefficient count, so forms are module
-    constants, never built per problem.
+    The function takes `args`: t, then the name of the state value it
+    reads, if any.  It evaluates coefficient i at t into the local f<i>
+    and then runs `body`, which ends in a return and reads the f<i>, the
+    state value and the names in `env`, never t.  `env` names the values
+    each built function is bound to: the parameters of the factory that
+    `checked_factory` returns, after the coefficient functions.  Each
+    form's function, and the stepper's loop for it, compiles once per
+    process and coefficient count, so forms are module constants, never
+    built per problem.
     """
 
     args: str
     body: str
     env: str = ""
 
+    def params(self, count: int) -> str:
+        """The bound names: coefficient functions c0, c1, .., then `env`."""
+        return ", ".join([*(f"c{i}" for i in range(count)), *filter(None, [self.env])])
+
+    def source(self, count: int, t: str, out: str) -> str:
+        """The form's code at the time named t: coefficients c0, .. of
+        `count` evaluated and checked into f0, .. (none where count is 0,
+        so that values already evaluated at t are reused), then `body`
+        with its final `return ` replaced by `out`."""
+        head, _, value = self.body.rpartition("return ")
+        evals = "".join(_EVAL.format(i=i, t=t) for i in range(count))
+        return (_CHECK.format(evals=evals, t=t) if count else "") + head + out + value
+
+    @property
+    def namespace(self) -> dict:
+        """The globals `source` reads: the math functions and `_failed`."""
+        return _GLOBALS
+
 
 # One try around the coefficient calls, and one finite check per value:
 # x - x is 0.0 for a finite x and NaN (true) for an infinity or a NaN.
 # The EvalError of a non-finite value passes the except clause, so a
 # coefficient's failure wins over those of the coefficients after it.
+_CHECK = """\
+try:
+{evals}except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    raise _failed({t}, exc) from None
+"""
+_EVAL = """\
+    f{i} = c{i}({t})
+    if f{i} - f{i}:
+        raise _failed({t}, None)
+"""
 _FACTORY = """\
 def factory({params}):
     def checked({args}):
-        try:
-{evals}        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise _failed(t, exc) from None
-{body}
+{source}
     return checked
-"""
-_EVAL = """\
-            f{i} = c{i}(t)
-            if f{i} - f{i}:
-                raise _failed(t, None)
 """
 _GLOBALS = {name: getattr(math, name) for name in FUNCTIONS}
 _GLOBALS["_failed"] = _failed
@@ -416,10 +442,9 @@ def _wrapper(form: CheckedForm, count: int) -> Callable:
     """`form`'s factory over `count` coefficient functions c0, c1, ..,
     which come before the form's `env` parameters."""
     source = _FACTORY.format(
-        params="".join(f"c{i}, " for i in range(count)) + form.env,
+        params=form.params(count),
         args=form.args,
-        evals="".join(_EVAL.format(i=i) for i in range(count)),
-        body=" " * 8 + form.body.replace("\n", "\n" + " " * 8),
+        source=textwrap.indent(form.source(count, "t", "return "), " " * 8),
     )
     filename = f"<bsym.expr checked #{next(_compiled_count)}>"
     built: dict = {}
@@ -434,9 +459,19 @@ def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable:
 
     A coefficient evaluation that divides by zero, overflows, fails in a
     math function or gives a non-finite value raises EvalError, before
-    `body` runs; coefficients are evaluated in order.
+    `body` runs; coefficients are evaluated in order.  The function
+    carries `form`, its `coefficients` and its `env` values, so that
+    `stepper.integrate` can run the form's own loop in its place.
     """
-    return partial(_wrapper(form, len(coefs)), *map(_coefficient, coefs))
+    fns = tuple(map(_coefficient, coefs))
+    wrapper = _wrapper(form, len(fns))
+
+    def factory(*env):
+        checked = wrapper(*fns, *env)
+        checked.form, checked.coefficients, checked.env = form, fns, env
+        return checked
+
+    return factory
 
 
 _VALUE = CheckedForm("t", "return f0")

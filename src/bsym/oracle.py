@@ -8,9 +8,13 @@ It drives the shared adaptive 5(4) stepper over the scalar equation
 using the same sign-correct power semantics as the rest of the package, so
 odd/odd exponents follow the sign of the initial value and odd/even
 exponents enforce y > 0 at runtime.  The right-hand side (t, y) -> a*y +
-b*y^n takes y as a float.  It is one of two wrappers that
-`expr.checked_factory` compiles once per process: a linear one for n = 1
-and a power one for every other n.  The sign of y^n for y < 0
+b*y^n takes y as a float.  It is one of two checked forms that
+`expr.checked_factory` binds: a linear one for n = 1 and a power one for
+every other n.  `stepper.integrate` runs each through its own DP5 loop,
+compiled once per process under the file name `<bsym.stepper DP5 kernel
+dim=1 form #K>`, which evaluates a and b inline at 5 stages of each step
+and reruns only the body (y^n) at the 7th, whose time is the 6th's.  The
+sign of y^n for y < 0
 (`ExponentClass.negative_sign`) and the unary minuses at the top of a and
 b are bound to it as factors, beside the functions of the trees under
 those minuses, so a problem and its partners share one compile per tree

@@ -16,10 +16,15 @@ relative tolerance 1e-10, absolute tolerance 1e-12 and a smallest step of
 2**-40 of the span, below which the integration reports NoConvergence;
 its tolerances are also the error scale at which the path's
 `first_crossing` counts a tangent touch.  The
-right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the wrapper
-`expr.checked_factory` compiles once per number of multipliers, bound per
+right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the checked form
+`_ab_form(k)` of k multipliers, which `expr.checked_factory` binds per
 path to the multipliers and to a's and b's functions, which compile once
-per tree and are shared with the oracle.  A failing or non-finite
+per tree and are shared with the oracle.  `stepper.integrate` runs it
+through the form's own DP5 loop, compiled once per process and number of
+multipliers, which evaluates a and b inline at 5 stages of each step and
+reruns only exp(m*A) at the 7th, whose time is the 6th's; its file name
+in tracebacks and profiles is `<bsym.stepper DP5 kernel dim=N form #K>`,
+N = 1 + k.  A failing or non-finite
 coefficient raises EvalError, and so does an overflowing exp(m*A), as
 "integrand overflow: ..".  Reversed limits are handled by the sign of the
 step, not by re-parameterization: integrating from 0 toward a

@@ -12,18 +12,37 @@ The right-hand side is called as f(t, y_0): component 0 of the state, the
 only one it reads, as a float, and it returns the derivatives of all the
 components.  Every other component, such as the quadrature's B, which
 never feeds back, is a pure quadrature: it gets no stage states, only its
-new value and its error term.  The adaptive loop is generated and compiled
-once per state dimension (`_kernel`), with every state component and stage
-value in a local of its own, so a step builds no state tuple, does no
-per-component zip or generator work and calls no max or min.  The same
-source renders the dense output for that dimension: the kernel's paths are
-a `DensePath` subclass whose `values` walk and `_extension` unpack a step's
-coefficients once and evaluate each point's Horner form as straight-line
-code over locals.  The source is registered in `linecache`, so tracebacks
-and profiles show the generated lines.  Paths (nodes, states, stages, stop
-flag) are bit-identical to those of the plain component-wise loop, and
-dense values to those of the column-by-column extension, which the tests
-keep as the references.
+new value and its error term.  The adaptive loop is generated from one
+template (`_KERNEL`), with every state component and stage value in a
+local of its own, so a step builds no state tuple, does no per-component
+zip or generator work and calls no max or min.  `_kernel` renders it in
+two ways, each compiled lazily, once per process:
+
+- the default loop, once per state dimension, calls f at every stage;
+  its file name is `<bsym.stepper DP5 kernel dim=N>`.  It runs for any
+  callable, such as a test's reference system or a tracer's counting
+  wrapper.
+- a checked form's loop (`expr.CheckedForm`), once per form and
+  coefficient count, runs for a function that `expr.checked_factory`
+  built, which carries its form and bound arguments.  At each stage it
+  calls the coefficient functions inline, checks their values at the
+  stage's time, and runs the form's body on the stage state, with the
+  source `CheckedForm.source` renders for the form's wrapper too.  DP5's
+  seventh stage is at the sixth's time (c7 = c6 = 1), so it reruns only
+  the body on the new state: 1 + 5 evaluations of each coefficient per
+  attempted step, against 1 + 6 calls of f in the default loop.  Its file
+  name is `<bsym.stepper DP5 kernel dim=N form #K>`, K counting the form
+  loops the process has compiled.
+
+Both make paths of the dimension's `DensePath` subclass (`_path_class`,
+file `<bsym.stepper DensePath dim=N>`), whose `values` walk and
+`_extension` unpack a step's coefficients once and evaluate each point's
+Horner form as straight-line code over locals.  Every source is registered
+in `linecache`, so tracebacks and profiles show the generated lines; each
+coefficient function keeps a profiler entry of its own.  Paths (nodes,
+states, stages, stop flag) are bit-identical to those of the plain
+component-wise loop, and dense values to those of the column-by-column
+extension, which the tests keep as the references.
 
 Dense output is the 4th-order continuous extension of each accepted step,
 built from the stages the step already computed, so a query between nodes
@@ -46,6 +65,7 @@ mirror they rewrite each read at t < 0 as one at -t on the same path.
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import math
 import re
@@ -157,8 +177,8 @@ class DensePath:
     for only those steps; a crossing is cached once found, so a level that
     several problems read, or their reflections, is walked once.
 
-    `integrate` returns an instance of the subclass `_kernel` renders for
-    the state's dimension, which defines `values` and `_extension`; `ctl`
+    `integrate` returns an instance of the subclass `_path_class` renders
+    for the state's dimension, which defines `values` and `_extension`; `ctl`
     is the control the path was integrated at, whose tolerances
     `first_crossing` reads.
     """
@@ -342,34 +362,39 @@ def integrate(
 
     f receives state component 0 as a float and returns the derivatives of
     all the components; the others get no stage states, only their new
-    values and error terms.  Returns the dense path of accepted steps, which
-    records `ctl`.  The final step is clamped to land exactly on t_end.
-    If `stop` returns true on an accepted state (a tuple) the integration
-    ends there with path.stopped set.  Raises ValueError for an empty
-    state or a non-finite t_end.
+    values and error terms.  A function `expr.checked_factory` built runs
+    through its form's own loop, which evaluates its coefficients inline
+    and never calls f; any other callable runs through the default loop.
+    Returns the dense path of accepted steps, which records `ctl`.  The
+    final step is clamped to land exactly on t_end.  If `stop` returns
+    true on an accepted state (a tuple) the integration ends there with
+    path.stopped set.  Raises ValueError for an empty state or a
+    non-finite t_end.
     """
     y0 = tuple(y0)
     if not y0:
         raise ValueError("the state needs at least one component")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end!r}")
-    return _kernel(len(y0))(f, y0, t_end, ctl, stop)
+    form = getattr(f, "form", None)
+    if form is None:
+        return _kernel(len(y0))(f, y0, t_end, ctl, stop)
+    kernel = _kernel(len(y0), form, len(f.coefficients))
+    return kernel(f, y0, t_end, ctl, stop, *f.coefficients, *f.env)
 
 
-# The adaptive loop and the dense output, written once for every state
+# The dense output and the adaptive loop, written once for every state
 # dimension.  `vec<e>` expands to the tuple of e over the components and
 # `sum<e>` to their sum from the first component on, with each `_i` suffix
 # replaced by the component index: y_i is a state component, k2_i a stage
-# value and z_i a component of the proposed new state.  f reads component
-# 0 alone, so its stage states are written out for that component, as f's
-# one argument after t, and no other component has any.  A macro ends at
+# value and z_i a component of the proposed new state.  A macro ends at
 # the first `>`, so the comparisons inside one are written with `<`.  Each
 # expression keeps the operation order of the component-wise loop and the
 # column-by-column extension kept in tests/test_stepper.py, which the tests
 # require to be reproduced bit for bit.  The builtins max and min are
 # written out as the comparisons they make: max(a, b) is `b if a < b else a`
 # and min(a, b) is `b if b < a else a`, NaN included.  _Psj is _P[s][j].
-_KERNEL = """\
+_DENSE_PATH = """\
 class DensePath{dim}(DensePath):
     \"""A `DensePath` of {dim}-component states.\"""
 
@@ -438,13 +463,27 @@ class DensePath{dim}(DensePath):
             h * (_P03 * e1_i + _P13 * e3_i + _P23 * e4_i + _P33 * e5_i + _P43 * e6_i + _P53 * e7_i),
         )>
         return coefs
+"""
 
-
-def dp5_dim{dim}(f, y0, t_end, ctl, stop):
+# The loop has two renderings: the default one calls f, and a checked
+# form's (`expr.CheckedForm`) runs the form's source inline.  f reads
+# component 0 alone, so only that component has stage states.
+# `stage<kN; time; state>` evaluates stage N at (time, state): the default
+# loop calls `kN = f(time, state)` and unpacks kN into the kN_i; a form's
+# loop evaluates and checks its coefficients at the time, held in s, and
+# runs its body on the state, which assigns the kN_i directly.
+# `reuse<kN; time; state>` is a stage at the time of the stage before it:
+# a form's loop runs only its body, on the coefficient values already
+# evaluated there.  `obj<kN>` is stage N as one object, the one f returned
+# or, in a form's loop, a tuple built only for an accepted step; and
+# `own<statement>` a statement about those objects, which only the default
+# loop keeps.  {params} are the form's bound arguments.
+_KERNEL = """\
+def dp5_dim{dim}(f, y0, t_end, ctl, stop{params}):
     path = DensePath{dim}(ctl=ctl)
     append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
     vec<y_i> = y0
-    k1 = f(0.0, y_0)
+    stage<k1; 0.0; y_0>
     append_t(0.0)
     append_y(y0)
     span = t_end
@@ -458,7 +497,6 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
     min_h = max(abs(span) * ctl.min_step_fraction, 5e-324)
     h = span / 64.0 or span
     t = 0.0
-    vec<k1_i> = k1
     atol, rtol, max_steps = ctl.abs_tol, ctl.rel_tol, ctl.max_steps
     steps = 0
 
@@ -471,26 +509,16 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        k2 = f(t + _C2 * h, y_0 + h * _A21 * k1_0)
-        vec<k2_i> = k2
-        k3 = f(t + _C3 * h, y_0 + h * (_A31 * k1_0 + _A32 * k2_0))
-        vec<k3_i> = k3
-        k4 = f(t + _C4 * h, y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0))
-        vec<k4_i> = k4
-        k5 = f(
-            t + _C5 * h,
-            y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
-        )
-        vec<k5_i> = k5
-        k6 = f(
-            t + h,
-            y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0),
-        )
-        vec<k6_i> = k6
-        vec<z_i> = vec<y_i + h * (_B1 * k1_i + _B3 * k3_i + _B4 * k4_i + _B5 * k5_i + _B6 * k6_i)>
+        stage<k2; t + _C2 * h; y_0 + h * _A21 * k1_0>
+        stage<k3; t + _C3 * h; y_0 + h * (_A31 * k1_0 + _A32 * k2_0)>
+        stage<k4; t + _C4 * h; y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0)>
+        stage<k5; t + _C5 * h; y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0)>
         t1 = t + h
-        k7 = f(t1, z_0)
-        vec<k7_i> = k7
+        stage<k6; t1;
+            y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0)>
+        vec<z_i> = vec<y_i + h * (_B1 * k1_i + _B3 * k3_i + _B4 * k4_i + _B5 * k5_i + _B6 * k6_i)>
+        # the FSAL stage: c7 = c6 = 1, so stage 6's coefficient values serve
+        reuse<k7; t1; z_0>
 
         # squares summed in component order; a leading 0.0 + would change
         # no bit, since 0.0 + x == x for x >= 0 and for NaN.  The scale is
@@ -505,10 +533,11 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            append_k((k1, k3, k4, k5, k6, k7))
-            t, k1 = t1, k7
+            append_k((obj<k1>, obj<k3>, obj<k4>, obj<k5>, obj<k6>, obj<k7>))
+            t = t1
             vec<y_i> = vec<z_i>
             vec<k1_i> = vec<k7_i>
+            own<k1 = k7>
             z = vec<z_i>
             append_t(t)
             append_y(z)
@@ -526,17 +555,13 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop):
 
     return path
 """
+_form_loops = itertools.count(1)
 
 
-@lru_cache(maxsize=None)
-def _kernel(dim: int) -> Callable:
-    """The DP5 loop for states of `dim` components, compiled once, together
-    with the `DensePath` subclass its paths are made of, whose `values`
-    walk and `_extension` are rendered for the same dimension.
-
-    The rendered source is registered in `linecache` under the kernel's
-    file name, so tracebacks and profilers show its lines.
-    """
+def _render(template: str, dim: int, filename: str, namespace: dict) -> dict:
+    """Expand `template`'s macros for `dim` components, register the source
+    in `linecache` under `filename`, so tracebacks and profilers show its
+    lines, and execute it in `namespace`, which it returns."""
 
     def expand(match: re.Match) -> str:
         terms = [re.sub(r"_i\b", f"_{i}", match[2]) for i in range(dim)]
@@ -549,24 +574,71 @@ def _kernel(dim: int) -> Callable:
         value = _P[int(name[2])][int(name[3])] if name[1] == "P" else globals()[name]
         return f"({value!r})" if value < 0 else repr(value)
 
-    source = re.sub(r"(vec|sum)<(.*?)>", expand, _KERNEL, flags=re.S)
+    source = re.sub(r"(vec|sum)<(.*?)>", expand, template, flags=re.S)
     source = source.replace("{dim}", str(dim))
     # tableau names become their values (repr round-trips a float exactly),
     # a constant load in place of a global lookup at every use
     source = re.sub(r"\b_(?:[ABCE]\d+|P\d\d)\b", constant, source)
-    filename = f"<bsym.stepper DP5 kernel dim={dim}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@lru_cache(maxsize=None)
+def _path_class(dim: int) -> type:
+    """The `DensePath` subclass of `dim`-component paths, whose `values`
+    walk and `_extension` are rendered for that dimension; compiled once,
+    and shared by every loop of the dimension."""
     namespace = {
         "__name__": __name__,  # the rendered class's __module__
         "DensePath": DensePath,
+        "bisect_right": bisect_right,
+    }
+    _render(_DENSE_PATH, dim, f"<bsym.stepper DensePath dim={dim}>", namespace)
+    return namespace[f"DensePath{dim}"]
+
+
+@lru_cache(maxsize=None)
+def _kernel(dim: int, form=None, count: int = 0) -> Callable:
+    """The DP5 loop for states of `dim` components, compiled once.
+
+    Without a form it is the default loop, which calls f.  With a checked
+    form over `count` coefficients it is the form's own loop, which takes
+    the form's bound arguments after `stop`.  Both make paths of the
+    dimension's `_path_class`.
+    """
+
+    def stage(match: re.Match) -> str:
+        indent, kind, k, time, state = match.groups()
+        state = " ".join(state.split())
+        if form is None:
+            lines = [f"{k} = f({time}, {state})", f"vec<{k}_i> = {k}"]
+        else:
+            evaluate = kind == "stage"
+            arg = form.args.split(",")[1].strip()
+            lines = [f"s = {time}"] if evaluate else []
+            lines.append(f"{arg} = {state}")
+            lines += form.source(count if evaluate else 0, "s", f"vec<{k}_i> = ").splitlines()
+        return "".join(f"{indent}{line}\n" for line in lines)
+
+    source = re.sub(r"^( *)(stage|reuse)<(k\d); (.*?);\s+(.*?)>\n", stage, _KERNEL, flags=re.M | re.S)
+    namespace = {
+        f"DensePath{dim}": _path_class(dim),
         "StepBudgetExceeded": StepBudgetExceeded,
         "StepUnderflow": StepUnderflow,
-        "bisect_right": bisect_right,
         "sqrt": math.sqrt,
         "isfinite": math.isfinite,
     }
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"dp5_dim{dim}"]
+    if form is None:
+        obj, own, params = r"\1", r"\1\2\n", ""
+        filename = f"<bsym.stepper DP5 kernel dim={dim}>"
+    else:
+        obj, own, params = r"vec<\1_i>", "", ", " + form.params(count)
+        filename = f"<bsym.stepper DP5 kernel dim={dim} form #{next(_form_loops)}>"
+        namespace.update(form.namespace)
+    source = re.sub(r"obj<(k\d)>", obj, source)
+    source = re.sub(r"^( *)own<(.*?)>\n", own, source, flags=re.M).replace("{params}", params)
+    return _render(source, dim, filename, namespace)[f"dp5_dim{dim}"]
 
 
 def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> list[State]:

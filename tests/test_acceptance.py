@@ -5,6 +5,7 @@ lines.  All tolerances are fixed here; every numeric component runs at its
 default configuration.
 """
 
+import importlib.util
 import json
 import math
 import random
@@ -18,6 +19,9 @@ import pytest
 from bsym import (
     CATALOG,
     CASE_BY_ID,
+    DomainError,
+    ExponentClass,
+    Parity,
     applicable_cases,
     classify_exponent,
     eval_solution,
@@ -26,9 +30,11 @@ from bsym import (
     problem,
     solution_values,
     solve_on_grid,
+    transform_problem,
     validity_interval,
     verify_pair,
 )
+from bsym.expr import detect_parity, split_sign
 from bsym.quad import Identity
 
 from helpers import (
@@ -271,3 +277,77 @@ def test_criterion_7_cli_contract(tmp_path):
     ok &= r.returncode == 0
 
     _report(7, "CLI contract (exit codes 0-4, golden files)", ok, "; ".join(details))
+
+
+# a forced partner that is not an exact reflection must miss by at least
+# this share of 1 + max |y1|: far outside the pass rule's 1e-6
+NEGATIVE_CONTROL_MIN_SCALED = 0.1
+
+
+def _showcase():
+    """The problems of scripts/run_catalog.py."""
+    path = Path(__file__).parents[1] / "scripts" / "run_catalog.py"
+    spec = importlib.util.spec_from_file_location("run_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return [p for _, p in script.SHOWCASE]
+
+
+def _trees(p):
+    """p as sign-split trees: (sign, tree) of a and of b, n and d."""
+    return split_sign(p.a), split_sign(p.b), p.n, p.d
+
+
+def _exact_reflections(p):
+    """(r, s, partner) of every reflection the theorems make exact for p:
+    the identity; the partner of each case whose hypotheses hold, where
+    a = 0 is even and odd alike; and for n = 1, where y -> -y maps every
+    solution to one, each of those with s and d negated."""
+    zero_a = split_sign(p.a)[1] == parse_expr("0")
+    parities_a = {Parity.EVEN, Parity.ODD} if zero_a else {detect_parity(p.a)}
+    exact = {(1, 1, _trees(p))}
+    for case in CATALOG:
+        if case.cls is not None and p.n.cls is not case.cls:
+            continue
+        if case.parity is not None and (
+            case.parity[0] not in parities_a or case.parity[1] is not detect_parity(p.b)
+        ):
+            continue
+        partner = transform_problem(p, case, force=True)
+        exact.add((case.relation.r, case.relation.s, _trees(partner)))
+    if p.n.cls is ExponentClass.ONE:
+        exact |= {(r, -s, (a, b, n, -d)) for r, s, (a, b, n, d) in exact}
+    return exact
+
+
+def test_criterion_8_negative_controls():
+    # every inapplicable case of every showcase problem, forced, by both
+    # routes: the verifier must fail each partner that is not an exact
+    # reflection, and may pass only those the rules above compute
+    outcomes = {"fail": 0, "DomainError": 0, "pass": 0}
+    worst_fail = math.inf
+    for p in _showcase():
+        exact = _exact_reflections(p)
+        applicable = {case.id for case in applicable_cases(p)}
+        for case in CATALOG:
+            if case.id in applicable:
+                continue
+            for method in ("closed", "oracle"):
+                try:
+                    partner = transform_problem(p, case, force=True)
+                    rep = verify_pair(p, case, 51, 1e-6, method, force=True)
+                except DomainError:
+                    outcomes["DomainError"] += 1
+                    continue
+                outcomes[rep.verdict] += 1
+                reflection = (case.relation.r, case.relation.s, _trees(partner))
+                assert rep.passed is (reflection in exact), (str(p.a), str(p.b), str(p.n), case.id, method)
+                if not rep.passed:
+                    worst_fail = min(worst_fail, rep.max_residual / (1.0 + rep.y_scale))
+    _report(
+        8,
+        "negative controls (showcase x inapplicable cases, forced, both routes)",
+        outcomes == {"fail": 74, "DomainError": 16, "pass": 14}
+        and worst_fail >= NEGATIVE_CONTROL_MIN_SCALED,
+        f"{outcomes}; smallest scaled miss {worst_fail:.3f}",
+    )

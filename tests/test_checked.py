@@ -1,17 +1,25 @@
 """The generated, checked right-hand sides of the quadrature and the oracle.
 
-`quad.nested_path` and `oracle.rk_solve` integrate
-functions rendered by `expr.checked_factory`.  They must reproduce, bit for
-bit and error for error, the closures they replaced: each coefficient
-wrapped by the old `as_callable` (kept below as `reference_callable`), and
-y^n from `signed_pow`.
+`quad.nested_path` and `oracle.rk_solve` integrate functions built by
+`expr.checked_factory`, which `stepper.integrate` runs through each form's
+own DP5 loop.  They must reproduce, bit for bit and error for error, the
+closures they replaced, called by the stepper's default loop: each
+coefficient wrapped by the old `as_callable` (kept below as
+`reference_callable`), and y^n from `signed_pow`.  A spy that wraps the
+function it hands `integrate` runs the default loop, which calls the
+form's checked wrapper; each such test has a counterpart that spies on the
+coefficient functions the form's loop calls.
 """
 
 import cProfile
 import dataclasses
+import linecache
 import math
 import pstats
 import random
+import re
+import traceback
+from collections import Counter
 
 import pytest
 
@@ -65,10 +73,18 @@ def reference_factory(form, *coefs):
     signature of the form they stand in for.  The oracle's closures
     evaluate its coefficients with the signs bound to the factory put back
     as unary minuses at the top of their trees."""
-    if form is quad._ab_form(1):
+    if form in (quad._ab_form(1), quad._ab_form(2)):
         fa, fb = (reference_callable(c) for c in coefs)
         exp = math.exp
-        return lambda mult: lambda s, A: (fa(s), fb(s) * exp(mult * A))
+
+        def ab(*mults):
+            def rhs(s, A):
+                a, b = fa(s), fb(s)
+                return (a, *(b * exp(mult * A) for mult in mults))
+
+            return rhs
+
+        return ab
 
     def factory(sa, sb, n, neg, e, pow, signed_pow_):
         fa, fb = (
@@ -95,8 +111,8 @@ def outcome(run):
 
 
 def both(monkeypatch, module, run):
-    """run's outcome with the generated right-hand side, then with the
-    reference closures."""
+    """run's outcome with the generated right-hand side, which runs its
+    form's loop, then with the reference closures in the default loop."""
     got = outcome(run)
     with monkeypatch.context() as m:
         m.setattr(module, "checked_factory", reference_factory)
@@ -128,6 +144,15 @@ def test_nested_path_is_bit_identical_to_the_closures(monkeypatch, a, b, mult, t
     assert got == expected
 
 
+@pytest.mark.parametrize("a,b", AB_PAIRS)
+@pytest.mark.parametrize("mults", [(2.0, -2.0), (-1 / 3, 2 / 3), (0.0, 1.0)])
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_two_multiplier_path_is_bit_identical_to_the_closures(monkeypatch, a, b, mults, t_end):
+    a, b = parse_expr(a), parse_expr(b)
+    got, expected = both(monkeypatch, quad, lambda: nested_path(a, b, mults, t_end))
+    assert got == expected
+
+
 # one exponent of each kind: n = 1; p = 0; p < 0 with even and odd q; even
 # q; odd q with odd p and with even p
 EXPONENTS = [
@@ -155,6 +180,30 @@ def test_oracle_is_bit_identical_to_the_closures(monkeypatch, n, a, b, d, t_end)
     p = problem(a, b, n, d)
     got, expected = both(monkeypatch, oracle, lambda: rk_solve(p, t_end, ORACLE_CTL))
     assert got == expected
+
+
+@pytest.mark.parametrize("module,run,ending", [
+    # y = e^(50 t): the 1e12 stop fires, in the linear form and the power form
+    (oracle, lambda: rk_solve(problem("50", "0", 1, 1.0), 1.0), "stopped"),
+    (oracle, lambda: rk_solve(problem("50", "0", 2, 1.0), 1.0), "stopped"),
+    # y' = y^2 toward its pole at t = 1: the step-underflow rescue marks a blow-up
+    (oracle, lambda: rk_solve(problem("0", "1", 2, 1.0), 2.0), "rescued"),
+    # y^2 of a trial stage overflows
+    (oracle, lambda: rk_solve(problem("0", "1", 2, 1e13), 1.0), "StepFailure"),
+    # exp(m * A) overflows past |t| = 0.7098, in a one- and a two-multiplier path
+    (quad, lambda: nested_path(parse_expr("1000"), parse_expr("1"), (1.0,), 1.0), "EvalError"),
+    (quad, lambda: nested_path(parse_expr("-1000"), parse_expr("1"), (-1.0, 1.0), -1.0), "EvalError"),
+])
+def test_how_a_run_ends_is_bit_identical_to_the_closures(monkeypatch, module, run, ending):
+    got, expected = both(monkeypatch, module, run)
+    assert got == expected
+    if ending == "stopped":
+        assert expected[3] == (True, True)
+    elif ending == "rescued":
+        assert expected[3] == (False, True)
+    else:
+        assert expected[0] == ending
+        assert "overflow: math range error" in expected[1]
 
 
 def test_the_oracle_problems_reach_both_signs_of_y(monkeypatch):
@@ -320,9 +369,7 @@ def test_domain_errors_keep_their_texts(monkeypatch, n, y, text):
 
 
 _JUMP = f"(1{'0' * 300}*t)*(1{'0' * 300}*t)"  # 0 at t = 0, infinite past 1e-146
-
-
-@pytest.mark.parametrize("module,run", [
+_INFINITE_RUNS = [
     # the first stage after t = 0 is at 0.2 * h = 0.2 / 64
     (quad, lambda: nested_path(parse_expr(_JUMP), parse_expr("1"), (1.0,), 1.0)),
     (oracle, lambda: rk_solve(problem("1", _JUMP, 2, 1.0), 1.0)),
@@ -332,10 +379,14 @@ _JUMP = f"(1{'0' * 300}*t)*(1{'0' * 300}*t)"  # 0 at t = 0, infinite past 1e-146
     # y^n underflows to 0, so y stays put until b turns infinite
     (oracle, lambda: rk_solve(problem("0", "exp(700*t)*exp(700*t)", 2, 1e-300), 1.0)),
     (oracle, lambda: rk_solve(problem("0", "cosh(700*t)*cosh(700*t)", 3, 1e-300), -1.0)),
-])
+]
+
+
+@pytest.mark.parametrize("module,run", _INFINITE_RUNS)
 def test_an_infinite_coefficient_never_reaches_the_step_retry(monkeypatch, module, run):
     # the stepper retries a step with h *= 0.1 when a stage is not finite;
-    # an infinite coefficient must raise EvalError before that
+    # an infinite coefficient must raise EvalError before that.  The spy
+    # runs the default loop, which calls the form's checked wrapper
     returned = []
 
     def recording(f, *args, **kwargs):
@@ -352,6 +403,66 @@ def test_an_infinite_coefficient_never_reaches_the_step_retry(monkeypatch, modul
     assert returned and all(returned)
     if len(returned) == 1:
         assert str(info.value) == "non-finite value at t=0.003125"
+
+
+def counting_coefficients(monkeypatch) -> list:
+    """Record (tree source, arguments, value) of every call of a coefficient
+    function that `checked_factory` binds from now on."""
+    calls = []
+    compiled = expr._coefficient
+
+    def counting(e):
+        fn, source = compiled(e), e.source
+
+        def coefficient(*args):
+            value = fn(*args)
+            calls.append((source, args, value))
+            return value
+
+        return coefficient
+
+    monkeypatch.setattr(expr, "_coefficient", counting)
+    return calls
+
+
+@pytest.mark.parametrize("module,run", _INFINITE_RUNS)
+def test_an_infinite_coefficient_stops_a_form_loop_at_once(monkeypatch, module, run):
+    # the form's loop counterpart: the infinite value is the last one any
+    # coefficient returns, so no stage and no retry follows it, and the
+    # error names the time of the stage that evaluated it
+    calls = counting_coefficients(monkeypatch)
+    with pytest.raises(EvalError, match=r"^non-finite value at t=-?0\.\d+$") as info:
+        run()
+    *before, (_, (t,), last) = calls
+    assert before and all(math.isfinite(value) for _, _, value in before)
+    assert not math.isfinite(last)
+    assert str(info.value) == f"non-finite value at t={t!r}"
+
+
+_STAGE_FAILURES = [
+    # b divides by zero at the first stage after t = 0, 0.2 * h = 0.2 / 64
+    (quad, lambda: nested_path(parse_expr("cos(t)"), parse_expr("1/(t - 0.003125)"), (1.0,), 1.0)),
+    (quad, lambda: nested_path(
+        parse_expr("cos(t)"), parse_expr("1/(t - 0.003125)"), (1.0, -1.0), 1.0)),
+    (oracle, lambda: rk_solve(problem("cos(t)", "1/(t - 0.003125)", 2, 1.0), 1.0)),
+    (oracle, lambda: rk_solve(problem("cos(t)", "1/(t - 0.003125)", 1, 1.0), 1.0)),
+]
+
+
+@pytest.mark.parametrize("module,run", _STAGE_FAILURES)
+def test_a_coefficient_failure_names_its_stage_time(monkeypatch, module, run):
+    # not the time the step started from, t = 0.0
+    got, expected = both(monkeypatch, module, run)
+    assert got == expected == ("EvalError", "division by zero at t=0.003125")
+
+
+def test_traceback_shows_the_form_loop_source():
+    with pytest.raises(EvalError) as info:
+        _STAGE_FAILURES[0][1]()
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=2 form #\d+>", frame.filename)
+    assert frame.line == "raise _failed(s, exc) from None"
+    assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
 
 
 # --- the compile cache ----------------------------------------------------------
@@ -434,6 +545,30 @@ def test_profiles_see_each_coefficient_function():
     assert wrappers == [10]
 
 
+def test_profiles_see_each_coefficient_function_in_a_form_loop():
+    # the form's loop calls each coefficient function inline: four
+    # coefficients keep four entries, and no wrapper is called
+    pairs = [(parse_expr("cos(t)"), parse_expr("t")), (parse_expr("sin(t)"), parse_expr("2"))]
+    for a, b in pairs:  # compile the loop and the coefficients first
+        nested_path(a, b, (1.0,), 1.0)
+    profile = cProfile.Profile()
+    profile.enable()
+    paths = [nested_path(a, b, (1.0,), 1.0) for a, b in pairs]
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    coefficients = sorted(
+        (stat[1], key[0]) for key, stat in stats.items()
+        if key[0].startswith("<bsym.expr coefficient #")
+    )
+    assert len({file for _, file in coefficients}) == 4
+    # no step is rejected on these smooth paths: 1 + 5 calls per step
+    steps = sorted(len(path.ts) - 1 for path in paths for _ in range(2))
+    assert [calls for calls, _ in coefficients] == sorted(1 + 5 * k for k in steps)
+    loops = [key for key in stats if key[2] == "dp5_dim2"]
+    assert len(loops) == 1 and re.fullmatch(r"<bsym\.stepper DP5 kernel dim=2 form #\d+>", loops[0][0])
+    assert not [key for key in stats if key[2] == "checked"]
+
+
 def test_the_oracle_compiles_once_per_pair_up_to_sign(monkeypatch):
     # the partners of T2i, T2iv and T3i flip the signs of cos(t) and sin(t);
     # with the signs bound to the oracle's wrapper, the validity search's
@@ -483,15 +618,19 @@ def test_a_wins_over_b_when_the_other_form_compiled_b_first(first, then):
 
 # --- what the stepper hands the right-hand side ---------------------------------
 
-@pytest.mark.parametrize("module,run", [
+_ONE_FLOAT_RUNS = [
     (quad, lambda: nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0,), 3.0)),
     (quad, lambda: nested_path(parse_expr("t"), parse_expr("-1"), (-0.5,), -3.0)),
     (oracle, lambda: rk_solve(problem("cos(t)", "sin(t)", 2, 0.5), 3.0)),
     (oracle, lambda: rk_solve(problem("-cos(t)", "-1", 1, 0.5), -3.0)),
-])
+]
+
+
+@pytest.mark.parametrize("module,run", _ONE_FLOAT_RUNS)
 def test_each_rhs_call_receives_one_float(monkeypatch, module, run):
     # B never feeds back, so a quadrature stage carries A alone; the oracle's
-    # state is y alone; neither receives a state tuple
+    # state is y alone; neither receives a state tuple.  The spy runs the
+    # default loop
     calls = []
 
     def recording(f, *args, **kwargs):
@@ -506,3 +645,87 @@ def test_each_rhs_call_receives_one_float(monkeypatch, module, run):
     path = getattr(result, "path", result)
     assert len(calls) > 6 * (len(path.ts) - 1)
     assert all(len(c) == 2 and type(c[0]) is float and type(c[1]) is float for c in calls)
+
+
+@pytest.mark.parametrize("module,run", _ONE_FLOAT_RUNS)
+def test_each_coefficient_call_in_a_form_loop_receives_one_float(monkeypatch, module, run):
+    # the form's loop counterpart: a, then b, each called with the stage
+    # time alone, as one float
+    calls = counting_coefficients(monkeypatch)
+    result = run()
+    path = getattr(result, "path", result)
+    assert len(calls) > 2 * 5 * (len(path.ts) - 1)
+    assert all(len(args) == 1 and type(args[0]) is float for _, args, _ in calls)
+    a, b = calls[0][0], calls[1][0]
+    assert a != b and [source for source, _, _ in calls] == [a, b] * (len(calls) // 2)
+
+
+_COUNTED_RUNS = [
+    (quad, lambda: nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0,), 3.0)),
+    (quad, lambda: nested_path(parse_expr("t"), parse_expr("sin(t) - 2"), (2.0, -2.0), -3.0)),
+    (oracle, lambda: rk_solve(problem("cos(t)", "sin(t)", 1, 2.0), -3.0)),
+    # toward the pole at t = 1: many rejected steps, then the rescue
+    (oracle, lambda: rk_solve(problem("0", "1", 2, 1.0), 2.0)),
+]
+
+
+def test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt(monkeypatch):
+    # stage 7 of DP5 is at the time of stage 6 (c7 = c6 = 1), so a form's
+    # loop reuses stage 6's coefficient values: 1 + 5 evaluations of each
+    # coefficient per attempted step, where the default loop calls f, and so
+    # each coefficient, 1 + 6 times
+    rejected = 0
+    for module, run in _COUNTED_RUNS:
+        calls = counting_coefficients(monkeypatch)
+        in_form = outcome(run)
+        form_counts = Counter(source for source, _, _ in calls)
+        del calls[:]
+        f_calls = []
+
+        def spying(f, *args, **kwargs):
+            def rhs(t, y):
+                f_calls.append(t)
+                return f(t, y)
+
+            return stepper.integrate(rhs, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "integrate", spying)
+            in_default = outcome(run)
+        default_counts = Counter(source for source, _, _ in calls)
+        assert in_form == in_default
+        attempts, left = divmod(len(f_calls) - 1, 6)
+        accepted = in_form[0].count(",")  # len(ts) - 1
+        assert left == 0 and attempts >= accepted
+        rejected += attempts - accepted
+        assert len(form_counts) == 2
+        assert form_counts == {source: 1 + 5 * attempts for source in form_counts}
+        assert default_counts == {source: 1 + 6 * attempts for source in form_counts}
+        monkeypatch.undo()
+    assert rejected > 0
+
+
+def test_each_form_loop_compiles_once_and_shares_the_path_class(monkeypatch):
+    # one loop per form and process, whatever the trees and multipliers;
+    # a process that integrates only checked forms compiles no default loop
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(stepper, "compile", counting_compile, raising=False)
+    stepper._kernel.cache_clear()
+    paths = [
+        nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0,), 1.0),
+        nested_path(parse_expr("t"), parse_expr("1"), (-1.0,), -1.0),
+        nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0, -2.0), 1.0),
+    ]
+    for n in ("2", "1", "3", "1/2", "1"):
+        paths.append(rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5).path)
+    loops = [name for name in compiled if "DP5 kernel" in name]
+    assert [re.sub(r"#\d+", "#K", name) for name in loops] == [
+        f"<bsym.stepper DP5 kernel dim={dim} form #K>" for dim in (2, 3, 1, 1)
+    ]
+    assert len(set(loops)) == 4
+    assert all(type(path) is stepper._path_class(len(path.ys[0])) for path in paths)

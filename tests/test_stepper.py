@@ -719,6 +719,7 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
 
     monkeypatch.setattr(stepper, "compile", counting_compile, raising=False)
     stepper._kernel.cache_clear()
+    stepper._path_class.cache_clear()
     paths = {}
     for name in ("2", "1", "2reads1", "1", "3", "3reads1", "2"):
         make_rhs, y0 = SYSTEMS[name]
@@ -726,18 +727,22 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
         path.values([0.25, 0.5, 1.0])  # dense queries compile nothing
         path.first_crossing(0, 1e9)
         paths.setdefault(len(y0), []).append(path)
+    # each dimension's path class, then its loop
+    classes = {dim: f"<bsym.stepper DensePath dim={dim}>" for dim in paths}
     names = {dim: f"<bsym.stepper DP5 kernel dim={dim}>" for dim in paths}
-    assert compiled == list(names.values())
+    assert compiled == [name for dim in paths for name in (classes[dim], names[dim])]
     assert stepper._kernel(2) is stepper._kernel(2)
-    # the dense output is rendered with the kernel, one path class per
-    # kernel, and no generic walk or extension is kept beside it
+    assert stepper._kernel(2).__code__.co_filename == names[2]
+    # the dense output is rendered per dimension, one path class per
+    # dimension, and no generic walk or extension is kept beside it
     for dim, same in paths.items():
         cls = type(same[0])
         assert cls is not DensePath and issubclass(cls, DensePath)
         assert cls.__name__ == f"DensePath{dim}"
+        assert cls is stepper._path_class(dim)
         assert all(type(path) is cls for path in same)
         for method in (cls.values, cls._extension):
-            assert method.__code__.co_filename == names[dim]
+            assert method.__code__.co_filename == classes[dim]
     assert len({type(same[0]) for same in paths.values()}) == len(paths) == 3
     assert "values" not in vars(DensePath) and "_extension" not in vars(DensePath)
 
