@@ -161,15 +161,15 @@ MUTANTS = [
     Mutant(
         "wrapper-reads-the-first-coefficient",
         "expr.py",
-        "    f{i} = c{i}({t})\n",
-        "    f{i} = c0({t})\n",
+        "    f{i} = c{i}(s)\n",
+        "    f{i} = c0(s)\n",
         "every value of a checked form is a's, in its wrapper and its loop: b is never evaluated",
         ("tests/test_checked.py",),
     ),
     Mutant(
         "wrapper-drops-the-finite-check",
         "expr.py",
-        "    if f{i} - f{i}:\n        raise _failed({t}, None)\n",
+        "    if f{i} - f{i}:\n        raise _failed(s, None)\n",
         "",
         "an infinite or NaN coefficient reaches the stepper, which retries the step",
         ("tests/test_checked.py",),
@@ -187,15 +187,16 @@ MUTANTS = [
         "stepper.py",
         "stage<k6; t1;",
         "reuse<k6; t1;",
-        "a form's loop evaluates no coefficient at t + h: stages 6 and 7 read"
-        " stage 5's values, and every quadrature and oracle path is wrong",
-        ("tests/test_checked.py",),
+        "no loop evaluates stage 6 at t + h: stages 6 and 7 read stage 5's"
+        " coefficient values, or call f at stage 5's time, and every path is wrong;"
+        " the closures tests/test_checked.py compares with run in the same loop",
+        ("tests/test_stepper.py",),
     ),
     Mutant(
         "form-loop-drops-b-finite-check",
         "stepper.py",
-        'lines += form.source(count if evaluate else 0, "s", f"vec<{k}_i> = ").splitlines()',
-        'lines += form.source(count if evaluate else 0, "s", f"vec<{k}_i> = ")'
+        'lines += form.source(count if evaluate else 0, f"vec<{k}_i> = ").splitlines()',
+        'lines += form.source(count if evaluate else 0, f"vec<{k}_i> = ")'
         '.replace("if f1 - f1:", "if False:").splitlines()',
         "a form's loop lets an infinite b reach the form's body, and the stepper"
         " retries the step instead of raising EvalError",
@@ -204,11 +205,20 @@ MUTANTS = [
     Mutant(
         "form-loop-reports-the-step-start",
         "expr.py",
-        "raise _failed({t}, exc) from None",
+        "raise _failed(s, exc) from None",
         "raise _failed(t, exc) from None",
         "a coefficient that fails in a form's loop names the time its step started"
         " from, not the time of the stage that evaluated it",
         ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "call-form-reads-the-step-start",
+        "stepper.py",
+        "return f(s, x)",
+        "return f(t, x)",
+        "a plain right-hand side is called at the time its step started from at"
+        " every stage, not at the stage's own time",
+        ("tests/test_stepper.py",),
     ),
     Mutant(
         "view-crossing-drops-r",

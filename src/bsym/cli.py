@@ -100,7 +100,8 @@ def load_problem(path: str) -> ProblemSpec:
             raise ProblemFileError(f"{path}: key {key!r} must be text or a number, not a boolean")
     try:
         n = parse_exponent(data["n"])
-        d = float(data["d"])
+        # ProblemSpec converts an integer, and rejects one past the float range
+        d = data["d"] if isinstance(data["d"], int) else float(data["d"])
     except (ValueError, TypeError) as exc:
         raise ProblemFileError(f"{path}: {exc}") from None
     return ProblemSpec(parse_expr(data["a"]), parse_expr(data["b"]), n, d)

@@ -81,8 +81,12 @@ class ProblemSpec:
         # so d and every partner's s * d are floats
         if isinstance(self.d, bool):
             raise TypeError("initial value d must be a number, not a boolean")
-        object.__setattr__(self, "d", float(self.d))
-        if not math.isfinite(self.d) or self.d == 0.0:
+        try:
+            d = float(self.d)
+        except OverflowError:  # an int past the largest float
+            d = math.inf
+        object.__setattr__(self, "d", d)
+        if not math.isfinite(d) or d == 0.0:
             raise DomainError("initial value d must be finite and nonzero")
         if not self.n.cls.negative_sign and self.d < 0.0:
             raise DomainError(

@@ -25,16 +25,18 @@ Evaluation is generated code.  Each coefficient tree compiles once into
 `lambda t: <expression>`, kept in a small LRU cache keyed on the `Expr`
 and shared by every form, under a file name of its own (`<bsym.expr
 coefficient #N>`).  A `CheckedForm` says how the quadrature or the oracle
-combines coefficient values, and `CheckedForm.source` renders its code:
-the coefficients called in order inside one try, each value checked for
-finiteness, then the form's body.  Every failure raises EvalError through
-one helper, with the texts "division by zero at t=..", "evaluation failed
-at t=..: <reason>" and "non-finite value at t=..".  `checked_factory`
-binds the coefficient functions to the form's wrapper, the function that
-source renders, compiled once per form and coefficient count per process;
-the function it builds carries its form and bound arguments, from which
-`stepper.integrate` renders the same source into each stage of the form's
-own DP5 loop.  `as_callable` is the form that returns the one value.
+combines coefficient values, and `CheckedForm.source` renders its code at
+the time s: the coefficients called in order inside one try, each value
+checked for finiteness, then the form's body.  Every failure raises
+EvalError through one helper, with the texts "division by zero at t=..",
+"evaluation failed at t=..: <reason>" and "non-finite value at t=..".
+`checked_factory` binds the coefficient functions to the form's wrapper,
+the function that source renders, compiled once per form and coefficient
+count per process; the function it builds carries its form and bound
+arguments, from which `stepper.integrate` renders the same source into
+each stage of the form's DP5 loop.  Every DP5 loop is such a rendering:
+the stepper runs any other callable as its call form, whose body calls
+it.  `as_callable` is the form that returns the one value.
 
 `detect_parity` applies exact structural rules and, where they are
 inconclusive, compares f(t) with f(-t) at 64 fixed points of [-4, 4].  The
@@ -366,15 +368,16 @@ def _failed(t: float, exc: Optional[Exception]) -> EvalError:
 class CheckedForm(NamedTuple):
     """How a generated function combines its checked coefficient values.
 
-    The function takes `args`: t, then the name of the state value it
-    reads, if any.  It evaluates coefficient i at t into the local f<i>
-    and then runs `body`, which ends in a return and reads the f<i>, the
-    state value and the names in `env`, never t.  `env` names the values
-    each built function is bound to: the parameters of the factory that
-    `checked_factory` returns, after the coefficient functions.  Each
-    form's function, and the stepper's loop for it, compiles once per
-    process and coefficient count, so forms are module constants, never
-    built per problem.
+    The function takes `args`: the time, named s in the wrapper and in
+    every stepper loop alike, then the name of the state value it reads,
+    if any.  It evaluates coefficient i at s into the local f<i> and then
+    runs `body`, which ends in a return and reads the f<i>, the state
+    value and the names in `env` (the stepper's call form reads s and
+    the loop's f).  `env` names the values each built function is bound
+    to: the parameters of the factory that `checked_factory` returns,
+    after the coefficient functions.  Each form's function, and the
+    stepper's loop for it, compiles once per process and coefficient
+    count, so forms are module constants, never built per problem.
     """
 
     args: str
@@ -385,14 +388,14 @@ class CheckedForm(NamedTuple):
         """The bound names: coefficient functions c0, c1, .., then `env`."""
         return ", ".join([*(f"c{i}" for i in range(count)), *filter(None, [self.env])])
 
-    def source(self, count: int, t: str, out: str) -> str:
-        """The form's code at the time named t: coefficients c0, .. of
-        `count` evaluated and checked into f0, .. (none where count is 0,
-        so that values already evaluated at t are reused), then `body`
-        with its final `return ` replaced by `out`."""
+    def source(self, count: int, out: str) -> str:
+        """The form's code at the time s: coefficients c0, .. of `count`
+        evaluated and checked into f0, .. (none where count is 0, so that
+        values already evaluated at s are reused), then `body` with its
+        final `return ` replaced by `out`."""
         head, _, value = self.body.rpartition("return ")
-        evals = "".join(_EVAL.format(i=i, t=t) for i in range(count))
-        return (_CHECK.format(evals=evals, t=t) if count else "") + head + out + value
+        evals = "".join(_EVAL.format(i=i) for i in range(count))
+        return (_CHECK.format(evals=evals) if count else "") + head + out + value
 
     @property
     def namespace(self) -> dict:
@@ -407,12 +410,12 @@ class CheckedForm(NamedTuple):
 _CHECK = """\
 try:
 {evals}except (ZeroDivisionError, OverflowError, ValueError) as exc:
-    raise _failed({t}, exc) from None
+    raise _failed(s, exc) from None
 """
 _EVAL = """\
-    f{i} = c{i}({t})
+    f{i} = c{i}(s)
     if f{i} - f{i}:
-        raise _failed({t}, None)
+        raise _failed(s, None)
 """
 _FACTORY = """\
 def factory({params}):
@@ -444,7 +447,7 @@ def _wrapper(form: CheckedForm, count: int) -> Callable:
     source = _FACTORY.format(
         params=form.params(count),
         args=form.args,
-        source=textwrap.indent(form.source(count, "t", "return "), " " * 8),
+        source=textwrap.indent(form.source(count, "return "), " " * 8),
     )
     filename = f"<bsym.expr checked #{next(_compiled_count)}>"
     built: dict = {}
@@ -474,7 +477,7 @@ def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable:
     return factory
 
 
-_VALUE = CheckedForm("t", "return f0")
+_VALUE = CheckedForm("s", "return f0")
 
 
 def as_callable(e: Expr) -> Callable[[float], float]:

@@ -98,9 +98,9 @@ class Trajectory:
 # partners that flip the signs of a or b share one compile; multiplying by
 # +-1.0 is exact, so (sa*f0)*x is (-f0)*x and neg*pow(-x, e) is signed_pow's
 _RHS_ENV = "sa, sb, n, neg, e, pow, signed_pow"
-_LINEAR = CheckedForm("t, x", "return ((sa * f0 + sb * f1) * x,)", _RHS_ENV)
+_LINEAR = CheckedForm("s, x", "return ((sa * f0 + sb * f1) * x,)", _RHS_ENV)
 _POWER = CheckedForm(
-    "t, x",
+    "s, x",
     """\
 if x > 0.0:
     xn = pow(x, e)

@@ -101,7 +101,7 @@ def _ab_form(count: int) -> CheckedForm:
     """The right-hand side (A', B_0', .., B_{count-1}') of `count`
     multipliers, which reads A only and evaluates a and b once per call."""
     terms = ", ".join(f"f1 * exp(mult{i} * A)" for i in range(count))
-    return CheckedForm("t, A", f"return (f0, {terms})", ", ".join(f"mult{i}" for i in range(count)))
+    return CheckedForm("s, A", f"return (f0, {terms})", ", ".join(f"mult{i}" for i in range(count)))
 
 
 def nested_path(a: Expr, b: Expr, mults: tuple, t: float) -> DensePath:

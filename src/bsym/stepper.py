@@ -15,28 +15,25 @@ never feeds back, is a pure quadrature: it gets no stage states, only its
 new value and its error term.  The adaptive loop is generated from one
 template (`_KERNEL`), with every state component and stage value in a
 local of its own, so a step builds no state tuple, does no per-component
-zip or generator work and calls no max or min.  `_kernel` renders it in
-two ways, each compiled lazily, once per process:
+zip or generator work and calls no max or min.  `_kernel` renders it
+once per state dimension and checked form (`expr.CheckedForm`), compiled
+lazily, once per process.  At each stage the loop runs the form's code,
+the source `CheckedForm.source` renders for the form's wrapper too: it
+calls the coefficient functions inline, checks their values at the
+stage's time, and runs the form's body on the stage state.  A function
+that `expr.checked_factory` built runs as its own form, whose bound
+arguments the loop takes; any other callable, such as a test's reference
+system or a tracer's counting wrapper, runs as the call form `_CALL`,
+whose body calls f and which has no coefficient.  DP5's seventh stage is
+at the sixth's time (c7 = c6 = 1), so it reruns only the body on the new
+state: 1 + 5 evaluations of each coefficient per attempted step, and
+1 + 6 calls of f under the call form.  A loop's file name is
+`<bsym.stepper DP5 kernel dim=N form #K>`, K counting the loops the
+process has compiled.
 
-- the default loop, once per state dimension, calls f at every stage;
-  its file name is `<bsym.stepper DP5 kernel dim=N>`.  It runs for any
-  callable, such as a test's reference system or a tracer's counting
-  wrapper.
-- a checked form's loop (`expr.CheckedForm`), once per form and
-  coefficient count, runs for a function that `expr.checked_factory`
-  built, which carries its form and bound arguments.  At each stage it
-  calls the coefficient functions inline, checks their values at the
-  stage's time, and runs the form's body on the stage state, with the
-  source `CheckedForm.source` renders for the form's wrapper too.  DP5's
-  seventh stage is at the sixth's time (c7 = c6 = 1), so it reruns only
-  the body on the new state: 1 + 5 evaluations of each coefficient per
-  attempted step, against 1 + 6 calls of f in the default loop.  Its file
-  name is `<bsym.stepper DP5 kernel dim=N form #K>`, K counting the form
-  loops the process has compiled.
-
-Both make paths of the dimension's `DensePath` subclass (`_path_class`,
-file `<bsym.stepper DensePath dim=N>`), whose `values` walk and
-`_extension` unpack a step's coefficients once and evaluate each point's
+Every loop makes paths of the dimension's `DensePath` subclass
+(`_path_class`, file `<bsym.stepper DensePath dim=N>`), whose `values`
+walk and `_extension` unpack a step's coefficients once and evaluate each point's
 Horner form as straight-line code over locals.  Every source is registered
 in `linecache`, so tracebacks and profiles show the generated lines; each
 coefficient function keeps a profiler entry of its own.  Paths (nodes,
@@ -73,6 +70,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
+
+from .expr import CheckedForm
 
 __all__ = [
     "StepControl",
@@ -364,12 +363,12 @@ def integrate(
     all the components; the others get no stage states, only their new
     values and error terms.  A function `expr.checked_factory` built runs
     through its form's own loop, which evaluates its coefficients inline
-    and never calls f; any other callable runs through the default loop.
-    Returns the dense path of accepted steps, which records `ctl`.  The
-    final step is clamped to land exactly on t_end.  If `stop` returns
-    true on an accepted state (a tuple) the integration ends there with
-    path.stopped set.  Raises ValueError for an empty state or a
-    non-finite t_end.
+    and never calls f; any other callable runs through the call form's
+    loop, which calls it at every stage.  Returns the dense path of
+    accepted steps, which records `ctl`.  The final step is clamped to
+    land exactly on t_end.  If `stop` returns true on an accepted state (a
+    tuple) the integration ends there with path.stopped set.  Raises
+    ValueError for an empty state or a non-finite t_end.
     """
     y0 = tuple(y0)
     if not y0:
@@ -378,7 +377,7 @@ def integrate(
         raise ValueError(f"t_end must be finite, not {t_end!r}")
     form = getattr(f, "form", None)
     if form is None:
-        return _kernel(len(y0))(f, y0, t_end, ctl, stop)
+        return _kernel(len(y0), _CALL, 0)(f, y0, t_end, ctl, stop)
     kernel = _kernel(len(y0), form, len(f.coefficients))
     return kernel(f, y0, t_end, ctl, stop, *f.coefficients, *f.env)
 
@@ -465,19 +464,15 @@ class DensePath{dim}(DensePath):
         return coefs
 """
 
-# The loop has two renderings: the default one calls f, and a checked
-# form's (`expr.CheckedForm`) runs the form's source inline.  f reads
-# component 0 alone, so only that component has stage states.
-# `stage<kN; time; state>` evaluates stage N at (time, state): the default
-# loop calls `kN = f(time, state)` and unpacks kN into the kN_i; a form's
-# loop evaluates and checks its coefficients at the time, held in s, and
-# runs its body on the state, which assigns the kN_i directly.
-# `reuse<kN; time; state>` is a stage at the time of the stage before it:
-# a form's loop runs only its body, on the coefficient values already
-# evaluated there.  `obj<kN>` is stage N as one object, the one f returned
-# or, in a form's loop, a tuple built only for an accepted step; and
-# `own<statement>` a statement about those objects, which only the default
-# loop keeps.  {params} are the form's bound arguments.
+# The loop runs a checked form's (`expr.CheckedForm`) source inline.  f
+# reads component 0 alone, so only that component has stage states.
+# `stage<kN; time; state>` evaluates stage N at (time, state): it evaluates
+# and checks the form's coefficients at the time, held in s, and runs the
+# form's body on the state, which assigns the kN_i.  `reuse<kN; time;
+# state>` is a stage at the time of the stage before it: it runs only the
+# body, on the coefficient values already evaluated there.  A step's
+# stages are stored as tuples built only for an accepted step.  {params}
+# are the form's bound arguments.
 _KERNEL = """\
 def dp5_dim{dim}(f, y0, t_end, ctl, stop{params}):
     path = DensePath{dim}(ctl=ctl)
@@ -533,11 +528,10 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop{params}):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            append_k((obj<k1>, obj<k3>, obj<k4>, obj<k5>, obj<k6>, obj<k7>))
+            append_k((vec<k1_i>, vec<k3_i>, vec<k4_i>, vec<k5_i>, vec<k6_i>, vec<k7_i>))
             t = t1
             vec<y_i> = vec<z_i>
             vec<k1_i> = vec<k7_i>
-            own<k1 = k7>
             z = vec<z_i>
             append_t(t)
             append_y(z)
@@ -555,7 +549,10 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop{params}):
 
     return path
 """
-_form_loops = itertools.count(1)
+_loops = itertools.count(1)
+# the form of any callable `expr.checked_factory` did not build: no
+# coefficient, and a body that calls the loop's own f at the stage time
+_CALL = CheckedForm("s, x", "return f(s, x)")
 
 
 def _render(template: str, dim: int, filename: str, namespace: dict) -> dict:
@@ -599,45 +596,34 @@ def _path_class(dim: int) -> type:
 
 
 @lru_cache(maxsize=None)
-def _kernel(dim: int, form=None, count: int = 0) -> Callable:
-    """The DP5 loop for states of `dim` components, compiled once.
-
-    Without a form it is the default loop, which calls f.  With a checked
-    form over `count` coefficients it is the form's own loop, which takes
-    the form's bound arguments after `stop`.  Both make paths of the
-    dimension's `_path_class`.
-    """
+def _kernel(dim: int, form: CheckedForm, count: int) -> Callable:
+    """The DP5 loop for states of `dim` components that runs the checked
+    `form` over `count` coefficients at every stage, compiled once.  It
+    takes the form's bound arguments after `stop` and makes paths of the
+    dimension's `_path_class`."""
+    arg = form.args.split(",")[1].strip()
 
     def stage(match: re.Match) -> str:
         indent, kind, k, time, state = match.groups()
         state = " ".join(state.split())
-        if form is None:
-            lines = [f"{k} = f({time}, {state})", f"vec<{k}_i> = {k}"]
-        else:
-            evaluate = kind == "stage"
-            arg = form.args.split(",")[1].strip()
-            lines = [f"s = {time}"] if evaluate else []
-            lines.append(f"{arg} = {state}")
-            lines += form.source(count if evaluate else 0, "s", f"vec<{k}_i> = ").splitlines()
+        evaluate = kind == "stage"
+        lines = [f"s = {time}"] if evaluate else []
+        lines.append(f"{arg} = {state}")
+        lines += form.source(count if evaluate else 0, f"vec<{k}_i> = ").splitlines()
         return "".join(f"{indent}{line}\n" for line in lines)
 
     source = re.sub(r"^( *)(stage|reuse)<(k\d); (.*?);\s+(.*?)>\n", stage, _KERNEL, flags=re.M | re.S)
+    params = form.params(count)
+    source = source.replace("{params}", params and ", " + params)
     namespace = {
         f"DensePath{dim}": _path_class(dim),
         "StepBudgetExceeded": StepBudgetExceeded,
         "StepUnderflow": StepUnderflow,
         "sqrt": math.sqrt,
         "isfinite": math.isfinite,
+        **form.namespace,
     }
-    if form is None:
-        obj, own, params = r"\1", r"\1\2\n", ""
-        filename = f"<bsym.stepper DP5 kernel dim={dim}>"
-    else:
-        obj, own, params = r"vec<\1_i>", "", ", " + form.params(count)
-        filename = f"<bsym.stepper DP5 kernel dim={dim} form #{next(_form_loops)}>"
-        namespace.update(form.namespace)
-    source = re.sub(r"obj<(k\d)>", obj, source)
-    source = re.sub(r"^( *)own<(.*?)>\n", own, source, flags=re.M).replace("{params}", params)
+    filename = f"<bsym.stepper DP5 kernel dim={dim} form #{next(_loops)}>"
     return _render(source, dim, filename, namespace)[f"dp5_dim{dim}"]
 
 

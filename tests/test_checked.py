@@ -3,10 +3,10 @@
 `quad.nested_path` and `oracle.rk_solve` integrate functions built by
 `expr.checked_factory`, which `stepper.integrate` runs through each form's
 own DP5 loop.  They must reproduce, bit for bit and error for error, the
-closures they replaced, called by the stepper's default loop: each
+closures they replaced, called by the stepper's call-form loop: each
 coefficient wrapped by the old `as_callable` (kept below as
 `reference_callable`), and y^n from `signed_pow`.  A spy that wraps the
-function it hands `integrate` runs the default loop, which calls the
+function it hands `integrate` runs the call form's loop, which calls the
 form's checked wrapper; each such test has a counterpart that spies on the
 coefficient functions the form's loop calls.
 """
@@ -112,7 +112,7 @@ def outcome(run):
 
 def both(monkeypatch, module, run):
     """run's outcome with the generated right-hand side, which runs its
-    form's loop, then with the reference closures in the default loop."""
+    form's loop, then with the reference closures in the call form's loop."""
     got = outcome(run)
     with monkeypatch.context() as m:
         m.setattr(module, "checked_factory", reference_factory)
@@ -386,7 +386,7 @@ _INFINITE_RUNS = [
 def test_an_infinite_coefficient_never_reaches_the_step_retry(monkeypatch, module, run):
     # the stepper retries a step with h *= 0.1 when a stage is not finite;
     # an infinite coefficient must raise EvalError before that.  The spy
-    # runs the default loop, which calls the form's checked wrapper
+    # runs the call form's loop, which calls the form's checked wrapper
     returned = []
 
     def recording(f, *args, **kwargs):
@@ -518,7 +518,7 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     # the oracle's two, and none for as_callable's, compiled above
     wrappers = sources(compiled, "checked")
     assert len(wrappers) == 4 and len(set(wrappers)) == 4
-    assert all("f0 = c0(t)" in w and "f1 = c1(t)" in w for w in wrappers)
+    assert all("f0 = c0(s)" in w and "f1 = c1(s)" in w for w in wrappers)
     assert expr._wrapper.cache_info().currsize == 5
 
 
@@ -630,7 +630,7 @@ _ONE_FLOAT_RUNS = [
 def test_each_rhs_call_receives_one_float(monkeypatch, module, run):
     # B never feeds back, so a quadrature stage carries A alone; the oracle's
     # state is y alone; neither receives a state tuple.  The spy runs the
-    # default loop
+    # call form's loop
     calls = []
 
     def recording(f, *args, **kwargs):
@@ -672,8 +672,8 @@ _COUNTED_RUNS = [
 def test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt(monkeypatch):
     # stage 7 of DP5 is at the time of stage 6 (c7 = c6 = 1), so a form's
     # loop reuses stage 6's coefficient values: 1 + 5 evaluations of each
-    # coefficient per attempted step, where the default loop calls f, and so
-    # each coefficient, 1 + 6 times
+    # coefficient per attempted step, where the call form's loop calls f,
+    # and so each coefficient, 1 + 6 times
     rejected = 0
     for module, run in _COUNTED_RUNS:
         calls = counting_coefficients(monkeypatch)
@@ -691,23 +691,23 @@ def test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt(monkeypat
 
         with monkeypatch.context() as m:
             m.setattr(module, "integrate", spying)
-            in_default = outcome(run)
-        default_counts = Counter(source for source, _, _ in calls)
-        assert in_form == in_default
+            in_call = outcome(run)
+        call_counts = Counter(source for source, _, _ in calls)
+        assert in_form == in_call
         attempts, left = divmod(len(f_calls) - 1, 6)
         accepted = in_form[0].count(",")  # len(ts) - 1
         assert left == 0 and attempts >= accepted
         rejected += attempts - accepted
         assert len(form_counts) == 2
         assert form_counts == {source: 1 + 5 * attempts for source in form_counts}
-        assert default_counts == {source: 1 + 6 * attempts for source in form_counts}
+        assert call_counts == {source: 1 + 6 * attempts for source in form_counts}
         monkeypatch.undo()
     assert rejected > 0
 
 
 def test_each_form_loop_compiles_once_and_shares_the_path_class(monkeypatch):
     # one loop per form and process, whatever the trees and multipliers;
-    # a process that integrates only checked forms compiles no default loop
+    # a process that integrates only checked forms compiles no call-form loop
     compiled = []
 
     def counting_compile(source, filename, mode):

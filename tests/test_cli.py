@@ -645,6 +645,17 @@ def test_problem_file_integer_past_the_digit_limit_is_exit_1(tmp_path, capsys, k
     assert capsys.readouterr().err.startswith(f"bsym: parse error: {prob} is not valid JSON: ")
 
 
+def test_problem_file_integer_d_past_the_float_range_is_exit_2(tmp_path, capsys):
+    # 400 digits, below the digit limit: the JSON parses, and d is an int
+    # that float() cannot convert; it is rejected as "d": 1e400 is
+    from bsym.cli import main
+
+    prob = tmp_path / "p.json"
+    prob.write_text('{"a": "1", "b": "1", "n": 2, "d": ' + "9" * 400 + "}", encoding="utf-8")
+    assert main(["cases", "--problem", str(prob)]) == 2
+    assert capsys.readouterr().err == "bsym: initial value d must be finite and nonzero\n"
+
+
 @needs_digit_limit
 def test_identities_exponent_of_a_power_past_the_digit_limit_is_exit_1(capsys):
     from bsym.cli import main

@@ -145,6 +145,9 @@ def test_problem_invariants():
         problem("0", "1", "1/2", -1.0)
     with pytest.raises(DomainError):
         problem("0", "1", 2, math.inf)
+    # an int past the largest float, which float() cannot convert
+    with pytest.raises(DomainError, match="^initial value d must be finite and nonzero$"):
+        problem("0", "1", 2, 10**400)
 
 
 @pytest.mark.parametrize("n,d", [(True, 1.0), (2, True), (True, True), (2, False)])

@@ -2,6 +2,7 @@ import dataclasses
 import linecache
 import math
 import random
+import re
 import struct
 import traceback
 from bisect import bisect_right
@@ -360,7 +361,8 @@ def test_grid_values_reject_non_finite_times(bad, where):
 def reference_integrate(f, y0, t_end, ctl, stop=None):
     """The generic zip/generator loop `integrate` ran before its kernel was
     generated per dimension, from t = 0; the kernel must reproduce it bit
-    for bit."""
+    for bit.  A step's stages are stored as tuples, as the kernel stores
+    them, whatever sequence f returns."""
     y0 = tuple(y0)
     path = DensePath(ctl)
     k1 = f(0.0, y0)
@@ -434,7 +436,7 @@ def reference_integrate(f, y0, t_end, ctl, stop=None):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            path.ks.append((k1, k3, k4, k5, k6, k7))
+            path.ks.append(tuple(map(tuple, (k1, k3, k4, k5, k6, k7))))
             t, y, k1 = t1, y1, k7
             path.ts.append(t)
             path.ys.append(y)
@@ -476,7 +478,7 @@ def rhs_1():
 
 def rhs_2():
     # component 1 a quadrature of t alone; a list, not a tuple: the stages
-    # are stored as the objects f returns
+    # are stored as tuples all the same
     return lambda t, a: [math.cos(3.0 * t) - 0.2 * a * abs(a), math.sin(2.0 * t)]
 
 
@@ -511,8 +513,7 @@ SYSTEMS = {
 
 
 def shape(name):
-    """(dim, the type f returns) of a system: the kernel keeps each stage as
-    the object f returns."""
+    """(dim, the type f returns) of a system, a tuple or a list."""
     make_rhs, y0 = SYSTEMS[name]
     return len(y0), type(make_rhs()(0.0, y0[0]))
 
@@ -727,12 +728,16 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
         path.values([0.25, 0.5, 1.0])  # dense queries compile nothing
         path.first_crossing(0, 1e9)
         paths.setdefault(len(y0), []).append(path)
-    # each dimension's path class, then its loop
+    # each dimension's path class, then its loop, the call form's
     classes = {dim: f"<bsym.stepper DensePath dim={dim}>" for dim in paths}
-    names = {dim: f"<bsym.stepper DP5 kernel dim={dim}>" for dim in paths}
-    assert compiled == [name for dim in paths for name in (classes[dim], names[dim])]
-    assert stepper._kernel(2) is stepper._kernel(2)
-    assert stepper._kernel(2).__code__.co_filename == names[2]
+    names = {dim: f"<bsym.stepper DP5 kernel dim={dim} form #K>" for dim in paths}
+    assert [re.sub(r"#\d+", "#K", name) for name in compiled] == [
+        name for dim in paths for name in (classes[dim], names[dim])
+    ]
+    assert len(set(compiled)) == len(compiled)
+    loop = stepper._kernel(2, stepper._CALL, 0)
+    assert loop is stepper._kernel(2, stepper._CALL, 0)
+    assert loop.__code__.co_filename == compiled[1]
     # the dense output is rendered per dimension, one path class per
     # dimension, and no generic walk or extension is kept beside it
     for dim, same in paths.items():
@@ -759,10 +764,25 @@ def test_traceback_shows_the_kernel_source():
     with pytest.raises(ZeroDivisionError) as info:
         integrate(failing, (0.0, 0.0), 1.0, CTL)
     frame = traceback.extract_tb(info.tb)[-2]
-    assert frame.filename == "<bsym.stepper DP5 kernel dim=2>"
-    # the stage state of component 0, the one f reads, is its one argument
-    assert frame.line == "k3 = f(t + 0.3 * h, y_0 + h * (0.075 * k1_0 + 0.225 * k2_0))"
-    assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
+    assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=2 form #\d+>", frame.filename)
+    # the call form's stage: the stage time and the stage state of
+    # component 0, the one f reads, are its two arguments
+    assert frame.line == "(k3_0, k3_1,) = f(s, x)"
+    assert [linecache.getline(frame.filename, frame.lineno + k).strip() for k in (-2, -1, 0)] == [
+        "s = t + 0.3 * h",
+        "x = y_0 + h * (0.075 * k1_0 + 0.225 * k2_0)",
+        frame.line,
+    ]
+
+
+def test_a_plain_callable_that_returns_lists_gets_tuple_stages():
+    # the call form's loop unpacks what f returns into locals and stores an
+    # accepted step's stages as tuples of them
+    path = integrate(rhs_3(), (1.0, -0.5, 0.25), 2.0, CTL)
+    assert len(path.ks) > 1
+    assert all(type(k) is tuple and len(k) == 3 for ks in path.ks for k in ks)
+    loop = stepper._kernel(3, stepper._CALL, 0)
+    assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=3 form #\d+>", loop.__code__.co_filename)
 
 
 @pytest.mark.parametrize("r", [1.0, -1.0])
