@@ -188,9 +188,8 @@ MUTANTS = [
         "stage<k6; t1;",
         "reuse<k6; t1;",
         "no loop evaluates stage 6 at t + h: stages 6 and 7 read stage 5's"
-        " coefficient values, or call f at stage 5's time, and every path is wrong;"
-        " the closures tests/test_checked.py compares with run in the same loop",
-        ("tests/test_stepper.py",),
+        " coefficient values, or call f at stage 5's time, and every path is wrong",
+        ("tests/test_checked.py", "tests/test_stepper.py"),
     ),
     Mutant(
         "form-loop-drops-b-finite-check",
@@ -333,6 +332,31 @@ MUTANTS = [
         "if False:",
         "a verify --tol that is not positive and finite reaches the library unchecked",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "shape-binds-constants-reversed",
+        "expr.py",
+        "return _shape_factory(shape, len(consts))(*consts)",
+        "return _shape_factory(shape, len(consts))(*consts[::-1])",
+        "a tree's constants are bound in reverse order: 2*t - 1 evaluates 1*t - 2",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "shape-binds-the-first-trees-constants",
+        "expr.py",
+        "return _shape_factory(shape, len(consts))(*consts)",
+        "return _shape_factory.__dict__.setdefault(shape, _shape_factory(shape, len(consts))(*consts))",
+        "the first tree of a shape lends its bound function to every later tree"
+        " of that shape: 3*t evaluates as 2*t",
+        ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "shape-reads-the-first-constant",
+        "expr.py",
+        'return f"k{len(consts) - 1}"',
+        'return "k0"',
+        "every constant of a tree reads its first: t*2 + 1 evaluates t*2 + 2",
+        ("tests/test_checked.py",),
     ),
     Mutant(
         "parser-product-right-associative",

@@ -21,13 +21,18 @@ at most 100 parentheses and calls may be open at once.  Deeper input is a
 syntax error, raised before the parser's recursion or Python's compiler
 could fail.
 
-Evaluation is generated code.  Each coefficient tree compiles once into
-`lambda t: <expression>`, kept in a small LRU cache keyed on the `Expr`
-and shared by every form, under a file name of its own (`<bsym.expr
-coefficient #N>`).  A `CheckedForm` says how the quadrature or the oracle
-combines coefficient values, and `CheckedForm.source` renders its code at
-the time s: the coefficients called in order inside one try, each value
-checked for finiteness, then the form's body.  Every failure raises
+Evaluation is generated code: one compile per shape, constants bound per
+tree.  A tree's shape is its code with each constant written as a
+parameter k0, k1, .. in order of appearance.  Each shape compiles once
+into `lambda k0, ..: lambda t: <shape>`, kept in an LRU cache of 256
+shapes under a file name of its own (`<bsym.expr coefficient #N>`, so a
+profile shows the trees of one shape as one entry), and a tree's function
+is that factory called with the tree's constants, kept in a small LRU
+cache keyed on the `Expr` and shared by every form.  A `CheckedForm` says
+how the quadrature or the oracle combines coefficient values, and
+`CheckedForm.source` renders its code at the time s: the coefficients
+called in order inside one try, each value checked for finiteness, then
+the form's body.  Every failure raises
 EvalError through one helper, with the texts "division by zero at t=..",
 "evaluation failed at t=..: <reason>" and "non-finite value at t=..".
 `checked_factory` binds the coefficient functions to the form's wrapper,
@@ -338,20 +343,24 @@ def parse_expr(source: str) -> Expr:
 
 # --- Evaluation -----------------------------------------------------------
 
-def _codegen(node: Node) -> str:
+def _shape(node: Node, consts: list) -> str:
+    """The tree's code with each constant written as the parameter k<i>,
+    i counting the constants in order of appearance, which are appended to
+    consts; variables, operators, function names and exponents stay in the
+    code."""
     if isinstance(node, Const):
-        # parens guard negative literals against Python's tighter-binding **
-        return f"({node.value!r})"
+        consts.append(node.value)
+        return f"k{len(consts) - 1}"
     if isinstance(node, Var):
         return "t"
     if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg)})"
+        return f"(-{_shape(node.arg, consts)})"
     if isinstance(node, BinOp):
-        return f"({_codegen(node.left)}{node.op}{_codegen(node.right)})"
+        return f"({_shape(node.left, consts)}{node.op}{_shape(node.right, consts)})"
     if isinstance(node, Pow):
-        return f"({_codegen(node.base)}**{node.exponent})"
+        return f"({_shape(node.base, consts)}**{node.exponent})"
     if isinstance(node, Call):
-        return f"{node.func}({_codegen(node.arg)})"
+        return f"{node.func}({_shape(node.arg, consts)})"
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -428,16 +437,34 @@ _GLOBALS["_failed"] = _failed
 _compiled_count = itertools.count(1)
 
 
-# bounded to one operation's working set: an eviction only costs a
-# recompile, while fresh expressions would otherwise grow it without end
-@lru_cache(maxsize=32)
-def _coefficient(e: Expr) -> Callable[[float], float]:
-    """The unchecked function t -> e(t), compiled once per tree while it
-    stays in a small cache, and shared by every form."""
-    # a file name of its own per tree: profilers key functions by (file,
+# one entry per shape, a few hundred kilobytes at most: an identities run
+# of fresh problems meets 278 shapes (139 up to a minus at the top) and
+# recompiles the few it evicted, since a miss only costs a compile
+@lru_cache(maxsize=256)
+def _shape_factory(shape: str, count: int) -> Callable:
+    """`lambda k0, .., k<count-1>: lambda t: <shape>`, compiled once per
+    shape while it stays in the cache."""
+    # a file name of its own per shape: profilers key functions by (file,
     # line, name) and would merge every `<lambda>` under one name
     filename = f"<bsym.expr coefficient #{next(_compiled_count)}>"
-    return eval(compile(f"lambda t: {_codegen(e.ast)}", filename, "eval"), _GLOBALS)  # noqa: S307
+    params = ", ".join(f"k{i}" for i in range(count))
+    return eval(compile(f"lambda {params}: lambda t: {shape}", filename, "eval"), _GLOBALS)  # noqa: S307
+
+
+# bounded to one operation's working set, since fresh expressions would
+# otherwise grow it without end
+@lru_cache(maxsize=32)
+def _coefficient(e: Expr) -> Callable[[float], float]:
+    """The unchecked function t -> e(t): its shape's function, compiled
+    once per shape, bound to e's constants, and shared by every form.
+
+    The constants are read at run time where a literal would have been
+    folded at compile time: folding runs the same IEEE operations, and
+    skips an operation that would raise (1/0, 10.0**400), so the values
+    and errors are those of the tree's own literal code."""
+    consts: list = []
+    shape = _shape(e.ast, consts)
+    return _shape_factory(shape, len(consts))(*consts)
 
 
 @lru_cache(maxsize=None)
@@ -458,7 +485,7 @@ def _wrapper(form: CheckedForm, count: int) -> Callable:
 def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable:
     """The factory of `form`'s function over the coefficients: the form's
     wrapper, compiled once per process, bound to each coefficient's
-    function, compiled once per tree.
+    function, compiled once per shape with the tree's constants bound.
 
     A coefficient evaluation that divides by zero, overflows, fails in a
     math function or gives a non-finite value raises EvalError, before
@@ -595,7 +622,8 @@ def _structural(node: Node) -> Optional[Parity]:
 
 
 # parity is a function of the tree alone, asked for the same few trees
-# many times per operation: memoized per tree, bounded like the compiles
+# many times per operation: memoized per tree, bounded like the
+# coefficient functions
 @lru_cache(maxsize=32)
 def structural_parity(e: Expr) -> Optional[Parity]:
     return _structural(e.ast)

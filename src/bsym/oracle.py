@@ -17,8 +17,9 @@ and reruns only the body (y^n) at the 7th, whose time is the 6th's.  The
 sign of y^n for y < 0
 (`ExponentClass.negative_sign`) and the unary minuses at the top of a and
 b are bound to it as factors, beside the functions of the trees under
-those minuses, so a problem and its partners share one compile per tree
-up to sign, and the quadrature shares it too.  Its values and errors are
+those minuses, so a problem and its partners share one function per tree
+up to sign, compiled once per shape with the tree's constants bound, and
+the quadrature shares it too.  Its values and errors are
 those of the coefficient-by-coefficient closure with `signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and

@@ -19,7 +19,7 @@ its tolerances are also the error scale at which the path's
 right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the checked form
 `_ab_form(k)` of k multipliers, which `expr.checked_factory` binds per
 path to the multipliers and to a's and b's functions, which compile once
-per tree and are shared with the oracle.  `stepper.integrate` runs it
+per shape with each tree's constants bound, and are shared with the oracle.  `stepper.integrate` runs it
 through the form's own DP5 loop, compiled once per process and number of
 multipliers, which evaluates a and b inline at 5 stages of each step and
 reruns only exp(m*A) at the 7th, whose time is the 6th's; its file name

@@ -3,12 +3,14 @@
 `quad.nested_path` and `oracle.rk_solve` integrate functions built by
 `expr.checked_factory`, which `stepper.integrate` runs through each form's
 own DP5 loop.  They must reproduce, bit for bit and error for error, the
-closures they replaced, called by the stepper's call-form loop: each
-coefficient wrapped by the old `as_callable` (kept below as
-`reference_callable`), and y^n from `signed_pow`.  A spy that wraps the
-function it hands `integrate` runs the call form's loop, which calls the
-form's checked wrapper; each such test has a counterpart that spies on the
-coefficient functions the form's loop calls.
+closures they replaced: each coefficient wrapped by the old `as_callable`
+(kept below as `reference_callable`, over the tree's code with its
+constants written as literals), and y^n from `signed_pow`.  The closures
+run both in the stepper's call-form loop and in `test_stepper`'s
+`reference_integrate`, a loop with no generated code, and the two must
+agree.  A spy that wraps the function it hands `integrate` runs the call
+form's loop, which calls the form's checked wrapper; each such test has a
+counterpart that spies on the coefficient functions the form's loop calls.
 """
 
 import cProfile
@@ -39,19 +41,40 @@ from bsym import (
     verify_cases,
 )
 from bsym.exponent import ExponentClass, signed_pow
-from bsym.expr import FUNCTIONS, _codegen, as_callable, negated
+from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Expr, Neg, Pow, Var, as_callable, negated
 from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import nested_path
 
 from helpers import random_source
+from test_stepper import reference_integrate
 
 _MATH = {name: getattr(math, name) for name in FUNCTIONS}
 
 
+def literal_code(node) -> str:
+    """The tree's Python code with each constant written as a literal, as
+    the package generated it per tree before it compiled per shape."""
+    if isinstance(node, Const):
+        # parens guard negative literals against Python's tighter-binding **
+        return f"({node.value!r})"
+    if isinstance(node, Var):
+        return "t"
+    if isinstance(node, Neg):
+        return f"(-{literal_code(node.arg)})"
+    if isinstance(node, BinOp):
+        return f"({literal_code(node.left)}{node.op}{literal_code(node.right)})"
+    if isinstance(node, Pow):
+        return f"({literal_code(node.base)}**{node.exponent})"
+    if isinstance(node, Call):
+        return f"{node.func}({literal_code(node.arg)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 def reference_callable(e):
-    """as_callable before the generated template: the compiled expression
-    inside a wrapper that types its errors and checks its value."""
-    fn = eval(f"lambda t: {_codegen(e.ast)}", dict(_MATH))
+    """as_callable before the generated template: the expression's literal
+    code, compiled per tree, inside a wrapper that types its errors and
+    checks its value."""
+    fn = eval(f"lambda t: {literal_code(e.ast)}", dict(_MATH))
     isfinite = math.isfinite
 
     def call(t):
@@ -110,13 +133,25 @@ def outcome(run):
     return repr(path.ts), repr(path.ys), repr(path.ks), flags
 
 
+def independent(f, y0, t_end, ctl, stop=None):
+    """`test_stepper.reference_integrate` driving a right-hand side of the
+    stepper's contract, which reads component 0 of the state."""
+    return reference_integrate(lambda t, y: f(t, y[0]), y0, t_end, ctl, stop)
+
+
 def both(monkeypatch, module, run):
     """run's outcome with the generated right-hand side, which runs its
-    form's loop, then with the reference closures in the call form's loop."""
+    form's loop, then with the reference closures in the independent loop,
+    which must equal theirs in the call form's loop: every generated loop
+    comes from one template, so a defect in it would pass unseen if the
+    reference ran in it alone."""
     got = outcome(run)
     with monkeypatch.context() as m:
         m.setattr(module, "checked_factory", reference_factory)
+        in_call_form = outcome(run)
+        m.setattr(module, "integrate", independent)
         expected = outcome(run)
+    assert in_call_form == expected
     return got, expected
 
 
@@ -488,31 +523,48 @@ def sources(compiled, kind) -> list:
 def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     compiled = counting_compiles(monkeypatch)
     expr._coefficient.cache_clear()
+    expr._shape_factory.cache_clear()
     expr._wrapper.cache_clear()
+    # size + 8 trees of one shape compile once, each bound to its own
+    # constants; the per-tree cache keeps the last size of them, and a tree
+    # it evicted binds its constants again without a compile
     size = expr._coefficient.cache_info().maxsize
-    exprs = [parse_expr(f"{k + 1}*t") for k in range(size + 8)]
-    for e in exprs:
-        as_callable(e)
-    assert len(sources(compiled, "coefficient")) == size + 8
+    trees = [parse_expr(f"{k + 1}*t - {k}") for k in range(size + 8)]
+    for k, e in enumerate(trees):
+        assert as_callable(e)(0.5) == (k + 1) * 0.5 - k
+    assert sources(compiled, "coefficient") == ["lambda k0, k1: lambda t: ((k0*t)-k1)"]
     assert expr._coefficient.cache_info().currsize == size
-    as_callable(exprs[-1])  # still cached
-    assert len(sources(compiled, "coefficient")) == size + 8
-    as_callable(exprs[0])  # evicted: compiled again
-    assert len(sources(compiled, "coefficient")) == size + 9
+    assert as_callable(trees[0])(0.5) == 0.5
+    assert len(sources(compiled, "coefficient")) == 1
 
-    # one compile per tree: every multiplier, both oracle forms, the
-    # partners that flip a's and b's signs and as_callable share it
-    a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
+    # size + 8 shapes compile size + 8 times; a fresh tree of a shape still
+    # cached compiles nothing, and one of an evicted shape compiles again
+    shapes = expr._shape_factory.cache_info().maxsize
     del compiled[:]
-    for mults in ((2.0,), (-2.0,), (0.0,), (2.0, -2.0)):
-        nested_path(a, b, mults, 1.0)
+    for k in range(shapes + 8):
+        assert as_callable(parse_expr(f"{k + 2}*t^{k}"))(0.5) == (k + 2) * 0.5**k
+    assert len(sources(compiled, "coefficient")) == shapes + 8
+    assert expr._shape_factory.cache_info().currsize == shapes
+    assert as_callable(parse_expr(f"3*t^{shapes + 7}"))(1.0) == 3.0
+    assert len(sources(compiled, "coefficient")) == shapes + 8
+    assert as_callable(parse_expr("3*t^0"))(0.5) == 3.0
+    assert sources(compiled, "coefficient")[shapes + 8:] == ["lambda k0: lambda t: (k0*(t**0))"]
+
+    # one compile per shape: every multiplier, both oracle forms, the
+    # partners that flip a's and b's signs and as_callable share it,
+    # whatever constants their trees carry
+    del compiled[:]
+    for k, mults in enumerate(((2.0,), (-2.0,), (0.0,), (2.0, -2.0))):
+        nested_path(parse_expr(f"{k + 1}*cos(t)"), parse_expr(f"sin({k + 1}*t)"), mults, 1.0)
     # n = 1 has the linear form and every other exponent the power form
-    for n in ("2", "4/3", "3", "1/2", "1"):
-        rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5)
-        rk_solve(problem("-cos(t)", "-sin(t)", n, 0.5), 0.5)
-    as_callable(a)(0.5)
-    as_callable(b)(0.5)
-    assert sources(compiled, "coefficient") == ["lambda t: cos(t)", "lambda t: sin(t)"]
+    for k, n in enumerate(("2", "4/3", "3", "1/2", "1")):
+        rk_solve(problem(f"0.{k + 1}*cos(t)", f"sin(0.{k + 1}*t)", n, 0.5), 0.5)
+        rk_solve(problem(f"-(0.{k + 1}*cos(t))", f"-sin(0.{k + 1}*t)", n, 0.5), 0.5)
+    assert as_callable(parse_expr("7*cos(t)"))(0.0) == 7.0
+    assert as_callable(parse_expr("sin(7*t)"))(0.0) == 0.0
+    assert sources(compiled, "coefficient") == [
+        "lambda k0: lambda t: (k0*cos(t))", "lambda k0: lambda t: sin((k0*t))",
+    ]
     # a form's wrapper compiles once per process and coefficient count,
     # whatever the trees: one each for the (A, B) and (A, B, B) forms and
     # the oracle's two, and none for as_callable's, compiled above
@@ -523,9 +575,9 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
 
 
 def test_profiles_see_each_coefficient_function():
-    # pstats keys functions by (file, line, name): every tree compiles under
-    # a file name of its own, so four coefficients give four entries, while
-    # the two pairs share their form's one wrapper
+    # pstats keys functions by (file, line, name): every shape compiles
+    # under a file name of its own, so four coefficients of four shapes give
+    # four entries, while the two pairs share their form's one wrapper
     pairs = [(parse_expr("cos(t)"), parse_expr("t")), (parse_expr("sin(t)"), parse_expr("2"))]
     fns = [expr.checked_factory(quad._ab_form(1), a, b)(1.0) for a, b in pairs]
     profile = cProfile.Profile()
@@ -545,9 +597,26 @@ def test_profiles_see_each_coefficient_function():
     assert wrappers == [10]
 
 
+def test_profiles_show_the_trees_of_one_shape_as_one_entry():
+    # the trees of one shape share its function's code, bound to their
+    # own constants, so a profile counts their calls under one entry
+    fns = [as_callable(parse_expr(f"{k + 1}*cos(t)")) for k in range(3)]
+    profile = cProfile.Profile()
+    profile.enable()
+    values = [fn(0.1 * k) for fn in fns for k in range(5)]
+    profile.disable()
+    assert values == [(j + 1) * math.cos(0.1 * k) for j in range(3) for k in range(5)]
+    stats = pstats.Stats(profile).stats
+    coefficients = [
+        stat[1] for key, stat in stats.items()
+        if key[0].startswith("<bsym.expr coefficient #")
+    ]
+    assert coefficients == [15]
+
+
 def test_profiles_see_each_coefficient_function_in_a_form_loop():
     # the form's loop calls each coefficient function inline: four
-    # coefficients keep four entries, and no wrapper is called
+    # coefficients of four shapes keep four entries, and no wrapper is called
     pairs = [(parse_expr("cos(t)"), parse_expr("t")), (parse_expr("sin(t)"), parse_expr("2"))]
     for a, b in pairs:  # compile the loop and the coefficients first
         nested_path(a, b, (1.0,), 1.0)
@@ -570,15 +639,110 @@ def test_profiles_see_each_coefficient_function_in_a_form_loop():
 
 
 def test_the_oracle_compiles_once_per_pair_up_to_sign(monkeypatch):
-    # the partners of T2i, T2iv and T3i flip the signs of cos(t) and sin(t);
-    # with the signs bound to the oracle's wrapper, the validity search's
-    # (A, B) paths and the oracle's four problems share one compile per tree
+    # the partners of T2i, T2iv and T3i flip the signs of a and b; with the
+    # signs bound to the oracle's wrapper, the validity search's (A, B)
+    # paths and the oracle's four problems share one function per tree,
+    # and a second pair of the same shapes compiles nothing
     compiled = counting_compiles(monkeypatch)
     expr._coefficient.cache_clear()
-    reports = verify_cases(problem("cos(t)", "sin(t)", 2, 1.0), ["T2i", "T2iv", "T3i"])
-    assert [r.passed for r in reports] == [True] * 3
-    assert expr._coefficient.cache_info().misses == 2
-    assert sources(compiled, "coefficient") == ["lambda t: cos(t)", "lambda t: sin(t)"]
+    expr._shape_factory.cache_clear()
+    for a, b in (("0.5*cos(t)", "sin(t)/3"), ("2*cos(t)", "sin(t)/5")):
+        reports = verify_cases(problem(a, b, 2, 1.0), ["T2i", "T2iv", "T3i"])
+        assert [r.passed for r in reports] == [True] * 3
+    assert expr._coefficient.cache_info().misses == 4
+    assert sources(compiled, "coefficient") == [
+        "lambda k0: lambda t: (k0*cos(t))", "lambda k0: lambda t: (sin(t)/k0)",
+    ]
+
+
+def rebound(node, new):
+    """The tree of node's shape with each constant c replaced by new(c)."""
+    if isinstance(node, Const):
+        return Const(new(node.value))
+    fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+    return dataclasses.replace(node, **{
+        name: rebound(value, new) for name, value in fields.items()
+        if isinstance(value, (Const, Var, Neg, BinOp, Pow, Call))
+    })
+
+
+def shape_of(e):
+    """A key equal for exactly the trees of one shape: every constant 1.0."""
+    return rebound(e.ast, lambda c: 1.0)
+
+
+_SUM = "+".join(f"0.0{k:02d}" for k in range(MAX_DEPTH - 1))
+_GROUPS = "+".join(f"({'+'.join(f'0.0{j}{k:02d}' for k in range(50))})*t^{j}" for j in range(6))
+# pairs of trees of one shape that differ in their constants only; the
+# first of each has constants that compile-time folding treats apart:
+# folded to -0.0 or to an infinity, or not folded since the operation
+# raises, and a Pow of a constant base (the second keeps its value finite)
+SHAPE_PAIRS = [
+    ("t*-0", "t*-0.5"),
+    ("-0^3 + cos(t)", "-0.5^3 + cos(t)"),
+    ("cos(t) + 1/0", "cos(t) + 1/4"),
+    ("10^400*t", "0.5^400*t"),
+    ("exp(710)*t", "exp(0.5)*t"),
+    ("1.1^400*cos(t) + 1", "0.9^400*cos(t) + 1"),
+    ("9" * 308 + "*10*sin(t)", "0.25*10*sin(t)"),
+    # the depth tests' sizes: a sum at the depth bound, 99 constants, and
+    # a tree of 300 constants in six groups
+    (f"{_SUM}*t", f"{_SUM.replace('0.0', '0.1')}*t"),
+    (_GROUPS, _GROUPS.replace("0.0", "0.00")),
+]
+_shape_rng = random.Random(34)
+# random trees and their rebound twins: helpers.random_source has few
+# shapes, so trees of one shape also meet across pairs
+SHAPE_TREES = [
+    e for src in (random_source(_shape_rng) for _ in range(12))
+    for e in (parse_expr(src), Expr(rebound(parse_expr(src).ast, lambda c: 1.5 * c + 0.125)))
+] + [parse_expr(src) for pair in SHAPE_PAIRS for src in pair]
+
+
+def value_outcome(fn, t):
+    """repr of fn(t), or the EvalError's text."""
+    try:
+        return repr(fn(t))
+    except EvalError as exc:
+        return "EvalError", str(exc)
+
+
+def test_each_tree_of_a_shape_binds_its_own_constants(monkeypatch):
+    # the trees test the binding: each pair shares a shape, and so do
+    # trees of different pairs
+    for a, b in SHAPE_PAIRS:
+        assert shape_of(parse_expr(a)) == shape_of(parse_expr(b)) and a != b
+    assert len({shape_of(e) for e in SHAPE_TREES}) < len(set(SHAPE_TREES)) - len(SHAPE_PAIRS)
+    # built in turn, then evaluated interleaved, tree after tree at each t
+    compiled = counting_compiles(monkeypatch)
+    expr._coefficient.cache_clear()
+    expr._shape_factory.cache_clear()
+    fns = [as_callable(e) for e in SHAPE_TREES]
+    assert len(sources(compiled, "coefficient")) == len({shape_of(e) for e in SHAPE_TREES})
+    refs = [reference_callable(e) for e in SHAPE_TREES]
+    for t in (0.0, -0.0, 0.5, -1.5, 3.0, 5e-324):
+        for e, fn, ref in zip(SHAPE_TREES, fns, refs):
+            assert value_outcome(fn, t) == value_outcome(ref, t), (e.source, t)
+
+
+_SHAPE_RUNS = {
+    "path dim 2": (quad, lambda a, b: nested_path(a, b, (2.0,), 2.0)),
+    "path dim 3": (quad, lambda a, b: nested_path(a, b, (-1 / 3, 2 / 3), -2.0)),
+    "oracle linear": (oracle, lambda a, b: rk_solve(problem(a.source, b.source, 1, 0.5), 2.0)),
+    "oracle power": (oracle, lambda a, b: rk_solve(problem(a.source, b.source, 2, 0.5), -2.0)),
+}
+
+
+@pytest.mark.parametrize("name", _SHAPE_RUNS)
+def test_each_tree_of_a_shape_binds_its_own_constants_in_every_form(monkeypatch, name):
+    # a and b of one shape in one loop, each in turn as a beside cos(t),
+    # with the runs of the pair interleaved, all through the shape cache
+    module, run = _SHAPE_RUNS[name]
+    cos = parse_expr("cos(t)")
+    for first, second in zip(SHAPE_TREES[::2], SHAPE_TREES[1::2]):
+        for a, b in ((first, second), (second, first), (first, cos), (second, cos)):
+            got, expected = both(monkeypatch, module, lambda: run(a, b))
+            assert got == expected, (a.source, b.source)
 
 
 _ORDER_RUNS = {
