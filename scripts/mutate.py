@@ -82,6 +82,24 @@ MUTANTS = [
         ("tests/test_oracle.py",),
     ),
     Mutant(
+        "oracle-ignores-the-blow-up-limit",
+        "oracle.py",
+        "limit=_BLOWUP_THRESHOLD",
+        "limit=math.inf",
+        "the oracle integrates a growing solution past 1e12 to its target"
+        " instead of ending it as a blow-up",
+        ("tests/test_oracle.py::test_a_limit_stop_and_a_rescued_underflow_differ_in_the_last_y",),
+    ),
+    Mutant(
+        "oracle-rescue-leaves-blew-up-unset",
+        "oracle.py",
+        "path.blew_up = True",
+        "pass",
+        "a step-size collapse at a huge |y| returns a partial path that reads"
+        " as reaching its target: a grid past it raises ValueError, not the blow-up",
+        ("tests/test_oracle.py::test_blow_up_marker",),
+    ),
+    Mutant(
         "shared-path-reuses-any-longer-path",
         "stepper.py",
         "source = paths.get((*key, r * t_end))",
@@ -259,6 +277,15 @@ MUTANTS = [
         "mirrored = True",
         "a sampled parity is read as a t-mirror: a failing identity reads 0",
         ("tests/test_quad.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "identities-drop-a-sign-from-the-multipliers",
+        "quad.py",
+        "tuple(sa * u for u in mults)",
+        "mults",
+        "an identity of -(a) integrates the paths of a: its residuals are those"
+        " of another problem, which a certified mirror hides (both read 0)",
+        ("tests/test_quad.py::test_identity_residuals_are_those_of_fresh_paths",),
     ),
     Mutant(
         "mirror-keeps-the-multipliers",

@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     EvalError,
     ExprSyntaxError,
-    NoConvergence,
     OutsideValidity,
     ParityViolation,
     StepFailure,
@@ -42,7 +41,7 @@ from .expr import (
     format_expr,
     parse_expr,
 )
-from .oracle import Trajectory, rk_solve, solve_on_grid, solve_on_grids
+from .oracle import rk_solve, solve_on_grid, solve_on_grids
 from .quad import Identity, identity_residuals
 from .stepper import StepControl
 from .symmetry import (
@@ -71,7 +70,6 @@ __all__ = [
     "Expr",
     "ExprSyntaxError",
     "Identity",
-    "NoConvergence",
     "OutsideValidity",
     "Parity",
     "ParityViolation",
@@ -81,7 +79,6 @@ __all__ = [
     "StepControl",
     "StepFailure",
     "SymmetryCase",
-    "Trajectory",
     "Validity",
     "VerificationReport",
     "ZeroDenominator",

@@ -32,10 +32,6 @@ class DomainError(BsymError):
     """Input outside the mathematical domain of an operation."""
 
 
-class NoConvergence(BsymError):
-    """Adaptive integration exhausted its step-refinement budget."""
-
-
 class ParityViolation(BsymError):
     """Coefficient parities do not satisfy an identity's preconditions."""
 
@@ -52,4 +48,6 @@ class CaseNotApplicable(BsymError):
 
 
 class StepFailure(BsymError):
-    """Direct ODE integration could not continue (step size underflow)."""
+    """An adaptive integration could not reach its end: the stepper's
+    `StepUnderflow` and `StepBudgetExceeded`, or the oracle's overflowing
+    right-hand side."""

@@ -27,8 +27,9 @@ b(t) are always evaluated at the true t.
 
 Every solve runs at `ORACLE_CONTROL` (relative tolerance 1e-10, absolute
 1e-11, looser than the quadrature's 1e-12); only `rk_solve` takes
-another `StepControl`.  A run stops with a blow-up marker once |y| exceeds
-the fixed `_BLOWUP_THRESHOLD`.
+another `StepControl`.  `rk_solve` returns the stepper's `DensePath`,
+whose `blew_up` marks a blow-up: |y| passed `_BLOWUP_THRESHOLD`, the
+stepper's `limit`, or the step size underflowed at a huge |y|.
 
 `solve_on_grids` answers several problems' grids from one table of
 integrated paths by the package's one reflection rule
@@ -40,7 +41,6 @@ is a reflection of one already solved reads its path through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .closedform import ProblemSpec
@@ -49,7 +49,6 @@ from .exponent import ExponentClass, reflections, signed_pow
 from .expr import CheckedForm, checked_factory, split_sign
 from .stepper import (
     DensePath,
-    StepBudgetExceeded,
     StepControl,
     StepUnderflow,
     grid_values,
@@ -59,7 +58,6 @@ from .stepper import (
 
 __all__ = [
     "ORACLE_CONTROL",
-    "Trajectory",
     "rk_solve",
     "solve_on_grid",
     "solve_on_grids",
@@ -72,24 +70,6 @@ ORACLE_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-11)
 # collapse with |y| past the fraction of it, rather than failure
 _BLOWUP_THRESHOLD = 1e12
 _BLOWUP_UNDERFLOW_FRACTION = 1e-3
-
-
-@dataclass
-class Trajectory:
-    """The oracle's dense path from (0, d): accepted nodes with the
-    stepper's continuous extension in between."""
-
-    path: DensePath
-    blew_up: bool
-
-    @property
-    def t_last(self) -> float:
-        """Last reliable time: the target, or where blow-up stopped the run."""
-        return self.path.t_reached
-
-    def __call__(self, t: float) -> float:
-        """Dense-output y(t); ValueError outside the integrated range."""
-        return self.path.value(t)[0]
 
 
 # y' = a*y + b*y^n, with y^n computed as signed_pow computes it: math.pow
@@ -114,41 +94,33 @@ return (sa * f0 * x + sb * f1 * xn,)""",
 )
 
 
-def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) -> Trajectory:
-    """Integrate the IVP from (0, d) toward t_end (either direction).
+def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) -> DensePath:
+    """The dense path of the IVP from (0, d) toward t_end (either
+    direction), y(t) = path.value(t)[0].
 
-    Stops early with a blow-up marker once |y| exceeds `_BLOWUP_THRESHOLD`
-    (or the step size collapses while |y| is already huge); the
-    trajectory then ends at the last accepted step.  Raises StepFailure when
-    the step size underflows at moderate |y|, ctl's step budget runs out or
-    y^n overflows, DomainError when y leaves the legal domain of y^n
-    (e.g. y < 0 with an even root denominator), and ValueError, from
-    `integrate`, for a non-finite t_end.
+    The path ends early, with path.blew_up set, at the first accepted step
+    with |y| past `_BLOWUP_THRESHOLD`, or where the step size collapses
+    while |y| is already huge.  Raises StepFailure when the step size
+    underflows at moderate |y| or ctl's step budget runs out (the
+    stepper's own, with the partial path) or y^n overflows, DomainError
+    when y leaves the domain of y^n (y < 0 under an even root), and
+    ValueError, from `integrate`, for a non-finite t_end.
     """
     n = p.n
     (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
     form = _LINEAR if n.cls is ExponentClass.ONE else _POWER
     rhs = checked_factory(form, a0, b0)(sa, sb, n, n.cls.negative_sign, n.p / n.q, math.pow, signed_pow)
 
-    def stop(t, y):
-        return abs(y[0]) > _BLOWUP_THRESHOLD
-
-    blew_up = False
     try:
-        path = integrate(rhs, (p.d,), t_end, ctl, stop=stop)
-        blew_up = path.stopped
+        return integrate(rhs, (p.d,), t_end, ctl, limit=_BLOWUP_THRESHOLD)
     except StepUnderflow as exc:
         path = exc.path
         if abs(path.y_end[0]) > _BLOWUP_UNDERFLOW_FRACTION * _BLOWUP_THRESHOLD:
-            blew_up = True
-        else:
-            raise StepFailure(str(exc)) from None
-    except StepBudgetExceeded as exc:
-        raise StepFailure(str(exc)) from None
+            path.blew_up = True
+            return path
+        raise
     except OverflowError as exc:  # y^n of an overshooting trial stage
         raise StepFailure(f"right-hand side overflow: {exc}") from None
-
-    return Trajectory(path, blew_up)
 
 
 def solve_on_grids(requests: Sequence[tuple[ProblemSpec, Sequence[float]]]) -> list[list[float]]:
@@ -177,12 +149,10 @@ def solve_on_grids(requests: Sequence[tuple[ProblemSpec, Sequence[float]]]) -> l
         a0, b0, views = reflections(p.a, p.b, p.n.cls)
 
         def fresh(t_end: float) -> DensePath:
-            traj = rk_solve(p, t_end)
-            if traj.blew_up:
-                raise StepFailure(
-                    f"oracle blew up at t={traj.t_last!r} before reaching {t_end!r}"
-                )
-            return traj.path
+            path = rk_solve(p, t_end)
+            if path.blew_up:
+                raise StepFailure(f"oracle blew up at t={path.t_reached!r} before reaching {t_end!r}")
+            return path
 
         keyed = [(r, (s,), (a0, b0, p.n, ka, kb, kd * p.d)) for r, s, ka, kb, kd in views]
         ys = grid_values(lambda x: shared_path(paths, keyed, x, fresh), ts)

@@ -13,9 +13,9 @@ per multiplier, (A, B_m1, .., B_mk), from one right-hand side that
 evaluates a and b once per stage; with one multiplier it is the (A, B)
 path.  Every path runs at, and records, the one fixed `QUAD_CONTROL`:
 relative tolerance 1e-10, absolute tolerance 1e-12 and a smallest step of
-2**-40 of the span, below which the integration reports NoConvergence;
-its tolerances are also the error scale at which the path's
-`first_crossing` counts a tangent touch.  The
+2**-40 of the span, below which the stepper's StepUnderflow, a
+StepFailure, passes through as it is; its tolerances are also the error
+scale at which the path's `first_crossing` counts a tangent touch.  The
 right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the checked form
 `_ab_form(k)` of k multipliers, which `expr.checked_factory` binds per
 path to the multipliers and to a's and b's functions, which compile once
@@ -63,21 +63,20 @@ from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import EvalError, NoConvergence, ParityViolation
+from .errors import EvalError, ParityViolation
 from .expr import (
     CheckedForm,
     Expr,
     Parity,
     checked_factory,
     detect_parity,
+    split_sign,
 )
 from .exponent import RationalExponent, minus_one, reflection_signs, reflections
 from .stepper import (
     DensePath,
     PathView,
-    StepBudgetExceeded,
     StepControl,
-    StepUnderflow,
     grid_values,
     integrate,
     shared_path,
@@ -116,8 +115,6 @@ def nested_path(a: Expr, b: Expr, mults: tuple, t: float) -> DensePath:
     rhs = checked_factory(_ab_form(len(mults)), a, b)(*mults)
     try:
         return integrate(rhs, (0.0,) * (1 + len(mults)), t, QUAD_CONTROL)
-    except (StepUnderflow, StepBudgetExceeded) as exc:
-        raise NoConvergence(str(exc)) from None
     except OverflowError as exc:
         raise EvalError(f"integrand overflow: {exc}") from None
 
@@ -201,8 +198,11 @@ def identity_residuals(
     on a grid that straddles 0, and one for Eq7 or a grid on one side of
     0: an identity residual is then a shared-path residual, exactly 0, and
     evidence only through the parity certificate.  With a sampled parity
-    each side of 0 integrates its own path.  Every residual is bit for bit
-    the one fresh paths per side give, and no path outlives the call.
+    each side of 0 integrates its own path.  A path integrates a0 and b0,
+    a = sa*a0 and b = sb*b0 (`expr.split_sign`), at the multipliers times
+    sa: B_mult is exactly sb*B_{sa*mult} of (a0, b0), and |.| drops sb, so
+    a and -a compile one shape.  Every residual is bit for bit the one
+    fresh paths of (a, b) per side give, and no path outlives the call.
     Raises DomainError where n - 1 is no usable float
     (`exponent.minus_one`), then ParityViolation unless (a, b) carry the
     parities the identity assumes, then ValueError for a non-finite t,
@@ -230,12 +230,13 @@ def identity_residuals(
     if mirrored:
         reads = [(-x, ka * mult, kb) if x < 0.0 else (x, mult, 1.0) for x, mult, _ in reads]
     carried = {}  # side of 0 -> the multipliers its path carries, in (left, right) order
+    (sa, a0), (_, b0) = split_sign(a), split_sign(b)
 
     def solve(t_end: float) -> DensePath:
         side = t_end >= 0.0
         here = {mult for x, mult, _ in reads if (x >= 0.0) is side}
         mults = carried[side] = tuple(dict.fromkeys(u for u in (left, right) if u in here))
-        return nested_path(a, b, mults, t_end)
+        return nested_path(a0, b0, tuple(sa * u for u in mults), t_end)
 
     states = grid_values(solve, [x for x, _, _ in reads])
     got = [f * y[1 + carried[x >= 0.0].index(mult)] for (x, mult, f), y in zip(reads, states)]

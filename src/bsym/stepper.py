@@ -6,7 +6,10 @@ scalar Bernoulli equation.  Each caller passes its own `StepControl`.
 
 States are plain tuples of floats, which beats array machinery at these
 sizes.  Negative spans are integrated by stepping with negative h; nodes
-then appear in decreasing t order.
+then appear in decreasing t order.  A run ends on t_end, at the first
+accepted state with |y_0| past the caller's `limit` (`DensePath.blew_up`),
+or in a `StepUnderflow` or `StepBudgetExceeded`: `errors.StepFailure`s
+that carry the partial path.
 
 The right-hand side is called as f(t, y_0): component 0 of the state, the
 only one it reads, as a float, and it returns the derivatives of all the
@@ -37,7 +40,7 @@ walk and `_extension` unpack a step's coefficients once and evaluate each point'
 Horner form as straight-line code over locals.  Every source is registered
 in `linecache`, so tracebacks and profiles show the generated lines; each
 coefficient function keeps a profiler entry of its own.  Paths (nodes,
-states, stages, stop flag) are bit-identical to those of the plain
+states, stages, `blew_up` flag) are bit-identical to those of the plain
 component-wise loop, and dense values to those of the column-by-column
 extension, which the tests keep as the references.
 
@@ -71,6 +74,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
+from .errors import StepFailure
 from .expr import CheckedForm
 
 __all__ = [
@@ -130,7 +134,7 @@ class StepControl:
             raise ValueError("min_step_fraction must lie strictly between 0 and 1")
 
 
-class StepUnderflow(Exception):
+class StepUnderflow(StepFailure):
     """Step size fell below the allowed minimum; carries the partial path."""
 
     def __init__(self, path: "DensePath"):
@@ -138,7 +142,7 @@ class StepUnderflow(Exception):
         self.path = path
 
 
-class StepBudgetExceeded(Exception):
+class StepBudgetExceeded(StepFailure):
     """max_steps exhausted before reaching the target; carries the partial path."""
 
     def __init__(self, path: "DensePath"):
@@ -186,7 +190,7 @@ class DensePath:
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     ks: list = field(default_factory=list)  # (k1, k3, k4, k5, k6, k7) per step
-    stopped: bool = False  # a stop callback ended integration early
+    blew_up: bool = False  # |y_0| passed integrate's limit, ending the path early
     _coefs: dict = field(default_factory=dict, repr=False, compare=False)
     _crossings: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -355,7 +359,7 @@ def integrate(
     y0: Sequence[float],
     t_end: float,
     ctl: StepControl,
-    stop: Optional[Callable[[float, State], bool]] = None,
+    limit: float = math.inf,
 ) -> DensePath:
     """Integrate y' = f(t, y_0) from t = 0 to t_end adaptively.
 
@@ -366,8 +370,9 @@ def integrate(
     and never calls f; any other callable runs through the call form's
     loop, which calls it at every stage.  Returns the dense path of
     accepted steps, which records `ctl`.  The final step is clamped to
-    land exactly on t_end.  If `stop` returns true on an accepted state (a
-    tuple) the integration ends there with path.stopped set.  Raises
+    land exactly on t_end.  The first accepted state with |y_0| > limit
+    ends the path with path.blew_up set.  Raises StepUnderflow or
+    StepBudgetExceeded when the step size or budget runs out, and
     ValueError for an empty state or a non-finite t_end.
     """
     y0 = tuple(y0)
@@ -377,9 +382,9 @@ def integrate(
         raise ValueError(f"t_end must be finite, not {t_end!r}")
     form = getattr(f, "form", None)
     if form is None:
-        return _kernel(len(y0), _CALL, 0)(f, y0, t_end, ctl, stop)
+        return _kernel(len(y0), _CALL, 0)(f, y0, t_end, ctl, limit)
     kernel = _kernel(len(y0), form, len(f.coefficients))
-    return kernel(f, y0, t_end, ctl, stop, *f.coefficients, *f.env)
+    return kernel(f, y0, t_end, ctl, limit, *f.coefficients, *f.env)
 
 
 # The dense output and the adaptive loop, written once for every state
@@ -474,7 +479,7 @@ class DensePath{dim}(DensePath):
 # stages are stored as tuples built only for an accepted step.  {params}
 # are the form's bound arguments.
 _KERNEL = """\
-def dp5_dim{dim}(f, y0, t_end, ctl, stop{params}):
+def dp5_dim{dim}(f, y0, t_end, ctl, limit{params}):
     path = DensePath{dim}(ctl=ctl)
     append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
     vec<y_i> = y0
@@ -535,8 +540,9 @@ def dp5_dim{dim}(f, y0, t_end, ctl, stop{params}):
             z = vec<z_i>
             append_t(t)
             append_y(z)
-            if stop is not None and stop(t, z):
-                path.stopped = True
+            # |z_0| > limit without a call; NaN compares false either way
+            if z_0 > limit or -z_0 > limit:
+                path.blew_up = True
                 break
             if err_norm == 0.0:
                 h *= 5.0
@@ -599,7 +605,7 @@ def _path_class(dim: int) -> type:
 def _kernel(dim: int, form: CheckedForm, count: int) -> Callable:
     """The DP5 loop for states of `dim` components that runs the checked
     `form` over `count` coefficients at every stage, compiled once.  It
-    takes the form's bound arguments after `stop` and makes paths of the
+    takes the form's bound arguments after `limit` and makes paths of the
     dimension's `_path_class`."""
     arg = form.args.split(",")[1].strip()
 

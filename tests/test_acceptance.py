@@ -149,7 +149,7 @@ def test_criterion_5_analytic_fixtures():
     ok &= abs(v.hi - 1.0) <= 1e-6
     linear_growth = problem("1", "0", 2, 1.0)
     ok &= abs(eval_solution(linear_growth, 1.0) - math.e) <= 1e-9
-    ok &= abs(rk_solve(linear_growth, 1.0)(1.0) - math.e) <= 1e-9
+    ok &= abs(rk_solve(linear_growth, 1.0).value(1.0)[0] - math.e) <= 1e-9
     unit = problem("1", "1", 1, 2.0)
     ok &= abs(eval_solution(unit, 0.3) - 2.0 * math.exp(0.6)) <= 1e-10
     elapsed = time.monotonic() - start

@@ -45,7 +45,7 @@ from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Expr, Neg, Pow, 
 from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import nested_path
 
-from helpers import random_source
+from helpers import SPIKED_B, random_source
 from test_stepper import reference_integrate
 
 _MATH = {name: getattr(math, name) for name in FUNCTIONS}
@@ -122,21 +122,19 @@ def reference_factory(form, *coefs):
 
 
 def outcome(run):
-    """repr of the path's ts, ys, ks and flags, or the error's type and
-    text; repr tells every float bit apart, -0.0 from 0.0 included."""
+    """repr of the path's ts, ys, ks and blew_up flag, or the error's type
+    and text; repr tells every float bit apart, -0.0 from 0.0 included."""
     try:
-        result = run()
+        path = run()
     except BsymError as exc:
         return type(exc).__name__, str(exc)
-    path = getattr(result, "path", result)
-    flags = (path.stopped, getattr(result, "blew_up", None))
-    return repr(path.ts), repr(path.ys), repr(path.ks), flags
+    return repr(path.ts), repr(path.ys), repr(path.ks), path.blew_up
 
 
-def independent(f, y0, t_end, ctl, stop=None):
+def independent(f, y0, t_end, ctl, limit=math.inf):
     """`test_stepper.reference_integrate` driving a right-hand side of the
     stepper's contract, which reads component 0 of the state."""
-    return reference_integrate(lambda t, y: f(t, y[0]), y0, t_end, ctl, stop)
+    return reference_integrate(lambda t, y: f(t, y[0]), y0, t_end, ctl, limit)
 
 
 def both(monkeypatch, module, run):
@@ -218,7 +216,7 @@ def test_oracle_is_bit_identical_to_the_closures(monkeypatch, n, a, b, d, t_end)
 
 
 @pytest.mark.parametrize("module,run,ending", [
-    # y = e^(50 t): the 1e12 stop fires, in the linear form and the power form
+    # y = e^(50 t): the 1e12 limit stops it, in the linear form and the power form
     (oracle, lambda: rk_solve(problem("50", "0", 1, 1.0), 1.0), "stopped"),
     (oracle, lambda: rk_solve(problem("50", "0", 2, 1.0), 1.0), "stopped"),
     # y' = y^2 toward its pole at t = 1: the step-underflow rescue marks a blow-up
@@ -232,10 +230,10 @@ def test_oracle_is_bit_identical_to_the_closures(monkeypatch, n, a, b, d, t_end)
 def test_how_a_run_ends_is_bit_identical_to_the_closures(monkeypatch, module, run, ending):
     got, expected = both(monkeypatch, module, run)
     assert got == expected
-    if ending == "stopped":
-        assert expected[3] == (True, True)
-    elif ending == "rescued":
-        assert expected[3] == (False, True)
+    if ending in ("stopped", "rescued"):
+        # both blew up; only the limit's stop leaves |y| past 1e12
+        assert expected[3] is True
+        assert (abs(run().y_end[0]) > 1e12) is (ending == "stopped")
     else:
         assert expected[0] == ending
         assert "overflow: math range error" in expected[1]
@@ -245,7 +243,7 @@ def test_the_oracle_problems_reach_both_signs_of_y(monkeypatch):
     # y crosses 0 for n = 0; for n = 1/3 the right-hand side is evaluated
     # on both sides of 0; n = 1/2 leaves the even root's domain
     crossed = rk_solve(problem("0.3", "-1", "0", 0.5), 2.5)
-    assert crossed.path.ys[0][0] > 0.0 > crossed.path.y_end[0]
+    assert crossed.ys[0][0] > 0.0 > crossed.y_end[0]
     seen = []
 
     def recording(f, y0, *args, **kwargs):
@@ -574,6 +572,29 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     assert expr._wrapper.cache_info().currsize == 5
 
 
+def test_an_identity_compiles_a_tree_and_its_negation_as_one_shape(monkeypatch):
+    # the identities integrate the trees under a's and b's top minuses, as
+    # the oracle does, so negating a or b compiles no shape; b's sign drops
+    # out of every residual, with a mirror certified and with b's parity
+    # sampled (SPIKED_B, nonzero residuals) alike
+    compiled = counting_compiles(monkeypatch)
+    expr._coefficient.cache_clear()
+    expr._shape_factory.cache_clear()
+    n, ts = parse_exponent("3"), [-1.5, 0.5, 2.0]
+
+    def residuals(a, b):
+        return quad.identity_residuals("Eq4", parse_expr(a), parse_expr(b), n, ts)
+
+    certified, sampled = residuals("0.5*cos(t)", "sin(t)"), residuals("0.5*cos(t)", SPIKED_B)
+    shapes = sources(compiled, "coefficient")
+    assert residuals("-(0.5*cos(t))", "-(sin(t))") == certified == [0.0] * len(ts)
+    assert max(residuals("-(0.5*cos(t))", SPIKED_B)) > 1e-3
+    assert sources(compiled, "coefficient") == shapes
+    # sampling -b's parity compiles its own shape, outside the identity
+    assert residuals("0.5*cos(t)", f"-({SPIKED_B})") == sampled
+    assert max(sampled) > 1e-3
+
+
 def test_profiles_see_each_coefficient_function():
     # pstats keys functions by (file, line, name): every shape compiles
     # under a file name of its own, so four coefficients of four shapes give
@@ -886,7 +907,7 @@ def test_each_form_loop_compiles_once_and_shares_the_path_class(monkeypatch):
         nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0, -2.0), 1.0),
     ]
     for n in ("2", "1", "3", "1/2", "1"):
-        paths.append(rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5).path)
+        paths.append(rk_solve(problem("cos(t)", "sin(t)", n, 0.5), 0.5))
     loops = [name for name in compiled if "DP5 kernel" in name]
     assert [re.sub(r"#\d+", "#K", name) for name in loops] == [
         f"<bsym.stepper DP5 kernel dim={dim} form #K>" for dim in (2, 3, 1, 1)

@@ -674,7 +674,6 @@ _ERROR_EXITS = {
     "EvalError": (2, ""),
     "ZeroDenominator": (2, ""),
     "DomainError": (2, ""),
-    "NoConvergence": (2, ""),
     "ParityViolation": (2, ""),
     "OutsideValidity": (2, ""),
     "CaseNotApplicable": (3, "case not applicable: "),
@@ -705,6 +704,18 @@ def test_error_type_sets_exit_code_and_prefix(tmp_path, monkeypatch, capsys, nam
     code, prefix = _ERROR_EXITS[name]
     assert cli.main(["cases", "--problem", prob]) == code
     assert capsys.readouterr().err == f"bsym: {prefix}{exc}\n"
+
+
+def test_quadrature_step_underflow_is_exit_2(tmp_path, capsys):
+    # b's pole at t = 1.5 shrinks the (A, B) path's steps below the
+    # smallest allowed: the stepper's own StepFailure, printed as it is
+    from bsym.cli import main
+
+    prob = write_problem(tmp_path / "p.json", {"a": "1", "b": "1/(t - 1.5)", "n": "2", "d": "1"})
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--problem", prob, "--t-min", "0", "--t-max", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "bsym: step size underflow at t=1.4999999999412037\n"
+    assert not out.exists()
 
 
 def test_library_value_error_is_exit_2(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ from bsym import (
     BsymError,
     DomainError,
     EvalError,
-    NoConvergence,
     OutsideValidity,
     eval_solution,
     problem,
@@ -24,7 +23,7 @@ from bsym.closedform import ProblemSpec
 from bsym.quad import ab_values
 from bsym.exponent import ExponentClass, classify_exponent, parse_exponent
 from bsym.expr import negated, parse_expr
-from bsym.stepper import DensePath, PathView, grid_values
+from bsym.stepper import DensePath, PathView, StepUnderflow, grid_values
 
 from helpers import (
     canonical_key,
@@ -452,7 +451,7 @@ def test_ab_values_reuses_only_the_matching_side(monkeypatch):
     # b has a pole at t = -1: the search keeps its path to +4, then fails
     # toward -4, so only the right side of 0 has a searched path
     p = problem("0", "1/(1 + t)", 2, 0.05)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(StepUnderflow):
         validity_interval(p, 4.0)
     assert list(p._searched) == [1.0]
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
@@ -788,7 +787,7 @@ def test_reflected_paths_search_and_solve_as_their_own_trees(a, b, n, d):
         # +4 for p1, toward -4 for a flip of a
         ("100*cosh(0*t)", "cos(t)", "3"),
         # toward -4 for p1: its path toward +4 is integrated, and the one
-        # toward -4 then fails on its own (NoConvergence as the step shrinks)
+        # toward -4 then fails on its own (StepUnderflow as the step shrinks)
         ("-(100)", "t^2", "3"),
     ],
 )
@@ -843,7 +842,7 @@ def failure(fn):
         # exp((n-1)*A) overflows on the side where (n-1)*A grows
         ("100", "1", "3", (EvalError, "integrand overflow: math range error")),
         ("-(100)", "-(1)", "3", (EvalError, "integrand overflow: math range error")),
-        ("1", "1/(t - 1.5)", "2", (NoConvergence, "step size underflow at t=1.4999999999479559")),
+        ("1", "1/(t - 1.5)", "2", (StepUnderflow, "step size underflow at t=1.4999999999479559")),
     ],
 )
 def test_flipped_coefficients_fail_as_their_own_trees(a, b, n, want):

@@ -13,39 +13,61 @@ from bsym import (
     validity_interval,
 )
 from bsym.oracle import ORACLE_CONTROL, solve_on_grids
-from bsym.stepper import grid_values
+from bsym.stepper import StepBudgetExceeded, StepUnderflow, grid_values
 
 from helpers import count_calls
 
 
 def test_exponential_growth():
-    tr = rk_solve(problem("1", "0", 2, 1.0), 1.0)
-    assert tr(1.0) == pytest.approx(math.e, abs=1e-9)
-    assert not tr.blew_up
+    path = rk_solve(problem("1", "0", 2, 1.0), 1.0)
+    assert path.value(1.0)[0] == pytest.approx(math.e, abs=1e-9)
+    assert not path.blew_up and path.t_reached == 1.0
 
 
 def test_riccati_near_asymptote():
-    tr = rk_solve(problem("0", "1", 2, 1.0), 0.9)
-    assert tr(0.9) == pytest.approx(10.0, abs=1e-7)
+    path = rk_solve(problem("0", "1", 2, 1.0), 0.9)
+    assert path.value(0.9)[0] == pytest.approx(10.0, abs=1e-7)
 
 
 def test_blow_up_marker():
-    tr = rk_solve(problem("0", "1", 2, 1.0), 1.5)
-    assert tr.blew_up
-    assert tr.t_last == pytest.approx(1.0, abs=1e-3)
-    assert abs(tr.path.ys[-1][0]) > 1e10
+    # the step size underflows toward the pole at t = 1 with |y| past 1e9,
+    # below the 1e12 limit: the rescue marks the partial path as a blow-up
+    path = rk_solve(problem("0", "1", 2, 1.0), 1.5)
+    assert path.blew_up
+    assert path.t_reached == pytest.approx(1.0, abs=1e-3)
+    assert 1e10 < abs(path.y_end[0]) <= 1e12
+
+
+def test_a_limit_stop_and_a_rescued_underflow_differ_in_the_last_y():
+    # both end in a blow-up; only the stop at the limit leaves |y| past 1e12
+    stopped = rk_solve(problem("50", "0", 2, 1.0), 1.0)
+    rescued = rk_solve(problem("0", "1", 2, 1.0), 2.0)
+    assert stopped.blew_up and abs(stopped.y_end[0]) > 1e12
+    assert 0.55 < stopped.t_reached < 0.56
+    assert rescued.blew_up and abs(rescued.y_end[0]) <= 1e12
+
+
+def test_an_underflow_at_moderate_y_is_the_steppers_own_step_failure():
+    # |y| is about 1.4e5 where the step size underflows, below the rescue's
+    # 1e9: the stepper's StepUnderflow propagates with its partial path
+    with pytest.raises(StepUnderflow) as info:
+        rk_solve(problem("0", "1", 3, 1.0), 1.0)
+    path = info.value.path
+    assert isinstance(info.value, StepFailure) and not path.blew_up
+    assert str(info.value) == f"step size underflow at t={path.t_reached!r}"
+    assert 1e3 < abs(path.y_end[0]) < 1e9
 
 
 def test_trajectory_starts_at_initial_value():
-    tr = rk_solve(problem("cos(t)", "sin(t)", 2, 0.5), 1.0)
-    assert (tr.path.ts[0], tr.path.ys[0]) == (0.0, (0.5,))
-    assert tr(0.0) == 0.5
+    path = rk_solve(problem("cos(t)", "sin(t)", 2, 0.5), 1.0)
+    assert (path.ts[0], path.ys[0]) == (0.0, (0.5,))
+    assert path.value(0.0) == (0.5,)
 
 
 def test_negative_direction():
-    tr = rk_solve(problem("1", "0", 2, 1.0), -1.0)
-    assert tr(-1.0) == pytest.approx(1.0 / math.e, rel=1e-9)
-    ts = tr.path.ts
+    path = rk_solve(problem("1", "0", 2, 1.0), -1.0)
+    assert path.value(-1.0)[0] == pytest.approx(1.0 / math.e, rel=1e-9)
+    ts = path.ts
     assert ts[0] == 0.0 and ts[-1] == -1.0
     assert all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))
 
@@ -66,11 +88,11 @@ def test_default_tolerance_near_asymptote():
 
 
 def test_query_outside_range_rejected():
-    tr = rk_solve(problem("1", "0", 2, 1.0), 1.0)
+    path = rk_solve(problem("1", "0", 2, 1.0), 1.0)
     with pytest.raises(ValueError):
-        tr(2.0)
+        path.value(2.0)
     with pytest.raises(ValueError):
-        tr(-0.1)
+        path.value(-0.1)
 
 
 def test_convergence_with_tolerance():
@@ -80,7 +102,7 @@ def test_convergence_with_tolerance():
     errors = []
     for scale in (1.0, 1.0 / 16.0, 1.0 / 256.0):
         ctl = dataclasses.replace(ORACLE_CONTROL, rel_tol=1e-6 * scale, abs_tol=1e-7 * scale)
-        errors.append(abs(rk_solve(p, 0.9, ctl)(0.9) - 10.0))
+        errors.append(abs(rk_solve(p, 0.9, ctl).value(0.9)[0] - 10.0))
     assert errors[0] / errors[1] >= 4.0
     assert errors[1] / errors[2] >= 4.0
     assert errors[2] <= 1e-8
@@ -91,22 +113,22 @@ def test_direction_symmetry_oracle_only():
     # reproduce y2(-t) = y1(t) without any closed-form involvement
     p1 = problem("cos(t)", "sin(t)", 2, 1.0)
     p2 = transform_problem(p1, "T3i")
-    tr1 = rk_solve(p1, 0.8)
-    tr2 = rk_solve(p2, -0.8)
+    path1 = rk_solve(p1, 0.8)
+    path2 = rk_solve(p2, -0.8)
     for k in range(9):
         t = 0.1 * k
-        y1 = tr1(t)
-        y2 = tr2(-t)
+        (y1,) = path1.value(t)
+        (y2,) = path2.value(-t)
         assert abs(y2 - y1) <= 1e-7 * (1.0 + abs(y1))
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
 def test_blow_up_agrees_with_validity_asymptote(d):
     p = problem("0", "1", 2, d)
-    tr = rk_solve(p, 2.0 / d)
+    path = rk_solve(p, 2.0 / d)
     v = validity_interval(p, 5.0)
-    assert tr.blew_up
-    assert abs(tr.t_last - v.hi) <= 1e-3
+    assert path.blew_up
+    assert abs(path.t_reached - v.hi) <= 1e-3
 
 
 def test_domain_error_when_solution_hits_zero_with_even_root():
@@ -124,10 +146,13 @@ def test_right_hand_side_overflow_is_step_failure(t_end):
 
 
 def test_step_budget_exhaustion_is_step_failure():
-    with pytest.raises(StepFailure):
+    # the stepper's own StepFailure, with the path it reached
+    with pytest.raises(StepBudgetExceeded, match="^step budget exhausted at t=") as info:
         rk_solve(
             problem("0", "1", 2, 1.0), 0.999999, dataclasses.replace(ORACLE_CONTROL, max_steps=10)
         )
+    assert isinstance(info.value, StepFailure)
+    assert len(info.value.path.ts) <= 11
 
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
@@ -154,7 +179,7 @@ def test_subnormal_grid():
 
 def _own_values(p, ts):
     """p's y on ts from a fresh rk_solve per side of 0."""
-    return [y for (y,) in grid_values(lambda t_end: rk_solve(p, t_end).path, ts)]
+    return [y for (y,) in grid_values(lambda t_end: rk_solve(p, t_end), ts)]
 
 
 def test_solve_on_grids_reads_partners_from_mirrors_of_integrated_paths(monkeypatch):

@@ -113,9 +113,9 @@ def reference_value(path, t):
 
 
 def stopped_oracle_path():
-    # y = exp(50 t) passes the oracle's blow-up threshold 1e12 at t = 0.55
-    path = rk_solve(problem("50", "0", 0, 1.0), 1.0).path
-    assert path.stopped and 0.55 < path.t_reached < 0.56
+    # y = exp(50 t) passes the oracle's blow-up limit 1e12 at t = 0.55
+    path = rk_solve(problem("50", "0", 0, 1.0), 1.0)
+    assert path.blew_up and 0.55 < path.t_reached < 0.56
     return path
 
 
@@ -358,7 +358,7 @@ def test_grid_values_reject_non_finite_times(bad, where):
 
 # --- the generated kernel against the component-wise loop it replaced --------
 
-def reference_integrate(f, y0, t_end, ctl, stop=None):
+def reference_integrate(f, y0, t_end, ctl, limit=math.inf):
     """The generic zip/generator loop `integrate` ran before its kernel was
     generated per dimension, from t = 0; the kernel must reproduce it bit
     for bit.  A step's stages are stored as tuples, as the kernel stores
@@ -440,8 +440,8 @@ def reference_integrate(f, y0, t_end, ctl, stop=None):
             t, y, k1 = t1, y1, k7
             path.ts.append(t)
             path.ys.append(y)
-            if stop is not None and stop(t, y):
-                path.stopped = True
+            if abs(y[0]) > limit:
+                path.blew_up = True
                 break
             factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
             h *= factor
@@ -451,25 +451,25 @@ def reference_integrate(f, y0, t_end, ctl, stop=None):
     return path
 
 
-def reference(f, y0, t_end, ctl, stop=None):
+def reference(f, y0, t_end, ctl, limit=math.inf):
     """`reference_integrate` driving a right-hand side of the kernel's
     contract: component 0 of the loop's state tuple."""
-    return reference_integrate(lambda t, y: f(t, y[0]), y0, t_end, ctl, stop)
+    return reference_integrate(lambda t, y: f(t, y[0]), y0, t_end, ctl, limit)
 
 
-def run(integrator, make_rhs, y0, t_end, ctl=CTL, stop=None):
-    """(outcome, repr of ts, ys, ks, stopped); repr tells every float bit
+def run(integrator, make_rhs, y0, t_end, ctl=CTL, limit=math.inf):
+    """(outcome, repr of ts, ys, ks, blew_up); repr tells every float bit
     apart, -0.0 from 0.0 included.  make_rhs gives each run a fresh RHS."""
     try:
-        path, outcome = integrator(make_rhs(), y0, t_end, ctl, stop), "done"
+        path, outcome = integrator(make_rhs(), y0, t_end, ctl, limit), "done"
     except (StepUnderflow, StepBudgetExceeded) as exc:
         path, outcome = exc.path, type(exc).__name__
-    return outcome, repr((path.ts, path.ys, path.ks, path.stopped))
+    return outcome, repr((path.ts, path.ys, path.ks, path.blew_up))
 
 
-def both(make_rhs, y0, t_end, ctl=CTL, stop=None):
+def both(make_rhs, y0, t_end, ctl=CTL, limit=math.inf):
     """run's outcome from the kernel, then from the reference loop."""
-    return run(integrate, make_rhs, y0, t_end, ctl, stop), run(reference, make_rhs, y0, t_end, ctl, stop)
+    return run(integrate, make_rhs, y0, t_end, ctl, limit), run(reference, make_rhs, y0, t_end, ctl, limit)
 
 
 def rhs_1():
@@ -529,15 +529,28 @@ def test_kernel_is_bit_identical_to_the_vector_loop(name, t_end):
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("t_end", [6.0, -6.0])
 def test_kernel_matches_with_a_stop_callback(name, t_end):
+    # the limit just below |y_0| at node 5: the first state at least that
+    # large ends the path, whichever sign y_0 has there
     make_rhs, y0 = SYSTEMS[name]
     target = abs(reference(make_rhs(), y0, t_end, CTL).ys[5][0])
-
-    def stop(t, y):
-        return abs(y[0]) >= target
-
-    got, expected = both(make_rhs, y0, t_end, stop=stop)
+    got, expected = both(make_rhs, y0, t_end, limit=math.nextafter(target, 0.0))
     assert got == expected
-    assert expected[1].endswith(", True)")  # stopped
+    assert expected[1].endswith(", True)")  # blew_up
+
+
+@pytest.mark.parametrize("slope", [3.0, -3.0])
+def test_the_limit_bounds_both_signs_of_the_first_component(slope):
+    # y_0 = slope * t passes |y_0| > 2 first at the node past t = 2/3;
+    # component 1 grows past the limit earlier, and does not count
+    def rhs(t, y):
+        return (slope, 10.0 * slope)
+
+    path = integrate(rhs, (0.0, 0.0), 4.0, CTL, 2.0)
+    assert path.blew_up and abs(path.y_end[0]) > 2.0 >= abs(path.ys[-2][0])
+    assert abs(path.ys[-2][1]) > 2.0
+    assert run(integrate, lambda: rhs, (0.0, 0.0), 4.0, limit=2.0) == run(
+        reference, lambda: rhs, (0.0, 0.0), 4.0, limit=2.0
+    )
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -509,10 +509,10 @@ def _own_oracle_values(p, ts):
     farthest point, sharing no path with another problem or side."""
 
     def solve(t_end):
-        traj = oracle.rk_solve(p, t_end)  # looked up per call, for count_calls
-        if traj.blew_up:
-            raise StepFailure(f"oracle blew up at t={traj.t_last!r} before reaching {t_end!r}")
-        return traj.path
+        path = oracle.rk_solve(p, t_end)  # looked up per call, for count_calls
+        if path.blew_up:
+            raise StepFailure(f"oracle blew up at t={path.t_reached!r} before reaching {t_end!r}")
+        return path
 
     return [y for (y,) in grid_values(solve, ts)]
 
