@@ -388,18 +388,54 @@ MUTANTS = [
     Mutant(
         "parser-product-right-associative",
         "expr.py",
-        "right, right_depth = self._factor()",
-        "right, right_depth = self._term()",
+        "right, right_depth = self._expr(level + 1)",
+        "right, right_depth = self._expr(level + (level == 1))",
         "t/2/2 parses as t/(2/2)",
         ("tests/test_expr.py",),
     ),
     Mutant(
         "parser-sum-right-associative",
         "expr.py",
-        "right, right_depth = self._term()",
-        "right, right_depth = self._expr()",
+        "right, right_depth = self._expr(level + 1)",
+        "right, right_depth = self._expr(level + (level == 2))",
         "t-1-1 parses as t-(1-1)",
         ("tests/test_expr.py",),
+    ),
+    Mutant(
+        "binary-loop-right-associative",
+        "expr.py",
+        "right, right_depth = self._expr(level + 1)",
+        "right, right_depth = self._expr(level)",
+        "the loop reads its right operand at its own level: t-1-1 parses as t-(1-1)"
+        " and t/2/2 as t/(2/2)",
+        ("tests/test_expr.py::test_parse_binary_operators_are_left_associative",),
+    ),
+    Mutant(
+        "prec-one-level",
+        "expr.py",
+        '_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}',
+        '_PREC = {"+": 1, "-": 1, "*": 1, "/": 1}',
+        "products bind no tighter than sums: 1 + 2*t parses as (1 + 2)*t; the"
+        " printer moves with the table, so only a pinned tree shows it",
+        ("tests/test_expr.py::test_parse_precedence_shape",),
+    ),
+    Mutant(
+        "var-is-falsy",
+        "expr.py",
+        "    def __bool__(self) -> bool:",
+        "    def _unused(self) -> bool:",
+        "Var() is a tuple of no fields, so it reads false: `node or default`"
+        " replaces the variable t",
+        ("tests/test_expr.py::test_every_node_is_truthy_and_immutable",),
+    ),
+    Mutant(
+        "ab-values-fresh-side-keeps-top-minus",
+        "quad.py",
+        "return ab_path(paths, a, b, mult, x)",
+        "return nested_path(a, b, (mult,), x)",
+        "a solve grid's fresh side integrates a and b with their top minuses:"
+        " a tree and its negation compile two shapes, and no mirror is shared",
+        ("tests/test_quad.py::test_no_path_integrates_a_tree_with_its_top_minus",),
     ),
 ]
 

@@ -155,9 +155,10 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
 
     (A, B) come from `ab_values`: a side of 0 that p's latest validity
     search path reaches is answered from that path, which was integrated
-    at the same `QUAD_CONTROL` as a fresh one; otherwise a fresh path is
-    integrated.  The per-point loop raises G to the root exponent with
-    `math.pow` times the root's `negative_sign` where G < 0, and calls
+    at the same `QUAD_CONTROL` as a fresh one; otherwise from the
+    reflection rule's path (`quad.ab_path`), a mirror or a fresh one.  The
+    per-point loop raises G to the root exponent with `math.pow` times the
+    root's `negative_sign` where G < 0, and calls
     `signed_pow` only at G = 0 and where it would raise, so every value and
     error is `signed_pow`'s.
 

@@ -1,9 +1,11 @@
 """Coefficient-function DSL: parsing, pointwise evaluation, parity classification.
 
-Grammar (whitespace insignificant)::
+Grammar (whitespace insignificant; `_PREC` is the one precedence table,
+whose levels the parser reads with one left-associative loop and
+`format_expr` parenthesizes by)::
 
-    expr    := term (('+'|'-') term)*
-    term    := factor (('*'|'/') factor)*
+    expr    := term (('+'|'-') term)*        _PREC level 1
+    term    := factor (('*'|'/') factor)*    _PREC level 2
     factor  := '-' factor | primary ('^' INT)?
     primary := NUMBER | 't' | FUNC '(' expr ')' | '(' expr ')'
     FUNC    in {sin, cos, exp, sinh, cosh}
@@ -56,7 +58,7 @@ import math
 import random
 import re
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import lru_cache
@@ -82,36 +84,36 @@ __all__ = [
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
+# Named tuples, so a tree hashes and compares in C; the types of their
+# fields keep nodes of two types unequal.
+
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """The single free variable t."""
 
+    def __bool__(self) -> bool:  # a node is truthy, as a tuple of no fields is not
+        return True
 
-@dataclass(frozen=True)
-class Neg:
+
+class Neg(NamedTuple):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Node"
     exponent: int  # >= 0, enforced by the grammar
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str  # sin cos exp sinh cosh
     arg: "Node"
 
@@ -125,24 +127,12 @@ FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh")
 class Expr:
     """An immutable parsed coefficient function of t.
 
-    Equality compares the trees; the hash is computed once, at
-    construction, since every compile-cache and path-memory lookup hashes
-    the key's trees.
+    The tree is a tuple (its nodes are named tuples), hashed and compared
+    in C, so an `Expr` hashes and compares as its tree.  `Expr` itself is
+    no tuple: a one-field tuple would equal a `Neg` of the same tree.
     """
 
     ast: Node
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.ast,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through the constructor: string hashes differ between
-        # processes, so a stored hash must not travel with a pickle
-        return Expr, (self.ast,)
 
     @property
     def source(self) -> str:
@@ -175,6 +165,10 @@ def split_sign(e: Expr) -> tuple[float, Expr]:
 # --- Tokenizer / parser ---------------------------------------------------
 
 _NUM_RE = re.compile(r"\d+\.?\d*|\.\d+")
+
+# the grammar's one precedence table (see the module docstring)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_TIGHTEST = max(_PREC.values())
 
 # Code generation writes one parenthesis level per tree level, and CPython
 # accepts at most 200 nested parentheses in a source expression.
@@ -257,20 +251,15 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
         return node
 
-    def _expr(self) -> tuple[Node, int]:
-        node, depth = self._term()
-        while (tok := self._peek()) is not None and tok[0] in "+-":
+    def _expr(self, level: int = 1) -> tuple[Node, int]:
+        """Operands of `_PREC` levels above `level`, or factors past the
+        tightest level, joined by the operators at `level`, to the left."""
+        if level > _TIGHTEST:
+            return self._factor()
+        node, depth = self._expr(level + 1)
+        while (tok := self._peek()) is not None and _PREC.get(tok[0]) == level:
             self.i += 1
-            right, right_depth = self._term()
-            node = BinOp(tok[0], node, right)
-            depth = self._check_depth(1 + max(depth, right_depth), tok[2])
-        return node, depth
-
-    def _term(self) -> tuple[Node, int]:
-        node, depth = self._factor()
-        while (tok := self._peek()) is not None and tok[0] in "*/":
-            self.i += 1
-            right, right_depth = self._factor()
+            right, right_depth = self._expr(level + 1)
             node = BinOp(tok[0], node, right)
             depth = self._check_depth(1 + max(depth, right_depth), tok[2])
         return node, depth
@@ -514,7 +503,6 @@ def as_callable(e: Expr) -> Callable[[float], float]:
 
 # --- Printing -------------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _POW_SAFE = (Var, Call, Const)  # already printable as a primary
 
 

@@ -31,10 +31,12 @@ step, not by re-parameterization: integrating from 0 toward a
 negative t directly yields int_0^t.  A grid of t is answered by
 `ab_values` from one path per side of 0 through `stepper.grid_values`: a
 path the caller hands in (a problem's validity search paths) where it
-reaches the grid's farthest t on that side, else a fresh one.  A(t) is the
-first component of every pair; with m = 0 the pair is (int_0^t a,
-int_0^t b), which is all the unit exponent's closed form d * exp(A + B)
-needs.
+reaches the grid's farthest t on that side, else the path that the one
+reflection rule (`ab_path`) gives, as it does for the validity search: a
+certified t-mirror of the other side's path toward the same |t|, or a
+fresh path of the trees under a's and b's top minuses.  A(t) is the first
+component of every pair; with m = 0 the pair is (int_0^t a, int_0^t b),
+which is all the unit exponent's closed form d * exp(A + B) needs.
 
 The checkable integral identities relate mirrored values of B, with
 m = n - 1:
@@ -146,18 +148,21 @@ def ab_values(
     `searched` maps a side of 0 (1.0 or -1.0) to a path from 0 of
     (a, b, mult), integrated or a `PathView`, such as a problem's
     validity-search paths.  A side is answered from searched[side] if that
-    path reaches the side's farthest t; otherwise one fresh path of
-    (a, b, mult) is integrated to that t.  Every path runs at
-    `QUAD_CONTROL`, so either way the values agree with a fresh path to the
-    quadrature tolerance.
+    path reaches the side's farthest t; otherwise by the reflection rule
+    (`ab_path`) from one table per call: the other side's path toward the
+    same |t| where it is a certified t-mirror, else a fresh path of
+    (a0, b0, sa*mult) read through the own view, exactly the path of
+    (a, b, mult).  Every path runs at `QUAD_CONTROL`, so either way the
+    values agree with a fresh path to the quadrature tolerance.
     """
     searched = searched or {}
+    paths: dict = {}  # the sides integrated by this call, see `ab_path`
 
     def solve(x: float) -> Union[DensePath, PathView]:
         path = searched.get(1.0 if x >= 0.0 else -1.0)
         if path is not None and abs(x) <= abs(path.t_reached):
             return path
-        return nested_path(a, b, (mult,), x)
+        return ab_path(paths, a, b, mult, x)
 
     return grid_values(solve, ts)
 

@@ -680,9 +680,8 @@ def rebound(node, new):
     """The tree of node's shape with each constant c replaced by new(c)."""
     if isinstance(node, Const):
         return Const(new(node.value))
-    fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
-    return dataclasses.replace(node, **{
-        name: rebound(value, new) for name, value in fields.items()
+    return node._replace(**{
+        name: rebound(value, new) for name, value in node._asdict().items()
         if isinstance(value, (Const, Var, Neg, BinOp, Pow, Call))
     })
 

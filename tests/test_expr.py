@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import subprocess
 import sys
 
 import pytest
@@ -24,7 +25,7 @@ from bsym.expr import (
     structural_parity,
 )
 
-from helpers import random_even_source, random_odd_source, random_source
+from helpers import cli_env, random_even_source, random_odd_source, random_source
 
 
 # --- parsing ----------------------------------------------------------------
@@ -37,6 +38,13 @@ def test_parse_single_function():
 def test_parse_precedence_shape():
     e = parse_expr("2*t^3 - t")
     assert e.ast == BinOp("-", BinOp("*", Const(2.0), Pow(Var(), 3)), Var())
+    # products bind tighter than sums on either side
+    one, two = Const(1.0), Const(2.0)
+    assert parse_expr("1 + 2*t").ast == BinOp("+", one, BinOp("*", two, Var()))
+    assert parse_expr("t - t/2").ast == BinOp("-", Var(), BinOp("/", Var(), two))
+    assert parse_expr("t/2 - 1*t").ast == BinOp(
+        "-", BinOp("/", Var(), two), BinOp("*", one, Var())
+    )
 
 
 def test_parse_unary_minus_binds_looser_than_pow():
@@ -225,6 +233,22 @@ def test_format_parse_round_trip(ast):
         assert abs(v2 - v1) <= 1e-14 * (1.0 + abs(v1))
 
 
+@pytest.mark.parametrize("inner", "+-*/")
+@pytest.mark.parametrize("outer", "+-*/")
+def test_format_parse_on_every_operator_pair(outer, inner):
+    # each pair nested on either side prints to source that parses back to
+    # the tree, except a '+' or '*' whose right operand is of its own
+    # level: the printer leaves those parentheses out, and the parser
+    # groups the sum or product to the left
+    x, y, z = Var(), Const(2.0), Const(3.0)
+    left = BinOp(outer, BinOp(inner, x, y), z)
+    assert parse_expr(format_expr(left)).ast == left
+    right = BinOp(outer, x, BinOp(inner, y, z))
+    regrouped = outer in "+*" and (outer in "+-") == (inner in "+-")
+    want = BinOp(inner, BinOp(outer, x, y), z) if regrouped else right
+    assert parse_expr(format_expr(right)).ast == want
+
+
 def test_format_matches_structural_negation_style():
     e = parse_expr("sin(t)")
     from bsym.expr import negated
@@ -288,6 +312,46 @@ def test_a_pickled_expr_hashes_its_tree_again():
     object.__setattr__(e, "_hash", fresh + 1)
     copy = pickle.loads(pickle.dumps(e))
     assert copy == e and hash(copy) == fresh
+
+
+@pytest.mark.parametrize(
+    "node",
+    [Const(0.0), Var(), Neg(Var()), BinOp("+", Var(), Const(1.0)), Pow(Var(), 0), Call("sin", Var())],
+    ids=lambda node: type(node).__name__,
+)
+def test_every_node_is_truthy_and_immutable(node):
+    # Var() has no fields, and a tuple of none is falsy
+    assert node and bool(node) is True
+    name = next(iter(node._fields), "value")
+    with pytest.raises(AttributeError):
+        setattr(node, name, Const(1.0))
+    with pytest.raises(AttributeError):
+        node.extra = 1
+
+
+def test_a_pickled_tree_hashes_as_a_fresh_parse_in_another_process():
+    # string hashes differ between processes: a tree pickled in one and
+    # loaded in another hashes there as the tree parsed there
+    src = "sin(t) - 2*t^3/cosh(t)"
+    dump = (
+        "import pickle, sys; from bsym import parse_expr; "
+        "e = parse_expr(sys.argv[1]); sys.stdout.write(pickle.dumps((e, hash(e))).hex())"
+    )
+    load = (
+        "import pickle, sys; from bsym import parse_expr; "
+        "e, old = pickle.loads(bytes.fromhex(sys.stdin.read())); fresh = parse_expr(sys.argv[1]); "
+        "print(e == fresh, hash(e) == hash(fresh), hash(e) == old, {fresh: 1}.get(e))"
+    )
+    dumped = subprocess.run(
+        [sys.executable, "-c", dump, src], env={**cli_env(), "PYTHONHASHSEED": "1"},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = subprocess.run(
+        [sys.executable, "-c", load, src], env={**cli_env(), "PYTHONHASHSEED": "2"},
+        input=dumped, capture_output=True, text=True, check=True,
+    ).stdout
+    # the other process's hash differs, so a stored one would be stale
+    assert loaded.split() == ["True", "True", "False", "1"]
 
 
 # --- parity -------------------------------------------------------------------

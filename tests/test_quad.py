@@ -439,6 +439,35 @@ def test_ab_values_at_subnormal_times(ts):
     assert ab_values(a, b, -2.0, ts) == [(t, t) for t in ts]
 
 
+def test_no_path_integrates_a_tree_with_its_top_minus(monkeypatch, tmp_path):
+    # every path integrates the trees under a's and b's top minuses, their
+    # signs folded into the multipliers and the view, so a tree and its
+    # negation compile one shape: in validity searches, in solve grids past
+    # the searched paths, in a closed-form verify and in the identities
+    from bsym.cli import main
+    from bsym.closedform import solution_values
+
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    a, b = "-(sin(t))", "-(cos(t))"  # a odd, b even, both certified
+    p = problem(a, b, 2, 0.5)
+    validity_interval(p, 1.0)
+    assert len(calls) == 1  # the side toward -1 is the mirror of the one toward 1
+    for q in (p, problem(a, b, 1, 0.5)):  # n = 1 searches no path
+        before = len(calls)
+        # past the searched paths on both sides: the side toward -2 reads
+        # the mirror of the path this call integrated toward 2
+        solution_values(q, [-2.0, 0.5, 2.0])
+        assert [call[3] for call in calls[before:]] == [2.0], q.n
+    prob = tmp_path / "p.json"
+    prob.write_text('{"a": "-(cos(t))", "b": "-(t)", "n": "3", "d": "1"}', encoding="utf-8")
+    args = ["verify", "--problem", str(prob), "--case", "all", "--method", "closed"]
+    before = len(calls)
+    assert main([*args, "--report", str(tmp_path / "rep.json")]) == 0
+    assert len(calls) > before
+    assert identity_residuals("Eq7", parse_expr(a), parse_expr(b), N2, [-1.0, 1.5]) == [0.0, 0.0]
+    assert not [call for call in calls if isinstance(call[0].ast, Neg) or isinstance(call[1].ast, Neg)]
+
+
 # --- reflections t -> -t of paths with coefficients of structural parity ----
 
 _ODD_CALLS, _EVEN_CALLS = ("sin", "sinh"), ("cos", "cosh")
