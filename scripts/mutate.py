@@ -437,6 +437,42 @@ MUTANTS = [
         " a tree and its negation compile two shapes, and no mirror is shared",
         ("tests/test_quad.py::test_no_path_integrates_a_tree_with_its_top_minus",),
     ),
+    Mutant(
+        "integrate-runs-a-bound-form-through-the-call-loop",
+        "stepper.py",
+        "bound = f if isinstance(f, Bound) else Bound(_CALL, (), ())",
+        "bound = Bound(_CALL, (), ())",
+        "a `Bound` runs through the call form's loop, which calls its checked"
+        " wrapper at every stage: the same answers, a wrapper compiled per form",
+        ("tests/test_checked.py::test_untraced_runs_take_their_forms_loops_and_compile_no_wrapper",),
+    ),
+    Mutant(
+        "walk-reads-component-zero",
+        "stepper.py",
+        "k1, k3, k4, k5, k6, k7 = ks[i][k]",
+        "k1, k3, k4, k5, k6, k7 = ks[i][0]",
+        "a crossing walk bounds B's reach on a step by A's stages: it skips the"
+        " step where B reaches the level, and a validity end moves",
+        ("tests/test_closedform.py::test_validity_riccati_asymptote",),
+    ),
+    Mutant(
+        "printer-regroups-equal-precedence-right-operands",
+        "expr.py",
+        "right = _fmt(node.right, prec + 1)",
+        'right = _fmt(node.right, prec + (node.op in "-/"))',
+        "t*(3/t) prints as t * 3 / t, which reads back as (t*3)/t: another tree"
+        " and another float",
+        ("tests/test_expr.py::test_format_parse_on_every_operator_pair",),
+    ),
+    Mutant(
+        "evaluator-answers-past-a-pole",
+        "closedform.py",
+        "elif asymptote and (g < 0.0) != (g0 < 0.0):",
+        "elif False:",
+        "an odd root carries G through its pole onto the formula's other branch,"
+        " which solves no IVP: y' = y^2, y(0) = 1 reads -1 at t = 2",
+        ("tests/test_closedform.py::test_the_closed_form_stops_past_a_pole",),
+    ),
 ]
 
 

@@ -164,8 +164,8 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
 
     Raises DomainError before any integration where d^(1-n) overflows, as
     `validity_intervals` does, and OutsideValidity where the required root
-    does not exist: G <= 0 with an even reduced root denominator, or G = 0
-    with a negative root exponent.
+    does not exist: G <= 0 with an even reduced root denominator, or with a
+    negative root exponent G = 0 or past it, G of the other sign than g0.
     """
     exp = math.exp
     out = []
@@ -201,6 +201,8 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
                 )
         elif asymptote and abs(g) <= g_eps:
             raise OutsideValidity(f"asymptote: radicand vanishes at t={t!r}")
+        elif asymptote and (g < 0.0) != (g0 < 0.0):  # an odd root's other branch solves no IVP
+            raise OutsideValidity(f"past the pole: radicand {g!r} at t={t!r}")
         try:
             scale = sigma * exp(aval)
             if g > 0.0:

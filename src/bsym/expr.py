@@ -37,13 +37,14 @@ called in order inside one try, each value checked for finiteness, then
 the form's body.  Every failure raises
 EvalError through one helper, with the texts "division by zero at t=..",
 "evaluation failed at t=..: <reason>" and "non-finite value at t=..".
-`checked_factory` binds the coefficient functions to the form's wrapper,
-the function that source renders, compiled once per form and coefficient
-count per process; the function it builds carries its form and bound
-arguments, from which `stepper.integrate` renders the same source into
-each stage of the form's DP5 loop.  Every DP5 loop is such a rendering:
-the stepper runs any other callable as its call form, whose body calls
-it.  `as_callable` is the form that returns the one value.
+`checked_factory(form, *coefs)(*env)` is a `Bound`: plain data holding
+the form, the coefficient functions and the `env` values, which
+`stepper.integrate` runs in the form's own DP5 loop, the same source
+rendered into each stage (any other callable runs in the stepper's call
+form, whose body calls it).  Calling a `Bound` runs the form's wrapper,
+the function that source renders, compiled once per form and count and
+bound on the first call; `as_callable` binds the wrapper of the form
+that returns the one value.
 
 `detect_parity` applies exact structural rules and, where they are
 inconclusive, compares f(t) with f(-t) at 64 fixed points of [-4, 4].  The
@@ -61,7 +62,7 @@ import textwrap
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import EvalError, ExprSyntaxError
@@ -72,6 +73,7 @@ __all__ = [
     "parse_expr",
     "as_callable",
     "CheckedForm",
+    "Bound",
     "checked_factory",
     "format_expr",
     "detect_parity",
@@ -371,9 +373,9 @@ class CheckedForm(NamedTuple):
     if any.  It evaluates coefficient i at s into the local f<i> and then
     runs `body`, which ends in a return and reads the f<i>, the state
     value and the names in `env` (the stepper's call form reads s and
-    the loop's f).  `env` names the values each built function is bound
-    to: the parameters of the factory that `checked_factory` returns,
-    after the coefficient functions.  Each form's function, and the
+    the loop's f).  `env` names the values a `Bound` binds after the
+    coefficient functions: the parameters of the factory that
+    `checked_factory` returns.  Each form's function, and the
     stepper's loop for it, compiles once per process and coefficient
     count, so forms are module constants, never built per problem.
     """
@@ -421,8 +423,7 @@ def factory({params}):
 {source}
     return checked
 """
-_GLOBALS = {name: getattr(math, name) for name in FUNCTIONS}
-_GLOBALS["_failed"] = _failed
+_GLOBALS = dict({name: getattr(math, name) for name in FUNCTIONS}, _failed=_failed)
 _compiled_count = itertools.count(1)
 
 
@@ -471,26 +472,30 @@ def _wrapper(form: CheckedForm, count: int) -> Callable:
     return built["factory"]
 
 
-def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable:
-    """The factory of `form`'s function over the coefficients: the form's
-    wrapper, compiled once per process, bound to each coefficient's
-    function, compiled once per shape with the tree's constants bound.
+@dataclass(frozen=True)
+class Bound:
+    """`form` bound to its coefficient functions and `env` values; called, it runs its wrapper."""
 
+    form: CheckedForm
+    coefficients: tuple
+    env: tuple
+
+    @cached_property
+    def _checked(self) -> Callable:
+        return _wrapper(self.form, len(self.coefficients))(*self.coefficients, *self.env)
+
+    def __call__(self, *args):
+        return self._checked(*args)
+
+
+def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable[..., Bound]:
+    """The factory of `form`'s `Bound` over the coefficients, each bound to
+    its function, compiled once per shape with the tree's constants bound.
     A coefficient evaluation that divides by zero, overflows, fails in a
     math function or gives a non-finite value raises EvalError, before
-    `body` runs; coefficients are evaluated in order.  The function
-    carries `form`, its `coefficients` and its `env` values, so that
-    `stepper.integrate` can run the form's own loop in its place.
-    """
+    `body` runs; coefficients are evaluated in order."""
     fns = tuple(map(_coefficient, coefs))
-    wrapper = _wrapper(form, len(fns))
-
-    def factory(*env):
-        checked = wrapper(*fns, *env)
-        checked.form, checked.coefficients, checked.env = form, fns, env
-        return checked
-
-    return factory
+    return lambda *env: Bound(form, fns, env)
 
 
 _VALUE = CheckedForm("s", "return f0")
@@ -498,7 +503,7 @@ _VALUE = CheckedForm("s", "return f0")
 
 def as_callable(e: Expr) -> Callable[[float], float]:
     """A fast float->float form of the expression with checked evaluation."""
-    return checked_factory(_VALUE, e)()
+    return _wrapper(_VALUE, 1)(_coefficient(e))
 
 
 # --- Printing -------------------------------------------------------------
@@ -535,8 +540,9 @@ def _fmt(node: Node, parent_prec: int) -> str:
     if isinstance(node, BinOp):
         prec = _PREC[node.op]
         left = _fmt(node.left, prec)
-        # - and / are left-associative: parenthesize equal-precedence right children
-        right = _fmt(node.right, prec + (node.op in "-/"))
+        # all four associate to the left in floats, (t*3)/t != t*(3/t): a
+        # right operand of the same level keeps its parentheses
+        right = _fmt(node.right, prec + 1)
         s = f"{left} {node.op} {right}"
         if prec < parent_prec:
             s = f"({s})"

@@ -23,21 +23,22 @@ once per state dimension and checked form (`expr.CheckedForm`), compiled
 lazily, once per process.  At each stage the loop runs the form's code,
 the source `CheckedForm.source` renders for the form's wrapper too: it
 calls the coefficient functions inline, checks their values at the
-stage's time, and runs the form's body on the stage state.  A function
-that `expr.checked_factory` built runs as its own form, whose bound
-arguments the loop takes; any other callable, such as a test's reference
-system or a tracer's counting wrapper, runs as the call form `_CALL`,
-whose body calls f and which has no coefficient.  DP5's seventh stage is
-at the sixth's time (c7 = c6 = 1), so it reruns only the body on the new
-state: 1 + 5 evaluations of each coefficient per attempted step, and
-1 + 6 calls of f under the call form.  A loop's file name is
-`<bsym.stepper DP5 kernel dim=N form #K>`, K counting the loops the
-process has compiled.
+stage's time, and runs the form's body on the stage state.  An
+`expr.Bound`, the plain data of a form and its bound values, runs as its
+own form, so its checked wrapper never compiles; any other callable,
+such as a test's reference system or a tracer's counting wrapper (which
+may call a `Bound`), runs as the call form `_CALL`, which binds nothing
+and whose body calls f.  DP5's seventh stage is at the sixth's time
+(c7 = c6 = 1), so it reruns only the body on the new state: 1 + 5
+evaluations of each coefficient per attempted step, and 1 + 6 calls of
+f under the call form.  A loop's file name is `<bsym.stepper DP5 kernel
+dim=N form #K>`, K counting the loops the process has compiled.
 
 Every loop makes paths of the dimension's `DensePath` subclass
 (`_path_class`, file `<bsym.stepper DensePath dim=N>`), whose `values`
 walk and `_extension` unpack a step's coefficients once and evaluate each point's
-Horner form as straight-line code over locals.  Every source is registered
+Horner form as straight-line code over locals; step i's stages of
+component k are one tuple, `ks[i][k]`.  Every source is registered
 in `linecache`, so tracebacks and profiles show the generated lines; each
 coefficient function keeps a profiler entry of its own.  Paths (nodes,
 states, stages, `blew_up` flag) are bit-identical to those of the plain
@@ -75,7 +76,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import StepFailure
-from .expr import CheckedForm
+from .expr import Bound, CheckedForm
 
 __all__ = [
     "StepControl",
@@ -183,13 +184,14 @@ class DensePath:
     `integrate` returns an instance of the subclass `_path_class` renders
     for the state's dimension, which defines `values` and `_extension`; `ctl`
     is the control the path was integrated at, whose tolerances
-    `first_crossing` reads.
+    `first_crossing` reads.  `ks[i][k]` is (k1, k3, k4, k5, k6, k7) of step
+    i and component k, the one tuple every reader of the stages takes.
     """
 
     ctl: StepControl
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
-    ks: list = field(default_factory=list)  # (k1, k3, k4, k5, k6, k7) per step
+    ks: list = field(default_factory=list)
     blew_up: bool = False  # |y_0| passed integrate's limit, ending the path early
     _coefs: dict = field(default_factory=dict, repr=False, compare=False)
     _crossings: dict = field(default_factory=dict, repr=False, compare=False)
@@ -236,10 +238,9 @@ class DensePath:
         for i in range(len(ts) - 1):
             # a step whose stages cannot carry y_k to the level needs no
             # extension: the skip test below would pass it over anyway
-            k1, k3, k4, k5, k6, k7 = ks[i]
+            k1, k3, k4, k5, k6, k7 = ks[i][k]
             reach = abs(ts[i + 1] - ts[i]) * (
-                w1 * abs(k1[k]) + w3 * abs(k3[k]) + w4 * abs(k4[k])
-                + w5 * abs(k5[k]) + w6 * abs(k6[k]) + w7 * abs(k7[k])
+                w1 * abs(k1) + w3 * abs(k3) + w4 * abs(k4) + w5 * abs(k5) + w6 * abs(k6) + w7 * abs(k7)
             )
             y_i = ys[i][k]
             if abs(y_i - level) <= reach + abs_tol + rel_tol * (abs(y_i) + reach):
@@ -365,26 +366,24 @@ def integrate(
 
     f receives state component 0 as a float and returns the derivatives of
     all the components; the others get no stage states, only their new
-    values and error terms.  A function `expr.checked_factory` built runs
-    through its form's own loop, which evaluates its coefficients inline
-    and never calls f; any other callable runs through the call form's
-    loop, which calls it at every stage.  Returns the dense path of
-    accepted steps, which records `ctl`.  The final step is clamped to
-    land exactly on t_end.  The first accepted state with |y_0| > limit
-    ends the path with path.blew_up set.  Raises StepUnderflow or
-    StepBudgetExceeded when the step size or budget runs out, and
-    ValueError for an empty state or a non-finite t_end.
+    values and error terms.  An `expr.Bound` runs through its form's own
+    loop, which evaluates its coefficients inline and never calls f; any
+    other callable runs through the call form's loop, which calls it at
+    every stage.  Returns the dense path of accepted steps, which records
+    `ctl` and keeps step i's stages of component k as `ks[i][k]`.  The
+    final step is clamped to land exactly on t_end.  The first accepted
+    state with |y_0| > limit ends the path with path.blew_up set.  Raises
+    StepUnderflow or StepBudgetExceeded when the step size or budget runs
+    out, and ValueError for an empty state or a non-finite t_end.
     """
     y0 = tuple(y0)
     if not y0:
         raise ValueError("the state needs at least one component")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end!r}")
-    form = getattr(f, "form", None)
-    if form is None:
-        return _kernel(len(y0), _CALL, 0)(f, y0, t_end, ctl, limit)
-    kernel = _kernel(len(y0), form, len(f.coefficients))
-    return kernel(f, y0, t_end, ctl, limit, *f.coefficients, *f.env)
+    bound = f if isinstance(f, Bound) else Bound(_CALL, (), ())
+    kernel = _kernel(len(y0), bound.form, len(bound.coefficients))
+    return kernel(f, y0, t_end, ctl, limit, *bound.coefficients, *bound.env)
 
 
 # The dense output and the adaptive loop, written once for every state
@@ -458,7 +457,7 @@ class DensePath{dim}(DensePath):
         \"""Per component (y0, h*c1, .., h*c4) of step i's extension, cached.\"""
         h = self.ts[i + 1] - self.ts[i]
         vec<y_i> = self.ys[i]
-        vec<e1_i>, vec<e3_i>, vec<e4_i>, vec<e5_i>, vec<e6_i>, vec<e7_i> = self.ks[i]
+        vec<(e1_i, e3_i, e4_i, e5_i, e6_i, e7_i)> = self.ks[i]
         coefs = self._coefs[i] = vec<(
             y_i,
             h * (_P00 * e1_i + _P10 * e3_i + _P20 * e4_i + _P30 * e5_i + _P40 * e6_i + _P50 * e7_i),
@@ -475,8 +474,8 @@ class DensePath{dim}(DensePath):
 # and checks the form's coefficients at the time, held in s, and runs the
 # form's body on the state, which assigns the kN_i.  `reuse<kN; time;
 # state>` is a stage at the time of the stage before it: it runs only the
-# body, on the coefficient values already evaluated there.  A step's
-# stages are stored as tuples built only for an accepted step.  {params}
+# body, on the coefficient values already evaluated there.  An accepted
+# step's stages are stored as one tuple per component.  {params}
 # are the form's bound arguments.
 _KERNEL = """\
 def dp5_dim{dim}(f, y0, t_end, ctl, limit{params}):
@@ -533,7 +532,7 @@ def dp5_dim{dim}(f, y0, t_end, ctl, limit{params}):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            append_k((vec<k1_i>, vec<k3_i>, vec<k4_i>, vec<k5_i>, vec<k6_i>, vec<k7_i>))
+            append_k(vec<(k1_i, k3_i, k4_i, k5_i, k6_i, k7_i)>)
             t = t1
             vec<y_i> = vec<z_i>
             vec<k1_i> = vec<k7_i>
@@ -556,8 +555,8 @@ def dp5_dim{dim}(f, y0, t_end, ctl, limit{params}):
     return path
 """
 _loops = itertools.count(1)
-# the form of any callable `expr.checked_factory` did not build: no
-# coefficient, and a body that calls the loop's own f at the stage time
+# the form of any callable that is no `expr.Bound`: no coefficient, and
+# a body that calls the loop's own f at the stage time
 _CALL = CheckedForm("s, x", "return f(s, x)")
 
 

@@ -1,15 +1,15 @@
 """The generated, checked right-hand sides of the quadrature and the oracle.
 
-`quad.nested_path` and `oracle.rk_solve` integrate functions built by
-`expr.checked_factory`, which `stepper.integrate` runs through each form's
-own DP5 loop.  They must reproduce, bit for bit and error for error, the
+`quad.nested_path` and `oracle.rk_solve` integrate the `expr.Bound`s that
+`expr.checked_factory` builds, which `stepper.integrate` runs through each
+form's own DP5 loop.  They must reproduce, bit for bit and error for error, the
 closures they replaced: each coefficient wrapped by the old `as_callable`
 (kept below as `reference_callable`, over the tree's code with its
 constants written as literals), and y^n from `signed_pow`.  The closures
 run both in the stepper's call-form loop and in `test_stepper`'s
 `reference_integrate`, a loop with no generated code, and the two must
 agree.  A spy that wraps the function it hands `integrate` runs the call
-form's loop, which calls the form's checked wrapper; each such test has a
+form's loop, which calls the `Bound`'s checked wrapper; each such test has a
 counterpart that spies on the coefficient functions the form's loop calls.
 """
 
@@ -563,13 +563,79 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     assert sources(compiled, "coefficient") == [
         "lambda k0: lambda t: (k0*cos(t))", "lambda k0: lambda t: sin((k0*t))",
     ]
-    # a form's wrapper compiles once per process and coefficient count,
-    # whatever the trees: one each for the (A, B) and (A, B, B) forms and
-    # the oracle's two, and none for as_callable's, compiled above
+    # the loops run the forms' code inline and compile no wrapper; calling
+    # a form's `Bound` compiles its wrapper once per process and
+    # coefficient count, whatever the trees: one each for the (A, B) and
+    # (A, B, B) forms and the oracle's two, and none for as_callable's,
+    # compiled above
+    assert sources(compiled, "checked") == []
+    a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
+    bounds = [expr.checked_factory(quad._ab_form(k), a, b)(*[1.0] * k) for k in (1, 2, 1)]
+    for n in ("2", "1", "3"):
+        bounds.append(generated_oracle_rhs(monkeypatch, problem("cos(t)", "sin(t)", n, 0.5)))
+    for bound in bounds:
+        bound(0.5, 0.25)
     wrappers = sources(compiled, "checked")
     assert len(wrappers) == 4 and len(set(wrappers)) == 4
     assert all("f0 = c0(s)" in w and "f1 = c1(s)" in w for w in wrappers)
     assert expr._wrapper.cache_info().currsize == 5
+
+
+_UNTRACED_RUNS = [
+    lambda: nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0,), 1.0),
+    lambda: nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0, -2.0), -1.0),
+    lambda: rk_solve(problem("cos(t)", "sin(t)", 1, 0.5), 1.0),
+    lambda: rk_solve(problem("cos(t)", "sin(t)", 2, 0.5), -1.0),
+]
+
+
+def test_untraced_runs_take_their_forms_loops_and_compile_no_wrapper(monkeypatch):
+    # each right-hand side is a `Bound`, which `integrate` runs through its
+    # form's own loop: no run calls it, so none compiles its wrapper
+    loops = []
+    kernel = stepper._kernel
+
+    def recording(dim, form, count):
+        loop = kernel(dim, form, count)
+        loops.append((form, loop.__code__.co_filename))
+        return loop
+
+    monkeypatch.setattr(stepper, "_kernel", recording)
+    expr._wrapper.cache_clear()
+    for run in _UNTRACED_RUNS:
+        run()
+    assert expr._wrapper.cache_info().currsize == 0
+    assert len(loops) == 4 and all(form is not stepper._CALL for form, _ in loops)
+    call_loops = {kernel(dim, stepper._CALL, 0).__code__.co_filename for dim in (1, 2, 3)}
+    for _, filename in loops:
+        assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=[123] form #\d+>", filename)
+        assert filename not in call_loops
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_a_bound_called_through_a_wrapper_gives_the_same_path(monkeypatch, t_end):
+    # a tracer hands `integrate` a function that calls the `Bound`: the call
+    # form's loop then calls its checked wrapper, compiled on the first call
+    # and kept, and the path is bit for bit that of the form's loop
+    a, b = parse_expr("cos(t) + t^2"), parse_expr("sin(t) - 2")
+    runs = [
+        (expr.checked_factory(quad._ab_form(1), a, b)(2.0), (0.0, 0.0), quad.QUAD_CONTROL),
+        (expr.checked_factory(quad._ab_form(2), a, b)(2.0, -1 / 3), (0.0,) * 3, quad.QUAD_CONTROL),
+        (generated_oracle_rhs(monkeypatch, problem("cos(t)", "sin(t)", 2, -0.5)), (-0.5,), ORACLE_CONTROL),
+    ]
+    for bound, y0, ctl in runs:
+        assert type(bound) is expr.Bound
+        expr._wrapper.cache_clear()
+        compiled = counting_compiles(monkeypatch)
+        direct = stepper.integrate(bound, y0, t_end, ctl)
+        assert compiled == []
+        wrapped = stepper.integrate(lambda t, y: bound(t, y), y0, t_end, ctl)
+        assert outcome(lambda: wrapped) == outcome(lambda: direct)
+        checked = bound._checked
+        assert bound(0.5, y0[0]) == checked(0.5, y0[0]) and bound._checked is checked
+        assert len(sources(compiled, "checked")) == 1
+        assert not any(hasattr(checked, name) for name in ("form", "coefficients", "env"))
+        monkeypatch.undo()
 
 
 def test_an_identity_compiles_a_tree_and_its_negation_as_one_shape(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bsym import CASE_BY_ID, parse_expr, problem, transform_problem
 from helpers import SPIKED_B, cli_env
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -367,6 +368,19 @@ def test_pair_applied_twice_gives_back_the_problem(tmp_path):
     assert json.loads(once.read_text())["b"] == "sin(t)"
     assert run_cli("pair", "--problem", str(once), "--case", "T2iv", "--out", str(twice)).returncode == 0
     assert json.loads(twice.read_text()) == {**src, "relation": "t-axis"}
+
+
+def test_pair_writes_coefficients_that_read_back_as_the_partners_trees(tmp_path):
+    # t*(3/t) and (t*3)/t are two trees and two floats (3.0 and
+    # 3.0000000000000004 at t = 0.1): the written a keeps its parentheses
+    src = {"a": "t*(3/t)", "b": "sin(t)", "n": "2", "d": "1"}
+    prob = write_problem(tmp_path / "p.json", src)
+    out = tmp_path / "pair.json"
+    assert run_cli("pair", "--problem", prob, "--case", "T2i", "--out", str(out)).returncode == 0
+    data = json.loads(out.read_text())
+    p2 = transform_problem(problem(src["a"], src["b"], 2, 1.0), CASE_BY_ID["T2i"])
+    assert data["a"] == "-(t * (3 / t))"
+    assert parse_expr(data["a"]) == p2.a and parse_expr(data["b"]) == p2.b
 
 
 def test_pair_too_deep_to_read_back_is_exit_2(tmp_path):

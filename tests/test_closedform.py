@@ -303,6 +303,26 @@ def test_solution_continues_through_g_zero_for_odd_root():
     assert y == pytest.approx((1.0 - 4.0 / 3.0) ** 3, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", ["2", "4/3"])
+@pytest.mark.parametrize("d", [1.0, -1.0])
+@pytest.mark.parametrize("b", ["1", "-1"])
+def test_the_closed_form_stops_past_a_pole(n, d, b):
+    # y' = b*y^n: G = g0 - (n-1)*b*t vanishes at a pole of y = G^(-1/(n-1))
+    # on the side of 0 that the sign of b*d picks.  Past it the odd root
+    # (-1, -3) reads G of the other sign on the formula's other branch,
+    # which solves no IVP; the far side has no pole
+    p = problem("0", b, n, d)
+    v = validity_interval(p, 8.0)
+    pole = v.hi if float(b) * d > 0.0 else v.lo
+    assert abs(pole) == pytest.approx(1.0 if n == "2" else 3.0, rel=1e-12)
+    assert BoundaryKind.ASYMPTOTE in (v.lo_kind, v.hi_kind)
+    y = solution_values(p, [0.5 * pole, -2.0 * pole])
+    assert all(math.isfinite(x) and math.copysign(1.0, x) == d for x in y)
+    for t in (1.5 * pole, 4.0 * pole):
+        with pytest.raises(OutsideValidity, match=r"^past the pole: radicand -?\d"):
+            eval_solution(p, t)
+
+
 # G = cos^2 t, which touches zero at +-pi/2: y = 1/cos^2 t for n = 2, a
 # grazing root boundary for n = 1/3, 1/(|cos t|) for n = 3
 @pytest.mark.parametrize(
@@ -431,8 +451,9 @@ def test_ab_values_reuses_a_searched_path_only_on_a_full_key_match(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 4.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    # p's own grid: both sides come from p's searched paths
-    solution_values(p, [-3.0, -0.5, 0.0, 0.5, 3.0])
+    # p's own grid, inside its validity interval (-2.57, 1.03): both sides
+    # come from p's searched paths
+    solution_values(p, [-2.5, -0.5, 0.0, 0.5, 1.0])
     assert calls == []
     # another problem, even one equal to p, integrates a fresh path: a, b
     # and n-1 all match only on p's own paths
@@ -487,14 +508,14 @@ def test_only_the_latest_search_paths_are_kept():
     # each problem keeps its own latest search's paths, one per side of 0
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 8.0)
-    validity_interval(p, 4.0)  # replaces the radius-8 paths
+    validity_interval(p, 1.0)  # replaces the radius-8 paths
     kept = dict(p._searched)
     assert {key: path.t_reached for key, path in kept.items()} == {
-        1.0: 4.0, -1.0: -4.0
+        1.0: 1.0, -1.0: -1.0
     }
     # another problem's search, shared paths included, leaves p's alone
     q, r = problem("sin(t)", "cos(t)", 2, -1.0), problem("cos(t)", "1", 3, 1.0)
-    validity_intervals([q, r], 4.0)
+    validity_intervals([q, r], 1.0)
     assert p._searched == kept and all(p._searched[k] is kept[k] for k in kept)
     assert all(q._searched[k] is not kept[k] for k in kept)
     v, w = problem("sin(t)", "cos(t)", 2, 0.5), problem("sin(t)", "cos(t)", 2, 2.0)
@@ -509,8 +530,9 @@ def test_only_the_latest_search_paths_are_kept():
     assert v._searched[-1.0] is not w._searched[-1.0]
     assert all(source(v._searched[k]) is source(w._searched[k]) for k in kept)
     assert source(v._searched[-1.0]) is v._searched[1.0]
-    # a grid's fresh paths, here past the searched radius, are not kept
-    solution_values(p, [-5.0, 5.0])
+    # a grid's fresh paths, here past the searched radius and inside p's
+    # validity interval (-2.57, 1.03), are not kept
+    solution_values(p, [-2.5, 1.02])
     assert p._searched == kept
     # the unit exponent searches nothing and keeps nothing
     u = problem("sin(t)", "cos(t)", 1, 1.0)
@@ -565,7 +587,8 @@ def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
 
 def reference_solution_values(p, pairs, ts):
     """`solution_values` before the class decisions left its loop, given
-    the (A, B) pairs: signed_pow at every point."""
+    the (A, B) pairs: signed_pow at every point, and OutsideValidity past
+    a pole, where G has the other sign than g0."""
     m = (p.n.p - p.n.q) / p.n.q
     out = []
     if p.n.cls is ExponentClass.ONE:
@@ -589,6 +612,8 @@ def reference_solution_values(p, pairs, ts):
                 )
         elif root.p < 0 and abs(g) <= g_eps:
             raise OutsideValidity(f"asymptote: radicand vanishes at t={t!r}")
+        elif root.p < 0 and (g < 0.0) != (g0 < 0.0):
+            raise OutsideValidity(f"past the pole: radicand {g!r} at t={t!r}")
         try:
             out.append(sigma * math.exp(aval) * signed_pow(g, root))
         except OverflowError:

@@ -237,16 +237,13 @@ def test_format_parse_round_trip(ast):
 @pytest.mark.parametrize("outer", "+-*/")
 def test_format_parse_on_every_operator_pair(outer, inner):
     # each pair nested on either side prints to source that parses back to
-    # the tree, except a '+' or '*' whose right operand is of its own
-    # level: the printer leaves those parentheses out, and the parser
-    # groups the sum or product to the left
+    # the same tree: float sums and products do not associate, so a right
+    # operand of its parent's level keeps its parentheses
     x, y, z = Var(), Const(2.0), Const(3.0)
     left = BinOp(outer, BinOp(inner, x, y), z)
     assert parse_expr(format_expr(left)).ast == left
     right = BinOp(outer, x, BinOp(inner, y, z))
-    regrouped = outer in "+*" and (outer in "+-") == (inner in "+-")
-    want = BinOp(inner, BinOp(outer, x, y), z) if regrouped else right
-    assert parse_expr(format_expr(right)).ast == want
+    assert parse_expr(format_expr(right)).ast == right
 
 
 def test_format_matches_structural_negation_style():

@@ -106,7 +106,7 @@ def reference_value(path, t):
             h * (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7)
             for p1, p3, p4, p5, p6, p7 in zip(*_P)
         )
-        for y0, e1, e3, e4, e5, e6, e7 in zip(ys[i], *path.ks[i])
+        for y0, (e1, e3, e4, e5, e6, e7) in zip(ys[i], path.ks[i])
     ]
     th = (t - t0) / (t1 - t0)
     return tuple([y0 + th * (c1 + th * (c2 + th * (c3 + th * c4))) for y0, c1, c2, c3, c4 in coefs])
@@ -361,8 +361,8 @@ def test_grid_values_reject_non_finite_times(bad, where):
 def reference_integrate(f, y0, t_end, ctl, limit=math.inf):
     """The generic zip/generator loop `integrate` ran before its kernel was
     generated per dimension, from t = 0; the kernel must reproduce it bit
-    for bit.  A step's stages are stored as tuples, as the kernel stores
-    them, whatever sequence f returns."""
+    for bit.  A step's stages are stored as one tuple per component, as
+    the kernel stores them, whatever sequence f returns."""
     y0 = tuple(y0)
     path = DensePath(ctl)
     k1 = f(0.0, y0)
@@ -436,7 +436,7 @@ def reference_integrate(f, y0, t_end, ctl, limit=math.inf):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            path.ks.append(tuple(map(tuple, (k1, k3, k4, k5, k6, k7))))
+            path.ks.append(tuple(zip(k1, k3, k4, k5, k6, k7)))
             t, y, k1 = t1, y1, k7
             path.ts.append(t)
             path.ys.append(y)
@@ -585,7 +585,7 @@ def test_kernel_matches_after_a_non_finite_stage(name, t_end, bad):
 def err_numerator(path, i):
     """h * (E . stages) of accepted step i, component 0, as the kernel and
     the reference loop compute it."""
-    k1, k3, k4, k5, k6, k7 = (k[0] for k in path.ks[i])
+    k1, k3, k4, k5, k6, k7 = path.ks[i][0]
     h = path.ts[i + 1] - path.ts[i]
     return h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
 
@@ -790,10 +790,11 @@ def test_traceback_shows_the_kernel_source():
 
 def test_a_plain_callable_that_returns_lists_gets_tuple_stages():
     # the call form's loop unpacks what f returns into locals and stores an
-    # accepted step's stages as tuples of them
+    # accepted step's stages as one tuple of them per component
     path = integrate(rhs_3(), (1.0, -0.5, 0.25), 2.0, CTL)
     assert len(path.ks) > 1
-    assert all(type(k) is tuple and len(k) == 3 for ks in path.ks for k in ks)
+    assert all(type(ks) is tuple and len(ks) == 3 for ks in path.ks)
+    assert all(type(k) is tuple and len(k) == 6 for ks in path.ks for k in ks)
     loop = stepper._kernel(3, stepper._CALL, 0)
     assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=3 form #\d+>", loop.__code__.co_filename)
 
