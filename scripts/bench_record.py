@@ -10,11 +10,19 @@ The record holds, for the change numbered N:
   solve-dense, identities) at seed 1, run twice: untraced for 30 s
   (`--trace 0 --seconds 30`) and traced for 5 s (`--trace 1 --seconds 5`);
 * the answer digests of `scripts/digest.py` at input seeds 1 and 2;
+* one tier-1 run (`python -m pytest -q --continue-on-collection-errors`):
+  its wall time, exit code and passed, skipped and failed counts (errors
+  count as failed);
+* one run of the mutation gate, `scripts/mutate.py`: its wall time, exit
+  code and killed and listed mutant counts;
 * the size of `src/bsym/*.py` by `wc -l` and as code lines;
 * the Python version and `os.cpu_count()`.
 
-Exits 1 when any run reads `"correct": false` (`bench/run.py` itself exits
-0 then), after writing the record; 2 when a run or the digest fails.
+After writing the record, exits 1 when a tier-1 test fails, a mutant is
+not killed, any run reads `"correct": false` (`bench/run.py` itself exits
+0 then) or a traced run's `trace.work_counts_match` is not 1 (its two
+traced passes did different work); 2 when a benchmark run or the digest
+fails to run.
 
 Code lines are lines of statements, counted with `ast`, less blank,
 comment and docstring lines.  `--code-lines` prints that count for the
@@ -27,13 +35,17 @@ import ast
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify-all", "solve-dense", "identities")
 RUNS = (("0", "30"), ("1", "5"))  # (--trace, --seconds)
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+MUTATE = ("scripts/mutate.py",)
 
 
 def code_lines(paths) -> int:
@@ -56,12 +68,64 @@ def code_lines(paths) -> int:
     return total
 
 
+def _run(*args: str) -> tuple:
+    """(exit code, stdout, wall seconds) of one Python command run from the repository root."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, time.perf_counter() - start
+
+
 def _output(*args: str) -> str:
-    """stdout of one Python script run from the repository root."""
-    proc = subprocess.run(
-        [sys.executable, *args], cwd=ROOT, capture_output=True, text=True, check=True
-    )
-    return proc.stdout
+    """stdout of one Python script that must succeed."""
+    code, out, _ = _run(*args)
+    if code:
+        raise subprocess.CalledProcessError(code, args)
+    return out
+
+
+def _tier1() -> dict:
+    """One tier-1 run, counted from pytest's summary line."""
+    code, out, seconds = _run(*TIER1)
+    summary = out.strip().rpartition("\n")[2]
+    counts = {kind.rstrip("s"): int(k) for k, kind in re.findall(r"(\d+) (passed|skipped|failed|errors?)\b", summary)}
+    return {"command": list(TIER1), "exit": code, "seconds": round(seconds, 2),
+            "passed": counts.get("passed", 0), "skipped": counts.get("skipped", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
+
+
+def _mutation_gate() -> dict:
+    """One run of the mutation gate, which prints one line per mutant."""
+    code, out, seconds = _run(*MUTATE)
+    return {"command": list(MUTATE), "exit": code, "seconds": round(seconds, 2),
+            "killed": len(re.findall(r"^\S+: killed by ", out, re.M)),
+            "listed": len(re.findall(r"^\S+: ", out, re.M))}
+
+
+def run_faults(command: list, result: dict) -> list:
+    """Why one `bench/run.py` run fails the change, given its arguments and
+    last JSON line: it reads `"correct": false`, or it ran with `--trace 1`
+    and its `trace.work_counts_match` is not 1.  The CI's traced smoke runs
+    are checked by this function too."""
+    faults, line = [], " ".join(command)
+    if result.get("correct") is not True:
+        faults.append(f"not correct: bench/run.py {line}")
+    match = result.get("metrics", {}).get("trace.work_counts_match", {}).get("value")
+    if command[command.index("--trace") + 1] == "1" and match != 1:
+        faults.append(f"traced work differs between passes ({match}): bench/run.py {line}")
+    return faults
+
+
+def _faults(record: dict) -> list:
+    """Why the record fails the change: each a line for stderr."""
+    faults = []
+    tier1, gate = record["tier1"], record["mutation"]
+    if tier1["exit"] or tier1["failed"]:
+        faults.append(f"tier-1: {tier1['failed']} failed, pytest exit {tier1['exit']}")
+    if gate["exit"] or gate["killed"] < gate["listed"]:
+        faults.append(f"mutation gate: {gate['killed']} of {gate['listed']} killed, exit {gate['exit']}")
+    for run in record["runs"]:
+        faults += run_faults(run["command"], run["result"])
+    return faults
 
 
 def main() -> int:
@@ -98,13 +162,16 @@ def main() -> int:
     except (subprocess.CalledProcessError, ValueError, IndexError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
+    print("tier-1 and the mutation gate", file=sys.stderr)
+    record["tier1"] = _tier1()
+    record["mutation"] = _mutation_gate()
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    wrong = [run["command"] for run in record["runs"] if run["result"].get("correct") is not True]
-    for command in wrong:
-        print(f"not correct: bench/run.py {' '.join(command)}", file=sys.stderr)
+    faults = _faults(record)
+    for fault in faults:
+        print(fault, file=sys.stderr)
     print(out.name)
-    return 1 if wrong else 0
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

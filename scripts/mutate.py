@@ -145,8 +145,8 @@ MUTANTS = [
     Mutant(
         "validity-level-check-never-fires",
         "closedform.py",
-        "if level == 0.0:",
-        "if level != level:",
+        "if g0 / (m := minus_one(n)) == 0.0:",
+        "if g0 / (m := minus_one(n)) is None:",
         "a level d^(1-n)/(n-1) that underflows to 0 is searched for: B(0) = 0"
         " meets it at t = 0 and no interval holds 0, an untyped ValueError",
         ("tests/test_closedform.py",),
@@ -431,8 +431,8 @@ MUTANTS = [
     Mutant(
         "ab-values-fresh-side-keeps-top-minus",
         "quad.py",
-        "return ab_path(paths, a, b, mult, x)",
-        "return nested_path(a, b, (mult,), x)",
+        "path = searched[side] = ab_path(paths, a, b, mult, x)",
+        "path = searched[side] = nested_path(a, b, (mult,), x)",
         "a solve grid's fresh side integrates a and b with their top minuses:"
         " a tree and its negation compile two shapes, and no mirror is shared",
         ("tests/test_quad.py::test_no_path_integrates_a_tree_with_its_top_minus",),
@@ -467,11 +467,72 @@ MUTANTS = [
     Mutant(
         "evaluator-answers-past-a-pole",
         "closedform.py",
-        "elif asymptote and (g < 0.0) != (g0 < 0.0):",
-        "elif False:",
+        "ends = root.p < 0 or not neg",
+        "ends = not neg",
         "an odd root carries G through its pole onto the formula's other branch,"
         " which solves no IVP: y' = y^2, y(0) = 1 reads -1 at t = 2",
         ("tests/test_closedform.py::test_the_closed_form_stops_past_a_pole",),
+    ),
+    Mutant(
+        "closed-form-keeps-a-zero-band",
+        "closedform.py",
+        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi):",
+        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi and abs(g) > 1e-13 * (abs(g0) + abs(m * bval))):",
+        "the evaluator refuses a point inside the validity interval, next to its"
+        " pole, where G still has G(0)'s sign: y' = y^2 at t = 1 - 1e-13",
+        ("tests/test_closedform.py::test_the_closed_form_answers_next_to_its_pole",),
+    ),
+    Mutant(
+        "evaluator-answers-at-the-zero-it-found",
+        "closedform.py",
+        "and lo < t < hi)",
+        "and lo <= t <= hi)",
+        "the point where the path's G first reaches 0, which the validity search"
+        " reports as the interval's end, is answered: y' = y^2 reads 4.5e15 at t = 1",
+        ("tests/test_closedform.py::test_solution_outside_validity_asymptote",),
+    ),
+    Mutant(
+        "ab-values-keeps-a-fresh-path-to-itself",
+        "quad.py",
+        "path = searched[side] = ab_path(",
+        "path = ab_path(",
+        "the caller's table never learns the path that answered a side, so an"
+        " unsearched problem's evaluator has no zero of G to stop at",
+        ("tests/test_closedform.py::test_ab_values_past_the_searched_path_integrates_afresh",),
+    ),
+    Mutant(
+        "odd-root-stops-at-its-root-boundary",
+        "closedform.py",
+        "ends = root.p < 0 or not neg",
+        "ends = True",
+        "an odd root with a positive exponent, smooth through G = 0, is refused past it",
+        ("tests/test_closedform.py::test_solution_continues_through_g_zero_for_odd_root",),
+    ),
+    Mutant(
+        "split-sign-takes-one-minus",
+        "expr.py",
+        "    while isinstance(e, Neg):",
+        "    if isinstance(e, Neg):",
+        "--t splits as -1 * -t: its paths are not the paths of t",
+        ("tests/test_expr.py::test_split_sign_takes_out_every_leading_minus",),
+    ),
+    Mutant(
+        "negated-never-unwraps",
+        "expr.py",
+        "return e.arg if isinstance(e, Neg) else Neg(e)",
+        "return Neg(e)",
+        "negating a negated tree nests a second minus: a partner's partner is"
+        " not the original tree and keys other caches and paths",
+        ("tests/test_expr.py::test_negated_twice_is_the_original",),
+    ),
+    Mutant(
+        "tree-call-skips-the-check",
+        "expr.py",
+        "return as_callable(self)(t)",
+        "return _coefficient(self)(t)",
+        "calling a tree runs its unchecked function: 1/t at 0 raises"
+        " ZeroDivisionError, not EvalError",
+        ("tests/test_expr.py::test_eval_division_by_zero",),
     ),
 ]
 

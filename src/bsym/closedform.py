@@ -22,7 +22,7 @@ The validity interval around t = 0 is bounded by zeros of G: with a
 negative root exponent the solution blows up there (asymptote); with a
 positive one the root loses the positivity the branch requires.  The
 validity search and the evaluator read G's terms and the root exponent
-from one place, `_radicand`.
+from one place, `_radicand`, and both end it at G's first zero on a path.
 
 A and B come from paths integrated at the quadrature's one fixed step
 control, `quad.QUAD_CONTROL`, which each path records; its tolerances are
@@ -140,14 +140,17 @@ def _radicand(p: ProblemSpec) -> tuple[float, float, RationalExponent]:
     """(g0, m, root) of G = g0 - m*B and y = sigma * exp(A) * G^root.
 
     g0 = G(0) = d^(1-n), m = n - 1 and root = -1/(n-1) as the exact reduced
-    rational (-q)/(p-q).  DomainError when g0 overflows (|d| too near 0).
+    rational (-q)/(p-q).  DomainError when g0 overflows (|d| too near 0)
+    or g0/m, the B at which G vanishes, underflows to B(0) = 0.
     """
     n = p.n
     try:
         g0 = signed_pow(p.d, classify_exponent(n.q - n.p, n.q))
     except OverflowError:
         raise DomainError(f"initial value d={p.d!r} is too small: d^(1-n) overflows") from None
-    return g0, minus_one(n), classify_exponent(-n.q, n.p - n.q)
+    if g0 / (m := minus_one(n)) == 0.0:
+        raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
+    return g0, m, classify_exponent(-n.q, n.p - n.q)
 
 
 def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
@@ -156,16 +159,15 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     (A, B) come from `ab_values`: a side of 0 that p's latest validity
     search path reaches is answered from that path, which was integrated
     at the same `QUAD_CONTROL` as a fresh one; otherwise from the
-    reflection rule's path (`quad.ab_path`), a mirror or a fresh one.  The
-    per-point loop raises G to the root exponent with `math.pow` times the
-    root's `negative_sign` where G < 0, and calls
-    `signed_pow` only at G = 0 and where it would raise, so every value and
-    error is `signed_pow`'s.
+    reflection rule's path (`quad.ab_path`), a mirror or a fresh one.
+    Where G = 0 is a pole or an even root's edge, a point at or past G's
+    first zero on the path that answers it, where `validity_intervals`
+    ends the interval, or where G lacks G(0)'s sign, raises OutsideValidity
+    ("asymptote: .." or "root boundary: .."); an odd root with a positive
+    exponent goes on.  G^root is `math.pow` times the root's `negative_sign`
+    where G < 0, and `signed_pow` at G = 0: every value is `signed_pow`'s.
 
-    Raises DomainError before any integration where d^(1-n) overflows, as
-    `validity_intervals` does, and OutsideValidity where the required root
-    does not exist: G <= 0 with an even reduced root denominator, or with a
-    negative root exponent G = 0 or past it, G of the other sign than g0.
+    Raises DomainError before any integration where `_radicand` does.
     """
     exp = math.exp
     out = []
@@ -180,29 +182,22 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
                 raise EvalError(f"solution overflow at t={t!r}") from None
         return out
     g0, m, root = _radicand(p)
-    values = zip(ab_values(p.a, p.b, m, ts, p._searched), ts)
-    abs_g0 = abs(g0)
+    sides = dict(p._searched)  # ab_values leaves in it the path that answers each side
+    values = zip(ab_values(p.a, p.b, m, ts, sides), ts)
     e = root.p / root.q  # as signed_pow computes it
     neg = root.cls.negative_sign  # G^e = neg * (-G)^e for G < 0; 0.0: G must be > 0
-    asymptote = root.p < 0  # G = 0 is a pole
+    # G = 0 at a pole or an even root's edge (g0 > 0 there) ends it: at its
+    # first zero on each side's path, lo < 0 < hi
+    ends = root.p < 0 or not neg
+    zero = {s: path.first_crossing(1, g0 / m) or s * math.inf for s, path in sides.items() if ends}
+    lo, hi = zero.get(-1.0, -math.inf), zero.get(1.0, math.inf)
     sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
     pow_ = math.pow
     for (aval, bval), t in values:
-        mb = m * bval
-        g = g0 - mb
-        # a radicand this small is indistinguishable from its zero at
-        # quadrature precision; relative to the terms of G only, so that
-        # G(0) = g0 != 0 always passes, however small d^(1-n) is
-        g_eps = 1e-13 * (abs_g0 + abs(mb)) if asymptote else 0.0
-        if not neg:
-            if g <= g_eps:
-                raise OutsideValidity(
-                    f"radicand {g!r} at t={t!r} but the root requires positivity"
-                )
-        elif asymptote and abs(g) <= g_eps:
-            raise OutsideValidity(f"asymptote: radicand vanishes at t={t!r}")
-        elif asymptote and (g < 0.0) != (g0 < 0.0):  # an odd root's other branch solves no IVP
-            raise OutsideValidity(f"past the pole: radicand {g!r} at t={t!r}")
+        g = g0 - m * bval
+        if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi):
+            end = "asymptote" if root.p < 0 else "root boundary"
+            raise OutsideValidity(f"{end}: G={g!r} at t={t!r} is at or past G's first zero (G(0)={g0!r})")
         try:
             scale = sigma * exp(aval)
             if g > 0.0:
@@ -264,9 +259,7 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
         g0, m, root = _radicand(p)
         zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
 
-        level = g0 / m  # the B at which G vanishes; B(0) = 0 must differ from it
-        if level == 0.0:
-            raise DomainError(f"initial value d={p.d!r}: d^(1-n)/(n-1) underflows to 0")
+        level = g0 / m  # the B at which G vanishes; nonzero, as B(0) = 0 must differ from it
         p._searched.clear()
         ends = []
         for direction in (1.0, -1.0):

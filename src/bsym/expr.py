@@ -15,6 +15,9 @@ subterm stays decidable by structural rules.  Fractions such as "1/2" are
 ordinary constant divisions; there is no scientific notation.  A number
 too large for a float is a syntax error.
 
+A parsed tree is its own `Expr`: each node is an `Expr` and a named
+tuple, so it can be called at t and printed, and hashes and compares in C.
+
 Expressions nest at most MAX_DEPTH = 100 levels deep.  A leaf counts one
 level, and each unary minus, '^', function call and binary operator one
 more than its deepest operand, so a sum of 101 terms is too deep (operators
@@ -30,7 +33,7 @@ into `lambda k0, ..: lambda t: <shape>`, kept in an LRU cache of 256
 shapes under a file name of its own (`<bsym.expr coefficient #N>`, so a
 profile shows the trees of one shape as one entry), and a tree's function
 is that factory called with the tree's constants, kept in a small LRU
-cache keyed on the `Expr` and shared by every form.  A `CheckedForm` says
+cache keyed on the tree and shared by every form.  A `CheckedForm` says
 how the quadrature or the oracle combines coefficient values, and
 `CheckedForm.source` renders its code at the time s: the coefficients
 called in order inside one try, each value checked for finiteness, then
@@ -59,11 +62,12 @@ import math
 import random
 import re
 import textwrap
+from collections import namedtuple
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from .errors import EvalError, ExprSyntaxError
 
@@ -86,59 +90,20 @@ __all__ = [
 
 # --- AST ------------------------------------------------------------------
 
-# Named tuples, so a tree hashes and compares in C; the types of their
-# fields keep nodes of two types unequal.
-
-class Const(NamedTuple):
-    value: float
-
-
-class Var(NamedTuple):
-    """The single free variable t."""
-
-    def __bool__(self) -> bool:  # a node is truthy, as a tuple of no fields is not
-        return True
-
-
-class Neg(NamedTuple):
-    arg: "Node"
-
-
-class BinOp(NamedTuple):
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
-
-
-class Pow(NamedTuple):
-    base: "Node"
-    exponent: int  # >= 0, enforced by the grammar
-
-
-class Call(NamedTuple):
-    func: str  # sin cos exp sinh cosh
-    arg: "Node"
-
-
-Node = Union[Const, Var, Neg, BinOp, Pow, Call]
-
-FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh")
-
-
-@dataclass(frozen=True)
 class Expr:
-    """An immutable parsed coefficient function of t.
+    """An immutable coefficient function of t: any node of a parsed tree.
 
-    The tree is a tuple (its nodes are named tuples), hashed and compared
-    in C, so an `Expr` hashes and compares as its tree.  `Expr` itself is
-    no tuple: a one-field tuple would equal a `Neg` of the same tree.
+    Every node is an `Expr` and a named tuple, so a tree hashes and
+    compares as a tuple, in C; `Expr` adds no field, no `__eq__` and no
+    `__hash__`, only evaluation and printing.  The types of the nodes'
+    fields keep nodes of two types unequal.
     """
 
-    ast: Node
+    __slots__ = ()
 
     @property
     def source(self) -> str:
-        return format_expr(self.ast)
+        return format_expr(self)
 
     def __call__(self, t: float) -> float:
         """Evaluate at t; EvalError on division by zero or non-finite results."""
@@ -148,20 +113,50 @@ class Expr:
         return self.source
 
 
+class Const(Expr, namedtuple("Const", "value")):
+    __slots__ = ()
+
+
+class Var(Expr, namedtuple("Var", "")):
+    """The single free variable t."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:  # a node is truthy, as a tuple of no fields is not
+        return True
+
+
+class Neg(Expr, namedtuple("Neg", "arg")):
+    __slots__ = ()
+
+
+class BinOp(Expr, namedtuple("BinOp", "op left right")):  # op: one of + - * /
+    __slots__ = ()
+
+
+class Pow(Expr, namedtuple("Pow", "base exponent")):  # exponent: an int >= 0, by the grammar
+    __slots__ = ()
+
+
+class Call(Expr, namedtuple("Call", "func arg")):  # func: sin cos exp sinh cosh
+    __slots__ = ()
+
+
+FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh")
+
+
 def negated(e: Expr) -> Expr:
     """Structurally negate: wrap the tree in a unary minus, or unwrap one."""
-    if isinstance(e.ast, Neg):
-        return Expr(e.ast.arg)
-    return Expr(Neg(e.ast))
+    return e.arg if isinstance(e, Neg) else Neg(e)
 
 
 def split_sign(e: Expr) -> tuple[float, Expr]:
     """(sign, e0) with e = sign * e0, sign = +-1.0 and e0 the tree under the
     unary minuses at the top of e (all of them, so --t is t)."""
-    sign, node = 1.0, e.ast
-    while isinstance(node, Neg):
-        sign, node = -sign, node.arg
-    return sign, (e if node is e.ast else Expr(node))
+    sign = 1.0
+    while isinstance(e, Neg):
+        sign, e = -sign, e.arg
+    return sign, e
 
 
 # --- Tokenizer / parser ---------------------------------------------------
@@ -246,14 +241,14 @@ class _Parser:
     # each method returns (node, depth): the node's levels counted as in
     # MAX_DEPTH, a leaf being one level
 
-    def parse(self) -> Node:
+    def parse(self) -> Expr:
         node, _ = self._expr()
         tok = self._peek()
         if tok is not None:
             raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
         return node
 
-    def _expr(self, level: int = 1) -> tuple[Node, int]:
+    def _expr(self, level: int = 1) -> tuple[Expr, int]:
         """Operands of `_PREC` levels above `level`, or factors past the
         tightest level, joined by the operators at `level`, to the left."""
         if level > _TIGHTEST:
@@ -266,7 +261,7 @@ class _Parser:
             depth = self._check_depth(1 + max(depth, right_depth), tok[2])
         return node, depth
 
-    def _factor(self) -> tuple[Node, int]:
+    def _factor(self) -> tuple[Expr, int]:
         # leading minuses are counted, not recursed into, so a long run of
         # them fails the depth check instead of the interpreter's stack
         start = self.i
@@ -293,7 +288,7 @@ class _Parser:
             node = Neg(node)
         return node, self._check_depth(depth + minuses, self.toks[start][2])
 
-    def _primary(self) -> tuple[Node, int]:
+    def _primary(self) -> tuple[Expr, int]:
         tok = self._next()
         kind, text, off = tok
         if kind == "num":
@@ -329,12 +324,12 @@ def parse_expr(source: str) -> Expr:
     """
     if not source or source.isspace():
         raise ExprSyntaxError("empty expression", 0)
-    return Expr(_Parser(source).parse())
+    return _Parser(source).parse()
 
 
 # --- Evaluation -----------------------------------------------------------
 
-def _shape(node: Node, consts: list) -> str:
+def _shape(node: Expr, consts: list) -> str:
     """The tree's code with each constant written as the parameter k<i>,
     i counting the constants in order of appearance, which are appended to
     consts; variables, operators, function names and exponents stay in the
@@ -453,7 +448,7 @@ def _coefficient(e: Expr) -> Callable[[float], float]:
     skips an operation that would raise (1/0, 10.0**400), so the values
     and errors are those of the tree's own literal code."""
     consts: list = []
-    shape = _shape(e.ast, consts)
+    shape = _shape(e, consts)
     return _shape_factory(shape, len(consts))(*consts)
 
 
@@ -523,7 +518,7 @@ def _fmt_number(v: float) -> str:
     return s
 
 
-def _fmt(node: Node, parent_prec: int) -> str:
+def _fmt(node: Expr, parent_prec: int) -> str:
     if isinstance(node, Const):
         return _fmt_number(node.value)
     if isinstance(node, Var):
@@ -550,7 +545,7 @@ def _fmt(node: Node, parent_prec: int) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def format_expr(node: Node) -> str:
+def format_expr(node: Expr) -> str:
     """Render a tree back to parseable DSL source."""
     return _fmt(node, 0)
 
@@ -576,7 +571,7 @@ _ODD_FUNCS = frozenset({"sin", "sinh"})
 _EVEN_FUNCS = frozenset({"cos", "cosh"})
 
 
-def _structural(node: Node) -> Optional[Parity]:
+def _structural(node: Expr) -> Optional[Parity]:
     """Sound-but-incomplete parity rules; None means inconclusive."""
     if isinstance(node, Const):
         return Parity.EVEN
@@ -620,7 +615,7 @@ def _structural(node: Node) -> Optional[Parity]:
 # coefficient functions
 @lru_cache(maxsize=32)
 def structural_parity(e: Expr) -> Optional[Parity]:
-    return _structural(e.ast)
+    return _structural(e)
 
 
 def sampled_parity(e: Expr) -> Parity:

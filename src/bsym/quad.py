@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import MutableMapping, Optional, Sequence, Union
 
 from .errors import EvalError, ParityViolation
 from .expr import (
@@ -141,7 +141,7 @@ def ab_values(
     b: Expr,
     mult: float,
     ts: Sequence[float],
-    searched: Optional[Mapping[float, Union[DensePath, PathView]]] = None,
+    searched: Optional[MutableMapping[float, Union[DensePath, PathView]]] = None,
 ) -> list[tuple[float, float]]:
     """(A(t), B(t)) pairs for every t, sharing one solve per side of 0.
 
@@ -152,17 +152,19 @@ def ab_values(
     (`ab_path`) from one table per call: the other side's path toward the
     same |t| where it is a certified t-mirror, else a fresh path of
     (a0, b0, sa*mult) read through the own view, exactly the path of
-    (a, b, mult).  Every path runs at `QUAD_CONTROL`, so either way the
+    (a, b, mult), stored as searched[side]: the table ends holding each
+    side's path.  Every path runs at `QUAD_CONTROL`, so either way the
     values agree with a fresh path to the quadrature tolerance.
     """
-    searched = searched or {}
+    searched = {} if searched is None else searched
     paths: dict = {}  # the sides integrated by this call, see `ab_path`
 
     def solve(x: float) -> Union[DensePath, PathView]:
-        path = searched.get(1.0 if x >= 0.0 else -1.0)
-        if path is not None and abs(x) <= abs(path.t_reached):
-            return path
-        return ab_path(paths, a, b, mult, x)
+        side = 1.0 if x >= 0.0 else -1.0
+        path = searched.get(side)
+        if path is None or abs(x) > abs(path.t_reached):
+            path = searched[side] = ab_path(paths, a, b, mult, x)
+        return path
 
     return grid_values(solve, ts)
 

@@ -27,7 +27,7 @@ from bsym import (
     parse_expr,
     quad,
 )
-from bsym.expr import Expr, Neg, checked_factory
+from bsym.expr import Neg, checked_factory
 from bsym.stepper import integrate
 
 
@@ -161,10 +161,10 @@ def canonical_key(p):
     with the unary minuses at the top of their trees stripped, and n - 1
     times the sign taken out of a."""
     a, b, m = p.a, p.b, (p.n.p - p.n.q) / p.n.q
-    while isinstance(a.ast, Neg):
-        a, m = Expr(a.ast.arg), -m
-    while isinstance(b.ast, Neg):
-        b = Expr(b.ast.arg)
+    while isinstance(a, Neg):
+        a, m = a.arg, -m
+    while isinstance(b, Neg):
+        b = b.arg
     return a, b, m
 
 

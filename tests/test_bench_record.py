@@ -12,33 +12,60 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import bench_record  # noqa: E402
 
 
-def fake_output(correct_on):
-    """`_output` stand-in: bench/run.py's log lines then its JSON line,
-    correct unless the command names `correct_on`, and a digest per seed."""
+TIER1_OK = "....\n1136 passed, 2 skipped in 33.40s\n"
+GATE_OK = "a-mutant: killed by tests/test_x.py::test_a\nb-mutant: killed by tests/test_y.py::test_b\n"
+
+
+def fake_run(fault=None):
+    """`_run` stand-in: bench/run.py's log lines then its JSON line, a
+    digest per seed, tier-1's summary and the mutation gate's lines, with
+    `fault` broken: a workload's name reads `"correct": false`, "untraced"
+    or "traced" makes the traced passes' work differ, "tier1" fails a test,
+    "mutant" lets one survive."""
     calls = []
 
-    def output(script, *args):
-        calls.append((script, *args))
-        if script == "scripts/digest.py":
-            return f"digest-{args[-1]}\n"
-        result = {"correct": correct_on not in args, "attempted": 3, "failed": 0, "metrics": {}}
-        return "inputs: {}\n" + json.dumps(result) + "\n"
+    def run(*args):
+        calls.append(args)
+        if args[0] == "scripts/digest.py":
+            return 0, f"digest-{args[-1]}\n", 1.0
+        if args[0] == "-m":
+            if fault == "tier1":
+                return 1, "..F.\n1 failed, 1135 passed, 2 skipped, 1 error in 30.00s\n", 30.0
+            return 0, TIER1_OK, 33.4
+        if args[0] == "scripts/mutate.py":
+            if fault == "mutant":
+                return 1, GATE_OK + "c-mutant: SURVIVED: a reason\n", 120.0
+            return 0, GATE_OK, 120.0
+        metrics = {}
+        if args[-1] == "1":
+            metrics["trace.work_counts_match"] = {"value": 0 if fault == "traced" else 1, "unit": "bool"}
+        result = {"correct": fault not in args, "attempted": 3, "failed": 0, "metrics": metrics}
+        return 0, "inputs: {}\n" + json.dumps(result) + "\n", 5.0
 
-    return output, calls
+    return run, calls
+
+
+def write_record(monkeypatch, tmp_path, capsys, fault):
+    """Run `main` on a fake tree with `fault`: (exit code, record, calls,
+    the stderr lines after the progress lines, one per fault)."""
+    (tmp_path / "src" / "bsym").mkdir(parents=True)
+    (tmp_path / "src" / "bsym" / "m.py").write_text('"""Doc."""\n\n# note\nx = 1\n', encoding="utf-8")
+    run, calls = fake_run(fault)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "_run", run)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--pr", "7"])
+    code = bench_record.main()
+    record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    # one progress line per benchmark run, one before tier-1
+    return code, record, calls, capsys.readouterr().err.splitlines()[7:]
 
 
 @pytest.mark.parametrize("correct_on,code", [(None, 0), ("solve-dense", 1)])
 def test_the_record_holds_every_run_and_fails_on_an_incorrect_one(
     monkeypatch, tmp_path, capsys, correct_on, code
 ):
-    (tmp_path / "src" / "bsym").mkdir(parents=True)
-    (tmp_path / "src" / "bsym" / "m.py").write_text('"""Doc."""\n\n# note\nx = 1\n', encoding="utf-8")
-    output, calls = fake_output(correct_on)
-    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_record, "_output", output)
-    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--pr", "7"])
-    assert bench_record.main() == code
-    record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    got, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, correct_on)
+    assert got == code
     assert [run["command"][1] for run in record["runs"]] == [*bench_record.WORKLOADS] * 2
     assert [(run["command"][5], run["command"][7]) for run in record["runs"]] == (
         [("30", "0")] * 3 + [("5", "1")] * 3
@@ -49,9 +76,61 @@ def test_the_record_holds_every_run_and_fails_on_an_incorrect_one(
     assert record["digests"] == {"1": "digest-1", "2": "digest-2"}
     assert record["src_lines"] == {"wc": 4, "code": 1}
     assert record["pr"] == 7 and record["cpu_count"] >= 1
-    assert len(calls) == 8
-    err = capsys.readouterr().err
-    assert ("not correct: bench/run.py --workload solve-dense" in err) is (code == 1)
+    assert record["tier1"] == {
+        "command": [*bench_record.TIER1], "exit": 0, "seconds": 33.4, "passed": 1136, "skipped": 2, "failed": 0,
+    }
+    assert record["mutation"] == {
+        "command": [*bench_record.MUTATE], "exit": 0, "seconds": 120.0, "killed": 2, "listed": 2,
+    }
+    assert len(calls) == 10 and calls[-2:] == [bench_record.TIER1, bench_record.MUTATE]
+    assert faults == [
+        f"not correct: bench/run.py --workload solve-dense --seed 1 --seconds {s} --trace {t}"
+        for s, t in (("30", "0"), ("5", "1"))
+    ][:2 * code]
+
+
+@pytest.mark.parametrize(
+    "fault,key,value,message,count",
+    [
+        ("traced", None, None, "traced work differs between passes (0): bench/run.py --workload ", 3),
+        ("tier1", "tier1", {"exit": 1, "seconds": 30.0, "passed": 1135, "skipped": 2, "failed": 2},
+         "tier-1: 2 failed, pytest exit 1", 1),
+        ("mutant", "mutation", {"exit": 1, "seconds": 120.0, "killed": 2, "listed": 3},
+         "mutation gate: 2 of 3 killed, exit 1", 1),
+    ],
+    ids=["traced", "tier1", "mutant"],
+)
+def test_the_record_fails_on_a_failed_test_a_surviving_mutant_or_differing_traced_work(
+    monkeypatch, tmp_path, capsys, fault, key, value, message, count
+):
+    # the record is written first, whole, then the change fails
+    code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, fault)
+    assert code == 1 and len(calls) == 10 and len(record["runs"]) == 6
+    if key is not None:
+        assert {k: record[key][k] for k in value} == value
+    assert len(faults) == count and all(line.startswith(message) for line in faults)
+
+
+def test_run_faults_reads_correct_and_a_traced_runs_work_match():
+    # the one check of a run, which the CI's traced smoke runs call too
+    args = ["--workload", "identities", "--seed", "1", "--seconds", "5", "--trace"]
+    ok = {"correct": True, "metrics": {"trace.work_counts_match": {"value": 1}}}
+    assert bench_record.run_faults(args + ["1"], ok) == []
+    assert bench_record.run_faults(args + ["0"], {"correct": True, "metrics": {}}) == []
+    line = " ".join(args + ["1"])
+    assert bench_record.run_faults(args + ["1"], {"correct": False, "metrics": {}}) == [
+        f"not correct: bench/run.py {line}",
+        f"traced work differs between passes (None): bench/run.py {line}",
+    ]
+
+
+def test_a_run_that_fails_to_run_is_exit_2(monkeypatch, tmp_path):
+    (tmp_path / "src" / "bsym").mkdir(parents=True)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "_run", lambda *args: (1, "", 0.1))
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--pr", "7"])
+    assert bench_record.main() == 2
+    assert not (tmp_path / "BENCH_7.json").exists()
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):

@@ -41,7 +41,7 @@ from bsym import (
     verify_cases,
 )
 from bsym.exponent import ExponentClass, signed_pow
-from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Expr, Neg, Pow, Var, as_callable, negated
+from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Neg, Pow, Var, as_callable, negated
 from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import nested_path
 
@@ -74,7 +74,7 @@ def reference_callable(e):
     """as_callable before the generated template: the expression's literal
     code, compiled per tree, inside a wrapper that types its errors and
     checks its value."""
-    fn = eval(f"lambda t: {literal_code(e.ast)}", dict(_MATH))
+    fn = eval(f"lambda t: {literal_code(e)}", dict(_MATH))
     isfinite = math.isfinite
 
     def call(t):
@@ -754,7 +754,7 @@ def rebound(node, new):
 
 def shape_of(e):
     """A key equal for exactly the trees of one shape: every constant 1.0."""
-    return rebound(e.ast, lambda c: 1.0)
+    return rebound(e, lambda c: 1.0)
 
 
 _SUM = "+".join(f"0.0{k:02d}" for k in range(MAX_DEPTH - 1))
@@ -781,7 +781,7 @@ _shape_rng = random.Random(34)
 # shapes, so trees of one shape also meet across pairs
 SHAPE_TREES = [
     e for src in (random_source(_shape_rng) for _ in range(12))
-    for e in (parse_expr(src), Expr(rebound(parse_expr(src).ast, lambda c: 1.5 * c + 0.125)))
+    for e in (parse_expr(src), rebound(parse_expr(src), lambda c: 1.5 * c + 0.125))
 ] + [parse_expr(src) for pair in SHAPE_PAIRS for src in pair]
 
 

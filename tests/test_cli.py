@@ -275,6 +275,46 @@ def test_verify_closed_form_stops_at_the_pole_next_to_zero(tmp_path):
         assert validity["hi"] == pytest.approx(1e-13, rel=1e-12)
 
 
+POLE_AT_ONE = {"a": "0", "b": "1", "n": "2", "d": "1"}  # y = 1/(1 - t)
+
+
+def test_solve_answers_next_to_the_pole(tmp_path):
+    # the validity interval is [-1.05, 1.0]; its last grid point 1e-13 short
+    # of the pole is answered by the closed form, exactly, and the oracle's
+    # fixed blow-up threshold still stops it before
+    prob = write_problem(tmp_path / "p.json", POLE_AT_ONE)
+    out = tmp_path / "out.csv"
+    args = ("--problem", prob, "--t-min", "0", "--t-max", "0.9999999999999", "--points", "2")
+    res = run_cli("solve", *args, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()
+    t, y = map(float, lines[2].split(","))
+    assert y == 1.0 / (1.0 - t) == 9996891514695.885
+    assert lines[3] == "# validity: [-1.049999999999895,1] SearchLimit,Asymptote"
+    res = run_cli("solve", *args, "--method", "oracle", "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 2 and "oracle blew up" in res.stderr
+
+
+@pytest.mark.parametrize("t", [1.5, 4.0])
+def test_solve_past_a_missed_pole_is_exit_2(tmp_path, monkeypatch, capsys, t):
+    # were the search to miss the pole at t = 1, the closed form would
+    # still refuse a point past it
+    from bsym import cli
+    from bsym.closedform import BoundaryKind, Validity
+
+    wide = Validity(-8.0, 8.0, BoundaryKind.SEARCH_LIMIT, BoundaryKind.SEARCH_LIMIT)
+    monkeypatch.setattr(cli, "validity_interval", lambda p, radius: wide)
+    prob = write_problem(tmp_path / "p.json", POLE_AT_ONE)
+    out = tmp_path / "out.csv"
+    code = cli.main(["solve", "--problem", prob, "--t-min", "0", "--t-max", str(t),
+                     "--points", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bsym: asymptote: G=-") and f"at t={t!r}" in err
+    assert err.endswith("is at or past G's first zero (G(0)=1.0)\n")
+    assert not out.exists()
+
+
 # --- cases -----------------------------------------------------------------------
 
 def test_cases_golden(tmp_path):

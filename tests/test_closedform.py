@@ -319,8 +319,28 @@ def test_the_closed_form_stops_past_a_pole(n, d, b):
     y = solution_values(p, [0.5 * pole, -2.0 * pole])
     assert all(math.isfinite(x) and math.copysign(1.0, x) == d for x in y)
     for t in (1.5 * pole, 4.0 * pole):
-        with pytest.raises(OutsideValidity, match=r"^past the pole: radicand -?\d"):
+        with pytest.raises(OutsideValidity, match=r"^asymptote: G=-?\d.* at t=.* is at or past G's first zero \(G\(0\)="):
             eval_solution(p, t)
+
+
+@pytest.mark.parametrize("b, pole", [("1", 1.0), ("-1", -1.0)])
+def test_the_closed_form_answers_next_to_its_pole(b, pole):
+    # y' = b*y^2, y(0) = 1: y = 1/(1 - b*t) and B = b*t exactly.  The
+    # validity search puts the pole at t = +-1; 1e-13 short of it, G is
+    # about 1e-13 and keeps G(0)'s sign, so the point is answered, exactly
+    # (the zero band it once fell in was 2e-13 wide); past the pole no point is
+    p = problem("0", b, 2, 1.0)
+    v = validity_interval(p, 1.05)
+    end = (v.hi, v.hi_kind) if pole > 0 else (v.lo, v.lo_kind)
+    assert end == (pole, BoundaryKind.ASYMPTOTE)
+    t = 0.9999999999999 * pole
+    assert v.contains(t)
+    assert solution_values(p, [0.0, t]) == [1.0, 1.0 / (1.0 - float(b) * t)]
+    assert eval_solution(p, t) == 9996891514695.885
+    # at the pole, the end the search found, and past it no point is
+    for x in (pole, 1.5 * pole, 4.0 * pole):
+        with pytest.raises(OutsideValidity, match=r"^asymptote: G=-?\d.* is at or past G's first zero \(G\(0\)=1\.0\)$"):
+            eval_solution(p, x)
 
 
 # G = cos^2 t, which touches zero at +-pi/2: y = 1/cos^2 t for n = 2, a
@@ -487,8 +507,12 @@ def test_ab_values_past_the_searched_path_integrates_afresh(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 1.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0], p._searched)
+    sides = dict(p._searched)
+    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0], sides)
     assert [call[3] for call in calls] == [2.0]  # the left side reuses its path
+    # the table is left holding the path that answered each side
+    assert sides[-1.0] is p._searched[-1.0]
+    assert sides[1.0] is not p._searched[1.0] and sides[1.0].t_reached == 2.0
     monkeypatch.undo()
     fresh = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0])
     assert got[1:] == fresh[1:]  # the same fresh path to 2.0
@@ -561,7 +585,10 @@ def test_a_solve_after_another_problems_search_reuses_its_own_paths(monkeypatch)
     validity_interval(p, 4.0)
     validity_interval(problem("cos(t)", "1", 3, 1.0), 4.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    solution_values(p, [-1.0, 0.5, 2.0])
+    solution_values(p, [-1.0, 0.5, 1.0])
+    # t = 2 is past p's pole at 1.03 and refused, from the same paths
+    with pytest.raises(OutsideValidity, match=r"^asymptote: G=0\.05\d* at t=2\.0 is at or past G's first zero"):
+        solution_values(p, [-1.0, 0.5, 2.0])
     assert calls == []
 
 
@@ -587,8 +614,10 @@ def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
 
 def reference_solution_values(p, pairs, ts):
     """`solution_values` before the class decisions left its loop, given
-    the (A, B) pairs: signed_pow at every point, and OutsideValidity past
-    a pole, where G has the other sign than g0."""
+    the (A, B) pairs alone, so with no path whose first zero of G to stop
+    at: signed_pow at every point, and OutsideValidity where G = 0 ends the
+    closed form (a pole, or an even root) and G lacks the sign of g0, G = 0
+    included."""
     m = (p.n.p - p.n.q) / p.n.q
     out = []
     if p.n.cls is ExponentClass.ONE:
@@ -600,20 +629,13 @@ def reference_solution_values(p, pairs, ts):
         return out
     g0 = signed_pow(p.d, classify_exponent(p.n.q - p.n.p, p.n.q))
     root = classify_exponent(-p.n.q, p.n.p - p.n.q)
-    even_root = root.q % 2 == 0
+    ends = root.p < 0 or root.q % 2 == 0
+    kind = "asymptote" if root.p < 0 else "root boundary"
     sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
     for (aval, bval), t in zip(pairs, ts):
         g = g0 - m * bval
-        g_eps = 1e-13 * (abs(g0) + abs(m * bval))
-        if even_root:
-            if g <= (g_eps if root.p < 0 else 0.0):
-                raise OutsideValidity(
-                    f"radicand {g!r} at t={t!r} but the root requires positivity"
-                )
-        elif root.p < 0 and abs(g) <= g_eps:
-            raise OutsideValidity(f"asymptote: radicand vanishes at t={t!r}")
-        elif root.p < 0 and (g < 0.0) != (g0 < 0.0):
-            raise OutsideValidity(f"past the pole: radicand {g!r} at t={t!r}")
+        if ends and not g * math.copysign(1.0, g0) > 0.0:
+            raise OutsideValidity(f"{kind}: G={g!r} at t={t!r} is at or past G's first zero (G(0)={g0!r})")
         try:
             out.append(sigma * math.exp(aval) * signed_pow(g, root))
         except OverflowError:
@@ -642,8 +664,9 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
     p = problem("0", "1", n, d)
     m = (p.n.p - p.n.q) / p.n.q
     g0 = signed_pow(d, classify_exponent(p.n.q - p.n.p, p.n.q))
-    # B where G = g0 - m*B is zero (exactly, for some of these), positive,
-    # negative, within the asymptote threshold, huge or not finite; A
+    # B where G = g0 - m*B is zero (exactly, for all but n = 1/3, d = -2.5,
+    # where no float B gives 0), positive, negative, within 1e-13 relative
+    # of 0, huge or not finite; A
     # moderate, large enough to overflow exp, or not finite
     bvals = [0.0, 0.5, -0.5, 3.0, -3.0, 1e300, -1e300, math.inf, math.nan, g0 / m if m else 0.0]
     bvals += [b * (1.0 + 1e-14) for b in bvals[-1:]]
@@ -659,7 +682,8 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
             if p.n.cls is not ExponentClass.ONE:
                 seen.add(math.copysign(1.0, g0 - m * bval) if g0 - m * bval else 0.0)
     if p.n.cls is not ExponentClass.ONE:
-        assert seen >= {-1.0, 1.0}  # G = 0 exactly: test_solution_at_a_zero_radicand
+        assert seen >= {-1.0, 1.0}
+        assert 0.0 in seen or (n, d) == ("1/3", -2.5)
 
 
 def test_solution_loop_error_texts(monkeypatch):
@@ -671,25 +695,31 @@ def test_solution_loop_error_texts(monkeypatch):
 
     # G = 1 - (n-1)*B
     assert at("3", 1.0, (0.0, 1.0)) == (
-        OutsideValidity, "radicand -1.0 at t=0.25 but the root requires positivity")
+        OutsideValidity, "asymptote: G=-1.0 at t=0.25 is at or past G's first zero (G(0)=1.0)")
     assert at("1/3", 1.0, (0.0, -3.0)) == (
-        OutsideValidity, "radicand -1.0 at t=0.25 but the root requires positivity")
-    assert at("2", 1.0, (0.0, 1.0)) == (OutsideValidity, "asymptote: radicand vanishes at t=0.25")
+        OutsideValidity, "root boundary: G=-1.0 at t=0.25 is at or past G's first zero (G(0)=1.0)")
+    assert at("2", 1.0, (0.0, 1.0)) == (
+        OutsideValidity, "asymptote: G=0.0 at t=0.25 is at or past G's first zero (G(0)=1.0)")
+    assert at("2", -1.0, (0.0, -1.5)) == (
+        OutsideValidity, "asymptote: G=0.5 at t=0.25 is at or past G's first zero (G(0)=-1.0)")
     assert at("2", 1.0, (800.0, 0.5)) == (EvalError, "solution overflow at t=0.25")
     assert at("1/3", 1.0, (0.0, 1e300)) == (EvalError, "solution overflow at t=0.25")
     assert at("1", 1.0, (400.0, 400.0)) == (EvalError, "solution overflow at t=0.25")
 
 
-@pytest.mark.parametrize("n,y", [("0", 0.0), ("1/2", 0.0), ("2/3", 0.0), ("1/3", None)])
+@pytest.mark.parametrize(
+    "n,y", [("0", 0.0), ("1/2", 0.0), ("2/3", 0.0), ("1/3", None), ("2", None), ("3", None)]
+)
 def test_solution_at_a_zero_radicand(monkeypatch, n, y):
-    # G = 1 - (n-1)*B is exactly 0: a root of 0 is 0 for a positive root
-    # exponent; an even root requires G > 0
+    # G = 1 - (n-1)*B is exactly 0: a root of 0 is 0 for an odd root with
+    # a positive exponent; an even root requires G > 0, and a negative
+    # exponent has its pole there
     p = problem("0", "1", n, 1.0)
     m = (p.n.p - p.n.q) / p.n.q
     monkeypatch.setattr(closedform, "ab_values", lambda a, b, mult, ts, searched: [(0.0, 1.0 / m)])
     assert 1.0 - m * (1.0 / m) == 0.0
     if y is None:
-        with pytest.raises(OutsideValidity, match="requires positivity"):
+        with pytest.raises(OutsideValidity, match=r"G=0\.0 at t=0\.5 is at or past G's first zero \(G\(0\)=1\.0\)$"):
             solution_values(p, [0.5])
     else:
         assert solution_values(p, [0.5]) == [y]

@@ -32,39 +32,39 @@ from helpers import cli_env, random_even_source, random_odd_source, random_sourc
 
 def test_parse_single_function():
     e = parse_expr("cos(t)")
-    assert e.ast == Call("cos", Var())
+    assert e == Call("cos", Var())
 
 
 def test_parse_precedence_shape():
     e = parse_expr("2*t^3 - t")
-    assert e.ast == BinOp("-", BinOp("*", Const(2.0), Pow(Var(), 3)), Var())
+    assert e == BinOp("-", BinOp("*", Const(2.0), Pow(Var(), 3)), Var())
     # products bind tighter than sums on either side
     one, two = Const(1.0), Const(2.0)
-    assert parse_expr("1 + 2*t").ast == BinOp("+", one, BinOp("*", two, Var()))
-    assert parse_expr("t - t/2").ast == BinOp("-", Var(), BinOp("/", Var(), two))
-    assert parse_expr("t/2 - 1*t").ast == BinOp(
+    assert parse_expr("1 + 2*t") == BinOp("+", one, BinOp("*", two, Var()))
+    assert parse_expr("t - t/2") == BinOp("-", Var(), BinOp("/", Var(), two))
+    assert parse_expr("t/2 - 1*t") == BinOp(
         "-", BinOp("/", Var(), two), BinOp("*", one, Var())
     )
 
 
 def test_parse_unary_minus_binds_looser_than_pow():
-    assert parse_expr("-t^2").ast == Neg(Pow(Var(), 2))
+    assert parse_expr("-t^2") == Neg(Pow(Var(), 2))
 
 
 def test_parse_binary_operators_are_left_associative():
     one, two = Const(1.0), Const(2.0)
-    assert parse_expr("t/2/2").ast == BinOp("/", BinOp("/", Var(), two), two)
-    assert parse_expr("t-1-1").ast == BinOp("-", BinOp("-", Var(), one), one)
+    assert parse_expr("t/2/2") == BinOp("/", BinOp("/", Var(), two), two)
+    assert parse_expr("t-1-1") == BinOp("-", BinOp("-", Var(), one), one)
     assert parse_expr("t/2/2")(4.0) == 1.0
     assert parse_expr("t-1-1")(4.0) == 2.0
 
 
 def test_parse_fraction_literal_is_division():
-    assert parse_expr("1/2").ast == BinOp("/", Const(1.0), Const(2.0))
+    assert parse_expr("1/2") == BinOp("/", Const(1.0), Const(2.0))
 
 
 def test_parse_whitespace_insignificant():
-    assert parse_expr(" 2 * t ^ 3 - t ").ast == parse_expr("2*t^3-t").ast
+    assert parse_expr(" 2 * t ^ 3 - t ") == parse_expr("2*t^3-t")
 
 
 @pytest.mark.parametrize(
@@ -115,7 +115,7 @@ def test_parse_rejects_an_exponent_past_the_int_digit_limit():
 
 def test_parse_accepts_the_largest_finite_literal():
     src = "9" * 308
-    assert parse_expr(src).ast == Const(float(src))
+    assert parse_expr(src) == Const(float(src))
 
 
 @pytest.mark.parametrize(
@@ -226,7 +226,7 @@ def test_format_parse_round_trip(ast):
     for _ in range(100):
         t = rng.uniform(-3.0, 3.0)
         try:
-            v1 = Expr(ast)(t)
+            v1 = ast(t)
         except EvalError:
             continue  # generated exprs may be singular at sampled points
         v2 = reparsed(t)
@@ -241,9 +241,9 @@ def test_format_parse_on_every_operator_pair(outer, inner):
     # operand of its parent's level keeps its parentheses
     x, y, z = Var(), Const(2.0), Const(3.0)
     left = BinOp(outer, BinOp(inner, x, y), z)
-    assert parse_expr(format_expr(left)).ast == left
+    assert parse_expr(format_expr(left)) == left
     right = BinOp(outer, x, BinOp(inner, y, z))
-    assert parse_expr(format_expr(right)).ast == right
+    assert parse_expr(format_expr(right)) == right
 
 
 def test_format_matches_structural_negation_style():
@@ -294,21 +294,22 @@ def test_equal_trees_hash_equal(seed):
     src = random_source(random.Random(seed))
     e, again = parse_expr(src), parse_expr(src)
     assert e is not again and e == again and hash(e) == hash(again)
-    assert Expr(e.ast) == e and hash(Expr(e.ast)) == hash(e)
+    assert e == tuple(e) and hash(e) == hash(tuple(e))  # a tree is its tuple
     # equality stays structural: a different tree is a different key
     other = parse_expr(f"({src}) + 1")
     assert other != e and {e: 1, other: 2}[again] == 1
-    assert repr(e) == f"Expr(ast={e.ast!r})"
+    assert repr(e).startswith(f"{type(e).__name__}(")
 
 
 def test_a_pickled_expr_hashes_its_tree_again():
-    # string hashes differ between processes: the stored hash must not
-    # travel with the pickle, so a stale one is not restored
+    # string hashes differ between processes: no hash may travel with the
+    # pickle, and a tree has no attribute to keep a stale one in
     e = parse_expr("sin(t) - 2*t")
     fresh = hash(e)
-    object.__setattr__(e, "_hash", fresh + 1)
+    with pytest.raises(AttributeError):
+        object.__setattr__(e, "_hash", fresh + 1)
     copy = pickle.loads(pickle.dumps(e))
-    assert copy == e and hash(copy) == fresh
+    assert copy == e and hash(copy) == fresh and type(copy) is type(e)
 
 
 @pytest.mark.parametrize(
@@ -324,6 +325,38 @@ def test_every_node_is_truthy_and_immutable(node):
         setattr(node, name, Const(1.0))
     with pytest.raises(AttributeError):
         node.extra = 1
+
+
+def _nodes_of(node):
+    yield node
+    for value in node:
+        if isinstance(value, tuple):
+            yield from _nodes_of(value)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_node_of_a_parsed_tree_is_an_expr_and_a_tuple(seed):
+    # a tree is its own Expr: each node can be called and printed, and
+    # nothing wraps the root
+    e = parse_expr(f"-({random_source(random.Random(seed))}) + sin(t)^2/cosh(t)")
+    nodes = list(_nodes_of(e))
+    assert {type(node) for node in nodes} == {Const, Var, Neg, BinOp, Pow, Call}
+    for node in nodes:
+        assert isinstance(node, Expr) and isinstance(node, tuple)
+        assert parse_expr(node.source) == node and str(node) == node.source
+        try:
+            assert repr(node(0.5)) == repr(as_callable(node)(0.5))
+        except EvalError:
+            pass
+    assert not hasattr(parse_expr("t"), "ast")
+
+
+def test_expr_leaves_equality_and_hashing_to_the_tuple():
+    # no Python-level __eq__ or __hash__: trees hash and compare in C
+    assert "__eq__" not in vars(Expr) and "__hash__" not in vars(Expr)
+    for cls in (Const, Var, Neg, BinOp, Pow, Call):
+        assert cls.__mro__[1] is Expr
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
 
 
 def test_a_pickled_tree_hashes_as_a_fresh_parse_in_another_process():
