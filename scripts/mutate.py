@@ -212,8 +212,8 @@ MUTANTS = [
     Mutant(
         "form-loop-drops-b-finite-check",
         "stepper.py",
-        'lines += form.source(count if evaluate else 0, f"vec<{k}_i> = ").splitlines()',
-        'lines += form.source(count if evaluate else 0, f"vec<{k}_i> = ")'
+        'lines += form.source(f"vec<{k}_i> = ", evaluate).splitlines()',
+        'lines += form.source(f"vec<{k}_i> = ", evaluate)'
         '.replace("if f1 - f1:", "if False:").splitlines()',
         "a form's loop lets an infinite b reach the form's body, and the stepper"
         " retries the step instead of raising EvalError",
@@ -231,8 +231,8 @@ MUTANTS = [
     Mutant(
         "call-form-reads-the-step-start",
         "stepper.py",
-        "return f(s, x)",
-        "return f(t, x)",
+        '_CALL = CheckedForm("x", "f(s, x)", 0, "f")',
+        '_CALL = CheckedForm("x", "f(t, x)", 0, "f")',
         "a plain right-hand side is called at the time its step started from at"
         " every stage, not at the stage's own time",
         ("tests/test_stepper.py",),
@@ -440,8 +440,8 @@ MUTANTS = [
     Mutant(
         "integrate-runs-a-bound-form-through-the-call-loop",
         "stepper.py",
-        "bound = f if isinstance(f, Bound) else Bound(_CALL, (), ())",
-        "bound = Bound(_CALL, (), ())",
+        "bound = f if isinstance(f, Bound) else Bound(_CALL, (), (f,))",
+        "bound = Bound(_CALL, (), (f,))",
         "a `Bound` runs through the call form's loop, which calls its checked"
         " wrapper at every stage: the same answers, a wrapper compiled per form",
         ("tests/test_checked.py::test_untraced_runs_take_their_forms_loops_and_compile_no_wrapper",),
@@ -533,6 +533,24 @@ MUTANTS = [
         "calling a tree runs its unchecked function: 1/t at 0 raises"
         " ZeroDivisionError, not EvalError",
         ("tests/test_expr.py::test_eval_division_by_zero",),
+    ),
+    Mutant(
+        "form-loop-reuse-stage-evaluates-again",
+        "stepper.py",
+        'form.source(f"vec<{k}_i> = ", evaluate)',
+        'form.source(f"vec<{k}_i> = ", True)',
+        "the FSAL stage evaluates every coefficient again at stage 6's time:"
+        " the same paths, at 1 + 6 evaluations of each per attempted step",
+        ("tests/test_checked.py::test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt",),
+    ),
+    Mutant(
+        "solution-values-keeps-its-paths-in-the-problem",
+        "closedform.py",
+        "sides = dict(p._searched)",
+        "sides = p._searched",
+        "a grid's fresh side path stays with the problem, and a later answer"
+        " nearer 0 reads it, not the problem's own search path",
+        ("tests/test_closedform.py::test_solution_values_leaves_its_problem_as_it_found_it",),
     ),
 ]
 

@@ -171,9 +171,10 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     """
     exp = math.exp
     out = []
+    sides = dict(p._searched)  # ab_values fills it; p keeps only its search's paths
     if p.n.cls is ExponentClass.ONE:
         # n - 1 = 0, so B is plain int_0^t b
-        values = zip(ab_values(p.a, p.b, 0.0, ts, p._searched), ts)
+        values = zip(ab_values(p.a, p.b, 0.0, ts, sides), ts)
         d = p.d
         for (aval, bval), t in values:
             try:
@@ -182,7 +183,6 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
                 raise EvalError(f"solution overflow at t={t!r}") from None
         return out
     g0, m, root = _radicand(p)
-    sides = dict(p._searched)  # ab_values leaves in it the path that answers each side
     values = zip(ab_values(p.a, p.b, m, ts, sides), ts)
     e = root.p / root.q  # as signed_pow computes it
     neg = root.cls.negative_sign  # G^e = neg * (-G)^e for G < 0; 0.0: G must be > 0

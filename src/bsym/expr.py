@@ -33,21 +33,21 @@ into `lambda k0, ..: lambda t: <shape>`, kept in an LRU cache of 256
 shapes under a file name of its own (`<bsym.expr coefficient #N>`, so a
 profile shows the trees of one shape as one entry), and a tree's function
 is that factory called with the tree's constants, kept in a small LRU
-cache keyed on the tree and shared by every form.  A `CheckedForm` says
-how the quadrature or the oracle combines coefficient values, and
-`CheckedForm.source` renders its code at the time s: the coefficients
-called in order inside one try, each value checked for finiteness, then
-the form's body.  Every failure raises
-EvalError through one helper, with the texts "division by zero at t=..",
+cache keyed on the tree and shared by every form.  A `CheckedForm` states
+what the quadrature or the oracle computes: the state it reads, one value
+expression and its coefficient count.  `CheckedForm.source` renders its
+code at the time s: the coefficients called in order inside one try, each
+value checked for finiteness, then the value after the caller's target (a
+`return` or a loop stage's assignment).  Every failure raises EvalError
+through one helper, with the texts "division by zero at t=..",
 "evaluation failed at t=..: <reason>" and "non-finite value at t=..".
 `checked_factory(form, *coefs)(*env)` is a `Bound`: plain data holding
 the form, the coefficient functions and the `env` values, which
 `stepper.integrate` runs in the form's own DP5 loop, the same source
-rendered into each stage (any other callable runs in the stepper's call
-form, whose body calls it).  Calling a `Bound` runs the form's wrapper,
-the function that source renders, compiled once per form and count and
-bound on the first call; `as_callable` binds the wrapper of the form
-that returns the one value.
+rendered into each stage.  Calling a `Bound` runs the form's wrapper, the
+function that source renders, compiled once per form and bound on the
+first call; `as_callable` binds the wrapper of `_VALUE`, whose value is
+its one coefficient.
 
 `detect_parity` applies exact structural rules and, where they are
 inconclusive, compares f(t) with f(-t) at 64 fixed points of [-4, 4].  The
@@ -361,36 +361,40 @@ def _failed(t: float, exc: Optional[Exception]) -> EvalError:
 
 
 class CheckedForm(NamedTuple):
-    """How a generated function combines its checked coefficient values.
+    """What a generated function computes from its checked coefficient values.
 
-    The function takes `args`: the time, named s in the wrapper and in
-    every stepper loop alike, then the name of the state value it reads,
-    if any.  It evaluates coefficient i at s into the local f<i> and then
-    runs `body`, which ends in a return and reads the f<i>, the state
-    value and the names in `env` (the stepper's call form reads s and
-    the loop's f).  `env` names the values a `Bound` binds after the
-    coefficient functions: the parameters of the factory that
-    `checked_factory` returns.  Each form's function, and the
-    stepper's loop for it, compiles once per process and coefficient
-    count, so forms are module constants, never built per problem.
+    The function takes the time, named s in the wrapper and in every
+    stepper loop alike, then the state value named `state`, if any.  It
+    evaluates its `coefficients` coefficient functions c0, c1, .. at s
+    into the locals f0, f1, .. and returns `value`, one expression over
+    the f<i>, the state and the names in `env`: the values a `Bound`
+    binds after the coefficient functions, the parameters of the factory
+    that `checked_factory` returns.  Each form's function, and the
+    stepper's loop for it, compiles once per process, so forms are module
+    constants, never built per problem.
     """
 
-    args: str
-    body: str
+    state: Optional[str]
+    value: str
+    coefficients: int
     env: str = ""
 
-    def params(self, count: int) -> str:
-        """The bound names: coefficient functions c0, c1, .., then `env`."""
-        return ", ".join([*(f"c{i}" for i in range(count)), *filter(None, [self.env])])
+    @property
+    def args(self) -> str:
+        """The function's parameters: s, then `state`."""
+        return ", ".join(filter(None, ["s", self.state]))
 
-    def source(self, count: int, out: str) -> str:
-        """The form's code at the time s: coefficients c0, .. of `count`
-        evaluated and checked into f0, .. (none where count is 0, so that
-        values already evaluated at s are reused), then `body` with its
-        final `return ` replaced by `out`."""
-        head, _, value = self.body.rpartition("return ")
-        evals = "".join(_EVAL.format(i=i) for i in range(count))
-        return (_CHECK.format(evals=evals) if count else "") + head + out + value
+    def params(self) -> str:
+        """The bound names: coefficient functions c0, c1, .., then `env`."""
+        return ", ".join([*(f"c{i}" for i in range(self.coefficients)), *filter(None, [self.env])])
+
+    def source(self, out: str, evaluate: bool) -> str:
+        """The form's code at the time s: where `evaluate` holds, its
+        coefficients evaluated and checked into f0, f1, .. (otherwise
+        values already evaluated at s are reused), then `value` appended
+        to `out`."""
+        evals = "".join(_EVAL.format(i=i) for i in range(self.coefficients))
+        return (_CHECK.format(evals=evals) if evaluate and evals else "") + out + self.value
 
     @property
     def namespace(self) -> dict:
@@ -453,13 +457,13 @@ def _coefficient(e: Expr) -> Callable[[float], float]:
 
 
 @lru_cache(maxsize=None)
-def _wrapper(form: CheckedForm, count: int) -> Callable:
-    """`form`'s factory over `count` coefficient functions c0, c1, ..,
-    which come before the form's `env` parameters."""
+def _wrapper(form: CheckedForm) -> Callable:
+    """`form`'s factory over its coefficient functions c0, c1, .., which
+    come before its `env` parameters."""
     source = _FACTORY.format(
-        params=form.params(count),
+        params=form.params(),
         args=form.args,
-        source=textwrap.indent(form.source(count, "return "), " " * 8),
+        source=textwrap.indent(form.source("return ", True), " " * 8),
     )
     filename = f"<bsym.expr checked #{next(_compiled_count)}>"
     built: dict = {}
@@ -477,7 +481,7 @@ class Bound:
 
     @cached_property
     def _checked(self) -> Callable:
-        return _wrapper(self.form, len(self.coefficients))(*self.coefficients, *self.env)
+        return _wrapper(self.form)(*self.coefficients, *self.env)
 
     def __call__(self, *args):
         return self._checked(*args)
@@ -488,17 +492,17 @@ def checked_factory(form: CheckedForm, *coefs: Expr) -> Callable[..., Bound]:
     its function, compiled once per shape with the tree's constants bound.
     A coefficient evaluation that divides by zero, overflows, fails in a
     math function or gives a non-finite value raises EvalError, before
-    `body` runs; coefficients are evaluated in order."""
+    the form's value is computed; coefficients are evaluated in order."""
     fns = tuple(map(_coefficient, coefs))
     return lambda *env: Bound(form, fns, env)
 
 
-_VALUE = CheckedForm("s", "return f0")
+_VALUE = CheckedForm(None, "f0", 1)
 
 
 def as_callable(e: Expr) -> Callable[[float], float]:
     """A fast float->float form of the expression with checked evaluation."""
-    return _wrapper(_VALUE, 1)(_coefficient(e))
+    return _wrapper(_VALUE)(_coefficient(e))
 
 
 # --- Printing -------------------------------------------------------------

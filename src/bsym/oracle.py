@@ -9,18 +9,18 @@ using the same sign-correct power semantics as the rest of the package, so
 odd/odd exponents follow the sign of the initial value and odd/even
 exponents enforce y > 0 at runtime.  The right-hand side (t, y) -> a*y +
 b*y^n takes y as a float.  It is one of two checked forms that
-`expr.checked_factory` binds: a linear one for n = 1 and a power one for
-every other n.  `stepper.integrate` runs each through its own DP5 loop,
-compiled once per process under the file name `<bsym.stepper DP5 kernel
-dim=1 form #K>`, which evaluates a and b inline at 5 stages of each step
-and reruns only the body (y^n) at the 7th, whose time is the 6th's.  The
-sign of y^n for y < 0
+`expr.checked_factory` binds, each one expression in y: a linear one for
+n = 1 and a power one for every other n.  `stepper.integrate` runs each
+through its own DP5 loop, compiled once per process under the file name
+`<bsym.stepper DP5 kernel dim=1 form #K>`, which evaluates a and b inline
+at 5 stages of each step and recomputes only the value (y^n) at the 7th,
+whose time is the 6th's.  The sign of y^n for y < 0
 (`ExponentClass.negative_sign`) and the unary minuses at the top of a and
 b are bound to it as factors, beside the functions of the trees under
 those minuses, so a problem and its partners share one function per tree
 up to sign, compiled once per shape with the tree's constants bound, and
-the quadrature shares it too.  Its values and errors are
-those of the coefficient-by-coefficient closure with `signed_pow`.
+the quadrature shares it too.  Its values and errors are those of the
+coefficient-by-coefficient closure with `signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.
@@ -79,17 +79,12 @@ _BLOWUP_UNDERFLOW_FRACTION = 1e-3
 # partners that flip the signs of a or b share one compile; multiplying by
 # +-1.0 is exact, so (sa*f0)*x is (-f0)*x and neg*pow(-x, e) is signed_pow's
 _RHS_ENV = "sa, sb, n, neg, e, pow, signed_pow"
-_LINEAR = CheckedForm("s, x", "return ((sa * f0 + sb * f1) * x,)", _RHS_ENV)
+_LINEAR = CheckedForm("x", "((sa * f0 + sb * f1) * x,)", 2, _RHS_ENV)
 _POWER = CheckedForm(
-    "s, x",
-    """\
-if x > 0.0:
-    xn = pow(x, e)
-elif x < 0.0 and neg:
-    xn = neg * pow(-x, e)
-else:
-    xn = signed_pow(x, n)
-return (sa * f0 * x + sb * f1 * xn,)""",
+    "x",
+    "(sa * f0 * x + sb * f1 * ("
+    "pow(x, e) if x > 0.0 else neg * pow(-x, e) if x < 0.0 and neg else signed_pow(x, n)),)",
+    2,
     _RHS_ENV,
 )
 

@@ -17,18 +17,18 @@ relative tolerance 1e-10, absolute tolerance 1e-12 and a smallest step of
 StepFailure, passes through as it is; its tolerances are also the error
 scale at which the path's `first_crossing` counts a tangent touch.  The
 right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the checked form
-`_ab_form(k)` of k multipliers, which `expr.checked_factory` binds per
-path to the multipliers and to a's and b's functions, which compile once
-per shape with each tree's constants bound, and are shared with the oracle.  `stepper.integrate` runs it
-through the form's own DP5 loop, compiled once per process and number of
-multipliers, which evaluates a and b inline at 5 stages of each step and
-reruns only exp(m*A) at the 7th, whose time is the 6th's; its file name
-in tracebacks and profiles is `<bsym.stepper DP5 kernel dim=N form #K>`,
-N = 1 + k.  A failing or non-finite
-coefficient raises EvalError, and so does an overflowing exp(m*A), as
-"integrand overflow: ..".  Reversed limits are handled by the sign of the
-step, not by re-parameterization: integrating from 0 toward a
-negative t directly yields int_0^t.  A grid of t is answered by
+`_ab_form(k)` of k multipliers, one expression in A, which
+`expr.checked_factory` binds per path to the multipliers and to a's and
+b's functions (compiled once per shape, constants bound, shared with the
+oracle).  `stepper.integrate` runs it through the form's own DP5 loop,
+compiled once per process and form, which evaluates a and b inline at 5
+stages of each step and recomputes only the value (exp(m*A)) at the 7th,
+whose time is the 6th's; its file name in tracebacks and profiles is
+`<bsym.stepper DP5 kernel dim=N form #K>`, N = 1 + k.  A failing or
+non-finite coefficient raises EvalError, and so does an overflowing
+exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by
+the sign of the step, not by re-parameterization: integrating from 0
+toward a negative t directly yields int_0^t.  A grid of t is answered by
 `ab_values` from one path per side of 0 through `stepper.grid_values`: a
 path the caller hands in (a problem's validity search paths) where it
 reaches the grid's farthest t on that side, else the path that the one
@@ -102,7 +102,7 @@ def _ab_form(count: int) -> CheckedForm:
     """The right-hand side (A', B_0', .., B_{count-1}') of `count`
     multipliers, which reads A only and evaluates a and b once per call."""
     terms = ", ".join(f"f1 * exp(mult{i} * A)" for i in range(count))
-    return CheckedForm("s, A", f"return (f0, {terms})", ", ".join(f"mult{i}" for i in range(count)))
+    return CheckedForm("A", f"(f0, {terms})", 2, ", ".join(f"mult{i}" for i in range(count)))
 
 
 def nested_path(a: Expr, b: Expr, mults: tuple, t: float) -> DensePath:

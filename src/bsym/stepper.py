@@ -23,15 +23,15 @@ once per state dimension and checked form (`expr.CheckedForm`), compiled
 lazily, once per process.  At each stage the loop runs the form's code,
 the source `CheckedForm.source` renders for the form's wrapper too: it
 calls the coefficient functions inline, checks their values at the
-stage's time, and runs the form's body on the stage state.  An
-`expr.Bound`, the plain data of a form and its bound values, runs as its
-own form, so its checked wrapper never compiles; any other callable,
-such as a test's reference system or a tracer's counting wrapper (which
-may call a `Bound`), runs as the call form `_CALL`, which binds nothing
-and whose body calls f.  DP5's seventh stage is at the sixth's time
-(c7 = c6 = 1), so it reruns only the body on the new state: 1 + 5
-evaluations of each coefficient per attempted step, and 1 + 6 calls of
-f under the call form.  A loop's file name is `<bsym.stepper DP5 kernel
+stage's time, and assigns the form's value on the stage state to the
+stage.  An `expr.Bound`, the plain data of a form and its bound values,
+runs as its own form, so its checked wrapper never compiles; any other
+callable, such as a test's reference system or a tracer's counting
+wrapper (which may call a `Bound`), is bound as f to the call form
+`_CALL`, whose value calls f.  DP5's seventh stage is at the sixth's time
+(c7 = c6 = 1), so it recomputes only the value on the new state: 1 + 5
+evaluations of each coefficient per attempted step, and 1 + 6 calls of f
+under the call form.  A loop's file name is `<bsym.stepper DP5 kernel
 dim=N form #K>`, K counting the loops the process has compiled.
 
 Every loop makes paths of the dimension's `DensePath` subclass
@@ -368,7 +368,7 @@ def integrate(
     all the components; the others get no stage states, only their new
     values and error terms.  An `expr.Bound` runs through its form's own
     loop, which evaluates its coefficients inline and never calls f; any
-    other callable runs through the call form's loop, which calls it at
+    other callable is bound to the call form, whose loop calls it at
     every stage.  Returns the dense path of accepted steps, which records
     `ctl` and keeps step i's stages of component k as `ks[i][k]`.  The
     final step is clamped to land exactly on t_end.  The first accepted
@@ -381,9 +381,9 @@ def integrate(
         raise ValueError("the state needs at least one component")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end!r}")
-    bound = f if isinstance(f, Bound) else Bound(_CALL, (), ())
-    kernel = _kernel(len(y0), bound.form, len(bound.coefficients))
-    return kernel(f, y0, t_end, ctl, limit, *bound.coefficients, *bound.env)
+    bound = f if isinstance(f, Bound) else Bound(_CALL, (), (f,))
+    kernel = _kernel(len(y0), bound.form)
+    return kernel(y0, t_end, ctl, limit, *bound.coefficients, *bound.env)
 
 
 # The dense output and the adaptive loop, written once for every state
@@ -471,14 +471,14 @@ class DensePath{dim}(DensePath):
 # The loop runs a checked form's (`expr.CheckedForm`) source inline.  f
 # reads component 0 alone, so only that component has stage states.
 # `stage<kN; time; state>` evaluates stage N at (time, state): it evaluates
-# and checks the form's coefficients at the time, held in s, and runs the
-# form's body on the state, which assigns the kN_i.  `reuse<kN; time;
-# state>` is a stage at the time of the stage before it: it runs only the
-# body, on the coefficient values already evaluated there.  An accepted
-# step's stages are stored as one tuple per component.  {params}
+# and checks the form's coefficients at the time, held in s, and assigns
+# the form's value at the state, held in its state name, to the kN_i.
+# `reuse<kN; time; state>` is a stage at the time of the stage before it:
+# it assigns only the value, on the coefficients evaluated there.  An
+# accepted step's stages are stored as one tuple per component; {params}
 # are the form's bound arguments.
 _KERNEL = """\
-def dp5_dim{dim}(f, y0, t_end, ctl, limit{params}):
+def dp5_dim{dim}(y0, t_end, ctl, limit{params}):
     path = DensePath{dim}(ctl=ctl)
     append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
     vec<y_i> = y0
@@ -555,9 +555,9 @@ def dp5_dim{dim}(f, y0, t_end, ctl, limit{params}):
     return path
 """
 _loops = itertools.count(1)
-# the form of any callable that is no `expr.Bound`: no coefficient, and
-# a body that calls the loop's own f at the stage time
-_CALL = CheckedForm("s, x", "return f(s, x)")
+# the form of any callable that is no `expr.Bound`: no coefficient, the
+# callable bound as f, and a value that calls it at the stage time
+_CALL = CheckedForm("x", "f(s, x)", 0, "f")
 
 
 def _render(template: str, dim: int, filename: str, namespace: dict) -> dict:
@@ -601,24 +601,22 @@ def _path_class(dim: int) -> type:
 
 
 @lru_cache(maxsize=None)
-def _kernel(dim: int, form: CheckedForm, count: int) -> Callable:
+def _kernel(dim: int, form: CheckedForm) -> Callable:
     """The DP5 loop for states of `dim` components that runs the checked
-    `form` over `count` coefficients at every stage, compiled once.  It
-    takes the form's bound arguments after `limit` and makes paths of the
-    dimension's `_path_class`."""
-    arg = form.args.split(",")[1].strip()
+    `form` at every stage, compiled once.  It takes the form's bound
+    arguments after `limit` and makes paths of the dimension's
+    `_path_class`."""
 
     def stage(match: re.Match) -> str:
         indent, kind, k, time, state = match.groups()
-        state = " ".join(state.split())
         evaluate = kind == "stage"
         lines = [f"s = {time}"] if evaluate else []
-        lines.append(f"{arg} = {state}")
-        lines += form.source(count if evaluate else 0, f"vec<{k}_i> = ").splitlines()
+        lines.append(f"{form.state} = {' '.join(state.split())}")
+        lines += form.source(f"vec<{k}_i> = ", evaluate).splitlines()
         return "".join(f"{indent}{line}\n" for line in lines)
 
     source = re.sub(r"^( *)(stage|reuse)<(k\d); (.*?);\s+(.*?)>\n", stage, _KERNEL, flags=re.M | re.S)
-    params = form.params(count)
+    params = form.params()
     source = source.replace("{params}", params and ", " + params)
     namespace = {
         f"DensePath{dim}": _path_class(dim),

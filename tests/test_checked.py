@@ -564,10 +564,9 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
         "lambda k0: lambda t: (k0*cos(t))", "lambda k0: lambda t: sin((k0*t))",
     ]
     # the loops run the forms' code inline and compile no wrapper; calling
-    # a form's `Bound` compiles its wrapper once per process and
-    # coefficient count, whatever the trees: one each for the (A, B) and
-    # (A, B, B) forms and the oracle's two, and none for as_callable's,
-    # compiled above
+    # a form's `Bound` compiles its wrapper once per process and form,
+    # whatever the trees: one each for the (A, B) and (A, B, B) forms and
+    # the oracle's two, and none for as_callable's, compiled above
     assert sources(compiled, "checked") == []
     a, b = parse_expr("cos(t)"), parse_expr("sin(t)")
     bounds = [expr.checked_factory(quad._ab_form(k), a, b)(*[1.0] * k) for k in (1, 2, 1)]
@@ -595,8 +594,8 @@ def test_untraced_runs_take_their_forms_loops_and_compile_no_wrapper(monkeypatch
     loops = []
     kernel = stepper._kernel
 
-    def recording(dim, form, count):
-        loop = kernel(dim, form, count)
+    def recording(dim, form):
+        loop = kernel(dim, form)
         loops.append((form, loop.__code__.co_filename))
         return loop
 
@@ -606,10 +605,39 @@ def test_untraced_runs_take_their_forms_loops_and_compile_no_wrapper(monkeypatch
         run()
     assert expr._wrapper.cache_info().currsize == 0
     assert len(loops) == 4 and all(form is not stepper._CALL for form, _ in loops)
-    call_loops = {kernel(dim, stepper._CALL, 0).__code__.co_filename for dim in (1, 2, 3)}
+    call_loops = {kernel(dim, stepper._CALL).__code__.co_filename for dim in (1, 2, 3)}
     for _, filename in loops:
         assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=[123] form #\d+>", filename)
         assert filename not in call_loops
+
+
+# every checked form of the package, with the state dimension of its
+# loop; `as_callable`'s form reads no state and runs in no loop
+_FORMS = {
+    "value": (expr._VALUE, None),
+    "call": (stepper._CALL, 1),
+    "ab1": (quad._ab_form(1), 2),
+    "ab2": (quad._ab_form(2), 3),
+    "linear": (oracle._LINEAR, 1),
+    "power": (oracle._POWER, 1),
+}
+
+
+@pytest.mark.parametrize("name", _FORMS)
+def test_a_form_states_one_value_and_its_loop_takes_only_its_bound_names(name):
+    # a form's value is one expression, which its wrapper returns and its
+    # loop assigns as it is; a loop takes the form's coefficient functions
+    # and env after `limit`, so only the call form, whose env binds the
+    # plain callable as f, has an f parameter
+    form, dim = _FORMS[name]
+    compile(form.value, f"<{name} value>", "eval")
+    if dim is None:
+        return
+    code = stepper._kernel(dim, form).__code__
+    coefficients = tuple(f"c{i}" for i in range(form.coefficients))
+    env = tuple(filter(None, form.env.split(", ")))
+    assert code.co_varnames[:code.co_argcount] == ("y0", "t_end", "ctl", "limit", *coefficients, *env)
+    assert ("f" in env) is (form is stepper._CALL)
 
 
 @pytest.mark.parametrize("t_end", [2.0, -2.0])

@@ -519,6 +519,22 @@ def test_ab_values_past_the_searched_path_integrates_afresh(monkeypatch):
     assert all(_rel_diff(x, y) <= 1e-8 for g, f in zip(got, fresh) for x, y in zip(g, f))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("searched", [False, True], ids=["unsearched", "searched"])
+def test_solution_values_leaves_its_problem_as_it_found_it(n, searched):
+    # the paths an earlier call integrated stay with that call: the problem
+    # keeps only its own search's paths, so a later answer is bit for bit
+    # that of a problem with the same search and no earlier call
+    p, q = problem("cos(t)", "sin(t)", n, 0.2), problem("cos(t)", "sin(t)", n, 0.2)
+    if searched:
+        validity_intervals([p, q], 1.0)
+    kept = dict(p._searched)
+    solution_values(p, [2.0, -2.0])
+    answer = eval_solution(p, 0.3)
+    assert p._searched.keys() == kept.keys() and all(p._searched[k] is kept[k] for k in kept)
+    assert repr(answer) == repr(eval_solution(q, 0.3))
+
+
 def test_validity_after_a_wider_search_equals_a_fresh_search():
     # G = 5 - t: a zero past radius 4 but inside radius 8
     p = problem("0", "1", 2, 0.2)

@@ -748,8 +748,8 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
         name for dim in paths for name in (classes[dim], names[dim])
     ]
     assert len(set(compiled)) == len(compiled)
-    loop = stepper._kernel(2, stepper._CALL, 0)
-    assert loop is stepper._kernel(2, stepper._CALL, 0)
+    loop = stepper._kernel(2, stepper._CALL)
+    assert loop is stepper._kernel(2, stepper._CALL)
     assert loop.__code__.co_filename == compiled[1]
     # the dense output is rendered per dimension, one path class per
     # dimension, and no generic walk or extension is kept beside it
@@ -795,7 +795,7 @@ def test_a_plain_callable_that_returns_lists_gets_tuple_stages():
     assert len(path.ks) > 1
     assert all(type(ks) is tuple and len(ks) == 3 for ks in path.ks)
     assert all(type(k) is tuple and len(k) == 6 for ks in path.ks for k in ks)
-    loop = stepper._kernel(3, stepper._CALL, 0)
+    loop = stepper._kernel(3, stepper._CALL)
     assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=3 form #\d+>", loop.__code__.co_filename)
 
 
