@@ -9,6 +9,12 @@ The record holds, for the change numbered N:
 * the last JSON line of `bench/run.py` for each workload (verify-all,
   solve-dense, identities) at seed 1, run twice: untraced for 30 s
   (`--trace 0 --seconds 30`) and traced for 5 s (`--trace 1 --seconds 5`);
+* five interleaved pairs of untraced runs per workload at seed 1 for 5 s,
+  one of the parent's `bench/run.py` (a temporary `git worktree` of HEAD,
+  since the record is written before the change is committed) and one of
+  the working tree's, each pair starting with the other side than the pair
+  before: each run's end-to-end metrics (`BENCHMARK.json`), the median
+  head/parent ratio per metric and the number of pairs the head won;
 * the answer digests of `scripts/digest.py` at input seeds 1 and 2;
 * one tier-1 run (`python -m pytest -q --continue-on-collection-errors`):
   its wall time, exit code and passed, skipped and failed counts (errors
@@ -19,10 +25,11 @@ The record holds, for the change numbered N:
 * the Python version and `os.cpu_count()`.
 
 After writing the record, exits 1 when a tier-1 test fails, a mutant is
-not killed, any run reads `"correct": false` (`bench/run.py` itself exits
-0 then) or a traced run's `trace.work_counts_match` is not 1 (its two
-traced passes did different work); 2 when a benchmark run or the digest
-fails to run.
+not killed, any run, paired runs included, reads `"correct": false`
+(`bench/run.py` itself exits 0 then) or a traced run's
+`trace.work_counts_match` is not 1 (its two traced passes did different
+work); 2 when a benchmark run or the digest fails to run, or the worktree
+cannot be made.  The worktree is removed on every path.
 
 Code lines are lines of statements, counted with `ast`, less blank,
 comment and docstring lines.  `--code-lines` prints that count for the
@@ -36,14 +43,20 @@ import json
 import os
 import platform
 import re
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify-all", "solve-dense", "identities")
 RUNS = (("0", "30"), ("1", "5"))  # (--trace, --seconds)
+PAIRED = ("--seed", "1", "--seconds", "5", "--trace", "0")
+PAIRS = 5
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 MUTATE = ("scripts/mutate.py",)
 
@@ -81,6 +94,52 @@ def _output(*args: str) -> str:
     if code:
         raise subprocess.CalledProcessError(code, args)
     return out
+
+
+def _last_json(*args: str) -> dict:
+    """The last line of a `bench/run.py` run that must succeed, parsed."""
+    return json.loads(_output(*args).strip().splitlines()[-1])
+
+
+@contextmanager
+def _parent_tree():
+    """A detached `git worktree` of HEAD in a temporary directory, removed
+    on leaving, whatever happens."""
+    tmp = Path(tempfile.mkdtemp(prefix="bench-record-"))
+    tree = tmp / "parent"
+    try:
+        subprocess.run(["git", "worktree", "add", "--detach", str(tree), "HEAD"],
+                       cwd=ROOT, check=True, capture_output=True)
+        yield tree
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+
+
+def _pairs(parent: Path, workload: str) -> dict:
+    """PAIRS interleaved untraced runs of the parent's `bench/run.py` and
+    the working tree's: each run's end-to-end metrics and "correct", then
+    per metric the median head/parent ratio and the pairs the head won."""
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    command = ["--workload", workload, *PAIRED]
+    scripts = {"parent": str(parent / "bench" / "run.py"), "head": "bench/run.py"}
+    pairs = []
+    for i in range(PAIRS):
+        order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            result = _last_json(scripts[side], *command)
+            pair[side] = {"correct": result.get("correct"),
+                          **{name: result["metrics"][name]["value"] for name in better}}
+        pairs.append(pair)
+    ratios, won = {}, {}
+    for name, direction in better.items():
+        each = [p["head"][name] / p["parent"][name] for p in pairs if p["parent"][name]]
+        ratios[name] = statistics.median(each) if each else None
+        sign = 1.0 if direction == "higher" else -1.0
+        won[name] = sum(sign * (p["head"][name] - p["parent"][name]) > 0.0 for p in pairs)
+    return {"command": command, "pairs": pairs, "median_ratio": ratios, "head_won": won}
 
 
 def _tier1() -> dict:
@@ -125,6 +184,10 @@ def _faults(record: dict) -> list:
         faults.append(f"mutation gate: {gate['killed']} of {gate['listed']} killed, exit {gate['exit']}")
     for run in record["runs"]:
         faults += run_faults(run["command"], run["result"])
+    for paired in record["pairs"].values():
+        for pair in paired["pairs"]:
+            for side in ("parent", "head"):
+                faults += [f"{side}: {fault}" for fault in run_faults(paired["command"], pair[side])]
     return faults
 
 
@@ -145,6 +208,7 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "runs": [],
         "digests": {},
+        "pairs": {},
         "src_lines": {
             "wc": sum(len(p.read_bytes().splitlines()) for p in sources),
             "code": code_lines(sources),
@@ -155,11 +219,14 @@ def main() -> int:
             for workload in WORKLOADS:
                 command = ["--workload", workload, "--seed", "1", "--seconds", seconds, "--trace", trace]
                 print("bench/run.py " + " ".join(command), file=sys.stderr)
-                last = _output("bench/run.py", *command).strip().splitlines()[-1]
-                record["runs"].append({"command": command, "result": json.loads(last)})
+                record["runs"].append({"command": command, "result": _last_json("bench/run.py", *command)})
         for seed in ("1", "2"):
             record["digests"][seed] = _output("scripts/digest.py", "--seed", seed).strip()
-    except (subprocess.CalledProcessError, ValueError, IndexError) as exc:
+        with _parent_tree() as parent:
+            for workload in WORKLOADS:
+                print(f"paired parent/head runs: {workload}", file=sys.stderr)
+                record["pairs"][workload] = _pairs(parent, workload)
+    except (subprocess.CalledProcessError, OSError, ValueError, IndexError, KeyError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
     print("tier-1 and the mutation gate", file=sys.stderr)

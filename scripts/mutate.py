@@ -4,9 +4,10 @@
 Usage: python scripts/mutate.py
 
 Each entry of MUTANTS replaces one exact text in one file of `src/` by a
-plausible mistake.  The script copies `src/`, `tests/`, `scripts/` and
-`pyproject.toml` to a temporary directory, checks that the tests each
-entry names pass there unmutated, then applies each mutant to a fresh copy
+plausible mistake.  The script copies `src/`, `tests/`, `scripts/`,
+`bench/` (whose input generator a test reads) and `pyproject.toml` to a
+temporary directory, checks that the tests each entry names pass there
+unmutated, then applies each mutant to a fresh copy
 (never to the checkout) and runs its tests, stopping at the first failure.
 A mutant is killed when a test fails, and survives when all pass.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "scripts", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "bench", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ MUTANTS = [
     Mutant(
         "pass-rule-always-true",
         "symmetry.py",
-        "passed=max_residual <= tol * (1.0 + y_scale),",
+        "passed=finite and max_residual <= tol * (1.0 + y_scale),",
         "passed=True,",
         "every verification passes, whatever its residual",
         ("tests/test_symmetry.py",),
@@ -106,7 +107,7 @@ MUTANTS = [
         "source = next((q for (*k, x), q in paths.items() if k == [*key] and 0.0 <= r * t_end * x"
         " and abs(t_end) <= abs(x)), None)",
         "a path toward a farther end serves a nearer one: different first and last steps",
-        ("tests/test_oracle.py", "tests/test_symmetry.py"),
+        ("tests/test_quad.py::test_a_side_reads_a_mirror_only_of_a_path_toward_its_exact_end",),
     ),
     Mutant(
         "tangent-allowance-x10",
@@ -314,8 +315,8 @@ MUTANTS = [
     Mutant(
         "closed-form-drops-the-negative-radicand-sign",
         "closedform.py",
-        "out.append(scale * (neg * pow_(-g, e)))",
-        "out.append(scale * pow_(-g, e))",
+        "y = scale * (neg * pow_(-g, e))",
+        "y = scale * pow_(-g, e)",
         "G^e of a negative radicand loses the sign its exponent class gives it: y has the wrong sign",
         ("tests/test_closedform.py",),
     ),
@@ -449,8 +450,8 @@ MUTANTS = [
     Mutant(
         "walk-reads-component-zero",
         "stepper.py",
-        "k1, k3, k4, k5, k6, k7 = ks[i][k]",
-        "k1, k3, k4, k5, k6, k7 = ks[i][0]",
+        "reach = _reach(ts[i + 1] - ts[i], ks[i][k])",
+        "reach = _reach(ts[i + 1] - ts[i], ks[i][0])",
         "a crossing walk bounds B's reach on a step by A's stages: it skips the"
         " step where B reaches the level, and a validity end moves",
         ("tests/test_closedform.py::test_validity_riccati_asymptote",),
@@ -552,6 +553,86 @@ MUTANTS = [
         " nearer 0 reads it, not the problem's own search path",
         ("tests/test_closedform.py::test_solution_values_leaves_its_problem_as_it_found_it",),
     ),
+    Mutant(
+        "verify-certifies-every-partner",
+        "symmetry.py",
+        "p2.d) not in certified",
+        "p2.d) is None",
+        "every partner is read as p1 reflected: a forced case passes with a"
+        " residual of 0, and a sampled parity shares p1's values",
+        ("tests/test_symmetry.py::test_an_uncertified_partner_is_solved_on_its_own_paths",),
+    ),
+    Mutant(
+        "certified-partner-drops-s",
+        "symmetry.py",
+        "y2s.append([s * v for v in mirrored])",
+        "y2s.append(list(mirrored))",
+        "a certified partner reads y1 where it should read s * y1: every"
+        " origin and t-axis case fails",
+        ("tests/test_symmetry.py::test_a_certified_case_runs_no_partner_search_or_solve",),
+    ),
+    Mutant(
+        "certification-waives-the-t-mirror",
+        "symmetry.py",
+        "p2.d) not in certified",
+        "p2.d) not in certified and case.relation.r == 1",
+        "a t-mirror partner (r = -1) counts as certified with no view of"
+        " structural parity: a parity that only sampling finds, or a forced"
+        " case, reads p1's values",
+        ("tests/test_oracle.py::test_a_t_mirror_is_certified_only_under_structural_parity",),
+    ),
+    Mutant(
+        "certified-cases-read-the-joined-solve",
+        "symmetry.py",
+        "mirrored = y1s if grid == distinct else solve(p1, grid)",
+        "mirrored = [y1_at[t] for t in grid]",
+        "a certified partner reads p1's paths toward another case's farther"
+        " grid end, where its own would end at its grid's: other floats",
+        ("tests/test_symmetry.py::test_oracle_reports_equal_those_of_each_problems_own_solves",),
+    ),
+    Mutant(
+        "verify-passes-a-value-that-is-not-finite",
+        "symmetry.py",
+        "finite = all(map(math.isfinite, residuals))",
+        "finite = True",
+        "a NaN residual, which max() skips, or y_scale = inf lets a case pass",
+        ("tests/test_symmetry.py::test_a_case_with_a_value_that_is_not_finite_fails",),
+    ),
+    Mutant(
+        "oracle-mirror-ignores-the-exact-end",
+        "oracle.py",
+        "and min(ts) == -max(ts):",
+        ":",
+        "an even solution's side toward -T reads the path toward the other"
+        " side's end, whose steps differ: other floats than its own path's",
+        ("tests/test_oracle.py::test_the_exact_end_decides_which_path_is_read",),
+    ),
+    Mutant(
+        "walk-bound-drops-k1",
+        "stepper.py",
+        "_W0 * abs(k1)\n        + v3",
+        "v3",
+        "the crossing walk's reach drops the k1 term: a step that moves by"
+        " h * k1 is skipped, and a crossing on it is missed",
+        ("tests/test_stepper.py::test_the_walks_reach_bounds_how_far_a_step_moves",),
+    ),
+    Mutant(
+        "solution-overflow-check-dropped",
+        "closedform.py",
+        "\n        if not isfinite(y):\n",
+        "\n        if False:\n",
+        "a closed-form value past the float range comes back as inf, and"
+        " verify reads pass",
+        ("tests/test_closedform.py::test_a_solution_past_the_float_range_raises",),
+    ),
+    Mutant(
+        "unit-solution-overflow-check-dropped",
+        "closedform.py",
+        "\n            if not isfinite(y):\n",
+        "\n            if False:\n",
+        "for n = 1, d * exp(A + B) past the float range comes back as inf",
+        ("tests/test_closedform.py::test_a_solution_past_the_float_range_raises",),
+    ),
 ]
 
 
@@ -559,7 +640,7 @@ def _copy(dest: Path) -> None:
     for name in COPIED:
         src = ROOT / name
         if src.is_dir():
-            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
         else:
             shutil.copy2(src, dest / name)
 

@@ -41,7 +41,7 @@ from .expr import (
     format_expr,
     parse_expr,
 )
-from .oracle import rk_solve, solve_on_grid, solve_on_grids
+from .oracle import rk_solve, solve_on_grid
 from .quad import Identity, identity_residuals
 from .stepper import StepControl
 from .symmetry import (
@@ -95,7 +95,6 @@ __all__ = [
     "signed_pow",
     "solution_values",
     "solve_on_grid",
-    "solve_on_grids",
     "transform_problem",
     "validity_interval",
     "validity_intervals",

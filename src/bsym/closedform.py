@@ -166,10 +166,13 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     ("asymptote: .." or "root boundary: .."); an odd root with a positive
     exponent goes on.  G^root is `math.pow` times the root's `negative_sign`
     where G < 0, and `signed_pow` at G = 0: every value is `signed_pow`'s.
+    A value that is not finite, such as exp(A) or its product with G^root
+    or d past the float range, raises EvalError ("solution overflow at
+    t=..").
 
     Raises DomainError before any integration where `_radicand` does.
     """
-    exp = math.exp
+    exp, isfinite = math.exp, math.isfinite
     out = []
     sides = dict(p._searched)  # ab_values fills it; p keeps only its search's paths
     if p.n.cls is ExponentClass.ONE:
@@ -178,9 +181,12 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
         d = p.d
         for (aval, bval), t in values:
             try:
-                out.append(d * exp(aval + bval))
+                y = d * exp(aval + bval)
             except OverflowError:
-                raise EvalError(f"solution overflow at t={t!r}") from None
+                y = math.inf
+            if not isfinite(y):
+                raise EvalError(f"solution overflow at t={t!r}")
+            out.append(y)
         return out
     g0, m, root = _radicand(p)
     values = zip(ab_values(p.a, p.b, m, ts, sides), ts)
@@ -201,13 +207,16 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
         try:
             scale = sigma * exp(aval)
             if g > 0.0:
-                out.append(scale * pow_(g, e))
+                y = scale * pow_(g, e)
             elif g < 0.0 and neg:
-                out.append(scale * (neg * pow_(-g, e)))
+                y = scale * (neg * pow_(-g, e))
             else:
-                out.append(scale * signed_pow(g, root))
+                y = scale * signed_pow(g, root)
         except OverflowError:
-            raise EvalError(f"solution overflow at t={t!r}") from None
+            y = math.inf
+        if not isfinite(y):
+            raise EvalError(f"solution overflow at t={t!r}")
+        out.append(y)
     return out
 
 

@@ -115,12 +115,15 @@ def reflections(a: Expr, b: Expr, cls: Optional[ExponentClass] = None) -> tuple:
     """(a0, b0, views), a = sa*a0 and b = sb*b0 with a0 and b0 the trees
     under the unary minuses at the top of a and b (`expr.split_sign`): the
     certified reflections, the one place that decides which problems share
-    a path.  A view (r, s, ka, kb, kd) names the problem (ka*a0, kb*b0,
+    a solve.  A view (r, s, ka, kb, kd) names the problem (ka*a0, kb*b0,
     kd*d) whose solution is t -> s*y(r*t), with the signs of
     `reflection_signs` and sa, sb folded in, the own view (1, 1, sa, sb, 1)
     first.  r = -1 only where `expr.structural_parity` gives a0 and b0
     parities (a sampled parity never shares), s = -1 only where cls has a
-    real power of a negative base (never for cls = None).
+    real power of a negative base (never for cls = None).  The quadrature's
+    path table reads (A, B) paths by it (cls = None), `symmetry.verify_cases`
+    certifies a partner as p1 reflected by it, and `oracle.solve_on_grid`
+    reads an even solution, the view (-1, 1, sa, sb, 1), at |t|.
     """
     (sa, a0), (sb, b0) = split_sign(a), split_sign(b)
     eps = {1.0: (1, 1)}  # r -> (eps_a, eps_b)

@@ -31,11 +31,11 @@ another `StepControl`.  `rk_solve` returns the stepper's `DensePath`,
 whose `blew_up` marks a blow-up: |y| passed `_BLOWUP_THRESHOLD`, the
 stepper's `limit`, or the step size underflowed at a huge |y|.
 
-`solve_on_grids` answers several problems' grids from one table of
-integrated paths by the package's one reflection rule
-(`exponent.reflections`, `stepper.shared_path`): a problem whose solution
-is a reflection of one already solved reads its path through
-`stepper.PathView` (a shared-path residual).
+`solve_on_grid` answers a grid from one fresh path per side of 0.  No
+oracle path is shared between problems: `symmetry.verify_cases` answers a
+partner that the reflection rule certifies (`exponent.reflections`) from
+p1's values, y2(r*t) = s*y1(t), and solves every other partner on its own
+paths.
 """
 
 from __future__ import annotations
@@ -47,20 +47,12 @@ from .closedform import ProblemSpec
 from .errors import StepFailure
 from .exponent import ExponentClass, reflections, signed_pow
 from .expr import CheckedForm, checked_factory, split_sign
-from .stepper import (
-    DensePath,
-    StepControl,
-    StepUnderflow,
-    grid_values,
-    integrate,
-    shared_path,
-)
+from .stepper import DensePath, StepControl, StepUnderflow, grid_values, integrate
 
 __all__ = [
     "ORACLE_CONTROL",
     "rk_solve",
     "solve_on_grid",
-    "solve_on_grids",
 ]
 
 
@@ -118,43 +110,27 @@ def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) ->
         raise StepFailure(f"right-hand side overflow: {exc}") from None
 
 
-def solve_on_grids(requests: Sequence[tuple[ProblemSpec, Sequence[float]]]) -> list[list[float]]:
-    """Oracle y of each (p, ts) request at every t of its ts, in request
-    order, integrating each distinct path once.
-
-    Each side of 0 of a grid is answered from one path toward its farthest
-    point (`stepper.grid_values`), resolved by the reflection rule
-    (`exponent.reflections`, `stepper.shared_path`) from one table of
-    integrated paths keyed by (a0, b0, n, sa, sb, d, t_end): a view
-    (r, s, ka, kb, kd) reads the path of (a0, b0, n, ka, kb, kd*d) toward
-    r*t_end as `PathView(source, r, (s,))`, and a fresh path is `rk_solve`
-    of p toward t_end.  The source's right-hand side g obeys
-    f(r*t, s*y) = r*s*g(t, y) bit for bit, so the view is the fresh path
-    bit for bit (see `PathView`).  A residual between a mirror and its
-    source shares their arithmetic and reads 0 by construction: it is
-    evidence only with the certificate that the coefficients are exact
-    reflections.
-
-    Raises StepFailure if a solution blows up before the farthest point of
-    a side, and the errors of `rk_solve`, in request order.
-    """
-    paths: dict = {}
-    out = []
-    for p, ts in requests:
-        a0, b0, views = reflections(p.a, p.b, p.n.cls)
-
-        def fresh(t_end: float) -> DensePath:
-            path = rk_solve(p, t_end)
-            if path.blew_up:
-                raise StepFailure(f"oracle blew up at t={path.t_reached!r} before reaching {t_end!r}")
-            return path
-
-        keyed = [(r, (s,), (a0, b0, p.n, ka, kb, kd * p.d)) for r, s, ka, kb, kd in views]
-        ys = grid_values(lambda x: shared_path(paths, keyed, x, fresh), ts)
-        out.append([y for (y,) in ys])
-    return out
-
-
 def solve_on_grid(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
-    """Oracle y at every t: `solve_on_grids` of the one request (p, ts)."""
-    return solve_on_grids([(p, ts)])[0]
+    """Oracle y of p at every t of ts, from one `rk_solve` path per side of
+    0 toward that side's farthest t (`stepper.grid_values`).
+
+    Where `exponent.reflections` certifies that y is even, y(-t) = y(t)
+    (a and b of structural odd parity), and the grid's sides end at -T and
+    T, every t is read at |t| on the one path toward T: the fresh path
+    toward -T is that path's t-mirror bit for bit (`stepper.PathView`).
+
+    Raises StepFailure if the solution blows up before the farthest point
+    of a side, and the errors of `rk_solve`.
+    """
+
+    def solve(t_end: float) -> DensePath:
+        path = rk_solve(p, t_end)
+        if path.blew_up:
+            raise StepFailure(f"oracle blew up at t={path.t_reached!r} before reaching {t_end!r}")
+        return path
+
+    _, _, views = reflections(p.a, p.b, p.n.cls)
+    even = (-1.0, 1.0, *views[0][2:]) in views  # the view (r, s) = (-1, 1) names p itself
+    if even and ts and min(ts) == -max(ts):
+        ts = [abs(t) for t in ts]
+    return [y for (y,) in grid_values(solve, ts)]

@@ -57,11 +57,16 @@ at.  `grid_values` answers a grid that straddles t = 0 from one
 `PathView` is a path read through t -> r*t, r = +-1, with its components'
 signs changed, a view that queries its source and copies nothing: the one
 place that knows how a reflection acts on a path's values and crossings.
-`shared_path` is the one lookup of a table of integrated paths: the
-validity search and the oracle read a problem whose solution is a
-reflection of one already solved (`exponent.reflections`) through a view
-of that one's path.  The identities need no view: under a certified
-mirror they rewrite each read at t < 0 as one at -t on the same path.
+`shared_path` is the one lookup of the one table of integrated paths, the
+quadrature's (A, B) table: the validity search and a solve grid's fresh
+sides read a problem whose (A, B) is a reflection of one already
+integrated (`exponent.reflections`) through a view of that one's path.
+The identities and the oracle need no view: under a certified mirror they
+read at -t on the same path where they would read at t < 0, and
+`symmetry.verify_cases` answers a certified partner from p1's values.
+The crossing walk skips a step that cannot reach the level by a bound on
+how far its extension moves, centred on the step's first stage
+(`_reach`).
 """
 
 from __future__ import annotations
@@ -163,10 +168,25 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-# |h| * sum_s _W[s] * |k_s| bounds sum_j |h * sum_s P[s][j] * k_s|, how far a
-# component can move on the step; the 1e-12 margin covers the rounding of
-# both sums, so the bound never falls below the extension's own
-_W = tuple((1.0 + 1e-12) * sum(map(abs, row)) for row in _P)
+# Each column j >= 1 of _P sums to 0, so the extension's coefficient
+# h * sum_s P[s][j] * k_s is h * (sum_s P[s][j] * k1 + sum_{s>=3} P[s][j] *
+# (k_s - k1)), and `_reach` bounds sum_j |c_j|, how far a component can move
+# on the step, centred on k1.  The 1e-12 margin covers the rounding of both
+# sums, whose uncentred terms are at most 67 times the bound, so the bound
+# never falls below the extension's own
+_W0 = (1.0 + 1e-12) * sum(abs(sum(column)) for column in zip(*_P))
+_V = tuple((1.0 + 1e-12) * sum(map(abs, row)) for row in _P[1:])
+
+
+def _reach(h: float, stages: tuple) -> float:
+    """A bound on sum_j |c_j| of the step's extension, from its step h and
+    its stages (k1, k3, k4, k5, k6, k7) of one component."""
+    k1, k3, k4, k5, k6, k7 = stages
+    v3, v4, v5, v6, v7 = _V
+    return abs(h) * (
+        _W0 * abs(k1)
+        + v3 * abs(k3 - k1) + v4 * abs(k4 - k1) + v5 * abs(k5 - k1) + v6 * abs(k6 - k1) + v7 * abs(k7 - k1)
+    )
 
 
 @dataclass
@@ -233,15 +253,11 @@ class DensePath:
         """`first_crossing`, uncached: one walk over the steps."""
         ts, ys, ks = self.ts, self.ys, self.ks
         abs_tol, rel_tol = self.ctl.abs_tol, self.ctl.rel_tol
-        w1, w3, w4, w5, w6, w7 = _W
         side = 1.0 if ys[0][k] > level else -1.0
         for i in range(len(ts) - 1):
             # a step whose stages cannot carry y_k to the level needs no
             # extension: the skip test below would pass it over anyway
-            k1, k3, k4, k5, k6, k7 = ks[i][k]
-            reach = abs(ts[i + 1] - ts[i]) * (
-                w1 * abs(k1) + w3 * abs(k3) + w4 * abs(k4) + w5 * abs(k5) + w6 * abs(k6) + w7 * abs(k7)
-            )
+            reach = _reach(ts[i + 1] - ts[i], ks[i][k])
             y_i = ys[i][k]
             if abs(y_i - level) <= reach + abs_tol + rel_tol * (abs(y_i) + reach):
                 y0, *c = (self._coefs.get(i) or self._extension(i))[k]
@@ -259,9 +275,13 @@ class PathView:
     """Read-only view of a `source` path, of any number of components,
     through t -> r*t, r = +-1: at t it holds signs[k] * source(r*t)[k] in
     each component k.  The reflection rule (`exponent.reflections`)
-    builds it for the quadrature's (A, B) paths and the oracle's
-    one-component y paths through `shared_path`.  No other code reads r
-    or signs: a caller queries a view as it queries any path.
+    builds it for the quadrature's (A, B) paths through `shared_path`.
+    No other code reads r or signs: a caller queries a view as it queries
+    any path.  Its contract is also why the oracle's fresh paths of two
+    problems that reflect each other are each other's views, so that
+    `symmetry.verify_cases` may answer a certified partner from p1's
+    values and `oracle.solve_on_grid` an even solution's side toward -T
+    from its path toward T.
 
     Let `source` be the kernel's path of g from 0 toward T, and S the
     diagonal of the signs.  If f(r*t, S*y) = r*S*g(t, y) bit for bit, the

@@ -14,9 +14,10 @@ and q odd when s = -1, gives the partner problem
 A catalog row holds only the paper's hypotheses (exponent class, (a, b)
 parities) and its relation; the parities make a1(r t) and b1(r t) equal to
 +-a1(t) and +-b1(t), so the signs of (a2, b2, d2) are derived by
-`exponent.reflection_signs`, the rule the oracle's path table reads its
-mirrors by.  `verify_cases` samples the partner at r t and takes
-|y2(r t) - s y1(t)|.
+`exponent.reflection_signs`, the rule `exponent.reflections` certifies
+reflections by.  `verify_cases` samples the partner at r t and takes
+|y2(r t) - s y1(t)|; a partner that the certificate names as p1
+reflected by the case's (r, s) is read from p1's solve.
 Coefficient negation is structural (the tree is wrapped in a unary minus)
 and the transformed coefficients are re-classified by detect_parity, never
 assumed.
@@ -27,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Optional, Sequence, Union
 
 from .closedform import ProblemSpec, Validity, solution_values, validity_intervals
 from .errors import CaseNotApplicable
-from .expr import Parity, detect_parity, negated
-from .exponent import ExponentClass, reflection_signs
-from .oracle import solve_on_grids
+from .expr import Parity, detect_parity, negated, split_sign
+from .exponent import ExponentClass, reflection_signs, reflections
+from .oracle import solve_on_grid
 
 __all__ = [
     "Relation",
@@ -217,28 +219,34 @@ def verify_cases(
     *,
     force: bool = False,
 ) -> list[VerificationReport]:
-    """verify_pair for each case in order, integrating each distinct path once.
+    """verify_pair for each case in order, solving p1 once for all of them.
 
     An inapplicable case raises CaseNotApplicable before any integration:
-    every partner is built first.  Then every case's common interval and
-    grid come from one `validity_intervals` call within
-    DEFAULT_SEARCH_RADIUS, which integrates one (A, B) path per side for
-    each distinct (a, b, n-1) and keeps them on p1 and the partners.  A
-    case's common interval is p1's intersected with the partner's reflected
-    by r, with p1's end and kind on a tie; both hold 0, since both problems
-    start at t = 0, so it is never empty.  p1 is evaluated
-    once on all case grids joined together (one solve per side of 0), each
-    distinct time once, and each partner at r times its grid.  The closed
-    form answers them from those kept paths.  The oracle answers them all
-    from one `solve_on_grids` call, p1's request first and then the
-    partners' in case order, so errors come in that order.  A partner side
-    whose y is p1's reflected reads p1's integrated path through a mirror
-    and integrates nothing, where the reflection is certified: always for
-    y -> -y, and for t -> -t only where a and b have structural parity.
-    Its residual is then a shared-path residual, 0 by construction rather
-    than independent evidence of the relation.  Where the cases' common
-    intervals coincide, as the theorem makes them for applicable cases, the
-    reports equal those of one verify_pair per case bit for bit.
+    every partner is built first.  A partner is certified where
+    `exponent.reflections` of p1 holds a view with the case's (r, s) whose
+    problem is the partner: its a and b are that view's under
+    `expr.split_sign`, and its d is kd * d.  A certified case takes p1's
+    validity interval, end kinds included, as its common interval, p1's
+    grid, and y2(r t) = s * y1(t): it runs no validity search, path lookup
+    or solve of its own, and its residual is 0 by construction, evidence
+    only through the certificate.  Every other partner (a forced case, or
+    parities that only sampling finds) is searched with p1 in one
+    `validity_intervals` call within DEFAULT_SEARCH_RADIUS, and its common
+    interval is p1's intersected with the partner's reflected by r, with
+    p1's end and kind on a tie; both hold 0, since both problems start at
+    t = 0, so it is never empty.  p1 is evaluated once on all case grids
+    joined together (one solve per side of 0), each distinct time once,
+    and each uncertified partner on its own paths at r times its grid, in
+    case order, so errors come in that order.  The closed form answers
+    from the search's kept paths, the oracle from `solve_on_grid`, whose
+    paths end at a grid's farthest points: where an uncertified case's
+    grid reaches past p1's, the certified cases read p1 solved on its own
+    grid, where the partner's own paths would end.  So the reports equal,
+    bit for bit, those of solving every partner on its own paths (the
+    `stepper.PathView` contract), and, where the cases' common intervals
+    coincide, as the theorem makes them for applicable cases, those of one
+    verify_pair per case.  A case passes only where every y1 and residual
+    is finite.
 
     ValueError, before any integration, for an unknown method, a tol that
     is not positive and finite, or grid_points that is not an int >= 3.
@@ -253,17 +261,27 @@ def verify_cases(
     partners = [transform_problem(p1, case, force=force) for case in cases]
     if not cases:
         return []
-    v1, *v2s = validity_intervals([p1, *partners], DEFAULT_SEARCH_RADIUS)
+    # each certified reflection of p1: its (r, s) and its problem
+    a0, b0, views = reflections(p1.a, p1.b, p1.n.cls)
+    certified = {((r, s), (ka, a0), (kb, b0), kd * p1.d) for r, s, ka, kb, kd in views}
+    uncertified = [
+        ((case.relation.r, case.relation.s), split_sign(p2.a), split_sign(p2.b), p2.d) not in certified
+        for case, p2 in zip(cases, partners)
+    ]
+    v1, *v2s = validity_intervals([p1, *compress(partners, uncertified)], DEFAULT_SEARCH_RADIUS)
+    v2s = iter(v2s)
     commons, grids = [], []
-    for case, v2 in zip(cases, v2s):
-        # y2 is sampled at r * t: reflect its interval by r before intersecting
-        r = case.relation.r
-        (lo2, lo2_kind), (hi2, hi2_kind) = sorted(
-            ((r * v2.lo, v2.lo_kind), (r * v2.hi, v2.hi_kind)), key=lambda e: e[0]
-        )
-        lo, lo_kind = max((v1.lo, v1.lo_kind), (lo2, lo2_kind), key=lambda e: e[0])
-        hi, hi_kind = min((v1.hi, v1.hi_kind), (hi2, hi2_kind), key=lambda e: e[0])
-        common = Validity(lo, hi, lo_kind, hi_kind)
+    for case, own in zip(cases, uncertified):  # own: searched and solved on its own paths
+        common = v1
+        if own:
+            # y2 is sampled at r * t: reflect its interval by r before intersecting
+            r, v2 = case.relation.r, next(v2s)
+            (lo2, lo2_kind), (hi2, hi2_kind) = sorted(
+                ((r * v2.lo, v2.lo_kind), (r * v2.hi, v2.hi_kind)), key=lambda e: e[0]
+            )
+            lo, lo_kind = max((v1.lo, v1.lo_kind), (lo2, lo2_kind), key=lambda e: e[0])
+            hi, hi_kind = min((v1.hi, v1.hi_kind), (hi2, hi2_kind), key=lambda e: e[0])
+            common = Validity(lo, hi, lo_kind, hi_kind)
         glo, ghi = common.interior()
         step = (ghi - glo) / (grid_points - 1)
         commons.append(common)
@@ -272,16 +290,21 @@ def verify_cases(
     # applicable cases share one grid: evaluate each distinct time once, in
     # order of first appearance (a grid starts past lo < 0 and holds no -0.0)
     distinct = list(dict.fromkeys(t for grid in grids for t in grid))
-    # y2 is sampled at r * t
-    requests = [(p1, distinct)] + [
-        (p2, [case.relation.r * t for t in grid])
-        for case, p2, grid in zip(cases, partners, grids)
-    ]
-    if method == "oracle":
-        y1s, *y2s = solve_on_grids(requests)
-    else:
-        y1s, *y2s = [solution_values(p, ts) for p, ts in requests]
+    solve = solve_on_grid if method == "oracle" else solution_values
+    y1s = solve(p1, distinct)
     y1_at = dict(zip(distinct, y1s))
+    mirrored = None  # p1 on its own grid, which every certified case has
+    y2s = []  # y2 at r * t, in case order
+    for case, p2, grid, own in zip(cases, partners, grids, uncertified):
+        r, s = case.relation.r, case.relation.s
+        if own:
+            y2s.append(solve(p2, [r * t for t in grid]))
+            continue
+        if mirrored is None:
+            # read on paths that end where the partner's own would: the
+            # joined solve's, unless another case's grid reaches past p1's
+            mirrored = y1s if grid == distinct else solve(p1, grid)
+        y2s.append([s * v for v in mirrored])  # y2(r t) = s * y1(t)
     reports = []
     for case, common, grid, y2 in zip(cases, commons, grids, y2s):
         y1 = [y1_at[t] for t in grid]
@@ -289,6 +312,8 @@ def verify_cases(
         residuals = tuple(abs(v2_ - s * v1_) for v1_, v2_ in zip(y1, y2))
         max_residual = max(residuals)
         y_scale = max(abs(v) for v in y1)
+        # a residual is finite only where y1 and y2 are
+        finite = all(map(math.isfinite, residuals))
         reports.append(
             VerificationReport(
                 case_id=case.id,
@@ -299,7 +324,7 @@ def verify_cases(
                 y_scale=y_scale,
                 common_validity=common,
                 tol=tol,
-                passed=max_residual <= tol * (1.0 + y_scale),
+                passed=finite and max_residual <= tol * (1.0 + y_scale),
             )
         )
     return reports

@@ -1,6 +1,8 @@
 """scripts/bench_record.py: the record it writes and its exit code."""
 
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,13 +18,20 @@ TIER1_OK = "....\n1136 passed, 2 skipped in 33.40s\n"
 GATE_OK = "a-mutant: killed by tests/test_x.py::test_a\nb-mutant: killed by tests/test_y.py::test_b\n"
 
 
+# a paired run's end-to-end metrics, per side and pair: the head is faster
+# in pairs 0, 1, 3 and 4, and its median ratio of ops_per_s is 1.1
+PAIRED_OPS = {"parent": [100.0, 100.0, 100.0, 100.0, 100.0], "head": [110.0, 120.0, 90.0, 105.0, 115.0]}
+
+
 def fake_run(fault=None):
     """`_run` stand-in: bench/run.py's log lines then its JSON line, a
     digest per seed, tier-1's summary and the mutation gate's lines, with
     `fault` broken: a workload's name reads `"correct": false`, "untraced"
     or "traced" makes the traced passes' work differ, "tier1" fails a test,
-    "mutant" lets one survive."""
+    "mutant" lets one survive, "parent" makes the parent's paired runs read
+    `"correct": false`, and "crash" makes its third paired run fail to run."""
     calls = []
+    paired = {"parent": 0, "head": 0}  # paired runs so far, per side
 
     def run(*args):
         calls.append(args)
@@ -40,9 +49,40 @@ def fake_run(fault=None):
         if args[-1] == "1":
             metrics["trace.work_counts_match"] = {"value": 0 if fault == "traced" else 1, "unit": "bool"}
         result = {"correct": fault not in args, "attempted": 3, "failed": 0, "metrics": metrics}
+        if args[-3:] == ("5", "--trace", "0"):  # a paired run
+            side = "head" if args[0] == "bench/run.py" else "parent"
+            assert side == "head" or Path(args[0]).is_file()  # the parent's own script
+            i = paired[side] % 5
+            paired[side] += 1
+            if fault == "crash" and side == "parent" and i == 2:
+                return 1, "", 1.0
+            values = {"ops_per_s": PAIRED_OPS[side][i], "latency_p50_ms": 4.0, "latency_p90_ms": 6.0,
+                      "ok_frac": 1.0, "peak_rss_mb": 30.0, "setup_s": 0.5}
+            metrics.update({name: {"value": value} for name, value in values.items()})
+            result["correct"] = fault != side
         return 0, "inputs: {}\n" + json.dumps(result) + "\n", 5.0
 
     return run, calls
+
+
+def git_tree(path: Path, commit: bool = True) -> None:
+    """Make path a git repository holding a bench/run.py and BENCHMARK.json,
+    committed unless commit is false (then HEAD names no commit)."""
+    (path / "bench").mkdir(parents=True, exist_ok=True)
+    (path / "bench" / "run.py").write_text("", encoding="utf-8")
+    shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
+    git = ["git", "-C", str(path), "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    if commit:
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "parent"], check=True)
+
+
+def worktrees(path: Path) -> list:
+    out = subprocess.run(["git", "-C", str(path), "worktree", "list", "--porcelain"],
+                         check=True, capture_output=True, text=True).stdout
+    return [line for line in out.splitlines() if line.startswith("worktree ")]
 
 
 def write_record(monkeypatch, tmp_path, capsys, fault):
@@ -50,14 +90,15 @@ def write_record(monkeypatch, tmp_path, capsys, fault):
     the stderr lines after the progress lines, one per fault)."""
     (tmp_path / "src" / "bsym").mkdir(parents=True)
     (tmp_path / "src" / "bsym" / "m.py").write_text('"""Doc."""\n\n# note\nx = 1\n', encoding="utf-8")
+    git_tree(tmp_path)
     run, calls = fake_run(fault)
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "_run", run)
     monkeypatch.setattr(sys, "argv", ["bench_record.py", "--pr", "7"])
     code = bench_record.main()
     record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
-    # one progress line per benchmark run, one before tier-1
-    return code, record, calls, capsys.readouterr().err.splitlines()[7:]
+    # one progress line per benchmark run, one per workload's pairs, one before tier-1
+    return code, record, calls, capsys.readouterr().err.splitlines()[10:]
 
 
 @pytest.mark.parametrize("correct_on,code", [(None, 0), ("solve-dense", 1)])
@@ -82,7 +123,7 @@ def test_the_record_holds_every_run_and_fails_on_an_incorrect_one(
     assert record["mutation"] == {
         "command": [*bench_record.MUTATE], "exit": 0, "seconds": 120.0, "killed": 2, "listed": 2,
     }
-    assert len(calls) == 10 and calls[-2:] == [bench_record.TIER1, bench_record.MUTATE]
+    assert len(calls) == 40 and calls[-2:] == [bench_record.TIER1, bench_record.MUTATE]
     assert faults == [
         f"not correct: bench/run.py --workload solve-dense --seed 1 --seconds {s} --trace {t}"
         for s, t in (("30", "0"), ("5", "1"))
@@ -105,10 +146,69 @@ def test_the_record_fails_on_a_failed_test_a_surviving_mutant_or_differing_trace
 ):
     # the record is written first, whole, then the change fails
     code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, fault)
-    assert code == 1 and len(calls) == 10 and len(record["runs"]) == 6
+    assert code == 1 and len(calls) == 40 and len(record["runs"]) == 6
     if key is not None:
         assert {k: record[key][k] for k in value} == value
     assert len(faults) == count and all(line.startswith(message) for line in faults)
+
+
+def test_paired_runs_alternate_sides_and_say_who_won(monkeypatch, tmp_path, capsys):
+    code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, None)
+    assert code == 0 and faults == []
+    assert list(record["pairs"]) == [*bench_record.WORKLOADS]
+    runs = [args for args in calls if args[-3:] == ("5", "--trace", "0")]
+    assert len(runs) == 2 * 5 * 3
+    parent = runs[0][0]
+    assert parent.endswith("/bench/run.py") and parent != "bench/run.py"
+    for k, workload in enumerate(bench_record.WORKLOADS):
+        paired = record["pairs"][workload]
+        command = ["--workload", workload, "--seed", "1", "--seconds", "5", "--trace", "0"]
+        assert paired["command"] == command
+        scripts = [args[0] for args in runs[10 * k:10 * k + 10]]
+        assert all(list(args[1:]) == command for args in runs[10 * k:10 * k + 10])
+        # the side that runs first alternates from pair to pair
+        assert scripts == [parent, "bench/run.py", "bench/run.py", parent] * 2 + [parent, "bench/run.py"]
+        assert [pair["first"] for pair in paired["pairs"]] == ["parent", "head"] * 2 + ["parent"]
+        assert [pair["head"]["ops_per_s"] for pair in paired["pairs"]] == PAIRED_OPS["head"]
+        assert all(pair[side]["correct"] is True for pair in paired["pairs"] for side in ("parent", "head"))
+        assert set(paired["pairs"][0]["head"]) == {"correct", "ops_per_s", "latency_p50_ms", "latency_p90_ms",
+                                                 "ok_frac", "peak_rss_mb", "setup_s"}
+        assert paired["median_ratio"]["ops_per_s"] == pytest.approx(1.1)
+        assert paired["median_ratio"]["latency_p50_ms"] == 1.0
+        assert paired["head_won"] == {"ops_per_s": 4, "latency_p50_ms": 0, "latency_p90_ms": 0,
+                                      "ok_frac": 0, "peak_rss_mb": 0, "setup_s": 0}
+    # the parent's worktree is gone, from the disk and from git's list
+    assert not Path(parent).exists() and len(worktrees(tmp_path)) == 1
+
+
+def test_a_paired_run_that_is_not_correct_fails_the_change(monkeypatch, tmp_path, capsys):
+    code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, "parent")
+    assert code == 1 and len(record["pairs"]) == 3
+    assert faults == [
+        f"parent: not correct: bench/run.py --workload {workload} --seed 1 --seconds 5 --trace 0"
+        for workload in bench_record.WORKLOADS for _ in range(5)
+    ]
+
+
+@pytest.mark.parametrize("fault", ["no commit", "crash"])
+def test_no_worktree_or_a_paired_run_that_fails_is_exit_2_and_leaves_no_worktree(
+    monkeypatch, tmp_path, capsys, fault
+):
+    # HEAD names no commit, so no worktree can be made; or the parent's
+    # third paired run fails to run, with the worktree made
+    (tmp_path / "src" / "bsym").mkdir(parents=True)
+    git_tree(tmp_path, commit=fault != "no commit")
+    run, calls = fake_run(fault)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "_run", run)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--pr", "7"])
+    assert bench_record.main() == 2
+    assert not (tmp_path / "BENCH_7.json").exists()
+    parents = {args[0] for args in calls if args[0].endswith("/bench/run.py")}
+    assert len(parents) == (fault == "crash")
+    assert not any(Path(parent).exists() for parent in parents)
+    assert len(worktrees(tmp_path)) == 1
+    assert "bench_record: " in capsys.readouterr().err
 
 
 def test_run_faults_reads_correct_and_a_traced_runs_work_match():

@@ -187,6 +187,21 @@ def test_verify_tiny_initial_value_is_exit_2(tmp_path, method):
     assert not report.exists()
 
 
+# y = 1e10 * exp(176 t) passes the float range near t = 3.92 with no
+# OverflowError: exp itself stays finite there, the product does not
+HUGE_Y = {"a": "176", "b": "0", "n": "0", "d": "10000000000"}
+
+
+def test_verify_closed_form_past_the_float_range_is_exit_2(tmp_path):
+    # it once printed three passing rows of max_residual 0 and exited 0
+    prob = write_problem(tmp_path / "p.json", HUGE_Y)
+    report = tmp_path / "r.json"
+    res = run_cli("verify", "--problem", prob, "--method", "closed", "--report", str(report))
+    assert res.returncode == 2
+    assert res.stderr.startswith("bsym: solution overflow at t=") and "Traceback" not in res.stderr
+    assert res.stdout == "" and not report.exists()
+
+
 # y' = y^2 with its pole at t = 1e-13; the oracle's first trial step overflows
 STEEP = {"a": "0", "b": "1", "n": "2", "d": "1e13"}
 

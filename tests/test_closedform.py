@@ -633,13 +633,19 @@ def reference_solution_values(p, pairs, ts):
     the (A, B) pairs alone, so with no path whose first zero of G to stop
     at: signed_pow at every point, and OutsideValidity where G = 0 ends the
     closed form (a pole, or an even root) and G lacks the sign of g0, G = 0
-    included."""
+    included, and EvalError for a value that overflows or is not finite."""
     m = (p.n.p - p.n.q) / p.n.q
     out = []
+
+    def finite(y, t):
+        if not math.isfinite(y):
+            raise EvalError(f"solution overflow at t={t!r}")
+        return y
+
     if p.n.cls is ExponentClass.ONE:
         for (aval, bval), t in zip(pairs, ts):
             try:
-                out.append(p.d * math.exp(aval + bval))
+                out.append(finite(p.d * math.exp(aval + bval), t))
             except OverflowError:
                 raise EvalError(f"solution overflow at t={t!r}") from None
         return out
@@ -653,7 +659,7 @@ def reference_solution_values(p, pairs, ts):
         if ends and not g * math.copysign(1.0, g0) > 0.0:
             raise OutsideValidity(f"{kind}: G={g!r} at t={t!r} is at or past G's first zero (G(0)={g0!r})")
         try:
-            out.append(sigma * math.exp(aval) * signed_pow(g, root))
+            out.append(finite(sigma * math.exp(aval) * signed_pow(g, root), t))
         except OverflowError:
             raise EvalError(f"solution overflow at t={t!r}") from None
     return out
@@ -700,6 +706,16 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
     if p.n.cls is not ExponentClass.ONE:
         assert seen >= {-1.0, 1.0}
         assert 0.0 in seen or (n, d) == ("1/3", -2.5)
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_a_solution_past_the_float_range_raises(n):
+    # 1e10 * exp(176 * 3.92) is past the largest float, though exp(176 *
+    # 3.92) is not: the product rounds to inf without an OverflowError
+    p = problem("176", "0", n, 1e10)
+    assert math.isfinite(solution_values(p, [3.9])[0])
+    with pytest.raises(EvalError, match=r"^solution overflow at t=3\.92$"):
+        solution_values(p, [0.5, 3.92])
 
 
 def test_solution_loop_error_texts(monkeypatch):

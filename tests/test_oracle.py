@@ -4,15 +4,18 @@ import math
 import pytest
 
 from bsym import (
+    CASE_BY_ID,
     DomainError,
     StepFailure,
+    applicable_cases,
     problem,
     rk_solve,
     solve_on_grid,
     transform_problem,
     validity_interval,
+    verify_cases,
 )
-from bsym.oracle import ORACLE_CONTROL, solve_on_grids
+from bsym.oracle import ORACLE_CONTROL
 from bsym.stepper import StepBudgetExceeded, StepUnderflow, grid_values
 
 from helpers import count_calls
@@ -182,46 +185,75 @@ def _own_values(p, ts):
     return [y for (y,) in grid_values(lambda t_end: rk_solve(p, t_end), ts)]
 
 
-def test_solve_on_grids_reads_partners_from_mirrors_of_integrated_paths(monkeypatch):
-    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
-    p1 = problem("cos(t)", "sin(t)", 2, 1.0)
+@pytest.mark.parametrize(
+    "a, b, n, d, case",
+    [
+        # T2i: origin, y2(-t) = -y1(t); T2iv: t-axis, y2(t) = -y1(t); T3i:
+        # y-axis, y2(-t) = y1(t)
+        ("cos(t)", "sin(t)", 2, 1.0, "T2i"),
+        ("cos(t)", "sin(t)", 2, 1.0, "T2iv"),
+        ("cos(t)", "sin(t)", 2, 1.0, "T3i"),
+        ("-(sin(t))", "cosh(t/3)", 3, -0.8, "T4i"),
+        ("0.3*t^2", "-(cos(2*t))", "5/3", 1.2, "T4ii"),
+        ("t/3", "sin(t)^2", "1/2", 0.9, "T3ii"),
+    ],
+)
+def test_a_fresh_solve_of_a_certified_partner_is_p1_reflected(a, b, n, d, case):
+    # verify_cases answers a certified partner as y2(r t) = s * y1(t) from
+    # p1's solve; the partner's own fresh paths give the same floats
+    p1 = problem(a, b, n, d)
+    case = CASE_BY_ID[case]
+    r, s = case.relation.r, case.relation.s
+    p2 = transform_problem(p1, case)
     ts = [-0.6 + 0.1 * i for i in range(15)]  # -0.6 .. 0.8
-    # T2i: origin, y2(-t) = -y1(t); T2iv: t-axis, y2(t) = -y1(t); T3i:
-    # y-axis, y2(-t) = y1(t); each reads p1's two paths, as r * ts
-    partners = [(transform_problem(p1, c), r) for c, r in (("T2i", -1), ("T2iv", 1), ("T3i", -1))]
-    requests = [(p1, ts)] + [(p2, [r * t for t in ts]) for p2, r in partners]
-    shared = solve_on_grids(requests)
-    assert [call[1] for call in solves] == [ts[-1], ts[0]]  # p1's two sides only
-    assert shared == [_own_values(p, grid) for p, grid in requests]
-    # the one-request wrapper answers from a table of its own
-    assert solve_on_grid(*requests[1]) == shared[1]
+    y1 = _own_values(p1, ts)
+    assert _own_values(p2, [r * t for t in ts]) == [s * y for y in y1]
+    assert solve_on_grid(p2, [r * t for t in ts]) == [s * y for y in y1]
+    path1, path2 = rk_solve(p1, 0.8), rk_solve(p2, r * 0.8)
+    assert path2.ts == [r * t for t in path1.ts]
+    assert path2.ys == [(s * y,) for (y,) in path1.ys]
 
 
-def test_solve_on_grids_keys_the_exact_end(monkeypatch):
-    # a path that merely reaches past a grid's end is not reused: the first
-    # step (span/64) and the clamped last step depend on the end, so the
-    # partner integrates the side whose farthest point differs
+def test_the_exact_end_decides_which_path_is_read(monkeypatch):
+    # a path's first step (span/64) and its clamped last step depend on its
+    # end, so a path that merely reaches past a grid's end reads other
+    # floats: a certified partner is read on p1's own grid, and each side
+    # of a grid is solved toward its farthest point exactly
+    p = problem("cos(t)", "sin(t)", 2, 1.0)
+    assert rk_solve(p, 0.8).value(0.5) != rk_solve(p, 0.7).value(0.5)
     solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
-    p1 = problem("cos(t)", "sin(t)", 2, 1.0)
-    p2 = transform_problem(p1, "T2iv")  # y2(t) = -y1(t), same side
-    shared = solve_on_grids([(p1, [-0.5, 0.8]), (p2, [-0.5, 0.7])])
-    assert [(call[0].d, call[1]) for call in solves] == [(1.0, 0.8), (1.0, -0.5), (-1.0, 0.7)]
-    assert shared == [_own_values(p1, [-0.5, 0.8]), _own_values(p2, [-0.5, 0.7])]
+    assert solve_on_grid(p, [-0.5, 0.5, 0.7]) == _own_values(p, [-0.5, 0.5, 0.7])
+    assert [call[1] for call in solves] == [0.7, -0.5]
+    # y is even for odd a and b: the sides share a path only where their
+    # ends are exactly -T and T
+    q = problem("sin(t)", "t", 2, 1.0)
+    for ts, want in (([-0.7, 0.7], [0.7]), ([-0.7, 0.6999999999999999], [0.6999999999999999, -0.7])):
+        solves.clear()
+        assert solve_on_grid(q, ts) == _own_values(q, ts)
+        assert [call[1] for call in solves] == want
 
 
 @pytest.mark.parametrize(
-    "a, b, n, ts, want",
-    [
-        # a and b odd: y is even, so the side toward -0.7 reads the path
-        # toward 0.7 (r = -1, s = 1) within one problem
-        ("sin(t)", "t", 2, [-0.7, 0.7], [0.7]),
-        # the sampled parity never certifies a reflection in t
-        ("sin(t)", "t + 0.0*exp(t)", 2, [-0.7, 0.7], [0.7, -0.7]),
-    ],
+    "a, b, structural",
+    [("cos(t)", "sin(t)", True), ("cos(t)", "sin(t) + 0.0*exp(t)", False)],
 )
-def test_solve_on_grids_mirrors_in_t_only_for_structural_parity(monkeypatch, a, b, n, ts, want):
+def test_a_t_mirror_is_certified_only_under_structural_parity(monkeypatch, a, b, structural):
+    # T3i (y2(-t) = y1(t)) applies to both problems, but only a and b of
+    # structural parity certify the t-mirror; a parity that only sampling
+    # finds gets the partner solved on its own paths, in each route
+    p = problem(a, b, 2, 1.0)
+    assert applicable_cases(p) == [CASE_BY_ID[c] for c in ("T2i", "T2iv", "T3i")]
     solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
-    p = problem(a, b, n, 1.0)
-    assert solve_on_grids([(p, ts)]) == [_own_values(p, ts)]
-    assert [call[1] for call in solves] == want
-
+    reports = verify_cases(p, ["T3i"])
+    assert [call[0] for call in solves] == [p] * 2 + [transform_problem(p, "T3i")] * 2 * (not structural)
+    assert reports[0].passed
+    # the t-axis partner is certified either way: no t-mirror is needed
+    solves.clear()
+    verify_cases(p, ["T2iv"])
+    assert [call[0] for call in solves] == [p] * 2
+    # y is even for odd a and b, and so each side reads the other's path,
+    # only under structural parity
+    q = problem("sin(t)", b.replace("sin(t)", "t"), 2, 1.0)
+    solves.clear()
+    assert solve_on_grid(q, [-0.7, 0.7]) == _own_values(q, [-0.7, 0.7])
+    assert [call[1] for call in solves] == ([0.7] if structural else [0.7, -0.7])

@@ -432,6 +432,18 @@ def test_ab_values_of_negated_coefficients_negate_the_pair(a, b, m, ts, with_sea
     assert got == _own_pairs(na, nb, m, ts, flipped)
 
 
+def test_a_side_reads_a_mirror_only_of_a_path_toward_its_exact_end(monkeypatch):
+    # a odd: the path toward -x is the t-mirror of the path toward x; a path
+    # toward a farther end is not read in its place, since its first step
+    # (span/64) and its clamped last step differ
+    a, b = parse_expr("sin(t)"), parse_expr("cos(t)")
+    paths = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    for ts, ends in (([-0.8, 0.3, 0.8], [0.8]), ([-0.5, 0.3, 0.8], [0.8, -0.5])):
+        paths.clear()
+        assert ab_values(a, b, 2.0, ts) == _own_pairs(a, b, 2.0, ts, {})
+        assert [call[3] for call in paths] == ends
+
+
 @pytest.mark.parametrize("ts", [[5e-324], [-5e-324, 1e-322], [-1.5e-322, 0.0, 3e-320]])
 def test_ab_values_at_subnormal_times(ts):
     # A and B grow like t from 0; a span whose 64th part underflows to 0.0

@@ -285,6 +285,92 @@ def test_first_crossing_tiny_first_root():
     assert path.first_crossing(0, 1e-13) == pytest.approx(1e-13, rel=1e-15)
 
 
+def _one_step_extension(h, stages):
+    """Step 0's extension (y0, c1, .., c4) on a one-component path of one
+    step h with the given stages (k1, k3, k4, k5, k6, k7)."""
+    path = stepper._path_class(1)(ctl=CTL, ts=[0.0, h], ys=[(0.0,), (0.0,)], ks=[(stages,)])
+    return path._extension(0)[0]
+
+
+def _random_stages(rng):
+    """Stages of random signs and magnitudes from 1e-300 to 1e300: apart,
+    or spread about one k1 (as a smooth step's are), or with k1 = 0."""
+    def magnitude():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tuple(magnitude() for _ in range(6))
+    k1 = 0.0 if kind == 2 else magnitude()
+    spread = 10.0 ** -rng.uniform(0.0, 16.0) * (abs(k1) or 10.0 ** rng.uniform(-290.0, 290.0))
+    return (k1, *(k1 + spread * rng.uniform(-1.0, 1.0) for _ in range(5)))
+
+
+def test_the_walks_reach_bounds_how_far_a_step_moves():
+    # the crossing walk skips a step unless |y_k - level| <= reach + tol, so
+    # reach must bound sum_j |c_j| of the step's extension, rounding included
+    rng = random.Random(41)
+    cases = [_random_stages(rng) for _ in range(3000)]
+    cases += [(0.0,) * 6, (1.0,) * 6, (-1e300,) * 6, (1e-300,) * 6, (0.0, 1.0, -1.0, 1e10, -1e-10, 3.0)]
+    for stages in cases:
+        h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 0.6)
+        _, *c = _one_step_extension(h, stages)
+        assert sum(map(abs, c)) <= stepper._reach(h, stages), (h, stages)
+    # centred on k1: a step of equal stages moves about |h * k1|, not 67 times that
+    assert stepper._reach(0.5, (2.0,) * 6) == pytest.approx(1.0, rel=1e-11)
+
+
+# the walk's bound before it was centred on k1: |h| * sum_s _W[s] * |k_s|
+_W = tuple((1.0 + 1e-12) * sum(map(abs, row)) for row in _P)
+
+
+def _reference_walk(path, k, level):
+    """`DensePath._walk` with the uncentred bound it had before."""
+    ts, ys, ks = path.ts, path.ys, path.ks
+    abs_tol, rel_tol = path.ctl.abs_tol, path.ctl.rel_tol
+    side = 1.0 if ys[0][k] > level else -1.0
+    for i in range(len(ts) - 1):
+        reach = abs(ts[i + 1] - ts[i]) * sum(w * abs(ks_) for w, ks_ in zip(_W, ks[i][k]))
+        y_i = ys[i][k]
+        if abs(y_i - level) <= reach + abs_tol + rel_tol * (abs(y_i) + reach):
+            y0, *c = (path._coefs.get(i) or path._extension(i))[k]
+            vary = sum(map(abs, c))
+            tol = abs_tol + rel_tol * (abs(y0) + vary)
+            if abs(y0 - level) <= vary + tol and (found := stepper._roots([y0 - level, *c], tol)):
+                return ts[i] + found[0] * (ts[i + 1] - ts[i])
+        if side * (ys[i + 1][k] - level) <= 0.0:
+            return ts[i + 1]
+    return None
+
+
+def test_the_centred_walk_finds_every_crossing_the_uncentred_one_finds():
+    # seeded (A, B) paths of random problems, walked at levels B reaches,
+    # touches or misses: the same float or None either way
+    from helpers import random_problem
+
+    from bsym.quad import nested_path
+
+    rng = random.Random(4141)
+    found = 0
+    for _ in range(40):
+        p = random_problem(rng)
+        m = (p.n.p - p.n.q) / p.n.q
+        for t_end in (3.0, -3.0):
+            try:
+                path = nested_path(p.a, p.b, (m,), t_end)
+            except Exception:  # a coefficient that fails on the span
+                continue
+            bs = [y[1] for y in path.ys]
+            levels = [rng.uniform(min(bs), max(bs)) for _ in range(4)]
+            levels += [max(bs), min(bs), max(bs) * (1.0 + 1e-9) + 1e-11, bs[len(bs) // 2]]
+            for level in levels:
+                for k in (0, 1):
+                    got = path._walk(k, level)
+                    assert got == _reference_walk(path, k, level), (p, t_end, k, level)
+                    found += got is not None
+    assert found > 100
+
+
 def test_extension_weights_at_step_end_are_the_fifth_order_weights():
     sums = [sum(row) for row in _P]
     assert sums[:5] == pytest.approx([_B1, _B3, _B4, _B5, _B6], rel=1e-14)

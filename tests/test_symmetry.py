@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from bsym import (
     parse_expr,
     oracle,
     problem,
+    solution_values,
     transform_problem,
     validity_interval,
     validity_intervals,
@@ -336,7 +338,7 @@ def test_verify_cases_walks_p1_once_per_distinct_time(monkeypatch, method):
     monkeypatch.setattr("bsym.quad.grid_values", recording)
     reports = verify_cases(p, cases, method=method)
     assert reports == expected
-    assert len(calls) == 1 + len(cases)  # p1 first, then each partner
+    assert len(calls) == 1  # p1 alone: every partner is certified and reads p1's values
     p1_times = [t for walk in calls[0] for t in walk]
     assert sorted(p1_times) == sorted(set(expected[0].grid))
     assert len(p1_times) == len(expected[0].grid) == 51
@@ -478,6 +480,28 @@ def test_grid_stays_inside_common_validity():
 
 # --- negative cases: violated hypotheses must break the relations -------------------
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["p1", "partner"])
+def test_a_case_with_a_value_that_is_not_finite_fails(monkeypatch, bad, where):
+    # inf - inf is NaN, which max() skips, and y_scale = inf makes any
+    # residual pass the scaled rule: a case passes only on finite values.
+    # T3i holds for both problems; only structural parity certifies it, so
+    # the second's partner is solved on its own paths
+    p = problem("cos(t)", "sin(t)" if where == "p1" else "sin(t) + 0.0*exp(t)", 2, 1.0)
+
+    def spoiled(q, ts):
+        ys = solution_values(q, ts)
+        if (q is p) is (where == "p1"):
+            ys[len(ys) // 2] = bad
+        return ys
+
+    assert verify_cases(p, ["T3i"], method="closed")[0].passed
+    monkeypatch.setattr("bsym.symmetry.solution_values", spoiled)
+    (report,) = verify_cases(p, ["T3i"], method="closed")
+    assert not report.passed
+    assert not all(map(math.isfinite, report.residuals))
+
+
 def test_forced_origin_violation_has_large_residual():
     # T2i forced onto a problem whose a is not even
     p = problem("t + 1", "0", 2, 1.0)
@@ -502,7 +526,7 @@ def test_forced_y_axis_violation_has_large_residual():
     assert rep.max_residual > 1e-2
 
 
-# --- the oracle's path table changes no answer ---------------------------------------
+# --- a certified partner is read from p1's solve ----------------------------
 
 def _own_oracle_values(p, ts):
     """Oracle y of p on ts from p's own `rk_solve` toward each side's
@@ -517,12 +541,41 @@ def _own_oracle_values(p, ts):
     return [y for (y,) in grid_values(solve, ts)]
 
 
+def _general_route(monkeypatch):
+    """Make verify_cases certify no partner: every partner is then searched
+    with p1 and solved on its own paths, the oracle's with no path shared
+    between problems or sides."""
+    monkeypatch.setattr("bsym.symmetry.reflections", lambda a, b, cls: (a, b, []))
+    monkeypatch.setattr("bsym.symmetry.solve_on_grid", _own_oracle_values)
+
+
+def _outcomes(sets, method):
+    """verify_cases of each (p1, cases, force), or its error's type and text."""
+    out = []
+    for p, cases, force in sets:
+        try:
+            out.append(verify_cases(p, cases, method=method, force=force))
+        except BsymError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
 def _showcase():
     path = Path(__file__).parents[1] / "scripts" / "run_catalog.py"
     spec = importlib.util.spec_from_file_location("run_catalog", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return [p for _, p in script.SHOWCASE]
+
+
+def _verify_inputs(seed):
+    """The verify-all benchmark's problems at an input seed, with their cases."""
+    path = Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)  # its dataclasses look their module up by name
+    items = gen.verify_inputs(seed, 40)
+    return [(problem(i.a, i.b, i.n_text, i.d), list(i.expected_cases), False) for i in items]
 
 
 def _oracle_verify_sets(name):
@@ -544,34 +597,83 @@ def _oracle_verify_sets(name):
 
 @pytest.mark.parametrize("name", ["conforming", "random", "showcase"])
 def test_oracle_reports_equal_those_of_each_problems_own_solves(monkeypatch, name):
-    # a partner side read as a mirror of an integrated path must give the
-    # report, or the error, that its own integration gives, floats
-    # included; this also checks that the platform's sin and sinh are
-    # exactly odd, cos and cosh exactly even and pow exactly
-    # sign-symmetric, which the mirrors of t -> -t rely on
+    # a certified partner read as p1 reflected must give the report, or the
+    # error, that its own integration gives, floats included; this also
+    # checks that the platform's sin and sinh are exactly odd, cos and cosh
+    # exactly even and pow exactly sign-symmetric, which the t-mirrors rely on
     solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
-
-    def outcomes():
-        out = []
-        for p, cases, force in _oracle_verify_sets(name):
-            try:
-                out.append(verify_cases(p, cases, method="oracle", force=force))
-            except BsymError as exc:
-                out.append((type(exc), str(exc)))
-        return out
-
-    shared = outcomes()
-    shared_solves = len(solves)
+    sets = _oracle_verify_sets(name)
+    certified = _outcomes(sets, "oracle")
+    certified_solves = len(solves)
     solves.clear()
-    monkeypatch.setattr(
-        "bsym.symmetry.solve_on_grids",
-        lambda requests: [_own_oracle_values(p, ts) for p, ts in requests],
-    )
-    own = outcomes()
-    assert shared == own
-    reports = [r for outcome in shared if isinstance(outcome, list) for r in outcome]
-    assert len(reports) >= len(shared)  # mostly reports, not errors
-    assert shared_solves < len(solves)  # and the table did share paths
+    _general_route(monkeypatch)
+    own = _outcomes(sets, "oracle")
+    assert certified == own
+    reports = [r for outcome in certified if isinstance(outcome, list) for r in outcome]
+    assert len(reports) >= len(certified)  # mostly reports, not errors
+    assert certified_solves < len(solves)  # and certified partners solved nothing
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+@pytest.mark.parametrize("inputs", ["showcase", 1, 2, 3])
+def test_certified_reports_equal_those_of_the_general_route(monkeypatch, inputs, method):
+    # `bsym verify --case all` on the showcase and on the verify-all
+    # benchmark's problems: reading each certified partner as p1 reflected
+    # changes no report and no error, bit for bit
+    if inputs == "showcase":
+        sets = [(p, applicable_cases(p), False) for p in _showcase()]
+    else:
+        sets = _verify_inputs(inputs)
+    searched = count_calls(monkeypatch, "bsym.symmetry", "validity_intervals")
+    certified = _outcomes(sets, method)
+    assert sum(len(call[0]) for call in searched) == len(sets)  # p1 alone, each time
+    _general_route(monkeypatch)
+    assert certified == _outcomes(sets, method)
+    assert sum(isinstance(outcome, list) for outcome in certified) >= len(sets) - 1
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+def test_a_certified_case_runs_no_partner_search_or_solve(monkeypatch, method):
+    p = problem("cos(t)", "sin(t)", 2, 1.0)
+    cases = applicable_cases(p)
+    searched = count_calls(monkeypatch, "bsym.symmetry", "validity_intervals")
+    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
+    paths = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    values = count_calls(monkeypatch, "bsym.symmetry", "solution_values")
+    reports = verify_cases(p, cases, method=method)
+    assert [call[0] for call in searched] == [[p]]
+    assert len(paths) == 2  # p1's two sides of the search; the closed form reads them
+    grid = reports[0].grid
+    if method == "oracle":
+        assert [(call[0], call[1]) for call in solves] == [(p, grid[-1]), (p, grid[0])]
+    else:
+        assert not solves and [call[0] for call in values] == [p]
+    for case, report in zip(cases, reports):
+        assert report.common_validity == reports[0].common_validity and report.grid == grid
+        assert report.residuals == (0.0,) * 51 and report.passed
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+@pytest.mark.parametrize(
+    "a, b, case, force",
+    [
+        ("t + 1", "0", "T2i", True),  # forced: a is not even
+        ("cos(t)", "sin(t) + 0.0*exp(t)", "T3i", False),  # b is odd by sampling only
+    ],
+)
+def test_an_uncertified_partner_is_solved_on_its_own_paths(monkeypatch, method, a, b, case, force):
+    p = problem(a, b, 2, 1.0)
+    p2 = transform_problem(p, case, force=force)
+    searched = count_calls(monkeypatch, "bsym.symmetry", "validity_intervals")
+    solves = count_calls(monkeypatch, "bsym.oracle", "rk_solve")
+    values = count_calls(monkeypatch, "bsym.symmetry", "solution_values")
+    (report,) = verify_cases(p, [case], method=method, force=force)
+    assert [call[0] for call in searched] == [[p, p2]]
+    if method == "oracle":
+        assert [call[0] for call in solves] == [p, p, p2, p2]
+    else:
+        assert [call[0] for call in values] == [p, p2]
+    assert report.passed is not force
 
 
 def _reflection_keys(p):
