@@ -15,6 +15,10 @@ The record holds, for the change numbered N:
   the working tree's, each pair starting with the other side than the pair
   before: each run's end-to-end metrics (`BENCHMARK.json`), the median
   head/parent ratio per metric and the number of pairs the head won;
+* the parent's commit id and whether the working tree's `src/` and
+  `bench/` differ from it: where they do not, as in a record written after
+  the change is committed, the pairs compare the parent with itself, and
+  the script says so on stderr;
 * the answer digests of `scripts/digest.py` at input seeds 1 and 2;
 * one tier-1 run (`python -m pytest -q --continue-on-collection-errors`):
   its wall time, exit code and passed, skipped and failed counts (errors
@@ -101,16 +105,23 @@ def _last_json(*args: str) -> dict:
     return json.loads(_output(*args).strip().splitlines()[-1])
 
 
+def _git(*args: str) -> str:
+    """stdout of one git command that must succeed, run at the repository root."""
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+
+
 @contextmanager
 def _parent_tree():
     """A detached `git worktree` of HEAD in a temporary directory, removed
-    on leaving, whatever happens."""
+    on leaving, whatever happens, and HEAD's commit id and whether the
+    working tree's src/ and bench/ differ from it, untracked files
+    included."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-record-"))
     tree = tmp / "parent"
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree), "HEAD"],
-                       cwd=ROOT, check=True, capture_output=True)
-        yield tree
+        _git("worktree", "add", "--detach", str(tree), "HEAD")
+        changed = _git("status", "--porcelain", "--untracked-files=all", "--", "src", "bench")
+        yield tree, {"commit": _git("rev-parse", "HEAD").strip(), "differs": bool(changed.strip())}
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
@@ -206,6 +217,7 @@ def main() -> int:
         "pr": args.pr,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "parent": {},
         "runs": [],
         "digests": {},
         "pairs": {},
@@ -222,7 +234,8 @@ def main() -> int:
                 record["runs"].append({"command": command, "result": _last_json("bench/run.py", *command)})
         for seed in ("1", "2"):
             record["digests"][seed] = _output("scripts/digest.py", "--seed", seed).strip()
-        with _parent_tree() as parent:
+        with _parent_tree() as (parent, commit):
+            record["parent"] = commit
             for workload in WORKLOADS:
                 print(f"paired parent/head runs: {workload}", file=sys.stderr)
                 record["pairs"][workload] = _pairs(parent, workload)
@@ -234,6 +247,9 @@ def main() -> int:
     record["mutation"] = _mutation_gate()
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if not record["parent"]["differs"]:
+        print(f"bench_record: src/ and bench/ equal the parent commit {record['parent']['commit']}:"
+              " its pairs compare the parent with itself", file=sys.stderr)
     faults = _faults(record)
     for fault in faults:
         print(fault, file=sys.stderr)

@@ -101,13 +101,30 @@ MUTANTS = [
         ("tests/test_oracle.py::test_blow_up_marker",),
     ),
     Mutant(
-        "shared-path-reuses-any-longer-path",
-        "stepper.py",
-        "source = paths.get((*key, r * t_end))",
-        "source = next((q for (*k, x), q in paths.items() if k == [*key] and 0.0 <= r * t_end * x"
-        " and abs(t_end) <= abs(x)), None)",
+        "mirror-reuses-any-longer-path",
+        "quad.py",
+        "if mirror and end == -t_end:",
+        "if mirror and end is not None and end * t_end < 0.0 and abs(t_end) <= abs(end):",
         "a path toward a farther end serves a nearer one: different first and last steps",
         ("tests/test_quad.py::test_a_side_reads_a_mirror_only_of_a_path_toward_its_exact_end",),
+    ),
+    Mutant(
+        "mirror-ignores-the-multiplier",
+        "quad.py",
+        "for _, _, ka, kb, _ in views if ka * mult == sa * mult]",
+        "for _, _, ka, kb, _ in views]",
+        "a side toward -t reads the mirror of the path toward t for an even a0,"
+        " so B_{-m} where B_m belongs: wrong values and validity ends",
+        ("tests/test_closedform.py::test_a_side_is_the_other_sides_mirror_only_where_it_keeps_the_multiplier",),
+    ),
+    Mutant(
+        "mirror-skips-m-zero",
+        "quad.py",
+        "for _, _, ka, kb, _ in views if ka * mult == sa * mult]",
+        "for _, _, ka, kb, _ in views if ka == sa]",
+        "only an odd a0 mirrors a side, so a unit exponent's grid with a0 even"
+        " integrates both sides where one path serves",
+        ("tests/test_closedform.py::test_a_side_is_the_other_sides_mirror_only_where_it_keeps_the_multiplier",),
     ),
     Mutant(
         "tangent-allowance-x10",
@@ -432,10 +449,10 @@ MUTANTS = [
     Mutant(
         "ab-values-fresh-side-keeps-top-minus",
         "quad.py",
-        "path = searched[side] = ab_path(paths, a, b, mult, x)",
+        "path = searched[side] = sides(x)",
         "path = searched[side] = nested_path(a, b, (mult,), x)",
         "a solve grid's fresh side integrates a and b with their top minuses:"
-        " a tree and its negation compile two shapes, and no mirror is shared",
+        " a tree and its negation compile two shapes, and no side reads a mirror",
         ("tests/test_quad.py::test_no_path_integrates_a_tree_with_its_top_minus",),
     ),
     Mutant(
@@ -495,8 +512,8 @@ MUTANTS = [
     Mutant(
         "ab-values-keeps-a-fresh-path-to-itself",
         "quad.py",
-        "path = searched[side] = ab_path(",
-        "path = ab_path(",
+        "path = searched[side] = sides(",
+        "path = sides(",
         "the caller's table never learns the path that answered a side, so an"
         " unsearched problem's evaluator has no zero of G to stop at",
         ("tests/test_closedform.py::test_ab_values_past_the_searched_path_integrates_afresh",),

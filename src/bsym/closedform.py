@@ -27,7 +27,9 @@ from one place, `_radicand`, and both end it at G's first zero on a path.
 A and B come from paths integrated at the quadrature's one fixed step
 control, `quad.QUAD_CONTROL`, which each path records; its tolerances are
 also the error scale at which the validity search counts a tangent touch
-of G = 0.
+of G = 0.  Each problem integrates its own paths, one per side of 0 or
+one read on both sides through a certified t-mirror, and keeps those of
+its latest search; no path is shared between problems.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .exponent import (
     parse_exponent,
     signed_pow,
 )
-from .quad import ab_path, ab_values
+from .quad import ab_sides, ab_values
 
 __all__ = [
     "ProblemSpec",
@@ -159,7 +161,7 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     (A, B) come from `ab_values`: a side of 0 that p's latest validity
     search path reaches is answered from that path, which was integrated
     at the same `QUAD_CONTROL` as a fresh one; otherwise from the
-    reflection rule's path (`quad.ab_path`), a mirror or a fresh one.
+    reflection rule's path (`quad.ab_sides`), a mirror or a fresh one.
     Where G = 0 is a pole or an even root's edge, a point at or past G's
     first zero on the path that answers it, where `validity_intervals`
     ends the interval, or where G lacks G(0)'s sign, raises OutsideValidity
@@ -234,14 +236,14 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     within the error scale of the path's control (abs_tol + rel_tol*|B| in
     B) counts.
     A and B depend on a, b and n-1 only, and each side of a problem
-    resolves once, from one table per call, to a path by the reflection
-    rule (`quad.ab_path`): an integrated path or a `stepper.PathView` of
-    one, which the problem keeps and whose first crossing is its end.  So
-    p1 shares its paths with the partners that flip d, a or b and, with a
-    and b of structural parity, with those that reflect t; with a odd, one
-    integration serves both sides of a problem.  A path caches its
-    crossings, so a problem whose interval is an earlier one's, or its
-    reflection, walks nothing.
+    resolves once to a path by the reflection rule (`quad.ab_sides`): an
+    integrated path or a `stepper.PathView` of one, which the problem
+    keeps and whose first crossing is its end.  Each problem integrates
+    its own sides, and no path is shared between problems: a partner that
+    `exponent.reflections` certifies is answered from p1's values
+    (`symmetry.verify_cases`) and searches nothing.  Where a0 is odd and
+    b0 of structural parity, the side toward -radius is the t-mirror of
+    the one toward +radius, so one integration serves both.
 
     Boundary kinds: Asymptote when the root exponent is negative (the
     solution diverges), RootBoundary otherwise (the root loses its real
@@ -257,7 +259,6 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    paths = {}  # the integrated (A, B) paths, see `quad.ab_path`
     out = []
     for p in problems:
         if p.n.cls is ExponentClass.ONE:
@@ -270,9 +271,10 @@ def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) ->
 
         level = g0 / m  # the B at which G vanishes; nonzero, as B(0) = 0 must differ from it
         p._searched.clear()
+        solve = ab_sides(p.a, p.b, m)
         ends = []
         for direction in (1.0, -1.0):
-            path = p._searched[direction] = ab_path(paths, p.a, p.b, m, direction * search_radius)
+            path = p._searched[direction] = solve(direction * search_radius)
             found = path.first_crossing(1, level)
             limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
             ends.append(limit if found is None else (found, zero_kind))

@@ -120,10 +120,12 @@ def reflections(a: Expr, b: Expr, cls: Optional[ExponentClass] = None) -> tuple:
     `reflection_signs` and sa, sb folded in, the own view (1, 1, sa, sb, 1)
     first.  r = -1 only where `expr.structural_parity` gives a0 and b0
     parities (a sampled parity never shares), s = -1 only where cls has a
-    real power of a negative base (never for cls = None).  The quadrature's
-    path table reads (A, B) paths by it (cls = None), `symmetry.verify_cases`
-    certifies a partner as p1 reflected by it, and `oracle.solve_on_grid`
-    reads an even solution, the view (-1, 1, sa, sb, 1), at |t|.
+    real power of a negative base (never for cls = None).  The quadrature
+    reads a problem's (A, B) through its own view and, where the t-mirror
+    keeps the multiplier, its side toward -t on its path toward t
+    (`quad.ab_sides`, cls = None), `symmetry.verify_cases` certifies a
+    partner as p1 reflected by it, and `oracle.solve_on_grid` reads an
+    even solution, the view (-1, 1, sa, sb, 1), at |t|.
     """
     (sa, a0), (sb, b0) = split_sign(a), split_sign(b)
     eps = {1.0: (1, 1)}  # r -> (eps_a, eps_b)

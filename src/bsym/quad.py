@@ -32,9 +32,10 @@ toward a negative t directly yields int_0^t.  A grid of t is answered by
 `ab_values` from one path per side of 0 through `stepper.grid_values`: a
 path the caller hands in (a problem's validity search paths) where it
 reaches the grid's farthest t on that side, else the path that the one
-reflection rule (`ab_path`) gives, as it does for the validity search: a
-certified t-mirror of the other side's path toward the same |t|, or a
-fresh path of the trees under a's and b's top minuses.  A(t) is the first
+reflection rule (`ab_sides`) gives, as it does for the validity search: a
+certified t-mirror of the other side's path, integrated by the same call
+toward the same |t|, or a fresh path of the trees under a's and b's top
+minuses.  No path is shared between problems.  A(t) is the first
 component of every pair; with m = 0 the pair is (int_0^t a, int_0^t b),
 which is all the unit exponent's closed form d * exp(A + B) needs.
 
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import MutableMapping, Optional, Sequence, Union
+from typing import Callable, MutableMapping, Optional, Sequence, Union
 
 from .errors import EvalError, ParityViolation
 from .expr import (
@@ -75,21 +76,14 @@ from .expr import (
     split_sign,
 )
 from .exponent import RationalExponent, minus_one, reflection_signs, reflections
-from .stepper import (
-    DensePath,
-    PathView,
-    StepControl,
-    grid_values,
-    integrate,
-    shared_path,
-)
+from .stepper import DensePath, PathView, StepControl, grid_values, integrate
 
 __all__ = [
     "QUAD_CONTROL",
     "Identity",
     "ab_values",
     "nested_path",
-    "ab_path",
+    "ab_sides",
     "identity_residuals",
 ]
 
@@ -121,19 +115,28 @@ def nested_path(a: Expr, b: Expr, mults: tuple, t: float) -> DensePath:
         raise EvalError(f"integrand overflow: {exc}") from None
 
 
-def ab_path(
-    paths: dict, a: Expr, b: Expr, mult: float, t_end: float
-) -> Union[DensePath, PathView]:
-    """The (A, B) path of (a, b, mult) from 0 to t_end by the reflection
-    rule (`exponent.reflections`), from the caller's table `paths` of
-    integrated (a0, b0, (m0,)) paths keyed by (a0, b0, (m0,), t_end)
-    (`stepper.shared_path`): a view (r, ka, kb) reads the path of
-    (a0, b0, (ka*mult,)) toward r*t_end with signs (ka, kb), and a fresh
-    path integrates the own view's (a0, b0, (sa*mult,)).
+def ab_sides(a: Expr, b: Expr, mult: float) -> Callable[[float], Union[DensePath, PathView]]:
+    """solve(t_end), the (A, B) path of (a, b, mult) from 0 to t_end by the
+    reflection rule (`exponent.reflections`): where solve last integrated
+    toward exactly -t_end and the certified t-mirror (-1, 1, ka, kb, 1)
+    keeps the multiplier (ka*mult == sa*mult: a0 odd, or mult = 0), that
+    path read at -t with signs (ka, kb); else a fresh path of
+    (a0, b0, sa*mult) read through the own view (sa, sb).
     """
-    a0, b0, views = reflections(a, b)
-    keyed = [(r, (ka, kb), (a0, b0, (ka * mult,))) for r, _, ka, kb, _ in views]
-    return shared_path(paths, keyed, t_end, lambda x: nested_path(*keyed[0][2], x))
+    a0, b0, ((_, _, sa, sb, _), *views) = reflections(a, b)
+    mirror = [(ka, kb) for _, _, ka, kb, _ in views if ka * mult == sa * mult]
+    last = (None, None)  # (t_end, path) of solve's latest integration
+
+    def solve(t_end: float) -> Union[DensePath, PathView]:
+        nonlocal last
+        end, source = last
+        if mirror and end == -t_end:
+            return PathView(source, -1.0, mirror[0])
+        source = nested_path(a0, b0, (sa * mult,), t_end)
+        last = (t_end, source)
+        return source if sa == sb == 1.0 else PathView(source, 1.0, (sa, sb))
+
+    return solve
 
 
 def ab_values(
@@ -148,22 +151,21 @@ def ab_values(
     `searched` maps a side of 0 (1.0 or -1.0) to a path from 0 of
     (a, b, mult), integrated or a `PathView`, such as a problem's
     validity-search paths.  A side is answered from searched[side] if that
-    path reaches the side's farthest t; otherwise by the reflection rule
-    (`ab_path`) from one table per call: the other side's path toward the
-    same |t| where it is a certified t-mirror, else a fresh path of
-    (a0, b0, sa*mult) read through the own view, exactly the path of
-    (a, b, mult), stored as searched[side]: the table ends holding each
+    path reaches the side's farthest t; otherwise from `ab_sides`: the
+    certified t-mirror of the other side's path where this call has just
+    integrated it toward the same |t|, else a fresh path, exactly the path
+    of (a, b, mult), stored as searched[side]: the table ends holding each
     side's path.  Every path runs at `QUAD_CONTROL`, so either way the
     values agree with a fresh path to the quadrature tolerance.
     """
     searched = {} if searched is None else searched
-    paths: dict = {}  # the sides integrated by this call, see `ab_path`
+    sides = ab_sides(a, b, mult)
 
     def solve(x: float) -> Union[DensePath, PathView]:
         side = 1.0 if x >= 0.0 else -1.0
         path = searched.get(side)
         if path is None or abs(x) > abs(path.t_reached):
-            path = searched[side] = ab_path(paths, a, b, mult, x)
+            path = searched[side] = sides(x)
         return path
 
     return grid_values(solve, ts)

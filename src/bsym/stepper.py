@@ -57,10 +57,10 @@ at.  `grid_values` answers a grid that straddles t = 0 from one
 `PathView` is a path read through t -> r*t, r = +-1, with its components'
 signs changed, a view that queries its source and copies nothing: the one
 place that knows how a reflection acts on a path's values and crossings.
-`shared_path` is the one lookup of the one table of integrated paths, the
-quadrature's (A, B) table: the validity search and a solve grid's fresh
-sides read a problem whose (A, B) is a reflection of one already
-integrated (`exponent.reflections`) through a view of that one's path.
+The quadrature reads a problem's (A, B) through a view of a path of the
+trees under a's and b's top minuses (`quad.ab_sides`), the side toward
+-t through the t-mirror of the problem's own path toward t where
+`exponent.reflections` certifies it; no path is kept across problems.
 The identities and the oracle need no view: under a certified mirror they
 read at -t on the same path where they would read at t < 0, and
 `symmetry.verify_cases` answers a certified partner from p1's values.
@@ -78,7 +78,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import StepFailure
 from .expr import Bound, CheckedForm
@@ -87,7 +87,6 @@ __all__ = [
     "StepControl",
     "DensePath",
     "PathView",
-    "shared_path",
     "StepUnderflow",
     "StepBudgetExceeded",
     "integrate",
@@ -199,7 +198,7 @@ class DensePath:
     a level on the same extensions.  A step's coefficients are built on its
     first query and cached, so a path queried at only a few points pays
     for only those steps; a crossing is cached once found, so a level that
-    several problems read, or their reflections, is walked once.
+    a problem's two sides read through a t-mirror is walked once.
 
     `integrate` returns an instance of the subclass `_path_class` renders
     for the state's dimension, which defines `values` and `_extension`; `ctl`
@@ -275,7 +274,10 @@ class PathView:
     """Read-only view of a `source` path, of any number of components,
     through t -> r*t, r = +-1: at t it holds signs[k] * source(r*t)[k] in
     each component k.  The reflection rule (`exponent.reflections`)
-    builds it for the quadrature's (A, B) paths through `shared_path`.
+    builds it for the quadrature's (A, B) paths (`quad.ab_sides`): a
+    problem's own view of a path of the trees under a's and b's top
+    minuses, and its t-mirror, which reads one problem's path toward t on
+    its side toward -t.
     No other code reads r or signs: a caller queries a view as it queries
     any path.  Its contract is also why the oracle's fresh paths of two
     problems that reflect each other are each other's views, so that
@@ -320,29 +322,6 @@ class PathView:
         caches."""
         found = self.source.first_crossing(k, self.signs[k] * level)
         return None if found is None else self.r * found
-
-
-def shared_path(
-    paths: dict, views: Sequence[tuple], t_end: float, fresh: Callable[[float], DensePath]
-) -> Union[DensePath, PathView]:
-    """The path toward t_end through the first view (r, signs, key), own
-    view first (`exponent.reflections`), whose source the table `paths`
-    holds under (*key, r*t_end), else through the first view of
-    fresh(t_end), stored under that view's key: `PathView(source, r,
-    signs)`, or the source itself where r and every sign are 1.  The exact
-    end is in the key because a path's first step (span/64) and its
-    clamped last step depend on it.
-    """
-    for r, signs, key in views:
-        source = paths.get((*key, r * t_end))
-        if source is not None:
-            break
-    else:
-        r, signs, key = views[0]
-        source = paths[(*key, t_end)] = fresh(t_end)
-    if r == 1.0 and all(sign == 1.0 for sign in signs):
-        return source
-    return PathView(source, r, signs)
 
 
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:

@@ -1,7 +1,6 @@
 """Shared test utilities: an independent Simpson oracle, random
 parity-conforming problem generators, the (A, B) path of a coefficient
-pair's own trees, the Neg-free triple whose paths a validity search
-integrates, a call counter for work-count tests and the environment
+pair's own trees, a call counter for work-count tests and the environment
 for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
@@ -27,7 +26,7 @@ from bsym import (
     parse_expr,
     quad,
 )
-from bsym.expr import Neg, checked_factory
+from bsym.expr import checked_factory
 from bsym.stepper import integrate
 
 
@@ -154,18 +153,6 @@ def own_path(a, b, mult: float, t_end: float):
         return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL)
     except OverflowError as exc:  # exp(mult * A)
         raise EvalError(f"integrand overflow: {exc}") from None
-
-
-def canonical_key(p):
-    """The (a0, b0, m0) whose paths p's validity search integrates: a and b
-    with the unary minuses at the top of their trees stripped, and n - 1
-    times the sign taken out of a."""
-    a, b, m = p.a, p.b, (p.n.p - p.n.q) / p.n.q
-    while isinstance(a, Neg):
-        a, m = a.arg, -m
-    while isinstance(b, Neg):
-        b = b.arg
-    return a, b, m
 
 
 # --- work counts ----------------------------------------------------------------

@@ -85,12 +85,17 @@ def worktrees(path: Path) -> list:
     return [line for line in out.splitlines() if line.startswith("worktree ")]
 
 
-def write_record(monkeypatch, tmp_path, capsys, fault):
-    """Run `main` on a fake tree with `fault`: (exit code, record, calls,
-    the stderr lines after the progress lines, one per fault)."""
+def write_record(monkeypatch, tmp_path, capsys, fault, edit="src/bsym/m.py"):
+    """Run `main` on a fake tree with `fault`, whose file `edit` (relative
+    to the tree) is written after the parent is committed: (exit code,
+    record, calls, the stderr lines after the progress lines, one per
+    fault, after the line that says the parent is paired with itself where
+    it is)."""
     (tmp_path / "src" / "bsym").mkdir(parents=True)
     (tmp_path / "src" / "bsym" / "m.py").write_text('"""Doc."""\n\n# note\nx = 1\n', encoding="utf-8")
     git_tree(tmp_path)
+    if edit:
+        (tmp_path / edit).write_text('"""Doc."""\n\n# note\nx = 2\n', encoding="utf-8")
     run, calls = fake_run(fault)
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "_run", run)
@@ -179,6 +184,30 @@ def test_paired_runs_alternate_sides_and_say_who_won(monkeypatch, tmp_path, caps
                                       "ok_frac": 0, "peak_rss_mb": 0, "setup_s": 0}
     # the parent's worktree is gone, from the disk and from git's list
     assert not Path(parent).exists() and len(worktrees(tmp_path)) == 1
+
+
+def head(path: Path) -> str:
+    return subprocess.run(["git", "-C", str(path), "rev-parse", "HEAD"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "edit, differs",
+    [(None, False), ("src/bsym/m.py", True), ("bench/new.py", True), ("notes.py", False)],
+    ids=["committed", "modified", "untracked", "outside"],
+)
+def test_the_record_names_its_parent_and_says_when_the_tree_equals_it(
+    monkeypatch, tmp_path, capsys, edit, differs
+):
+    # a record written after the commit pairs the change with itself: the
+    # record names the parent commit and whether src/ and bench/ differ
+    # from it, untracked files included, and stderr says when they do not
+    code, record, calls, lines = write_record(monkeypatch, tmp_path, capsys, None, edit)
+    assert code == 0 and record["parent"] == {"commit": head(tmp_path), "differs": differs}
+    assert len(head(tmp_path)) == 40
+    note = (f"bench_record: src/ and bench/ equal the parent commit {head(tmp_path)}:"
+            " its pairs compare the parent with itself")
+    assert lines == ([] if differs else [note])
 
 
 def test_a_paired_run_that_is_not_correct_fails_the_change(monkeypatch, tmp_path, capsys):

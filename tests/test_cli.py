@@ -518,12 +518,11 @@ def test_verify_all_with_no_applicable_case_is_exit_3(tmp_path, method):
 
 
 def test_verify_all_integrates_each_distinct_path_once(tmp_path, monkeypatch):
-    # a odd, b even: T2ii flips d only, T2iv and T3ii both flip b, and the
-    # path of (a, -b) is that of (a, b) with B negated, so the validity
-    # search integrates the (A, B) path of (a, b) alone; with a odd and b
-    # even its path toward -4 is its path toward +4 read at -t with B
-    # negated, so one integration serves both sides (it was one per side
-    # before reflections were shared).  The oracle solves p1 once per side
+    # a odd, b even: T2ii flips d only, T2iv and T3ii both flip b, every
+    # partner is certified, so the validity search integrates the (A, B)
+    # path of p1 alone; with a odd and b even its path toward -4 is its
+    # path toward +4 read at -t with B negated, so one integration serves
+    # both sides.  The oracle solves p1 once per side
     # for all three cases; every partner's y is p1's read through a
     # reflection (T2ii: y2(-t) = -y1(t); T2iv: y2 = -y1; T3ii: y2(-t) = y1(t)),
     # and the cases share one grid, so each partner side reads a mirror

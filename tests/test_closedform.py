@@ -22,11 +22,10 @@ from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
 from bsym.quad import ab_values
 from bsym.exponent import ExponentClass, classify_exponent, parse_exponent
-from bsym.expr import negated, parse_expr
+from bsym.expr import Parity, negated, parse_expr, split_sign, structural_parity
 from bsym.stepper import DensePath, PathView, StepUnderflow, grid_values
 
 from helpers import (
-    canonical_key,
     conforming_problem,
     count_calls,
     own_path,
@@ -402,43 +401,50 @@ def test_tiny_initial_value_is_domain_error_before_any_integration(monkeypatch):
     assert calls == []
 
 
-def test_validity_intervals_share_one_path_per_side_and_integrand(monkeypatch):
+def test_validity_intervals_integrate_each_problems_own_sides(monkeypatch):
     # (b, 1), (-b, 1) and (b, 2) as (B's coefficient, n-1): (-b, 1) is the
-    # path of (b, 1) with B negated, so two integrands, however many d; the
-    # unit exponent integrates nothing
+    # path of (b, 1) with B negated, yet no path is shared between
+    # problems, so each searched problem integrates its two sides (b has no
+    # parity, so no side is a mirror); the unit exponent integrates nothing
     b = "0.5 + t"
     ps = [problem("cos(t)", b, 2, d) for d in (1.0, -1.0, 0.5)]
     ps += [problem("cos(t)", f"-({b})", 2, 1.0), problem("cos(t)", b, 3, 2.0)]
     ps += [problem("cos(t)", b, 1, 1.0)]
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     got = validity_intervals(ps, 4.0)
-    assert len(calls) == 2 * 2
+    assert [call[3] for call in calls] == [4.0, -4.0] * 5
     monkeypatch.undo()
     assert got == [validity_interval(p, 4.0) for p in ps]
     assert len({v.hi for v in got[:3]}) == 3  # d moves the level
 
 
-def test_a_partner_that_shares_p1s_level_walks_nothing(monkeypatch):
+def test_each_problem_walks_its_levels_on_its_own_path(monkeypatch):
     # T2iv flips b and d: on n = 2 the level g0/(n-1) = 1/d flips with d,
-    # so the partner looks for B0 reaching p1's own level on p1's paths;
-    # T2ii flips d alone and needs a level of its own.  With a = sin odd and
-    # b = cos even, the path toward -4 is the one toward +4 read at -t with
-    # B negated, so every walk is on the +4 path: p1 walks level 1 there,
-    # and its -4 side level -1, which are T2ii's two sides as well; the
-    # path caches each crossing, so only these two are walked.  Before
-    # reflections were shared this read [1.0, 1.0, -1.0, -1.0]
+    # so the partner looks for B0 reaching p1's own level; T2ii flips d
+    # alone and needs a level of its own.  With a = sin odd and b = cos
+    # even, each problem's path toward -4 is its path toward +4 read at -t
+    # with B negated, so each problem integrates one path and walks both
+    # its levels there; no problem walks on another's path
     walks = []
     walk = DensePath._walk
 
     def counted(path, k, level):
-        walks.append(level)
+        walks.append((id(path), level))
         return walk(path, k, level)
 
     p1 = problem("sin(t)", "cos(t)", 2, 1.0)
     partners = [transform_problem(p1, case) for case in ("T2iv", "T2ii")]
     monkeypatch.setattr(DensePath, "_walk", counted)
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     got = validity_intervals([p1, *partners], 4.0)
-    assert walks == [1.0, -1.0]  # p1's two sides; T2iv and T2ii walk nothing
+    assert [call[3] for call in calls] == [4.0] * 3
+    assert [level for _, level in walks] == [1.0, -1.0, 1.0, -1.0, -1.0, 1.0]
+    assert len({path for path, _ in walks}) == 3
+    # the path caches each crossing: with b = t odd as well, the side
+    # toward -4 reads the very level that the side toward +4 walked
+    walks.clear()
+    validity_interval(problem("sin(t)", "t", 2, 1.0), 4.0)
+    assert [level for _, level in walks] == [1.0]
     monkeypatch.undo()
     assert got == [validity_interval(p, 4.0) for p in (p1, *partners)]
 
@@ -553,23 +559,24 @@ def test_only_the_latest_search_paths_are_kept():
     assert {key: path.t_reached for key, path in kept.items()} == {
         1.0: 1.0, -1.0: -1.0
     }
-    # another problem's search, shared paths included, leaves p's alone
+    # another problem's search leaves p's alone
     q, r = problem("sin(t)", "cos(t)", 2, -1.0), problem("cos(t)", "1", 3, 1.0)
     validity_intervals([q, r], 1.0)
     assert p._searched == kept and all(p._searched[k] is kept[k] for k in kept)
     assert all(q._searched[k] is not kept[k] for k in kept)
     v, w = problem("sin(t)", "cos(t)", 2, 0.5), problem("sin(t)", "cos(t)", 2, 2.0)
-    validity_intervals([v, w], 4.0)  # same a, b, n-1: one integrated path
+    validity_intervals([v, w], 4.0)  # same a, b, n-1: each integrates its own path
 
     def source(path):
         return path.source if isinstance(path, PathView) else path
 
-    # each problem reads its own view of it, and a = sin odd makes the side
-    # toward -4 the one toward +4 read at -t
-    assert isinstance(v._searched[-1.0], PathView) and v._searched[-1.0].r == -1.0
-    assert v._searched[-1.0] is not w._searched[-1.0]
-    assert all(source(v._searched[k]) is source(w._searched[k]) for k in kept)
-    assert source(v._searched[-1.0]) is v._searched[1.0]
+    # a = sin odd makes each problem's side toward -4 its own path toward
+    # +4 read at -t; the two problems' paths are equal bit for bit, not one
+    for x in (v, w):
+        assert isinstance(x._searched[-1.0], PathView) and x._searched[-1.0].r == -1.0
+        assert source(x._searched[-1.0]) is x._searched[1.0]
+    assert all(source(v._searched[k]) is not source(w._searched[k]) for k in kept)
+    assert v._searched[1.0].ys == w._searched[1.0].ys
     # a grid's fresh paths, here past the searched radius and inside p's
     # validity interval (-2.57, 1.03), are not kept
     solution_values(p, [-2.5, 1.02])
@@ -624,6 +631,24 @@ def test_ab_values_after_a_search_agree_with_a_fresh_path(monkeypatch):
         worst = max(_rel_diff(x, y) for g, f in zip(got, fresh) for x, y in zip(g, f))
         assert worst <= 1e-8, (p.a.source, p.b.source, str(p.n), p.d)
     assert reused >= 30  # the unit exponent searches nothing
+
+
+@pytest.mark.parametrize(
+    "n, ts, ends", [(1, [-2.0, 0.5, 2.0], [2.0]), (2, [-0.5, 0.5], [0.5, -0.5])], ids=["n=1", "n=2"]
+)
+def test_a_side_is_the_other_sides_mirror_only_where_it_keeps_the_multiplier(monkeypatch, n, ts, ends):
+    # a = cos even, b = sin odd: the t-mirror answers B_m at -t from B_{-m}
+    # at t, the same path only for m = n - 1 = 0, where the one path
+    # toward 2 answers both sides; for n = 2 each side integrates its own.
+    # Either way the values are those of fresh paths per side, bit for bit
+    p = problem("cos(t)", "sin(t)", n, 0.5)
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    got = outcome(lambda: solution_values(p, ts))
+    assert [call[3] for call in calls] == ends
+    monkeypatch.undo()
+    m = (p.n.p - p.n.q) / p.n.q
+    pairs = grid_values(lambda x: own_path(p.a, p.b, m, x), ts)
+    assert got == outcome(lambda: reference_solution_values(p, pairs, ts))
 
 
 # --- the per-point loop against the one it replaced --------------------------
@@ -758,7 +783,7 @@ def test_solution_at_a_zero_radicand(monkeypatch, n, y):
 
 
 
-# --- paths shared up to the signs of a and b, against each problem's own ------
+# --- paths read through the signs of a and b, against each problem's own -----
 
 def reference_search(p, radius: float = 4.0):
     """p's validity ends as [hi, lo], None where no zero lies within
@@ -805,16 +830,16 @@ def _variants(p1):
     ],
 )
 def test_flipped_coefficients_search_and_solve_as_their_own_trees(a, b, n, d):
-    # every flip of a, b and d, searched together so that they share
-    # paths, gets the ends and values of its own trees' paths bit for bit
+    # every flip of a, b and d, searched together, gets the ends and
+    # values of its own trees' paths bit for bit
     _search_and_solve_as_own_trees(_variants(problem(a, b, n, d)))
 
 
 def _search_and_solve_as_own_trees(problems):
     """Search `problems` together, in their order and reversed, then check
     each one's validity ends and `solution_values` against paths of its
-    own trees, nothing shared.  Reversed, another problem integrates first
-    and the others find its paths; the answers must not change."""
+    own trees, nothing shared.  Reversed, another problem integrates
+    first; the answers must not change."""
     refs = [reference_search(p) for p in problems]
     for order in (1, -1):
         got = validity_intervals(problems[::order], 4.0)[::order]
@@ -835,14 +860,14 @@ def _search_and_solve_as_own_trees(problems):
             )
 
 
-# --- paths shared across t -> -t, against each problem's own ------------------
+# --- paths read across t -> -t, against each problem's own --------------------
 
 @pytest.mark.parametrize(
     "a, b, n, d",
     [
         ("sin(t)", "cos(t)", "2", 1.0),  # a odd: p1's sides share one path
         ("sinh(t/2)", "cosh(t/3)", "3", 0.7),
-        ("cos(t)", "t^3", "2", 1.0),  # a even: partners that flip a share
+        ("cos(t)", "t^3", "2", 1.0),  # a even: each side integrates its own
         ("t^2*cos(t)", "sin(t)*cosh(t)", "-1", 0.5),  # products
         ("0.3*t", "2", "3/2", 1.2),  # a constant b
         ("-(sinh(t))", "-(t^4 + 1)", "3", 0.9),  # Neg-topped trees
@@ -851,16 +876,23 @@ def _search_and_solve_as_own_trees(problems):
         ("cosh(t) - 1", "t*cosh(t)", "4/3", 2.0),  # a zero at t = 0
     ],
 )
-def test_reflected_paths_search_and_solve_as_their_own_trees(a, b, n, d):
-    # p1 and its partners, searched together: a side answered by the
-    # reflection of another path gets the ends and values of the problem's
-    # own path toward that side, bit for bit
+def test_reflected_paths_search_and_solve_as_their_own_trees(monkeypatch, a, b, n, d):
+    # p1 and its partners, searched together: each problem integrates its
+    # own sides, and a side answered by the reflection of the problem's
+    # other side, where a is odd, gets the ends and values of the
+    # problem's own path toward that side, bit for bit
     p1 = problem(a, b, n, d)
     problems = [p1, *(transform_problem(p1, case) for case in applicable_cases(p1))]
     assert len(problems) > 1
+    odd_a = structural_parity(split_sign(p1.a)[1]) is Parity.ODD
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    validity_intervals(problems, 4.0)
+    assert [call[3] for call in calls] == ([4.0] if odd_a else [4.0, -4.0]) * len(problems)
+    monkeypatch.undo()
     _search_and_solve_as_own_trees(problems)
-    kept = [path for p in problems for path in p._searched.values()]
-    assert any(isinstance(path, PathView) and path.r < 0 for path in kept)
+    for p in problems:
+        mirrored = p._searched[-1.0]
+        assert (isinstance(mirrored, PathView) and mirrored.r < 0) is odd_a
 
 
 @pytest.mark.parametrize(
@@ -899,14 +931,14 @@ def test_reflected_paths_fail_as_their_own_trees(a, b, n):
 def test_sampled_parity_never_shares_a_reflection(monkeypatch):
     # t^2 + 1e-11*t samples as even, t + 1e-11*t^2 as odd; neither has a
     # structural parity, so no side is the reflection of another: every
-    # distinct (a0, b0, m0) integrates both of its sides
+    # problem integrates both of its sides
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     for a in ("t^2 + 0.00000000001*t", "t + 0.00000000001*t^2"):
         p1 = problem(a, "cos(t)", 2, 1.0)
         problems = [p1, *(transform_problem(p1, case) for case in applicable_cases(p1))]
         calls.clear()
         validity_intervals(problems, 4.0)
-        assert len(calls) == 2 * len({canonical_key(p) for p in problems})
+        assert [call[3] for call in calls] == [4.0, -4.0] * len(problems)
         calls.clear()
         validity_interval(p1, 4.0)
         assert [call[3] for call in calls] == [4.0, -4.0]

@@ -16,7 +16,6 @@ from bsym.stepper import (
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _P,
     DensePath, PathView, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
-    shared_path,
 )
 
 CTL = QUAD_CONTROL
@@ -954,33 +953,3 @@ def test_an_integer_power_of_a_negated_base_is_exactly_signed(x):
     # both sides raise
     for k in range(10):
         assert _outcome(lambda v: (-v) ** k, x) == _outcome(lambda v: (-1) ** k * v ** k, x), k
-
-
-def test_shared_path_reads_the_first_view_held_else_stores_a_fresh_path():
-    fresh_ends = []
-
-    def fresh(t_end):
-        fresh_ends.append(t_end)
-        return cos_path(t_end)
-
-    def parts(path):
-        return (path.source, path.r, path.signs) if isinstance(path, PathView) else path
-
-    paths = {}
-    own = (1.0, (1.0,), ("own",))
-    mirror = (-1.0, (-1.0,), ("mirror",))
-    # nothing held: a fresh path, stored under the first view's key and
-    # returned itself, since r and its sign are 1
-    source = shared_path(paths, [own, mirror], 0.5, fresh)
-    assert type(source) is not PathView and paths == {("own", 0.5): source}
-    # the own key answers before any mirror
-    paths[("mirror", -0.5)] = cos_path(-0.5)
-    assert shared_path(paths, [own, mirror], 0.5, fresh) is source
-    # a mirror is read at r * t_end, through a view
-    held = paths[("mirror", -0.7)] = cos_path(-0.7)
-    assert parts(shared_path(paths, [own, mirror], 0.7, fresh)) == (held, -1.0, (-1.0,))
-    # an own view that flips a sign is a view with r = 1
-    flipped = (1.0, (-1.0,), ("flipped",))
-    view = shared_path(paths, [flipped], 0.3, fresh)
-    assert parts(view) == (paths[("flipped", 0.3)], 1.0, (-1.0,))
-    assert fresh_ends == [0.5, 0.3]

@@ -677,8 +677,9 @@ def test_an_uncertified_partner_is_solved_on_its_own_paths(monkeypatch, method, 
 
 
 def _reflection_keys(p):
-    """p's views in the quadrature's key layout, (r, (a0, b0, ka*(n-1))),
-    and in the oracle's, (r, s, (a0, b0, n, ka, kb, kd*d)), own view first."""
+    """p's views as the (A, B) triples they read, (r, (a0, b0, ka*(n-1))),
+    and as the problems they name, (r, s, (a0, b0, n, ka, kb, kd*d)), own
+    view first."""
     m = minus_one(p.n)
     a0, b0, views = reflections(p.a, p.b)
     quad = [(r, (a0, b0, ka * m)) for r, _, ka, _, _ in views]
@@ -689,8 +690,9 @@ def _reflection_keys(p):
 
 @pytest.mark.parametrize("case", CATALOG, ids=lambda case: case.id)
 def test_a_partners_own_key_is_one_of_p1s_reflection_keys(case):
-    # so the path tables of the validity search and of the oracle read the
-    # partner as a reflection of p1's path, under the case's (r, s)
+    # so `exponent.reflections` names every catalog partner as p1 reflected
+    # by the case's (r, s), both as an (A, B) triple and as a problem: the
+    # certificate by which `verify_cases` reads the partner from p1's solve
     rng = random.Random(case.id)
     r, s = case.relation.r, case.relation.s
     for _ in range(4):
