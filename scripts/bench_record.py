@@ -9,12 +9,15 @@ The record holds, for the change numbered N:
 * the last JSON line of `bench/run.py` for each workload (verify-all,
   solve-dense, identities) at seed 1, run twice: untraced for 30 s
   (`--trace 0 --seconds 30`) and traced for 5 s (`--trace 1 --seconds 5`);
-* five interleaved pairs of untraced runs per workload at seed 1 for 5 s,
-  one of the parent's `bench/run.py` (a temporary `git worktree` of HEAD,
-  since the record is written before the change is committed) and one of
-  the working tree's, each pair starting with the other side than the pair
-  before: each run's end-to-end metrics (`BENCHMARK.json`), the median
-  head/parent ratio per metric and the number of pairs the head won;
+* `PAIRS` (10) interleaved pairs of untraced runs per workload at seed 1
+  for 5 s, one of the parent's `bench/run.py` (a temporary `git worktree`
+  of HEAD, since the record is written before the change is committed)
+  and one of the working tree's, each pair starting with the other side
+  than the pair before: each run's end-to-end metrics (`BENCHMARK.json`),
+  the median head/parent ratio per metric, the number of pairs the head
+  won and each side's quartiles [q1, median, q3] per metric, so that a
+  claimed gain can be checked: won in at least 9 of 10 pairs, by a median
+  gain above the parent's spread q3 - q1;
 * the parent's commit id and whether the working tree's `src/` and
   `bench/` differ from it: where they do not, as in a record written after
   the change is committed, the pairs compare the parent with itself, and
@@ -60,7 +63,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify-all", "solve-dense", "identities")
 RUNS = (("0", "30"), ("1", "5"))  # (--trace, --seconds)
 PAIRED = ("--seed", "1", "--seconds", "5", "--trace", "0")
-PAIRS = 5
+PAIRS = 10
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 MUTATE = ("scripts/mutate.py",)
 
@@ -131,7 +134,8 @@ def _parent_tree():
 def _pairs(parent: Path, workload: str) -> dict:
     """PAIRS interleaved untraced runs of the parent's `bench/run.py` and
     the working tree's: each run's end-to-end metrics and "correct", then
-    per metric the median head/parent ratio and the pairs the head won."""
+    per metric the median head/parent ratio, the pairs the head won and
+    each side's quartiles [q1, median, q3] (`statistics.quantiles`)."""
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     command = ["--workload", workload, *PAIRED]
     scripts = {"parent": str(parent / "bench" / "run.py"), "head": "bench/run.py"}
@@ -144,13 +148,16 @@ def _pairs(parent: Path, workload: str) -> dict:
             pair[side] = {"correct": result.get("correct"),
                           **{name: result["metrics"][name]["value"] for name in better}}
         pairs.append(pair)
-    ratios, won = {}, {}
+    ratios, won, quartiles = {}, {}, {}
     for name, direction in better.items():
         each = [p["head"][name] / p["parent"][name] for p in pairs if p["parent"][name]]
         ratios[name] = statistics.median(each) if each else None
         sign = 1.0 if direction == "higher" else -1.0
         won[name] = sum(sign * (p["head"][name] - p["parent"][name]) > 0.0 for p in pairs)
-    return {"command": command, "pairs": pairs, "median_ratio": ratios, "head_won": won}
+        quartiles[name] = {side: statistics.quantiles([p[side][name] for p in pairs], n=4)
+                           for side in ("parent", "head")}
+    return {"command": command, "pairs": pairs, "median_ratio": ratios, "head_won": won,
+            "quartiles": quartiles}
 
 
 def _tier1() -> dict:

@@ -230,8 +230,8 @@ MUTANTS = [
     Mutant(
         "form-loop-drops-b-finite-check",
         "stepper.py",
-        'lines += form.source(f"vec<{k}_i> = ", evaluate).splitlines()',
-        'lines += form.source(f"vec<{k}_i> = ", evaluate)'
+        'lines += form.source(f"{k}_0 = " if head else f"vec<{k}_i> = ", evaluate, head).splitlines()',
+        'lines += form.source(f"{k}_0 = " if head else f"vec<{k}_i> = ", evaluate, head)'
         '.replace("if f1 - f1:", "if False:").splitlines()',
         "a form's loop lets an infinite b reach the form's body, and the stepper"
         " retries the step instead of raising EvalError",
@@ -332,8 +332,8 @@ MUTANTS = [
     Mutant(
         "closed-form-drops-the-negative-radicand-sign",
         "closedform.py",
-        "y = scale * (neg * pow_(-g, e))",
-        "y = scale * pow_(-g, e)",
+        "y = scale * (neg * pow(-g, e))",
+        "y = scale * pow(-g, e)",
         "G^e of a negative radicand loses the sign its exponent class gives it: y has the wrong sign",
         ("tests/test_closedform.py",),
     ),
@@ -449,8 +449,9 @@ MUTANTS = [
     Mutant(
         "ab-values-fresh-side-keeps-top-minus",
         "quad.py",
-        "path = searched[side] = sides(x)",
-        "path = searched[side] = nested_path(a, b, (mult,), x)",
+        "        if rule is None:\n",
+        "        if path is not None:\n            return nested_path(a, b, (mult,), t_end)\n"
+        "        if rule is None:\n",
         "a solve grid's fresh side integrates a and b with their top minuses:"
         " a tree and its negation compile two shapes, and no side reads a mirror",
         ("tests/test_quad.py::test_no_path_integrates_a_tree_with_its_top_minus",),
@@ -494,8 +495,9 @@ MUTANTS = [
     Mutant(
         "closed-form-keeps-a-zero-band",
         "closedform.py",
-        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi):",
-        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi and abs(g) > 1e-13 * (abs(g0) + abs(m * bval))):",
+        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < r * t < hi):",
+        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < r * t < hi"
+        " and abs(g) > 1e-13 * (abs(g0) + abs(m * (s_1 * y_1)))):",
         "the evaluator refuses a point inside the validity interval, next to its"
         " pole, where G still has G(0)'s sign: y' = y^2 at t = 1 - 1e-13",
         ("tests/test_closedform.py::test_the_closed_form_answers_next_to_its_pole",),
@@ -503,19 +505,19 @@ MUTANTS = [
     Mutant(
         "evaluator-answers-at-the-zero-it-found",
         "closedform.py",
-        "and lo < t < hi)",
-        "and lo <= t <= hi)",
+        "and lo < r * t < hi)",
+        "and lo <= r * t <= hi)",
         "the point where the path's G first reaches 0, which the validity search"
         " reports as the interval's end, is answered: y' = y^2 reads 4.5e15 at t = 1",
         ("tests/test_closedform.py::test_solution_outside_validity_asymptote",),
     ),
     Mutant(
         "ab-values-keeps-a-fresh-path-to-itself",
-        "quad.py",
-        "path = searched[side] = sides(",
-        "path = sides(",
-        "the caller's table never learns the path that answered a side, so an"
-        " unsearched problem's evaluator has no zero of G to stop at",
+        "closedform.py",
+        "zero = (ends and path.first_crossing(1, g0 / m))",
+        "zero = (ends and any(path is q for q in p._searched.values()) and path.first_crossing(1, g0 / m))",
+        "the evaluator reads G's first zero only on a searched path, so a side"
+        " answered by a fresh path past the search has no zero of G to stop at",
         ("tests/test_closedform.py::test_ab_values_past_the_searched_path_integrates_afresh",),
     ),
     Mutant(
@@ -555,8 +557,8 @@ MUTANTS = [
     Mutant(
         "form-loop-reuse-stage-evaluates-again",
         "stepper.py",
-        'form.source(f"vec<{k}_i> = ", evaluate)',
-        'form.source(f"vec<{k}_i> = ", True)',
+        'evaluate = kind != "reuse"',
+        "evaluate = True",
         "the FSAL stage evaluates every coefficient again at stage 6's time:"
         " the same paths, at 1 + 6 evaluations of each per attempted step",
         ("tests/test_checked.py::test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt",),
@@ -564,8 +566,8 @@ MUTANTS = [
     Mutant(
         "solution-values-keeps-its-paths-in-the-problem",
         "closedform.py",
-        "sides = dict(p._searched)",
-        "sides = p._searched",
+        "            right = qs[-1] >= 0.0\n",
+        "            right = qs[-1] >= 0.0\n            p._searched[1.0 if right else -1.0] = path\n",
         "a grid's fresh side path stays with the problem, and a later answer"
         " nearer 0 reads it, not the problem's own search path",
         ("tests/test_closedform.py::test_solution_values_leaves_its_problem_as_it_found_it",),
@@ -636,8 +638,8 @@ MUTANTS = [
     Mutant(
         "solution-overflow-check-dropped",
         "closedform.py",
-        "\n        if not isfinite(y):\n",
-        "\n        if False:\n",
+        "\n    if not isfinite(y):\n",
+        "\n    if False:\n",
         "a closed-form value past the float range comes back as inf, and"
         " verify reads pass",
         ("tests/test_closedform.py::test_a_solution_past_the_float_range_raises",),
@@ -645,10 +647,46 @@ MUTANTS = [
     Mutant(
         "unit-solution-overflow-check-dropped",
         "closedform.py",
-        "\n            if not isfinite(y):\n",
-        "\n            if False:\n",
+        "\nif not isfinite(y):\n",
+        "\nif False:\n",
         "for n = 1, d * exp(A + B) past the float range comes back as inf",
         ("tests/test_closedform.py::test_a_solution_past_the_float_range_raises",),
+    ),
+    Mutant(
+        "quad-loop-evaluates-b-at-stage-two",
+        "quad.py",
+        '"f0", (0,))',
+        '"f0", (0, 1))',
+        "the quadrature's loop evaluates b at stage 2, whose B' nothing reads:"
+        " the same paths, at 1 + 5 evaluations of b per attempted step",
+        ("tests/test_checked.py::test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt",),
+    ),
+    Mutant(
+        "grid-puts-zero-on-the-negative-side",
+        "stepper.py",
+        "zero = bisect_left(order, 0.0, key=ts.__getitem__)",
+        "zero = bisect_right(order, 0.0, key=ts.__getitem__)",
+        "t = 0 and -0.0 are read on the side t < 0: a grid of t >= 0 and 0"
+        " integrates a path toward 0 beside its path toward its largest t",
+        ("tests/test_stepper.py::test_grid_values_solves_once_per_side",),
+    ),
+    Mutant(
+        "grid-reverses-one-side",
+        "stepper.py",
+        "order[:zero][::-1]",
+        "order[:zero]",
+        "the side t < 0 is read from its farthest point inward: the walk refuses"
+        " it, and the path is integrated toward the nearest point",
+        ("tests/test_stepper.py::test_grid_values_read_each_side_outward_and_scatter_back",),
+    ),
+    Mutant(
+        "grid-raises-the-first-failure-walked",
+        "closedform.py",
+        "raise next(y for y in ys if isinstance(y, BsymError))",
+        "raise failed[0]",
+        "a grid past G's first zero raises the error of the first refused point"
+        " in walk order, the nearer 0 on the side t >= 0, not the first in ts",
+        ("tests/test_closedform.py::test_a_grid_past_both_zeros_raises_the_first_failing_points_error",),
     ),
 ]
 

@@ -29,7 +29,10 @@ control, `quad.QUAD_CONTROL`, which each path records; its tolerances are
 also the error scale at which the validity search counts a tangent touch
 of G = 0.  Each problem integrates its own paths, one per side of 0 or
 one read on both sides through a certified t-mirror, and keeps those of
-its latest search; no path is shared between problems.
+its latest search; no path is shared between problems.  A grid reads
+each side of 0 in one walk over its path's steps, which computes y at
+each point (`stepper.Reader`, `DensePath.read`); the reflection rule is
+resolved only for a side that the searched paths do not reach.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
-from .errors import DomainError, EvalError, OutsideValidity
+from .errors import BsymError, DomainError, EvalError, OutsideValidity
 from .expr import Expr, parse_expr
 from .exponent import (
     ExponentClass,
@@ -49,7 +52,8 @@ from .exponent import (
     parse_exponent,
     signed_pow,
 )
-from .quad import ab_sides, ab_values
+from .quad import ab_sides
+from .stepper import Reader, grid_values
 
 __all__ = [
     "ProblemSpec",
@@ -155,13 +159,69 @@ def _radicand(p: ProblemSpec) -> tuple[float, float, RationalExponent]:
     return g0, m, classify_exponent(-n.q, n.p - n.q)
 
 
+# y at each point of a side's walk (`stepper.Reader`), from A = s_0*y_0 and
+# B = s_1*y_1 of the path at its time t, r*t on the grid.  A refused point
+# appends its error, and `failed` holds it too
+_NAMES = (
+    ("exp", math.exp),
+    ("pow", math.pow),
+    ("isfinite", math.isfinite),
+    ("inf", math.inf),
+    ("signed_pow", signed_pow),
+    ("OutsideValidity", OutsideValidity),
+    ("EvalError", EvalError),
+)
+_Y = Reader(
+    """\
+g = g0 - m * (s_1 * y_1)
+if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < r * t < hi):
+    y = OutsideValidity(f"{end}: G={g!r} at t={r * t!r} is at or past G's first zero (G(0)={g0!r})")
+    failed.append(y)
+else:
+    try:
+        scale = sigma * exp(s_0 * y_0)
+        if g > 0.0:
+            y = scale * pow(g, e)
+        elif g < 0.0 and neg:
+            y = scale * (neg * pow(-g, e))
+        else:
+            y = scale * signed_pow(g, root)
+    except OverflowError:
+        y = inf
+    if not isfinite(y):
+        y = EvalError(f"solution overflow at t={r * t!r}")
+        failed.append(y)
+append(y)
+""",
+    "g0, m, e, neg, root, sigma, ends, end, lo, hi, failed",
+    _NAMES,
+)
+# n = 1: y = d * exp(A + B), d bound as y_init
+_Y_UNIT = Reader(
+    """\
+try:
+    y = y_init * exp(s_0 * y_0 + s_1 * y_1)
+except OverflowError:
+    y = inf
+if not isfinite(y):
+    y = EvalError(f"solution overflow at t={r * t!r}")
+    failed.append(y)
+append(y)
+""",
+    "y_init, failed",
+    _NAMES,
+)
+
+
 def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     """Closed-form y at every t, sharing one quadrature per direction.
 
-    (A, B) come from `ab_values`: a side of 0 that p's latest validity
-    search path reaches is answered from that path, which was integrated
-    at the same `QUAD_CONTROL` as a fresh one; otherwise from the
-    reflection rule's path (`quad.ab_sides`), a mirror or a fresh one.
+    Each side of 0 resolves to one (A, B) path by `quad.ab_sides`: p's
+    latest validity search path where it reaches the side's farthest t,
+    integrated at the same `QUAD_CONTROL` as a fresh one; otherwise the
+    reflection rule's path, a mirror or a fresh one.  Each side is read in
+    one walk over its steps (`stepper.grid_values`, `DensePath.read`),
+    which computes y at each point from the path's (A, B) there.
     Where G = 0 is a pole or an even root's edge, a point at or past G's
     first zero on the path that answers it, where `validity_intervals`
     ends the interval, or where G lacks G(0)'s sign, raises OutsideValidity
@@ -170,56 +230,35 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     where G < 0, and `signed_pow` at G = 0: every value is `signed_pow`'s.
     A value that is not finite, such as exp(A) or its product with G^root
     or d past the float range, raises EvalError ("solution overflow at
-    t=..").
+    t=..").  Where several points fail, the first in the order of ts
+    raises.
 
     Raises DomainError before any integration where `_radicand` does.
     """
-    exp, isfinite = math.exp, math.isfinite
-    out = []
-    sides = dict(p._searched)  # ab_values fills it; p keeps only its search's paths
+    failed: list = []
     if p.n.cls is ExponentClass.ONE:
-        # n - 1 = 0, so B is plain int_0^t b
-        values = zip(ab_values(p.a, p.b, 0.0, ts, sides), ts)
-        d = p.d
-        for (aval, bval), t in values:
-            try:
-                y = d * exp(aval + bval)
-            except OverflowError:
-                y = math.inf
-            if not isfinite(y):
-                raise EvalError(f"solution overflow at t={t!r}")
-            out.append(y)
-        return out
-    g0, m, root = _radicand(p)
-    values = zip(ab_values(p.a, p.b, m, ts, sides), ts)
-    e = root.p / root.q  # as signed_pow computes it
-    neg = root.cls.negative_sign  # G^e = neg * (-G)^e for G < 0; 0.0: G must be > 0
-    # G = 0 at a pole or an even root's edge (g0 > 0 there) ends it: at its
-    # first zero on each side's path, lo < 0 < hi
-    ends = root.p < 0 or not neg
-    zero = {s: path.first_crossing(1, g0 / m) or s * math.inf for s, path in sides.items() if ends}
-    lo, hi = zero.get(-1.0, -math.inf), zero.get(1.0, math.inf)
-    sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
-    pow_ = math.pow
-    for (aval, bval), t in values:
-        g = g0 - m * bval
-        if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi):
-            end = "asymptote" if root.p < 0 else "root boundary"
-            raise OutsideValidity(f"{end}: G={g!r} at t={t!r} is at or past G's first zero (G(0)={g0!r})")
-        try:
-            scale = sigma * exp(aval)
-            if g > 0.0:
-                y = scale * pow_(g, e)
-            elif g < 0.0 and neg:
-                y = scale * (neg * pow_(-g, e))
-            else:
-                y = scale * signed_pow(g, root)
-        except OverflowError:
-            y = math.inf
-        if not isfinite(y):
-            raise EvalError(f"solution overflow at t={t!r}")
-        out.append(y)
-    return out
+        # n - 1 = 0, so B is plain int_0^t b; the unit exponent searches nothing
+        ys = grid_values(ab_sides(p.a, p.b, 0.0), ts, lambda path, qs: path.read(_Y_UNIT, qs, p.d, failed))
+    else:
+        g0, m, root = _radicand(p)
+        e = root.p / root.q  # as signed_pow computes it
+        neg = root.cls.negative_sign  # G^e = neg * (-G)^e for G < 0; 0.0: G must be > 0
+        # G = 0 at a pole or an even root's edge (g0 > 0 there) ends it: at
+        # its first zero on each side's path, lo < 0 < hi
+        ends = root.p < 0 or not neg
+        end = "asymptote" if root.p < 0 else "root boundary"
+        sigma = math.copysign(1.0, p.d) if p.n.cls is ExponentClass.ODD_OVER_ODD else 1.0
+
+        def read(path, qs):
+            right = qs[-1] >= 0.0
+            zero = (ends and path.first_crossing(1, g0 / m)) or (math.inf if right else -math.inf)
+            lo, hi = (-math.inf, zero) if right else (zero, math.inf)
+            return path.read(_Y, qs, g0, m, e, neg, root, sigma, ends, end, lo, hi, failed)
+
+        ys = grid_values(ab_sides(p.a, p.b, m, p._searched), ts, read)
+    if failed:
+        raise next(y for y in ys if isinstance(y, BsymError))
+    return ys
 
 
 def eval_solution(p: ProblemSpec, t: float) -> float:

@@ -372,12 +372,21 @@ class CheckedForm(NamedTuple):
     that `checked_factory` returns.  Each form's function, and the
     stepper's loop for it, compiles once per process, so forms are module
     constants, never built per problem.
+
+    `value` is a tuple, one entry per state component.  A form whose
+    component 0 reads fewer coefficients than the whole may state that
+    entry as `head`, over the coefficients `head_reads` (indices): a
+    stepper loop's stage whose other components nothing reads then
+    evaluates those coefficients and `head` alone.  With no `head`, every
+    stage evaluates the whole `value`.
     """
 
     state: Optional[str]
     value: str
     coefficients: int
     env: str = ""
+    head: str = ""
+    head_reads: tuple = ()
 
     @property
     def args(self) -> str:
@@ -388,13 +397,15 @@ class CheckedForm(NamedTuple):
         """The bound names: coefficient functions c0, c1, .., then `env`."""
         return ", ".join([*(f"c{i}" for i in range(self.coefficients)), *filter(None, [self.env])])
 
-    def source(self, out: str, evaluate: bool) -> str:
+    def source(self, out: str, evaluate: bool, head: bool = False) -> str:
         """The form's code at the time s: where `evaluate` holds, its
         coefficients evaluated and checked into f0, f1, .. (otherwise
         values already evaluated at s are reused), then `value` appended
-        to `out`."""
-        evals = "".join(_EVAL.format(i=i) for i in range(self.coefficients))
-        return (_CHECK.format(evals=evals) if evaluate and evals else "") + out + self.value
+        to `out`; where `head` holds, only the coefficients `head_reads`
+        and `head` in their place."""
+        value, reads = (self.head, self.head_reads) if head else (self.value, range(self.coefficients))
+        evals = "".join(_EVAL.format(i=i) for i in reads)
+        return (_CHECK.format(evals=evals) if evaluate and evals else "") + out + value
 
     @property
     def namespace(self) -> dict:

@@ -21,21 +21,25 @@ right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the checked form
 `expr.checked_factory` binds per path to the multipliers and to a's and
 b's functions (compiled once per shape, constants bound, shared with the
 oracle).  `stepper.integrate` runs it through the form's own DP5 loop,
-compiled once per process and form, which evaluates a and b inline at 5
-stages of each step and recomputes only the value (exp(m*A)) at the 7th,
-whose time is the 6th's; its file name in tracebacks and profiles is
+compiled once per process and form, which evaluates a inline at 5
+stages of each step and b at 4: stage 2 feeds later stages through A
+alone and has zero weight in every B, so the form's head, A' = a, is all
+it computes there.  The loop recomputes only the value (exp(m*A)) at the
+7th stage, whose time is the 6th's; its file name in tracebacks and profiles is
 `<bsym.stepper DP5 kernel dim=N form #K>`, N = 1 + k.  A failing or
 non-finite coefficient raises EvalError, and so does an overflowing
 exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by
 the sign of the step, not by re-parameterization: integrating from 0
-toward a negative t directly yields int_0^t.  A grid of t is answered by
-`ab_values` from one path per side of 0 through `stepper.grid_values`: a
-path the caller hands in (a problem's validity search paths) where it
-reaches the grid's farthest t on that side, else the path that the one
-reflection rule (`ab_sides`) gives, as it does for the validity search: a
-certified t-mirror of the other side's path, integrated by the same call
-toward the same |t|, or a fresh path of the trees under a's and b's top
-minuses.  No path is shared between problems.  A(t) is the first
+toward a negative t directly yields int_0^t.  A grid of t is answered
+from one path per side of 0 through `stepper.grid_values`, each side's
+path from `ab_sides`: a path the caller hands in (a problem's validity
+search paths) where it reaches the grid's farthest t on that side, else
+the path that the one reflection rule gives, as it does for the
+validity search: a certified t-mirror of the other side's path,
+integrated by the same solve toward the same |t|, or a fresh path of the
+trees under a's and b's top minuses.  `ab_values` reads (A, B) so;
+`closedform.solution_values` reads y from the same paths.  No path is
+shared between problems.  A(t) is the first
 component of every pair; with m = 0 the pair is (int_0^t a, int_0^t b),
 which is all the unit exponent's closed form d * exp(A + B) needs.
 
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, MutableMapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EvalError, ParityViolation
 from .expr import (
@@ -94,9 +98,10 @@ QUAD_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-12)
 @lru_cache(maxsize=None)
 def _ab_form(count: int) -> CheckedForm:
     """The right-hand side (A', B_0', .., B_{count-1}') of `count`
-    multipliers, which reads A only and evaluates a and b once per call."""
+    multipliers, which reads A only and evaluates a and b once per call;
+    its head, A' = a, reads a alone."""
     terms = ", ".join(f"f1 * exp(mult{i} * A)" for i in range(count))
-    return CheckedForm("A", f"(f0, {terms})", 2, ", ".join(f"mult{i}" for i in range(count)))
+    return CheckedForm("A", f"(f0, {terms})", 2, ", ".join(f"mult{i}" for i in range(count)), "f0", (0,))
 
 
 def nested_path(a: Expr, b: Expr, mults: tuple, t: float) -> DensePath:
@@ -115,20 +120,37 @@ def nested_path(a: Expr, b: Expr, mults: tuple, t: float) -> DensePath:
         raise EvalError(f"integrand overflow: {exc}") from None
 
 
-def ab_sides(a: Expr, b: Expr, mult: float) -> Callable[[float], Union[DensePath, PathView]]:
-    """solve(t_end), the (A, B) path of (a, b, mult) from 0 to t_end by the
-    reflection rule (`exponent.reflections`): where solve last integrated
-    toward exactly -t_end and the certified t-mirror (-1, 1, ka, kb, 1)
-    keeps the multiplier (ka*mult == sa*mult: a0 odd, or mult = 0), that
-    path read at -t with signs (ka, kb); else a fresh path of
-    (a0, b0, sa*mult) read through the own view (sa, sb).
+def ab_sides(
+    a: Expr,
+    b: Expr,
+    mult: float,
+    searched: Optional[Mapping[float, Union[DensePath, PathView]]] = None,
+) -> Callable[[float], Union[DensePath, PathView]]:
+    """solve(t_end), the (A, B) path of (a, b, mult) from 0 to t_end.
+
+    `searched` maps a side of 0 (1.0 or -1.0) to a path of (a, b, mult)
+    from 0, integrated or a `PathView`, such as a problem's validity-search
+    paths: solve answers t_end's side (-0.0 with 0.0) from it where it
+    reaches t_end.  Otherwise solve answers by the reflection rule
+    (`exponent.reflections`), resolved on the first side it answers so:
+    where solve last integrated toward exactly -t_end and the certified
+    t-mirror (-1, 1, ka, kb, 1) keeps the multiplier (ka*mult == sa*mult:
+    a0 odd, or mult = 0), that path read at -t with signs (ka, kb); else a
+    fresh path of (a0, b0, sa*mult) read through the own view (sa, sb).
     """
-    a0, b0, ((_, _, sa, sb, _), *views) = reflections(a, b)
-    mirror = [(ka, kb) for _, _, ka, kb, _ in views if ka * mult == sa * mult]
+    searched = searched or {}
+    rule = None  # (a0, b0, sa, sb, mirror), resolved on the first integration
     last = (None, None)  # (t_end, path) of solve's latest integration
 
     def solve(t_end: float) -> Union[DensePath, PathView]:
-        nonlocal last
+        nonlocal rule, last
+        path = searched.get(1.0 if t_end >= 0.0 else -1.0)
+        if path is not None and abs(t_end) <= abs(path.t_reached):
+            return path
+        if rule is None:
+            a0, b0, ((_, _, sa, sb, _), *views) = reflections(a, b)
+            rule = a0, b0, sa, sb, [(ka, kb) for _, _, ka, kb, _ in views if ka * mult == sa * mult]
+        a0, b0, sa, sb, mirror = rule
         end, source = last
         if mirror and end == -t_end:
             return PathView(source, -1.0, mirror[0])
@@ -144,31 +166,19 @@ def ab_values(
     b: Expr,
     mult: float,
     ts: Sequence[float],
-    searched: Optional[MutableMapping[float, Union[DensePath, PathView]]] = None,
+    searched: Optional[Mapping[float, Union[DensePath, PathView]]] = None,
 ) -> list[tuple[float, float]]:
     """(A(t), B(t)) pairs for every t, sharing one solve per side of 0.
 
-    `searched` maps a side of 0 (1.0 or -1.0) to a path from 0 of
-    (a, b, mult), integrated or a `PathView`, such as a problem's
-    validity-search paths.  A side is answered from searched[side] if that
-    path reaches the side's farthest t; otherwise from `ab_sides`: the
-    certified t-mirror of the other side's path where this call has just
-    integrated it toward the same |t|, else a fresh path, exactly the path
-    of (a, b, mult), stored as searched[side]: the table ends holding each
-    side's path.  Every path runs at `QUAD_CONTROL`, so either way the
-    values agree with a fresh path to the quadrature tolerance.
+    Each side is answered by `ab_sides`: from searched[side], such as a
+    problem's validity-search path, if that path reaches the side's
+    farthest t; otherwise from the certified t-mirror of the other side's
+    path where this call has just integrated it toward the same |t|, else
+    a fresh path, exactly the path of (a, b, mult).  `searched` is only
+    read.  Every path runs at `QUAD_CONTROL`, so either way the values
+    agree with a fresh path to the quadrature tolerance.
     """
-    searched = {} if searched is None else searched
-    sides = ab_sides(a, b, mult)
-
-    def solve(x: float) -> Union[DensePath, PathView]:
-        side = 1.0 if x >= 0.0 else -1.0
-        path = searched.get(side)
-        if path is None or abs(x) > abs(path.t_reached):
-            path = searched[side] = sides(x)
-        return path
-
-    return grid_values(solve, ts)
+    return grid_values(ab_sides(a, b, mult, searched), ts)
 
 
 # --- Integral identities ----------------------------------------------------

@@ -31,14 +31,22 @@ wrapper (which may call a `Bound`), is bound as f to the call form
 `_CALL`, whose value calls f.  DP5's seventh stage is at the sixth's time
 (c7 = c6 = 1), so it recomputes only the value on the new state: 1 + 5
 evaluations of each coefficient per attempted step, and 1 + 6 calls of f
-under the call form.  A loop's file name is `<bsym.stepper DP5 kernel
+under the call form.  Stage 2 has zero weight in the new state, the error
+estimate and the dense output, and only component 0 feeds a later stage
+state: a form that states its component-0 value as `CheckedForm.head`
+computes only that there, on the coefficients it reads, so the
+quadrature's b is evaluated 1 + 4 times per attempted step.  A loop's file name is `<bsym.stepper DP5 kernel
 dim=N form #K>`, K counting the loops the process has compiled.
 
 Every loop makes paths of the dimension's `DensePath` subclass
 (`_path_class`, file `<bsym.stepper DensePath dim=N>`), whose `values`
 walk and `_extension` unpack a step's coefficients once and evaluate each point's
 Horner form as straight-line code over locals; step i's stages of
-component k are one tuple, `ks[i][k]`.  Every source is registered
+component k are one tuple, `ks[i][k]`.  The walk is one template,
+`_DENSE_PATH`, rendered with a `Reader`'s code at each point: the state
+itself for `values`, or what a caller computes from it, such as the
+closed form's y, which `DensePath.read` runs in the same one walk (file
+`<bsym.stepper DensePath dim=N reader #K>`).  Every source is registered
 in `linecache`, so tracebacks and profiles show the generated lines; each
 coefficient function keeps a profiler entry of its own.  Paths (nodes,
 states, stages, `blew_up` flag) are bit-identical to those of the plain
@@ -52,11 +60,13 @@ run outward from the path's start in one walk over its steps, and
 `DensePath.first_crossing` locates events on the same per-step
 polynomials, at the error scale of the control the path was integrated
 at.  `grid_values` answers a grid that straddles t = 0 from one
-0-anchored path per side, each side in one ordered walk.
+0-anchored path per side, split by one index sort and a bisect, each
+side in one ordered walk that reads states or runs a caller's read.
 
 `PathView` is a path read through t -> r*t, r = +-1, with its components'
 signs changed, a view that queries its source and copies nothing: the one
 place that knows how a reflection acts on a path's values and crossings.
+Its reads run its source's walk, to which it passes r and the signs.
 The quadrature reads a problem's (A, B) through a view of a path of the
 trees under a's and b's top minuses (`quad.ab_sides`), the side toward
 -t through the t-mirror of the problem's own path toward t where
@@ -75,10 +85,10 @@ import itertools
 import linecache
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import StepFailure
 from .expr import Bound, CheckedForm
@@ -87,6 +97,7 @@ __all__ = [
     "StepControl",
     "DensePath",
     "PathView",
+    "Reader",
     "StepUnderflow",
     "StepBudgetExceeded",
     "integrate",
@@ -224,8 +235,15 @@ class DensePath:
         return self.ys[-1]
 
     def value(self, t: float) -> State:
-        """State at t within the covered range; nodes are returned as stored."""
+        """State at t within the covered range; a node reads as stored."""
         return self.values([t])[0]
+
+    def read(self, reader: Reader, qs: Sequence[float], *env, **view) -> list:
+        """What `reader` computes at times that run outward from ts[0], in
+        one walk: `values`' walk, rendered with the reader's code at each
+        point and bound to `env`.  A `PathView` passes its r and signs as
+        `view`."""
+        return _walk(len(self.ys[0]), reader)(self, qs, *env, **view)
 
     # bench/tracing.py wraps `DensePath.value` and `DensePath.value_refined`
     # by name; the one dense-output query keeps answering to both, on the
@@ -310,10 +328,14 @@ class PathView:
 
     def values(self, qs: Sequence[float]) -> list[State]:
         """States at times that run outward from the start, as `DensePath.values`."""
+        return self.read(_SIGNED, qs)
+
+    def read(self, reader: Reader, qs: Sequence[float], *env) -> list:
+        """What `reader` computes at times that run outward from the start,
+        as `DensePath.read`: the source's walk at r*t, which reads the
+        components through r and the signs."""
         r = self.r
-        columns = zip(*self.source.values([r * t for t in qs]))
-        # one comprehension per component, transposed back into states
-        return list(zip(*[[sign * y for y in col] for sign, col in zip(self.signs, columns)]))
+        return self.source.read(reader, qs if r == 1.0 else [r * t for t in qs], *env, r=r, signs=self.signs)
 
     def first_crossing(self, k: int, level: float) -> Optional[float]:
         """First t past 0 where component k reaches `level`, or None, as
@@ -396,35 +418,42 @@ def integrate(
 # require to be reproduced bit for bit.  The builtins max and min are
 # written out as the comparisons they make: max(a, b) is `b if a < b else a`
 # and min(a, b) is `b if b < a else a`, NaN included.  _Psj is _P[s][j].
+# The walk runs a `Reader`'s code at each time, `{point}`, after its
+# state's components are in y_0, y_1, ..; {params} are the reader's env.
 _DENSE_PATH = """\
 class DensePath{dim}(DensePath):
     \"""A `DensePath` of {dim}-component states.\"""
 
-    def values(self, qs):
-        \"""States at times that run outward from ts[0], in one walk.
+    def values(self, qs{params}, r=1.0, signs=vec<1.0>):
+        \"""What the reader computes at times that run outward from ts[0],
+        in one walk; r and signs are those of the `PathView` it reads
+        through, the components' signs unpacked as s_0, s_1, ...
 
         The first time's step is found by bisection, every later one by
-        stepping forward from the last.  A time on a node returns the
-        stored state; between nodes the bracketing step's extension is
+        stepping forward from the last.  A time on a node reads the stored
+        state; between nodes the bracketing step's extension is
         evaluated.  Raises ValueError for a time outside the covered range
         or one nearer ts[0] than the time before it.
         \"""
         ts, ys = self.ts, self.ys
+        vec<s_i> = signs
+        out = []
+        append = out.append
         last = len(ts) - 2  # the final step
         if last < 0:
             for t in qs:
                 if t != ts[0]:
                     raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}]")
-            return [ys[0]] * len(qs)
-        d = 1.0 if ts[-1] >= ts[0] else -1.0
-        x_start = x_prev = d * ts[0]  # x_prev: the time before, as d * t
-        x_end = d * ts[-1]
+                vec<y_i> = ys[0]
+                {point}
+            return out
+        direction = 1.0 if ts[-1] >= ts[0] else -1.0
+        x_start = x_prev = direction * ts[0]  # x_prev: the time before, as direction * t
+        x_end = direction * ts[-1]
         i = -1  # no step located yet
-        out = []
-        append = out.append
         cached, extension = self._coefs.get, self._extension
         for t in qs:
-            x = d * t
+            x = direction * t
             if not x_prev <= x <= x_end:  # also true for NaN
                 if x_start <= x < x_prev:
                     raise ValueError(f"t={t!r} is nearer {ts[0]!r} than the time before it")
@@ -432,24 +461,25 @@ class DensePath{dim}(DensePath):
             x_prev = x
             if i < 0 or (x >= x_hi and i < last):
                 if i < 0:
-                    i = min(bisect_right(ts, x, key=lambda s: d * s) - 1, last)
+                    i = min(bisect_right(ts, x, key=lambda s: direction * s) - 1, last)
                 else:
                     i += 1
-                    while i < last and d * ts[i + 1] <= x:
+                    while i < last and direction * ts[i + 1] <= x:
                         i += 1
                 t0, t1 = ts[i], ts[i + 1]
-                x_hi = d * t1
+                x_hi = direction * t1
                 unpacked = False  # on the step's first query between nodes
             if t == t0:
-                append(ys[i])
+                vec<y_i> = ys[i]
             elif t == t1:
-                append(ys[i + 1])
+                vec<y_i> = ys[i + 1]
             else:
                 if not unpacked:
                     vec<(y0_i, c1_i, c2_i, c3_i, c4_i)> = cached(i) or extension(i)
                     unpacked = True
                 th = (t - t0) / (t1 - t0)
-                append(vec<y0_i + th * (c1_i + th * (c2_i + th * (c3_i + th * c4_i)))>)
+                vec<y_i> = vec<y0_i + th * (c1_i + th * (c2_i + th * (c3_i + th * c4_i)))>
+            {point}
         return out
 
     def _extension(self, i):
@@ -467,11 +497,38 @@ class DensePath{dim}(DensePath):
         return coefs
 """
 
+
+class Reader(NamedTuple):
+    """What a path's walk computes at each time it reads.
+
+    `point` is statements, rendered into `DensePath.values`' walk where
+    the time's state is in the locals y_0, y_1, ..: they append the
+    time's answer to the walk's output with `append`.  They may read the
+    time t (the path's own), the view's r and component signs s_0, s_1,
+    .. and the names in `env`, the values a read binds after the times;
+    `names` are (name, object) pairs the code reads as globals.  Each
+    reader's walk compiles once per state dimension and process.
+    """
+
+    point: str
+    env: str = ""
+    names: tuple = ()
+
+
+# a path's own states; the same, read through a view's signs
+_STATE = Reader("append(vec<y_i>)")
+_SIGNED = Reader("append(vec<s_i * y_i>)")
+
 # The loop runs a checked form's (`expr.CheckedForm`) source inline.  f
 # reads component 0 alone, so only that component has stage states.
 # `stage<kN; time; state>` evaluates stage N at (time, state): it evaluates
 # and checks the form's coefficients at the time, held in s, and assigns
 # the form's value at the state, held in its state name, to the kN_i.
+# `head<kN; time; state>` is a stage whose components past 0 nothing
+# reads: DP5 weighs stage 2 by zero in the new state, the error estimate
+# and the dense output, and only component 0 has stage states.  It
+# evaluates the form's `head` alone, on the coefficients that reads, where
+# the form states one, and is a full stage otherwise.
 # `reuse<kN; time; state>` is a stage at the time of the stage before it:
 # it assigns only the value, on the coefficients evaluated there.  An
 # accepted step's stages are stored as one tuple per component; {params}
@@ -507,7 +564,7 @@ def dp5_dim{dim}(y0, t_end, ctl, limit{params}):
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        stage<k2; t + _C2 * h; y_0 + h * _A21 * k1_0>
+        head<k2; t + _C2 * h; y_0 + h * _A21 * k1_0>
         stage<k3; t + _C3 * h; y_0 + h * (_A31 * k1_0 + _A32 * k2_0)>
         stage<k4; t + _C4 * h; y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0)>
         stage<k5; t + _C5 * h; y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0)>
@@ -554,6 +611,7 @@ def dp5_dim{dim}(y0, t_end, ctl, limit{params}):
     return path
 """
 _loops = itertools.count(1)
+_readers = itertools.count(1)
 # the form of any callable that is no `expr.Bound`: no coefficient, the
 # callable bound as f, and a value that calls it at the stage time
 _CALL = CheckedForm("x", "f(s, x)", 0, "f")
@@ -585,18 +643,37 @@ def _render(template: str, dim: int, filename: str, namespace: dict) -> dict:
     return namespace
 
 
-@lru_cache(maxsize=None)
-def _path_class(dim: int) -> type:
-    """The `DensePath` subclass of `dim`-component paths, whose `values`
-    walk and `_extension` are rendered for that dimension; compiled once,
-    and shared by every loop of the dimension."""
+def _dense_path(dim: int, reader: Reader, filename: str) -> type:
+    """`_DENSE_PATH` rendered for `dim` components with `reader`'s code at
+    each point of its walk."""
+    def indent(match: re.Match) -> str:
+        return "".join(f"{match[1]}{line}\n" for line in reader.point.splitlines())
+
+    source = re.sub(r"^( *)\{point\}\n", indent, _DENSE_PATH, flags=re.M)
+    source = source.replace("{params}", reader.env and ", " + reader.env)
     namespace = {
         "__name__": __name__,  # the rendered class's __module__
         "DensePath": DensePath,
         "bisect_right": bisect_right,
+        **dict(reader.names),
     }
-    _render(_DENSE_PATH, dim, f"<bsym.stepper DensePath dim={dim}>", namespace)
-    return namespace[f"DensePath{dim}"]
+    return _render(source, dim, filename, namespace)[f"DensePath{dim}"]
+
+
+@lru_cache(maxsize=None)
+def _path_class(dim: int) -> type:
+    """The `DensePath` subclass of `dim`-component paths, whose `values`
+    walk, reading states, and `_extension` are rendered for that
+    dimension; compiled once, and shared by every loop of the dimension."""
+    return _dense_path(dim, _STATE, f"<bsym.stepper DensePath dim={dim}>")
+
+
+@lru_cache(maxsize=None)
+def _walk(dim: int, reader: Reader) -> Callable:
+    """`reader`'s walk over `dim`-component paths: the `values` walk of
+    `_DENSE_PATH` rendered with its code, compiled once."""
+    filename = f"<bsym.stepper DensePath dim={dim} reader #{next(_readers)}>"
+    return _dense_path(dim, reader, filename).values
 
 
 @lru_cache(maxsize=None)
@@ -608,13 +685,14 @@ def _kernel(dim: int, form: CheckedForm) -> Callable:
 
     def stage(match: re.Match) -> str:
         indent, kind, k, time, state = match.groups()
-        evaluate = kind == "stage"
+        evaluate = kind != "reuse"
+        head = kind == "head" and bool(form.head)
         lines = [f"s = {time}"] if evaluate else []
         lines.append(f"{form.state} = {' '.join(state.split())}")
-        lines += form.source(f"vec<{k}_i> = ", evaluate).splitlines()
+        lines += form.source(f"{k}_0 = " if head else f"vec<{k}_i> = ", evaluate, head).splitlines()
         return "".join(f"{indent}{line}\n" for line in lines)
 
-    source = re.sub(r"^( *)(stage|reuse)<(k\d); (.*?);\s+(.*?)>\n", stage, _KERNEL, flags=re.M | re.S)
+    source = re.sub(r"^( *)(stage|head|reuse)<(k\d); (.*?);\s+(.*?)>\n", stage, _KERNEL, flags=re.M | re.S)
     params = form.params()
     source = source.replace("{params}", params and ", " + params)
     namespace = {
@@ -629,23 +707,34 @@ def _kernel(dim: int, form: CheckedForm) -> Callable:
     return _render(source, dim, filename, namespace)[f"dp5_dim{dim}"]
 
 
-def grid_values(solve: Callable[[float], DensePath], ts: Sequence[float]) -> list[State]:
-    """State at every t of the paths `solve(t_end)` returns from t = 0.
+def _states(path, qs: Sequence[float]) -> list:
+    return path.values(qs)
+
+
+def grid_values(
+    solve: Callable[[float], DensePath],
+    ts: Sequence[float],
+    read: Callable[[DensePath, list], list] = _states,
+) -> list:
+    """State at every t of the paths `solve(t_end)` returns from t = 0, or
+    what `read(path, times)` computes there.
 
     One solve per side: points with t >= 0 share the path toward the largest
     of them, points with t < 0 the path toward the smallest, and t = 0 is
-    that path's first node.  Each side is answered by one `DensePath.values`
-    walk over its points in order of |t|; the output keeps the input order.
-    Raises ValueError if any t is not finite.
+    that path's first node.  One index sort orders the grid and a bisect
+    splits it at 0, -0.0 going with 0.0; each side is then answered by one
+    read of its points in order of |t|, the side t >= 0 first, and the
+    output keeps the input order.  Raises ValueError if any t is not
+    finite.
     """
-    if not all(math.isfinite(t) for t in ts):
+    if not all(map(math.isfinite, ts)):
         raise ValueError("grid times must be finite")
-    out: list[State] = [None] * len(ts)
-    for right in (True, False):
-        side = [i for i, t in enumerate(ts) if (t >= 0.0) is right]
+    order = sorted(range(len(ts)), key=ts.__getitem__)
+    zero = bisect_left(order, 0.0, key=ts.__getitem__)
+    out: list = [None] * len(ts)
+    for side in (order[zero:], order[:zero][::-1]):
         if side:
-            path = solve((max if right else min)(ts[i] for i in side))
-            side.sort(key=ts.__getitem__, reverse=not right)  # by |t|, stably
-            for i, y in zip(side, path.values([ts[i] for i in side])):
+            qs = list(map(ts.__getitem__, side))
+            for i, y in zip(side, read(solve(qs[-1]), qs)):
                 out[i] = y
     return out

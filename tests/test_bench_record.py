@@ -18,9 +18,13 @@ TIER1_OK = "....\n1136 passed, 2 skipped in 33.40s\n"
 GATE_OK = "a-mutant: killed by tests/test_x.py::test_a\nb-mutant: killed by tests/test_y.py::test_b\n"
 
 
-# a paired run's end-to-end metrics, per side and pair: the head is faster
-# in pairs 0, 1, 3 and 4, and its median ratio of ops_per_s is 1.1
-PAIRED_OPS = {"parent": [100.0, 100.0, 100.0, 100.0, 100.0], "head": [110.0, 120.0, 90.0, 105.0, 115.0]}
+# a paired run's ops_per_s, per side and pair: the head is faster in all
+# pairs but 2 and 8; sorted, the parent's are 97, 98, 99, 100 x 4, 101,
+# 102, 103 and the head's 90, 95, 105, 108, 110, 111, 112, 113, 115, 120
+PAIRED_OPS = {
+    "parent": [100.0, 98.0, 102.0, 100.0, 99.0, 101.0, 100.0, 97.0, 103.0, 100.0],
+    "head": [110.0, 120.0, 90.0, 105.0, 115.0, 112.0, 108.0, 111.0, 95.0, 113.0],
+}
 
 
 def fake_run(fault=None):
@@ -52,7 +56,7 @@ def fake_run(fault=None):
         if args[-3:] == ("5", "--trace", "0"):  # a paired run
             side = "head" if args[0] == "bench/run.py" else "parent"
             assert side == "head" or Path(args[0]).is_file()  # the parent's own script
-            i = paired[side] % 5
+            i = paired[side] % len(PAIRED_OPS[side])
             paired[side] += 1
             if fault == "crash" and side == "parent" and i == 2:
                 return 1, "", 1.0
@@ -128,7 +132,9 @@ def test_the_record_holds_every_run_and_fails_on_an_incorrect_one(
     assert record["mutation"] == {
         "command": [*bench_record.MUTATE], "exit": 0, "seconds": 120.0, "killed": 2, "listed": 2,
     }
-    assert len(calls) == 40 and calls[-2:] == [bench_record.TIER1, bench_record.MUTATE]
+    # six runs, two digests, the pairs, tier-1 and the mutation gate
+    assert bench_record.PAIRS == 10
+    assert len(calls) == 70 and calls[-2:] == [bench_record.TIER1, bench_record.MUTATE]
     assert faults == [
         f"not correct: bench/run.py --workload solve-dense --seed 1 --seconds {s} --trace {t}"
         for s, t in (("30", "0"), ("5", "1"))
@@ -151,7 +157,7 @@ def test_the_record_fails_on_a_failed_test_a_surviving_mutant_or_differing_trace
 ):
     # the record is written first, whole, then the change fails
     code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, fault)
-    assert code == 1 and len(calls) == 40 and len(record["runs"]) == 6
+    assert code == 1 and len(calls) == 70 and len(record["runs"]) == 6
     if key is not None:
         assert {k: record[key][k] for k in value} == value
     assert len(faults) == count and all(line.startswith(message) for line in faults)
@@ -162,26 +168,34 @@ def test_paired_runs_alternate_sides_and_say_who_won(monkeypatch, tmp_path, caps
     assert code == 0 and faults == []
     assert list(record["pairs"]) == [*bench_record.WORKLOADS]
     runs = [args for args in calls if args[-3:] == ("5", "--trace", "0")]
-    assert len(runs) == 2 * 5 * 3
+    assert len(runs) == 2 * 10 * 3
     parent = runs[0][0]
     assert parent.endswith("/bench/run.py") and parent != "bench/run.py"
     for k, workload in enumerate(bench_record.WORKLOADS):
         paired = record["pairs"][workload]
         command = ["--workload", workload, "--seed", "1", "--seconds", "5", "--trace", "0"]
         assert paired["command"] == command
-        scripts = [args[0] for args in runs[10 * k:10 * k + 10]]
-        assert all(list(args[1:]) == command for args in runs[10 * k:10 * k + 10])
+        scripts = [args[0] for args in runs[20 * k:20 * k + 20]]
+        assert all(list(args[1:]) == command for args in runs[20 * k:20 * k + 20])
         # the side that runs first alternates from pair to pair
-        assert scripts == [parent, "bench/run.py", "bench/run.py", parent] * 2 + [parent, "bench/run.py"]
-        assert [pair["first"] for pair in paired["pairs"]] == ["parent", "head"] * 2 + ["parent"]
+        assert scripts == [parent, "bench/run.py", "bench/run.py", parent] * 5
+        assert [pair["first"] for pair in paired["pairs"]] == ["parent", "head"] * 5
         assert [pair["head"]["ops_per_s"] for pair in paired["pairs"]] == PAIRED_OPS["head"]
         assert all(pair[side]["correct"] is True for pair in paired["pairs"] for side in ("parent", "head"))
         assert set(paired["pairs"][0]["head"]) == {"correct", "ops_per_s", "latency_p50_ms", "latency_p90_ms",
                                                  "ok_frac", "peak_rss_mb", "setup_s"}
-        assert paired["median_ratio"]["ops_per_s"] == pytest.approx(1.1)
+        # the ratios sorted: 90/102, 95/103, 1.05, 1.08, 1.1, 112/101, ..
+        assert paired["median_ratio"]["ops_per_s"] == pytest.approx((1.1 + 112 / 101) / 2)
         assert paired["median_ratio"]["latency_p50_ms"] == 1.0
-        assert paired["head_won"] == {"ops_per_s": 4, "latency_p50_ms": 0, "latency_p90_ms": 0,
+        assert paired["head_won"] == {"ops_per_s": 8, "latency_p50_ms": 0, "latency_p90_ms": 0,
                                       "ok_frac": 0, "peak_rss_mb": 0, "setup_s": 0}
+        # each side's [q1, median, q3] per metric, the quartiles at (n + 1) / 4
+        # and 3 * (n + 1) / 4 of the sorted values: a median gain of 10.5
+        # against the parent's spread of 2.5
+        quartiles = paired["quartiles"]
+        assert set(quartiles) == set(paired["head_won"])
+        assert quartiles["ops_per_s"] == {"parent": [98.75, 100.0, 101.25], "head": [102.5, 110.5, 113.5]}
+        assert quartiles["latency_p50_ms"] == {"parent": [4.0, 4.0, 4.0], "head": [4.0, 4.0, 4.0]}
     # the parent's worktree is gone, from the disk and from git's list
     assert not Path(parent).exists() and len(worktrees(tmp_path)) == 1
 
@@ -215,7 +229,7 @@ def test_a_paired_run_that_is_not_correct_fails_the_change(monkeypatch, tmp_path
     assert code == 1 and len(record["pairs"]) == 3
     assert faults == [
         f"parent: not correct: bench/run.py --workload {workload} --seed 1 --seconds 5 --trace 0"
-        for workload in bench_record.WORKLOADS for _ in range(5)
+        for workload in bench_record.WORKLOADS for _ in range(bench_record.PAIRS)
     ]
 
 

@@ -473,7 +473,9 @@ def test_an_infinite_coefficient_stops_a_form_loop_at_once(monkeypatch, module, 
 
 
 _STAGE_FAILURES = [
-    # b divides by zero at the first stage after t = 0, 0.2 * h = 0.2 / 64
+    # b divides by zero at t = 0.003125, the first stage after t = 0, 0.2 * h
+    # = 0.2 / 64, in the loops that evaluate b at stage 2; the quadrature's
+    # form loop meets it at stage 6 of the retried first step, h = 0.2 / 64
     (quad, lambda: nested_path(parse_expr("cos(t)"), parse_expr("1/(t - 0.003125)"), (1.0,), 1.0)),
     (quad, lambda: nested_path(
         parse_expr("cos(t)"), parse_expr("1/(t - 0.003125)"), (1.0, -1.0), 1.0)),
@@ -487,6 +489,28 @@ def test_a_coefficient_failure_names_its_stage_time(monkeypatch, module, run):
     # not the time the step started from, t = 0.0
     got, expected = both(monkeypatch, module, run)
     assert got == expected == ("EvalError", "division by zero at t=0.003125")
+
+
+# b = 1, but for a division by zero at t = 0.003125 = 0.2 / 64: the stage-2
+# time of the first attempted step, and no other stage's time
+_STAGE_TWO_B = "(t - 0.003125)/(t - 0.003125)"
+
+
+def test_a_coefficient_that_fails_only_at_stage_two_stops_every_loop_but_the_quadratures(monkeypatch):
+    # the quadrature's form loop evaluates a alone at stage 2, so b's one
+    # failing time is never evaluated and the path is that of b = 1, bit
+    # for bit; the oracle's forms and the call form evaluate b at every
+    # stage and raise there
+    a, b = parse_expr("cos(t)"), parse_expr(_STAGE_TWO_B)
+    got = outcome(lambda: nested_path(a, b, (1.0,), 1.0))
+    assert got == outcome(lambda: nested_path(a, parse_expr("1"), (1.0,), 1.0))
+    failure = ("EvalError", "division by zero at t=0.003125")
+    with monkeypatch.context() as m:
+        m.setattr(quad, "integrate", lambda f, *args: stepper.integrate(lambda t, y: f(t, y), *args))
+        assert outcome(lambda: nested_path(a, b, (1.0,), 1.0)) == failure
+    for n in (1, 2):
+        run = lambda: rk_solve(problem("cos(t)", _STAGE_TWO_B, n, 1.0), 1.0)  # noqa: E731
+        assert both(monkeypatch, oracle, run) == (failure, failure)
 
 
 def test_traceback_shows_the_form_loop_source():
@@ -745,9 +769,10 @@ def test_profiles_see_each_coefficient_function_in_a_form_loop():
         if key[0].startswith("<bsym.expr coefficient #")
     )
     assert len({file for _, file in coefficients}) == 4
-    # no step is rejected on these smooth paths: 1 + 5 calls per step
-    steps = sorted(len(path.ts) - 1 for path in paths for _ in range(2))
-    assert [calls for calls, _ in coefficients] == sorted(1 + 5 * k for k in steps)
+    # no step is rejected on these smooth paths: 1 + 5 calls of a and,
+    # with no b at stage 2, 1 + 4 of b per step
+    steps = [len(path.ts) - 1 for path in paths]
+    assert [calls for calls, _ in coefficients] == sorted(1 + j * k for k in steps for j in (5, 4))
     loops = [key for key in stats if key[2] == "dp5_dim2"]
     assert len(loops) == 1 and re.fullmatch(r"<bsym\.stepper DP5 kernel dim=2 form #\d+>", loops[0][0])
     assert not [key for key in stats if key[2] == "checked"]
@@ -928,14 +953,18 @@ def test_each_rhs_call_receives_one_float(monkeypatch, module, run):
 @pytest.mark.parametrize("module,run", _ONE_FLOAT_RUNS)
 def test_each_coefficient_call_in_a_form_loop_receives_one_float(monkeypatch, module, run):
     # the form's loop counterpart: a, then b, each called with the stage
-    # time alone, as one float
+    # time alone, as one float, at t = 0 and at stages 2 to 6 of every
+    # attempted step; the quadrature's stage 2 calls a alone, since only
+    # A' = a feeds a later stage state
     calls = counting_coefficients(monkeypatch)
     result = run()
     path = getattr(result, "path", result)
-    assert len(calls) > 2 * 5 * (len(path.ts) - 1)
     assert all(len(args) == 1 and type(args[0]) is float for _, args, _ in calls)
     a, b = calls[0][0], calls[1][0]
-    assert a != b and [source for source, _, _ in calls] == [a, b] * (len(calls) // 2)
+    stages = ([a] if module is quad else [a, b]) + [a, b] * 4
+    attempts, left = divmod(len(calls) - 2, len(stages))
+    assert left == 0 and attempts >= len(path.ts) - 1
+    assert a != b and [source for source, _, _ in calls] == [a, b] + stages * attempts
 
 
 _COUNTED_RUNS = [
@@ -951,12 +980,16 @@ def test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt(monkeypat
     # stage 7 of DP5 is at the time of stage 6 (c7 = c6 = 1), so a form's
     # loop reuses stage 6's coefficient values: 1 + 5 evaluations of each
     # coefficient per attempted step, where the call form's loop calls f,
-    # and so each coefficient, 1 + 6 times
+    # and so each coefficient, 1 + 6 times.  Stage 2 has zero weight in
+    # the new state, the error estimate and the dense output, and only A
+    # feeds a stage state: the quadrature's loop evaluates a there and not
+    # b, so b 1 + 4 times
     rejected = 0
     for module, run in _COUNTED_RUNS:
         calls = counting_coefficients(monkeypatch)
         in_form = outcome(run)
         form_counts = Counter(source for source, _, _ in calls)
+        a, b = calls[0][0], calls[1][0]
         del calls[:]
         f_calls = []
 
@@ -976,9 +1009,9 @@ def test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt(monkeypat
         accepted = in_form[0].count(",")  # len(ts) - 1
         assert left == 0 and attempts >= accepted
         rejected += attempts - accepted
-        assert len(form_counts) == 2
-        assert form_counts == {source: 1 + 5 * attempts for source in form_counts}
-        assert call_counts == {source: 1 + 6 * attempts for source in form_counts}
+        assert a != b and set(form_counts) == {a, b}
+        assert form_counts == {a: 1 + 5 * attempts, b: 1 + (4 if module is quad else 5) * attempts}
+        assert call_counts == {a: 1 + 6 * attempts, b: 1 + 6 * attempts}
         monkeypatch.undo()
     assert rejected > 0
 

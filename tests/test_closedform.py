@@ -20,7 +20,8 @@ from bsym import (
 )
 from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
-from bsym.quad import ab_values
+from bsym import stepper
+from bsym.quad import QUAD_CONTROL, ab_values
 from bsym.exponent import ExponentClass, classify_exponent, parse_exponent
 from bsym.expr import Parity, negated, parse_expr, split_sign, structural_parity
 from bsym.stepper import DensePath, PathView, StepUnderflow, grid_values
@@ -342,6 +343,44 @@ def test_the_closed_form_answers_next_to_its_pole(b, pole):
             eval_solution(p, x)
 
 
+_SPAN = [-2.5, -2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+# each grid reaches +-2.5, past G's first zero on both sides of 0, and
+# holds duplicates and both zeros
+_GRIDS = {"ascending": sorted(_SPAN + [-2.0, 1.5, 0.0])}
+_GRIDS["descending"] = _GRIDS["ascending"][::-1]
+for _seed in range(4):
+    _GRIDS[f"shuffled-{_seed}"] = random.Random(_seed).sample(_GRIDS["ascending"], len(_GRIDS["ascending"]))
+
+
+@pytest.mark.parametrize("grid", _GRIDS.values(), ids=list(_GRIDS))
+@pytest.mark.parametrize(
+    "a, b, n",
+    [("0.2", "t + 0.3*t^2", 2), ("0", "t", 2), ("0.1*cos(t)", "-(t)", "1/3")],
+    ids=["poles", "mirrored-poles", "root-boundaries"],
+)
+def test_a_grid_past_both_zeros_raises_the_first_failing_points_error(a, b, n, grid):
+    # G = g0 - m*B reaches 0 on both sides of 0 inside +-2.5.  The error is
+    # that of the first point in input order that the closed form refuses,
+    # whatever order the points are read in: one point at a time, each
+    # from the same paths as the grid (a search toward +-2.5 integrates
+    # what a grid ending at +-2.5 does), the first refused one gives it
+    searched = problem(a, b, n, 1.0)
+    v = validity_interval(searched, 2.5)
+    assert -2.5 < v.lo < -0.5 and 0.5 < v.hi < 2.5
+    first = None
+    for t in grid:
+        try:
+            solution_values(searched, [t])
+        except BsymError as exc:
+            first = type(exc), str(exc)
+            break
+    assert first is not None and first[0] is OutsideValidity
+    for p in (problem(a, b, n, 1.0), searched):
+        with pytest.raises(OutsideValidity) as info:
+            solution_values(p, grid)
+        assert (type(info.value), str(info.value)) == first
+
+
 # G = cos^2 t, which touches zero at +-pi/2: y = 1/cos^2 t for n = 2, a
 # grazing root boundary for n = 1/3, 1/(|cos t|) for n = 3
 @pytest.mark.parametrize(
@@ -513,12 +552,17 @@ def test_ab_values_past_the_searched_path_integrates_afresh(monkeypatch):
     p = problem("sin(t)", "cos(t)", 2, 1.0)
     validity_interval(p, 1.0)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    sides = dict(p._searched)
-    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0], sides)
+    kept = dict(p._searched)
+    got = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0], p._searched)
     assert [call[3] for call in calls] == [2.0]  # the left side reuses its path
-    # the table is left holding the path that answered each side
-    assert sides[-1.0] is p._searched[-1.0]
-    assert sides[1.0] is not p._searched[1.0] and sides[1.0].t_reached == 2.0
+    # the table is only read: the problem keeps its search's paths
+    assert p._searched == kept and all(p._searched[k] is kept[k] for k in kept)
+    # G = 1 - B has its first zero at 1.033, past the searched radius, and
+    # has G(0)'s sign again at 2.5: the evaluator stops at the zero on the
+    # fresh path that answers the side, not only on a searched one
+    with pytest.raises(OutsideValidity, match=r"^asymptote: G=1\.6\d* at t=2\.5 is at or past G's first zero"):
+        solution_values(p, [-1.0, 0.5, 2.5])
+    assert [call[3] for call in calls] == [2.0, 2.5]
     monkeypatch.undo()
     fresh = ab_values(p.a, p.b, 1.0, [-1.0, 0.5, 2.0])
     assert got[1:] == fresh[1:]  # the same fresh path to 2.0
@@ -697,6 +741,26 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+# a path that reports no zero of G, so the evaluator stops only where G
+# lacks G(0)'s sign
+_NoZero = type("NoZero", (stepper._path_class(2),), {"first_crossing": lambda self, k, level: None})
+
+
+def answering(monkeypatch, pairs, ts):
+    """Make `solution_values` read (A, B) = pairs[k] at ts[k]: each side of
+    0 is answered from a path whose nodes are 0, where (A, B) = (0, 0),
+    and the side's points, whose walk reads each point's state as stored,
+    and which has no zero of G to stop at."""
+    nodes = {0.0: (0.0, 0.0), **dict(zip(ts, pairs))}
+
+    def solve(x):
+        times = sorted((t for t in nodes if (t >= 0.0) is (x >= 0.0) or t == 0.0), key=abs)
+        steps = [((0.0,) * 6,) * 2] * (len(times) - 1)
+        return _NoZero(ctl=QUAD_CONTROL, ts=times, ys=[nodes[t] for t in times], ks=steps)
+
+    monkeypatch.setattr(closedform, "ab_sides", lambda a, b, mult, searched=None: solve)
+
+
 # n, root exponent -1/(n-1): 2 -> -1, 4/3 -> -3 (odd roots, poles); 3 -> -1/2,
 # 5/3 -> -3/2 (even roots, poles); 0 -> 1, 1/2 -> 2, 2/3 -> 3, -2 -> 1/3
 # (odd roots); 1/3 -> 3/2, 3/5 -> 5/2, -1 -> 1/2 (even roots); 1
@@ -723,7 +787,7 @@ def test_solution_loop_matches_the_signed_pow_loop(monkeypatch, n, d):
         for k, bval in enumerate(bvals):
             pairs = [(0.0, 0.0), (0.1, 0.2), (aval, bval), (-0.3, 0.1)]
             ts = [0.0, 0.5, 1.0 + k, -0.5]
-            monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, searched: pairs)
+            answering(monkeypatch, pairs, ts)
             got = outcome(lambda: solution_values(p, ts))
             assert got == outcome(lambda: reference_solution_values(p, pairs, ts)), (aval, bval)
             if p.n.cls is not ExponentClass.ONE:
@@ -745,7 +809,7 @@ def test_a_solution_past_the_float_range_raises(n):
 
 def test_solution_loop_error_texts(monkeypatch):
     def at(n, d, pair):
-        monkeypatch.setattr(closedform, "ab_values", lambda a, b, m, ts, searched: [pair])
+        answering(monkeypatch, [pair], [0.25])
         with pytest.raises(BsymError) as info:
             solution_values(problem("0", "1", n, d), [0.25])
         return type(info.value), str(info.value)
@@ -773,7 +837,7 @@ def test_solution_at_a_zero_radicand(monkeypatch, n, y):
     # exponent has its pole there
     p = problem("0", "1", n, 1.0)
     m = (p.n.p - p.n.q) / p.n.q
-    monkeypatch.setattr(closedform, "ab_values", lambda a, b, mult, ts, searched: [(0.0, 1.0 / m)])
+    answering(monkeypatch, [(0.0, 1.0 / m)], [0.5])
     assert 1.0 - m * (1.0 / m) == 0.0
     if y is None:
         with pytest.raises(OutsideValidity, match=r"G=0\.0 at t=0\.5 is at or past G's first zero \(G\(0\)=1\.0\)$"):

@@ -406,6 +406,7 @@ class CountingSolve:
         ([0.0], [0.0]),
         ([-1.0, 0.0], [0.0, -1.0]),
         ([], []),
+        ([-1.0, -0.0], [-0.0, -1.0]),
     ],
 )
 def test_grid_values_solves_once_per_side(ts, calls):
@@ -420,6 +421,25 @@ def test_grid_values_answer_zero_with_the_first_node(zero, others):
     solve = CountingSolve(y0=(0.3,))
     out = grid_values(solve, [*others, zero])
     assert out[-1] == (0.3,)
+
+
+def test_grid_values_read_each_side_outward_and_scatter_back():
+    # one read per side, t >= 0 first: its points in order of |t|, 0.0 and
+    # -0.0 with t >= 0, equal times in input order on the side t >= 0;
+    # what the read returns per point lands at the point's input position
+    ts = [0.5, -0.0, -1.0, 2.0, 0.0, -0.25, -1.0, 0.5]
+    reads = []
+
+    def read(path, qs):
+        reads.append((path.t_reached, [repr(t) for t in qs]))
+        return [(repr(t), path.t_reached) for t in qs]
+
+    out = grid_values(CountingSolve(), ts, read)
+    assert reads == [
+        (2.0, ["-0.0", "0.0", "0.5", "0.5", "2.0"]),
+        (-1.0, ["-0.25", "-1.0", "-1.0"]),
+    ]
+    assert out == [(repr(t), 2.0 if t >= 0.0 else -1.0) for t in ts]
 
 
 def test_grid_values_keep_the_input_order():

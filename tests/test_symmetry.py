@@ -319,7 +319,7 @@ def test_verify_cases_walks_p1_once_per_distinct_time(monkeypatch, method):
     cases = applicable_cases(p)
     assert [c.id for c in cases] == ["T2i", "T2iv", "T3i"]
     expected = [verify_pair(p, c, method=method) for c in cases]
-    calls = []  # per grid_values call, the times of each values walk
+    calls = []  # per grid_values call, the times of each walk
 
     class Recorded:
         def __init__(self, path, walks):
@@ -329,13 +329,20 @@ def test_verify_cases_walks_p1_once_per_distinct_time(monkeypatch, method):
             self.walks.append(list(qs))
             return self.path.values(qs)
 
-    def recording(solve, ts):
+        def read(self, reader, qs, *env):
+            self.walks.append(list(qs))
+            return self.path.read(reader, qs, *env)
+
+        def first_crossing(self, k, level):
+            return self.path.first_crossing(k, level)
+
+    def recording(solve, ts, *read):
         walks = []
         calls.append(walks)
-        return grid_values(lambda t_end: Recorded(solve(t_end), walks), ts)
+        return grid_values(lambda t_end: Recorded(solve(t_end), walks), ts, *read)
 
     monkeypatch.setattr("bsym.oracle.grid_values", recording)
-    monkeypatch.setattr("bsym.quad.grid_values", recording)
+    monkeypatch.setattr("bsym.closedform.grid_values", recording)
     reports = verify_cases(p, cases, method=method)
     assert reports == expected
     assert len(calls) == 1  # p1 alone: every partner is certified and reads p1's values
