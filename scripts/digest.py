@@ -8,8 +8,9 @@ never changed):
 
 * `verify_cases` of every applicable case, by the closed form and by the
   oracle, on N verify-all problems;
-* `validity_intervals` of each verify-all and solve-dense problem together
-  with its partners, then 101-point `solution_values` across each interval;
+* `validity_interval` of each verify-all and solve-dense problem and of
+  each of its partners, then 101-point `solution_values` across each
+  interval;
 * `identity_residuals` on 4*N identity inputs.
 
 A typed error is digested as its type and message.  Two commits that print
@@ -36,7 +37,7 @@ from bsym import (  # noqa: E402
     problem,
     solution_values,
     transform_problem,
-    validity_intervals,
+    validity_interval,
     verify_cases,
 )
 
@@ -61,7 +62,7 @@ def _grid(v) -> list:
 
 def _solutions(p1) -> str:
     problems = [p1, *(transform_problem(p1, case) for case in applicable_cases(p1))]
-    intervals = validity_intervals(problems, SEARCH_RADIUS)
+    intervals = [validity_interval(p, SEARCH_RADIUS) for p in problems]
     values = [_answer(lambda: solution_values(p, _grid(v))) for p, v in zip(problems, intervals)]
     return repr((intervals, values))
 

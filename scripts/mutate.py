@@ -584,8 +584,8 @@ MUTANTS = [
     Mutant(
         "certified-partner-drops-s",
         "symmetry.py",
-        "y2s.append([s * v for v in mirrored])",
-        "y2s.append(list(mirrored))",
+        "y1, y2 = mirrored, [s * v for v in mirrored]",
+        "y1, y2 = mirrored, list(mirrored)",
         "a certified partner reads y1 where it should read s * y1: every"
         " origin and t-axis case fails",
         ("tests/test_symmetry.py::test_a_certified_case_runs_no_partner_search_or_solve",),
@@ -601,13 +601,22 @@ MUTANTS = [
         ("tests/test_oracle.py::test_a_t_mirror_is_certified_only_under_structural_parity",),
     ),
     Mutant(
-        "certified-cases-read-the-joined-solve",
+        "uncertified-case-reads-the-certified-solve",
         "symmetry.py",
-        "mirrored = y1s if grid == distinct else solve(p1, grid)",
-        "mirrored = [y1_at[t] for t in grid]",
-        "a certified partner reads p1's paths toward another case's farther"
-        " grid end, where its own would end at its grid's: other floats",
-        ("tests/test_symmetry.py::test_oracle_reports_equal_those_of_each_problems_own_solves",),
+        "y1, y2 = solve(p1, grid), solve(p2, [r * t for t in grid])",
+        "y1, y2 = mirrored or solve(p1, grid), solve(p2, [r * t for t in grid])",
+        "an uncertified case after a certified one reads y1 from p1's solve on"
+        " p1's own grid, not on the case's common-interval grid: other times",
+        ("tests/test_symmetry.py::test_verify_cases_equals_verify_pair_in_every_mix",),
+    ),
+    Mutant(
+        "certified-cases-read-an-uncertified-solve",
+        "symmetry.py",
+        "y1, y2 = solve(p1, grid), solve(p2, [r * t for t in grid])",
+        "y1 = mirrored = solve(p1, grid); y2 = solve(p2, [r * t for t in grid])",
+        "a certified case after an uncertified one reads p1 solved on that"
+        " case's grid, not on p1's own grid, which its report names",
+        ("tests/test_symmetry.py::test_verify_cases_equals_verify_pair_in_every_mix",),
     ),
     Mutant(
         "verify-passes-a-value-that-is-not-finite",

@@ -14,7 +14,6 @@ from .closedform import (
     problem,
     solution_values,
     validity_interval,
-    validity_intervals,
 )
 from .errors import (
     BsymError,
@@ -97,7 +96,6 @@ __all__ = [
     "solve_on_grid",
     "transform_problem",
     "validity_interval",
-    "validity_intervals",
     "verify_cases",
     "verify_pair",
 ]

@@ -63,7 +63,6 @@ __all__ = [
     "eval_solution",
     "solution_values",
     "validity_interval",
-    "validity_intervals",
 ]
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class ProblemSpec:
     _searched holds the (A, B) paths of (a, b, n-1) from the problem's
     latest validity search, keyed by side of 0 (1.0 or -1.0), for
     `solution_values` to answer grids from: an integrated path or a
-    `stepper.PathView` of one (see `validity_intervals`).
+    `stepper.PathView` of one (see `validity_interval`).
     """
 
     a: Expr
@@ -223,7 +222,7 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     one walk over its steps (`stepper.grid_values`, `DensePath.read`),
     which computes y at each point from the path's (A, B) there.
     Where G = 0 is a pole or an even root's edge, a point at or past G's
-    first zero on the path that answers it, where `validity_intervals`
+    first zero on the path that answers it, where `validity_interval`
     ends the interval, or where G lacks G(0)'s sign, raises OutsideValidity
     ("asymptote: .." or "root boundary: .."); an odd root with a positive
     exponent goes on.  G^root is `math.pow` times the root's `negative_sign`
@@ -266,62 +265,48 @@ def eval_solution(p: ProblemSpec, t: float) -> float:
     return solution_values(p, [t])[0]
 
 
-def validity_intervals(problems: Sequence[ProblemSpec], search_radius: float) -> list[Validity]:
-    """The first zero of G on each side of 0 within search_radius, per problem.
+def validity_interval(p: ProblemSpec, search_radius: float) -> Validity:
+    """The first zero of G on each side of 0 within search_radius.
 
     G = g0 - (n-1)*B vanishes where B reaches level = g0/(n-1), which
     `DensePath.first_crossing` finds step by step on the dense (A, B) path
     of one integration per side, to full float resolution; a tangent touch
     within the error scale of the path's control (abs_tol + rel_tol*|B| in
     B) counts.
-    A and B depend on a, b and n-1 only, and each side of a problem
-    resolves once to a path by the reflection rule (`quad.ab_sides`): an
-    integrated path or a `stepper.PathView` of one, which the problem
-    keeps and whose first crossing is its end.  Each problem integrates
-    its own sides, and no path is shared between problems: a partner that
-    `exponent.reflections` certifies is answered from p1's values
-    (`symmetry.verify_cases`) and searches nothing.  Where a0 is odd and
-    b0 of structural parity, the side toward -radius is the t-mirror of
-    the one toward +radius, so one integration serves both.
+    A and B depend on a, b and n-1 only, and each side resolves once to a
+    path by the reflection rule (`quad.ab_sides`): an integrated path or a
+    `stepper.PathView` of one, whose first crossing is its end.  No path
+    is shared between problems: a partner that `exponent.reflections`
+    certifies is answered from p1's values (`symmetry.verify_cases`) and
+    searches nothing.  Where a0 is odd and b0 of structural parity, the
+    side toward -radius is the t-mirror of the one toward +radius, so one
+    integration serves both.
 
     Boundary kinds: Asymptote when the root exponent is negative (the
     solution diverges), RootBoundary otherwise (the root loses its real
     branch / uniqueness), SearchLimit when no zero is found, and Unbounded
-    for the radicand-free unit exponent.  Errors are raised in problem
-    order.
+    for the radicand-free unit exponent.
 
-    Each problem keeps the paths of its search, each reaching exactly
-    +-search_radius, for `solution_values` until its next search replaces
-    them; a path lives only as long as its problem.  A search
-    never reads paths kept by an earlier one, so its intervals do not
-    depend on earlier calls.
+    p keeps the paths of its search, each reaching exactly +-search_radius,
+    for `solution_values` until its next search replaces them; a path
+    lives only as long as its problem.  A search never reads paths kept by
+    an earlier one, so its interval does not depend on earlier calls.
     """
     if not 0.0 < search_radius < math.inf:
         raise DomainError("search_radius must be positive and finite")
-    out = []
-    for p in problems:
-        if p.n.cls is ExponentClass.ONE:
-            out.append(Validity(
-                -search_radius, search_radius, BoundaryKind.UNBOUNDED, BoundaryKind.UNBOUNDED
-            ))
-            continue
-        g0, m, root = _radicand(p)
-        zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
+    if p.n.cls is ExponentClass.ONE:
+        return Validity(-search_radius, search_radius, BoundaryKind.UNBOUNDED, BoundaryKind.UNBOUNDED)
+    g0, m, root = _radicand(p)
+    zero_kind = BoundaryKind.ASYMPTOTE if root.p < 0 else BoundaryKind.ROOT_BOUNDARY
 
-        level = g0 / m  # the B at which G vanishes; nonzero, as B(0) = 0 must differ from it
-        p._searched.clear()
-        solve = ab_sides(p.a, p.b, m)
-        ends = []
-        for direction in (1.0, -1.0):
-            path = p._searched[direction] = solve(direction * search_radius)
-            found = path.first_crossing(1, level)
-            limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
-            ends.append(limit if found is None else (found, zero_kind))
-        (hi, hi_kind), (lo, lo_kind) = ends
-        out.append(Validity(lo, hi, lo_kind, hi_kind))
-    return out
-
-
-def validity_interval(p: ProblemSpec, search_radius: float) -> Validity:
-    """p's validity interval: `validity_intervals` of p alone."""
-    return validity_intervals([p], search_radius)[0]
+    level = g0 / m  # the B at which G vanishes; nonzero, as B(0) = 0 must differ from it
+    p._searched.clear()
+    solve = ab_sides(p.a, p.b, m)
+    ends = []
+    for direction in (1.0, -1.0):
+        path = p._searched[direction] = solve(direction * search_radius)
+        found = path.first_crossing(1, level)
+        limit = (direction * search_radius, BoundaryKind.SEARCH_LIMIT)
+        ends.append(limit if found is None else (found, zero_kind))
+    (hi, hi_kind), (lo, lo_kind) = ends
+    return Validity(lo, hi, lo_kind, hi_kind)

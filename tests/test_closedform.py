@@ -16,7 +16,6 @@ from bsym import (
     solution_values,
     solve_on_grid,
     validity_interval,
-    validity_intervals,
 )
 from bsym import applicable_cases, closedform, transform_problem
 from bsym.closedform import ProblemSpec
@@ -440,7 +439,12 @@ def test_tiny_initial_value_is_domain_error_before_any_integration(monkeypatch):
     assert calls == []
 
 
-def test_validity_intervals_integrate_each_problems_own_sides(monkeypatch):
+def _search_each(problems, search_radius):
+    """The validity interval of each problem, searched in order."""
+    return [validity_interval(p, search_radius) for p in problems]
+
+
+def test_validity_interval_integrates_each_problems_own_sides(monkeypatch):
     # (b, 1), (-b, 1) and (b, 2) as (B's coefficient, n-1): (-b, 1) is the
     # path of (b, 1) with B negated, yet no path is shared between
     # problems, so each searched problem integrates its two sides (b has no
@@ -450,7 +454,7 @@ def test_validity_intervals_integrate_each_problems_own_sides(monkeypatch):
     ps += [problem("cos(t)", f"-({b})", 2, 1.0), problem("cos(t)", b, 3, 2.0)]
     ps += [problem("cos(t)", b, 1, 1.0)]
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    got = validity_intervals(ps, 4.0)
+    got = _search_each(ps, 4.0)
     assert [call[3] for call in calls] == [4.0, -4.0] * 5
     monkeypatch.undo()
     assert got == [validity_interval(p, 4.0) for p in ps]
@@ -475,7 +479,7 @@ def test_each_problem_walks_its_levels_on_its_own_path(monkeypatch):
     partners = [transform_problem(p1, case) for case in ("T2iv", "T2ii")]
     monkeypatch.setattr(DensePath, "_walk", counted)
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    got = validity_intervals([p1, *partners], 4.0)
+    got = _search_each([p1, *partners], 4.0)
     assert [call[3] for call in calls] == [4.0] * 3
     assert [level for _, level in walks] == [1.0, -1.0, 1.0, -1.0, -1.0, 1.0]
     assert len({path for path, _ in walks}) == 3
@@ -577,7 +581,7 @@ def test_solution_values_leaves_its_problem_as_it_found_it(n, searched):
     # that of a problem with the same search and no earlier call
     p, q = problem("cos(t)", "sin(t)", n, 0.2), problem("cos(t)", "sin(t)", n, 0.2)
     if searched:
-        validity_intervals([p, q], 1.0)
+        _search_each([p, q], 1.0)
     kept = dict(p._searched)
     solution_values(p, [2.0, -2.0])
     answer = eval_solution(p, 0.3)
@@ -605,11 +609,11 @@ def test_only_the_latest_search_paths_are_kept():
     }
     # another problem's search leaves p's alone
     q, r = problem("sin(t)", "cos(t)", 2, -1.0), problem("cos(t)", "1", 3, 1.0)
-    validity_intervals([q, r], 1.0)
+    _search_each([q, r], 1.0)
     assert p._searched == kept and all(p._searched[k] is kept[k] for k in kept)
     assert all(q._searched[k] is not kept[k] for k in kept)
     v, w = problem("sin(t)", "cos(t)", 2, 0.5), problem("sin(t)", "cos(t)", 2, 2.0)
-    validity_intervals([v, w], 4.0)  # same a, b, n-1: each integrates its own path
+    _search_each([v, w], 4.0)  # same a, b, n-1: each integrates its own path
 
     def source(path):
         return path.source if isinstance(path, PathView) else path
@@ -894,19 +898,19 @@ def _variants(p1):
     ],
 )
 def test_flipped_coefficients_search_and_solve_as_their_own_trees(a, b, n, d):
-    # every flip of a, b and d, searched together, gets the ends and
+    # every flip of a, b and d, searched in turn, gets the ends and
     # values of its own trees' paths bit for bit
     _search_and_solve_as_own_trees(_variants(problem(a, b, n, d)))
 
 
 def _search_and_solve_as_own_trees(problems):
-    """Search `problems` together, in their order and reversed, then check
+    """Search `problems` in turn, in their order and reversed, then check
     each one's validity ends and `solution_values` against paths of its
     own trees, nothing shared.  Reversed, another problem integrates
     first; the answers must not change."""
     refs = [reference_search(p) for p in problems]
     for order in (1, -1):
-        got = validity_intervals(problems[::order], 4.0)[::order]
+        got = _search_each(problems[::order], 4.0)[::order]
         assert [_ends(v) for v in got] == [ends for ends, _ in refs]
         for p, v, (_, paths) in zip(problems, got, refs):
             lo, hi = v.interior()
@@ -941,7 +945,7 @@ def _search_and_solve_as_own_trees(problems):
     ],
 )
 def test_reflected_paths_search_and_solve_as_their_own_trees(monkeypatch, a, b, n, d):
-    # p1 and its partners, searched together: each problem integrates its
+    # p1 and its partners, searched in turn: each problem integrates its
     # own sides, and a side answered by the reflection of the problem's
     # other side, where a is odd, gets the ends and values of the
     # problem's own path toward that side, bit for bit
@@ -950,7 +954,7 @@ def test_reflected_paths_search_and_solve_as_their_own_trees(monkeypatch, a, b, 
     assert len(problems) > 1
     odd_a = structural_parity(split_sign(p1.a)[1]) is Parity.ODD
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
-    validity_intervals(problems, 4.0)
+    _search_each(problems, 4.0)
     assert [call[3] for call in calls] == ([4.0] if odd_a else [4.0, -4.0]) * len(problems)
     monkeypatch.undo()
     _search_and_solve_as_own_trees(problems)
@@ -981,13 +985,13 @@ def test_reflected_paths_fail_as_their_own_trees(a, b, n):
     problems = _variants(p1)
     for p in problems:
         own = failure(lambda: reference_search(p))
-        assert failure(lambda: validity_intervals([p], 4.0)) == own
-    assert failure(lambda: validity_intervals(problems, 4.0)) == failure(
+        assert failure(lambda: validity_interval(p, 4.0)) == own
+    assert failure(lambda: _search_each(problems, 4.0)) == failure(
         lambda: reference_search(problems[0])
     )
     partners = [transform_problem(p1, case) for case in applicable_cases(p1)]
     for p in [*partners, p1]:  # each partner first
-        assert failure(lambda: validity_intervals([p, *problems], 4.0)) == failure(
+        assert failure(lambda: _search_each([p, *problems], 4.0)) == failure(
             lambda: reference_search(p)
         )
 
@@ -1001,7 +1005,7 @@ def test_sampled_parity_never_shares_a_reflection(monkeypatch):
         p1 = problem(a, "cos(t)", 2, 1.0)
         problems = [p1, *(transform_problem(p1, case) for case in applicable_cases(p1))]
         calls.clear()
-        validity_intervals(problems, 4.0)
+        _search_each(problems, 4.0)
         assert [call[3] for call in calls] == [4.0, -4.0] * len(problems)
         calls.clear()
         validity_interval(p1, 4.0)
@@ -1035,7 +1039,7 @@ def test_flipped_coefficients_fail_as_their_own_trees(a, b, n, want):
     assert failure(lambda: reference_search(problems[0])) == want
     for p in problems:
         own = failure(lambda: reference_search(p))
-        assert failure(lambda: validity_intervals([p], 4.0)) == own
+        assert failure(lambda: validity_interval(p, 4.0)) == own
         fresh = ProblemSpec(p.a, p.b, p.n, p.d)
         assert failure(lambda: solution_values(fresh, [-4.0, 4.0])) == own  # same paths
-    assert failure(lambda: validity_intervals(problems, 4.0)) == want
+    assert failure(lambda: _search_each(problems, 4.0)) == want
