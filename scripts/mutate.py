@@ -61,8 +61,8 @@ MUTANTS = [
     Mutant(
         "certify-by-sampled-parity",
         "exponent.py",
-        "pa, pb = structural_parity(a0), structural_parity(b0)",
-        "from .expr import detect_parity; pa, pb = detect_parity(a0), detect_parity(b0)",
+        "pa, pb = structural_parity(a), structural_parity(b)",
+        "from .expr import detect_parity; pa, pb = detect_parity(a), detect_parity(b)",
         "a t-mirror is certified by a sampled parity, which is not exact",
         ("tests/test_closedform.py", "tests/test_symmetry.py"),
     ),
@@ -111,18 +111,18 @@ MUTANTS = [
     Mutant(
         "mirror-ignores-the-multiplier",
         "quad.py",
-        "for _, _, ka, kb, _ in views if ka * mult == sa * mult]",
-        "for _, _, ka, kb, _ in views]",
-        "a side toward -t reads the mirror of the path toward t for an even a0,"
+        "for _, _, ka, kb, _ in reflections(a, b) if ka * mult == mult]",
+        "for _, _, ka, kb, _ in reflections(a, b)]",
+        "a side toward -t reads the mirror of the path toward t for an even a,"
         " so B_{-m} where B_m belongs: wrong values and validity ends",
         ("tests/test_closedform.py::test_a_side_is_the_other_sides_mirror_only_where_it_keeps_the_multiplier",),
     ),
     Mutant(
         "mirror-skips-m-zero",
         "quad.py",
-        "for _, _, ka, kb, _ in views if ka * mult == sa * mult]",
-        "for _, _, ka, kb, _ in views if ka == sa]",
-        "only an odd a0 mirrors a side, so a unit exponent's grid with a0 even"
+        "for _, _, ka, kb, _ in reflections(a, b) if ka * mult == mult]",
+        "for _, _, ka, kb, _ in reflections(a, b) if ka == 1]",
+        "only an odd a mirrors a side, so a unit exponent's grid with a even"
         " integrates both sides where one path serves",
         ("tests/test_closedform.py::test_a_side_is_the_other_sides_mirror_only_where_it_keeps_the_multiplier",),
     ),
@@ -258,7 +258,7 @@ MUTANTS = [
     Mutant(
         "view-crossing-drops-r",
         "stepper.py",
-        "return None if found is None else self.r * found",
+        "return None if found is None else -found",
         "return found",
         "a t-reflected view reports its source's crossing on the wrong side of 0",
         ("tests/test_stepper.py", "tests/test_quad.py", "tests/test_closedform.py"),
@@ -291,19 +291,19 @@ MUTANTS = [
     Mutant(
         "identities-mirror-without-certificate",
         "quad.py",
-        "mirrored = any(r == -1.0 for r, *_ in reflections(a, b)[2])",
+        "mirrored = bool(reflections(a, b))",
         "mirrored = True",
         "a sampled parity is read as a t-mirror: a failing identity reads 0",
         ("tests/test_quad.py", "tests/test_cli.py"),
     ),
     Mutant(
-        "identities-drop-a-sign-from-the-multipliers",
+        "mirror-view-drops-kb",
         "quad.py",
-        "tuple(sa * u for u in mults)",
-        "mults",
-        "an identity of -(a) integrates the paths of a: its residuals are those"
-        " of another problem, which a certified mirror hides (both read 0)",
-        ("tests/test_quad.py::test_identity_residuals_are_those_of_fresh_paths",),
+        "return PathView(source, mirror[0])",
+        "return PathView(source, (mirror[0][0], 1))",
+        "a side toward -t read as the t-mirror keeps B's sign where b's parity"
+        " flips it: wrong values and validity ends for an even b",
+        ("tests/test_closedform.py::test_reflected_paths_search_and_solve_as_their_own_trees",),
     ),
     Mutant(
         "mirror-keeps-the-multipliers",
@@ -447,14 +447,13 @@ MUTANTS = [
         ("tests/test_expr.py::test_every_node_is_truthy_and_immutable",),
     ),
     Mutant(
-        "ab-values-fresh-side-keeps-top-minus",
-        "quad.py",
-        "        if rule is None:\n",
-        "        if path is not None:\n            return nested_path(a, b, (mult,), t_end)\n"
-        "        if rule is None:\n",
-        "a solve grid's fresh side integrates a and b with their top minuses:"
-        " a tree and its negation compile two shapes, and no side reads a mirror",
-        ("tests/test_quad.py::test_no_path_integrates_a_tree_with_its_top_minus",),
+        "even-test-accepts-any-y-axis-view",
+        "oracle.py",
+        "even = (-1.0, 1.0, 1, 1, 1) in reflections(p.a, p.b, p.n.cls)",
+        "even = any(v[:2] == (-1.0, 1.0) for v in reflections(p.a, p.b, p.n.cls))",
+        "any y-axis view reads as an even solution, though only (-1, 1, 1, 1, 1)"
+        " names p itself: a symmetric grid reads y(-t) as y(t) for even a or b",
+        ("tests/test_symmetry.py::test_oracle_reports_equal_those_of_each_problems_own_solves",),
     ),
     Mutant(
         "integrate-runs-a-bound-form-through-the-call-loop",
@@ -529,12 +528,13 @@ MUTANTS = [
         ("tests/test_closedform.py::test_solution_continues_through_g_zero_for_odd_root",),
     ),
     Mutant(
-        "split-sign-takes-one-minus",
-        "expr.py",
-        "    while isinstance(e, Neg):",
-        "    if isinstance(e, Neg):",
-        "--t splits as -1 * -t: its paths are not the paths of t",
-        ("tests/test_expr.py::test_split_sign_takes_out_every_leading_minus",),
+        "certification-ignores-ka",
+        "symmetry.py",
+        "own = (r, s, *case.signs) not in certified",
+        "own = (r, s, *case.signs[1:]) not in {(r_, s_, kb, kd) for r_, s_, _, kb, kd in certified}",
+        "a partner whose a2 sign no view of p1 names is certified by (r, s), kb"
+        " and kd alone: a forced case reads p1's values and passes",
+        ("tests/test_symmetry.py::test_oracle_reports_equal_those_of_each_problems_own_solves",),
     ),
     Mutant(
         "negated-never-unwraps",
@@ -575,8 +575,8 @@ MUTANTS = [
     Mutant(
         "verify-certifies-every-partner",
         "symmetry.py",
-        "p2.d) not in certified",
-        "p2.d) is None",
+        "own = (r, s, *case.signs) not in certified",
+        "own = (r, s, *case.signs) is None",
         "every partner is read as p1 reflected: a forced case passes with a"
         " residual of 0, and a sampled parity shares p1's values",
         ("tests/test_symmetry.py::test_an_uncertified_partner_is_solved_on_its_own_paths",),
@@ -593,8 +593,8 @@ MUTANTS = [
     Mutant(
         "certification-waives-the-t-mirror",
         "symmetry.py",
-        "p2.d) not in certified",
-        "p2.d) not in certified and case.relation.r == 1",
+        "own = (r, s, *case.signs) not in certified",
+        "own = (r, s, *case.signs) not in certified and case.relation.r == 1",
         "a t-mirror partner (r = -1) counts as certified with no view of"
         " structural parity: a parity that only sampling finds, or a forced"
         " case, reads p1's values",

@@ -278,7 +278,7 @@ def validity_interval(p: ProblemSpec, search_radius: float) -> Validity:
     `stepper.PathView` of one, whose first crossing is its end.  No path
     is shared between problems: a partner that `exponent.reflections`
     certifies is answered from p1's values (`symmetry.verify_cases`) and
-    searches nothing.  Where a0 is odd and b0 of structural parity, the
+    searches nothing.  Where a is odd and b of structural parity, the
     side toward -radius is the t-mirror of the one toward +radius, so one
     integration serves both.
 

@@ -4,6 +4,11 @@ Exponents are carried as reduced integer pairs end to end; only the final
 power is evaluated in floating point, so the parity of numerator and
 denominator (which decides which real root exists) is never corrupted by
 rounding.
+
+The exponent class also decides which reflections y2(r*t) = s*y1(t) of a
+problem exist: `reflection_signs` is the one rule for the signs of a
+reflected problem's (a, b, d), and `reflections` lists the ones that the
+structural parities of a and b, as written, make exact.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError, ZeroDenominator
-from .expr import Expr, split_sign, structural_parity
+from .expr import Expr, structural_parity
 
 __all__ = [
     "ExponentClass",
@@ -111,34 +116,31 @@ def reflection_signs(
     return (r * eps_a, r * s_pow * eps_b, s)
 
 
-def reflections(a: Expr, b: Expr, cls: Optional[ExponentClass] = None) -> tuple:
-    """(a0, b0, views), a = sa*a0 and b = sb*b0 with a0 and b0 the trees
-    under the unary minuses at the top of a and b (`expr.split_sign`): the
-    certified reflections, the one place that decides which problems share
-    a solve.  A view (r, s, ka, kb, kd) names the problem (ka*a0, kb*b0,
-    kd*d) whose solution is t -> s*y(r*t), with the signs of
-    `reflection_signs` and sa, sb folded in, the own view (1, 1, sa, sb, 1)
-    first.  r = -1 only where `expr.structural_parity` gives a0 and b0
+def reflections(a: Expr, b: Expr, cls: Optional[ExponentClass] = None) -> list:
+    """The certified reflections of the problem (a, b, d), the one place
+    that decides which problems share a solve: each view (r, s, ka, kb,
+    kd) names the problem (ka*a, kb*b, kd*d) whose solution is
+    t -> s*y(r*t), with the signs of `reflection_signs`.  The identity is
+    no view.  r = -1 only where `expr.structural_parity` gives a and b
     parities (a sampled parity never shares), s = -1 only where cls has a
     real power of a negative base (never for cls = None).  The quadrature
-    reads a problem's (A, B) through its own view and, where the t-mirror
-    keeps the multiplier, its side toward -t on its path toward t
-    (`quad.ab_sides`, cls = None), `symmetry.verify_cases` certifies a
-    partner as p1 reflected by it, and `oracle.solve_on_grid` reads an
-    even solution, the view (-1, 1, sa, sb, 1), at |t|.
+    reads a problem's side toward -t on its path toward t where the
+    t-mirror keeps the multiplier (`quad.ab_sides`, cls = None),
+    `symmetry.verify_cases` certifies a partner as p1 reflected by it, and
+    `oracle.solve_on_grid` reads an even solution, the view
+    (-1, 1, 1, 1, 1), at |t|.
     """
-    (sa, a0), (sb, b0) = split_sign(a), split_sign(b)
     eps = {1.0: (1, 1)}  # r -> (eps_a, eps_b)
-    pa, pb = structural_parity(a0), structural_parity(b0)
+    pa, pb = structural_parity(a), structural_parity(b)
     if pa is not None and pb is not None:
         eps[-1.0] = (pa.sign, pb.sign)
     flips = (1.0, -1.0) if cls is not None and cls.negative_sign else (1.0,)
-    views = []
-    for r, (eps_a, eps_b) in eps.items():
-        for s in flips:
-            ka, kb, kd = reflection_signs(cls, r, s, eps_a, eps_b)
-            views.append((r, s, ka * sa, kb * sb, kd))
-    return a0, b0, views
+    return [
+        (r, s, *reflection_signs(cls, r, s, eps_a, eps_b))
+        for r, (eps_a, eps_b) in eps.items()
+        for s in flips
+        if (r, s) != (1.0, 1.0)
+    ]
 
 
 def parse_exponent(text: Union[str, int, float]) -> RationalExponent:

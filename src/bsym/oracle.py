@@ -15,12 +15,11 @@ through its own DP5 loop, compiled once per process under the file name
 `<bsym.stepper DP5 kernel dim=1 form #K>`, which evaluates a and b inline
 at 5 stages of each step and recomputes only the value (y^n) at the 7th,
 whose time is the 6th's.  The sign of y^n for y < 0
-(`ExponentClass.negative_sign`) and the unary minuses at the top of a and
-b are bound to it as factors, beside the functions of the trees under
-those minuses, so a problem and its partners share one function per tree
-up to sign, compiled once per shape with the tree's constants bound, and
-the quadrature shares it too.  Its values and errors are those of the
-coefficient-by-coefficient closure with `signed_pow`.
+(`ExponentClass.negative_sign`) is bound to it as a factor, beside the
+functions of a and b as written, each compiled once per shape with the
+tree's constants bound and shared with the quadrature.  Its values and
+errors are those of the coefficient-by-coefficient closure with
+`signed_pow`.
 
 Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.
@@ -46,7 +45,7 @@ from typing import Sequence
 from .closedform import ProblemSpec
 from .errors import StepFailure
 from .exponent import ExponentClass, reflections, signed_pow
-from .expr import CheckedForm, checked_factory, split_sign
+from .expr import CheckedForm, checked_factory
 from .stepper import DensePath, StepControl, StepUnderflow, grid_values, integrate
 
 __all__ = [
@@ -67,14 +66,13 @@ _BLOWUP_UNDERFLOW_FRACTION = 1e-3
 # y' = a*y + b*y^n, with y^n computed as signed_pow computes it: math.pow
 # of |y| times the sign of y^n for y < 0 inline, and signed_pow itself at
 # y = 0, for NaN and for an even root of y < 0, so values and error texts
-# match.  a = sa*a0 and b = sb*b0 with sa, sb = +-1.0, so a problem and its
-# partners that flip the signs of a or b share one compile; multiplying by
-# +-1.0 is exact, so (sa*f0)*x is (-f0)*x and neg*pow(-x, e) is signed_pow's
-_RHS_ENV = "sa, sb, n, neg, e, pow, signed_pow"
-_LINEAR = CheckedForm("x", "((sa * f0 + sb * f1) * x,)", 2, _RHS_ENV)
+# match; multiplying by neg = +-1.0 is exact, so neg*pow(-x, e) is
+# signed_pow's
+_RHS_ENV = "n, neg, e, pow, signed_pow"
+_LINEAR = CheckedForm("x", "((f0 + f1) * x,)", 2, _RHS_ENV)
 _POWER = CheckedForm(
     "x",
-    "(sa * f0 * x + sb * f1 * ("
+    "(f0 * x + f1 * ("
     "pow(x, e) if x > 0.0 else neg * pow(-x, e) if x < 0.0 and neg else signed_pow(x, n)),)",
     2,
     _RHS_ENV,
@@ -94,9 +92,8 @@ def rk_solve(p: ProblemSpec, t_end: float, ctl: StepControl = ORACLE_CONTROL) ->
     ValueError, from `integrate`, for a non-finite t_end.
     """
     n = p.n
-    (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
     form = _LINEAR if n.cls is ExponentClass.ONE else _POWER
-    rhs = checked_factory(form, a0, b0)(sa, sb, n, n.cls.negative_sign, n.p / n.q, math.pow, signed_pow)
+    rhs = checked_factory(form, p.a, p.b)(n, n.cls.negative_sign, n.p / n.q, math.pow, signed_pow)
 
     try:
         return integrate(rhs, (p.d,), t_end, ctl, limit=_BLOWUP_THRESHOLD)
@@ -129,8 +126,7 @@ def solve_on_grid(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
             raise StepFailure(f"oracle blew up at t={path.t_reached!r} before reaching {t_end!r}")
         return path
 
-    _, _, views = reflections(p.a, p.b, p.n.cls)
-    even = (-1.0, 1.0, *views[0][2:]) in views  # the view (r, s) = (-1, 1) names p itself
+    even = (-1.0, 1.0, 1, 1, 1) in reflections(p.a, p.b, p.n.cls)  # the view that names p itself
     if even and ts and min(ts) == -max(ts):
         ts = [abs(t) for t in ts]
     return [y for (y,) in grid_values(solve, ts)]

@@ -18,15 +18,16 @@ StepFailure, passes through as it is; its tolerances are also the error
 scale at which the path's `first_crossing` counts a tangent touch.  The
 right-hand side (t, A) -> (a, b*exp(m1*A), ..) is the checked form
 `_ab_form(k)` of k multipliers, one expression in A, which
-`expr.checked_factory` binds per path to the multipliers and to a's and
-b's functions (compiled once per shape, constants bound, shared with the
-oracle).  `stepper.integrate` runs it through the form's own DP5 loop,
-compiled once per process and form, which evaluates a inline at 5
-stages of each step and b at 4: stage 2 feeds later stages through A
-alone and has zero weight in every B, so the form's head, A' = a, is all
-it computes there.  The loop recomputes only the value (exp(m*A)) at the
-7th stage, whose time is the 6th's; its file name in tracebacks and profiles is
-`<bsym.stepper DP5 kernel dim=N form #K>`, N = 1 + k.  A failing or
+`expr.checked_factory` binds per path to the multipliers and to the
+functions of a and b as written (compiled once per shape, constants
+bound, shared with the oracle).  `stepper.integrate` runs it through the
+form's own DP5 loop, compiled once per process and form, which evaluates
+a inline at 5 stages of each step and b at 4: stage 2 feeds later
+stages through A alone and has zero weight in every B, so the form's
+head, A' = a, is all it computes there.  The loop recomputes only the
+value (exp(m*A)) at the 7th stage, whose time is the 6th's; its file
+name in tracebacks and profiles is `<bsym.stepper DP5 kernel dim=N form
+#K>`, N = 1 + k.  A failing or
 non-finite coefficient raises EvalError, and so does an overflowing
 exp(m*A), as "integrand overflow: ..".  Reversed limits are handled by
 the sign of the step, not by re-parameterization: integrating from 0
@@ -36,9 +37,9 @@ path from `ab_sides`: a path the caller hands in (a problem's validity
 search paths) where it reaches the grid's farthest t on that side, else
 the path that the one reflection rule gives, as it does for the
 validity search: a certified t-mirror of the other side's path,
-integrated by the same solve toward the same |t|, or a fresh path of the
-trees under a's and b's top minuses.  `ab_values` reads (A, B) so;
-`closedform.solution_values` reads y from the same paths.  No path is
+integrated by the same solve toward the same |t|, or a fresh path of
+(a, b, mult).  `ab_values` reads (A, B) so; `closedform.solution_values`
+reads y from the same paths.  No path is
 shared between problems.  A(t) is the first
 component of every pair; with m = 0 the pair is (int_0^t a, int_0^t b),
 which is all the unit exponent's closed form d * exp(A + B) needs.
@@ -71,14 +72,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EvalError, ParityViolation
-from .expr import (
-    CheckedForm,
-    Expr,
-    Parity,
-    checked_factory,
-    detect_parity,
-    split_sign,
-)
+from .expr import CheckedForm, Expr, Parity, checked_factory, detect_parity
 from .exponent import RationalExponent, minus_one, reflection_signs, reflections
 from .stepper import DensePath, PathView, StepControl, grid_values, integrate
 
@@ -134,29 +128,27 @@ def ab_sides(
     reaches t_end.  Otherwise solve answers by the reflection rule
     (`exponent.reflections`), resolved on the first side it answers so:
     where solve last integrated toward exactly -t_end and the certified
-    t-mirror (-1, 1, ka, kb, 1) keeps the multiplier (ka*mult == sa*mult:
-    a0 odd, or mult = 0), that path read at -t with signs (ka, kb); else a
-    fresh path of (a0, b0, sa*mult) read through the own view (sa, sb).
+    t-mirror (-1, 1, ka, kb, 1) keeps the multiplier (ka*mult == mult: a
+    odd, or mult = 0), that path read at -t with signs (ka, kb); else a
+    fresh path of (a, b, mult).
     """
     searched = searched or {}
-    rule = None  # (a0, b0, sa, sb, mirror), resolved on the first integration
+    mirror = None  # [(ka, kb)] of the t-mirror, resolved on the first integration
     last = (None, None)  # (t_end, path) of solve's latest integration
 
     def solve(t_end: float) -> Union[DensePath, PathView]:
-        nonlocal rule, last
+        nonlocal mirror, last
         path = searched.get(1.0 if t_end >= 0.0 else -1.0)
         if path is not None and abs(t_end) <= abs(path.t_reached):
             return path
-        if rule is None:
-            a0, b0, ((_, _, sa, sb, _), *views) = reflections(a, b)
-            rule = a0, b0, sa, sb, [(ka, kb) for _, _, ka, kb, _ in views if ka * mult == sa * mult]
-        a0, b0, sa, sb, mirror = rule
+        if mirror is None:
+            mirror = [(ka, kb) for _, _, ka, kb, _ in reflections(a, b) if ka * mult == mult]
         end, source = last
         if mirror and end == -t_end:
-            return PathView(source, -1.0, mirror[0])
-        source = nested_path(a0, b0, (sa * mult,), t_end)
+            return PathView(source, mirror[0])
+        source = nested_path(a, b, (mult,), t_end)
         last = (t_end, source)
-        return source if sa == sb == 1.0 else PathView(source, 1.0, (sa, sb))
+        return source
 
     return solve
 
@@ -217,11 +209,9 @@ def identity_residuals(
     on a grid that straddles 0, and one for Eq7 or a grid on one side of
     0: an identity residual is then a shared-path residual, exactly 0, and
     evidence only through the parity certificate.  With a sampled parity
-    each side of 0 integrates its own path.  A path integrates a0 and b0,
-    a = sa*a0 and b = sb*b0 (`expr.split_sign`), at the multipliers times
-    sa: B_mult is exactly sb*B_{sa*mult} of (a0, b0), and |.| drops sb, so
-    a and -a compile one shape.  Every residual is bit for bit the one
-    fresh paths of (a, b) per side give, and no path outlives the call.
+    each side of 0 integrates its own path.  Every residual is bit for bit
+    the one fresh paths of (a, b) per side give, and no path outlives the
+    call.
     Raises DomainError where n - 1 is no usable float
     (`exponent.minus_one`), then ParityViolation unless (a, b) carry the
     parities the identity assumes, then ValueError for a non-finite t,
@@ -241,7 +231,7 @@ def identity_residuals(
     # kb, B_mult(-t) = kb * B_{ka*mult}(t), so
     # int_{-t}^0 b e^{sigma*m*A} = -B_{sigma*m}(-t) = -kb * B_{ka*sigma*m}(t)
     ka, kb, _ = reflection_signs(None, -1, 1, par_a.sign, par_b.sign)
-    mirrored = any(r == -1.0 for r, *_ in reflections(a, b)[2])
+    mirrored = bool(reflections(a, b))  # cls = None: the t-mirror alone
     left, right = sigma * m, ka * sigma * m
     # each read (x, mult, factor) is factor * B_mult(x); a certified mirror
     # reads x < 0 at -x
@@ -249,13 +239,12 @@ def identity_residuals(
     if mirrored:
         reads = [(-x, ka * mult, kb) if x < 0.0 else (x, mult, 1.0) for x, mult, _ in reads]
     carried = {}  # side of 0 -> the multipliers its path carries, in (left, right) order
-    (sa, a0), (_, b0) = split_sign(a), split_sign(b)
 
     def solve(t_end: float) -> DensePath:
         side = t_end >= 0.0
         here = {mult for x, mult, _ in reads if (x >= 0.0) is side}
         mults = carried[side] = tuple(dict.fromkeys(u for u in (left, right) if u in here))
-        return nested_path(a0, b0, tuple(sa * u for u in mults), t_end)
+        return nested_path(a, b, mults, t_end)
 
     states = grid_values(solve, [x for x, _, _ in reads])
     got = [f * y[1 + carried[x >= 0.0].index(mult)] for (x, mult, f), y in zip(reads, states)]

@@ -63,14 +63,14 @@ at.  `grid_values` answers a grid that straddles t = 0 from one
 0-anchored path per side, split by one index sort and a bisect, each
 side in one ordered walk that reads states or runs a caller's read.
 
-`PathView` is a path read through t -> r*t, r = +-1, with its components'
-signs changed, a view that queries its source and copies nothing: the one
-place that knows how a reflection acts on a path's values and crossings.
-Its reads run its source's walk, to which it passes r and the signs.
-The quadrature reads a problem's (A, B) through a view of a path of the
-trees under a's and b's top minuses (`quad.ab_sides`), the side toward
--t through the t-mirror of the problem's own path toward t where
-`exponent.reflections` certifies it; no path is kept across problems.
+`PathView` is a path's t-mirror, read through t -> -t with its
+components' signs changed, a view that queries its source and copies
+nothing: the one place that knows how a reflection acts on a path's
+values and crossings.  Its reads run its source's walk, to which it
+passes r = -1 and the signs.  The quadrature reads a problem's side
+toward -t through the t-mirror of the problem's own path toward t where
+`exponent.reflections` certifies it (`quad.ab_sides`); no path is kept
+across problems.
 The identities and the oracle need no view: under a certified mirror they
 read at -t on the same path where they would read at t < 0, and
 `symmetry.verify_cases` answers a certified partner from p1's values.
@@ -241,8 +241,8 @@ class DensePath:
     def read(self, reader: Reader, qs: Sequence[float], *env, **view) -> list:
         """What `reader` computes at times that run outward from ts[0], in
         one walk: `values`' walk, rendered with the reader's code at each
-        point and bound to `env`.  A `PathView` passes its r and signs as
-        `view`."""
+        point and bound to `env`.  A `PathView` passes r = -1 and its
+        signs as `view`."""
         return _walk(len(self.ys[0]), reader)(self, qs, *env, **view)
 
     # bench/tracing.py wraps `DensePath.value` and `DensePath.value_refined`
@@ -289,42 +289,38 @@ class DensePath:
 
 @dataclass(frozen=True, eq=False)
 class PathView:
-    """Read-only view of a `source` path, of any number of components,
-    through t -> r*t, r = +-1: at t it holds signs[k] * source(r*t)[k] in
-    each component k.  The reflection rule (`exponent.reflections`)
-    builds it for the quadrature's (A, B) paths (`quad.ab_sides`): a
-    problem's own view of a path of the trees under a's and b's top
-    minuses, and its t-mirror, which reads one problem's path toward t on
-    its side toward -t.
-    No other code reads r or signs: a caller queries a view as it queries
-    any path.  Its contract is also why the oracle's fresh paths of two
-    problems that reflect each other are each other's views, so that
-    `symmetry.verify_cases` may answer a certified partner from p1's
-    values and `oracle.solve_on_grid` an even solution's side toward -T
-    from its path toward T.
+    """Read-only t-mirror of a `source` path, of any number of
+    components: at t it holds signs[k] * source(-t)[k] in each component
+    k.  The reflection rule (`exponent.reflections`) builds it for the
+    quadrature's (A, B) paths (`quad.ab_sides`), to read one problem's
+    path toward t on its side toward -t.  No other code reads the signs:
+    a caller queries a view as it queries any path.  Its contract is also
+    why the oracle's fresh paths of two problems that reflect each other
+    are each other's views, so that `symmetry.verify_cases` may answer a
+    certified partner from p1's values and `oracle.solve_on_grid` an even
+    solution's side toward -T from its path toward T.
 
     Let `source` be the kernel's path of g from 0 toward T, and S the
-    diagonal of the signs.  If f(r*t, S*y) = r*S*g(t, y) bit for bit, the
-    kernel's path of f from 0 toward r*T is this view: its h, nodes, states
+    diagonal of the signs.  If f(-t, S*y) = -S*g(t, y) bit for bit, the
+    kernel's path of f from 0 toward -T is this view: its h, nodes, states
     and stages are the source's with their signs changed, exactly, since
     negation is exact and the step control reads only magnitudes.  Its
     `values` then equal that path's, because a query's step fraction does
     not change under negation either; and since a quartic's roots do not
-    either, that path's first crossing of a level in component k is r times
-    the source's first crossing of signs[k] * level.  For r = -1 and a
-    coefficient of structural parity eps this assumes f(-t) = eps * f(t)
+    either, that path's first crossing of a level in component k is minus
+    the source's first crossing of signs[k] * level.  For a coefficient
+    of structural parity eps this assumes f(-t) = eps * f(t)
     bit for bit, that is a C library that evaluates sin and sinh as odd,
     cos and cosh as even and (-x)**k as (-1)**k * x**k exactly, which the
     tests check on fixed arguments.  No node, state or stage is copied.
     """
 
     source: DensePath
-    r: float
     signs: tuple
 
     @property
     def t_reached(self) -> float:
-        return self.r * self.source.t_reached
+        return -self.source.t_reached
 
     def values(self, qs: Sequence[float]) -> list[State]:
         """States at times that run outward from the start, as `DensePath.values`."""
@@ -332,18 +328,17 @@ class PathView:
 
     def read(self, reader: Reader, qs: Sequence[float], *env) -> list:
         """What `reader` computes at times that run outward from the start,
-        as `DensePath.read`: the source's walk at r*t, which reads the
-        components through r and the signs."""
-        r = self.r
-        return self.source.read(reader, qs if r == 1.0 else [r * t for t in qs], *env, r=r, signs=self.signs)
+        as `DensePath.read`: the source's walk at -t, which reads the
+        components through r = -1 and the signs."""
+        return self.source.read(reader, [-t for t in qs], *env, r=-1.0, signs=self.signs)
 
     def first_crossing(self, k: int, level: float) -> Optional[float]:
         """First t past 0 where component k reaches `level`, or None, as
-        `DensePath.first_crossing`: r times the source's first crossing of
+        `DensePath.first_crossing`: minus the source's first crossing of
         signs[k] * level, which the source finds at its own control and
         caches."""
         found = self.source.first_crossing(k, self.signs[k] * level)
-        return None if found is None else self.r * found
+        return None if found is None else -found
 
 
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:
@@ -504,9 +499,10 @@ class Reader(NamedTuple):
     `point` is statements, rendered into `DensePath.values`' walk where
     the time's state is in the locals y_0, y_1, ..: they append the
     time's answer to the walk's output with `append`.  They may read the
-    time t (the path's own), the view's r and component signs s_0, s_1,
-    .. and the names in `env`, the values a read binds after the times;
-    `names` are (name, object) pairs the code reads as globals.  Each
+    time t (the path's own), r (-1.0 through a `PathView`, else 1.0), the
+    component signs s_0, s_1, .. and the names in `env`, the values a read
+    binds after the times; `names` are (name, object) pairs the code reads
+    as globals.  Each
     reader's walk compiles once per state dimension and process.
     """
 

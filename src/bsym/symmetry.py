@@ -16,10 +16,9 @@ parities) and its relation; the parities make a1(r t) and b1(r t) equal to
 +-a1(t) and +-b1(t), so the signs of (a2, b2, d2) are derived by
 `exponent.reflection_signs`, the rule `exponent.reflections` certifies
 reflections by.  `verify_cases` samples the partner at r t and takes
-|y2(r t) - s y1(t)|, each case on its own: a partner that the
-certificate names as p1 reflected by the case's (r, s) is read from
-p1's one solve, and any other is searched and solved as `verify_pair`
-does.
+|y2(r t) - s y1(t)|, each case on its own: a partner whose (r, s) and
+signs the certificate lists as a view of p1 is read from p1's one
+solve, and any other is searched and solved as `verify_pair` does.
 Coefficient negation is structural (the tree is wrapped in a unary minus)
 and the transformed coefficients are re-classified by detect_parity, never
 assumed.
@@ -34,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 from .closedform import ProblemSpec, Validity, solution_values, validity_interval
 from .errors import CaseNotApplicable
-from .expr import Parity, detect_parity, negated, split_sign
+from .expr import Parity, detect_parity, negated
 from .exponent import ExponentClass, reflection_signs, reflections
 from .oracle import solve_on_grid
 
@@ -226,13 +225,13 @@ def verify_cases(
     every partner is built first.  Each case then stands alone, in case
     order, so errors come in that order.  p1's validity interval is
     searched once, within DEFAULT_SEARCH_RADIUS.  A partner is certified
-    where `exponent.reflections` of p1 holds a view with the case's (r, s)
-    whose problem is the partner: its a and b are that view's under
-    `expr.split_sign`, and its d is kd * d.  A certified case takes p1's
-    interval, end kinds included, as its common interval, p1's grid, and
-    y2(r t) = s * y1(t), from p1's one solve on that grid, run at the
-    first certified case: it runs no search or solve of its own, and its
-    residual is 0 by construction, evidence only through the certificate.
+    where `exponent.reflections` of p1 holds the view (r, s, *case.signs):
+    the partner is built from those signs, so that view's problem is the
+    partner.  A certified case takes p1's interval, end kinds included, as
+    its common interval, p1's grid, and y2(r t) = s * y1(t), from p1's one
+    solve on that grid, run at the first certified case: it runs no search
+    or solve of its own, and its residual is 0 by construction, evidence
+    only through the certificate.
     Every other partner (a forced case, or parities that only sampling
     finds) is searched, its interval reflected by r and intersected with
     p1's, with p1's end and kind on a tie (both hold 0, since both problems
@@ -257,16 +256,14 @@ def verify_cases(
     partners = [transform_problem(p1, case, force=force) for case in cases]
     if not cases:
         return []
-    # each certified reflection of p1: its (r, s) and its problem
-    a0, b0, views = reflections(p1.a, p1.b, p1.n.cls)
-    certified = {((r, s), (ka, a0), (kb, b0), kd * p1.d) for r, s, ka, kb, kd in views}
+    certified = reflections(p1.a, p1.b, p1.n.cls)  # views (r, s, ka, kb, kd)
     solve = solve_on_grid if method == "oracle" else solution_values
     v1 = validity_interval(p1, DEFAULT_SEARCH_RADIUS)
     mirrored = None  # p1 on its own grid, which every certified case reads
     reports = []
     for case, p2 in zip(cases, partners):
         r, s = case.relation.r, case.relation.s
-        own = ((r, s), split_sign(p2.a), split_sign(p2.b), p2.d) not in certified
+        own = (r, s, *case.signs) not in certified
         common = v1
         if own:  # searched and solved on its own grid
             # y2 is sampled at r * t: reflect its interval by r before intersecting

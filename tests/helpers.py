@@ -1,6 +1,7 @@
 """Shared test utilities: an independent Simpson oracle, random
 parity-conforming problem generators, the (A, B) path of a coefficient
-pair's own trees, a call counter for work-count tests and the environment
+pair's own trees, the sign-split reference for comparing trees up to their
+top minuses, a call counter for work-count tests and the environment
 for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
@@ -26,7 +27,7 @@ from bsym import (
     parse_expr,
     quad,
 )
-from bsym.expr import checked_factory
+from bsym.expr import Neg, checked_factory
 from bsym.stepper import integrate
 
 
@@ -153,6 +154,16 @@ def own_path(a, b, mult: float, t_end: float):
         return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL)
     except OverflowError as exc:  # exp(mult * A)
         raise EvalError(f"integrand overflow: {exc}") from None
+
+
+def split_sign(e):
+    """(sign, e0) with e = sign * e0, sign = +-1.0 and e0 the tree under the
+    unary minuses at the top of e (all of them, so --t is t): the
+    reference by which two trees are one coefficient up to its sign."""
+    sign = 1.0
+    while isinstance(e, Neg):
+        sign, e = -sign, e.arg
+    return sign, e
 
 
 # --- work counts ----------------------------------------------------------------

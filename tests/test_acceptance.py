@@ -34,7 +34,7 @@ from bsym import (
     validity_interval,
     verify_pair,
 )
-from bsym.expr import detect_parity, split_sign
+from bsym.expr import detect_parity
 from bsym.quad import Identity
 
 from helpers import (
@@ -44,6 +44,7 @@ from helpers import (
     random_even_source,
     random_odd_source,
     random_problem,
+    split_sign,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

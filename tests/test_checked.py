@@ -41,7 +41,7 @@ from bsym import (
     verify_cases,
 )
 from bsym.exponent import ExponentClass, signed_pow
-from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Neg, Pow, Var, as_callable, negated
+from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Neg, Pow, Var, as_callable
 from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import nested_path
 
@@ -93,9 +93,7 @@ def reference_callable(e):
 
 def reference_factory(form, *coefs):
     """The closures quad and oracle built before, with the factory
-    signature of the form they stand in for.  The oracle's closures
-    evaluate its coefficients with the signs bound to the factory put back
-    as unary minuses at the top of their trees."""
+    signature of the form they stand in for."""
     if form in (quad._ab_form(1), quad._ab_form(2)):
         fa, fb = (reference_callable(c) for c in coefs)
         exp = math.exp
@@ -109,11 +107,8 @@ def reference_factory(form, *coefs):
 
         return ab
 
-    def factory(sa, sb, n, neg, e, pow, signed_pow_):
-        fa, fb = (
-            reference_callable(c if sign > 0.0 else negated(c))
-            for sign, c in zip((sa, sb), coefs)
-        )
+    def factory(n, neg, e, pow, signed_pow_):
+        fa, fb = (reference_callable(c) for c in coefs)
         if n.cls is ExponentClass.ONE:
             return lambda t, x: ((fa(t) + fb(t)) * x,)
         return lambda t, x: (fa(t) * x + fb(t) * signed_pow(x, n),)
@@ -572,9 +567,10 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     assert as_callable(parse_expr("3*t^0"))(0.5) == 3.0
     assert sources(compiled, "coefficient")[shapes + 8:] == ["lambda k0: lambda t: (k0*(t**0))"]
 
-    # one compile per shape: every multiplier, both oracle forms, the
-    # partners that flip a's and b's signs and as_callable share it,
-    # whatever constants their trees carry
+    # one compile per shape: every multiplier, both oracle forms and
+    # as_callable share it, whatever constants their trees carry; the
+    # partners that flip a's and b's signs integrate their own trees, one
+    # shape each for -a and -b
     del compiled[:]
     for k, mults in enumerate(((2.0,), (-2.0,), (0.0,), (2.0, -2.0))):
         nested_path(parse_expr(f"{k + 1}*cos(t)"), parse_expr(f"sin({k + 1}*t)"), mults, 1.0)
@@ -586,6 +582,7 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     assert as_callable(parse_expr("sin(7*t)"))(0.0) == 0.0
     assert sources(compiled, "coefficient") == [
         "lambda k0: lambda t: (k0*cos(t))", "lambda k0: lambda t: sin((k0*t))",
+        "lambda k0: lambda t: (-(k0*cos(t)))", "lambda k0: lambda t: (-sin((k0*t)))",
     ]
     # the loops run the forms' code inline and compile no wrapper; calling
     # a form's `Bound` compiles its wrapper once per process and form,
@@ -690,11 +687,11 @@ def test_a_bound_called_through_a_wrapper_gives_the_same_path(monkeypatch, t_end
         monkeypatch.undo()
 
 
-def test_an_identity_compiles_a_tree_and_its_negation_as_one_shape(monkeypatch):
-    # the identities integrate the trees under a's and b's top minuses, as
-    # the oracle does, so negating a or b compiles no shape; b's sign drops
-    # out of every residual, with a mirror certified and with b's parity
-    # sampled (SPIKED_B, nonzero residuals) alike
+def test_an_identity_compiles_one_shape_for_a_tree_and_one_for_its_negation(monkeypatch):
+    # the identities integrate a and b as written, so a tree and its
+    # negation compile one shape each; b's sign drops out of every
+    # residual, with a mirror certified and with b's parity sampled
+    # (SPIKED_B, nonzero residuals) alike
     compiled = counting_compiles(monkeypatch)
     expr._coefficient.cache_clear()
     expr._shape_factory.cache_clear()
@@ -703,14 +700,23 @@ def test_an_identity_compiles_a_tree_and_its_negation_as_one_shape(monkeypatch):
     def residuals(a, b):
         return quad.identity_residuals("Eq4", parse_expr(a), parse_expr(b), n, ts)
 
+    def new_shapes(a, b):
+        """The shapes that a's and b's residuals compile, and the residuals."""
+        before = len(sources(compiled, "coefficient"))
+        got = residuals(a, b)
+        return sources(compiled, "coefficient")[before:], got
+
     certified, sampled = residuals("0.5*cos(t)", "sin(t)"), residuals("0.5*cos(t)", SPIKED_B)
-    shapes = sources(compiled, "coefficient")
-    assert residuals("-(0.5*cos(t))", "-(sin(t))") == certified == [0.0] * len(ts)
-    assert max(residuals("-(0.5*cos(t))", SPIKED_B)) > 1e-3
-    assert sources(compiled, "coefficient") == shapes
-    # sampling -b's parity compiles its own shape, outside the identity
-    assert residuals("0.5*cos(t)", f"-({SPIKED_B})") == sampled
-    assert max(sampled) > 1e-3
+    assert new_shapes("-(0.5*cos(t))", "-(sin(t))") == (
+        ["lambda k0: lambda t: (-(k0*cos(t)))", "lambda : lambda t: (-sin(t))"], certified
+    )
+    assert certified == [0.0] * len(ts)
+    shapes, got = new_shapes("-(0.5*cos(t))", SPIKED_B)
+    assert shapes == [] and max(got) > 1e-3
+    # sampling -b's parity compiles its own shape too, outside the identity
+    shapes, got = new_shapes("0.5*cos(t)", f"-({SPIKED_B})")
+    assert len(shapes) == 1 and shapes[0].endswith(f"(-{expr._shape(parse_expr(SPIKED_B), [])})")
+    assert got == sampled and max(sampled) > 1e-3
 
 
 def test_profiles_see_each_coefficient_function():

@@ -22,7 +22,7 @@ from bsym.closedform import ProblemSpec
 from bsym import stepper
 from bsym.quad import QUAD_CONTROL, ab_values
 from bsym.exponent import ExponentClass, classify_exponent, parse_exponent
-from bsym.expr import Parity, negated, parse_expr, split_sign, structural_parity
+from bsym.expr import Parity, negated, parse_expr, structural_parity
 from bsym.stepper import DensePath, PathView, StepUnderflow, grid_values
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     own_path,
     random_problem,
     simpson,
+    split_sign,
 )
 
 # int_0^0.3 s*e^s ds via the Simpson oracle, then G = 1/d - B with d = -1
@@ -462,9 +463,9 @@ def test_validity_interval_integrates_each_problems_own_sides(monkeypatch):
 
 
 def test_each_problem_walks_its_levels_on_its_own_path(monkeypatch):
-    # T2iv flips b and d: on n = 2 the level g0/(n-1) = 1/d flips with d,
-    # so the partner looks for B0 reaching p1's own level; T2ii flips d
-    # alone and needs a level of its own.  With a = sin odd and b = cos
+    # T2iv flips b and d, T2ii d alone: on n = 2 the level g0/(n-1) = 1/d
+    # flips with d, and each problem integrates its own b, so both
+    # partners walk the level -1 toward +4.  With a = sin odd and b = cos
     # even, each problem's path toward -4 is its path toward +4 read at -t
     # with B negated, so each problem integrates one path and walks both
     # its levels there; no problem walks on another's path
@@ -481,7 +482,7 @@ def test_each_problem_walks_its_levels_on_its_own_path(monkeypatch):
     calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
     got = _search_each([p1, *partners], 4.0)
     assert [call[3] for call in calls] == [4.0] * 3
-    assert [level for _, level in walks] == [1.0, -1.0, 1.0, -1.0, -1.0, 1.0]
+    assert [level for _, level in walks] == [1.0, -1.0, -1.0, 1.0, -1.0, 1.0]
     assert len({path for path, _ in walks}) == 3
     # the path caches each crossing: with b = t odd as well, the side
     # toward -4 reads the very level that the side toward +4 walked
@@ -621,7 +622,7 @@ def test_only_the_latest_search_paths_are_kept():
     # a = sin odd makes each problem's side toward -4 its own path toward
     # +4 read at -t; the two problems' paths are equal bit for bit, not one
     for x in (v, w):
-        assert isinstance(x._searched[-1.0], PathView) and x._searched[-1.0].r == -1.0
+        assert isinstance(x._searched[-1.0], PathView)
         assert source(x._searched[-1.0]) is x._searched[1.0]
     assert all(source(v._searched[k]) is not source(w._searched[k]) for k in kept)
     assert v._searched[1.0].ys == w._searched[1.0].ys
@@ -960,7 +961,7 @@ def test_reflected_paths_search_and_solve_as_their_own_trees(monkeypatch, a, b, 
     _search_and_solve_as_own_trees(problems)
     for p in problems:
         mirrored = p._searched[-1.0]
-        assert (isinstance(mirrored, PathView) and mirrored.r < 0) is odd_a
+        assert isinstance(mirrored, PathView) is odd_a
 
 
 @pytest.mark.parametrize(

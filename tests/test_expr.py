@@ -264,31 +264,6 @@ def test_negated_twice_is_the_original(src):
     assert negated(negated(e)).source == e.source
 
 
-@pytest.mark.parametrize(
-    "src,sign,rest",
-    [
-        ("t", 1.0, "t"),
-        ("t - 1", 1.0, "t - 1"),
-        ("-t", -1.0, "t"),
-        ("--t", 1.0, "t"),
-        ("-(-(-(cos(t) + t)))", -1.0, "cos(t) + t"),
-        ("-t^2", -1.0, "t^2"),
-    ],
-)
-def test_split_sign_takes_out_every_leading_minus(src, sign, rest):
-    from bsym.expr import split_sign
-
-    e = parse_expr(src)
-    got_sign, e0 = split_sign(e)
-    assert (got_sign, e0) == (sign, parse_expr(rest))
-    assert type(got_sign) is float
-    if sign > 0.0 and src == rest:
-        assert e0 is e  # nothing taken out: the same tree
-    # the sign times the rest evaluates to the tree, bit for bit
-    for t in (-1.5, 0.0, 0.7):
-        assert repr(sign * e0(t)) == repr(e(t))
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_equal_trees_hash_equal(seed):
     src = random_source(random.Random(seed))

@@ -452,11 +452,11 @@ def test_ab_values_at_subnormal_times(ts):
     assert ab_values(a, b, -2.0, ts) == [(t, t) for t in ts]
 
 
-def test_no_path_integrates_a_tree_with_its_top_minus(monkeypatch, tmp_path):
-    # every path integrates the trees under a's and b's top minuses, their
-    # signs folded into the multipliers and the view, so a tree and its
-    # negation compile one shape: in validity searches, in solve grids past
-    # the searched paths, in a closed-form verify and in the identities
+def test_every_path_integrates_the_problems_own_trees(monkeypatch, tmp_path):
+    # every path integrates a and b as written, top minuses included, and
+    # a certified mirror still serves its side: in validity searches, in
+    # solve grids past the searched paths, in a closed-form verify and in
+    # the identities
     from bsym.cli import main
     from bsym.closedform import solution_values
 
@@ -473,12 +473,18 @@ def test_no_path_integrates_a_tree_with_its_top_minus(monkeypatch, tmp_path):
         assert [call[3] for call in calls[before:]] == [2.0], q.n
     prob = tmp_path / "p.json"
     prob.write_text('{"a": "-(cos(t))", "b": "-(t)", "n": "3", "d": "1"}', encoding="utf-8")
+    trees = {(p.a, p.b), (parse_expr("-(cos(t))"), parse_expr("-(t)"))}
     args = ["verify", "--problem", str(prob), "--case", "all", "--method", "closed"]
     before = len(calls)
     assert main([*args, "--report", str(tmp_path / "rep.json")]) == 0
     assert len(calls) > before
+    before = len(calls)
     assert identity_residuals("Eq7", parse_expr(a), parse_expr(b), N2, [-1.0, 1.5]) == [0.0, 0.0]
-    assert not [call for call in calls if isinstance(call[0], Neg) or isinstance(call[1], Neg)]
+    assert len(calls) == before + 1
+    # the verify's partners are read from p1's solve, so every path is of
+    # p's or the verified problem's own trees, each under its top minus
+    assert {(call[0], call[1]) for call in calls} == trees
+    assert all(isinstance(call[0], Neg) and isinstance(call[1], Neg) for call in calls)
 
 
 # --- reflections t -> -t of paths with coefficients of structural parity ----
@@ -517,24 +523,21 @@ _PARITY_TREES = st.recursive(
     end=st.builds(math.copysign, st.floats(min_value=0.1, max_value=2.0), st.sampled_from([1.0, -1.0])),
     fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
     level_fraction=st.floats(min_value=0.05, max_value=1.5),
-    r=st.sampled_from([1.0, -1.0]),
     flip_a=st.booleans(),
     flip_b=st.booleans(),
 )
 def test_reflected_path_is_the_mirrored_triples_own_path(
-    a, b, m, end, fractions, level_fraction, r, flip_a, flip_b
+    a, b, m, end, fractions, level_fraction, flip_a, flip_b
 ):
-    # the path of (sa*a, sb*b, m) toward `end` is a view of the path of
-    # (a, b, sa*m) toward `end` with A and B multiplied by (sa, sb) (r = +1),
-    # and of the path of (a, b, -eps_a*sa*m) toward -end read at -t with A
-    # and B multiplied by (-eps_a*sa, -eps_b*sb) (r = -1), for the
-    # structural parities eps of a and b: same values, and the same first
-    # crossings, bit for bit (== ignores the sign of a zero)
+    # the path of (sa*a, sb*b, m) toward `end` is the t-mirror of the path
+    # of (a, b, -eps_a*sa*m) toward -end, read at -t with A and B
+    # multiplied by (-eps_a*sa, -eps_b*sb), for the structural parities
+    # eps of a and b: same values, and the same first crossings, bit for
+    # bit (== ignores the sign of a zero)
     (a, ea), (b, eb) = a, b
     a, b = parse_expr(a), parse_expr(b)
     assert [structural_parity(a).sign, structural_parity(b).sign] == [ea, eb]
     sa, sb = (-1.0 if flip_a else 1.0), (-1.0 if flip_b else 1.0)
-    ra, rb = (1.0, 1.0) if r > 0 else (-ea, -eb)
 
     def path_or_failure(a, b, mult, t):
         try:
@@ -545,12 +548,11 @@ def test_reflected_path_is_the_mirrored_triples_own_path(
     direct = path_or_failure(
         Neg(a) if flip_a else a, Neg(b) if flip_b else b, m, end
     )
-    source = path_or_failure(a, b, ra * sa * m, r * end)
+    source = path_or_failure(a, b, -ea * sa * m, -end)
     if isinstance(direct, type) or isinstance(source, type):
         assert direct == source  # the same failure on both
         return
-    signs = (ra * sa, rb * sb)
-    view = PathView(source, r, signs)
+    view = PathView(source, (-ea * sa, -eb * sb))
     assert view.t_reached == direct.t_reached
     qs = [f * end for f in sorted(fractions)] + [end]
     assert view.values(qs) == direct.values(qs)
@@ -586,7 +588,7 @@ def test_the_mirror_of_a_two_multiplier_path_is_the_mirrored_multipliers_path(
             nested_path(a, b, tuple(ka * mu for mu in mults), end)
         return
     direct = nested_path(a, b, tuple(ka * mu for mu in mults), end)
-    view = PathView(source, -1.0, (ka, kb, kb))
+    view = PathView(source, (ka, kb, kb))
     assert view.t_reached == direct.t_reached
     qs = [f * end for f in sorted(fractions)] + [end]
     assert view.values(qs) == direct.values(qs)

@@ -237,7 +237,7 @@ def test_first_crossing_reads_the_tangent_allowance_of_the_paths_control(t_end):
     assert tight.first_crossing(0, -1.0 - 1e-9) is None
     for source in (path, tight):
         found = source.first_crossing(0, -1.0 - 1e-9)
-        view = PathView(source, -1.0, (-1.0,))
+        view = PathView(source, (-1.0,))
         assert view.first_crossing(0, 1.0 + 1e-9) == (None if found is None else -found)
 
 
@@ -904,7 +904,7 @@ def test_a_plain_callable_that_returns_lists_gets_tuple_stages():
     assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=3 form #\d+>", loop.__code__.co_filename)
 
 
-@pytest.mark.parametrize("r", [1.0, -1.0])
+@pytest.mark.parametrize("r", [-1.0])  # a view is the t-mirror alone
 @pytest.mark.parametrize(
     "signs", [(-1.0,), (1.0, -1.0), (-1.0, 1.0, -1.0)], ids=["dim1", "dim2", "dim3"]
 )
@@ -923,7 +923,7 @@ def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
     y0 = tuple(1.0 + 0.5 * k for k in range(dim))
     source = integrate(g, y0, 2.0, CTL)
     direct = integrate(f, tuple(s * v for s, v in zip(signs, y0)), r * 2.0, CTL)
-    view = PathView(source, r, signs)
+    view = PathView(source, signs)
     assert view.t_reached == direct.t_reached
     qs = [r * (0.05 * i) for i in range(41)]
     assert view.values(qs) == direct.values(qs)

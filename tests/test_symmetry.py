@@ -35,7 +35,7 @@ from bsym.exponent import ExponentClass, minus_one, reflections
 from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import SPIKED_B, conforming_problem, count_calls, random_problem
+from helpers import SPIKED_B, conforming_problem, count_calls, random_problem, split_sign
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -573,7 +573,7 @@ def _general_route(monkeypatch):
     """Make verify_cases certify no partner: every partner is then searched
     with p1 and solved on its own paths, the oracle's with no path shared
     between problems or sides."""
-    monkeypatch.setattr("bsym.symmetry.reflections", lambda a, b, cls: (a, b, []))
+    monkeypatch.setattr("bsym.symmetry.reflections", lambda a, b, cls: [])
     monkeypatch.setattr("bsym.symmetry.solve_on_grid", _own_oracle_values)
 
 
@@ -705,14 +705,18 @@ def test_an_uncertified_partner_is_solved_on_its_own_paths(monkeypatch, method, 
 
 
 def _reflection_keys(p):
-    """p's views as the (A, B) triples they read, (r, (a0, b0, ka*(n-1))),
-    and as the problems they name, (r, s, (a0, b0, n, ka, kb, kd*d)), own
-    view first."""
+    """p's views as sign-split trees, a = sa*a0 and b = sb*b0: as the
+    (A, B) triples they read, (r, (a0, b0, ka*sa*(n-1))), and as the
+    problems they name, (r, s, (a0, b0, n, ka*sa, kb*sb, kd*d)), the
+    identity first."""
     m = minus_one(p.n)
-    a0, b0, views = reflections(p.a, p.b)
-    quad = [(r, (a0, b0, ka * m)) for r, _, ka, _, _ in views]
-    a0, b0, views = reflections(p.a, p.b, p.n.cls)
-    oracle = [(r, s, (a0, b0, p.n, ka, kb, kd * p.d)) for r, s, ka, kb, kd in views]
+    (sa, a0), (sb, b0) = split_sign(p.a), split_sign(p.b)
+    identity = (1.0, 1.0, 1, 1, 1)
+    quad = [(r, (a0, b0, ka * sa * m)) for r, _, ka, _, _ in [identity, *reflections(p.a, p.b)]]
+    oracle = [
+        (r, s, (a0, b0, p.n, ka * sa, kb * sb, kd * p.d))
+        for r, s, ka, kb, kd in [identity, *reflections(p.a, p.b, p.n.cls)]
+    ]
     return quad, oracle
 
 
@@ -733,5 +737,31 @@ def test_a_partners_own_key_is_one_of_p1s_reflection_keys(case):
 
 @pytest.mark.parametrize("cls", [*ExponentClass, None])
 def test_a_sampled_parity_yields_no_t_mirror(cls):
-    _, _, views = reflections(parse_expr("cos(t)"), parse_expr(SPIKED_B), cls)
+    views = reflections(parse_expr("cos(t)"), parse_expr(SPIKED_B), cls)
     assert all(r == 1 for r, *_ in views)
+
+
+def test_certification_by_signs_equals_sign_split_trees():
+    # a forced partner is certified by its signs exactly where its a and b,
+    # as sign-split trees, and its d are the problem a view of p1 names
+    # with the case's (r, s): the signs say what the trees would.  Checked
+    # with all 11 cases forced on the showcase, 12 random problems and 2
+    # conforming problems per case
+    rng, conforming = random.Random(2323), random.Random(23)
+    problems = [*_showcase(), *(random_problem(rng) for _ in range(12))]
+    problems += [conforming_problem(case, conforming) for case in CATALOG for _ in range(2)]
+    counts = {True: 0, False: 0}
+    for p1 in problems:
+        views = reflections(p1.a, p1.b, p1.n.cls)
+        (sa, a0), (sb, b0) = split_sign(p1.a), split_sign(p1.b)
+        named = {(r, s, (ka * sa, a0), (kb * sb, b0), kd * p1.d) for r, s, ka, kb, kd in views}
+        for case in CATALOG:
+            try:
+                p2 = transform_problem(p1, case, force=True)
+            except DomainError:
+                continue
+            r, s = case.relation.r, case.relation.s
+            by_trees = (r, s, split_sign(p2.a), split_sign(p2.b), p2.d) in named
+            assert ((r, s, *case.signs) in views) is by_trees, (p1, case.id)
+            counts[by_trees] += 1
+    assert min(counts.values()) > 50, counts
