@@ -10,10 +10,12 @@ The record holds, for the change numbered N:
   solve-dense, identities) at seed 1, run twice: untraced for 30 s
   (`--trace 0 --seconds 30`) and traced for 5 s (`--trace 1 --seconds 5`);
 * `PAIRS` (10) interleaved pairs of untraced runs per workload at seed 1
-  for 5 s, one of the parent's `bench/run.py` (a temporary `git worktree`
-  of HEAD, since the record is written before the change is committed)
-  and one of the working tree's, each pair starting with the other side
-  than the pair before: each run's end-to-end metrics (`BENCHMARK.json`),
+  for 30 s (5 s pairs of an unchanged workload spread by 10 %), one of the
+  parent's `bench/run.py`
+  (HEAD's tree, extracted by `git archive` into a temporary directory,
+  since the record is written before the change is committed) and one of
+  the working tree's, each pair starting with the other side than the
+  pair before: each run's end-to-end metrics (`BENCHMARK.json`),
   the median head/parent ratio per metric, the number of pairs the head
   won and each side's quartiles [q1, median, q3] per metric, so that a
   claimed gain can be checked: won in at least 9 of 10 pairs, by a median
@@ -35,8 +37,8 @@ After writing the record, exits 1 when a tier-1 test fails, a mutant is
 not killed, any run, paired runs included, reads `"correct": false`
 (`bench/run.py` itself exits 0 then) or a traced run's
 `trace.work_counts_match` is not 1 (its two traced passes did different
-work); 2 when a benchmark run or the digest fails to run, or the worktree
-cannot be made.  The worktree is removed on every path.
+work); 2 when a benchmark run or the digest fails to run, or the parent's
+tree cannot be extracted.  The parent's tree is removed on every path.
 
 Code lines are lines of statements, counted with `ast`, less blank,
 comment and docstring lines.  `--code-lines` prints that count for the
@@ -46,6 +48,7 @@ Standard library only.
 
 import argparse
 import ast
+import io
 import json
 import os
 import platform
@@ -54,6 +57,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from contextlib import contextmanager
@@ -62,7 +66,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify-all", "solve-dense", "identities")
 RUNS = (("0", "30"), ("1", "5"))  # (--trace, --seconds)
-PAIRED = ("--seed", "1", "--seconds", "5", "--trace", "0")
+PAIRED = ("--seed", "1", "--seconds", "30", "--trace", "0")
 PAIRS = 10
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 MUTATE = ("scripts/mutate.py",)
@@ -115,20 +119,23 @@ def _git(*args: str) -> str:
 
 @contextmanager
 def _parent_tree():
-    """A detached `git worktree` of HEAD in a temporary directory, removed
-    on leaving, whatever happens, and HEAD's commit id and whether the
-    working tree's src/ and bench/ differ from it, untracked files
-    included."""
+    """HEAD's tree, extracted by `git archive` into a temporary directory
+    that is removed on leaving, whatever happens, and HEAD's commit id and
+    whether the working tree's src/ and bench/ differ from it, untracked
+    files included.  An archive leaves the repository's `.git` as it was,
+    where a `git worktree` registers itself there and stays registered if
+    the run is killed before it is removed."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-record-"))
     tree = tmp / "parent"
     try:
-        _git("worktree", "add", "--detach", str(tree), "HEAD")
+        archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
         changed = _git("status", "--porcelain", "--untracked-files=all", "--", "src", "bench")
         yield tree, {"commit": _git("rev-parse", "HEAD").strip(), "differs": bool(changed.strip())}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
 
 def _pairs(parent: Path, workload: str) -> dict:

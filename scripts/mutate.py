@@ -77,8 +77,8 @@ MUTANTS = [
     Mutant(
         "oracle-rel-tol-1e-6",
         "oracle.py",
-        "ORACLE_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-11)",
-        "ORACLE_CONTROL = StepControl(rel_tol=1e-6, abs_tol=1e-11)",
+        "ORACLE_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-11, tableau=DP5)",
+        "ORACLE_CONTROL = StepControl(rel_tol=1e-6, abs_tol=1e-11, tableau=DP5)",
         "the oracle is 10 000 times less accurate than documented",
         ("tests/test_oracle.py",),
     ),
@@ -221,18 +221,19 @@ MUTANTS = [
     Mutant(
         "form-loop-stage-seven-reuses-stage-five",
         "stepper.py",
-        "stage<k6; t1;",
-        "reuse<k6; t1;",
-        "no loop evaluates stage 6 at t + h: stages 6 and 7 read stage 5's"
-        " coefficient values, or call f at stage 5's time, and every path is wrong",
+        "evaluate = j != tableau.reuse",
+        "evaluate = j not in (tableau.reuse, tableau.reuse - 1)",
+        "no loop evaluates the stage at t + h (DP5's 6, DOP853's 12): it and"
+        " the reuse stage read the stage before's coefficient values, or call"
+        " f at that stage's time, and every path is wrong",
         ("tests/test_checked.py", "tests/test_stepper.py"),
     ),
     Mutant(
         "form-loop-drops-b-finite-check",
         "stepper.py",
-        'lines += form.source(f"{k}_0 = " if head else f"vec<{k}_i> = ", evaluate, head).splitlines()',
-        'lines += form.source(f"{k}_0 = " if head else f"vec<{k}_i> = ", evaluate, head)'
-        '.replace("if f1 - f1:", "if False:").splitlines()',
+        'lines.append(form.source(f"k{j}_0 = " if head else f"vec<k{j}_i> = ", evaluate, head))',
+        'lines.append(form.source(f"k{j}_0 = " if head else f"vec<k{j}_i> = ", evaluate, head)'
+        '.replace("if f1 - f1:", "if False:"))',
         "a form's loop lets an infinite b reach the form's body, and the stepper"
         " retries the step instead of raising EvalError",
         ("tests/test_checked.py",),
@@ -324,9 +325,9 @@ MUTANTS = [
     Mutant(
         "quad-rel-tol-1e-6",
         "quad.py",
-        "QUAD_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-12)",
-        "QUAD_CONTROL = StepControl(rel_tol=1e-6, abs_tol=1e-12)",
-        "the quadrature is 10 000 times less accurate than documented",
+        "QUAD_CONTROL = StepControl(rel_tol=5e-12, abs_tol=5e-14, tableau=DOP853)",
+        "QUAD_CONTROL = StepControl(rel_tol=1e-6, abs_tol=5e-14, tableau=DOP853)",
+        "the quadrature is 200 000 times less accurate than documented",
         ("tests/test_quad.py",),
     ),
     Mutant(
@@ -557,10 +558,11 @@ MUTANTS = [
     Mutant(
         "form-loop-reuse-stage-evaluates-again",
         "stepper.py",
-        'evaluate = kind != "reuse"',
+        "evaluate = j != tableau.reuse",
         "evaluate = True",
-        "the FSAL stage evaluates every coefficient again at stage 6's time:"
-        " the same paths, at 1 + 6 evaluations of each per attempted step",
+        "the reuse stage evaluates every coefficient again at the time of the"
+        " stage before it: the same paths, at one more evaluation of each per"
+        " attempted step (DP5) or accepted step (DOP853)",
         ("tests/test_checked.py::test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt",),
     ),
     Mutant(
@@ -638,8 +640,8 @@ MUTANTS = [
     Mutant(
         "walk-bound-drops-k1",
         "stepper.py",
-        "_W0 * abs(k1)\n        + v3",
-        "v3",
+        '[f"{w0!r} * abs({first})", f"{w1!r} * abs(d)"]',
+        '[f"{w1!r} * abs(d)"]',
         "the crossing walk's reach drops the k1 term: a step that moves by"
         " h * k1 is skipped, and a crossing on it is missed",
         ("tests/test_stepper.py::test_the_walks_reach_bounds_how_far_a_step_moves",),
@@ -666,9 +668,69 @@ MUTANTS = [
         "quad.py",
         '"f0", (0,))',
         '"f0", (0, 1))',
-        "the quadrature's loop evaluates b at stage 2, whose B' nothing reads:"
-        " the same paths, at 1 + 5 evaluations of b per attempted step",
+        "the quadrature's loop evaluates b at DOP853's head stages 2 to 5,"
+        " whose B' nothing reads: the same paths, at 1 + 11 evaluations of b"
+        " per attempted step where 1 + 7 serve",
         ("tests/test_checked.py::test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt",),
+    ),
+    Mutant(
+        "dop853-norm-drops-err3",
+        "stepper.py",
+        "q5_i / sqrt(q5_i + 0.01 * ((d_i - ({e1})) / sc_i) ** 2)",
+        "q5_i / sqrt(q5_i)",
+        "DOP853's error norm reads its 5th-order estimate alone: other steps,"
+        " which the 3rd-order estimate no longer damps",
+        ("tests/test_stepper.py::test_kernel_is_bit_identical_to_the_vector_loop_dop853",),
+    ),
+    Mutant(
+        "dop853-dense-stages-after-the-step",
+        "stepper.py",
+        "            {dense}\n            append_k(vec<{stored}>)\n            t = t1\n",
+        "            t = t1\n            {dense}\n            append_k(vec<{stored}>)\n",
+        "DOP853's dense stages 14 to 16 are evaluated at t + h + c*h, past the"
+        " step: the same nodes, but every read between them is wrong",
+        ("tests/test_stepper.py::test_kernel_is_bit_identical_to_the_vector_loop_dop853",
+         "tests/test_quad.py::test_b_between_nodes_is_as_accurate_as_at_them"),
+    ),
+    Mutant(
+        "reach-weights-of-the-other-tableau",
+        "stepper.py",
+        "    w0, w1, v = tableau.reach_weights\n",
+        "    w0, w1, v = (DP5 if tableau is DOP853 else DOP853).reach_weights\n",
+        "a path's skip bound weighs its stages by the other tableau's W0 and V:"
+        " DOP853's 11 later stages by DP5's 5 weights, so a step that reaches"
+        " the level can be skipped",
+        ("tests/test_stepper.py::test_the_walks_reach_bounds_how_far_a_step_moves_dop853",),
+    ),
+    Mutant(
+        "walk-bound-drops-the-line",
+        "stepper.py",
+        '[f"{w0!r} * abs({first})", f"{w1!r} * abs(d)"]',
+        '[f"{w0!r} * abs({first})"]',
+        "the crossing walk's reach drops the D term, the change to the end"
+        " stage: a step whose stages rise along a line is skipped, and a"
+        " crossing on it is missed",
+        ("tests/test_stepper.py::test_the_walks_reach_bounds_how_far_a_step_moves_dop853",),
+    ),
+    Mutant(
+        "tangent-touch-answers-at-its-minimum",
+        "stepper.py",
+        "            if abs(p_lo) > tol:  # p is monotone on the piece\n",
+        "            if False:\n",
+        "a tangent touch answers at the dense polynomial's minimum, which can"
+        " lie past the zero it stands for: G = cos^2 t's validity end 1.1e-11"
+        " past the pole at pi/2",
+        ("tests/test_closedform.py::test_validity_finds_tangent_zeros",),
+    ),
+    Mutant(
+        "dop853-error-sum-overflow-retries",
+        "stepper.py",
+        'if err_norm - err_norm and not ({finite}):',
+        'if False:',
+        "DOP853's error sums that overflow on finite stages are retried at"
+        " smaller steps: two multipliers end in a step size underflow, one in"
+        " an integrand overflow",
+        ("tests/test_checked.py::test_a_new_state_past_the_float_range_is_an_integrand_overflow",),
     ),
     Mutant(
         "grid-puts-zero-on-the-negative-side",

@@ -25,9 +25,14 @@ validity search and the evaluator read G's terms and the root exponent
 from one place, `_radicand`, and both end it at G's first zero on a path.
 
 A and B come from paths integrated at the quadrature's one fixed step
-control, `quad.QUAD_CONTROL`, which each path records; its tolerances are
-also the error scale at which the validity search counts a tangent touch
-of G = 0.  Each problem integrates its own paths, one per side of 0 or
+control, `quad.QUAD_CONTROL` (DOP853 at relative tolerance 5e-12), which
+each path records; its tolerances are also the error scale at which the
+validity search counts a tangent touch of G = 0.  Each read between
+nodes, of a point or of G's first zero, is on the path's 7th-order
+extension, which is as accurate as its nodes: next to a pole, where
+G's root exponent amplifies B's error, this keeps the closed form within
+criterion 4 of the oracle (the oracle, DP5 at 1e-10, can be the farther
+from the truth there).  Each problem integrates its own paths, one per side of 0 or
 one read on both sides through a certified t-mirror, and keeps those of
 its latest search; no path is shared between problems.  A grid reads
 each side of 0 in one walk over its path's steps, which computes y at

@@ -43,8 +43,8 @@ through one helper, with the texts "division by zero at t=..",
 "evaluation failed at t=..: <reason>" and "non-finite value at t=..".
 `checked_factory(form, *coefs)(*env)` is a `Bound`: plain data holding
 the form, the coefficient functions and the `env` values, which
-`stepper.integrate` runs in the form's own DP5 loop, the same source
-rendered into each stage.  Calling a `Bound` runs the form's wrapper, the
+`stepper.integrate` runs in the form's own loop, of the tableau its
+control names, the same source rendered into each stage.  Calling a `Bound` runs the form's wrapper, the
 function that source renders, compiled once per form and bound on the
 first call; `as_callable` binds the wrapper of `_VALUE`, whose value is
 its one coefficient.

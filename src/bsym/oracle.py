@@ -24,8 +24,9 @@ errors are those of the coefficient-by-coefficient closure with
 Negative target times are reached by stepping with negative h; a(t) and
 b(t) are always evaluated at the true t.
 
-Every solve runs at `ORACLE_CONTROL` (relative tolerance 1e-10, absolute
-1e-11, looser than the quadrature's 1e-12); only `rk_solve` takes
+Every solve runs at `ORACLE_CONTROL`, Dormand and Prince's 5(4) pair
+(`stepper.DP5`) at relative tolerance 1e-10 and absolute 1e-11, an
+independent method beside the quadrature's DOP853; only `rk_solve` takes
 another `StepControl`.  `rk_solve` returns the stepper's `DensePath`,
 whose `blew_up` marks a blow-up: |y| passed `_BLOWUP_THRESHOLD`, the
 stepper's `limit`, or the step size underflowed at a huge |y|.
@@ -46,7 +47,7 @@ from .closedform import ProblemSpec
 from .errors import StepFailure
 from .exponent import ExponentClass, reflections, signed_pow
 from .expr import CheckedForm, checked_factory
-from .stepper import DensePath, StepControl, StepUnderflow, grid_values, integrate
+from .stepper import DP5, DensePath, StepControl, StepUnderflow, grid_values, integrate
 
 __all__ = [
     "ORACLE_CONTROL",
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-ORACLE_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-11)
+ORACLE_CONTROL = StepControl(rel_tol=1e-10, abs_tol=1e-11, tableau=DP5)
 
 # |y| past the threshold ends a run as blow-up; so does a step-size
 # collapse with |y| past the fraction of it, rather than failure

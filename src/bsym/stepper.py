@@ -1,67 +1,86 @@
-"""Embedded Dormand-Prince 5(4) stepper with continuous-extension dense output.
+"""Embedded Runge-Kutta stepper with continuous-extension dense output.
 
 Shared integration core: the quadrature module drives it over the
 integral-accumulator system, the direct-ODE oracle drives it over the
-scalar Bernoulli equation.  Each caller passes its own `StepControl`.
+scalar Bernoulli equation.  Each caller passes its own `StepControl`,
+which names the pair the loop runs: a `Tableau` record, the data every
+loop and dense output is rendered from.  Two records exist: Dormand and
+Prince's 5(4) pair with Shampine's 4th-order extension (`DP5`), which
+the oracle runs, and Prince and Dormand's 8(5,3) pair with Hairer's
+7th-order extension (`DOP853`), which the quadrature runs.
 
 States are plain tuples of floats, which beats array machinery at these
 sizes.  Negative spans are integrated by stepping with negative h; nodes
 then appear in decreasing t order.  A run ends on t_end, at the first
 accepted state with |y_0| past the caller's `limit` (`DensePath.blew_up`),
 or in a `StepUnderflow` or `StepBudgetExceeded`: `errors.StepFailure`s
-that carry the partial path.
+that carry the partial path.  An accepted state past the float range
+raises OverflowError, as an overflowing stage value does.
 
 The right-hand side is called as f(t, y_0): component 0 of the state, the
 only one it reads, as a float, and it returns the derivatives of all the
 components.  Every other component, such as the quadrature's B, which
 never feeds back, is a pure quadrature: it gets no stage states, only its
-new value and its error term.  The adaptive loop is generated from one
+new value and its error terms.  The adaptive loop is generated from one
 template (`_KERNEL`), with every state component and stage value in a
 local of its own, so a step builds no state tuple, does no per-component
 zip or generator work and calls no max or min.  `_kernel` renders it
-once per state dimension and checked form (`expr.CheckedForm`), compiled
-lazily, once per process.  At each stage the loop runs the form's code,
-the source `CheckedForm.source` renders for the form's wrapper too: it
-calls the coefficient functions inline, checks their values at the
-stage's time, and assigns the form's value on the stage state to the
+once per state dimension, checked form (`expr.CheckedForm`) and tableau,
+compiled lazily, once per process: the record's rows become the stage
+states, its weights the new state, its error rows the error norm, and
+its stages past those the new state and the error read are evaluated
+only once a step is accepted.  At each stage the loop runs the form's
+code, the source `CheckedForm.source` renders for the form's wrapper
+too: it calls the coefficient functions inline, checks their values at
+the stage's time, and assigns the form's value on the stage state to the
 stage.  An `expr.Bound`, the plain data of a form and its bound values,
 runs as its own form, so its checked wrapper never compiles; any other
 callable, such as a test's reference system or a tracer's counting
 wrapper (which may call a `Bound`), is bound as f to the call form
-`_CALL`, whose value calls f.  DP5's seventh stage is at the sixth's time
-(c7 = c6 = 1), so it recomputes only the value on the new state: 1 + 5
-evaluations of each coefficient per attempted step, and 1 + 6 calls of f
-under the call form.  Stage 2 has zero weight in the new state, the error
-estimate and the dense output, and only component 0 feeds a later stage
+`_CALL`, whose value calls f.  The tableau comes from the control alone,
+never from the right-hand side, so a wrapper runs the loop its caller's
+control names.  The record's reuse stage, f(t + h, new state), is at the
+time of the stage before it, so it recomputes only the value on the new
+state.  Its head stages have zero weight in the new state, the error
+estimates and the dense output, and only component 0 feeds a later stage
 state: a form that states its component-0 value as `CheckedForm.head`
-computes only that there, on the coefficients it reads, so the
-quadrature's b is evaluated 1 + 4 times per attempted step.  A loop's file name is `<bsym.stepper DP5 kernel
-dim=N form #K>`, K counting the loops the process has compiled.
+computes only that there, on the coefficients it reads.  Per attempted
+step, DP5 evaluates each coefficient 1 + 5 times (the quadrature's b
+1 + 4 times) and calls f 1 + 6 times under the call form; DOP853
+evaluates the quadrature's a 1 + 11 times and b 1 + 7 times per attempt
+and both 3 more times per accepted step, at its dense stages, and calls f
+1 + 11 and 4 more times.  A loop's file name is `<bsym.stepper NAME
+kernel dim=N form #K>`, NAME the tableau's and K counting the loops the
+process has compiled.
 
-Every loop makes paths of the dimension's `DensePath` subclass
-(`_path_class`, file `<bsym.stepper DensePath dim=N>`), whose `values`
-walk and `_extension` unpack a step's coefficients once and evaluate each point's
-Horner form as straight-line code over locals; step i's stages of
-component k are one tuple, `ks[i][k]`.  The walk is one template,
-`_DENSE_PATH`, rendered with a `Reader`'s code at each point: the state
-itself for `values`, or what a caller computes from it, such as the
-closed form's y, which `DensePath.read` runs in the same one walk (file
-`<bsym.stepper DensePath dim=N reader #K>`).  Every source is registered
-in `linecache`, so tracebacks and profiles show the generated lines; each
-coefficient function keeps a profiler entry of its own.  Paths (nodes,
-states, stages, `blew_up` flag) are bit-identical to those of the plain
-component-wise loop, and dense values to those of the column-by-column
-extension, which the tests keep as the references.
+Every loop makes paths of the dimension's and tableau's `DensePath`
+subclass (`_path_class`, file `<bsym.stepper NAME DensePath dim=N>`),
+whose `values` walk unpacks a step's coefficients once and evaluates
+each point's Horner form as straight-line code over locals; step i's
+stored stages of component k are one tuple, `ks[i][k]`, and its
+`_extension` builds each component's coefficients with the tableau's one
+straight-line function (file `<bsym.stepper NAME steps>`).  The walk is
+one template, `_DENSE_PATH`, rendered with a `Reader`'s code at each
+point: the state itself for `values`, or what a caller computes from it,
+such as the closed form's y, which `DensePath.read` runs in the same one
+walk (file `<bsym.stepper NAME DensePath dim=N reader #K>`).  Every
+source is registered in `linecache`, so tracebacks and profiles show the
+generated lines; each coefficient function keeps a profiler entry of its
+own.  Paths (nodes, states, stages, `blew_up` flag) are bit-identical to
+those of the plain component-wise loop of their tableau, and dense values
+to those of the column-by-column extension, which the tests keep as the
+references.
 
-Dense output is the 4th-order continuous extension of each accepted step,
-built from the stages the step already computed, so a query between nodes
-costs no right-hand-side evaluation.  `DensePath.values` answers times that
-run outward from the path's start in one walk over its steps, and
-`DensePath.first_crossing` locates events on the same per-step
-polynomials, at the error scale of the control the path was integrated
-at.  `grid_values` answers a grid that straddles t = 0 from one
-0-anchored path per side, split by one index sort and a bisect, each
-side in one ordered walk that reads states or runs a caller's read.
+Dense output is the continuous extension of each accepted step, of
+degree 4 under DP5 and 7 under DOP853, built from the stages the step
+stored, so a query between nodes costs no right-hand-side evaluation.
+`DensePath.values` answers times that run outward from the path's start
+in one walk over its steps, and `DensePath.first_crossing` locates
+events on the same per-step polynomials, at the error scale of the
+control the path was integrated at.  `grid_values` answers a grid that
+straddles t = 0 from one 0-anchored path per side, split by one index
+sort and a bisect, each side in one ordered walk that reads states or
+runs a caller's read.
 
 `PathView` is a path's t-mirror, read through t -> -t with its
 components' signs changed, a view that queries its source and copies
@@ -75,8 +94,9 @@ The identities and the oracle need no view: under a certified mirror they
 read at -t on the same path where they would read at t < 0, and
 `symmetry.verify_cases` answers a certified partner from p1's values.
 The crossing walk skips a step that cannot reach the level by a bound on
-how far its extension moves, centred on the step's first stage
-(`_reach`).
+how far its extension moves, from the step's first stage, its change to
+the end stage and each other stage's distance from the line between
+them (`_reach`, from the tableau's `reach_weights`).
 """
 
 from __future__ import annotations
@@ -87,13 +107,17 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import StepFailure
 from .expr import Bound, CheckedForm
 
 __all__ = [
+    "DP5",
+    "DOP853",
+    "Tableau",
     "StepControl",
     "DensePath",
     "PathView",
@@ -107,22 +131,303 @@ __all__ = [
 State = tuple
 RHS = Callable[[float, float], Sequence[float]]  # f(t, y_0)
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# fifth-order minus embedded fourth-order weights (k7 is the FSAL stage)
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+
+@dataclass(frozen=True, eq=False)
+class Tableau:
+    """An embedded explicit Runge-Kutta pair with its continuous extension,
+    as the data `_kernel` and `_path_class` render their loops from.
+
+    Stage j (k1 first) is evaluated at t + c[j-1] * h on the state
+    y + h * sum_i a[j-1][i] * k_{i+1}.  `b` weighs the stages into the new
+    state.  One row of `e` weighs them into the error estimate, a
+    difference of two orders (DP5); two rows are DOP853's 5th-order
+    estimate's weights and its 3rd-order solution's, bhh, whose estimate
+    is b.k - bhh.k, and the loop mixes the two (`_ERROR_NORMS`).  The
+    stages in `head` have zero weight in the new state, every error
+    estimate and the extension, so only their component 0 feeds anything.
+    Stage `reuse` is f(t + h, new state) at the time of the stage before it,
+    whose coefficient values it reuses; it is the next step's first stage.
+    The stages the new state and the error read are evaluated at each
+    attempt, and every later one once a step is accepted.  Row s of
+    `dense` weighs stage s + 1 into the extension:
+    y(t + th*h) = y + h * sum_s k_{s+1} * sum_j dense[s][j] * th^(j+1).
+    A step's error e scales the next step by 0.9 * e**`exponent`, clamped.
+    Records compare and hash by identity, so a control names its tableau
+    at the cost of a pointer.
+    """
+
+    name: str
+    c: tuple
+    a: tuple
+    b: tuple
+    e: tuple
+    head: tuple
+    reuse: int
+    dense: tuple
+    exponent: float
+
+    @cached_property
+    def stored(self) -> tuple:
+        """The stages with a row in the extension: what a path keeps of a step."""
+        return tuple(j for j, row in enumerate(self.dense, 1) if any(row))
+
+    @cached_property
+    def attempt(self) -> int:
+        """The last stage that the new state or an error estimate reads."""
+        return max(j for row in (self.b, *self.e) for j, w in enumerate(row, 1) if w)
+
+    @property
+    def degree(self) -> int:
+        return len(self.dense[0])
+
+    @cached_property
+    def reach_weights(self) -> tuple:
+        """(W0, W1, V) of `_reach`: W0 weighs |k1|, W1 |D|, D = k_e - k1 the
+        change to the end stage k_e (`reuse`, f(t + h, new state)), and V[s]
+        |r_s|, r_s = k_s - k1 - c_s * D, of each other later stored stage
+        k_s: the part of its change that the line through k1 and k_e leaves.
+
+        Step i's extension coefficient c_j = h * sum_s P[s][j] * k_s is
+        h * (S_j * k1 + L_j * D + sum_s P[s][j] * r_s), S_j the column's
+        exact sum (0 for j >= 1, up to the rounding of the stated constants)
+        and L_j = sum_s P[s][j] * c_s (1/2 for j = 2, else about 0: the
+        extension integrates a linear k exactly), so only the r_s, of the
+        order of h^2 k'', meet the columns' large weights.  The computed c_j
+        is off by at most gamma * sum_s |P[s][j] * k_s|, gamma = (n + 2) *
+        2**-53 for n stored stages (Higham, Accuracy and Stability, 3.1),
+        and |k_s| <= |k1| + c_s * |D| + |r_s|; the computed D and r_s of the
+        bound are off by at most u * |D| and u * |r_s| + 3u * |D|, u = 2**-53.
+        So W0 = sum_j (|S_j| + gamma * sum_s |P[s][j]|), W1 = (sum_j (|L_j| +
+        gamma * sum_s c_s * |P[s][j]|) + 3.1u * sum V) * (1 + 1.01u) and
+        V[s] = (1 + gamma) * (1 + 2.1u) * sum_j |P[s][j]| bound sum_j |c_j|,
+        and the 1e-12 margin covers the rounding of the bound's own sums."""
+        rows = [self.dense[j - 1] for j in self.stored]
+        c = [Fraction(self.c[j - 1]) for j in self.stored]
+        u = 2.0**-53
+        gamma = (len(rows) + 2) * u
+        w0 = sum(abs(math.fsum(column)) + gamma * sum(map(abs, column)) for column in zip(*rows))
+        w1 = sum(
+            abs(float(sum(Fraction(p) * cs for p, cs in zip(column, c))))
+            + gamma * sum(float(cs) * abs(p) for p, cs in zip(column, c))
+            for column in zip(*rows)
+        )
+        v = [(1.0 + gamma) * (1.0 + 2.1 * u) * sum(map(abs, self.dense[j - 1])) for j in self.lined]
+        w1 = (w1 + 3.1 * u * sum(v)) * (1.0 + 1.01 * u)
+        return (1.0 + 1e-12) * w0, (1.0 + 1e-12) * w1, tuple((1.0 + 1e-12) * vs for vs in v)
+
+    @cached_property
+    def lined(self) -> tuple:
+        """The stored stages past k1 other than the end stage, whose r_s
+        `_reach` weighs."""
+        return tuple(j for j in self.stored if j not in (1, self.reuse))
+
+
+# Dormand-Prince 5(4) (Hairer, Norsett and Wanner, Solving ODEs I, II.5)
+# with Shampine's 4th-order continuous extension (II.6; scipy's RK45.P):
+# its dense rows weigh k1, k3, .., k7, and at th = 1 they sum to b.  Its
+# seventh stage is the FSAL stage; stage 2 has zero weight in every output
+DP5 = Tableau(
+    name="DP5",
+    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    a=(
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ),
+    b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+    # fifth-order minus embedded fourth-order weights
+    e=((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),),
+    head=(2,),
+    reuse=7,
+    dense=(
+        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+        (0.0, 0.0, 0.0, 0.0),
+        (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+        (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+        (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+        (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+        (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+    ),
+    exponent=-0.2,
+)
+
+
+# Prince and Dormand's 8(5,3) pair with its 7th-order continuous
+# extension, in the digits of Hairer's dop853.f (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.10; scipy's dop853_coefficients.py holds the
+# same).  Stage 13 is f(t + h, new state), whose row is b; stages 14 to 16
+# serve only the extension.  Stages 2 to 5 weigh nothing in any output.
+# The error rows are the 5th-order estimate's weights and the weights bhh
+# of the embedded 3rd-order solution, whose estimate is b.k - bhh.k.  The
+# extension is contd8's y0 + th*(F0 + (1-th)*(F1 + th*(F2 + (1-th)*(F3 +
+# th*(F4 + (1-th)*(F5 + th*F6)))))), F0 = dy, F1 = h*k1 - dy, F2 = 2*dy -
+# h*(k1 + k13), F3..F6 = h * d.k and dy = h * b.k, expanded in rationals
+# into powers of th and rounded.  A constant integrand must integrate
+# exactly, so two kinds of entries are adjusted in float: b's last weight
+# is 1 minus the float sum of the others in the loop's order (the stated
+# digits sum to 1.0000000000000004), and the last entry of each dense
+# column j >= 1 is minus the float sum of the others (d's rows sum to as
+# much as -5.3e-14).  tests/test_stepper.py derives both from the stated
+# digits.
+_DOP853_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1, 0.04471061572777224, 0.0, 0.0,
+    0.0, 0.0,
+)
+DOP853 = Tableau(
+    name="DOP853",
+    c=(
+        0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+        0.118350341907227396726757197510, 0.281649658092772603273242802490, 0.333333333333333333333333333333,
+        0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
+        0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778,
+    ),
+    a=(
+        (),
+        (5.26001519587677318785587544488e-2,),
+        (
+            1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,
+        ),
+        (
+            2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2,
+        ),
+        (
+            2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+            9.24834003261792003115737966543e-1,
+        ),
+        (
+            3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+            1.25467687566822425016691814123e-1,
+        ),
+        (
+            3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+            -1.7578125e-2,
+        ),
+        (
+            3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+            1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+            8.27378916381402288758473766002e-3,
+        ),
+        (
+            6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+            -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+            2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+        ),
+        (
+            4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+            -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+            1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+            -2.03312017085086261358222928593e-2,
+        ),
+        (
+            -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+            1.09143734899672957818500254654, -8.14978701074692612513997267357,
+            -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+            2.49360555267965238987089396762, -3.0467644718982195003823669022,
+        ),
+        (
+            2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+            -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+            2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+            -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+            6.43392746015763530355970484046e-1,
+        ),
+        _DOP853_B[:12],
+        (
+            5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0, 2.53500210216624811088794765333e-1,
+            -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+            1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+            7.56789766054569976138603589584e-3, -8.298e-3,
+        ),
+        (
+            3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0, 2.83009096723667755288322961402e-2,
+            5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2, 0.0, 0.0,
+            -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+            -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1,
+        ),
+        (
+            -4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0, -4.69762141536116384314449447206,
+            7.68342119606259904184240953878, 4.06898981839711007970213554331,
+            3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0, -1.39902416515901462129418009734e-3,
+            2.9475147891527723389556272149, -9.15095847217987001081870187138,
+        ),
+    ),
+    b=_DOP853_B,
+    e=(
+        (
+            0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+            -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+            -0.3503288487499736816886487290, 0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+            -0.2235530786388629525884427845e-1, 0.0, 0.0, 0.0, 0.0,
+        ),
+        (
+            0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1, 0.0, 0.0, 0.0,
+            0.0,
+        ),
+    ),
+    head=(2, 3, 4, 5),
+    reuse=13,
+    dense=(
+        (
+            1.0, -10.266057073759306, 48.161850968566455, -114.93304874997833, 147.46446875669767,
+            -97.06685363011368, 25.69393346270375,
+        ),
+        (0.0,) * 7,
+        (0.0,) * 7,
+        (0.0,) * 7,
+        (0.0,) * 7,
+        (
+            0.0, 13.917653631776604, -154.78787266663716, 522.9219089608218, -456.25918840208783, -75.53193732135753,
+            154.18974869023643,
+        ),
+        (
+            0.0, 2.6056037519936095, -21.622822384626506, 2.535182028966755, 292.25417465990404, -505.40999933296894,
+            231.5293791760455,
+        ),
+        (
+            0.0, -15.018944223519684, 160.09447708973047, -474.3071826037644, 135.96036916173838, 545.1091945264187,
+            -357.6391179106141,
+        ),
+        (
+            0.0, 3.050527683318488, -38.54396729189063, 174.47140009219885, -337.0513470238771, 291.78987509083254,
+            -93.40532418362432,
+        ),
+        (
+            0.0, -1.3278744327655212, 16.661770430049543, -74.44027814126304, 140.75210016191608, -119.2562021040512,
+            37.45832313645163,
+        ),
+        (
+            0.0, 2.844533632672879, -36.55829548991012, 170.69007169147514, -345.9748485480496, 313.299553623578,
+            -104.0996495089623,
+        ),
+        (
+            0.0, 0.7657106259527866, -9.906995535619366, 46.8029919188744, -96.5198694669957, 88.74316650017616,
+            -29.8402934266605,
+        ),
+        (
+            0.0, -1.0889903364513334, 14.097013042320002, -66.68230591294363, 137.96299063474376,
+            -127.82216401767992, 43.53345659001114,
+        ),
+        (
+            0.0, 18.148505520854727, -127.63310949253875, 357.3419516129657, -500.7031507909224, 349.17035710882897,
+            -96.32455395918828,
+        ),
+        (
+            0.0, -9.194632392478356, 93.3567459327894, -282.6272618704363, 361.14007718803333, -201.85219053352347,
+            39.17726167561544,
+        ),
+        (
+            0.0, -4.436036387594893, 56.681205397766675, -261.77342902691703, 520.9742236688994, -461.17279991013964,
+            149.7268362579856,
+        ),
+    ),
+    exponent=-0.125,
 )
 
 
@@ -130,16 +435,19 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 class StepControl:
     """Tolerances and limits of one adaptive integration.
 
-    A step is accepted when its error, scaled per component by
-    abs_tol + rel_tol * |y|, has an RMS norm of at most 1.  More than
-    max_steps step attempts raise StepBudgetExceeded, and a step below
-    min_step_fraction of the requested span raises StepUnderflow.
+    A step of the pair `tableau` is accepted when its error, scaled per
+    component by abs_tol + rel_tol * |y|, has a norm of at most 1.  More
+    than max_steps step attempts raise StepBudgetExceeded, and a step
+    below min_step_fraction of the requested span raises StepUnderflow.
+    The caller names the tableau: nothing chooses it from the right-hand
+    side.
     """
 
     rel_tol: float
     abs_tol: float
     max_steps: int = 1_000_000
     min_step_fraction: float = 2.0**-40  # of the requested span
+    tableau: Tableau = DP5
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -166,45 +474,13 @@ class StepBudgetExceeded(StepFailure):
         self.path = path
 
 
-# Continuous extension of DP5 (Hairer-Norsett-Wanner, Solving ODEs I, II.6;
-# Shampine 1986): y(t0 + th*h) = y0 + h * sum_s k_s * sum_j P[s][j] * th^(j+1)
-# over the stages k1, k3, k4, k5, k6, k7 (k2 has zero weight).  At th = 1 the
-# rows sum to _B1.._B6 and 0 for k7, so the extension ends on the step's node.
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-# Each column j >= 1 of _P sums to 0, so the extension's coefficient
-# h * sum_s P[s][j] * k_s is h * (sum_s P[s][j] * k1 + sum_{s>=3} P[s][j] *
-# (k_s - k1)), and `_reach` bounds sum_j |c_j|, how far a component can move
-# on the step, centred on k1.  The 1e-12 margin covers the rounding of both
-# sums, whose uncentred terms are at most 67 times the bound, so the bound
-# never falls below the extension's own
-_W0 = (1.0 + 1e-12) * sum(abs(sum(column)) for column in zip(*_P))
-_V = tuple((1.0 + 1e-12) * sum(map(abs, row)) for row in _P[1:])
-
-
-def _reach(h: float, stages: tuple) -> float:
-    """A bound on sum_j |c_j| of the step's extension, from its step h and
-    its stages (k1, k3, k4, k5, k6, k7) of one component."""
-    k1, k3, k4, k5, k6, k7 = stages
-    v3, v4, v5, v6, v7 = _V
-    return abs(h) * (
-        _W0 * abs(k1)
-        + v3 * abs(k3 - k1) + v4 * abs(k4 - k1) + v5 * abs(k5 - k1) + v6 * abs(k6 - k1) + v7 * abs(k7 - k1)
-    )
-
-
 @dataclass
 class DensePath:
     """Accepted nodes plus each step's stages, queryable between nodes.
 
-    `values` evaluates the 4th-order continuous extension of the bracketing
-    step at each of a run of times, walking the steps once; `value` is its
+    `values` evaluates the continuous extension of the bracketing step (of
+    degree 4 under DP5, 7 under DOP853) at each of a run of times, walking
+    the steps once; `value` is its
     one-time call.  `first_crossing` finds where a component first reaches
     a level on the same extensions.  A step's coefficients are built on its
     first query and cached, so a path queried at only a few points pays
@@ -212,10 +488,11 @@ class DensePath:
     a problem's two sides read through a t-mirror is walked once.
 
     `integrate` returns an instance of the subclass `_path_class` renders
-    for the state's dimension, which defines `values` and `_extension`; `ctl`
-    is the control the path was integrated at, whose tolerances
-    `first_crossing` reads.  `ks[i][k]` is (k1, k3, k4, k5, k6, k7) of step
-    i and component k, the one tuple every reader of the stages takes.
+    for the state's dimension and the control's tableau, which defines
+    `values`, `_extension` and `_reach`; `ctl` is the control the path was
+    integrated at, whose tolerances `first_crossing` reads.  `ks[i][k]` is
+    the tableau's stored stages (`Tableau.stored`; DP5's k1, k3, .., k7) of
+    step i and component k, the one tuple every reader of the stages takes.
     """
 
     ctl: StepControl
@@ -243,7 +520,7 @@ class DensePath:
         one walk: `values`' walk, rendered with the reader's code at each
         point and bound to `env`.  A `PathView` passes r = -1 and its
         signs as `view`."""
-        return _walk(len(self.ys[0]), reader)(self, qs, *env, **view)
+        return _walk(len(self.ys[0]), self.ctl.tableau, reader)(self, qs, *env, **view)
 
     # bench/tracing.py wraps `DensePath.value` and `DensePath.value_refined`
     # by name; the one dense-output query keeps answering to both, on the
@@ -255,10 +532,12 @@ class DensePath:
 
         Event location on the continuous extension (Hairer-Norsett-Wanner
         II.6; Shampine and Thompson 2000), step by step from ts[0], where
-        y_k must differ from level.  On a step, y_k - level is a quartic in
-        the step fraction; its first root is bisected to full resolution.
+        y_k must differ from level.  On a step, y_k - level is a polynomial
+        in the step fraction; its first root is bisected to full resolution.
         A stationary point within abs_tol + rel_tol * |y_k| of level, the
-        error the path's control allowed y_k, counts as a tangent crossing.
+        error the path's control allowed y_k, counts as a tangent crossing,
+        answered where y_k first comes within that error of the level, so
+        that a touch of a double zero never answers past the zero.
         Each answer is cached on the path per (k, level).
         """
         key = (k, level)
@@ -271,6 +550,7 @@ class DensePath:
         ts, ys, ks = self.ts, self.ys, self.ks
         abs_tol, rel_tol = self.ctl.abs_tol, self.ctl.rel_tol
         side = 1.0 if ys[0][k] > level else -1.0
+        _reach = self._reach
         for i in range(len(ts) - 1):
             # a step whose stages cannot carry y_k to the level needs no
             # extension: the skip test below would pass it over anyway
@@ -306,7 +586,7 @@ class PathView:
     and stages are the source's with their signs changed, exactly, since
     negation is exact and the step control reads only magnitudes.  Its
     `values` then equal that path's, because a query's step fraction does
-    not change under negation either; and since a quartic's roots do not
+    not change under negation either; and since a polynomial's roots do not
     either, that path's first crossing of a level in component k is minus
     the source's first crossing of signs[k] * level.  For a coefficient
     of structural parity eps this assumes f(-t) = eps * f(t)
@@ -344,7 +624,10 @@ class PathView:
 def _roots(c: Sequence[float], tol: float = 0.0) -> list:
     """Increasing roots in (0, 1] of the polynomial p with ascending
     coefficients c, bisected to full float resolution between stationary
-    points (the derivative's roots), and the stationary points with |p| <= tol."""
+    points (the derivative's roots), and each tangent touch: a stationary
+    point with |p| <= tol, answered at the near edge of its band, the first
+    point before it where |p| <= tol, so that a touch never answers past
+    the zero it stands for."""
     if len(c) < 2:
         return []
     ends = [0.0, *_roots([j * cj for j, cj in enumerate(c)][1:]), 1.0]
@@ -360,6 +643,12 @@ def _roots(c: Sequence[float], tol: float = 0.0) -> list:
                     hi = mid
             found.append(hi)
         elif hi < 1.0 and abs(p_hi) <= tol:
+            if abs(p_lo) > tol:  # p is monotone on the piece
+                while lo < (mid := 0.5 * (lo + hi)) < hi:
+                    if abs(_horner(c, mid)) > tol:
+                        lo = mid
+                    else:
+                        hi = mid
             found.append(hi)
     return found
 
@@ -398,26 +687,29 @@ def integrate(
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end!r}")
     bound = f if isinstance(f, Bound) else Bound(_CALL, (), (f,))
-    kernel = _kernel(len(y0), bound.form)
+    kernel = _kernel(len(y0), bound.form, ctl.tableau)
     return kernel(y0, t_end, ctl, limit, *bound.coefficients, *bound.env)
 
 
 # The dense output and the adaptive loop, written once for every state
-# dimension.  `vec<e>` expands to the tuple of e over the components and
-# `sum<e>` to their sum from the first component on, with each `_i` suffix
-# replaced by the component index: y_i is a state component, k2_i a stage
-# value and z_i a component of the proposed new state.  A macro ends at
-# the first `>`, so the comparisons inside one are written with `<`.  Each
-# expression keeps the operation order of the component-wise loop and the
-# column-by-column extension kept in tests/test_stepper.py, which the tests
-# require to be reproduced bit for bit.  The builtins max and min are
-# written out as the comparisons they make: max(a, b) is `b if a < b else a`
-# and min(a, b) is `b if b < a else a`, NaN included.  _Psj is _P[s][j].
+# dimension and tableau.  `vec<e>` expands to the tuple of e over the
+# components and `sum<e>` to their sum from the first component on, with
+# each `_i` suffix replaced by the component index: y_i is a state
+# component, k2_i a stage value and z_i a component of the proposed new
+# state.  A macro ends at the first `>`, so the comparisons inside one are
+# written with `<`.  A line that is only `{name}` takes a section of
+# lines rendered from the tableau, at its indentation.  Each expression
+# keeps the operation order of the component-wise loops and the
+# column-by-column extension kept in tests/test_stepper.py, which the
+# tests require to be reproduced bit for bit.  The builtins max and min
+# are written out as the comparisons they make: max(a, b) is
+# `b if a < b else a` and min(a, b) is `b if b < a else a`, NaN included.
 # The walk runs a `Reader`'s code at each time, `{point}`, after its
-# state's components are in y_0, y_1, ..; {params} are the reader's env.
+# state's components are in y_0, y_1, ..; {params} are the reader's env,
+# and {methods} a path class's own `_extension` and `_reach`.
 _DENSE_PATH = """\
-class DensePath{dim}(DensePath):
-    \"""A `DensePath` of {dim}-component states.\"""
+class {cls}(DensePath):
+    \"""A `DensePath` of {dim}-component states under {tableau}.\"""
 
     def values(self, qs{params}, r=1.0, signs=vec<1.0>):
         \"""What the reader computes at times that run outward from ts[0],
@@ -470,26 +762,42 @@ class DensePath{dim}(DensePath):
                 vec<y_i> = ys[i + 1]
             else:
                 if not unpacked:
-                    vec<(y0_i, c1_i, c2_i, c3_i, c4_i)> = cached(i) or extension(i)
+                    vec<{coefs}> = cached(i) or extension(i)
                     unpacked = True
                 th = (t - t0) / (t1 - t0)
-                vec<y_i> = vec<y0_i + th * (c1_i + th * (c2_i + th * (c3_i + th * c4_i)))>
+                vec<y_i> = vec<{horner}>
             {point}
         return out
-
+{methods}"""
+# a path class's own methods, which a reader's walk reads from the path
+_STEP_METHODS = """
     def _extension(self, i):
-        \"""Per component (y0, h*c1, .., h*c4) of step i's extension, cached.\"""
+        \"""Per component (y0, h*c1, ..) of step i's extension, cached.\"""
         h = self.ts[i + 1] - self.ts[i]
         vec<y_i> = self.ys[i]
-        vec<(e1_i, e3_i, e4_i, e5_i, e6_i, e7_i)> = self.ks[i]
-        coefs = self._coefs[i] = vec<(
-            y_i,
-            h * (_P00 * e1_i + _P10 * e3_i + _P20 * e4_i + _P30 * e5_i + _P40 * e6_i + _P50 * e7_i),
-            h * (_P01 * e1_i + _P11 * e3_i + _P21 * e4_i + _P31 * e5_i + _P41 * e6_i + _P51 * e7_i),
-            h * (_P02 * e1_i + _P12 * e3_i + _P22 * e4_i + _P32 * e5_i + _P42 * e6_i + _P52 * e7_i),
-            h * (_P03 * e1_i + _P13 * e3_i + _P23 * e4_i + _P33 * e5_i + _P43 * e6_i + _P53 * e7_i),
-        )>
+        vec<k_i> = self.ks[i]
+        coefs = self._coefs[i] = vec<extension(h, y_i, k_i)>
         return coefs
+
+    _reach = staticmethod(reach)
+"""
+# one component's extension and skip bound, rendered once per tableau
+_STEP_FUNCTIONS = """\
+def extension(h, y, stages):
+    \"""(y0, h*c1, ..) of one component's extension on a step h.\"""
+    {unpack} = stages
+    return (
+        y,
+        {columns}
+    )
+
+
+def reach(h, stages):
+    \"""A bound on sum_j |c_j| of a step's extension, from its step h
+    and its stored stages of one component (`Tableau.reach_weights`).\"""
+    {unpack} = stages
+    d = {end} - {first}
+    return abs(h) * ({reach})
 """
 
 
@@ -503,7 +811,7 @@ class Reader(NamedTuple):
     component signs s_0, s_1, .. and the names in `env`, the values a read
     binds after the times; `names` are (name, object) pairs the code reads
     as globals.  Each
-    reader's walk compiles once per state dimension and process.
+    reader's walk compiles once per state dimension, tableau and process.
     """
 
     point: str
@@ -516,25 +824,25 @@ _STATE = Reader("append(vec<y_i>)")
 _SIGNED = Reader("append(vec<s_i * y_i>)")
 
 # The loop runs a checked form's (`expr.CheckedForm`) source inline.  f
-# reads component 0 alone, so only that component has stage states.
-# `stage<kN; time; state>` evaluates stage N at (time, state): it evaluates
-# and checks the form's coefficients at the time, held in s, and assigns
-# the form's value at the state, held in its state name, to the kN_i.
-# `head<kN; time; state>` is a stage whose components past 0 nothing
-# reads: DP5 weighs stage 2 by zero in the new state, the error estimate
-# and the dense output, and only component 0 has stage states.  It
-# evaluates the form's `head` alone, on the coefficients that reads, where
-# the form states one, and is a full stage otherwise.
-# `reuse<kN; time; state>` is a stage at the time of the stage before it:
-# it assigns only the value, on the coefficients evaluated there.  An
-# accepted step's stages are stored as one tuple per component; {params}
-# are the form's bound arguments.
+# reads component 0 alone, so only that component has stage states.  Each
+# stage evaluates and checks the form's coefficients at its time, held in
+# s, and assigns the form's value at its state, held in the form's state
+# name, to the kN_i.  A head stage (`Tableau.head`), whose components past
+# 0 nothing reads, evaluates the form's `head` alone, on the coefficients
+# that reads, where the form states one, and is a full stage otherwise.
+# The reuse stage is at the time of the stage before it: it assigns only
+# the value, on the coefficients evaluated there.  {trial} are the stages
+# an attempt needs before its new state, whose increment b.k is d_i;
+# {fsal} the reuse stage where the error reads it (DP5's k7); {error} the
+# tableau's error norm; and {dense} the stages only an accepted step
+# needs (DOP853's k13 to k16).  An accepted step's stored stages are kept
+# as one tuple per component.  {params} are the form's bound arguments.
 _KERNEL = """\
-def dp5_dim{dim}(y0, t_end, ctl, limit{params}):
-    path = DensePath{dim}(ctl=ctl)
+def {loop}(y0, t_end, ctl, limit{params}):
+    path = {cls}(ctl=ctl)
     append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
     vec<y_i> = y0
-    stage<k1; 0.0; y_0>
+    {first}
     append_t(0.0)
     append_y(y0)
     span = t_end
@@ -560,34 +868,27 @@ def dp5_dim{dim}(y0, t_end, ctl, limit{params}):
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
-        head<k2; t + _C2 * h; y_0 + h * _A21 * k1_0>
-        stage<k3; t + _C3 * h; y_0 + h * (_A31 * k1_0 + _A32 * k2_0)>
-        stage<k4; t + _C4 * h; y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0)>
-        stage<k5; t + _C5 * h; y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0)>
         t1 = t + h
-        stage<k6; t1;
-            y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0)>
-        vec<z_i> = vec<y_i + h * (_B1 * k1_i + _B3 * k3_i + _B4 * k4_i + _B5 * k5_i + _B6 * k6_i)>
-        # the FSAL stage: c7 = c6 = 1, so stage 6's coefficient values serve
-        reuse<k7; t1; z_0>
-
-        # squares summed in component order; a leading 0.0 + would change
-        # no bit, since 0.0 + x == x for x >= 0 and for NaN.  The scale is
-        # atol + rtol * max(abs(y_i), abs(z_i))
-        err_sq = sum<(
-            h * (_E1 * k1_i + _E3 * k3_i + _E4 * k4_i + _E5 * k5_i + _E6 * k6_i + _E7 * k7_i)
-            / (atol + rtol * (az_i if (ay_i := abs(y_i)) < (az_i := abs(z_i)) else ay_i))
-        ) ** 2>
-        err_norm = sqrt(err_sq / {dim})
+        {trial}
+        vec<z_i> = vec<y_i + h * (d_i := ({new}))>
+        {fsal}
+        {error}
 
         if not isfinite(err_norm):
             h *= 0.1
             continue
         if err_norm <= 1.0:
-            append_k(vec<(k1_i, k3_i, k4_i, k5_i, k6_i, k7_i)>)
+            # z_i - z_i is 0.0 for a finite z_i and NaN (true) otherwise:
+            # finite stages whose weighted sum leaves the float range raise
+            # as an overflowing stage does, since a smaller step sums them
+            # to the same overflow (a non-finite stage fails the norm)
+            if sum<z_i - z_i>:
+                raise OverflowError("math range error")
+            {dense}
+            append_k(vec<{stored}>)
             t = t1
             vec<y_i> = vec<z_i>
-            vec<k1_i> = vec<k7_i>
+            vec<k1_i> = vec<{reuse}>
             z = vec<z_i>
             append_t(t)
             append_y(z)
@@ -598,14 +899,49 @@ def dp5_dim{dim}(y0, t_end, ctl, limit{params}):
             if err_norm == 0.0:
                 h *= 5.0
             else:  # min(5.0, max(0.2, factor))
-                factor = 0.9 * err_norm**-0.2
+                factor = 0.9 * err_norm**{exponent}
                 h *= (factor if factor < 5.0 else 5.0) if 0.2 < factor else 0.2
         else:  # max(0.2, factor)
-            factor = 0.9 * err_norm**-0.2
+            factor = 0.9 * err_norm**{exponent}
             h *= factor if 0.2 < factor else 0.2
 
     return path
 """
+# The error norms, by the number of the tableau's error estimates, each an
+# RMS over the components, scaled by atol + rtol * max(abs(y_i), abs(z_i)),
+# squares summed in component order; a leading 0.0 + would change no bit,
+# since 0.0 + x == x for x >= 0 and for NaN.  One (DP5): h * e.k.  Two
+# (DOP853): Hairer's mix of the 5th-order estimate err = e.k and the
+# 3rd-order err3 = d - bhh.k, d = b.k the new state's increment,
+# |h| * err^2 / sqrt(err^2 + 0.01 * err3^2), which
+# err3 damps where it is the larger, 0 where err vanishes.  dop853.f mixes
+# the sums over the components; here each component is mixed on its own,
+# so that a component whose 5th-order estimate vanishes, such as A where a
+# is a cubic, does not damp the others': mixing the sums put B(4) of
+# a = 0.51 t^2/9 - 0.61 t^3/27, b = -0.73, m = -1 5.6e-10 off in 9 steps,
+# this mix 4e-11 off in 10
+_ERROR_NORMS = (
+    """\
+err_sq = sum<(
+    h * ({e0})
+    / (atol + rtol * (az_i if (ay_i := abs(y_i)) < (az_i := abs(z_i)) else ay_i))
+) ** 2>
+err_norm = sqrt(err_sq / {dim})
+""",
+    """\
+vec<sc_i> = vec<atol + rtol * (az_i if (ay_i := abs(y_i)) < (az_i := abs(z_i)) else ay_i)>
+err_sq = sum<(
+    q5_i / sqrt(q5_i + 0.01 * ((d_i - ({e1})) / sc_i) ** 2) if (q5_i := (({e0}) / sc_i) ** 2) else 0.0
+) ** 2>
+err_norm = abs(h) * sqrt(err_sq / {dim})
+# h scales this norm after its sums, so where finite stages leave an error
+# sum past the float range (NaN or inf is true) every smaller step does
+# too: the step raises as an overflowing stage does, where DP5's norm,
+# scaled by h first, retries
+if err_norm - err_norm and not ({finite}):
+    raise OverflowError("math range error")
+""",
+)
 _loops = itertools.count(1)
 _readers = itertools.count(1)
 # the form of any callable that is no `expr.Bound`: no coefficient, the
@@ -613,8 +949,34 @@ _readers = itertools.count(1)
 _CALL = CheckedForm("x", "f(s, x)", 0, "f")
 
 
-def _render(template: str, dim: int, filename: str, namespace: dict) -> dict:
-    """Expand `template`'s macros for `dim` components, register the source
+def _const(value: float) -> str:
+    """A tableau constant as source: its repr, which round-trips the float
+    exactly, in parentheses where negative; a constant load in place of a
+    global lookup at every use."""
+    return f"({value!r})" if value < 0 else repr(value)
+
+
+def _weighed(weights: Sequence[float], name: str = "k{}_i") -> str:
+    """sum_j weights[j-1] * k_j over the nonzero weights, as source."""
+    return " + ".join(f"{_const(w)} * {name.format(j)}" for j, w in enumerate(weights, 1) if w)
+
+
+def _fill(template: str, **sections: str) -> str:
+    """`template` with each line that is only `{name}` replaced by the
+    section's lines at that line's indentation, and every other `{name}`
+    by the section's text."""
+    def indent(match: re.Match) -> str:
+        return "".join(f"{match[1]}{line}\n" for line in sections[match[2]].splitlines())
+
+    names = "|".join(sections)
+    source = re.sub(rf"^( *)\{{({names})\}}\n", indent, template, flags=re.M)
+    for name, text in sections.items():
+        source = source.replace(f"{{{name}}}", text)
+    return source
+
+
+def _render(source: str, dim: int, filename: str, namespace: dict) -> dict:
+    """Expand `source`'s macros for `dim` components, register the result
     in `linecache` under `filename`, so tracebacks and profilers show its
     lines, and execute it in `namespace`, which it returns."""
 
@@ -624,83 +986,147 @@ def _render(template: str, dim: int, filename: str, namespace: dict) -> dict:
             return "(" + " + ".join(terms) + ")"
         return "(" + ", ".join(terms) + ",)"
 
-    def constant(match: re.Match) -> str:
-        name = match[0]
-        value = _P[int(name[2])][int(name[3])] if name[1] == "P" else globals()[name]
-        return f"({value!r})" if value < 0 else repr(value)
-
-    source = re.sub(r"(vec|sum)<(.*?)>", expand, template, flags=re.S)
-    source = source.replace("{dim}", str(dim))
-    # tableau names become their values (repr round-trips a float exactly),
-    # a constant load in place of a global lookup at every use
-    source = re.sub(r"\b_(?:[ABCE]\d+|P\d\d)\b", constant, source)
+    source = re.sub(r"(vec|sum)<(.*?)>", expand, source, flags=re.S)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace
 
 
-def _dense_path(dim: int, reader: Reader, filename: str) -> type:
-    """`_DENSE_PATH` rendered for `dim` components with `reader`'s code at
-    each point of its walk."""
-    def indent(match: re.Match) -> str:
-        return "".join(f"{match[1]}{line}\n" for line in reader.point.splitlines())
+def _class_name(dim: int, tableau: Tableau) -> str:
+    return f"DensePath{dim}{tableau.name}"
 
-    source = re.sub(r"^( *)\{point\}\n", indent, _DENSE_PATH, flags=re.M)
-    source = source.replace("{params}", reader.env and ", " + reader.env)
+
+@lru_cache(maxsize=None)
+def _step_functions(tableau: Tableau) -> dict:
+    """`_STEP_FUNCTIONS` rendered for `tableau`'s stored stages and
+    extension, compiled once: the names a path class's methods read."""
+    stored = tableau.stored
+    rows = [tableau.dense[j - 1] for j in stored]
+    w0, w1, v = tableau.reach_weights
+    first = f"e{stored[0]}"
+    source = _fill(
+        _STEP_FUNCTIONS,
+        unpack=", ".join(f"e{j}" for j in stored),
+        columns="\n".join(
+            "h * (" + " + ".join(f"{_const(row[col])} * e{j}" for j, row in zip(stored, rows)) + "),"
+            for col in range(tableau.degree)
+        ),
+        end=f"e{tableau.reuse}",
+        first=first,
+        reach=" + ".join(
+            [f"{w0!r} * abs({first})", f"{w1!r} * abs(d)"]
+            + [f"{vs!r} * abs(e{j} - {first} - {_const(tableau.c[j - 1])} * d)" for vs, j in zip(v, tableau.lined)]
+        ),
+    )
+    return _render(source, 1, f"<bsym.stepper {tableau.name} steps>", {"__name__": __name__})
+
+
+def _dense_path(dim: int, tableau: Tableau, reader: Reader, filename: str, methods: bool = False) -> type:
+    """`_DENSE_PATH` rendered for `dim` components and `tableau`'s
+    extension, with `reader`'s code at each point of its walk and, where
+    `methods` holds, a path class's own `_extension` and `_reach`."""
+    degree = tableau.degree
+    source = _fill(
+        _DENSE_PATH,
+        point=reader.point,
+        methods=_STEP_METHODS if methods else "",
+        params=reader.env and ", " + reader.env,
+        cls=_class_name(dim, tableau),
+        dim=str(dim),
+        tableau=tableau.name,
+        coefs="(" + ", ".join(["y0_i", *(f"c{j}_i" for j in range(1, degree + 1))]) + ")",
+        horner="y0_i" + "".join(f" + th * (c{j}_i" for j in range(1, degree + 1)) + ")" * degree,
+    )
     namespace = {
         "__name__": __name__,  # the rendered class's __module__
         "DensePath": DensePath,
         "bisect_right": bisect_right,
+        **(_step_functions(tableau) if methods else {}),
         **dict(reader.names),
     }
-    return _render(source, dim, filename, namespace)[f"DensePath{dim}"]
+    return _render(source, dim, filename, namespace)[_class_name(dim, tableau)]
 
 
 @lru_cache(maxsize=None)
-def _path_class(dim: int) -> type:
-    """The `DensePath` subclass of `dim`-component paths, whose `values`
-    walk, reading states, and `_extension` are rendered for that
-    dimension; compiled once, and shared by every loop of the dimension."""
-    return _dense_path(dim, _STATE, f"<bsym.stepper DensePath dim={dim}>")
+def _path_class(dim: int, tableau: Tableau) -> type:
+    """The `DensePath` subclass of `dim`-component paths under `tableau`,
+    whose `values` walk, reading states, `_extension` and `_reach` are
+    rendered for both; compiled once, and shared by every loop of the
+    dimension and tableau."""
+    filename = f"<bsym.stepper {tableau.name} DensePath dim={dim}>"
+    return _dense_path(dim, tableau, _STATE, filename, methods=True)
 
 
 @lru_cache(maxsize=None)
-def _walk(dim: int, reader: Reader) -> Callable:
-    """`reader`'s walk over `dim`-component paths: the `values` walk of
-    `_DENSE_PATH` rendered with its code, compiled once."""
-    filename = f"<bsym.stepper DensePath dim={dim} reader #{next(_readers)}>"
-    return _dense_path(dim, reader, filename).values
+def _walk(dim: int, tableau: Tableau, reader: Reader) -> Callable:
+    """`reader`'s walk over `dim`-component paths under `tableau`: the
+    `values` walk of `_DENSE_PATH` rendered with its code alone, compiled
+    once; it reads the path's `_extension`."""
+    filename = f"<bsym.stepper {tableau.name} DensePath dim={dim} reader #{next(_readers)}>"
+    return _dense_path(dim, tableau, reader, filename).values
+
+
+def _stage(form: CheckedForm, tableau: Tableau, j: int) -> str:
+    """Stage j's lines: its time in s, its state in the form's state name,
+    then the form's code, which assigns the stage's values."""
+    if j == 1:
+        time, state = "0.0", "y_0"
+    elif j == tableau.reuse:
+        time, state = "t1", "z_0"
+    else:
+        c = tableau.c[j - 1]
+        time = "t1" if c == 1.0 else f"t + {_const(c)} * h"
+        row = tableau.a[j - 1]
+        terms = _weighed(row, "k{}_0")
+        state = f"y_0 + h * {terms}" if sum(map(bool, row)) == 1 else f"y_0 + h * ({terms})"
+    evaluate = j != tableau.reuse
+    head = j in tableau.head and bool(form.head)
+    lines = [f"s = {time}"] if evaluate else []
+    lines.append(f"{form.state} = {state}")
+    lines.append(form.source(f"k{j}_0 = " if head else f"vec<k{j}_i> = ", evaluate, head))
+    return "\n".join(lines)
 
 
 @lru_cache(maxsize=None)
-def _kernel(dim: int, form: CheckedForm) -> Callable:
-    """The DP5 loop for states of `dim` components that runs the checked
-    `form` at every stage, compiled once.  It takes the form's bound
-    arguments after `limit` and makes paths of the dimension's
-    `_path_class`."""
-
-    def stage(match: re.Match) -> str:
-        indent, kind, k, time, state = match.groups()
-        evaluate = kind != "reuse"
-        head = kind == "head" and bool(form.head)
-        lines = [f"s = {time}"] if evaluate else []
-        lines.append(f"{form.state} = {' '.join(state.split())}")
-        lines += form.source(f"{k}_0 = " if head else f"vec<{k}_i> = ", evaluate, head).splitlines()
-        return "".join(f"{indent}{line}\n" for line in lines)
-
-    source = re.sub(r"^( *)(stage|head|reuse)<(k\d); (.*?);\s+(.*?)>\n", stage, _KERNEL, flags=re.M | re.S)
+def _kernel(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
+    """The `tableau` loop for states of `dim` components that runs the
+    checked `form` at every stage, compiled once.  It takes the form's
+    bound arguments after `limit` and makes paths of the dimension's and
+    tableau's `_path_class`."""
+    attempt, stages = tableau.attempt, len(tableau.c)
     params = form.params()
-    source = source.replace("{params}", params and ", " + params)
+    loop = f"{tableau.name.lower()}_dim{dim}"
+    errors = {f"e{n}": _weighed(row) for n, row in enumerate(tableau.e)}
+    # k - k is 0.0 for a finite stage value and NaN otherwise
+    errors["finite"] = " + ".join(
+        f"k{j}_0 - k{j}_0" if j in tableau.head and form.head else f"sum<k{j}_i - k{j}_i>"
+        for j in range(1, attempt + 1)
+    )
+    source = _fill(
+        _KERNEL,
+        first=_stage(form, tableau, 1),
+        trial="\n".join(_stage(form, tableau, j) for j in range(2, attempt + 1) if j != tableau.reuse),
+        fsal=_stage(form, tableau, tableau.reuse) if tableau.reuse <= attempt else "",
+        error=_fill(_ERROR_NORMS[len(tableau.e) - 1], dim=str(dim), **errors),
+        dense="\n".join(_stage(form, tableau, j) for j in range(attempt + 1, stages + 1)),
+        loop=loop,
+        cls=_class_name(dim, tableau),
+        params=params and ", " + params,
+        new=_weighed(tableau.b),
+        stored="(" + ", ".join(f"k{j}_i" for j in tableau.stored) + ")",
+        reuse=f"k{tableau.reuse}_i",
+        exponent=repr(tableau.exponent),
+    )
     namespace = {
-        f"DensePath{dim}": _path_class(dim),
+        _class_name(dim, tableau): _path_class(dim, tableau),
         "StepBudgetExceeded": StepBudgetExceeded,
         "StepUnderflow": StepUnderflow,
         "sqrt": math.sqrt,
         "isfinite": math.isfinite,
         **form.namespace,
     }
-    filename = f"<bsym.stepper DP5 kernel dim={dim} form #{next(_loops)}>"
-    return _render(source, dim, filename, namespace)[f"dp5_dim{dim}"]
+    filename = f"<bsym.stepper {tableau.name} kernel dim={dim} form #{next(_loops)}>"
+    return _render(source, dim, filename, namespace)[loop]
 
 
 def _states(path, qs: Sequence[float]) -> list:

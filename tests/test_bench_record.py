@@ -53,7 +53,7 @@ def fake_run(fault=None):
         if args[-1] == "1":
             metrics["trace.work_counts_match"] = {"value": 0 if fault == "traced" else 1, "unit": "bool"}
         result = {"correct": fault not in args, "attempted": 3, "failed": 0, "metrics": metrics}
-        if args[-3:] == ("5", "--trace", "0"):  # a paired run
+        if any(call[0] == "scripts/digest.py" for call in calls):  # a paired run, after the digests
             side = "head" if args[0] == "bench/run.py" else "parent"
             assert side == "head" or Path(args[0]).is_file()  # the parent's own script
             i = paired[side] % len(PAIRED_OPS[side])
@@ -167,13 +167,15 @@ def test_paired_runs_alternate_sides_and_say_who_won(monkeypatch, tmp_path, caps
     code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, None)
     assert code == 0 and faults == []
     assert list(record["pairs"]) == [*bench_record.WORKLOADS]
-    runs = [args for args in calls if args[-3:] == ("5", "--trace", "0")]
+    runs = calls[8:-2]  # after the six benchmark runs and the two digests
     assert len(runs) == 2 * 10 * 3
     parent = runs[0][0]
     assert parent.endswith("/bench/run.py") and parent != "bench/run.py"
     for k, workload in enumerate(bench_record.WORKLOADS):
         paired = record["pairs"][workload]
-        command = ["--workload", workload, "--seed", "1", "--seconds", "5", "--trace", "0"]
+        # 5 s pairs of an unchanged workload spread by 10 %, too wide to
+        # settle a gain or a loss of a few per cent: every workload pairs at 30 s
+        command = ["--workload", workload, "--seed", "1", "--seconds", "30", "--trace", "0"]
         assert paired["command"] == command
         scripts = [args[0] for args in runs[20 * k:20 * k + 20]]
         assert all(list(args[1:]) == command for args in runs[20 * k:20 * k + 20])
@@ -196,7 +198,7 @@ def test_paired_runs_alternate_sides_and_say_who_won(monkeypatch, tmp_path, caps
         assert set(quartiles) == set(paired["head_won"])
         assert quartiles["ops_per_s"] == {"parent": [98.75, 100.0, 101.25], "head": [102.5, 110.5, 113.5]}
         assert quartiles["latency_p50_ms"] == {"parent": [4.0, 4.0, 4.0], "head": [4.0, 4.0, 4.0]}
-    # the parent's worktree is gone, from the disk and from git's list
+    # the parent's tree is gone, and git lists no worktree beside the checkout
     assert not Path(parent).exists() and len(worktrees(tmp_path)) == 1
 
 
@@ -228,7 +230,7 @@ def test_a_paired_run_that_is_not_correct_fails_the_change(monkeypatch, tmp_path
     code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, "parent")
     assert code == 1 and len(record["pairs"]) == 3
     assert faults == [
-        f"parent: not correct: bench/run.py --workload {workload} --seed 1 --seconds 5 --trace 0"
+        f"parent: not correct: bench/run.py --workload {workload} --seed 1 --seconds 30 --trace 0"
         for workload in bench_record.WORKLOADS for _ in range(bench_record.PAIRS)
     ]
 
@@ -237,8 +239,8 @@ def test_a_paired_run_that_is_not_correct_fails_the_change(monkeypatch, tmp_path
 def test_no_worktree_or_a_paired_run_that_fails_is_exit_2_and_leaves_no_worktree(
     monkeypatch, tmp_path, capsys, fault
 ):
-    # HEAD names no commit, so no worktree can be made; or the parent's
-    # third paired run fails to run, with the worktree made
+    # HEAD names no commit, so no parent tree can be extracted; or the
+    # parent's third paired run fails to run, with the tree extracted
     (tmp_path / "src" / "bsym").mkdir(parents=True)
     git_tree(tmp_path, commit=fault != "no commit")
     run, calls = fake_run(fault)

@@ -782,7 +782,7 @@ def test_quadrature_step_underflow_is_exit_2(tmp_path, capsys):
     prob = write_problem(tmp_path / "p.json", {"a": "1", "b": "1/(t - 1.5)", "n": "2", "d": "1"})
     out = tmp_path / "x.csv"
     assert main(["solve", "--problem", prob, "--t-min", "0", "--t-max", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "bsym: step size underflow at t=1.4999999999412037\n"
+    assert capsys.readouterr().err == "bsym: step size underflow at t=1.4999999984849581\n"
     assert not out.exists()
 
 

@@ -592,3 +592,26 @@ def test_the_mirror_of_a_two_multiplier_path_is_the_mirrored_multipliers_path(
     assert view.t_reached == direct.t_reached
     qs = [f * end for f in sorted(fractions)] + [end]
     assert view.values(qs) == direct.values(qs)
+
+
+# B(t) = int_0^t b exp(2 A) of a = 0.42 cos t, b = 0.85 sin t (A = 0.42 sin t)
+# by 30-digit mpmath.quad on the trees' floats 0.42 and 0.85
+_MPMATH_B = {
+    -1.5: 0.4218301818015862160444826,
+    0.5: 0.1371708672139789151513888,
+    1.5: 1.532048501107742740023676,
+    3.0: 3.333242295324321823837118,
+}
+
+
+def test_b_between_nodes_is_as_accurate_as_at_them():
+    # the quadrature's degree-7 extension reads B at t = 1.5, between the
+    # nodes of the path toward 3, 5.4e-14 from the reference, and every
+    # point within 1e-12; DP5's quartic read it 2.17e-8 off, and its end
+    # node 1.9e-10
+    a, b = parse_expr("0.42*cos(t)"), parse_expr("0.85*sin(t)")
+    ts = (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0)
+    assert 1.5 not in nested_path(a, b, (2.0,), 3.0).ts
+    got = dict(zip(ts, ab_values(a, b, 2.0, ts)))
+    for t, reference in _MPMATH_B.items():
+        assert abs(got[t][1] - reference) <= 2e-12, t

@@ -1,24 +1,57 @@
 import dataclasses
+import itertools
 import linecache
 import math
+import operator
 import random
 import re
 import struct
 import traceback
 from bisect import bisect_right
+from fractions import Fraction
+from functools import reduce, wraps
 
 import pytest
 
 from bsym import problem, rk_solve, stepper
+from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import QUAD_CONTROL
 from bsym.stepper import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
-    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
-    _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _P,
-    DensePath, PathView, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
+    DOP853, DP5, DensePath, PathView, StepBudgetExceeded, StepControl, StepUnderflow, grid_values, integrate,
 )
 
-CTL = QUAD_CONTROL
+# DP5 at the tolerances the quadrature ran at before it moved to DOP853;
+# the tests of the loop's mechanics run at both tableaux
+CTL = StepControl(rel_tol=1e-10, abs_tol=1e-12)
+CONTROLS = {"DP5": CTL, "DOP853": dataclasses.replace(CTL, tableau=DOP853)}
+
+
+def at_dop853(test, **arguments):
+    """`test` run with DOP853's `arguments` in place of its DP5 defaults,
+    with the same parameters; the DP5 test keeps its name and ids."""
+    @wraps(test)
+    def variant(*args, **kwargs):
+        return test(*args, **kwargs, **arguments)
+
+    return variant
+
+# DP5's constants, as the component-wise reference loop names them
+_C2, _C3, _C4, _C5 = DP5.c[1:5]
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65) = DP5.a[1:6]
+_B1, _, _B3, _B4, _B5, _B6, _ = DP5.b
+((_E1, _, _E3, _E4, _E5, _E6, _E7),) = DP5.e
+
+
+def dense_rows(tableau):
+    """The extension's rows of the stored stages, as a path keeps them."""
+    return [tableau.dense[j - 1] for j in tableau.stored]
+
+
+def test_the_quadrature_runs_dop853_and_the_oracle_dp5():
+    # the caller's control names the tableau, and nothing else picks it
+    assert (QUAD_CONTROL.tableau, QUAD_CONTROL.rel_tol, QUAD_CONTROL.abs_tol) == (DOP853, 5e-12, 5e-14)
+    assert ORACLE_CONTROL.tableau is DP5
+    assert StepControl(rel_tol=1e-10, abs_tol=1e-12).tableau is DP5
 
 
 def cos_path(t_end: float):
@@ -31,8 +64,10 @@ def pair_path(t_end: float):
 
 
 @pytest.mark.parametrize("t_end", [6.0, -6.0])
-def test_off_node_error_against_sine(t_end):
-    path = cos_path(t_end)
+def test_off_node_error_against_sine(t_end, ctl=CTL, bound=1e-9):
+    # DOP853's degree-7 extension at the quadrature's control reads sin t
+    # between nodes about a thousand times closer than DP5's quartic
+    path = integrate(lambda t, y: (math.cos(t),), (0.0,), t_end, ctl)
     ts = set(path.ts)
     worst = 0.0
     for k in range(1, 997):
@@ -40,7 +75,7 @@ def test_off_node_error_against_sine(t_end):
         if t in ts:
             continue
         worst = max(worst, abs(path.value(t)[0] - math.sin(t)))
-    assert 0.0 < worst <= 1e-9
+    assert 0.0 < worst <= bound
 
 
 @pytest.mark.parametrize("t_end", [3.0, -3.0])
@@ -84,7 +119,8 @@ def test_zero_span_path_answers_only_its_node():
 
 def reference_value(path, t):
     """`DensePath.value` before `values`: the step found by bisection, the
-    extension's coefficients built column by column from _P."""
+    extension's coefficients built column by column from the rows of the
+    path's tableau."""
     ts, ys = path.ts, path.ys
     if len(ts) == 1:
         if t != ts[0]:
@@ -100,15 +136,13 @@ def reference_value(path, t):
     if t == t1:
         return ys[i + 1]
     h = t1 - t0
+    columns = list(zip(*dense_rows(path.ctl.tableau)))
     coefs = [
-        (y0,) + tuple(
-            h * (p1 * e1 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6 + p7 * e7)
-            for p1, p3, p4, p5, p6, p7 in zip(*_P)
-        )
-        for y0, (e1, e3, e4, e5, e6, e7) in zip(ys[i], path.ks[i])
+        (y0,) + tuple(h * reduce(operator.add, map(operator.mul, column, stages)) for column in columns)
+        for y0, stages in zip(ys[i], path.ks[i])
     ]
     th = (t - t0) / (t1 - t0)
-    return tuple([y0 + th * (c1 + th * (c2 + th * (c3 + th * c4))) for y0, c1, c2, c3, c4 in coefs])
+    return tuple([y0 + th * reduce(lambda acc, c: c + th * acc, reversed(c)) for y0, *c in coefs])
 
 
 def stopped_oracle_path():
@@ -141,8 +175,15 @@ def outward_times(path, seed, count):
         stopped_oracle_path,
         lambda: integrate(rhs_3(), SYSTEMS["3"][1], 4.0, CTL),
         lambda: integrate(rhs_3(), SYSTEMS["3"][1], -4.0, CTL),
+        lambda: integrate(rhs_2_reads_1(), (0.0, 0.0), 3.0, QUAD_CONTROL),
+        lambda: integrate(rhs_2_reads_1(), (0.0, 0.0), -3.0, QUAD_CONTROL),
+        lambda: integrate(rhs_3(), SYSTEMS["3"][1], 4.0, QUAD_CONTROL),
+        lambda: integrate(lambda t, y: (math.cos(t),), (0.0,), 0.0, QUAD_CONTROL),
     ],
-    ids=["pair+", "pair-", "cos+", "cos-", "single-node", "stopped-oracle", "dim3+", "dim3-"],
+    ids=[
+        "pair+", "pair-", "cos+", "cos-", "single-node", "stopped-oracle", "dim3+", "dim3-",
+        "dop853-pair+", "dop853-pair-", "dop853-dim3+", "dop853-single-node",
+    ],
 )
 @pytest.mark.parametrize("seed,count", [(1, 300), (2, 5)])
 def test_values_match_the_per_point_value(make, seed, count):
@@ -213,14 +254,29 @@ def test_first_crossing_double_root(t_end):
     assert abs(path.value(t)[0] + 1.0) <= CTL.abs_tol + CTL.rel_tol
 
 
+def _band_edge(path, t, level, c):
+    """Whether t is the near edge of a tangent touch's band: before the
+    minimum at c, |y - level| within the walk's allowance on t's step
+    (abs_tol + rel_tol * (|y0| + sum_j |c_j|)) at t, and past it 1e-9
+    nearer the start."""
+    i = min(bisect_right(path.ts, c * t, key=lambda s: c * s) - 1, len(path.ts) - 2)
+    y0, *cs = path._extension(i)[0]
+    allow = path.ctl.abs_tol + path.ctl.rel_tol * (abs(y0) + sum(map(abs, cs)))
+    before, at = path.values([t - 1e-9 * c, t])
+    return 0.0 < (c - t) * c and abs(at[0] - level) <= allow < abs(before[0] - level)
+
+
 @pytest.mark.parametrize("t_end", [3.0, -3.0])
 def test_first_crossing_tangent_within_the_error_scale(t_end):
     # a minimum that misses the level by less than abs_tol + rel_tol * |y|
-    # (about 1.01e-10 here) counts as reaching it; a wider miss does not
+    # (about 1.01e-10 here, with |y| over the step) counts as reaching it,
+    # at the near edge of its band, 1.9e-5 before the minimum, so that a
+    # touch never answers past the zero it stands for; a wider miss does not
     path, c = square_path(t_end)
-    t = path.first_crossing(0, -1.0 - 1e-11)
-    assert t == pytest.approx(c, abs=1e-9)
-    assert path.value(t)[0] > -1.0 - 1e-11
+    level = -1.0 - 1e-11
+    t = path.first_crossing(0, level)
+    assert t == pytest.approx(c, abs=2e-5)
+    assert _band_edge(path, t, level, c)
     assert path.first_crossing(0, -1.0 - 1e-9) is None
 
 
@@ -233,7 +289,8 @@ def test_first_crossing_reads_the_tangent_allowance_of_the_paths_control(t_end):
     tight, c = square_path(t_end)
     path, _ = square_path(t_end, loose)
     assert (path.ctl, tight.ctl) == (loose, CTL)
-    assert path.first_crossing(0, -1.0 - 1e-9) == pytest.approx(c, abs=1e-6)
+    found = path.first_crossing(0, -1.0 - 1e-9)
+    assert found == pytest.approx(c, abs=2e-4) and _band_edge(path, found, -1.0 - 1e-9, c)
     assert tight.first_crossing(0, -1.0 - 1e-9) is None
     for source in (path, tight):
         found = source.first_crossing(0, -1.0 - 1e-9)
@@ -284,52 +341,64 @@ def test_first_crossing_tiny_first_root():
     assert path.first_crossing(0, 1e-13) == pytest.approx(1e-13, rel=1e-15)
 
 
-def _one_step_extension(h, stages):
-    """Step 0's extension (y0, c1, .., c4) on a one-component path of one
-    step h with the given stages (k1, k3, k4, k5, k6, k7)."""
-    path = stepper._path_class(1)(ctl=CTL, ts=[0.0, h], ys=[(0.0,), (0.0,)], ks=[(stages,)])
+def _one_step_extension(tableau, h, stages):
+    """Step 0's extension (y0, c1, ..) on a one-component path of one step
+    h with the given stored stages."""
+    path = stepper._path_class(1, tableau)(
+        ctl=CONTROLS[tableau.name], ts=[0.0, h], ys=[(0.0,), (0.0,)], ks=[(stages,)]
+    )
     return path._extension(0)[0]
 
 
-def _random_stages(rng):
-    """Stages of random signs and magnitudes from 1e-300 to 1e300: apart,
-    or spread about one k1 (as a smooth step's are), or with k1 = 0."""
+def _random_stages(rng, count):
+    """`count` stages of random signs and magnitudes from 1e-300 to 1e300:
+    apart, or spread about one k1 (as a smooth step's are), or with k1 = 0."""
     def magnitude():
         return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
 
     kind = rng.randrange(3)
     if kind == 0:
-        return tuple(magnitude() for _ in range(6))
+        return tuple(magnitude() for _ in range(count))
     k1 = 0.0 if kind == 2 else magnitude()
     spread = 10.0 ** -rng.uniform(0.0, 16.0) * (abs(k1) or 10.0 ** rng.uniform(-290.0, 290.0))
-    return (k1, *(k1 + spread * rng.uniform(-1.0, 1.0) for _ in range(5)))
+    return (k1, *(k1 + spread * rng.uniform(-1.0, 1.0) for _ in range(count - 1)))
 
 
-def test_the_walks_reach_bounds_how_far_a_step_moves():
+def test_the_walks_reach_bounds_how_far_a_step_moves(tableau=DP5):
     # the crossing walk skips a step unless |y_k - level| <= reach + tol, so
     # reach must bound sum_j |c_j| of the step's extension, rounding included
     rng = random.Random(41)
-    cases = [_random_stages(rng) for _ in range(3000)]
-    cases += [(0.0,) * 6, (1.0,) * 6, (-1e300,) * 6, (1e-300,) * 6, (0.0, 1.0, -1.0, 1e10, -1e-10, 3.0)]
+    n = len(tableau.stored)
+    reach = stepper._path_class(1, tableau)._reach
+    cases = [_random_stages(rng, n) for _ in range(3000)]
+    cases += [(0.0,) * n, (1.0,) * n, (-1e300,) * n, (1e-300,) * n, (0.0, 1.0, -1.0, 1e10, -1e-10, *[3.0] * (n - 5))]
+    # equal stages of every exponent: the rounding of c_j that cancels to
+    # 0 in exact arithmetic is all a step of equal stages moves by beyond h * k1
+    cases += [(math.ldexp(1.0 + rng.random(), rng.randrange(-1000, 1000)),) * n for _ in range(2000)]
     for stages in cases:
         h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 0.6)
-        _, *c = _one_step_extension(h, stages)
-        assert sum(map(abs, c)) <= stepper._reach(h, stages), (h, stages)
-    # centred on k1: a step of equal stages moves about |h * k1|, not 67 times that
-    assert stepper._reach(0.5, (2.0,) * 6) == pytest.approx(1.0, rel=1e-11)
-
-
-# the walk's bound before it was centred on k1: |h| * sum_s _W[s] * |k_s|
-_W = tuple((1.0 + 1e-12) * sum(map(abs, row)) for row in _P)
+        _, *c = _one_step_extension(tableau, h, stages)
+        assert sum(map(abs, c)) <= reach(h, stages), (h, stages)
+    # centred on k1: a step of equal stages moves about |h * k1|, not the
+    # uncentred weights' 67 (DP5) or 9 000 (DOP853) times that; DOP853's
+    # W0 carries its larger rounding allowance, 1.9e-11
+    assert reach(0.5, (2.0,) * n) == pytest.approx(1.0, rel=1e-11 if tableau is DP5 else 1e-10)
+    # and stages on a line through k1 and the end stage, as a step of a
+    # linear integrand has, move about |h| * (|k1| + |D| / 2), not the
+    # k1-centred weights' 45 (DP5) or 5 060 (DOP853) times |D|
+    line = tuple(1.0 + tableau.c[j - 1] for j in tableau.stored)
+    assert reach(0.5, line) == pytest.approx(0.5 * (1.0 + 0.5), rel=1e-9)
 
 
 def _reference_walk(path, k, level):
-    """`DensePath._walk` with the uncentred bound it had before."""
+    """`DensePath._walk` with the uncentred bound it had before:
+    |h| * sum_s W[s] * |k_s|, W[s] = (1 + 1e-12) * sum_j |P[s][j]|."""
     ts, ys, ks = path.ts, path.ys, path.ks
+    weights = [(1.0 + 1e-12) * sum(map(abs, row)) for row in dense_rows(path.ctl.tableau)]
     abs_tol, rel_tol = path.ctl.abs_tol, path.ctl.rel_tol
     side = 1.0 if ys[0][k] > level else -1.0
     for i in range(len(ts) - 1):
-        reach = abs(ts[i + 1] - ts[i]) * sum(w * abs(ks_) for w, ks_ in zip(_W, ks[i][k]))
+        reach = abs(ts[i + 1] - ts[i]) * sum(w * abs(ks_) for w, ks_ in zip(weights, ks[i][k]))
         y_i = ys[i][k]
         if abs(y_i - level) <= reach + abs_tol + rel_tol * (abs(y_i) + reach):
             y0, *c = (path._coefs.get(i) or path._extension(i))[k]
@@ -370,18 +439,134 @@ def test_the_centred_walk_finds_every_crossing_the_uncentred_one_finds():
     assert found > 100
 
 
-def test_extension_weights_at_step_end_are_the_fifth_order_weights():
-    sums = [sum(row) for row in _P]
-    assert sums[:5] == pytest.approx([_B1, _B3, _B4, _B5, _B6], rel=1e-14)
-    assert sums[5] == pytest.approx(0.0, abs=1e-14)  # the FSAL stage k7
+def test_extension_weights_at_step_end_are_the_fifth_order_weights(tableau=DP5):
+    # at th = 1 the extension ends on y0 + h * b.k: each row sums to its
+    # stage's weight, 0 for the FSAL stage and DOP853's dense stages, up
+    # to the float adjustments that DOP853's last row carries (1.3e-13)
+    sums = [math.fsum(row) for row in tableau.dense]
+    tol = 1e-14 if tableau is DP5 else 2e-13
+    assert sums == pytest.approx(list(tableau.b), rel=tol, abs=tol)
+
+
+def test_the_tableau_is_consistent_in_float(tableau=DP5):
+    # a constant integrand integrates exactly: b sums to 1 and each dense
+    # column j >= 1 to 0 in the float order the loop adds them, and column
+    # 0 is k1 alone (y' = f at th = 0).  DP5's rationals, the oracle's as
+    # they always were, sum b to 1 - 2**-52 and column 1 to 2**-52
+    rows = dense_rows(tableau)
+    columns = [reduce(operator.add, column) for column in zip(*rows)]
+    b = reduce(operator.add, [w for w in tableau.b if w])
+    if tableau is DOP853:
+        assert (b, columns) == (1.0, [1.0] + [0.0] * (tableau.degree - 1))
+    else:
+        assert (b, columns) == (1.0 - 2.0**-52, [1.0, 2.0**-52, 0.0, 0.0])
+    assert [row[0] for row in rows] == [1.0] + [0.0] * (len(rows) - 1)
+    # head stages weigh nothing in any output, and the reuse stage is at
+    # the time of the stage before it, on the new state (its row is b)
+    for j in tableau.head:
+        assert not any(row[j - 1] for row in (tableau.b, *tableau.e)) and not any(tableau.dense[j - 1])
+    assert tableau.c[tableau.reuse - 1] == tableau.c[tableau.reuse - 2] == 1.0
+    assert tableau.a[tableau.reuse - 1][:len(tableau.b)] == tableau.b[:len(tableau.a[tableau.reuse - 1])]
+    # each row's node is its weights' sum, up to the stated digits
+    for c, row in zip(tableau.c, tableau.a):
+        assert math.fsum(row) == pytest.approx(c, abs=1e-14)
+
+
+# the digits of b (stages 1, 6, .., 12) and of contd8's rows d4..d7
+# (stages 1, 6, .., 16) as Hairer's dop853.f states them
+_HAIRER_B = (
+    "5.42937341165687622380535766363e-2", "4.45031289275240888144113950566", "1.89151789931450038304281599044",
+    "-5.8012039600105847814672114227", "3.1116436695781989440891606237e-1", "-1.52160949662516078556178806805e-1",
+    "2.01365400804030348374776537501e-1", "4.47106157277725905176885569043e-2",
+)
+_HAIRER_D = (
+    ("-0.84289382761090128651353491142e+1", "0.56671495351937776962531783590", "-0.30689499459498916912797304727e+1",
+     "0.23846676565120698287728149680e+1", "0.21170345824450282767155149946e+1", "-0.87139158377797299206789907490",
+     "0.22404374302607882758541771650e+1", "0.63157877876946881815570249290", "-0.88990336451333310820698117400e-1",
+     "0.18148505520854727256656404962e+2", "-0.91946323924783554000451984436e+1",
+     "-0.44360363875948939664310572000e+1"),
+    ("0.10427508642579134603413151009e+2", "0.24228349177525818288430175319e+3", "0.16520045171727028198505394887e+3",
+     "-0.37454675472269020279518312152e+3", "-0.22113666853125306036270938578e+2", "0.77334326684722638389603898808e+1",
+     "-0.30674084731089398182061213626e+2", "-0.93321305264302278729567221706e+1", "0.15697238121770843886131091075e+2",
+     "-0.31139403219565177677282850411e+2", "-0.93529243588444783865713862664e+1",
+     "0.35816841486394083752465898540e+2"),
+    ("0.19985053242002433820987653617e+2", "-0.38703730874935176555105901742e+3", "-0.18917813819516756882830838328e+3",
+     "0.52780815920542364900561016686e+3", "-0.11573902539959630126141871134e+2", "0.68812326946963000169666922661e+1",
+     "-0.10006050966910838403183860980e+1", "0.77771377980534432092869265740", "-0.27782057523535084065932004339e+1",
+     "-0.60196695231264120758267380846e+2", "0.84320405506677161018159903784e+2", "0.11992291136182789328035130030e+2"),
+    ("-0.25693933462703749003312586129e+2", "-0.15418974869023643374053993627e+3",
+     "-0.23152937917604549567536039109e+3",
+     "0.35763911791061412378285349910e+3", "0.93405324183624310003907691704e+2", "-0.37458323136451633156875139351e+2",
+     "0.10409964950896230045147246184e+3", "0.29840293426660503123344363579e+2", "-0.43533456590011143754432175058e+2",
+     "0.96324553959188282948394950600e+2", "-0.39177261675615439165231486172e+2",
+     "-0.14972683625798562581422125276e+3"),
+)
+
+
+def test_dop853_dense_rows_and_last_weight_derive_from_hairers_digits():
+    # contd8 in power form, expanded in rationals: y0 + th*(F0 + (1-th)*(F1
+    # + th*(F2 + (1-th)*(F3 + th*(F4 + (1-th)*(F5 + th*F6)))))), F0 = dy,
+    # F1 = h*k1 - dy, F2 = 2*dy - h*(k1 + k13), F3.. = h*d.k, dy = h*b.k;
+    # then rounded, the last entry of each column j >= 1 replaced by minus
+    # the float sum of the others, and b's last weight by 1 minus theirs
+    stages = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+    zero = {j: Fraction(0) for j in range(1, 17)}
+    b = {**zero, **dict(zip(stages[:8], map(Fraction, _HAIRER_B)))}
+    fs = [b, {j: int(j == 1) - b[j] for j in b}, {j: 2 * b[j] - int(j == 1) - int(j == 13) for j in b}]
+    fs += [{**zero, **dict(zip(stages, map(Fraction, row)))} for row in _HAIRER_D]
+    poly = [fs[6]]  # ascending powers of th
+    for j in (5, 4, 3, 2, 1, 0, -1):  # times th before an odd F_j and at the end, else 1 - th
+        shifted = [zero] + poly
+        poly = shifted if j % 2 else [{s: p.get(s, 0) - q[s] for s in q} for p, q in zip(poly + [{}], shifted)]
+        if j >= 0:
+            poly[0] = {s: poly[0][s] + fs[j][s] for s in b}
+    rows = [[float(poly[k][s]) for k in range(1, 8)] for s in range(1, 17)]
+    for column in range(1, 7):
+        rows[15][column] = -reduce(operator.add, [rows[s - 1][column] for s in stages[:-1]])
+    assert [tuple(row) for row in rows] == list(DOP853.dense)
+    weights = [float(b[s]) for s in stages[:8]]
+    weights[-1] = 1.0 - reduce(operator.add, weights[:-1])
+    assert [w for w in DOP853.b if w] == weights
+    assert weights[-1] != float(b[12])  # the stated digits sum to more than 1
 
 
 def test_extension_matches_scipy_rk45():
     rk = pytest.importorskip("scipy.integrate._ivp.rk")
     P = rk.RK45.P
     assert list(P[1]) == [0.0] * 4  # k2 carries no weight
-    for ours, row in zip(_P, (P[0], P[2], P[3], P[4], P[5], P[6])):
+    assert list(DP5.dense[1]) == [0.0] * 4
+    for ours, row in zip(dense_rows(DP5), (P[0], P[2], P[3], P[4], P[5], P[6])):
         assert list(ours) == pytest.approx(list(row), rel=1e-15, abs=0.0)
+
+
+def test_dop853_matches_scipy():
+    # the nodes, rows, weights and both error rows against scipy's
+    # transcription of Hairer's dop853.f; b and the dense columns differ
+    # from the stated digits by the float adjustments alone
+    dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert list(DOP853.c) == list(dop.C)
+    for j, row in enumerate(DOP853.a):
+        stated = list(dop.A[j][:len(row)])
+        assert list(row) == (stated if j != 12 else pytest.approx(stated, rel=1e-14, abs=1e-15))
+        assert not dop.A[j][len(row):].any()
+    assert list(DOP853.b[:12]) == pytest.approx(list(dop.B), rel=1e-14, abs=1e-15)
+    assert not any(DOP853.b[12:])
+    assert list(DOP853.e[0][:13]) == list(dop.E5)
+    e3 = [w - bhh for w, bhh in zip(DOP853.b, DOP853.e[1])]
+    assert e3[:13] == pytest.approx(list(dop.E3), rel=1e-14, abs=1e-15)
+    # the power rows against scipy's interpolant, at random stages and
+    # fractions: y0 + th*(F0 + (1-th)*(F1 + th*(F2 + ..))), F from D
+    rng = random.Random(853)
+    for _ in range(50):
+        k = [rng.uniform(-1.0, 1.0) for _ in range(16)]
+        dy = math.fsum(w * kj for w, kj in zip(dop.B, k))
+        fs = [dy, k[0] - dy, 2 * dy - k[0] - k[12]] + [math.fsum(d * kj for d, kj in zip(row, k)) for row in dop.D]
+        th = rng.random()
+        theirs = 0.0
+        for i, f in enumerate(reversed(fs)):
+            theirs = (theirs + f) * (th if i % 2 == 0 else 1.0 - th)
+        ours = math.fsum(kj * p * th ** (j + 1) for kj, row in zip(k, DOP853.dense) for j, p in enumerate(row))
+        assert ours == pytest.approx(theirs, rel=1e-13, abs=1e-13)
 
 
 class CountingSolve:
@@ -465,9 +650,13 @@ def test_grid_values_reject_non_finite_times(bad, where):
 
 def reference_integrate(f, y0, t_end, ctl, limit=math.inf):
     """The generic zip/generator loop `integrate` ran before its kernel was
-    generated per dimension, from t = 0; the kernel must reproduce it bit
-    for bit.  A step's stages are stored as one tuple per component, as
-    the kernel stores them, whatever sequence f returns."""
+    generated per dimension, from t = 0, for the control's tableau; the
+    kernel must reproduce it bit for bit.  A step's stages are stored as
+    one tuple per component, as the kernel stores them, whatever sequence
+    f returns."""
+    if ctl.tableau is DOP853:
+        return reference_dop853(f, y0, t_end, ctl, limit)
+    assert ctl.tableau is DP5
     y0 = tuple(y0)
     path = DensePath(ctl)
     k1 = f(0.0, y0)
@@ -541,6 +730,8 @@ def reference_integrate(f, y0, t_end, ctl, limit=math.inf):
             h *= 0.1
             continue
         if err_norm <= 1.0:
+            if not all(map(math.isfinite, y1)):
+                raise OverflowError("math range error")
             path.ks.append(tuple(zip(k1, k3, k4, k5, k6, k7)))
             t, y, k1 = t1, y1, k7
             path.ts.append(t)
@@ -552,6 +743,97 @@ def reference_integrate(f, y0, t_end, ctl, limit=math.inf):
             h *= factor
         else:
             h *= max(0.2, 0.9 * err_norm**-0.2)
+
+    return path
+
+
+def _dot(weights, stages):
+    """sum_j weights[j] * stages[j] over the nonzero weights, added from
+    the first term on, as the kernel adds them."""
+    return reduce(operator.add, [w * k for w, k in zip(weights, stages) if w])
+
+
+def _stage_state(y, h, row, ks):
+    """y + h * row.ks per component; a row of one weight w is y + h * w * k."""
+    if sum(map(bool, row)) == 1:
+        j, w = next((j, w) for j, w in enumerate(row) if w)
+        return tuple(a + h * w * k for a, k in zip(y, ks[j]))
+    return tuple(a + h * _dot(row, column) for a, column in zip(y, zip(*ks)))
+
+
+def reference_dop853(f, y0, t_end, ctl, limit=math.inf):
+    """Hairer's DOP853 step (dop853.f) as a component-wise loop: 12 stages
+    per attempt, the error norm of its 5th- and 3rd-order estimates mixed
+    per component, and
+    on acceptance f(t + h, y1), the next step's k1, and the three stages
+    of the continuous extension, from t = 0 with the kernel's first step,
+    step control and guards."""
+    tab = DOP853
+    y0 = tuple(y0)
+    path = DensePath(ctl)
+    k1 = tuple(f(0.0, y0))
+    path.ts.append(0.0)
+    path.ys.append(y0)
+    span = t_end
+    if span == 0.0:
+        return path
+
+    direction = 1.0 if span > 0 else -1.0
+    min_h = max(abs(span) * ctl.min_step_fraction, 5e-324)
+    h = span / 64.0 or span
+    t, y = 0.0, y0
+    atol, rtol = ctl.abs_tol, ctl.rel_tol
+    steps = 0
+
+    def stage(j, ks):
+        c = tab.c[j - 1]
+        return tuple(f(t1 if c == 1.0 else t + c * h, _stage_state(y, h, tab.a[j - 1], ks)))
+
+    while (t_end - t) * direction > 0.0:
+        steps += 1
+        if steps > ctl.max_steps:
+            raise StepBudgetExceeded(path)
+        if abs(h) < min_h:
+            raise StepUnderflow(path)
+        if (t + h - t_end) * direction > 0.0:
+            h = t_end - t
+
+        t1 = t + h
+        ks = [k1]
+        for j in range(2, 13):
+            ks.append(stage(j, ks))
+        y1 = tuple(a + h * _dot(tab.b, column) for a, column in zip(y, zip(*ks)))
+
+        err_sq = 0.0
+        for a, b, column in zip(y, y1, zip(*ks)):
+            scale = atol + rtol * max(abs(a), abs(b))
+            q5 = (_dot(tab.e[0], column) / scale) ** 2
+            q3 = ((_dot(tab.b, column) - _dot(tab.e[1], column)) / scale) ** 2
+            err_sq += (q5 / math.sqrt(q5 + 0.01 * q3) if q5 else 0.0) ** 2
+        err_norm = abs(h) * math.sqrt(err_sq / len(y))
+
+        if not math.isfinite(err_norm):
+            if all(map(math.isfinite, itertools.chain(*ks))):
+                raise OverflowError("math range error")  # an error sum overflowed
+            h *= 0.1
+            continue
+        if err_norm <= 1.0:
+            if not all(map(math.isfinite, y1)):
+                raise OverflowError("math range error")
+            ks.append(tuple(f(t1, y1)))
+            for j in (14, 15, 16):
+                ks.append(stage(j, ks))
+            path.ks.append(tuple(zip(*(ks[j - 1] for j in tab.stored))))
+            t, y, k1 = t1, y1, ks[12]
+            path.ts.append(t)
+            path.ys.append(y)
+            if abs(y[0]) > limit:
+                path.blew_up = True
+                break
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.125))
+            h *= factor
+        else:
+            h *= max(0.2, 0.9 * err_norm**-0.125)
 
     return path
 
@@ -625,43 +907,43 @@ def shape(name):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("t_end", [5.0, -5.0, 1e-3, 0.0, 5e-324, -1e-322])
-def test_kernel_is_bit_identical_to_the_vector_loop(name, t_end):
-    got, expected = both(*SYSTEMS[name], t_end)
+def test_kernel_is_bit_identical_to_the_vector_loop(name, t_end, ctl=CTL):
+    got, expected = both(*SYSTEMS[name], t_end, ctl)
     assert got == expected
     assert expected[0] == "done"
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("t_end", [6.0, -6.0])
-def test_kernel_matches_with_a_stop_callback(name, t_end):
+def test_kernel_matches_with_a_stop_callback(name, t_end, ctl=CTL):
     # the limit just below |y_0| at node 5: the first state at least that
     # large ends the path, whichever sign y_0 has there
     make_rhs, y0 = SYSTEMS[name]
-    target = abs(reference(make_rhs(), y0, t_end, CTL).ys[5][0])
-    got, expected = both(make_rhs, y0, t_end, limit=math.nextafter(target, 0.0))
+    target = abs(reference(make_rhs(), y0, t_end, ctl).ys[5][0])
+    got, expected = both(make_rhs, y0, t_end, ctl, limit=math.nextafter(target, 0.0))
     assert got == expected
     assert expected[1].endswith(", True)")  # blew_up
 
 
 @pytest.mark.parametrize("slope", [3.0, -3.0])
-def test_the_limit_bounds_both_signs_of_the_first_component(slope):
+def test_the_limit_bounds_both_signs_of_the_first_component(slope, ctl=CTL):
     # y_0 = slope * t passes |y_0| > 2 first at the node past t = 2/3;
     # component 1 grows past the limit earlier, and does not count
     def rhs(t, y):
         return (slope, 10.0 * slope)
 
-    path = integrate(rhs, (0.0, 0.0), 4.0, CTL, 2.0)
+    path = integrate(rhs, (0.0, 0.0), 4.0, ctl, 2.0)
     assert path.blew_up and abs(path.y_end[0]) > 2.0 >= abs(path.ys[-2][0])
     assert abs(path.ys[-2][1]) > 2.0
-    assert run(integrate, lambda: rhs, (0.0, 0.0), 4.0, limit=2.0) == run(
-        reference, lambda: rhs, (0.0, 0.0), 4.0, limit=2.0
+    assert run(integrate, lambda: rhs, (0.0, 0.0), 4.0, ctl, limit=2.0) == run(
+        reference, lambda: rhs, (0.0, 0.0), 4.0, ctl, limit=2.0
     )
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("t_end", [4.0, -4.0])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_kernel_matches_after_a_non_finite_stage(name, t_end, bad):
+def test_kernel_matches_after_a_non_finite_stage(name, t_end, bad, ctl=CTL):
     # the last component's stage turns bad: one f does not read, where
     # dim > 1
     make_clean, y0 = SYSTEMS[name]
@@ -680,78 +962,85 @@ def test_kernel_matches_after_a_non_finite_stage(name, t_end, bad):
 
         return rhs
 
-    got, expected = both(make_rhs, y0, t_end)
+    got, expected = both(make_rhs, y0, t_end, ctl)
     assert got == expected
     assert len(returned) == 2  # both runs took the h *= 0.1 retry
     assert expected[0] == "done"
-    assert expected != run(reference, make_clean, y0, t_end)
+    assert expected != run(reference, make_clean, y0, t_end, ctl)
 
 
 def err_numerator(path, i):
-    """h * (E . stages) of accepted step i, component 0, as the kernel and
-    the reference loop compute it."""
-    k1, k3, k4, k5, k6, k7 = path.ks[i][0]
-    h = path.ts[i + 1] - path.ts[i]
-    return h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    """The first error estimate of accepted step i, component 0, as the
+    kernel and the reference loop compute it: h * (e.k) under DP5, and
+    DOP853's e.k, which its norm scales by |h| after the sum."""
+    tableau = path.ctl.tableau
+    stages = dict(zip(tableau.stored, path.ks[i][0]))
+    e = reduce(operator.add, [w * stages[j] for j, w in enumerate(tableau.e[0], 1) if w])
+    return (path.ts[i + 1] - path.ts[i]) * e if tableau is DP5 else e
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("branch", ["zero error", "growth clamped"])
-def test_kernel_matches_where_the_step_grows_fivefold(name, branch):
+def test_kernel_matches_where_the_step_grows_fivefold(name, branch, ctl=CTL):
     # from h = 64 / 64 = 1 every t is an integer, so each step length is
     # exact: 1, 5 and 25, then 33 clamped to t_end.  y' = 0 makes every
     # error exactly 0 (factor 5.0 by the err_norm == 0.0 branch); y' = 1e-30
-    # t^4 is integrated exactly by the 5th-order weights but not by the
-    # embedded 4th-order ones, so the error is nonzero and so small that
-    # 0.9 * err_norm**-0.2 exceeds 5 and the growth clamp gives 5.0
+    # t^q is integrated exactly by the new state's weights (q = 4 under
+    # DP5, 7 under DOP853) but not by the first error estimate's lower
+    # order, so the error is nonzero and so small that 0.9 *
+    # err_norm**exponent exceeds 5 and the growth clamp gives 5.0
     c = 0.0 if branch == "zero error" else 1e-30
+    q = 4 if ctl.tableau is DP5 else 7
     dim, kind = shape(name)
 
     def make_rhs():
-        return lambda t, y: kind((c * t**4,) * dim)
+        return lambda t, y: kind((c * t**q,) * dim)
 
     y0 = (1.0,) * dim
-    got, expected = both(make_rhs, y0, 64.0)
+    got, expected = both(make_rhs, y0, 64.0, ctl)
     assert got == expected
-    path = integrate(make_rhs(), y0, 64.0, CTL)
+    path = integrate(make_rhs(), y0, 64.0, ctl)
     assert path.ts == [0.0, 1.0, 6.0, 31.0, 64.0]
     errors = [err_numerator(path, i) for i in range(3)]
     assert all(e == 0.0 for e in errors) if c == 0.0 else all(e != 0.0 for e in errors)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_kernel_matches_where_a_rejection_is_clamped(name):
-    # y' = 50 y over a first trial step of 1/64: the error is near 1e-3 of
-    # y against rel_tol 1e-10, so err_norm is about 1e6 and the unclamped
-    # factor 0.9 * err_norm**-0.2 about 0.06; the rejection clamp makes it
-    # 0.2.  From t = 0 the FSAL stage is evaluated at 0.0 + h, exactly h,
+def test_kernel_matches_where_a_rejection_is_clamped(name, ctl=CTL):
+    # y' = r y over a first trial step of 1/64, r = 50 under DP5 and 400
+    # under DOP853, whose 8th order needs the steeper rate: the error is
+    # so far above rel_tol 1e-10 that the unclamped factor 0.9 *
+    # err_norm**exponent is below 0.2; the rejection clamp makes it 0.2.
+    # From t = 0 the last stage of an attempt is at 0.0 + h, exactly h,
     # so the recorded times give the first two trial steps, the second at
     # t = 0 again (an accepted first step would put it past 1/64).  Every
-    # component takes 50 times component 0
+    # component takes r times component 0
     times = []
     dim, kind = shape(name)
+    rate = 50.0 if ctl.tableau is DP5 else 400.0
 
     def make_rhs():
         def rhs(t, y):
             times.append(t)
-            return kind((50.0 * y,) * dim)
+            return kind((rate * y,) * dim)
 
         return rhs
 
     y0 = (1.0,) * dim
-    got, expected = both(make_rhs, y0, 1.0)
+    got, expected = both(make_rhs, y0, 1.0, ctl)
     assert got == expected
-    trials = times[6::6]  # the FSAL stage of each attempt of the kernel's run
+    calls = ctl.tableau.attempt - 1  # f's calls per rejected attempt, the last at t + h
+    trials = times[calls::calls]
     assert trials[:2] == [1.0 / 64.0, 1.0 / 64.0 * 0.2]
 
 
 @pytest.mark.parametrize("t_end", [2.0, -2.0])
-def test_kernel_matches_the_partial_path_on_underflow(t_end):
+def test_kernel_matches_the_partial_path_on_underflow(t_end, ctl=CTL):
     def make_rhs():  # y' = y^2 from y(0) = sign: a pole at |t| = 1
         return lambda t, y: (y * y, math.cos(t))
 
     y0 = (math.copysign(1.0, t_end), 0.0)
-    ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, min_step_fraction=2.0**-20)
+    ctl = dataclasses.replace(ctl, min_step_fraction=2.0**-20)
     got, expected = both(make_rhs, y0, t_end, ctl)
     assert got == expected
     assert expected[0] == "StepUnderflow"
@@ -798,8 +1087,8 @@ def test_step_control_validation():
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_kernel_matches_the_partial_path_on_an_exhausted_budget(name):
-    ctl = StepControl(rel_tol=1e-10, abs_tol=1e-12, max_steps=7)
+def test_kernel_matches_the_partial_path_on_an_exhausted_budget(name, ctl=CTL):
+    ctl = dataclasses.replace(ctl, max_steps=7)
     got, expected = both(*SYSTEMS[name], -5.0, ctl)
     assert got == expected
     assert expected[0] == "StepBudgetExceeded"
@@ -839,6 +1128,7 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
     monkeypatch.setattr(stepper, "compile", counting_compile, raising=False)
     stepper._kernel.cache_clear()
     stepper._path_class.cache_clear()
+    stepper._step_functions.cache_clear()
     paths = {}
     for name in ("2", "1", "2reads1", "1", "3", "3reads1", "2"):
         make_rhs, y0 = SYSTEMS[name]
@@ -846,28 +1136,33 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
         path.values([0.25, 0.5, 1.0])  # dense queries compile nothing
         path.first_crossing(0, 1e9)
         paths.setdefault(len(y0), []).append(path)
-    # each dimension's path class, then its loop, the call form's
-    classes = {dim: f"<bsym.stepper DensePath dim={dim}>" for dim in paths}
+    # the tableau's one-component step functions, once; then each
+    # dimension's path class and its loop, the call form's
+    steps = "<bsym.stepper DP5 steps>"
+    classes = {dim: f"<bsym.stepper DP5 DensePath dim={dim}>" for dim in paths}
     names = {dim: f"<bsym.stepper DP5 kernel dim={dim} form #K>" for dim in paths}
-    assert [re.sub(r"#\d+", "#K", name) for name in compiled] == [
+    assert [re.sub(r"#\d+", "#K", name) for name in compiled] == [steps] + [
         name for dim in paths for name in (classes[dim], names[dim])
     ]
     assert len(set(compiled)) == len(compiled)
-    loop = stepper._kernel(2, stepper._CALL)
-    assert loop is stepper._kernel(2, stepper._CALL)
-    assert loop.__code__.co_filename == compiled[1]
+    loop = stepper._kernel(2, stepper._CALL, DP5)
+    assert loop is stepper._kernel(2, stepper._CALL, DP5)
+    assert loop.__code__.co_filename == compiled[2]
     # the dense output is rendered per dimension, one path class per
-    # dimension, and no generic walk or extension is kept beside it
+    # dimension, and no generic walk or extension is kept beside it; a
+    # component's extension and skip bound are the tableau's, shared
     for dim, same in paths.items():
         cls = type(same[0])
         assert cls is not DensePath and issubclass(cls, DensePath)
-        assert cls.__name__ == f"DensePath{dim}"
-        assert cls is stepper._path_class(dim)
+        assert cls.__name__ == f"DensePath{dim}DP5"
+        assert cls is stepper._path_class(dim, DP5)
         assert all(type(path) is cls for path in same)
         for method in (cls.values, cls._extension):
             assert method.__code__.co_filename == classes[dim]
+        assert cls._reach is stepper._step_functions(DP5)["reach"]
+        assert cls._reach.__code__.co_filename == steps
     assert len({type(same[0]) for same in paths.values()}) == len(paths) == 3
-    assert "values" not in vars(DensePath) and "_extension" not in vars(DensePath)
+    assert not {"values", "_extension", "_reach"} & set(vars(DensePath))
 
 
 def test_traceback_shows_the_kernel_source():
@@ -893,22 +1188,47 @@ def test_traceback_shows_the_kernel_source():
     ]
 
 
-def test_a_plain_callable_that_returns_lists_gets_tuple_stages():
+def test_a_plain_callable_that_returns_lists_gets_tuple_stages(ctl=CTL):
     # the call form's loop unpacks what f returns into locals and stores an
-    # accepted step's stages as one tuple of them per component
-    path = integrate(rhs_3(), (1.0, -0.5, 0.25), 2.0, CTL)
+    # accepted step's stored stages as one tuple of them per component
+    path = integrate(rhs_3(), (1.0, -0.5, 0.25), 2.0, ctl)
+    stored = len(ctl.tableau.stored)  # 6 under DP5, 12 under DOP853
     assert len(path.ks) > 1
     assert all(type(ks) is tuple and len(ks) == 3 for ks in path.ks)
-    assert all(type(k) is tuple and len(k) == 6 for ks in path.ks for k in ks)
-    loop = stepper._kernel(3, stepper._CALL)
-    assert re.fullmatch(r"<bsym\.stepper DP5 kernel dim=3 form #\d+>", loop.__code__.co_filename)
+    assert all(type(k) is tuple and len(k) == stored for ks in path.ks for k in ks)
+    loop = stepper._kernel(3, stepper._CALL, ctl.tableau)
+    name = ctl.tableau.name
+    assert re.fullmatch(rf"<bsym\.stepper {name} kernel dim=3 form #\d+>", loop.__code__.co_filename)
+    assert loop.__name__ == f"{name.lower()}_dim3" and type(path).__name__ == f"DensePath3{name}"
+
+
+def test_dop853_traceback_shows_its_stages_and_its_dense_stages_after_acceptance():
+    # DOP853's loop evaluates stages 2 to 12 per attempt; f(t + h, y1) and
+    # the three dense stages only once a step is accepted, from its start
+    calls = []
+
+    def failing(t, a):
+        calls.append(t)
+        if len(calls) == 13:  # k1, stages 2 to 12, then k13 of the first step
+            raise ZeroDivisionError("from the right-hand side")
+        return (1.0, 1.0)
+
+    with pytest.raises(ZeroDivisionError) as info:
+        integrate(failing, (0.0, 0.0), 1.0, CONTROLS["DOP853"])
+    frame = traceback.extract_tb(info.tb)[-2]
+    assert re.fullmatch(r"<bsym\.stepper DOP853 kernel dim=2 form #\d+>", frame.filename)
+    assert frame.line == "(k13_0, k13_1,) = f(s, x)"
+    lines = [linecache.getline(frame.filename, frame.lineno + k).strip() for k in range(-8, 2)]
+    assert lines[-3:] == ["x = z_0", frame.line, "s = t + 0.1 * h"]
+    assert "if err_norm <= 1.0:" in lines[:-3]
+    assert calls[-1] == calls[-2] == 1.0 / 64.0
 
 
 @pytest.mark.parametrize("r", [-1.0])  # a view is the t-mirror alone
 @pytest.mark.parametrize(
     "signs", [(-1.0,), (1.0, -1.0), (-1.0, 1.0, -1.0)], ids=["dim1", "dim2", "dim3"]
 )
-def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
+def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs, ctl=CTL):
     # f(t, y) = r*S*g(r*t, S*y) is computed with exact negations only, so
     # f(r*t, S*y) = r*S*g(t, y) bit for bit and the kernel's path of f
     # toward r*T is the view of g's path toward T; both read y_0 alone
@@ -921,8 +1241,8 @@ def test_path_view_is_the_mirrored_path_in_any_dimension(r, signs):
         return tuple(r * s * v for s, v in zip(signs, g(r * t, signs[0] * y0)))
 
     y0 = tuple(1.0 + 0.5 * k for k in range(dim))
-    source = integrate(g, y0, 2.0, CTL)
-    direct = integrate(f, tuple(s * v for s, v in zip(signs, y0)), r * 2.0, CTL)
+    source = integrate(g, y0, 2.0, ctl)
+    direct = integrate(f, tuple(s * v for s, v in zip(signs, y0)), r * 2.0, ctl)
     view = PathView(source, signs)
     assert view.t_reached == direct.t_reached
     qs = [r * (0.05 * i) for i in range(41)]
@@ -973,3 +1293,44 @@ def test_an_integer_power_of_a_negated_base_is_exactly_signed(x):
     # both sides raise
     for k in range(10):
         assert _outcome(lambda v: (-v) ** k, x) == _outcome(lambda v: (-1) ** k * v ** k, x), k
+
+
+# the tests above that take a DP5 control or tableau by default, at DOP853's
+test_kernel_is_bit_identical_to_the_vector_loop_dop853 = at_dop853(
+    test_kernel_is_bit_identical_to_the_vector_loop, ctl=CONTROLS["DOP853"]
+)
+test_kernel_matches_with_a_stop_callback_dop853 = at_dop853(
+    test_kernel_matches_with_a_stop_callback, ctl=CONTROLS["DOP853"]
+)
+test_the_limit_bounds_both_signs_of_the_first_component_dop853 = at_dop853(
+    test_the_limit_bounds_both_signs_of_the_first_component, ctl=CONTROLS["DOP853"]
+)
+test_kernel_matches_after_a_non_finite_stage_dop853 = at_dop853(
+    test_kernel_matches_after_a_non_finite_stage, ctl=CONTROLS["DOP853"]
+)
+test_kernel_matches_where_the_step_grows_fivefold_dop853 = at_dop853(
+    test_kernel_matches_where_the_step_grows_fivefold, ctl=CONTROLS["DOP853"]
+)
+test_kernel_matches_where_a_rejection_is_clamped_dop853 = at_dop853(
+    test_kernel_matches_where_a_rejection_is_clamped, ctl=CONTROLS["DOP853"]
+)
+test_kernel_matches_the_partial_path_on_underflow_dop853 = at_dop853(
+    test_kernel_matches_the_partial_path_on_underflow, ctl=CONTROLS["DOP853"]
+)
+test_kernel_matches_the_partial_path_on_an_exhausted_budget_dop853 = at_dop853(
+    test_kernel_matches_the_partial_path_on_an_exhausted_budget, ctl=CONTROLS["DOP853"]
+)
+test_a_plain_callable_that_returns_lists_gets_tuple_stages_dop853 = at_dop853(
+    test_a_plain_callable_that_returns_lists_gets_tuple_stages, ctl=CONTROLS["DOP853"]
+)
+test_path_view_is_the_mirrored_path_in_any_dimension_dop853 = at_dop853(
+    test_path_view_is_the_mirrored_path_in_any_dimension, ctl=CONTROLS["DOP853"]
+)
+test_off_node_error_against_sine_dop853 = at_dop853(test_off_node_error_against_sine, ctl=QUAD_CONTROL, bound=1e-12)
+test_the_walks_reach_bounds_how_far_a_step_moves_dop853 = at_dop853(
+    test_the_walks_reach_bounds_how_far_a_step_moves, tableau=DOP853
+)
+test_extension_weights_at_step_end_are_the_fifth_order_weights_dop853 = at_dop853(
+    test_extension_weights_at_step_end_are_the_fifth_order_weights, tableau=DOP853
+)
+test_the_tableau_is_consistent_in_float_dop853 = at_dop853(test_the_tableau_is_consistent_in_float, tableau=DOP853)
