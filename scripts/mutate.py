@@ -685,12 +685,59 @@ MUTANTS = [
     Mutant(
         "dop853-dense-stages-after-the-step",
         "stepper.py",
-        "            {dense}\n            append_k(vec<{stored}>)\n            t = t1\n",
-        "            t = t1\n            {dense}\n            append_k(vec<{stored}>)\n",
+        "        t = ts[i]\n        y_0 = ys[i][0]\n",
+        "        t = ts[i + 1]\n        y_0 = ys[i][0]\n",
         "DOP853's dense stages 14 to 16 are evaluated at t + h + c*h, past the"
         " step: the same nodes, but every read between them is wrong",
         ("tests/test_stepper.py::test_kernel_is_bit_identical_to_the_vector_loop_dop853",
          "tests/test_quad.py::test_b_between_nodes_is_as_accurate_as_at_them"),
+    ),
+    Mutant(
+        "dense-stages-take-h-from-the-nodes",
+        "stepper.py",
+        "        h = hs[i]\n        if h is None:\n            continue\n",
+        "        if hs[i] is None:\n            continue\n        h = ts[i + 1] - ts[i]\n",
+        "a step's dense stages take h as ts[i + 1] - ts[i], which differs from"
+        " the h the loop stepped with in its last bits on most steps: every"
+        " read between the nodes is off in its last bits",
+        ("tests/test_stepper.py::test_a_read_evaluates_the_dense_stages_of_the_reference_loop",),
+    ),
+    Mutant(
+        "walk-weighs-an-unopened-step",
+        "stepper.py",
+        "                self._complete(i, ready)\n",
+        "                self._complete(i, ready - 1)\n",
+        "the crossing walk opens each run of steps but its last, and weighs"
+        " that step's nine kept stages as the twelve stored ones",
+        ("tests/test_stepper.py::test_a_read_evaluates_the_dense_stages_of_the_reference_loop",),
+    ),
+    Mutant(
+        "values-read-an-unopened-step",
+        "stepper.py",
+        "if self.hs[i] is not None:\n",
+        "if self.hs[i] is None:\n",
+        "a values read builds a step's extension from its nine kept stages"
+        " before any read has evaluated its dense stages",
+        ("tests/test_stepper.py::test_values_match_the_per_point_value",),
+    ),
+    Mutant(
+        "dense-stage-overflow-untyped",
+        "stepper.py",
+        "            except OverflowError as exc:\n",
+        "            except () as exc:\n",
+        "an exp(m*A) that overflows at a dense stage escapes the read as a bare"
+        " OverflowError: a traceback at the command line, not exit 2",
+        ("tests/test_quad.py::test_a_failure_at_a_dense_stage_raises_from_each_read_that_opens_the_step",
+         "tests/test_cli.py::test_solve_with_a_failure_at_a_dense_stage_is_exit_2"),
+    ),
+    Mutant(
+        "dense-stages-marked-before-they-run",
+        "stepper.py",
+        "        h = hs[i]\n        if h is None:\n            continue\n        t = ts[i]\n",
+        "        h = hs[i]\n        if h is None:\n            continue\n        hs[i] = None\n        t = ts[i]\n",
+        "a step counts as opened before its dense stages run: after one that"
+        " fails, the next read builds the step's extension from nine stages",
+        ("tests/test_quad.py::test_a_failure_at_a_dense_stage_raises_from_each_read_that_opens_the_step",),
     ),
     Mutant(
         "reach-weights-of-the-other-tableau",

@@ -32,11 +32,17 @@ evaluates a inline at 11 stages of each attempted step and b at 7:
 stages 2 to 5 feed later stages through A alone and have zero weight in
 every B, so the form's head, A' = a, is all it computes there.  The loop
 recomputes only the value (exp(m*A)) at the 13th stage, whose time is
-the 12th's, and evaluates a and b at the 3 dense stages of each accepted
-step; its file name in tracebacks and profiles is `<bsym.stepper DOP853
-kernel dim=N form #K>`, N = 1 + k.  A failing or non-finite coefficient
-raises EvalError, and so does an overflowing exp(m*A) or a B past the
-float range, as "integrand overflow: ..".  Reversed limits are handled
+the 12th's; its file name in tracebacks and profiles is `<bsym.stepper
+DOP853 kernel dim=N form #K>`, N = 1 + k.  The 3 dense stages, which
+only the continuous extension reads, evaluate a and b on the first read
+of a step, between its nodes or by a crossing walk, in the form's
+completion function (`<bsym.stepper DOP853 completion dim=N form #K>`),
+so a step that nothing reads costs 11 evaluations of a and 7 of b per
+attempt and no more.  A failing or non-finite coefficient raises
+EvalError, and so does an overflowing exp(m*A) or a B past the float
+range, as "integrand overflow: ..": from `nested_path` where the loop
+meets it, and from the read that opens the step where a dense stage
+does.  Reversed limits are handled
 by the sign of the step, not by re-parameterization: integrating from 0
 toward a negative t directly yields int_0^t.  A grid of t is answered
 from one path per side of 0 through `stepper.grid_values`, each side's

@@ -27,9 +27,13 @@ local of its own, so a step builds no state tuple, does no per-component
 zip or generator work and calls no max or min.  `_kernel` renders it
 once per state dimension, checked form (`expr.CheckedForm`) and tableau,
 compiled lazily, once per process: the record's rows become the stage
-states, its weights the new state, its error rows the error norm, and
-its stages past those the new state and the error read are evaluated
-only once a step is accepted.  At each stage the loop runs the form's
+states, its weights the new state and its error rows the error norm.
+Its reuse stage, where the error does not read it, is evaluated once a
+step is accepted, and the stages only the extension reads
+(`Tableau.deferred`, DOP853's 14 to 16) on the step's first read, by
+the form's completion function (`_completion`), rendered from the same
+stage code once per state dimension, form and tableau and bound to the
+`expr.Bound` the path keeps.  At each stage the loop runs the form's
 code, the source `CheckedForm.source` renders for the form's wrapper
 too: it calls the coefficient functions inline, checks their values at
 the stage's time, and assigns the form's value on the stage state to the
@@ -48,16 +52,19 @@ computes only that there, on the coefficients it reads.  Per attempted
 step, DP5 evaluates each coefficient 1 + 5 times (the quadrature's b
 1 + 4 times) and calls f 1 + 6 times under the call form; DOP853
 evaluates the quadrature's a 1 + 11 times and b 1 + 7 times per attempt
-and both 3 more times per accepted step, at its dense stages, and calls f
-1 + 11 and 4 more times.  A loop's file name is `<bsym.stepper NAME
-kernel dim=N form #K>`, NAME the tableau's and K counting the loops the
-process has compiled.
+and calls f 1 + 11 times per attempt and once more per accepted step.
+Its dense stages evaluate both coefficients, and call f, 3 times per
+step that a read opens, and never on a step that none opens.  A loop's
+file name is `<bsym.stepper NAME kernel dim=N form #K>`, NAME the
+tableau's and K counting the loops the process has compiled, and a
+completion function's `<bsym.stepper NAME completion dim=N form #K>`.
 
 Every loop makes paths of the dimension's and tableau's `DensePath`
 subclass (`_path_class`, file `<bsym.stepper NAME DensePath dim=N>`),
 whose `values` walk unpacks a step's coefficients once and evaluates
 each point's Horner form as straight-line code over locals; step i's
-stored stages of component k are one tuple, `ks[i][k]`, and its
+stored stages of component k are one tuple, `ks[i][k]` (until a read
+opens the step, the stages the loop evaluated, `Tableau.kept`), and its
 `_extension` builds each component's coefficients with the tableau's one
 straight-line function (file `<bsym.stepper NAME steps>`).  The walk is
 one template, `_DENSE_PATH`, rendered with a `Reader`'s code at each
@@ -66,14 +73,15 @@ such as the closed form's y, which `DensePath.read` runs in the same one
 walk (file `<bsym.stepper NAME DensePath dim=N reader #K>`).  Every
 source is registered in `linecache`, so tracebacks and profiles show the
 generated lines; each coefficient function keeps a profiler entry of its
-own.  Paths (nodes, states, stages, `blew_up` flag) are bit-identical to
-those of the plain component-wise loop of their tableau, and dense values
-to those of the column-by-column extension, which the tests keep as the
-references.
+own.  Paths (nodes, states, `blew_up` flag, and the stages once each
+step is opened) are bit-identical to those of the plain component-wise
+loop of their tableau, and dense values to those of the column-by-column
+extension, which the tests keep as the references.
 
 Dense output is the continuous extension of each accepted step, of
 degree 4 under DP5 and 7 under DOP853, built from the stages the step
-stored, so a query between nodes costs no right-hand-side evaluation.
+stored, so a query between nodes costs no right-hand-side evaluation
+beyond DOP853's three dense stages on the first read of a step.
 `DensePath.values` answers times that run outward from the path's start
 in one walk over its steps, and `DensePath.first_crossing` locates
 events on the same per-step polynomials, at the error scale of the
@@ -96,7 +104,9 @@ read at -t on the same path where they would read at t < 0, and
 The crossing walk skips a step that cannot reach the level by a bound on
 how far its extension moves, from the step's first stage, its change to
 the end stage and each other stage's distance from the line between
-them (`_reach`, from the tableau's `reach_weights`).
+them (`_reach`, from the tableau's `reach_weights`); the bound reads
+every stored stage, so the walk opens its steps a run of `_RUN` at a
+time.
 """
 
 from __future__ import annotations
@@ -111,7 +121,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import StepFailure
+from .errors import EvalError, StepFailure
 from .expr import Bound, CheckedForm
 
 __all__ = [
@@ -148,7 +158,8 @@ class Tableau:
     Stage `reuse` is f(t + h, new state) at the time of the stage before it,
     whose coefficient values it reuses; it is the next step's first stage.
     The stages the new state and the error read are evaluated at each
-    attempt, and every later one once a step is accepted.  Row s of
+    attempt, the reuse stage once a step is accepted, and every other later
+    one (`deferred`) on the first read of the step.  Row s of
     `dense` weighs stage s + 1 into the extension:
     y(t + th*h) = y + h * sum_s k_{s+1} * sum_j dense[s][j] * th^(j+1).
     A step's error e scales the next step by 0.9 * e**`exponent`, clamped.
@@ -175,6 +186,17 @@ class Tableau:
     def attempt(self) -> int:
         """The last stage that the new state or an error estimate reads."""
         return max(j for row in (self.b, *self.e) for j, w in enumerate(row, 1) if w)
+
+    @cached_property
+    def deferred(self) -> tuple:
+        """The stages past `attempt` other than `reuse`, which only the
+        extension reads: a step evaluates them on its first read."""
+        return tuple(j for j in range(self.attempt + 1, len(self.c) + 1) if j != self.reuse)
+
+    @cached_property
+    def kept(self) -> tuple:
+        """The stored stages that an accepted step keeps before its first read."""
+        return tuple(j for j in self.stored if j not in self.deferred)
 
     @property
     def degree(self) -> int:
@@ -490,16 +512,25 @@ class DensePath:
     `integrate` returns an instance of the subclass `_path_class` renders
     for the state's dimension and the control's tableau, which defines
     `values`, `_extension` and `_reach`; `ctl` is the control the path was
-    integrated at, whose tolerances `first_crossing` reads.  `ks[i][k]` is
-    the tableau's stored stages (`Tableau.stored`; DP5's k1, k3, .., k7) of
-    step i and component k, the one tuple every reader of the stages takes.
+    integrated at, whose tolerances `first_crossing` reads, and `bound`
+    the `expr.Bound` it was integrated from.  `ks[i][k]` is the tableau's
+    stored stages (`Tableau.stored`; DP5's k1, k3, .., k7, DOP853's k1,
+    k6, .., k16) of step i and component k, the one tuple every reader of
+    the stages takes.  Until a read opens step i, it holds only the stages
+    the loop evaluated (`Tableau.kept`; DOP853's k1, k6, .., k13) and
+    hs[i] the step's h; the read that opens it, a `values` walk's
+    `_extension` or the crossing walk, first evaluates its deferred stages
+    (`Tableau.deferred`) with the step's own t, h, y_0 and stages, bit for
+    bit as the loop would have, and sets hs[i] to None.
     """
 
     ctl: StepControl
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     ks: list = field(default_factory=list)
+    hs: list = field(default_factory=list)  # a step's h while its deferred stages wait, then None
     blew_up: bool = False  # |y_0| passed integrate's limit, ending the path early
+    bound: Optional[Bound] = field(default=None, repr=False, compare=False)
     _coefs: dict = field(default_factory=dict, repr=False, compare=False)
     _crossings: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -551,7 +582,12 @@ class DensePath:
         abs_tol, rel_tol = self.ctl.abs_tol, self.ctl.rel_tol
         side = 1.0 if ys[0][k] > level else -1.0
         _reach = self._reach
-        for i in range(len(ts) - 1):
+        steps = len(ts) - 1
+        ready = 0  # the steps before it hold all their stored stages
+        for i in range(steps):
+            if i == ready:  # the bound reads every stored stage
+                ready = min(i + _RUN, steps)
+                self._complete(i, ready)
             # a step whose stages cannot carry y_k to the level needs no
             # extension: the skip test below would pass it over anyway
             reach = _reach(ts[i + 1] - ts[i], ks[i][k])
@@ -565,6 +601,20 @@ class DensePath:
             if side * (ys[i + 1][k] - level) <= 0.0:
                 return ts[i + 1]
         return None
+
+    def _complete(self, lo: int, hi: int) -> None:
+        """Evaluate the deferred stages of the steps lo to hi - 1 that lack
+        them, in one call of the path's completion function (`_completion`),
+        which runs the bound form's code at each stage.  A coefficient that
+        fails there raises its EvalError, and a stage value past the float
+        range EvalError("integrand overflow: .."), from the read."""
+        if self.hs:  # a DP5 path defers nothing
+            bound = self.bound
+            complete = _completion(len(self.ys[0]), bound.form, self.ctl.tableau)
+            try:
+                complete(self, lo, hi, *bound.coefficients, *bound.env)
+            except OverflowError as exc:
+                raise EvalError(f"integrand overflow: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -675,7 +725,8 @@ def integrate(
     loop, which evaluates its coefficients inline and never calls f; any
     other callable is bound to the call form, whose loop calls it at
     every stage.  Returns the dense path of accepted steps, which records
-    `ctl` and keeps step i's stages of component k as `ks[i][k]`.  The
+    `ctl` and the `Bound` and keeps step i's stages of component k as
+    `ks[i][k]`, DOP853's dense stages once a read opens the step.  The
     final step is clamped to land exactly on t_end.  The first accepted
     state with |y_0| > limit ends the path with path.blew_up set.  Raises
     StepUnderflow or StepBudgetExceeded when the step size or budget runs
@@ -688,7 +739,7 @@ def integrate(
         raise ValueError(f"t_end must be finite, not {t_end!r}")
     bound = f if isinstance(f, Bound) else Bound(_CALL, (), (f,))
     kernel = _kernel(len(y0), bound.form, ctl.tableau)
-    return kernel(y0, t_end, ctl, limit, *bound.coefficients, *bound.env)
+    return kernel(y0, t_end, ctl, limit, bound, *bound.coefficients, *bound.env)
 
 
 # The dense output and the adaptive loop, written once for every state
@@ -769,10 +820,12 @@ class {cls}(DensePath):
             {point}
         return out
 {methods}"""
-# a path class's own methods, which a reader's walk reads from the path
+# a path class's own methods, which a reader's walk reads from the path;
+# {open} evaluates a step's deferred stages on its first read
 _STEP_METHODS = """
     def _extension(self, i):
         \"""Per component (y0, h*c1, ..) of step i's extension, cached.\"""
+        {open}
         h = self.ts[i + 1] - self.ts[i]
         vec<y_i> = self.ys[i]
         vec<k_i> = self.ks[i]
@@ -834,13 +887,15 @@ _SIGNED = Reader("append(vec<s_i * y_i>)")
 # the value, on the coefficients evaluated there.  {trial} are the stages
 # an attempt needs before its new state, whose increment b.k is d_i;
 # {fsal} the reuse stage where the error reads it (DP5's k7); {error} the
-# tableau's error norm; and {dense} the stages only an accepted step
-# needs (DOP853's k13 to k16).  An accepted step's stored stages are kept
-# as one tuple per component.  {params} are the form's bound arguments.
+# tableau's error norm; and {accept} the reuse stage where only an
+# accepted step needs it (DOP853's k13), and the step's h where the tableau
+# defers stages to the step's first read (`_COMPLETE`).  An accepted step's
+# kept stages are stored as one tuple per component.  {params} are the
+# form's bound arguments, the parts of `bound`, which the path keeps.
 _KERNEL = """\
-def {loop}(y0, t_end, ctl, limit{params}):
-    path = {cls}(ctl=ctl)
-    append_t, append_y, append_k = path.ts.append, path.ys.append, path.ks.append
+def {loop}(y0, t_end, ctl, limit, bound{params}):
+    path = {cls}(ctl=ctl, bound=bound)
+    append_t, append_y, append_k, append_h = path.ts.append, path.ys.append, path.ks.append, path.hs.append
     vec<y_i> = y0
     {first}
     append_t(0.0)
@@ -884,8 +939,8 @@ def {loop}(y0, t_end, ctl, limit{params}):
             # to the same overflow (a non-finite stage fails the norm)
             if sum<z_i - z_i>:
                 raise OverflowError("math range error")
-            {dense}
-            append_k(vec<{stored}>)
+            {accept}
+            append_k(vec<{kept}>)
             t = t1
             vec<y_i> = vec<z_i>
             vec<k1_i> = vec<{reuse}>
@@ -942,7 +997,37 @@ if err_norm - err_norm and not ({finite}):
     raise OverflowError("math range error")
 """,
 )
+# A step's deferred stages (`Tableau.deferred`), evaluated on its first
+# read: the loop's own stage code, {stages}, at the step's start t, its
+# state y_0, its kept stages and the h it was taken with, which
+# ts[i + 1] - t need not equal.  A step whose h is None has its stages:
+# hs[i] turns None only once ks[i] holds every stored stage, so a stage
+# that raises leaves the step to raise again on the next read.
+_COMPLETE = """\
+def {name}(path, lo, hi{params}):
+    ts, ys, ks, hs = path.ts, path.ys, path.ks, path.hs
+    for i in range(lo, hi):
+        h = hs[i]
+        if h is None:
+            continue
+        t = ts[i]
+        y_0 = ys[i][0]
+        vec<{kept}> = ks[i]
+        {stages}
+        ks[i] = vec<{stored}>
+        hs[i] = None
+"""
+# the steps the crossing walk opens per call of the completion function:
+# a walk that stops early evaluates the deferred stages of at most
+# _RUN - 1 steps past its answer
+_RUN = 8
+# a path class's `_extension` where the tableau defers stages
+_OPEN = """\
+if self.hs[i] is not None:
+    self._complete(i, i + 1)
+"""
 _loops = itertools.count(1)
+_completions = itertools.count(1)
 _readers = itertools.count(1)
 # the form of any callable that is no `expr.Bound`: no coefficient, the
 # callable bound as f, and a value that calls it at the stage time
@@ -992,6 +1077,11 @@ def _render(source: str, dim: int, filename: str, namespace: dict) -> dict:
     return namespace
 
 
+def _stage_tuple(stages: Sequence[int]) -> str:
+    """The tuple of the stage values k<j>_i, as source."""
+    return "(" + ", ".join(f"k{j}_i" for j in stages) + ")"
+
+
 def _class_name(dim: int, tableau: Tableau) -> str:
     return f"DensePath{dim}{tableau.name}"
 
@@ -1029,7 +1119,7 @@ def _dense_path(dim: int, tableau: Tableau, reader: Reader, filename: str, metho
     source = _fill(
         _DENSE_PATH,
         point=reader.point,
-        methods=_STEP_METHODS if methods else "",
+        methods=_fill(_STEP_METHODS, open=_OPEN if tableau.deferred else "") if methods else "",
         params=reader.env and ", " + reader.env,
         cls=_class_name(dim, tableau),
         dim=str(dim),
@@ -1090,13 +1180,17 @@ def _stage(form: CheckedForm, tableau: Tableau, j: int) -> str:
 @lru_cache(maxsize=None)
 def _kernel(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
     """The `tableau` loop for states of `dim` components that runs the
-    checked `form` at every stage, compiled once.  It takes the form's
-    bound arguments after `limit` and makes paths of the dimension's and
-    tableau's `_path_class`."""
-    attempt, stages = tableau.attempt, len(tableau.c)
+    checked `form` at every stage, compiled once.  It takes the `Bound`
+    after `limit`, then its parts, the form's bound arguments, and makes
+    paths of the dimension's and tableau's `_path_class`, which keep the
+    `Bound`."""
+    attempt = tableau.attempt
     params = form.params()
     loop = f"{tableau.name.lower()}_dim{dim}"
     errors = {f"e{n}": _weighed(row) for n, row in enumerate(tableau.e)}
+    accept = [_stage(form, tableau, tableau.reuse)] if tableau.reuse > attempt else []
+    if tableau.deferred:
+        accept.append("append_h(h)")
     # k - k is 0.0 for a finite stage value and NaN otherwise
     errors["finite"] = " + ".join(
         f"k{j}_0 - k{j}_0" if j in tableau.head and form.head else f"sum<k{j}_i - k{j}_i>"
@@ -1108,12 +1202,12 @@ def _kernel(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
         trial="\n".join(_stage(form, tableau, j) for j in range(2, attempt + 1) if j != tableau.reuse),
         fsal=_stage(form, tableau, tableau.reuse) if tableau.reuse <= attempt else "",
         error=_fill(_ERROR_NORMS[len(tableau.e) - 1], dim=str(dim), **errors),
-        dense="\n".join(_stage(form, tableau, j) for j in range(attempt + 1, stages + 1)),
+        accept="\n".join(accept),
         loop=loop,
         cls=_class_name(dim, tableau),
         params=params and ", " + params,
         new=_weighed(tableau.b),
-        stored="(" + ", ".join(f"k{j}_i" for j in tableau.stored) + ")",
+        kept=_stage_tuple(tableau.kept),
         reuse=f"k{tableau.reuse}_i",
         exponent=repr(tableau.exponent),
     )
@@ -1127,6 +1221,25 @@ def _kernel(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
     }
     filename = f"<bsym.stepper {tableau.name} kernel dim={dim} form #{next(_loops)}>"
     return _render(source, dim, filename, namespace)[loop]
+
+
+@lru_cache(maxsize=None)
+def _completion(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
+    """`_COMPLETE` for states of `dim` components that runs the checked
+    `form` at `tableau`'s deferred stages, compiled once: the function
+    (path, lo, hi, <the form's bound arguments>) that a path of the
+    form's loop calls on a run of its steps (`DensePath._complete`)."""
+    name = f"{tableau.name.lower()}_dim{dim}_complete"
+    source = _fill(
+        _COMPLETE,
+        name=name,
+        params=form.params() and ", " + form.params(),
+        kept=_stage_tuple(tableau.kept),
+        stages="\n".join(_stage(form, tableau, j) for j in tableau.deferred),
+        stored=_stage_tuple(tableau.stored),
+    )
+    filename = f"<bsym.stepper {tableau.name} completion dim={dim} form #{next(_completions)}>"
+    return _render(source, dim, filename, dict(form.namespace))[name]
 
 
 def _states(path, qs: Sequence[float]) -> list:

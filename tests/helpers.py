@@ -1,7 +1,8 @@
 """Shared test utilities: an independent Simpson oracle, random
 parity-conforming problem generators, the (A, B) path of a coefficient
-pair's own trees, the sign-split reference for comparing trees up to their
-top minuses, a call counter for work-count tests and the environment
+pair's own trees, two problems that fail only at a dense stage, the
+sign-split reference for comparing trees up to their top minuses, a call
+counter for work-count tests and the environment
 for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
@@ -154,6 +155,34 @@ def own_path(a, b, mult: float, t_end: float):
         return integrate(rhs, (0.0, 0.0), t_end, quad.QUAD_CONTROL)
     except OverflowError as exc:  # exp(mult * A)
         raise EvalError(f"integrand overflow: {exc}") from None
+
+
+def dense_stage_failures() -> dict:
+    """name -> (problem payload, step, message) of two problems whose
+    (A, B) path toward 1.05, the search radius of `bsym solve --t-min -1
+    --t-max 1`, meets a failure only at the dense stages of one step,
+    which DOP853's loop leaves to the step's first read: b = sin(t) +
+    0*(1/(t - s)), sin(t) at every float but s, step 3's 14th-stage time
+    t + 0.1 h, where it divides by zero; and a = 1000 (0.4 - t), b = 0,
+    m = 9, where 9 A is at most 708.3 at every stage the loop evaluates
+    and reaches 719 at step 3's 15th stage, past exp's range.
+    The levels g0/m that the validity search walks toward are out of B's
+    reach, so the walk opens every step."""
+    step = 3
+    path = quad.nested_path(parse_expr("cos(t)"), parse_expr("sin(t)"), (2.0,), 1.05)
+    s = path.ts[step] + 0.1 * path.hs[step]
+    return {
+        "division": (
+            {"a": "cos(t)", "b": f"sin(t) + 0*(1/(t - {s!r}))", "n": "3", "d": "0.1"},
+            step,
+            f"division by zero at t={s!r}",
+        ),
+        "overflow": (
+            {"a": "1000*(0.4 - t)", "b": "0", "n": "10", "d": "1"},
+            step,
+            "integrand overflow: math range error",
+        ),
+    }
 
 
 def split_sign(e):

@@ -47,7 +47,7 @@ from bsym.quad import QUAD_CONTROL, nested_path
 from bsym.stepper import DOP853, DP5
 
 from helpers import SPIKED_B, random_source
-from test_stepper import reference_integrate
+from test_stepper import opened, reference_integrate
 
 _MATH = {name: getattr(math, name) for name in FUNCTIONS}
 
@@ -118,10 +118,12 @@ def reference_factory(form, *coefs):
 
 
 def outcome(run):
-    """repr of the path's ts, ys, ks and blew_up flag, or the error's type
-    and text; repr tells every float bit apart, -0.0 from 0.0 included."""
+    """repr of the path's ts, ys, ks and blew_up flag once every step is
+    opened, or the error's type and text, of the run or of a read that
+    opens a step; repr tells every float bit apart, -0.0 from 0.0
+    included."""
     try:
-        path = run()
+        path = opened(run())
     except BsymError as exc:
         return type(exc).__name__, str(exc)
     return repr(path.ts), repr(path.ys), repr(path.ks), path.blew_up
@@ -679,9 +681,11 @@ _FORMS = {
 @pytest.mark.parametrize("name", _FORMS)
 def test_a_form_states_one_value_and_its_loop_takes_only_its_bound_names(name):
     # a form's value is one expression, which its wrapper returns and its
-    # loop assigns as it is; a loop takes the form's coefficient functions
-    # and env after `limit`, so only the call form, whose env binds the
-    # plain callable as f, has an f parameter
+    # loop assigns as it is; a loop takes the `Bound` its paths keep after
+    # `limit`, then the form's coefficient functions and env, and so does
+    # a deferring tableau's completion function after the run of steps, so
+    # only the call form, whose env binds the plain callable as f, has an
+    # f parameter
     form, dim, tableau = _FORMS[name]
     compile(form.value, f"<{name} value>", "eval")
     if dim is None:
@@ -689,8 +693,11 @@ def test_a_form_states_one_value_and_its_loop_takes_only_its_bound_names(name):
     code = stepper._kernel(dim, form, tableau).__code__
     coefficients = tuple(f"c{i}" for i in range(form.coefficients))
     env = tuple(filter(None, form.env.split(", ")))
-    assert code.co_varnames[:code.co_argcount] == ("y0", "t_end", "ctl", "limit", *coefficients, *env)
+    assert code.co_varnames[:code.co_argcount] == ("y0", "t_end", "ctl", "limit", "bound", *coefficients, *env)
     assert ("f" in env) is (form is stepper._CALL)
+    if tableau.deferred:
+        code = stepper._completion(dim, form, tableau).__code__
+        assert code.co_varnames[:code.co_argcount] == ("path", "lo", "hi", *coefficients, *env)
 
 
 @pytest.mark.parametrize("t_end", [2.0, -2.0])
@@ -809,14 +816,26 @@ def test_profiles_see_each_coefficient_function_in_a_form_loop():
     assert len({file for _, file in coefficients}) == 4
     # no step is rejected on these two paths: DOP853 evaluates a at
     # stages 2 to 12 and b, with no b at the head stages 2 to 5, at stages
-    # 6 to 12, then both at the three dense stages of an accepted step;
-    # stage 13 reuses stage 12's values: 1 + 14 calls of a and 1 + 10 of b
-    # per step
+    # 6 to 12; stage 13 reuses stage 12's values: 1 + 11 calls of a and
+    # 1 + 7 of b per step.  Read at every step, the form's completion
+    # function evaluates both at the three dense stages of each step
     steps = [len(path.ts) - 1 for path in paths]
-    assert [calls for calls, _ in coefficients] == sorted(1 + j * k for k in steps for j in (14, 10))
+    assert [calls for calls, _ in coefficients] == sorted(1 + j * k for k in steps for j in (11, 7))
     loops = [key for key in stats if key[2] == "dop853_dim2"]
     assert len(loops) == 1 and re.fullmatch(r"<bsym\.stepper DOP853 kernel dim=2 form #\d+>", loops[0][0])
     assert not [key for key in stats if key[2] == "checked"]
+    profile = cProfile.Profile()
+    profile.enable()
+    for path in paths:
+        path.values([0.5 * (t0 + t1) for t0, t1 in zip(path.ts, path.ts[1:])])
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    read = sorted(stat[1] for key, stat in stats.items() if key[0] in {file for _, file in coefficients})
+    assert read == sorted(3 * k for k in steps for _ in "ab")
+    completions = [key for key in stats if key[2] == "dop853_dim2_complete"]
+    assert len(completions) == 1
+    assert re.fullmatch(r"<bsym\.stepper DOP853 completion dim=2 form #\d+>", completions[0][0])
+    assert stats[completions[0]][1] == sum(steps)  # one call per step a read opens
 
 
 def test_the_oracle_compiles_once_per_pair_up_to_sign(monkeypatch):
@@ -997,30 +1016,19 @@ def test_each_coefficient_call_in_a_form_loop_receives_one_float(monkeypatch, mo
     # time alone, as one float, at t = 0 and at the stages of every
     # attempted step: DP5's 2 to 6 for the oracle; DOP853's 2 to 12 for the
     # quadrature, whose head stages 2 to 5 call a alone, since only A' = a
-    # feeds a later stage state, and then its dense stages 14 to 16 on
-    # each accepted step
+    # feeds a later stage state; then, at the read that opens them, DOP853's
+    # dense stages 14 to 16 of each step
     calls = counting_coefficients(monkeypatch)
-    result = run()
-    path = getattr(result, "path", result)
-    assert all(len(args) == 1 and type(args[0]) is float for _, args, _ in calls)
+    path = run()
     a, b = calls[0][0], calls[1][0]
+    stages = [a, b] * 5 if module is oracle else [a] * 4 + [a, b] * 7
+    attempts, left = divmod(len(calls) - 2, len(stages))
+    assert left == 0 and attempts >= len(path.ts) - 1
+    opened(path)
+    assert all(len(args) == 1 and type(args[0]) is float for _, args, _ in calls)
     sources = [source for source, _, _ in calls]
-    assert a != b and sources[:2] == [a, b]
-    if module is oracle:
-        stages = [a, b] * 5
-        attempts, left = divmod(len(calls) - 2, len(stages))
-        assert left == 0 and attempts >= len(path.ts) - 1
-        assert sources == [a, b] + stages * attempts
-        return
-    attempt, dense = [a] * 4 + [a, b] * 7, [a, b] * 3
-    i, attempts, accepted = 2, 0, 0
-    while i < len(sources):
-        assert sources[i:i + len(attempt)] == attempt
-        i, attempts = i + len(attempt), attempts + 1
-        if sources[i:i + 2] == [a, b]:  # an accepted step's dense stages; an attempt starts a, a
-            assert sources[i:i + len(dense)] == dense
-            i, accepted = i + len(dense), accepted + 1
-    assert accepted == len(path.ts) - 1 and attempts >= accepted
+    dense = [] if module is oracle else [a, b] * 3 * (len(path.ts) - 1)
+    assert a != b and sources == [a, b] + stages * attempts + dense
 
 
 _COUNTED_RUNS = [
@@ -1037,48 +1045,56 @@ def test_a_form_loop_evaluates_each_coefficient_five_times_per_attempt(monkeypat
     # a form's loop reuses stage 6's coefficient values: 1 + 5 evaluations
     # of each coefficient per attempted step, where the call form's loop
     # calls f, and so each coefficient, 1 + 6 times.  The quadrature's
-    # DOP853: stages 2 to 12 per attempt; on acceptance stage 13, at stage
-    # 12's time (c13 = c12 = 1), and the dense stages 14 to 16.  Stages 2
-    # to 5 have zero weight in the new state, both error estimates and the
-    # dense output, and only A feeds a stage state: the loop evaluates a
-    # there and not b.  So a is evaluated 1 + 11 times per attempt and 3
-    # more per accepted step, b 1 + 7 and 3, and the call form calls f
-    # 1 + 11 and 4 times
+    # DOP853: stages 2 to 12 per attempt, and on acceptance stage 13, at
+    # stage 12's time (c13 = c12 = 1).  Stages 2 to 5 have zero weight in
+    # the new state, both error estimates and the dense output, and only A
+    # feeds a stage state: the loop evaluates a there and not b.  So a is
+    # evaluated 1 + 11 times per attempt and b 1 + 7, and the call form
+    # calls f 1 + 11 times and once more per accepted step.  The dense
+    # stages 14 to 16 evaluate each coefficient, and call f, 3 times per
+    # step that a read opens, here every other step, and never in the loop
     rejected = 0
     for module, run in _COUNTED_RUNS:
-        calls = counting_coefficients(monkeypatch)
-        in_form = outcome(run)
-        form_counts = Counter(source for source, _, _ in calls)
-        a, b = calls[0][0], calls[1][0]
-        del calls[:]
-        f_calls = []
+        seen = []
+        for spy in (False, True):
+            calls, f_calls = counting_coefficients(monkeypatch), []
 
-        def spying(f, *args, **kwargs):
-            def rhs(t, y):
-                f_calls.append(t)
-                return f(t, y)
+            def spying(f, *args, **kwargs):
+                def rhs(t, y):
+                    f_calls.append(t)
+                    return f(t, y)
 
-            return stepper.integrate(rhs, *args, **kwargs)
+                return stepper.integrate(rhs, *args, **kwargs)
 
-        with monkeypatch.context() as m:
-            m.setattr(module, "integrate", spying)
-            in_call = outcome(run)
-        call_counts = Counter(source for source, _, _ in calls)
+            if spy:
+                monkeypatch.setattr(module, "integrate", spying)
+            path = run()
+            a, b = calls[0][0], calls[1][0]
+            in_loop = Counter(source for source, _, _ in calls), len(f_calls)
+            del calls[:], f_calls[:]
+            steps = len(path.ts) - 1
+            path.values([0.5 * (path.ts[i] + path.ts[i + 1]) for i in range(0, steps, 2)])
+            at_reads = Counter(source for source, _, _ in calls), len(f_calls)
+            seen.append((in_loop, at_reads, outcome(lambda: path)))
+            monkeypatch.undo()
+        ((form_loop, _), (form_reads, _), in_form), ((call_loop, f_loop), (call_reads, f_reads), in_call) = seen
         assert in_form == in_call
-        accepted = in_form[0].count(",")  # len(ts) - 1
-        assert a != b and set(form_counts) == {a, b}
+        assert a != b and set(form_loop) == {a, b}
+        opened_steps = len(range(0, steps, 2))
         if module is quad:
-            attempts, left = divmod(len(f_calls) - 1 - 4 * accepted, 11)
-            assert form_counts == {a: 1 + 11 * attempts + 3 * accepted, b: 1 + 7 * attempts + 3 * accepted}
-            calls_each = 1 + 11 * attempts + 4 * accepted
+            attempts, left = divmod(f_loop - 1 - steps, 11)
+            assert form_loop == {a: 1 + 11 * attempts, b: 1 + 7 * attempts}
+            assert form_reads == {a: 3 * opened_steps, b: 3 * opened_steps} and f_reads == 3 * opened_steps
+            calls_each = 1 + 11 * attempts + steps
         else:
-            attempts, left = divmod(len(f_calls) - 1, 6)
-            assert form_counts == {a: 1 + 5 * attempts, b: 1 + 5 * attempts}
+            attempts, left = divmod(f_loop - 1, 6)
+            assert form_loop == {a: 1 + 5 * attempts, b: 1 + 5 * attempts}
+            assert form_reads == {} and f_reads == 0
             calls_each = 1 + 6 * attempts
-        assert left == 0 and attempts >= accepted
-        rejected += attempts - accepted
-        assert call_counts == {a: calls_each, b: calls_each}
-        monkeypatch.undo()
+        assert left == 0 and attempts >= steps
+        rejected += attempts - steps
+        assert call_loop == {a: calls_each, b: calls_each}
+        assert call_reads == ({a: f_reads, b: f_reads} if f_reads else {})
     assert rejected > 0
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bsym import CASE_BY_ID, parse_expr, problem, transform_problem
-from helpers import SPIKED_B, cli_env
+from helpers import SPIKED_B, cli_env, dense_stage_failures
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -200,6 +200,18 @@ def test_verify_closed_form_past_the_float_range_is_exit_2(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("bsym: solution overflow at t=") and "Traceback" not in res.stderr
     assert res.stdout == "" and not report.exists()
+
+
+@pytest.mark.parametrize("name", ["division", "overflow"])
+def test_solve_with_a_failure_at_a_dense_stage_is_exit_2(tmp_path, name):
+    # the validity search's crossing walk opens the step whose dense stage
+    # fails, and its typed error reaches the user, overflow included
+    payload, _, message = dense_stage_failures()[name]
+    prob = write_problem(tmp_path / "p.json", payload)
+    out = tmp_path / "out.csv"
+    res = run_cli("solve", "--problem", prob, "--t-min", "-1", "--t-max", "1", "--out", str(out))
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"bsym: {message}\n")
+    assert not out.exists()
 
 
 # y' = y^2 with its pole at t = 1e-13; the oracle's first trial step overflows

@@ -27,6 +27,7 @@ from helpers import (
     LEMMA_EXPONENTS,
     SPIKED_B,
     count_calls,
+    dense_stage_failures,
     own_path,
     random_even_source,
     random_odd_source,
@@ -615,3 +616,30 @@ def test_b_between_nodes_is_as_accurate_as_at_them():
     got = dict(zip(ts, ab_values(a, b, 2.0, ts)))
     for t, reference in _MPMATH_B.items():
         assert abs(got[t][1] - reference) <= 2e-12, t
+
+
+# --- the dense stages, evaluated on a step's first read ------------------------
+
+@pytest.mark.parametrize("name", ["division", "overflow"])
+def test_a_failure_at_a_dense_stage_raises_from_each_read_that_opens_the_step(name):
+    # the loop never evaluates DOP853's dense stages, so the path returns;
+    # a values read and a crossing walk each raise the typed EvalError
+    # that the loop raised where it evaluated them, and the step waits for
+    # its stages, so the next read raises again; other steps read as usual
+    payload, step, message = dense_stage_failures()[name]
+    a, b = parse_expr(payload["a"]), parse_expr(payload["b"])
+    path = nested_path(a, b, (float(payload["n"]) - 1.0,), 1.05)
+    inside = 0.5 * (path.ts[step] + path.ts[step + 1])
+    reads = [
+        lambda: path.values([inside]),
+        lambda: PathView(path, (-1.0, 1.0)).values([-inside]),
+        lambda: path.first_crossing(1, 1e300),
+        lambda: path.values([inside]),
+    ]
+    for read in reads:
+        with pytest.raises(EvalError) as info:
+            read()
+        assert str(info.value) == message
+    assert path.hs[step] is not None and path.hs[:step] == [None] * step
+    early = 0.5 * path.ts[1]
+    assert path.values([early, path.ts[step]]) == [path.value(early), path.ys[step]]

@@ -7,7 +7,7 @@ import random
 import re
 import struct
 import traceback
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce, wraps
 
@@ -345,7 +345,7 @@ def _one_step_extension(tableau, h, stages):
     """Step 0's extension (y0, c1, ..) on a one-component path of one step
     h with the given stored stages."""
     path = stepper._path_class(1, tableau)(
-        ctl=CONTROLS[tableau.name], ts=[0.0, h], ys=[(0.0,), (0.0,)], ks=[(stages,)]
+        ctl=CONTROLS[tableau.name], ts=[0.0, h], ys=[(0.0,), (0.0,)], ks=[(stages,)], hs=[None]
     )
     return path._extension(0)[0]
 
@@ -844,13 +844,22 @@ def reference(f, y0, t_end, ctl, limit=math.inf):
     return reference_integrate(lambda t, y: f(t, y[0]), y0, t_end, ctl, limit)
 
 
+def opened(path):
+    """`path` with every step's deferred stages evaluated, as a read of
+    each step would; a reference loop's path has them all already."""
+    path._complete(0, len(path.ts) - 1)
+    return path
+
+
 def run(integrator, make_rhs, y0, t_end, ctl=CTL, limit=math.inf):
-    """(outcome, repr of ts, ys, ks, blew_up); repr tells every float bit
-    apart, -0.0 from 0.0 included.  make_rhs gives each run a fresh RHS."""
+    """(outcome, repr of ts, ys, ks, blew_up) once every step is opened;
+    repr tells every float bit apart, -0.0 from 0.0 included.  make_rhs
+    gives each run a fresh RHS."""
     try:
         path, outcome = integrator(make_rhs(), y0, t_end, ctl, limit), "done"
     except (StepUnderflow, StepBudgetExceeded) as exc:
         path, outcome = exc.path, type(exc).__name__
+    opened(path)
     return outcome, repr((path.ts, path.ys, path.ks, path.blew_up))
 
 
@@ -945,17 +954,22 @@ def test_the_limit_bounds_both_signs_of_the_first_component(slope, ctl=CTL):
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_kernel_matches_after_a_non_finite_stage(name, t_end, bad, ctl=CTL):
     # the last component's stage turns bad: one f does not read, where
-    # dim > 1
+    # dim > 1.  The stage is the first at the clean path's fifth node, the
+    # last of the attempt that reached it, which the error reads (DP5's
+    # k6, DOP853's k12); chosen by its time, since the reference loop
+    # calls f at DOP853's dense stages within its steps and the kernel
+    # does not, so a count of f's calls names different stages in the two
     make_clean, y0 = SYSTEMS[name]
+    node = reference(make_clean(), y0, t_end, ctl).ts[5]
     returned = []
 
     def make_rhs():
-        clean, calls = make_clean(), [0]
+        clean, fired = make_clean(), []
 
         def rhs(t, y):
-            calls[0] += 1
             k = clean(t, y)
-            if calls[0] == 40:  # one stage of one step attempt
+            if t == node and not fired:  # one stage of one step attempt
+                fired.append(t)
                 returned.append(bad)
                 return (*k[:-1], bad)
             return k
@@ -967,6 +981,63 @@ def test_kernel_matches_after_a_non_finite_stage(name, t_end, bad, ctl=CTL):
     assert len(returned) == 2  # both runs took the h *= 0.1 retry
     assert expected[0] == "done"
     assert expected != run(reference, make_clean, y0, t_end, ctl)
+
+
+# --- DOP853's dense stages, on the read that opens a step ----------------------
+
+def kept(stages):
+    """The stages a step keeps until a read opens it (`Tableau.kept`), of
+    one component's stored stages (`Tableau.stored`)."""
+    return tuple(stages[DOP853.stored.index(j)] for j in DOP853.kept)
+
+
+@pytest.mark.parametrize("t_end", [5.0, -5.0])
+@pytest.mark.parametrize("order", ["values then walk", "walk then values", "view values then walk"])
+def test_a_read_evaluates_the_dense_stages_of_the_reference_loop(t_end, order):
+    # a path keeps k1, k6, .., k13 and h of each step; the first read
+    # between a step's nodes or the crossing walk over it evaluates k14 to
+    # k16, bit for bit the reference loop's, whichever reads first and
+    # whether a t-mirror reads it; the walk opens its steps a run at a time
+    ctl = CONTROLS["DOP853"]
+    make_rhs, y0 = SYSTEMS["3reads1"]
+    expected = reference(make_rhs(), y0, t_end, ctl)
+    path = integrate(make_rhs(), y0, t_end, ctl)
+    steps = len(path.ts) - 1
+    assert (path.ts, path.ys) == (expected.ts, expected.ys) and steps > 3 * stepper._RUN
+    assert path.ks == [tuple(map(kept, ks)) for ks in expected.ks]
+    assert all(type(h) is float for h in path.hs)
+    assert any(h != t1 - t0 for h, t0, t1 in zip(path.hs, path.ts, path.ts[1:]))
+    inside = [path.ts[i] + 0.25 * (path.ts[i + 1] - path.ts[i]) for i in range(1, steps, 3)]
+    level = 0.5 * (path.ys[steps // 2][0] + path.ys[steps // 2 + 1][0])
+    signs = (-1.0, 1.0, -1.0)
+    reads = {
+        "values": lambda: path.values(inside),
+        "walk": lambda: path.first_crossing(0, level),
+        "view values": lambda: [tuple(s * y for s, y in zip(signs, v)) for v in PathView(path, signs).values(
+            [-t for t in inside])],
+    }
+    got = {name: reads[name]() for name in order.split(" then ")}
+    values = got.get("values", got.get("view values"))
+    assert values == [reference_value(expected, t) for t in inside]
+    assert got["walk"] is not None and abs(got["walk"]) <= abs(path.ts[steps // 2 + 1])
+    crossed = bisect_left([abs(t) for t in path.ts], abs(got["walk"])) - 1  # the step the walk stopped on
+    walked = min(steps, (crossed // stepper._RUN + 1) * stepper._RUN)
+    read = set(range(1, steps, 3)) | set(range(walked))
+    assert walked < steps and len(read) < steps
+    for i, (ks, h, want) in enumerate(zip(path.ks, path.hs, expected.ks)):
+        assert (ks, h is None) == ((want, True) if i in read else (tuple(map(kept, want)), False)), i
+    assert repr(opened(path).ks) == repr(expected.ks)
+
+
+def test_a_step_that_nothing_reads_keeps_nine_stage_values_per_component():
+    # DOP853's k1, k6, .., k13 of each of the 3 components, and the step's
+    # h; a read between step 2's nodes gives that step its 12, and a read
+    # at a node opens nothing
+    path = integrate(rhs_3(), SYSTEMS["3"][1], 4.0, QUAD_CONTROL)
+    assert len(path.ts) > 4
+    path.values([path.ts[1], 0.5 * (path.ts[2] + path.ts[3]), path.ts[4]])
+    assert [[len(k) for k in ks] for ks in path.ks] == [[12 if i == 2 else 9] * 3 for i in range(len(path.ks))]
+    assert [h is None for h in path.hs] == [i == 2 for i in range(len(path.hs))]
 
 
 def err_numerator(path, i):
@@ -1190,12 +1261,14 @@ def test_traceback_shows_the_kernel_source():
 
 def test_a_plain_callable_that_returns_lists_gets_tuple_stages(ctl=CTL):
     # the call form's loop unpacks what f returns into locals and stores an
-    # accepted step's stored stages as one tuple of them per component
+    # accepted step's kept stages as one tuple of them per component, and
+    # so does the read that opens a step, with every stored stage
     path = integrate(rhs_3(), (1.0, -0.5, 0.25), 2.0, ctl)
-    stored = len(ctl.tableau.stored)  # 6 under DP5, 12 under DOP853
     assert len(path.ks) > 1
-    assert all(type(ks) is tuple and len(ks) == 3 for ks in path.ks)
-    assert all(type(k) is tuple and len(k) == stored for ks in path.ks for k in ks)
+    for stored in (ctl.tableau.kept, ctl.tableau.stored):  # DP5: 6 and 6; DOP853: 9 and 12
+        assert all(type(ks) is tuple and len(ks) == 3 for ks in path.ks)
+        assert all(type(k) is tuple and len(k) == len(stored) for ks in path.ks for k in ks)
+        opened(path)
     loop = stepper._kernel(3, stepper._CALL, ctl.tableau)
     name = ctl.tableau.name
     assert re.fullmatch(rf"<bsym\.stepper {name} kernel dim=3 form #\d+>", loop.__code__.co_filename)
@@ -1203,13 +1276,15 @@ def test_a_plain_callable_that_returns_lists_gets_tuple_stages(ctl=CTL):
 
 
 def test_dop853_traceback_shows_its_stages_and_its_dense_stages_after_acceptance():
-    # DOP853's loop evaluates stages 2 to 12 per attempt; f(t + h, y1) and
-    # the three dense stages only once a step is accepted, from its start
-    calls = []
+    # DOP853's loop evaluates stages 2 to 12 per attempt and f(t + h, y1)
+    # once a step is accepted, then keeps the step's h; the three dense
+    # stages run in the form's completion function on the step's first
+    # read, from the step's start
+    calls, first = [], [13]  # the first call that raises: k1, stages 2 to 12, then k13 of the first step
 
     def failing(t, a):
         calls.append(t)
-        if len(calls) == 13:  # k1, stages 2 to 12, then k13 of the first step
+        if first[0] is not None and len(calls) >= first[0]:
             raise ZeroDivisionError("from the right-hand side")
         return (1.0, 1.0)
 
@@ -1218,10 +1293,33 @@ def test_dop853_traceback_shows_its_stages_and_its_dense_stages_after_acceptance
     frame = traceback.extract_tb(info.tb)[-2]
     assert re.fullmatch(r"<bsym\.stepper DOP853 kernel dim=2 form #\d+>", frame.filename)
     assert frame.line == "(k13_0, k13_1,) = f(s, x)"
-    lines = [linecache.getline(frame.filename, frame.lineno + k).strip() for k in range(-8, 2)]
-    assert lines[-3:] == ["x = z_0", frame.line, "s = t + 0.1 * h"]
-    assert "if err_norm <= 1.0:" in lines[:-3]
+    lines = [linecache.getline(frame.filename, frame.lineno + k).strip() for k in range(-8, 3)]
+    assert lines[-4:] == ["x = z_0", frame.line, "append_h(h)", "append_k(((k1_0, k6_0, k7_0, k8_0, k9_0, k10_0,"
+                          " k11_0, k12_0, k13_0), (k1_1, k6_1, k7_1, k8_1, k9_1, k10_1, k11_1, k12_1, k13_1),))"]
+    assert "if err_norm <= 1.0:" in lines[:-4]
     assert calls[-1] == calls[-2] == 1.0 / 64.0
+
+    first[0] = None
+    path = integrate(failing, (0.0, 0.0), 1.0, CONTROLS["DOP853"])
+    h = path.hs[2]
+    first[0] = 0  # every call from here on
+    inside = 0.5 * (path.ts[2] + path.ts[3])
+    with pytest.raises(ZeroDivisionError) as info:
+        path.values([inside])
+    frame = traceback.extract_tb(info.tb)[-2]
+    assert re.fullmatch(r"<bsym\.stepper DOP853 completion dim=2 form #\d+>", frame.filename)
+    assert frame.line == "(k14_0, k14_1,) = f(s, x)"
+    assert [linecache.getline(frame.filename, frame.lineno + k).strip() for k in (-2, -1)] == [
+        "s = t + 0.1 * h",
+        "x = y_0 + h * (0.056167502283047954 * k1_0 + 0.25350021021662483 * k7_0 + (-0.2462390374708025) * k8_0"
+        " + (-0.12419142326381637) * k9_0 + 0.15329179827876568 * k10_0 + 0.00820105229563469 * k11_0"
+        " + 0.007567897660545699 * k12_0 + (-0.008298) * k13_0)",
+    ]
+    assert calls[-1] == path.ts[2] + 0.1 * h
+    # the step still waits for its stages, and raises again on the next read
+    assert path.hs[2] == h and len(path.ks[2][0]) == len(DOP853.kept)
+    with pytest.raises(ZeroDivisionError):
+        path.values([inside])
 
 
 @pytest.mark.parametrize("r", [-1.0])  # a view is the t-mirror alone
