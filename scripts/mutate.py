@@ -273,6 +273,22 @@ MUTANTS = [
         ("tests/test_stepper.py", "tests/test_quad.py", "tests/test_closedform.py"),
     ),
     Mutant(
+        "view-values-drop-signs",
+        "stepper.py",
+        "return self.source.values([-t for t in qs], self.signs)",
+        "return self.source.values([-t for t in qs])",
+        "a sign-flipped view reads its source's components with their own signs",
+        ("tests/test_stepper.py", "tests/test_quad.py", "tests/test_closedform.py"),
+    ),
+    Mutant(
+        "view-values-read-at-plus-t",
+        "stepper.py",
+        "return self.source.values([-t for t in qs], self.signs)",
+        "return self.source.values(qs, self.signs)",
+        "a t-reflected view reads its source at the grid's own t, on the wrong side of 0",
+        ("tests/test_stepper.py", "tests/test_quad.py", "tests/test_closedform.py"),
+    ),
+    Mutant(
         "crossing-cache-drops-level",
         "stepper.py",
         "key = (k, level)",
@@ -333,8 +349,8 @@ MUTANTS = [
     Mutant(
         "closed-form-drops-the-negative-radicand-sign",
         "closedform.py",
-        "y = scale * (neg * pow(-g, e))",
-        "y = scale * pow(-g, e)",
+        "y = scale * (neg * math.pow(-g, e))",
+        "y = scale * math.pow(-g, e)",
         "G^e of a negative radicand loses the sign its exponent class gives it: y has the wrong sign",
         ("tests/test_closedform.py",),
     ),
@@ -366,8 +382,8 @@ MUTANTS = [
     Mutant(
         "verify-accepts-two-points",
         "cli.py",
-        "if args.points < 3:",
-        "if args.points < 2:",
+        '_check_count("--points", args.points, 3)',
+        '_check_count("--points", args.points, 2)',
         "verify --points 2 reaches the library's ValueError instead of the CLI's own message",
         ("tests/test_cli.py",),
     ),
@@ -495,9 +511,9 @@ MUTANTS = [
     Mutant(
         "closed-form-keeps-a-zero-band",
         "closedform.py",
-        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < r * t < hi):",
-        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < r * t < hi"
-        " and abs(g) > 1e-13 * (abs(g0) + abs(m * (s_1 * y_1)))):",
+        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi):",
+        "if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi"
+        " and abs(g) > 1e-13 * (abs(g0) + abs(m * b))):",
         "the evaluator refuses a point inside the validity interval, next to its"
         " pole, where G still has G(0)'s sign: y' = y^2 at t = 1 - 1e-13",
         ("tests/test_closedform.py::test_the_closed_form_answers_next_to_its_pole",),
@@ -505,8 +521,8 @@ MUTANTS = [
     Mutant(
         "evaluator-answers-at-the-zero-it-found",
         "closedform.py",
-        "and lo < r * t < hi)",
-        "and lo <= r * t <= hi)",
+        "and lo < t < hi)",
+        "and lo <= t <= hi)",
         "the point where the path's G first reaches 0, which the validity search"
         " reports as the interval's end, is answered: y' = y^2 reads 4.5e15 at t = 1",
         ("tests/test_closedform.py::test_solution_outside_validity_asymptote",),
@@ -649,8 +665,8 @@ MUTANTS = [
     Mutant(
         "solution-overflow-check-dropped",
         "closedform.py",
-        "\n    if not isfinite(y):\n",
-        "\n    if False:\n",
+        "\n                    if not math.isfinite(y):\n",
+        "\n                    if False:\n",
         "a closed-form value past the float range comes back as inf, and"
         " verify reads pass",
         ("tests/test_closedform.py::test_a_solution_past_the_float_range_raises",),
@@ -658,8 +674,8 @@ MUTANTS = [
     Mutant(
         "unit-solution-overflow-check-dropped",
         "closedform.py",
-        "\nif not isfinite(y):\n",
-        "\nif False:\n",
+        "\n                if not math.isfinite(y):\n",
+        "\n                if False:\n",
         "for n = 1, d * exp(A + B) past the float range comes back as inf",
         ("tests/test_closedform.py::test_a_solution_past_the_float_range_raises",),
     ),

@@ -37,6 +37,11 @@ EXIT_VERIFY_FAILED = 4
 
 IDENTITY_TOL = 1e-8
 
+# the most grid points `solve --points`, `verify --points` and
+# `identities --samples` accept: a larger count is refused before its grid
+# is built, which would otherwise grow until memory runs out
+MAX_POINTS = 1_000_000
+
 _PROBLEM_KEYS = ("a", "b", "n", "d")
 
 
@@ -73,6 +78,14 @@ def _parse_arg(parse, text: str):
         return parse(text)
     except ValueError as exc:
         raise _ArgumentError(str(exc)) from None
+
+
+def _check_count(option: str, value: int, least: int) -> None:
+    """DomainError unless least <= value <= MAX_POINTS."""
+    if value < least:
+        raise DomainError(f"{option} must be >= {least}")
+    if value > MAX_POINTS:
+        raise DomainError(f"{option} must be <= {MAX_POINTS}")
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -128,8 +141,7 @@ def cmd_solve(args) -> int:
         raise DomainError("--t-min and --t-max must be finite")
     if not args.t_min < args.t_max:
         raise DomainError("--t-min must be below --t-max")
-    if args.points < 2:
-        raise DomainError("--points must be >= 2")
+    _check_count("--points", args.points, 2)
     step = (args.t_max - args.t_min) / (args.points - 1)
     grid = [args.t_min + i * step for i in range(args.points)]
     if not all(map(math.isfinite, grid)):
@@ -181,8 +193,7 @@ def cmd_pair(args) -> int:
 
 def cmd_verify(args) -> int:
     p = load_problem(args.problem)
-    if args.points < 3:
-        raise DomainError("--points must be >= 3")
+    _check_count("--points", args.points, 3)
     if not 0.0 < args.tol < math.inf:
         raise DomainError("--tol must be positive and finite")
     cases = applicable_cases(p) if args.case == "all" else [_parse_arg(resolve_case, args.case)]
@@ -210,8 +221,7 @@ def cmd_identities(args) -> int:
     a = parse_expr(args.a)
     b = parse_expr(args.b)
     n = _parse_arg(parse_exponent, args.n)
-    if args.samples < 1:
-        raise DomainError("--samples must be >= 1")
+    _check_count("--samples", args.samples, 1)
     if not 0.0 < args.t_max < math.inf:
         raise DomainError("--t-max must be positive and finite")
     ts = [args.t_max * (i + 1) / args.samples for i in range(args.samples)]
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--problem", required=True, help="problem JSON path")
     solve.add_argument("--t-min", type=float, required=True, dest="t_min")
     solve.add_argument("--t-max", type=float, required=True, dest="t_max")
-    solve.add_argument("--points", type=int, default=101)
+    solve.add_argument("--points", type=int, default=101, help=f"grid points, 2 to {MAX_POINTS}")
     solve.add_argument("--method", choices=("closed", "oracle"), default="closed")
     solve.add_argument("--out", required=True, help="output CSV path")
     solve.set_defaults(fn=cmd_solve)
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify predicted relations numerically")
     verify.add_argument("--problem", required=True)
     verify.add_argument("--case", default="all", help="case id or 'all'")
-    verify.add_argument("--points", type=int, default=51)
+    verify.add_argument("--points", type=int, default=51, help=f"grid points, 3 to {MAX_POINTS}")
     verify.add_argument("--tol", type=float, default=1e-6)
     verify.add_argument("--method", choices=("closed", "oracle"), default="oracle")
     verify.add_argument("--report", required=True, help="output report JSON path")
@@ -275,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     idents.add_argument("b", help="coefficient b(t), DSL text")
     idents.add_argument("n", help="exponent, 'p/q' or integer")
     idents.add_argument("--t-max", type=float, default=2.0, dest="t_max")
-    idents.add_argument("--samples", type=int, default=8)
+    idents.add_argument("--samples", type=int, default=8, help=f"sample times, 1 to {MAX_POINTS}")
     idents.set_defaults(fn=cmd_identities)
 
     return top

@@ -35,9 +35,9 @@ criterion 4 of the oracle (the oracle, DP5 at 1e-10, can be the farther
 from the truth there).  Each problem integrates its own paths, one per side of 0 or
 one read on both sides through a certified t-mirror, and keeps those of
 its latest search; no path is shared between problems.  A grid reads
-each side of 0 in one walk over its path's steps, which computes y at
-each point (`stepper.Reader`, `DensePath.read`); the reflection rule is
-resolved only for a side that the searched paths do not reach.
+each side of 0 in one walk over its path's steps, which returns (A, B) at
+each point, and computes y from them; the reflection rule is resolved
+only for a side that the searched paths do not reach.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .exponent import (
     signed_pow,
 )
 from .quad import ab_sides
-from .stepper import Reader, grid_values
+from .stepper import grid_values
 
 __all__ = [
     "ProblemSpec",
@@ -163,60 +163,6 @@ def _radicand(p: ProblemSpec) -> tuple[float, float, RationalExponent]:
     return g0, m, classify_exponent(-n.q, n.p - n.q)
 
 
-# y at each point of a side's walk (`stepper.Reader`), from A = s_0*y_0 and
-# B = s_1*y_1 of the path at its time t, r*t on the grid.  A refused point
-# appends its error, and `failed` holds it too
-_NAMES = (
-    ("exp", math.exp),
-    ("pow", math.pow),
-    ("isfinite", math.isfinite),
-    ("inf", math.inf),
-    ("signed_pow", signed_pow),
-    ("OutsideValidity", OutsideValidity),
-    ("EvalError", EvalError),
-)
-_Y = Reader(
-    """\
-g = g0 - m * (s_1 * y_1)
-if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < r * t < hi):
-    y = OutsideValidity(f"{end}: G={g!r} at t={r * t!r} is at or past G's first zero (G(0)={g0!r})")
-    failed.append(y)
-else:
-    try:
-        scale = sigma * exp(s_0 * y_0)
-        if g > 0.0:
-            y = scale * pow(g, e)
-        elif g < 0.0 and neg:
-            y = scale * (neg * pow(-g, e))
-        else:
-            y = scale * signed_pow(g, root)
-    except OverflowError:
-        y = inf
-    if not isfinite(y):
-        y = EvalError(f"solution overflow at t={r * t!r}")
-        failed.append(y)
-append(y)
-""",
-    "g0, m, e, neg, root, sigma, ends, end, lo, hi, failed",
-    _NAMES,
-)
-# n = 1: y = d * exp(A + B), d bound as y_init
-_Y_UNIT = Reader(
-    """\
-try:
-    y = y_init * exp(s_0 * y_0 + s_1 * y_1)
-except OverflowError:
-    y = inf
-if not isfinite(y):
-    y = EvalError(f"solution overflow at t={r * t!r}")
-    failed.append(y)
-append(y)
-""",
-    "y_init, failed",
-    _NAMES,
-)
-
-
 def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     """Closed-form y at every t, sharing one quadrature per direction.
 
@@ -224,8 +170,8 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     latest validity search path where it reaches the side's farthest t,
     integrated at the same `QUAD_CONTROL` as a fresh one; otherwise the
     reflection rule's path, a mirror or a fresh one.  Each side is read in
-    one walk over its steps (`stepper.grid_values`, `DensePath.read`),
-    which computes y at each point from the path's (A, B) there.
+    one walk over its steps (`stepper.grid_values`), and y at each point
+    is computed from the path's (A, B) there.
     Where G = 0 is a pole or an even root's edge, a point at or past G's
     first zero on the path that answers it, where `validity_interval`
     ends the interval, or where G lacks G(0)'s sign, raises OutsideValidity
@@ -242,7 +188,20 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
     failed: list = []
     if p.n.cls is ExponentClass.ONE:
         # n - 1 = 0, so B is plain int_0^t b; the unit exponent searches nothing
-        ys = grid_values(ab_sides(p.a, p.b, 0.0), ts, lambda path, qs: path.read(_Y_UNIT, qs, p.d, failed))
+        def read(path, qs):
+            out = []
+            for t, (a, b) in zip(qs, path.values(qs)):
+                try:
+                    y = p.d * math.exp(a + b)
+                except OverflowError:
+                    y = math.inf
+                if not math.isfinite(y):
+                    y = EvalError(f"solution overflow at t={t!r}")
+                    failed.append(y)
+                out.append(y)
+            return out
+
+        ys = grid_values(ab_sides(p.a, p.b, 0.0), ts, read)
     else:
         g0, m, root = _radicand(p)
         e = root.p / root.q  # as signed_pow computes it
@@ -257,7 +216,28 @@ def solution_values(p: ProblemSpec, ts: Sequence[float]) -> list[float]:
             right = qs[-1] >= 0.0
             zero = (ends and path.first_crossing(1, g0 / m)) or (math.inf if right else -math.inf)
             lo, hi = (-math.inf, zero) if right else (zero, math.inf)
-            return path.read(_Y, qs, g0, m, e, neg, root, sigma, ends, end, lo, hi, failed)
+            out = []
+            for t, (a, b) in zip(qs, path.values(qs)):
+                g = g0 - m * b
+                if ends and not ((g > 0.0 if g0 > 0.0 else g < 0.0) and lo < t < hi):
+                    y = OutsideValidity(f"{end}: G={g!r} at t={t!r} is at or past G's first zero (G(0)={g0!r})")
+                    failed.append(y)
+                else:
+                    try:
+                        scale = sigma * math.exp(a)
+                        if g > 0.0:
+                            y = scale * math.pow(g, e)
+                        elif g < 0.0 and neg:
+                            y = scale * (neg * math.pow(-g, e))
+                        else:
+                            y = scale * signed_pow(g, root)
+                    except OverflowError:
+                        y = math.inf
+                    if not math.isfinite(y):
+                        y = EvalError(f"solution overflow at t={t!r}")
+                        failed.append(y)
+                out.append(y)
+            return out
 
         ys = grid_values(ab_sides(p.a, p.b, m, p._searched), ts, read)
     if failed:

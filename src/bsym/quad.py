@@ -52,7 +52,7 @@ the path that the one reflection rule gives, as it does for the
 validity search: a certified t-mirror of the other side's path,
 integrated by the same solve toward the same |t|, or a fresh path of
 (a, b, mult).  `ab_values` reads (A, B) so; `closedform.solution_values`
-reads y from the same paths.  No path is
+computes y from (A, B) read on the same paths.  No path is
 shared between problems.  A(t) is the first
 component of every pair; with m = 0 the pair is (int_0^t a, int_0^t b),
 which is all the unit exponent's closed form d * exp(A + B) needs.

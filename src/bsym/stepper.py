@@ -67,10 +67,8 @@ stored stages of component k are one tuple, `ks[i][k]` (until a read
 opens the step, the stages the loop evaluated, `Tableau.kept`), and its
 `_extension` builds each component's coefficients with the tableau's one
 straight-line function (file `<bsym.stepper NAME steps>`).  The walk is
-one template, `_DENSE_PATH`, rendered with a `Reader`'s code at each
-point: the state itself for `values`, or what a caller computes from it,
-such as the closed form's y, which `DensePath.read` runs in the same one
-walk (file `<bsym.stepper NAME DensePath dim=N reader #K>`).  Every
+one template, `_DENSE_PATH`; it returns states, and a caller such as
+the closed form computes what it needs from them.  Every
 source is registered in `linecache`, so tracebacks and profiles show the
 generated lines; each coefficient function keeps a profiler entry of its
 own.  Paths (nodes, states, `blew_up` flag, and the stages once each
@@ -87,14 +85,14 @@ in one walk over its steps, and `DensePath.first_crossing` locates
 events on the same per-step polynomials, at the error scale of the
 control the path was integrated at.  `grid_values` answers a grid that
 straddles t = 0 from one 0-anchored path per side, split by one index
-sort and a bisect, each side in one ordered walk that reads states or
-runs a caller's read.
+sort and a bisect, each side in one ordered walk that reads states,
+which a caller's read may turn into its own values.
 
 `PathView` is a path's t-mirror, read through t -> -t with its
 components' signs changed, a view that queries its source and copies
 nothing: the one place that knows how a reflection acts on a path's
-values and crossings.  Its reads run its source's walk, to which it
-passes r = -1 and the signs.  The quadrature reads a problem's side
+values and crossings.  Its reads run its source's walk at -t, to which
+it passes the signs.  The quadrature reads a problem's side
 toward -t through the t-mirror of the problem's own path toward t where
 `exponent.reflections` certifies it (`quad.ab_sides`); no path is kept
 across problems.
@@ -119,7 +117,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import EvalError, StepFailure
 from .expr import Bound, CheckedForm
@@ -131,7 +129,6 @@ __all__ = [
     "StepControl",
     "DensePath",
     "PathView",
-    "Reader",
     "StepUnderflow",
     "StepBudgetExceeded",
     "integrate",
@@ -546,13 +543,6 @@ class DensePath:
         """State at t within the covered range; a node reads as stored."""
         return self.values([t])[0]
 
-    def read(self, reader: Reader, qs: Sequence[float], *env, **view) -> list:
-        """What `reader` computes at times that run outward from ts[0], in
-        one walk: `values`' walk, rendered with the reader's code at each
-        point and bound to `env`.  A `PathView` passes r = -1 and its
-        signs as `view`."""
-        return _walk(len(self.ys[0]), self.ctl.tableau, reader)(self, qs, *env, **view)
-
     # bench/tracing.py wraps `DensePath.value` and `DensePath.value_refined`
     # by name; the one dense-output query keeps answering to both, on the
     # base class, so traced runs still start and see every subclass's calls
@@ -653,14 +643,10 @@ class PathView:
         return -self.source.t_reached
 
     def values(self, qs: Sequence[float]) -> list[State]:
-        """States at times that run outward from the start, as `DensePath.values`."""
-        return self.read(_SIGNED, qs)
-
-    def read(self, reader: Reader, qs: Sequence[float], *env) -> list:
-        """What `reader` computes at times that run outward from the start,
-        as `DensePath.read`: the source's walk at -t, which reads the
-        components through r = -1 and the signs."""
-        return self.source.read(reader, [-t for t in qs], *env, r=-1.0, signs=self.signs)
+        """States at times that run outward from the start, as
+        `DensePath.values`: the source's walk at -t, with its components'
+        signs changed."""
+        return self.source.values([-t for t in qs], self.signs)
 
     def first_crossing(self, k: int, level: float) -> Optional[float]:
         """First t past 0 where component k reaches `level`, or None, as
@@ -755,17 +741,16 @@ def integrate(
 # tests require to be reproduced bit for bit.  The builtins max and min
 # are written out as the comparisons they make: max(a, b) is
 # `b if a < b else a` and min(a, b) is `b if b < a else a`, NaN included.
-# The walk runs a `Reader`'s code at each time, `{point}`, after its
-# state's components are in y_0, y_1, ..; {params} are the reader's env,
-# and {methods} a path class's own `_extension` and `_reach`.
+# The walk appends each time's state, its components' signs changed by a
+# `PathView`'s; {open} evaluates a step's deferred stages on its first read.
 _DENSE_PATH = """\
 class {cls}(DensePath):
     \"""A `DensePath` of {dim}-component states under {tableau}.\"""
 
-    def values(self, qs{params}, r=1.0, signs=vec<1.0>):
-        \"""What the reader computes at times that run outward from ts[0],
-        in one walk; r and signs are those of the `PathView` it reads
-        through, the components' signs unpacked as s_0, s_1, ...
+    def values(self, qs, signs=vec<1.0>):
+        \"""States at times that run outward from ts[0], in one walk, each
+        component times its sign: a `PathView`'s, else 1.0, which changes
+        no float.
 
         The first time's step is found by bisection, every later one by
         stepping forward from the last.  A time on a node reads the stored
@@ -783,7 +768,7 @@ class {cls}(DensePath):
                 if t != ts[0]:
                     raise ValueError(f"t={t!r} outside integrated range [{ts[0]!r}]")
                 vec<y_i> = ys[0]
-                {point}
+                append(vec<s_i * y_i>)
             return out
         direction = 1.0 if ts[-1] >= ts[0] else -1.0
         x_start = x_prev = direction * ts[0]  # x_prev: the time before, as direction * t
@@ -817,12 +802,9 @@ class {cls}(DensePath):
                     unpacked = True
                 th = (t - t0) / (t1 - t0)
                 vec<y_i> = vec<{horner}>
-            {point}
+            append(vec<s_i * y_i>)
         return out
-{methods}"""
-# a path class's own methods, which a reader's walk reads from the path;
-# {open} evaluates a step's deferred stages on its first read
-_STEP_METHODS = """
+
     def _extension(self, i):
         \"""Per component (y0, h*c1, ..) of step i's extension, cached.\"""
         {open}
@@ -853,28 +835,6 @@ def reach(h, stages):
     return abs(h) * ({reach})
 """
 
-
-class Reader(NamedTuple):
-    """What a path's walk computes at each time it reads.
-
-    `point` is statements, rendered into `DensePath.values`' walk where
-    the time's state is in the locals y_0, y_1, ..: they append the
-    time's answer to the walk's output with `append`.  They may read the
-    time t (the path's own), r (-1.0 through a `PathView`, else 1.0), the
-    component signs s_0, s_1, .. and the names in `env`, the values a read
-    binds after the times; `names` are (name, object) pairs the code reads
-    as globals.  Each
-    reader's walk compiles once per state dimension, tableau and process.
-    """
-
-    point: str
-    env: str = ""
-    names: tuple = ()
-
-
-# a path's own states; the same, read through a view's signs
-_STATE = Reader("append(vec<y_i>)")
-_SIGNED = Reader("append(vec<s_i * y_i>)")
 
 # The loop runs a checked form's (`expr.CheckedForm`) source inline.  f
 # reads component 0 alone, so only that component has stage states.  Each
@@ -1028,7 +988,6 @@ if self.hs[i] is not None:
 """
 _loops = itertools.count(1)
 _completions = itertools.count(1)
-_readers = itertools.count(1)
 # the form of any callable that is no `expr.Bound`: no coefficient, the
 # callable bound as f, and a value that calls it at the stage time
 _CALL = CheckedForm("x", "f(s, x)", 0, "f")
@@ -1111,16 +1070,16 @@ def _step_functions(tableau: Tableau) -> dict:
     return _render(source, 1, f"<bsym.stepper {tableau.name} steps>", {"__name__": __name__})
 
 
-def _dense_path(dim: int, tableau: Tableau, reader: Reader, filename: str, methods: bool = False) -> type:
-    """`_DENSE_PATH` rendered for `dim` components and `tableau`'s
-    extension, with `reader`'s code at each point of its walk and, where
-    `methods` holds, a path class's own `_extension` and `_reach`."""
+@lru_cache(maxsize=None)
+def _path_class(dim: int, tableau: Tableau) -> type:
+    """The `DensePath` subclass of `dim`-component paths under `tableau`:
+    `_DENSE_PATH` rendered for both, with its `values` walk, `_extension`
+    and `_reach`; compiled once, and shared by every loop of the
+    dimension and tableau."""
     degree = tableau.degree
     source = _fill(
         _DENSE_PATH,
-        point=reader.point,
-        methods=_fill(_STEP_METHODS, open=_OPEN if tableau.deferred else "") if methods else "",
-        params=reader.env and ", " + reader.env,
+        open=_OPEN if tableau.deferred else "",
         cls=_class_name(dim, tableau),
         dim=str(dim),
         tableau=tableau.name,
@@ -1131,29 +1090,10 @@ def _dense_path(dim: int, tableau: Tableau, reader: Reader, filename: str, metho
         "__name__": __name__,  # the rendered class's __module__
         "DensePath": DensePath,
         "bisect_right": bisect_right,
-        **(_step_functions(tableau) if methods else {}),
-        **dict(reader.names),
+        **_step_functions(tableau),
     }
-    return _render(source, dim, filename, namespace)[_class_name(dim, tableau)]
-
-
-@lru_cache(maxsize=None)
-def _path_class(dim: int, tableau: Tableau) -> type:
-    """The `DensePath` subclass of `dim`-component paths under `tableau`,
-    whose `values` walk, reading states, `_extension` and `_reach` are
-    rendered for both; compiled once, and shared by every loop of the
-    dimension and tableau."""
     filename = f"<bsym.stepper {tableau.name} DensePath dim={dim}>"
-    return _dense_path(dim, tableau, _STATE, filename, methods=True)
-
-
-@lru_cache(maxsize=None)
-def _walk(dim: int, tableau: Tableau, reader: Reader) -> Callable:
-    """`reader`'s walk over `dim`-component paths under `tableau`: the
-    `values` walk of `_DENSE_PATH` rendered with its code alone, compiled
-    once; it reads the path's `_extension`."""
-    filename = f"<bsym.stepper {tableau.name} DensePath dim={dim} reader #{next(_readers)}>"
-    return _dense_path(dim, tableau, reader, filename).values
+    return _render(source, dim, filename, namespace)[_class_name(dim, tableau)]
 
 
 def _stage(form: CheckedForm, tableau: Tableau, j: int) -> str:

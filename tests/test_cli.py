@@ -950,6 +950,44 @@ def test_identities_times_whose_product_overflows_are_exit_2(capsys):
     assert captured.err == "bsym: --t-max * --samples overflows a float\n"
 
 
+@pytest.mark.parametrize("count", ["1000001", "100000000000000000000"])
+@pytest.mark.parametrize("command, option", [("solve", "--points"), ("verify", "--points"), ("identities", "--samples")])
+def test_a_grid_count_past_the_limit_is_exit_2_before_any_grid(tmp_path, command, option, count):
+    # a grid of 10^20 points once grew until memory ran out and ended in a
+    # MemoryError traceback; the address space is capped at 1 GiB so that a
+    # count that slips past the check fails the same way, quickly
+    import resource
+
+    prob = write_problem(tmp_path / "p.json", RICCATI)
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["--problem", prob, "--t-min", "0", "--t-max", "0.5", "--out", str(out)],
+        "verify": ["--problem", prob, "--report", str(out)],
+        "identities": ["cos(t)", "sin(t)", "2"],
+    }[command]
+    res = subprocess.run(
+        [sys.executable, "-m", "bsym", command, *argv, option, count],
+        capture_output=True,
+        text=True,
+        env=cli_env(None),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert res.returncode == 2
+    assert res.stderr == f"bsym: {option} must be <= 1000000\n"
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "identities"])
+def test_help_states_the_grid_count_limit(capsys, command):
+    from bsym import cli
+
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert f"to {cli.MAX_POINTS}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("joined", [False, True])
 def test_identities_negative_t_max_in_exponent_notation_is_exit_2(capsys, joined):
     argv = ["identities", "cos(t)", "cos(t)", "2", *spelled("--t-max", "-1e-05", joined)]

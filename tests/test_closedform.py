@@ -715,6 +715,30 @@ def test_a_side_is_the_other_sides_mirror_only_where_it_keeps_the_multiplier(mon
     assert got == outcome(lambda: reference_solution_values(p, pairs, ts))
 
 
+def test_a_view_side_reads_and_refuses_at_the_grids_own_time(monkeypatch):
+    # a = sin odd keeps the multiplier, so the side toward -t is a view of
+    # the path toward t; G = 1 - B with B even vanishes at -+1.19.  Its
+    # values and its refusal at t = -2 read the grid's own negative t, and
+    # equal those of fresh paths toward the same end per side bit for bit
+    p = problem("sin(t)", "t", 2, 1.0)
+    searched = validity_interval(p, 4.0)
+    assert isinstance(p._searched[-1.0], PathView) and -2.0 < searched.lo < -1.0
+    fresh = lambda x: own_path(p.a, p.b, 1.0, math.copysign(4.0, x))  # noqa: E731
+    for ts in ([-1.0, 0.5, -0.5, 1.0], [0.5, -2.0, -1.0]):
+        got = outcome(lambda: solution_values(p, ts))
+        assert got == outcome(lambda: reference_solution_values(p, grid_values(fresh, ts), ts))
+    assert got[0] is OutsideValidity
+    assert got[1].startswith("asymptote: G=-") and " at t=-2.0 is at or past G's first zero" in got[1]
+    # unsearched, the side toward -1 is the view of the path toward 1
+    p = problem("sin(t)", "t", 2, 1.0)
+    calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+    ts = [-1.0, -0.5, 0.5, 1.0]
+    got = outcome(lambda: solution_values(p, ts))
+    assert [call[3] for call in calls] == [1.0]
+    fresh = lambda x: own_path(p.a, p.b, 1.0, math.copysign(1.0, x))  # noqa: E731
+    assert got == outcome(lambda: reference_solution_values(p, grid_values(fresh, ts), ts))
+
+
 # --- the per-point loop against the one it replaced --------------------------
 
 def reference_solution_values(p, pairs, ts):

@@ -328,10 +328,6 @@ def test_verify_cases_walks_p1_once_per_distinct_time(monkeypatch, method):
             self.walks.append(list(qs))
             return self.path.values(qs)
 
-        def read(self, reader, qs, *env):
-            self.walks.append(list(qs))
-            return self.path.read(reader, qs, *env)
-
         def first_crossing(self, k, level):
             return self.path.first_crossing(k, level)
 
