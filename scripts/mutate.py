@@ -195,6 +195,15 @@ MUTANTS = [
         ("tests/test_expr.py",),
     ),
     Mutant(
+        "sampled-parity-reseeds-per-draw",
+        "expr.py",
+        "_SAMPLE_POINTS = tuple(map(random.Random(424243).uniform, [-4.0] * 64, [4.0] * 64))",
+        "_SAMPLE_POINTS = tuple(random.Random(424243).uniform(-4.0, 4.0) for _ in range(64))",
+        "a fresh generator per draw makes all 64 points one: a function even at"
+        " that |t| alone reads EVEN, and verify names partners that fail",
+        ("tests/test_expr.py",),
+    ),
+    Mutant(
         "wrapper-reads-the-first-coefficient",
         "expr.py",
         "    f{i} = c{i}(s)\n",
@@ -794,6 +803,15 @@ MUTANTS = [
         " smaller steps: two multipliers end in a step size underflow, one in"
         " an integrand overflow",
         ("tests/test_checked.py::test_a_new_state_past_the_float_range_is_an_integrand_overflow",),
+    ),
+    Mutant(
+        "dop853-paths-carry-no-completion",
+        "stepper.py",
+        'completion=f"{loop}_complete" if tableau.deferred else "None",',
+        'completion="None",',
+        "a DOP853 loop renders its completion function but hands its paths none:"
+        " a read finds a step with its nine kept stages and no dense stages",
+        ("tests/test_stepper.py::test_each_loop_compiles_one_source_that_holds_its_completion",),
     ),
     Mutant(
         "grid-puts-zero-on-the-negative-side",

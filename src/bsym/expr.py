@@ -569,8 +569,8 @@ class Parity(Enum):
         return {"even": 1, "odd": -1}[self.value]
 
 
-# the sampled fallback's points, drawn once at import
-_SAMPLE_POINTS = tuple(random.Random(424243).uniform(-4.0, 4.0) for _ in range(64))
+# the sampled fallback's points, 64 draws of one generator at import
+_SAMPLE_POINTS = tuple(map(random.Random(424243).uniform, [-4.0] * 64, [4.0] * 64))
 _SAMPLE_TOL = 1e-10
 
 _ODD_FUNCS = frozenset({"sin", "sinh"})

@@ -35,10 +35,10 @@ recomputes only the value (exp(m*A)) at the 13th stage, whose time is
 the 12th's; its file name in tracebacks and profiles is `<bsym.stepper
 DOP853 kernel dim=N form #K>`, N = 1 + k.  The 3 dense stages, which
 only the continuous extension reads, evaluate a and b on the first read
-of a step, between its nodes or by a crossing walk, in the form's
-completion function (`<bsym.stepper DOP853 completion dim=N form #K>`),
-so a step that nothing reads costs 11 evaluations of a and 7 of b per
-attempt and no more.  A failing or non-finite coefficient raises
+of a step, between its nodes or by a crossing walk, in the loop's
+completion function, rendered into the loop's source and file and
+handed to each path, so a step that nothing reads costs 11 evaluations
+of a and 7 of b per attempt and no more.  A failing or non-finite coefficient raises
 EvalError, and so does an overflowing exp(m*A) or a B past the float
 range, as "integrand overflow: ..": from `nested_path` where the loop
 meets it, and from the read that opens the step where a dense stage

@@ -17,47 +17,48 @@ or in a `StepUnderflow` or `StepBudgetExceeded`: `errors.StepFailure`s
 that carry the partial path.  An accepted state past the float range
 raises OverflowError, as an overflowing stage value does.
 
-The right-hand side is called as f(t, y_0): component 0 of the state, the
-only one it reads, as a float, and it returns the derivatives of all the
-components.  Every other component, such as the quadrature's B, which
-never feeds back, is a pure quadrature: it gets no stage states, only its
-new value and its error terms.  The adaptive loop is generated from one
-template (`_KERNEL`), with every state component and stage value in a
-local of its own, so a step builds no state tuple, does no per-component
-zip or generator work and calls no max or min.  `_kernel` renders it
-once per state dimension, checked form (`expr.CheckedForm`) and tableau,
-compiled lazily, once per process: the record's rows become the stage
-states, its weights the new state and its error rows the error norm.
-Its reuse stage, where the error does not read it, is evaluated once a
-step is accepted, and the stages only the extension reads
-(`Tableau.deferred`, DOP853's 14 to 16) on the step's first read, by
-the form's completion function (`_completion`), rendered from the same
-stage code once per state dimension, form and tableau and bound to the
-`expr.Bound` the path keeps.  At each stage the loop runs the form's
-code, the source `CheckedForm.source` renders for the form's wrapper
-too: it calls the coefficient functions inline, checks their values at
-the stage's time, and assigns the form's value on the stage state to the
-stage.  An `expr.Bound`, the plain data of a form and its bound values,
-runs as its own form, so its checked wrapper never compiles; any other
-callable, such as a test's reference system or a tracer's counting
-wrapper (which may call a `Bound`), is bound as f to the call form
-`_CALL`, whose value calls f.  The tableau comes from the control alone,
-never from the right-hand side, so a wrapper runs the loop its caller's
-control names.  The record's reuse stage, f(t + h, new state), is at the
-time of the stage before it, so it recomputes only the value on the new
-state.  Its head stages have zero weight in the new state, the error
-estimates and the dense output, and only component 0 feeds a later stage
-state: a form that states its component-0 value as `CheckedForm.head`
-computes only that there, on the coefficients it reads.  Per attempted
-step, DP5 evaluates each coefficient 1 + 5 times (the quadrature's b
-1 + 4 times) and calls f 1 + 6 times under the call form; DOP853
-evaluates the quadrature's a 1 + 11 times and b 1 + 7 times per attempt
-and calls f 1 + 11 times per attempt and once more per accepted step.
-Its dense stages evaluate both coefficients, and call f, 3 times per
-step that a read opens, and never on a step that none opens.  A loop's
-file name is `<bsym.stepper NAME kernel dim=N form #K>`, NAME the
-tableau's and K counting the loops the process has compiled, and a
-completion function's `<bsym.stepper NAME completion dim=N form #K>`.
+The right-hand side is called as f(t, y_0): component 0 of the state,
+the only one it reads, as a float, and it returns the derivatives of all
+the components.  Every other component, such as the quadrature's B,
+which never feeds back, is a pure quadrature: it gets no stage states,
+only its new value and its error terms.  The adaptive loop is generated
+from one template (`_KERNEL`), with every state component and stage
+value in a local of its own, so a step builds no state tuple, does no
+per-component zip or generator work and calls no max or min.  `_kernel`
+renders it once per state dimension, checked form (`expr.CheckedForm`)
+and tableau, compiled lazily, once per process: the record's rows become
+the stage states, its weights the new state and its error rows the error
+norm.  Its reuse stage, where the error does not read it, is evaluated
+once a step is accepted, and the stages only the extension reads
+(`Tableau.deferred`, DOP853's 14 to 16) on the step's first read, by the
+loop's completion function (`_COMPLETE`), rendered from the same stage
+code into the loop's source and handed to each path the loop makes
+(`DensePath.completion`), which runs it on the `expr.Bound` it keeps.
+At each stage the loop runs the form's code, the source
+`CheckedForm.source` renders for the form's wrapper too: it calls the
+coefficient functions inline, checks their values at the stage's time,
+and assigns the form's value on the stage state to the stage.  An
+`expr.Bound`, the plain data of a form and its bound values, runs as its
+own form, so its checked wrapper never compiles; any other callable,
+such as a test's reference system or a tracer's counting wrapper (which
+may call a `Bound`), is bound as f to the call form `_CALL`, whose value
+calls f.  The tableau comes from the control alone, never from the
+right-hand side, so a wrapper runs the loop its caller's control names.
+The record's reuse stage, f(t + h, new state), is at the time of the
+stage before it, so it recomputes only the value on the new state.  Its
+head stages have zero weight in the new state, the error estimates and
+the dense output, and only component 0 feeds a later stage state: a form
+that states its component-0 value as `CheckedForm.head` computes only
+that there, on the coefficients it reads.  Per attempted step, DP5
+evaluates each coefficient 1 + 5 times (the quadrature's b 1 + 4 times)
+and calls f 1 + 6 times under the call form; DOP853 evaluates the
+quadrature's a 1 + 11 times and b 1 + 7 times per attempt and calls
+f 1 + 11 times per attempt and once more per accepted step.  Its dense
+stages evaluate both coefficients, and call f, 3 times per step that a
+read opens, and never on a step that none opens.  A loop's file name,
+its completion function's too, is `<bsym.stepper NAME kernel dim=N
+form #K>`, NAME the tableau's and K counting the loops the process has
+compiled.
 
 Every loop makes paths of the dimension's and tableau's `DensePath`
 subclass (`_path_class`, file `<bsym.stepper NAME DensePath dim=N>`),
@@ -509,8 +510,10 @@ class DensePath:
     `integrate` returns an instance of the subclass `_path_class` renders
     for the state's dimension and the control's tableau, which defines
     `values`, `_extension` and `_reach`; `ctl` is the control the path was
-    integrated at, whose tolerances `first_crossing` reads, and `bound`
-    the `expr.Bound` it was integrated from.  `ks[i][k]` is the tableau's
+    integrated at, whose tolerances `first_crossing` reads, `bound`
+    the `expr.Bound` it was integrated from, and `completion` the function
+    its loop renders to evaluate a step's deferred stages (None where the
+    tableau defers none).  `ks[i][k]` is the tableau's
     stored stages (`Tableau.stored`; DP5's k1, k3, .., k7, DOP853's k1,
     k6, .., k16) of step i and component k, the one tuple every reader of
     the stages takes.  Until a read opens step i, it holds only the stages
@@ -528,6 +531,7 @@ class DensePath:
     hs: list = field(default_factory=list)  # a step's h while its deferred stages wait, then None
     blew_up: bool = False  # |y_0| passed integrate's limit, ending the path early
     bound: Optional[Bound] = field(default=None, repr=False, compare=False)
+    completion: Optional[Callable] = field(default=None, repr=False, compare=False)
     _coefs: dict = field(default_factory=dict, repr=False, compare=False)
     _crossings: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -594,15 +598,14 @@ class DensePath:
 
     def _complete(self, lo: int, hi: int) -> None:
         """Evaluate the deferred stages of the steps lo to hi - 1 that lack
-        them, in one call of the path's completion function (`_completion`),
-        which runs the bound form's code at each stage.  A coefficient that
-        fails there raises its EvalError, and a stage value past the float
-        range EvalError("integrand overflow: .."), from the read."""
-        if self.hs:  # a DP5 path defers nothing
+        them, in one call of the path's `completion`, which runs the bound
+        form's code at each stage.  A coefficient that fails there raises its
+        EvalError, and a stage value past the float range
+        EvalError("integrand overflow: .."), from the read."""
+        if self.completion is not None:  # a DP5 path defers nothing
             bound = self.bound
-            complete = _completion(len(self.ys[0]), bound.form, self.ctl.tableau)
             try:
-                complete(self, lo, hi, *bound.coefficients, *bound.env)
+                self.completion(self, lo, hi, *bound.coefficients, *bound.env)
             except OverflowError as exc:
                 raise EvalError(f"integrand overflow: {exc}") from None
 
@@ -849,12 +852,14 @@ def reach(h, stages):
 # {fsal} the reuse stage where the error reads it (DP5's k7); {error} the
 # tableau's error norm; and {accept} the reuse stage where only an
 # accepted step needs it (DOP853's k13), and the step's h where the tableau
-# defers stages to the step's first read (`_COMPLETE`).  An accepted step's
-# kept stages are stored as one tuple per component.  {params} are the
-# form's bound arguments, the parts of `bound`, which the path keeps.
+# defers stages to the step's first read (`_COMPLETE`, rendered after the
+# loop, which {completion} names, None where nothing is deferred).  An
+# accepted step's kept stages are stored as one tuple per component.
+# {params} are the form's bound arguments, the parts of `bound`, which the
+# path keeps.
 _KERNEL = """\
 def {loop}(y0, t_end, ctl, limit, bound{params}):
-    path = {cls}(ctl=ctl, bound=bound)
+    path = {cls}(ctl=ctl, bound=bound, completion={completion})
     append_t, append_y, append_k, append_h = path.ts.append, path.ys.append, path.ks.append, path.hs.append
     vec<y_i> = y0
     {first}
@@ -958,13 +963,15 @@ if err_norm - err_norm and not ({finite}):
 """,
 )
 # A step's deferred stages (`Tableau.deferred`), evaluated on its first
-# read: the loop's own stage code, {stages}, at the step's start t, its
-# state y_0, its kept stages and the h it was taken with, which
-# ts[i + 1] - t need not equal.  A step whose h is None has its stages:
-# hs[i] turns None only once ks[i] holds every stored stage, so a stage
-# that raises leaves the step to raise again on the next read.
-_COMPLETE = """\
-def {name}(path, lo, hi{params}):
+# read by the function rendered after its loop, in the loop's source: the
+# loop's own stage code, {stages}, at the step's start t, its state y_0,
+# its kept stages and the h it was taken with, which ts[i + 1] - t need
+# not equal.  A step whose h is None has its stages: hs[i] turns None only
+# once ks[i] holds every stored stage, so a stage that raises leaves the
+# step to raise again on the next read.
+_COMPLETE = """
+
+def {loop}_complete(path, lo, hi{params}):
     ts, ys, ks, hs = path.ts, path.ys, path.ks, path.hs
     for i in range(lo, hi):
         h = hs[i]
@@ -987,7 +994,6 @@ if self.hs[i] is not None:
     self._complete(i, i + 1)
 """
 _loops = itertools.count(1)
-_completions = itertools.count(1)
 # the form of any callable that is no `expr.Bound`: no coefficient, the
 # callable bound as f, and a value that calls it at the stage time
 _CALL = CheckedForm("x", "f(s, x)", 0, "f")
@@ -1123,7 +1129,9 @@ def _kernel(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
     checked `form` at every stage, compiled once.  It takes the `Bound`
     after `limit`, then its parts, the form's bound arguments, and makes
     paths of the dimension's and tableau's `_path_class`, which keep the
-    `Bound`."""
+    `Bound`, and where the tableau defers stages the completion function
+    (path, lo, hi, <the form's bound arguments>) of the same source, which
+    evaluates them on a run of a path's steps (`DensePath._complete`)."""
     attempt = tableau.attempt
     params = form.params()
     loop = f"{tableau.name.lower()}_dim{dim}"
@@ -1137,17 +1145,20 @@ def _kernel(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
         for j in range(1, attempt + 1)
     )
     source = _fill(
-        _KERNEL,
+        _KERNEL + _COMPLETE if tableau.deferred else _KERNEL,
         first=_stage(form, tableau, 1),
         trial="\n".join(_stage(form, tableau, j) for j in range(2, attempt + 1) if j != tableau.reuse),
         fsal=_stage(form, tableau, tableau.reuse) if tableau.reuse <= attempt else "",
         error=_fill(_ERROR_NORMS[len(tableau.e) - 1], dim=str(dim), **errors),
         accept="\n".join(accept),
         loop=loop,
+        completion=f"{loop}_complete" if tableau.deferred else "None",
         cls=_class_name(dim, tableau),
         params=params and ", " + params,
         new=_weighed(tableau.b),
         kept=_stage_tuple(tableau.kept),
+        stages="\n".join(_stage(form, tableau, j) for j in tableau.deferred),
+        stored=_stage_tuple(tableau.stored),
         reuse=f"k{tableau.reuse}_i",
         exponent=repr(tableau.exponent),
     )
@@ -1161,25 +1172,6 @@ def _kernel(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
     }
     filename = f"<bsym.stepper {tableau.name} kernel dim={dim} form #{next(_loops)}>"
     return _render(source, dim, filename, namespace)[loop]
-
-
-@lru_cache(maxsize=None)
-def _completion(dim: int, form: CheckedForm, tableau: Tableau) -> Callable:
-    """`_COMPLETE` for states of `dim` components that runs the checked
-    `form` at `tableau`'s deferred stages, compiled once: the function
-    (path, lo, hi, <the form's bound arguments>) that a path of the
-    form's loop calls on a run of its steps (`DensePath._complete`)."""
-    name = f"{tableau.name.lower()}_dim{dim}_complete"
-    source = _fill(
-        _COMPLETE,
-        name=name,
-        params=form.params() and ", " + form.params(),
-        kept=_stage_tuple(tableau.kept),
-        stages="\n".join(_stage(form, tableau, j) for j in tableau.deferred),
-        stored=_stage_tuple(tableau.stored),
-    )
-    filename = f"<bsym.stepper {tableau.name} completion dim={dim} form #{next(_completions)}>"
-    return _render(source, dim, filename, dict(form.namespace))[name]
 
 
 def _states(path, qs: Sequence[float]) -> list:

@@ -94,6 +94,11 @@ def random_source(rng: random.Random) -> str:
 # points: classified odd, but the symmetry relations genuinely fail
 SPIKED_B = "sin(t) + exp(-(10000*(t - 0.86)^2))"
 
+# even at the parity sampler's first point, t = -3.6130574786413927, where
+# sin(t)*(t^2 - 13.05..) vanishes, and odd nowhere: a sampler that checked
+# that one point alone read it EVEN
+ONE_POINT_EVEN = "cos(t) + sin(t)*(t^2 - 13.054184343966497)"
+
 
 # --- random hypothesis-conforming problems -----------------------------------
 

@@ -683,20 +683,22 @@ def test_a_form_states_one_value_and_its_loop_takes_only_its_bound_names(name):
     # a form's value is one expression, which its wrapper returns and its
     # loop assigns as it is; a loop takes the `Bound` its paths keep after
     # `limit`, then the form's coefficient functions and env, and so does
-    # a deferring tableau's completion function after the run of steps, so
-    # only the call form, whose env binds the plain callable as f, has an
-    # f parameter
+    # a deferring tableau's completion function, rendered in the loop's
+    # source, after the run of steps, so only the call form, whose env
+    # binds the plain callable as f, has an f parameter
     form, dim, tableau = _FORMS[name]
     compile(form.value, f"<{name} value>", "eval")
     if dim is None:
         return
-    code = stepper._kernel(dim, form, tableau).__code__
+    loop = stepper._kernel(dim, form, tableau)
+    code = loop.__code__
     coefficients = tuple(f"c{i}" for i in range(form.coefficients))
     env = tuple(filter(None, form.env.split(", ")))
     assert code.co_varnames[:code.co_argcount] == ("y0", "t_end", "ctl", "limit", "bound", *coefficients, *env)
     assert ("f" in env) is (form is stepper._CALL)
     if tableau.deferred:
-        code = stepper._completion(dim, form, tableau).__code__
+        code = loop.__globals__[f"{loop.__name__}_complete"].__code__
+        assert code.co_filename == loop.__code__.co_filename
         assert code.co_varnames[:code.co_argcount] == ("path", "lo", "hi", *coefficients, *env)
 
 
@@ -817,8 +819,9 @@ def test_profiles_see_each_coefficient_function_in_a_form_loop():
     # no step is rejected on these two paths: DOP853 evaluates a at
     # stages 2 to 12 and b, with no b at the head stages 2 to 5, at stages
     # 6 to 12; stage 13 reuses stage 12's values: 1 + 11 calls of a and
-    # 1 + 7 of b per step.  Read at every step, the form's completion
-    # function evaluates both at the three dense stages of each step
+    # 1 + 7 of b per step.  Read at every step, the loop's completion
+    # function, in the loop's file, evaluates both at the three dense
+    # stages of each step
     steps = [len(path.ts) - 1 for path in paths]
     assert [calls for calls, _ in coefficients] == sorted(1 + j * k for k in steps for j in (11, 7))
     loops = [key for key in stats if key[2] == "dop853_dim2"]
@@ -833,8 +836,7 @@ def test_profiles_see_each_coefficient_function_in_a_form_loop():
     read = sorted(stat[1] for key, stat in stats.items() if key[0] in {file for _, file in coefficients})
     assert read == sorted(3 * k for k in steps for _ in "ab")
     completions = [key for key in stats if key[2] == "dop853_dim2_complete"]
-    assert len(completions) == 1
-    assert re.fullmatch(r"<bsym\.stepper DOP853 completion dim=2 form #\d+>", completions[0][0])
+    assert len(completions) == 1 and completions[0][0] == loops[0][0]
     assert stats[completions[0]][1] == sum(steps)  # one call per step a read opens
 
 

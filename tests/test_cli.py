@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bsym import CASE_BY_ID, parse_expr, problem, transform_problem
-from helpers import SPIKED_B, cli_env, dense_stage_failures
+from helpers import ONE_POINT_EVEN, SPIKED_B, cli_env, dense_stage_failures
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -349,6 +349,16 @@ def test_cases_golden(tmp_path):
     res = run_cli("cases", "--problem", prob)
     assert res.returncode == 0
     assert res.stdout == (GOLDEN / "cases_riccati.txt").read_text()
+
+
+def test_a_function_even_at_one_sample_point_is_neither(tmp_path):
+    # a is even at the sampler's first point alone: read as EVEN, it named
+    # T2iii and T3iii, whose partners fail their relations (exit 4)
+    prob = write_problem(tmp_path / "p.json", {"a": ONE_POINT_EVEN, "b": "1", "n": "2", "d": "1"})
+    res = run_cli("cases", "--problem", prob)
+    assert (res.returncode, [line.split("\t")[0] for line in res.stdout.splitlines()]) == (0, ["T2iv"])
+    res = run_cli("verify", "--problem", prob, "--case", "all", "--report", str(tmp_path / "r.json"))
+    assert res.returncode == 0, res.stderr
 
 
 def test_cases_empty_is_exit_0(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsym import EvalError, ExprSyntaxError, Parity, parse_expr
+from bsym import EvalError, ExprSyntaxError, Parity, expr, parse_expr
 from bsym.expr import (
     BinOp,
     Call,
@@ -25,7 +25,7 @@ from bsym.expr import (
     structural_parity,
 )
 
-from helpers import cli_env, random_even_source, random_odd_source, random_source
+from helpers import ONE_POINT_EVEN, cli_env, random_even_source, random_odd_source, random_source
 
 
 # --- parsing ----------------------------------------------------------------
@@ -389,6 +389,18 @@ def test_a_small_part_of_the_other_parity_reads_neither(src):
     e = parse_expr(src)
     assert structural_parity(e) is None
     assert detect_parity(e) is Parity.NEITHER
+
+
+def test_the_sampler_checks_64_distinct_points():
+    # one generator draws all 64 points, so the sampler checks 64 values of |t|
+    points = expr._SAMPLE_POINTS
+    assert len(set(map(abs, points))) == len(points) == 64
+    assert all(-4.0 <= t <= 4.0 for t in points)
+    e = parse_expr(ONE_POINT_EVEN)
+    t = points[0]
+    assert abs(e(-t) - e(t)) <= 1e-10 * (1.0 + abs(e(t)))  # even at the first point
+    assert structural_parity(e) is None
+    assert sampled_parity(e) is detect_parity(e) is Parity.NEITHER
 
 
 def test_exp_of_degenerate_odd_argument_falls_back_to_sampling():

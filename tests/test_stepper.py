@@ -1236,6 +1236,37 @@ def test_kernel_is_generated_once_per_dimension(monkeypatch):
     assert not {"values", "_extension", "_reach"} & set(vars(DensePath))
 
 
+@pytest.mark.parametrize("tableau", [DP5, DOP853], ids=lambda t: t.name)
+def test_each_loop_compiles_one_source_that_holds_its_completion(monkeypatch, tableau):
+    # a loop and, where its tableau defers stages, the completion function
+    # that evaluates them are one source, one file and one namespace; the
+    # loop hands the completion to each path it makes, and a DP5 path,
+    # which defers nothing, carries none
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    for dim in (1, 2, 3):
+        stepper._path_class(dim, tableau)  # compiled once per dimension, apart from the loops
+        compiled.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "compile", counting_compile, raising=False)
+            fresh = stepper._kernel.__wrapped__(dim, stepper._CALL, tableau)  # uncached
+        assert len(compiled) == 1 and compiled[0] == fresh.__code__.co_filename
+        assert re.fullmatch(rf"<bsym\.stepper {tableau.name} kernel dim={dim} form #\d+>", compiled[0])
+        loop = stepper._kernel(dim, stepper._CALL, tableau)
+        completion = loop.__globals__.get(f"{loop.__name__}_complete")
+        assert (completion is None) is not tableau.deferred
+        make_rhs, y0 = SYSTEMS[str(dim)]
+        path = integrate(make_rhs(), y0, 1.0, CONTROLS[tableau.name])
+        assert path.completion is completion
+        if completion is not None:
+            assert completion.__code__.co_filename == loop.__code__.co_filename
+            assert completion.__globals__ is loop.__globals__
+
+
 def test_traceback_shows_the_kernel_source():
     calls = []
 
@@ -1278,8 +1309,8 @@ def test_a_plain_callable_that_returns_lists_gets_tuple_stages(ctl=CTL):
 def test_dop853_traceback_shows_its_stages_and_its_dense_stages_after_acceptance():
     # DOP853's loop evaluates stages 2 to 12 per attempt and f(t + h, y1)
     # once a step is accepted, then keeps the step's h; the three dense
-    # stages run in the form's completion function on the step's first
-    # read, from the step's start
+    # stages run in the loop's completion function, rendered in the loop's
+    # file, on the step's first read, from the step's start
     calls, first = [], [13]  # the first call that raises: k1, stages 2 to 12, then k13 of the first step
 
     def failing(t, a):
@@ -1292,6 +1323,7 @@ def test_dop853_traceback_shows_its_stages_and_its_dense_stages_after_acceptance
         integrate(failing, (0.0, 0.0), 1.0, CONTROLS["DOP853"])
     frame = traceback.extract_tb(info.tb)[-2]
     assert re.fullmatch(r"<bsym\.stepper DOP853 kernel dim=2 form #\d+>", frame.filename)
+    loop_file = frame.filename
     assert frame.line == "(k13_0, k13_1,) = f(s, x)"
     lines = [linecache.getline(frame.filename, frame.lineno + k).strip() for k in range(-8, 3)]
     assert lines[-4:] == ["x = z_0", frame.line, "append_h(h)", "append_k(((k1_0, k6_0, k7_0, k8_0, k9_0, k10_0,"
@@ -1307,7 +1339,7 @@ def test_dop853_traceback_shows_its_stages_and_its_dense_stages_after_acceptance
     with pytest.raises(ZeroDivisionError) as info:
         path.values([inside])
     frame = traceback.extract_tb(info.tb)[-2]
-    assert re.fullmatch(r"<bsym\.stepper DOP853 completion dim=2 form #\d+>", frame.filename)
+    assert frame.filename == loop_file and frame.name == "dop853_dim2_complete"
     assert frame.line == "(k14_0, k14_1,) = f(s, x)"
     assert [linecache.getline(frame.filename, frame.lineno + k).strip() for k in (-2, -1)] == [
         "s = t + 0.1 * h",
