@@ -25,6 +25,10 @@ The record holds, for the change numbered N:
   the change is committed, the pairs compare the parent with itself, and
   the script says so on stderr;
 * the answer digests of `scripts/digest.py` at input seeds 1 and 2;
+* the manufactured family's summary, `tests/manufactured.py`'s JSON line:
+  its problem count, the closed form's and the oracle's worst scaled
+  value errors, the worst validity end error, and the missed and false
+  ends, all against exact references;
 * one tier-1 run (`python -m pytest -q --continue-on-collection-errors`):
   its wall time, exit code and passed, skipped and failed counts (errors
   count as failed);
@@ -70,6 +74,7 @@ PAIRED = ("--seed", "1", "--seconds", "30", "--trace", "0")
 PAIRS = 10
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 MUTATE = ("scripts/mutate.py",)
+MANUFACTURED = ("tests/manufactured.py",)
 
 
 def code_lines(paths) -> int:
@@ -234,6 +239,7 @@ def main() -> int:
         "parent": {},
         "runs": [],
         "digests": {},
+        "manufactured": {},
         "pairs": {},
         "src_lines": {
             "wc": sum(len(p.read_bytes().splitlines()) for p in sources),
@@ -248,6 +254,7 @@ def main() -> int:
                 record["runs"].append({"command": command, "result": _last_json("bench/run.py", *command)})
         for seed in ("1", "2"):
             record["digests"][seed] = _output("scripts/digest.py", "--seed", seed).strip()
+        record["manufactured"] = _last_json(*MANUFACTURED)
         with _parent_tree() as (parent, commit):
             record["parent"] = commit
             for workload in WORKLOADS:

@@ -407,16 +407,16 @@ MUTANTS = [
     Mutant(
         "shape-binds-constants-reversed",
         "expr.py",
-        "return _shape_factory(shape, len(consts))(*consts)",
-        "return _shape_factory(shape, len(consts))(*consts[::-1])",
+        "return _shape_factory(code, len(consts))(*consts)",
+        "return _shape_factory(code, len(consts))(*consts[::-1])",
         "a tree's constants are bound in reverse order: 2*t - 1 evaluates 1*t - 2",
         ("tests/test_checked.py",),
     ),
     Mutant(
         "shape-binds-the-first-trees-constants",
         "expr.py",
-        "return _shape_factory(shape, len(consts))(*consts)",
-        "return _shape_factory.__dict__.setdefault(shape, _shape_factory(shape, len(consts))(*consts))",
+        "return _shape_factory(code, len(consts))(*consts)",
+        "return _shape_factory.__dict__.setdefault(code, _shape_factory(code, len(consts))(*consts))",
         "the first tree of a shape lends its bound function to every later tree"
         " of that shape: 3*t evaluates as 2*t",
         ("tests/test_checked.py",),
@@ -424,10 +424,29 @@ MUTANTS = [
     Mutant(
         "shape-reads-the-first-constant",
         "expr.py",
-        'return f"k{len(consts) - 1}"',
-        'return "k0"',
+        'return f"k{len(consts) - 1}", Parity.EVEN',
+        'return "k0", Parity.EVEN',
         "every constant of a tree reads its first: t*2 + 1 evaluates t*2 + 2",
         ("tests/test_checked.py",),
+    ),
+    Mutant(
+        "walk-sum-keeps-the-left-parity",
+        "expr.py",
+        "parity = lp if lp is rp else None",
+        "parity = lp",
+        "a sum of an odd and an even term reads its left term's parity: t + 1"
+        " reads ODD, certifies a t-mirror and names partners that fail",
+        ("tests/test_expr.py::test_structural_rules_per_node",),
+    ),
+    Mutant(
+        "walk-numbers-constants-right-to-left",
+        "expr.py",
+        "        left, lp = _describe(node.left, consts)\n        right, rp = _describe(node.right, consts)\n",
+        "        right, rp = _describe(node.right, consts)\n        left, lp = _describe(node.left, consts)\n",
+        "the walk reads a binary operator's right operand first: the values"
+        " stay right, but 2*t - 1 compiles as (k1*t)-k0, so shape texts and"
+        " profile entries change",
+        ("tests/test_expr.py::test_one_walk_gives_a_trees_shape_constants_and_parity",),
     ),
     Mutant(
         "parser-product-right-associative",

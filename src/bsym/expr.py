@@ -26,9 +26,13 @@ at most 100 parentheses and calls may be open at once.  Deeper input is a
 syntax error, raised before the parser's recursion or Python's compiler
 could fail.
 
+Each tree is walked once, by `_describe`, for both facts read from it:
+its shape, the code with each constant written as a parameter k0, k1, ..
+in order of appearance, and its structural parity.  The record (shape,
+constants, parity) is kept per tree in a small LRU cache, `_tree`.
+
 Evaluation is generated code: one compile per shape, constants bound per
-tree.  A tree's shape is its code with each constant written as a
-parameter k0, k1, .. in order of appearance.  Each shape compiles once
+tree.  Each shape compiles once
 into `lambda k0, ..: lambda t: <shape>`, kept in an LRU cache of 256
 shapes under a file name of its own (`<bsym.expr coefficient #N>`, so a
 profile shows the trees of one shape as one entry), and a tree's function
@@ -49,10 +53,11 @@ function that source renders, compiled once per form and bound on the
 first call; `as_callable` binds the wrapper of `_VALUE`, whose value is
 its one coefficient.
 
-`detect_parity` applies exact structural rules and, where they are
-inconclusive, compares f(t) with f(-t) at 64 fixed points of [-4, 4].  The
-points take no seed and no setting, so parity depends on the tree alone,
-and both parities are memoized per tree in small LRU caches.
+`detect_parity` reads the structural parity from the tree's record and,
+where the rules are inconclusive, compares f(t) with f(-t) at 64 fixed
+points of [-4, 4].  The points take no seed and no setting, so parity
+depends on the tree alone, and the result is memoized per tree in a small
+LRU cache.
 """
 
 from __future__ import annotations
@@ -142,6 +147,17 @@ class Call(Expr, namedtuple("Call", "func arg")):  # func: sin cos exp sinh cosh
 
 
 FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh")
+
+
+class Parity(Enum):
+    EVEN = "even"
+    ODD = "odd"
+    NEITHER = "neither"
+
+    @property
+    def sign(self) -> int:
+        """f(-t) = sign * f(t): +1 for even, -1 for odd; KeyError for neither."""
+        return {"even": 1, "odd": -1}[self.value]
 
 
 def negated(e: Expr) -> Expr:
@@ -319,25 +335,59 @@ def parse_expr(source: str) -> Expr:
 
 # --- Evaluation -----------------------------------------------------------
 
-def _shape(node: Expr, consts: list) -> str:
-    """The tree's code with each constant written as the parameter k<i>,
-    i counting the constants in order of appearance, which are appended to
-    consts; variables, operators, function names and exponents stay in the
-    code."""
+def _describe(node: Expr, consts: list) -> tuple[str, Optional[Parity]]:
+    """The tree's code and structural parity, from one walk.
+
+    The code writes each constant as the parameter k<i>, i counting the
+    constants in order of appearance, which are appended to consts;
+    variables, operators, function names and exponents stay in the code.
+    The parity follows sound-but-incomplete rules; None means
+    inconclusive."""
     if isinstance(node, Const):
         consts.append(node.value)
-        return f"k{len(consts) - 1}"
+        return f"k{len(consts) - 1}", Parity.EVEN
     if isinstance(node, Var):
-        return "t"
+        return "t", Parity.ODD
     if isinstance(node, Neg):
-        return f"(-{_shape(node.arg, consts)})"
+        arg, parity = _describe(node.arg, consts)
+        return f"(-{arg})", parity
     if isinstance(node, BinOp):
-        return f"({_shape(node.left, consts)}{node.op}{_shape(node.right, consts)})"
+        left, lp = _describe(node.left, consts)
+        right, rp = _describe(node.right, consts)
+        if lp is None or rp is None:
+            parity = None
+        elif node.op in "+-":
+            parity = lp if lp is rp else None
+        else:
+            parity = Parity.EVEN if lp is rp else Parity.ODD
+        return f"({left}{node.op}{right})", parity
     if isinstance(node, Pow):
-        return f"({_shape(node.base, consts)}**{node.exponent})"
+        base, parity = _describe(node.base, consts)
+        if parity is Parity.ODD and not node.exponent % 2:
+            parity = Parity.EVEN
+        return f"({base}**{node.exponent})", parity
     if isinstance(node, Call):
-        return f"{node.func}({_shape(node.arg, consts)})"
+        arg, parity = _describe(node.arg, consts)
+        if parity is Parity.ODD:
+            parity = _OF_ODD.get(node.func)
+        return f"{node.func}({arg})", parity
     raise TypeError(f"not an AST node: {node!r}")
+
+
+# a function's parity at an odd argument; exp of an odd argument is
+# generically Neither, but the argument may degenerate to zero, so it is
+# left to sampling
+_OF_ODD = {"sin": Parity.ODD, "sinh": Parity.ODD, "cos": Parity.EVEN, "cosh": Parity.EVEN}
+
+
+# the code, constants and structural parity of a tree, asked for the same
+# few trees many times per operation: bounded to one operation's working
+# set, since fresh expressions would otherwise grow it without end
+@lru_cache(maxsize=32)
+def _tree(e: Expr) -> tuple[str, tuple, Optional[Parity]]:
+    consts: list = []
+    code, parity = _describe(e, consts)
+    return code, tuple(consts), parity
 
 
 def _failed(t: float, exc: Optional[Exception]) -> EvalError:
@@ -442,8 +492,7 @@ def _shape_factory(shape: str, count: int) -> Callable:
     return eval(compile(f"lambda {params}: lambda t: {shape}", filename, "eval"), _GLOBALS)  # noqa: S307
 
 
-# bounded to one operation's working set, since fresh expressions would
-# otherwise grow it without end
+# bounded like the tree records
 @lru_cache(maxsize=32)
 def _coefficient(e: Expr) -> Callable[[float], float]:
     """The unchecked function t -> e(t): its shape's function, compiled
@@ -453,9 +502,8 @@ def _coefficient(e: Expr) -> Callable[[float], float]:
     folded at compile time: folding runs the same IEEE operations, and
     skips an operation that would raise (1/0, 10.0**400), so the values
     and errors are those of the tree's own literal code."""
-    consts: list = []
-    shape = _shape(e, consts)
-    return _shape_factory(shape, len(consts))(*consts)
+    code, consts, _ = _tree(e)
+    return _shape_factory(code, len(consts))(*consts)
 
 
 @lru_cache(maxsize=None)
@@ -558,70 +606,14 @@ def format_expr(node: Expr) -> str:
 
 # --- Parity ---------------------------------------------------------------
 
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
-    NEITHER = "neither"
-
-    @property
-    def sign(self) -> int:
-        """f(-t) = sign * f(t): +1 for even, -1 for odd; KeyError for neither."""
-        return {"even": 1, "odd": -1}[self.value]
-
-
 # the sampled fallback's points, 64 draws of one generator at import
 _SAMPLE_POINTS = tuple(map(random.Random(424243).uniform, [-4.0] * 64, [4.0] * 64))
 _SAMPLE_TOL = 1e-10
 
-_ODD_FUNCS = frozenset({"sin", "sinh"})
-_EVEN_FUNCS = frozenset({"cos", "cosh"})
 
-
-def _structural(node: Expr) -> Optional[Parity]:
-    """Sound-but-incomplete parity rules; None means inconclusive."""
-    if isinstance(node, Const):
-        return Parity.EVEN
-    if isinstance(node, Var):
-        return Parity.ODD
-    if isinstance(node, Neg):
-        return _structural(node.arg)
-    if isinstance(node, BinOp):
-        left = _structural(node.left)
-        right = _structural(node.right)
-        if left is None or right is None:
-            return None
-        if node.op in "+-":
-            return left if left is right else None
-        return Parity.EVEN if left is right else Parity.ODD
-    if isinstance(node, Pow):
-        base = _structural(node.base)
-        if base is Parity.EVEN:
-            return Parity.EVEN
-        if base is Parity.ODD:
-            return Parity.ODD if node.exponent % 2 else Parity.EVEN
-        return None
-    if isinstance(node, Call):
-        arg = _structural(node.arg)
-        if arg is Parity.EVEN:
-            return Parity.EVEN
-        if arg is Parity.ODD:
-            if node.func in _ODD_FUNCS:
-                return Parity.ODD
-            if node.func in _EVEN_FUNCS:
-                return Parity.EVEN
-            # exp of an odd argument: generically Neither, but the argument
-            # may degenerate to zero; let sampling decide.
-            return None
-        return None
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-# parity is a function of the tree alone, asked for the same few trees
-# many times per operation: memoized per tree, bounded like the
-# coefficient functions
-@lru_cache(maxsize=32)
 def structural_parity(e: Expr) -> Optional[Parity]:
-    return _structural(e)
+    """e's parity by the structural rules, None where they are inconclusive."""
+    return _tree(e)[2]
 
 
 def sampled_parity(e: Expr) -> Parity:

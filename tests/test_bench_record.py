@@ -16,6 +16,8 @@ import bench_record  # noqa: E402
 
 TIER1_OK = "....\n1136 passed, 2 skipped in 33.40s\n"
 GATE_OK = "a-mutant: killed by tests/test_x.py::test_a\nb-mutant: killed by tests/test_y.py::test_b\n"
+MANUFACTURED = {"problems": 200, "closed_worst": 3e-12, "end_worst": 4e-13, "misses": 0, "false_ends": 0,
+                "oracle_worst": 8e-9}
 
 
 # a paired run's ops_per_s, per side and pair: the head is faster in all
@@ -29,7 +31,8 @@ PAIRED_OPS = {
 
 def fake_run(fault=None):
     """`_run` stand-in: bench/run.py's log lines then its JSON line, a
-    digest per seed, tier-1's summary and the mutation gate's lines, with
+    digest per seed, the manufactured family's summary, tier-1's summary
+    and the mutation gate's lines, with
     `fault` broken: a workload's name reads `"correct": false`, "untraced"
     or "traced" makes the traced passes' work differ, "tier1" fails a test,
     "mutant" lets one survive, "parent" makes the parent's paired runs read
@@ -45,6 +48,8 @@ def fake_run(fault=None):
             if fault == "tier1":
                 return 1, "..F.\n1 failed, 1135 passed, 2 skipped, 1 error in 30.00s\n", 30.0
             return 0, TIER1_OK, 33.4
+        if args == bench_record.MANUFACTURED:
+            return 0, json.dumps(MANUFACTURED) + "\n", 2.0
         if args[0] == "scripts/mutate.py":
             if fault == "mutant":
                 return 1, GATE_OK + "c-mutant: SURVIVED: a reason\n", 120.0
@@ -124,6 +129,7 @@ def test_the_record_holds_every_run_and_fails_on_an_incorrect_one(
         correct_on is None or workload != correct_on for workload in bench_record.WORKLOADS
     ] * 2
     assert record["digests"] == {"1": "digest-1", "2": "digest-2"}
+    assert record["manufactured"] == MANUFACTURED and calls[8] == bench_record.MANUFACTURED
     assert record["src_lines"] == {"wc": 4, "code": 1}
     assert record["pr"] == 7 and record["cpu_count"] >= 1
     assert record["tier1"] == {
@@ -132,9 +138,10 @@ def test_the_record_holds_every_run_and_fails_on_an_incorrect_one(
     assert record["mutation"] == {
         "command": [*bench_record.MUTATE], "exit": 0, "seconds": 120.0, "killed": 2, "listed": 2,
     }
-    # six runs, two digests, the pairs, tier-1 and the mutation gate
+    # six runs, two digests, the manufactured summary, the pairs, tier-1
+    # and the mutation gate
     assert bench_record.PAIRS == 10
-    assert len(calls) == 70 and calls[-2:] == [bench_record.TIER1, bench_record.MUTATE]
+    assert len(calls) == 71 and calls[-2:] == [bench_record.TIER1, bench_record.MUTATE]
     assert faults == [
         f"not correct: bench/run.py --workload solve-dense --seed 1 --seconds {s} --trace {t}"
         for s, t in (("30", "0"), ("5", "1"))
@@ -157,7 +164,7 @@ def test_the_record_fails_on_a_failed_test_a_surviving_mutant_or_differing_trace
 ):
     # the record is written first, whole, then the change fails
     code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, fault)
-    assert code == 1 and len(calls) == 70 and len(record["runs"]) == 6
+    assert code == 1 and len(calls) == 71 and len(record["runs"]) == 6
     if key is not None:
         assert {k: record[key][k] for k in value} == value
     assert len(faults) == count and all(line.startswith(message) for line in faults)
@@ -167,7 +174,7 @@ def test_paired_runs_alternate_sides_and_say_who_won(monkeypatch, tmp_path, caps
     code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, None)
     assert code == 0 and faults == []
     assert list(record["pairs"]) == [*bench_record.WORKLOADS]
-    runs = calls[8:-2]  # after the six benchmark runs and the two digests
+    runs = calls[9:-2]  # after the six benchmark runs, the two digests and the manufactured summary
     assert len(runs) == 2 * 10 * 3
     parent = runs[0][0]
     assert parent.endswith("/bench/run.py") and parent != "bench/run.py"

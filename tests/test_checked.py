@@ -40,13 +40,13 @@ from bsym import (
     stepper,
     verify_cases,
 )
-from bsym.exponent import ExponentClass, signed_pow
+from bsym.exponent import ExponentClass, reflections, signed_pow
 from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Neg, Pow, Var, as_callable
 from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import QUAD_CONTROL, nested_path
 from bsym.stepper import DOP853, DP5
 
-from helpers import SPIKED_B, random_source
+from helpers import SPIKED_B, random_source, walked_roots
 from test_stepper import opened, reference_integrate
 
 _MATH = {name: getattr(math, name) for name in FUNCTIONS}
@@ -570,6 +570,22 @@ def sources(compiled, kind) -> list:
     return [source for k, source in compiled if k == kind]
 
 
+def test_each_fresh_tree_is_walked_once_for_its_code_and_its_parity(monkeypatch):
+    # binding a form's coefficients, detecting their parities (sampling
+    # where the rules are inconclusive) and certifying reflections all read
+    # one record per tree, so a fresh tree is walked once across them
+    roots = walked_roots(monkeypatch)
+    a, b = parse_expr("0.5*t^3"), parse_expr(SPIKED_B)
+    expr.checked_factory(quad._ab_form(1), a, b)(2.0)(0.5, 0.0)
+    assert roots == [a.source, b.source]
+    # b's parity is sampled, on b's function from the same record
+    assert [expr.detect_parity(a), expr.detect_parity(b)] == [expr.Parity.ODD, expr.Parity.ODD]
+    assert reflections(a, b) == [] and reflections(a, parse_expr("cos(t)")) != []
+    c = parse_expr("exp(t)*sin(t)")
+    assert expr.detect_parity(c) is expr.Parity.NEITHER  # sampled, compiled from c's one record
+    assert roots == [a.source, b.source, "cos(t)", c.source]
+
+
 def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     compiled = counting_compiles(monkeypatch)
     expr._coefficient.cache_clear()
@@ -756,7 +772,7 @@ def test_an_identity_compiles_one_shape_for_a_tree_and_one_for_its_negation(monk
     assert shapes == [] and max(got) > 1e-3
     # sampling -b's parity compiles its own shape too, outside the identity
     shapes, got = new_shapes("0.5*cos(t)", f"-({SPIKED_B})")
-    assert len(shapes) == 1 and shapes[0].endswith(f"(-{expr._shape(parse_expr(SPIKED_B), [])})")
+    assert len(shapes) == 1 and shapes[0].endswith(f"(-{expr._tree(parse_expr(SPIKED_B))[0]})")
     assert got == sampled and max(sampled) > 1e-3
 
 

@@ -381,6 +381,47 @@ def test_detect_parity_examples(src, expected):
     assert detect_parity(parse_expr(src)) is expected
 
 
+@pytest.mark.parametrize(
+    "src,expected",
+    [
+        ("2", Parity.EVEN),
+        ("t", Parity.ODD),
+        ("-(t)", Parity.ODD),
+        ("t - t^3", Parity.ODD),
+        ("t^2 + 1", Parity.EVEN),
+        ("t + 1", None),
+        ("t*t", Parity.EVEN),
+        ("t/cos(t)", Parity.ODD),
+        ("(t + 1)*t", None),
+        ("t^2", Parity.EVEN),
+        ("t^3", Parity.ODD),
+        ("t^0", Parity.EVEN),
+        ("(t + 1)^2", None),
+        ("sin(t)", Parity.ODD),
+        ("sinh(t^3)", Parity.ODD),
+        ("cos(t)", Parity.EVEN),
+        ("cosh(-t)", Parity.EVEN),
+        ("exp(t)", None),
+        ("sin(t^2)", Parity.EVEN),
+        ("exp(t + 1)", None),
+    ],
+)
+def test_structural_rules_per_node(src, expected):
+    # the one walk's parity rules, node by node: None is inconclusive
+    assert structural_parity(parse_expr(src)) is expected
+
+
+def test_one_walk_gives_a_trees_shape_constants_and_parity():
+    # the constants are k0, k1, .. left to right, in the shape and the record alike
+    code, consts, parity = expr._tree(parse_expr("2*t - 1 + 3*sin(4*t)^2/-5"))
+    assert code == "(((k0*t)-k1)+((k2*(sin((k3*t))**2))/(-k4)))"
+    assert consts == (2.0, 1.0, 3.0, 4.0, 5.0)
+    assert parity is None
+    assert expr._tree(parse_expr("(2*t)^3 - sin(t)*cos(7)")) == (
+        "(((k0*t)**3)-(sin(t)*cos(k1)))", (2.0, 7.0), Parity.ODD
+    )
+
+
 @pytest.mark.parametrize("src", ["t^2 + 0.0000001*t", "cos(t) + 0.0000001*sin(t)", "t + 0.0000001*t^2"])
 def test_a_small_part_of_the_other_parity_reads_neither(src):
     # structurally inconclusive, and each part of the other parity is 1e-7

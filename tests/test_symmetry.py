@@ -20,7 +20,6 @@ from bsym import (
     applicable_cases,
     classify_exponent,
     eval_solution,
-    expr,
     parse_expr,
     oracle,
     problem,
@@ -35,7 +34,7 @@ from bsym.exponent import ExponentClass, minus_one, reflections
 from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import SPIKED_B, conforming_problem, count_calls, random_problem, split_sign
+from helpers import SPIKED_B, conforming_problem, count_calls, random_problem, split_sign, walked_roots
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -154,21 +153,9 @@ def test_inapplicable_reasons_name_the_hypothesis():
 
 def test_parity_walks_each_tree_once(monkeypatch):
     # verify --case all asks for the parities of a and b per case, per path
-    # side and per oracle request; the memo walks each tree once
-    walk, depth, roots = expr._structural, [0], []
-
-    def counting(node):
-        if not depth[0]:
-            roots.append(expr.format_expr(node))
-        depth[0] += 1
-        try:
-            return walk(node)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(expr, "_structural", counting)
-    expr.structural_parity.cache_clear()
-    expr.detect_parity.cache_clear()
+    # side and per oracle request, and compiles both for the quadrature and
+    # the oracle; the tree record walks each tree once for all of them
+    roots = walked_roots(monkeypatch)
     p = problem("cos(t)", "sin(t)", 2, 1.0)
     reports = verify_cases(p, applicable_cases(p))
     assert [r.passed for r in reports] == [True] * 3
