@@ -223,29 +223,6 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
     return calls
 
 
-def walked_roots(monkeypatch) -> list:
-    """Record the source of every tree that `expr._describe` walks from
-    its root, with the per-tree caches emptied first, so that each walk of
-    a fresh tree shows."""
-    from bsym import expr
-
-    walk, depth, roots = expr._describe, [0], []
-
-    def counting(node, consts):
-        if not depth[0]:
-            roots.append(node.source)
-        depth[0] += 1
-        try:
-            return walk(node, consts)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(expr, "_describe", counting)
-    for cache in (expr._tree, expr._coefficient, expr.detect_parity):
-        cache.cache_clear()
-    return roots
-
-
 # --- child processes ------------------------------------------------------------
 
 def cli_env(env=None) -> dict:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Manufactured Bernoulli problems with exact references.
 
-Usage: python tests/manufactured.py [--seed S] [--count N]
+Usage: python tests/manufactured.py
 
 Prints the summary of `measure` over the seeded family as one JSON line.
 
@@ -26,7 +26,6 @@ No ODE solver and no package beyond the standard library is needed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
@@ -176,11 +175,11 @@ def _dyadic(rng: random.Random, top: int = 4) -> Fraction:
     return Fraction(rng.randint(-top, top), 4)
 
 
-def family(seed: int = SEED, count: int = COUNT) -> list:
-    """count problems from one seeded generator, each exponent in turn."""
-    rng = random.Random(seed)
+def family() -> list:
+    """COUNT problems from one generator seeded with SEED, each exponent in turn."""
+    rng = random.Random(SEED)
     out = []
-    while len(out) < count:
+    while len(out) < COUNT:
         n = Fraction(EXPONENTS[len(out) % len(EXPONENTS)])
         m = n - 1
         A = [Fraction(0), _dyadic(rng), _dyadic(rng, 2)]
@@ -248,11 +247,7 @@ def measure(problems) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=SEED)
-    ap.add_argument("--count", type=int, default=COUNT)
-    args = ap.parse_args()
-    print(json.dumps(measure(family(args.seed, args.count))))
+    print(json.dumps(measure(family())))
     return 0
 
 

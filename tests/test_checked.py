@@ -40,13 +40,13 @@ from bsym import (
     stepper,
     verify_cases,
 )
-from bsym.exponent import ExponentClass, reflections, signed_pow
+from bsym.exponent import ExponentClass, signed_pow
 from bsym.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Neg, Pow, Var, as_callable
 from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import QUAD_CONTROL, nested_path
 from bsym.stepper import DOP853, DP5
 
-from helpers import SPIKED_B, random_source, walked_roots
+from helpers import SPIKED_B, random_source
 from test_stepper import opened, reference_integrate
 
 _MATH = {name: getattr(math, name) for name in FUNCTIONS}
@@ -568,22 +568,6 @@ def counting_compiles(monkeypatch) -> list:
 
 def sources(compiled, kind) -> list:
     return [source for k, source in compiled if k == kind]
-
-
-def test_each_fresh_tree_is_walked_once_for_its_code_and_its_parity(monkeypatch):
-    # binding a form's coefficients, detecting their parities (sampling
-    # where the rules are inconclusive) and certifying reflections all read
-    # one record per tree, so a fresh tree is walked once across them
-    roots = walked_roots(monkeypatch)
-    a, b = parse_expr("0.5*t^3"), parse_expr(SPIKED_B)
-    expr.checked_factory(quad._ab_form(1), a, b)(2.0)(0.5, 0.0)
-    assert roots == [a.source, b.source]
-    # b's parity is sampled, on b's function from the same record
-    assert [expr.detect_parity(a), expr.detect_parity(b)] == [expr.Parity.ODD, expr.Parity.ODD]
-    assert reflections(a, b) == [] and reflections(a, parse_expr("cos(t)")) != []
-    c = parse_expr("exp(t)*sin(t)")
-    assert expr.detect_parity(c) is expr.Parity.NEITHER  # sampled, compiled from c's one record
-    assert roots == [a.source, b.source, "cos(t)", c.source]
 
 
 def test_the_compile_cache_is_bounded_and_shared(monkeypatch):

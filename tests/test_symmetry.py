@@ -19,7 +19,9 @@ from bsym import (
     Validity,
     applicable_cases,
     classify_exponent,
+    detect_parity,
     eval_solution,
+    expr,
     parse_expr,
     oracle,
     problem,
@@ -34,7 +36,7 @@ from bsym.exponent import ExponentClass, minus_one, reflections
 from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import SPIKED_B, conforming_problem, count_calls, random_problem, split_sign, walked_roots
+from helpers import SPIKED_B, conforming_problem, count_calls, random_problem, split_sign
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -155,11 +157,31 @@ def test_parity_walks_each_tree_once(monkeypatch):
     # verify --case all asks for the parities of a and b per case, per path
     # side and per oracle request, and compiles both for the quadrature and
     # the oracle; the tree record walks each tree once for all of them
-    roots = walked_roots(monkeypatch)
+    walk, depth, roots = expr._describe, [0], []
+
+    def counting(node, consts):
+        if not depth[0]:
+            roots.append(node.source)
+        depth[0] += 1
+        try:
+            return walk(node, consts)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "_describe", counting)
+    for cache in (expr._tree, expr._coefficient, expr.detect_parity):
+        cache.cache_clear()
     p = problem("cos(t)", "sin(t)", 2, 1.0)
     reports = verify_cases(p, applicable_cases(p))
     assert [r.passed for r in reports] == [True] * 3
     assert roots == ["cos(t)", "sin(t)"]
+    # a b whose parity the rules leave open is sampled on the function
+    # bound from the same record; no reflection is certified for it, so the
+    # cases' negated a and b are fresh trees, each walked once too
+    q = problem("cos(t)", SPIKED_B, 2, 1.0)
+    verify_cases(q, applicable_cases(q))
+    assert detect_parity(q.b) is Parity.ODD
+    assert roots == ["cos(t)", "sin(t)", q.b.source, "-(cos(t))", f"-({q.b.source})"]
 
 
 def test_wrong_class_reasons_are_exact():
