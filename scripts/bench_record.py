@@ -26,9 +26,11 @@ The record holds, for the change numbered N:
   the script says so on stderr;
 * the answer digests of `scripts/digest.py` at input seeds 1 and 2;
 * the manufactured family's summary, `tests/manufactured.py`'s JSON line:
-  its problem count, the closed form's and the oracle's worst scaled
-  value errors, the worst validity end error, and the missed and false
-  ends, all against exact references;
+  its problem count, the closed form's and the oracle's worst and median
+  scaled value errors (`closed_worst`, `closed_median`, `oracle_worst`,
+  `oracle_median`), the worst and median validity end errors
+  (`end_worst`, `end_median`), and the missed and false ends, all against
+  exact references;
 * one tier-1 run (`python -m pytest -q --continue-on-collection-errors`):
   its wall time, exit code and passed, skipped and failed counts (errors
   count as failed);

@@ -474,6 +474,25 @@ MUTANTS = [
         ("tests/test_expr.py::test_parse_binary_operators_are_left_associative",),
     ),
     Mutant(
+        "known-shape-skips-the-finite-check",
+        "expr.py",
+        "push(_new(Const, (_number(text, off),)))",
+        "push(_new(Const, (float(text),)))",
+        "a text of a known shape with a 400-digit constant parses to Const(inf),"
+        " which no generated code can spell, where the parser says the number is too large",
+        ("tests/test_expr.py::test_a_known_shape_rejects_a_number_too_large_for_a_float",),
+    ),
+    Mutant(
+        "shape-key-folds-exponents",
+        "expr.py",
+        'if kind == "num" and not after_caret:',
+        'if kind == "num":',
+        "an exponent is keyed as a constant: t^3 builds from the template of t^2"
+        " and parses as t^2",
+        ("tests/test_expr.py::test_exponents_stay_in_the_shape",
+         "tests/test_expr.py::test_every_benchmark_text_parses_as_the_parser_parses_it"),
+    ),
+    Mutant(
         "prec-one-level",
         "expr.py",
         '_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}',

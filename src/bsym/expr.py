@@ -18,6 +18,17 @@ too large for a float is a syntax error.
 A parsed tree is its own `Expr`: each node is an `Expr` and a named
 tuple, so it can be called at t and printed, and hashes and compares in C.
 
+The parser runs once per shape.  `parse_expr` tokenizes every text and
+keys it by its token texts, each constant written as '#' (an exponent
+keeps its digits).  The first text of a key is parsed, and the tree's
+template is stored: its steps in postfix order, each subtree that holds
+no constant kept whole and shared by every tree of the shape.  A later
+text of that key builds its tree from the template and its own
+constants, each checked finite, with no parse: one tokenize, one key
+and one pass over the steps, about half the cost of a parse.  The store
+keeps the last 512 keys, oldest out first; a text that fails to parse is
+never stored, and its error and offset are the parser's.
+
 Expressions nest at most MAX_DEPTH = 100 levels deep.  A leaf counts one
 level, and each unary minus, '^', function call and binary operator one
 more than its deepest operand, so a sum of 101 terms is too deep (operators
@@ -209,9 +220,9 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, toks: Optional[list] = None):
         self.source = source
-        self.toks = _tokenize(source)
+        self.toks = _tokenize(source) if toks is None else toks
         self.i = 0
         self.open = 0  # parentheses and calls being parsed
 
@@ -298,10 +309,7 @@ class _Parser:
         tok = self._next()
         kind, text, off = tok
         if kind == "num":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ExprSyntaxError("number too large for a float", off)
-            return Const(value), 1
+            return Const(_number(text, off)), 1
         if kind == "name":
             if text == "t":
                 return Var(), 1
@@ -322,15 +330,135 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {text!r}", off)
 
 
+def _number(text: str, off: int) -> float:
+    """The value of the constant token `text` at `off`, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ExprSyntaxError("number too large for a float", off)
+    return value
+
+
+def _shape(toks: list) -> tuple[str, list]:
+    """The key of the tokens' shape, and their constants' tokens in order.
+
+    The key is the token texts joined by spaces, each constant written as
+    '#'.  An exponent, the number directly after a '^', keeps its digits,
+    since a tree holds it in its shape."""
+    parts, numbers = [], []
+    after_caret = False
+    for tok in toks:
+        kind, text, _ = tok
+        if kind == "num" and not after_caret:
+            parts.append("#")
+            numbers.append(tok)
+        else:
+            parts.append(text)
+        after_caret = kind == "^"
+    return " ".join(parts), numbers
+
+
+# each shape's template by its key, oldest first: an identities run (seed
+# 1) meets 278 shapes in 8 400 texts and solve-dense 418 in 870, so that
+# neither evicts; a template is one tuple, and solve-dense's 418 hold
+# about 0.2 MB with their keys and shared subtrees
+_TEMPLATES = 512
+_templates: dict = {}
+
+
+def _template(node: Expr) -> Optional[tuple]:
+    """The steps that rebuild node in postfix order, read by `_build` as
+    (kind, value) pairs: a constant is (Const, None), a subtree with no
+    constant (None, subtree), shared by every tree of the shape, and each
+    other node its type and the field that is not an operand: BinOp's
+    operator, Pow's exponent, Call's function, Neg's None.  None where
+    node holds no constant."""
+    kind = type(node)
+    if kind is Const:
+        return (Const, None)
+    if kind is Var:
+        return None
+    if kind is Neg:
+        arg = _template(node.arg)
+        return arg and (*arg, Neg, None)
+    if kind is Pow:
+        base = _template(node.base)
+        return base and (*base, Pow, node.exponent)
+    if kind is Call:
+        arg = _template(node.arg)
+        return arg and (*arg, Call, node.func)
+    left, right = _template(node.left), _template(node.right)
+    if left is right is None:
+        return None
+    return (*(left or (None, _shared(node.left))), *(right or (None, _shared(node.right))), BinOp, node.op)
+
+
+@lru_cache(maxsize=_TEMPLATES)
+def _shared(node: Expr) -> Expr:
+    """node, or the equal subtree met first: all templates share one
+    instance of each subtree that holds no constant, and the store pins
+    no node of the trees they came from, which lie scattered over memory
+    the process would reuse (pinning them raised the solve-dense
+    benchmark's peak RSS by 0.5 MB)."""
+    return node
+
+
+# a node from its fields, skipping the named tuple's Python-level __new__
+_new = tuple.__new__
+
+
+def _build(template: tuple, numbers) -> Expr:
+    """The tree of a template's steps, its constants read in order from
+    the iterator of their tokens, the order the parser read them in."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    steps = iter(template)
+    for kind, value in zip(steps, steps):
+        if kind is BinOp:
+            right = pop()
+            push(_new(BinOp, (value, pop(), right)))
+        elif kind is Const:
+            _, text, off = next(numbers)
+            push(_new(Const, (_number(text, off),)))
+        elif kind is None:
+            push(value)
+        elif kind is Neg:
+            push(_new(Neg, (pop(),)))
+        elif kind is Pow:
+            push(_new(Pow, (pop(), value)))
+        else:
+            push(_new(Call, (value, pop())))
+    return pop()
+
+
 def parse_expr(source: str) -> Expr:
     """Parse DSL source text into an expression tree.
 
     Raises ExprSyntaxError (with byte offset) on unknown tokens, unbalanced
     parentheses, or a non-integer exponent.
+
+    The parser runs once per shape: the text is tokenized and keyed by
+    `_shape`, and a key met before builds its tree from that shape's
+    template and the text's constants, with no parse (on the identities
+    benchmark's texts, 8 us where a parse takes 16, 4 of them in the
+    tokenizer).  The tree equals the parser's node for node.  Only a text
+    that parses stores a template, for at most `_TEMPLATES` shapes,
+    oldest out first.  Whether a text parses depends on its shape alone,
+    with one exception: a constant too large for a float, which a known
+    shape raises at the first such token, as the parser would.  So every
+    error and offset is the parser's.
     """
     if not source or source.isspace():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(source).parse()
+    toks = _tokenize(source)
+    key, numbers = _shape(toks)
+    template = _templates.get(key)
+    if template is not None:
+        return _build(template, iter(numbers))
+    tree = _Parser(source, toks).parse()
+    if len(_templates) >= _TEMPLATES:
+        del _templates[next(iter(_templates))]
+    _templates[key] = _template(tree) or (None, _shared(tree))
+    return tree
 
 
 # --- Evaluation -----------------------------------------------------------
@@ -479,8 +607,9 @@ _compiled_count = itertools.count(1)
 
 # one entry per shape, a few hundred kilobytes at most: an identities run
 # of fresh problems (seed 1) meets 278 shapes, a tree and its negation
-# two, and compiles 457 times, recompiling what it evicted, since a miss
-# only costs a compile (about 60 us); 512 entries measured no faster
+# two, and compiles 459 times, 14 of them in its warm-up, recompiling what
+# it evicted, since a miss only costs a compile (about 60 us); 512
+# entries measured no faster
 @lru_cache(maxsize=256)
 def _shape_factory(shape: str, count: int) -> Callable:
     """`lambda k0, .., k<count-1>: lambda t: <shape>`, compiled once per

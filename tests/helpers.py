@@ -2,8 +2,8 @@
 parity-conforming problem generators, the (A, B) path of a coefficient
 pair's own trees, two problems that fail only at a dense stage, the
 sign-split reference for comparing trees up to their top minuses, a call
-counter for work-count tests and the environment
-for running `python -m bsym` in a child process.
+counter for work-count tests, the benchmark's input generator and the
+environment for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
 no shared code with the package) so it can serve as an independent check of
@@ -12,6 +12,7 @@ the adaptive quadrature.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
@@ -221,6 +222,17 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
                 if value is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+# --- the benchmark's inputs -----------------------------------------------------
+
+def bench_inputs():
+    """`bench/inputs.py`, the benchmark's seeded input generator, as a module."""
+    path = Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)  # its dataclasses look their module up by name
+    return gen
 
 
 # --- child processes ------------------------------------------------------------

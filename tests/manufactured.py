@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import statistics
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,21 +230,30 @@ def found_ends(mp: Manufactured) -> tuple:
 
 def measure(problems) -> dict:
     """The family's summary against the exact references: the closed
-    form's and the oracle's worst scaled value errors, the worst end
-    error, and the ends missed (G has a root, the interval says
-    SearchLimit) and false (the interval ends where G has no root)."""
-    closed = oracle = end = 0.0
+    form's and the oracle's worst scaled value errors and their medians
+    over the problems (each problem's error its worst point's), the worst
+    and the median end error over the ends found, and the ends missed (G
+    has a root, the interval says SearchLimit) and false (the interval
+    ends where G has no root)."""
+    closed, oracle, ends = [], [], []
     misses = false_ends = 0
     for mp in problems:
         for want, got in zip(mp.ends, found_ends(mp)):
             misses += want is not None and got is None
             false_ends += want is None and got is not None
             if want is not None and got is not None:
-                end = max(end, abs(got - want))
-        closed = max(closed, value_error(mp, "closed"))
-        oracle = max(oracle, value_error(mp, "oracle"))
-    return {"problems": len(problems), "closed_worst": closed, "end_worst": end,
-            "misses": misses, "false_ends": false_ends, "oracle_worst": oracle}
+                ends.append(abs(got - want))
+        closed.append(value_error(mp, "closed"))
+        oracle.append(value_error(mp, "oracle"))
+    return {"problems": len(problems),
+            "closed_worst": max(closed, default=0.0), "closed_median": _median(closed),
+            "end_worst": max(ends, default=0.0), "end_median": _median(ends),
+            "misses": misses, "false_ends": false_ends,
+            "oracle_worst": max(oracle, default=0.0), "oracle_median": _median(oracle)}
+
+
+def _median(errors: list) -> float:
+    return statistics.median(errors) if errors else 0.0
 
 
 def main() -> int:

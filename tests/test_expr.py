@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from bsym.expr import (
     structural_parity,
 )
 
-from helpers import ONE_POINT_EVEN, cli_env, random_even_source, random_odd_source, random_source
+from helpers import ONE_POINT_EVEN, bench_inputs, cli_env, random_even_source, random_odd_source, random_source
 
 
 # --- parsing ----------------------------------------------------------------
@@ -357,6 +358,130 @@ def test_a_pickled_tree_hashes_as_a_fresh_parse_in_another_process():
     ).stdout
     # the other process's hash differs, so a stored one would be stale
     assert loaded.split() == ["True", "True", "False", "1"]
+
+
+# --- one parse per shape --------------------------------------------------------
+
+# the operations of a 30 s run of each workload (`ops_per_s` of
+# bench/workloads.py times 30), two coefficient texts each
+BENCH_OPS = (("verify_inputs", 198), ("solve_inputs", 435), ("identity_inputs", 4200))
+
+
+def _typed(node):
+    """node as (type, fields), recursively, each field that is no node as
+    (type, value), so that trees compare equal only where their nodes and
+    fields have equal types too (Const(2) == Const(2.0) as tuples)."""
+    return type(node), tuple(_typed(f) if isinstance(f, Expr) else (type(f), f) for f in node)
+
+
+def _outcome(parse, text):
+    """The typed tree that parse(text) returns, or the message and offset it raises."""
+    try:
+        return "tree", _typed(parse(text))
+    except ExprSyntaxError as exc:
+        return "error", str(exc), exc.offset
+
+
+def _parses_as_the_parser(texts):
+    """Parse each text twice, the second time from its shape's template,
+    and compare both with the parser's own tree or error."""
+    for text in texts:
+        if not text or text.isspace():
+            continue  # `parse_expr` refuses these before tokenizing
+        expected = _outcome(lambda s: expr._Parser(s).parse(), text)
+        assert _outcome(parse_expr, text) == expected, text
+        if expected[0] == "tree":
+            assert expr._shape(expr._tokenize(text))[0] in expr._templates, text
+        assert _outcome(parse_expr, text) == expected, text
+
+
+def test_every_benchmark_text_parses_as_the_parser_parses_it(monkeypatch):
+    # 28 998 texts in 496 shapes, the same at every seed: the first text of
+    # each shape misses, and the rest build from a template made from
+    # another text's constants
+    monkeypatch.setattr(expr, "_templates", {})
+    gen = bench_inputs()
+    texts = [text for seed in (1, 2, 3) for name, count in BENCH_OPS
+             for item in getattr(gen, name)(seed, count) for text in (item.a, item.b)]
+    assert len(texts) == 28998
+    _parses_as_the_parser(texts)
+    assert len(expr._templates) == 496
+
+
+_PIECES = (
+    "t", "sin", "cos", "exp", "sinh", "cosh", "(", ")", "+", "-", "*", "/", "^",
+    "2", "0.5", ".25", "3.", "17", "9" * 400,
+    "\u0663", "1\u0663.\u0665", "\u00b2",  # Arabic-Indic 3, 13.5 in mixed digits, superscript 2
+    "\u03b1", "t\u03b1",  # Greek alpha, alone and in a name
+    " ", "\u2003", "\t", ".", "@", "^-", "^2.5", "^t",
+)
+_texts = st.one_of(
+    _asts.map(format_expr),  # valid, with constants of every sign
+    st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_texts, min_size=1, max_size=8))
+def test_a_known_shape_parses_as_the_parser_parses_it(texts):
+    with patch.dict(expr._templates, clear=True):
+        _parses_as_the_parser(texts)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["2*t", "\u0663*t", "1\u0663.\u0665 * t"],  # Unicode decimal digits are constants
+        ["t^2", "t^\u0662", "t^2.5", "t^-2", "t^t", "t^"],
+        ["cos(t)", "cos(t\u03b1)", "cos\u2003(\tt )", "\u00b2*t"],
+        ["-" * (MAX_DEPTH - 1) + "1", "-" * (MAX_DEPTH - 1) + "2", "-" * MAX_DEPTH + "2"],
+        ["(" * MAX_DEPTH + "2*t" + ")" * MAX_DEPTH, "(" * (MAX_DEPTH + 1) + "3*t" + ")" * (MAX_DEPTH + 1)],
+        ["+".join(["2*t"] * 50), "+".join(["3*t"] * 50), "+".join(["3*t"] * MAX_DEPTH)],
+    ],
+    ids=["digits", "exponents", "names-spaces", "minus-depth", "paren-depth", "sum-depth"],
+)
+def test_texts_of_one_shape_parse_as_the_parser_parses_them(texts):
+    with patch.dict(expr._templates, clear=True):
+        _parses_as_the_parser(texts)
+
+
+def test_exponents_stay_in_the_shape():
+    with patch.dict(expr._templates, clear=True):
+        assert parse_expr("2*t^2") == BinOp("*", Const(2.0), Pow(Var(), 2))
+        assert parse_expr("3*t^3") == BinOp("*", Const(3.0), Pow(Var(), 3))
+        assert parse_expr("t^3") == Pow(Var(), 3) != parse_expr("t^2")
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [("0.5*t + " + "9" * 400, 8), ("9" * 400 + "*t + " + "9" * 401, 0)],
+    ids=["second", "both"],
+)
+def test_a_known_shape_rejects_a_number_too_large_for_a_float(text, offset):
+    with patch.dict(expr._templates, clear=True):
+        parse_expr("0.25*t + 2")
+        assert expr._shape(expr._tokenize(text))[0] in expr._templates
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+    assert str(info.value) == f"number too large for a float (offset {offset})"
+
+
+def test_a_known_shape_is_not_parsed_again(monkeypatch):
+    monkeypatch.setattr(expr, "_templates", {})
+    parse_expr("0.5*cos(t) - t/3")
+    monkeypatch.setattr(expr, "_Parser", None)  # a parse would now fail
+    tree = parse_expr(" 0.75 * cos( t )-t / 9")
+    assert tree == BinOp("-", BinOp("*", Const(0.75), Call("cos", Var())), BinOp("/", Var(), Const(9.0)))
+    # the trees of one shape share its subtrees that hold no constant
+    assert tree.left.right is parse_expr("1*cos(t)-t/1").left.right
+
+
+def test_the_store_keeps_512_shapes_and_evicts_the_oldest(monkeypatch):
+    monkeypatch.setattr(expr, "_templates", {})
+    for k in range(expr._TEMPLATES + 1):
+        assert parse_expr(f"t^{k}") == Pow(Var(), k)
+    assert expr._TEMPLATES == len(expr._templates) == 512
+    assert "t ^ 0" not in expr._templates and "t ^ 1" in expr._templates
 
 
 # --- parity -------------------------------------------------------------------

@@ -61,6 +61,11 @@ def test_oracle_values_within_bound(summary):
     assert summary["oracle_worst"] <= ORACLE_BOUND
 
 
+def test_each_median_lies_between_0_and_its_worst(summary):
+    for name in ("closed", "oracle", "end"):
+        assert 0.0 <= summary[f"{name}_median"] <= summary[f"{name}_worst"]
+
+
 def test_dropping_m_from_b_breaks_the_value_bound(family):
     # b = (B') alone integrates to B only where A = 0: every other problem
     # must read past the closed form's bound, so the bound sees a wrong b

@@ -2,7 +2,6 @@ import importlib.util
 import json
 import math
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,7 @@ from bsym.exponent import ExponentClass, minus_one, reflections
 from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import SPIKED_B, conforming_problem, count_calls, random_problem, split_sign
+from helpers import SPIKED_B, bench_inputs, conforming_problem, count_calls, random_problem, split_sign
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -603,11 +602,7 @@ def _showcase():
 
 def _verify_inputs(seed):
     """The verify-all benchmark's problems at an input seed, with their cases."""
-    path = Path(__file__).parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(gen)  # its dataclasses look their module up by name
-    items = gen.verify_inputs(seed, 40)
+    items = bench_inputs().verify_inputs(seed, 40)
     return [(problem(i.a, i.b, i.n_text, i.d), list(i.expected_cases), False) for i in items]
 
 
