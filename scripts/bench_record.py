@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write one benchmark record, BENCH_<N>.json, at the repository root.
 
-Usage: python scripts/bench_record.py --pr N
+Usage: python scripts/bench_record.py --pr N [--seed S]
        python scripts/bench_record.py --code-lines FILE...
 
 The record holds, for the change numbered N:
@@ -9,8 +9,10 @@ The record holds, for the change numbered N:
 * the last JSON line of `bench/run.py` for each workload (verify-all,
   solve-dense, identities) at seed 1, run twice: untraced for 30 s
   (`--trace 0 --seconds 30`) and traced for 5 s (`--trace 1 --seconds 5`);
-* `PAIRS` (10) interleaved pairs of untraced runs per workload at seed 1
-  for 30 s (5 s pairs of an unchanged workload spread by 10 %), one of the
+* `PAIRS` (10) interleaved pairs of untraced runs per workload at input
+  seed S (`--seed`, default 1; recorded as `pair_seed`, so that a claimed
+  gain can be shown at a seed not used while writing the change) for 30 s
+  (5 s pairs of an unchanged workload spread by 10 %), one of the
   parent's `bench/run.py`
   (HEAD's tree, extracted by `git archive` into a temporary directory,
   since the record is written before the change is committed) and one of
@@ -72,7 +74,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify-all", "solve-dense", "identities")
 RUNS = (("0", "30"), ("1", "5"))  # (--trace, --seconds)
-PAIRED = ("--seed", "1", "--seconds", "30", "--trace", "0")
+PAIRED = ("--seconds", "30", "--trace", "0")
 PAIRS = 10
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 MUTATE = ("scripts/mutate.py",)
@@ -145,13 +147,14 @@ def _parent_tree():
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _pairs(parent: Path, workload: str) -> dict:
-    """PAIRS interleaved untraced runs of the parent's `bench/run.py` and
-    the working tree's: each run's end-to-end metrics and "correct", then
-    per metric the median head/parent ratio, the pairs the head won and
-    each side's quartiles [q1, median, q3] (`statistics.quantiles`)."""
+def _pairs(parent: Path, workload: str, seed: int) -> dict:
+    """PAIRS interleaved untraced runs at input seed `seed` of the parent's
+    `bench/run.py` and the working tree's: each run's end-to-end metrics
+    and "correct", then per metric the median head/parent ratio, the pairs
+    the head won and each side's quartiles [q1, median, q3]
+    (`statistics.quantiles`)."""
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    command = ["--workload", workload, *PAIRED]
+    command = ["--workload", workload, "--seed", str(seed), *PAIRED]
     scripts = {"parent": str(parent / "bench" / "run.py"), "head": "bench/run.py"}
     pairs = []
     for i in range(PAIRS):
@@ -228,6 +231,7 @@ def main() -> int:
     group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--pr", type=int, help="the change's number, N in BENCH_<N>.json")
     group.add_argument("--code-lines", nargs="+", metavar="FILE", help="print the files' code lines")
+    ap.add_argument("--seed", type=int, default=1, help="the input seed of the paired runs (default 1)")
     args = ap.parse_args()
     if args.code_lines:
         print(code_lines(args.code_lines))
@@ -236,6 +240,7 @@ def main() -> int:
     sources = sorted((ROOT / "src" / "bsym").glob("*.py"))
     record = {
         "pr": args.pr,
+        "pair_seed": args.seed,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "parent": {},
@@ -260,8 +265,8 @@ def main() -> int:
         with _parent_tree() as (parent, commit):
             record["parent"] = commit
             for workload in WORKLOADS:
-                print(f"paired parent/head runs: {workload}", file=sys.stderr)
-                record["pairs"][workload] = _pairs(parent, workload)
+                print(f"paired parent/head runs: {workload}, seed {args.seed}", file=sys.stderr)
+                record["pairs"][workload] = _pairs(parent, workload, args.seed)
     except (subprocess.CalledProcessError, OSError, ValueError, IndexError, KeyError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2

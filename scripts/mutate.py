@@ -348,6 +348,15 @@ MUTANTS = [
         ("tests/test_quad.py",),
     ),
     Mutant(
+        "identity-read-takes-the-other-multiplier",
+        "quad.py",
+        "state[x][1 + carried[x >= 0.0].index(mult)]",
+        "state[x][-1 - carried[x >= 0.0].index(mult)]",
+        "a read of a two-multiplier path takes the other multiplier's B: a"
+        " sampled-parity identity reads each side's wrong integral",
+        ("tests/test_quad.py::test_identity_residuals_equal_twelve_reads_where_only_sampling_finds_the_parity",),
+    ),
+    Mutant(
         "quad-rel-tol-1e-6",
         "quad.py",
         "QUAD_CONTROL = StepControl(rel_tol=5e-12, abs_tol=5e-14, tableau=DOP853)",
@@ -476,11 +485,29 @@ MUTANTS = [
     Mutant(
         "known-shape-skips-the-finite-check",
         "expr.py",
-        "push(_new(Const, (_number(text, off),)))",
-        "push(_new(Const, (float(text),)))",
+        "consts.append(_number(text, off))",
+        "consts.append(float(text))",
         "a text of a known shape with a 400-digit constant parses to Const(inf),"
         " which no generated code can spell, where the parser says the number is too large",
         ("tests/test_expr.py::test_a_known_shape_rejects_a_number_too_large_for_a_float",),
+    ),
+    Mutant(
+        "known-shape-files-the-first-trees-constants",
+        "expr.py",
+        "_file(tree, (code, consts, parity))",
+        "_file(tree, next((r for r in _records.values() if r[0] is code), (code, consts, parity)))",
+        "a tree of a known shape is filed with the record of its shape's first"
+        " tree while that is stored: 5*t evaluates as 2*t after 2*t was parsed",
+        ("tests/test_expr.py::test_texts_of_one_shape_keep_their_own_constants",),
+    ),
+    Mutant(
+        "known-shape-files-no-parity",
+        "expr.py",
+        "_file(tree, (code, consts, parity))",
+        "_file(tree, (code, consts, None))",
+        "a tree of a known shape is filed with no structural parity: sampling"
+        " decides, and no t-mirror is certified for it",
+        ("tests/test_expr.py::test_every_benchmark_text_is_filed_with_its_walks_record",),
     ),
     Mutant(
         "shape-key-folds-exponents",

@@ -24,8 +24,9 @@ keeps its digits).  The first text of a key is parsed, and the tree's
 template is stored: its steps in postfix order, each subtree that holds
 no constant kept whole and shared by every tree of the shape.  A later
 text of that key builds its tree from the template and its own
-constants, each checked finite, with no parse: one tokenize, one key
-and one pass over the steps, about half the cost of a parse.  The store
+constants, each checked finite, with no parse: one tokenize, one key,
+one pass over the steps and one record filed, about half the cost of a
+parse and a walk.  The store
 keeps the last 512 keys, oldest out first; a text that fails to parse is
 never stored, and its error and offset are the parser's.
 
@@ -37,10 +38,15 @@ at most 100 parentheses and calls may be open at once.  Deeper input is a
 syntax error, raised before the parser's recursion or Python's compiler
 could fail.
 
-Each tree is walked once, by `_describe`, for both facts read from it:
-its shape, the code with each constant written as a parameter k0, k1, ..
-in order of appearance, and its structural parity.  The record (shape,
-constants, parity) is kept per tree in a small LRU cache, `_tree`.
+Two facts are read from a tree: its shape, the code with each constant
+written as a parameter k0, k1, .. in order of appearance, and its
+structural parity.  Both depend on the shape alone, so `_describe` walks
+the first tree of a shape once for both, its template keeps them, and a
+later tree of the shape takes them from there with the constants its
+build read, with no walk.  The record (code, constants, parity) is kept
+per tree in a small store, `_tree`, which `parse_expr` fills and which
+walks a tree only where it holds no record: a tree no parse returned,
+such as a built partner, or one whose record was evicted.
 
 Evaluation is generated code: one compile per shape, constants bound per
 tree.  Each shape compiles once
@@ -359,8 +365,9 @@ def _shape(toks: list) -> tuple[str, list]:
 
 # each shape's template by its key, oldest first: an identities run (seed
 # 1) meets 278 shapes in 8 400 texts and solve-dense 418 in 870, so that
-# neither evicts; a template is one tuple, and solve-dense's 418 hold
-# about 0.2 MB with their keys and shared subtrees
+# neither evicts; a template is its steps and the code and structural
+# parity that every tree of the shape shares, and solve-dense's 418 hold
+# about 0.25 MB with their keys and shared subtrees
 _TEMPLATES = 512
 _templates: dict = {}
 
@@ -406,10 +413,10 @@ def _shared(node: Expr) -> Expr:
 _new = tuple.__new__
 
 
-def _build(template: tuple, numbers) -> Expr:
-    """The tree of a template's steps, its constants read in order from
-    the iterator of their tokens, the order the parser read them in."""
-    stack = []
+def _build(template: tuple, numbers) -> tuple[Expr, tuple]:
+    """The tree of a template's steps and its constants in order, read
+    from the iterator of their tokens, the order the parser read them in."""
+    stack, consts = [], []
     push, pop = stack.append, stack.pop
     steps = iter(template)
     for kind, value in zip(steps, steps):
@@ -418,7 +425,8 @@ def _build(template: tuple, numbers) -> Expr:
             push(_new(BinOp, (value, pop(), right)))
         elif kind is Const:
             _, text, off = next(numbers)
-            push(_new(Const, (_number(text, off),)))
+            consts.append(_number(text, off))
+            push(_new(Const, (consts[-1],)))
         elif kind is None:
             push(value)
         elif kind is Neg:
@@ -427,7 +435,7 @@ def _build(template: tuple, numbers) -> Expr:
             push(_new(Pow, (pop(), value)))
         else:
             push(_new(Call, (value, pop())))
-    return pop()
+    return pop(), tuple(consts)
 
 
 def parse_expr(source: str) -> Expr:
@@ -439,8 +447,12 @@ def parse_expr(source: str) -> Expr:
     The parser runs once per shape: the text is tokenized and keyed by
     `_shape`, and a key met before builds its tree from that shape's
     template and the text's constants, with no parse (on the identities
-    benchmark's texts, 8 us where a parse takes 16, 4 of them in the
-    tokenizer).  The tree equals the parser's node for node.  Only a text
+    benchmark's texts, 9 us with the record filed, where a parse takes 15
+    and the walk of its tree 4 more; 3.4 us of each go to the
+    tokenizer).  The tree equals the parser's node for node, and its
+    record (`_tree`) is filed with it: the shape's code and parity, taken
+    from the walk of the shape's first tree, and the constants the build
+    read, so a parsed tree of a known shape is never walked.  Only a text
     that parses stores a template, for at most `_TEMPLATES` shapes,
     oldest out first.  Whether a text parses depends on its shape alone,
     with one exception: a constant too large for a float, which a known
@@ -451,13 +463,17 @@ def parse_expr(source: str) -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     toks = _tokenize(source)
     key, numbers = _shape(toks)
-    template = _templates.get(key)
-    if template is not None:
-        return _build(template, iter(numbers))
+    shape = _templates.get(key)
+    if shape is not None:
+        steps, code, parity = shape
+        tree, consts = _build(steps, iter(numbers))
+        _file(tree, (code, consts, parity))
+        return tree
     tree = _Parser(source, toks).parse()
     if len(_templates) >= _TEMPLATES:
         del _templates[next(iter(_templates))]
-    _templates[key] = _template(tree) or (None, _shared(tree))
+    code, _, parity = _tree(tree)
+    _templates[key] = (_template(tree) or (None, _shared(tree)), code, parity)
     return tree
 
 
@@ -508,14 +524,30 @@ def _describe(node: Expr, consts: list) -> tuple[str, Optional[Parity]]:
 _OF_ODD = {"sin": Parity.ODD, "sinh": Parity.ODD, "cos": Parity.EVEN, "cosh": Parity.EVEN}
 
 
-# the code, constants and structural parity of a tree, asked for the same
-# few trees many times per operation: bounded to one operation's working
-# set, since fresh expressions would otherwise grow it without end
-@lru_cache(maxsize=32)
+# the code, constants and structural parity of a tree by the tree, asked
+# for the same few trees many times per operation: filed by `parse_expr`
+# for every tree it returns, and walked here only for a tree with no
+# record, such as a partner `symmetry.transform_problem` builds; bounded
+# to one operation's working set, oldest out first, since fresh
+# expressions would otherwise grow it without end
+_RECORDS = 32
+_records: dict = {}
+
+
+def _file(e: Expr, record: tuple) -> tuple:
+    _records[e] = record
+    if len(_records) > _RECORDS:
+        del _records[next(iter(_records))]
+    return record
+
+
 def _tree(e: Expr) -> tuple[str, tuple, Optional[Parity]]:
-    consts: list = []
-    code, parity = _describe(e, consts)
-    return code, tuple(consts), parity
+    record = _records.get(e)
+    if record is None:
+        consts: list = []
+        code, parity = _describe(e, consts)
+        record = _file(e, (code, tuple(consts), parity))
+    return record
 
 
 def _failed(t: float, exc: Optional[Exception]) -> EvalError:
@@ -608,7 +640,7 @@ _compiled_count = itertools.count(1)
 # one entry per shape, a few hundred kilobytes at most: an identities run
 # of fresh problems (seed 1) meets 278 shapes, a tree and its negation
 # two, and compiles 459 times, 14 of them in its warm-up, recompiling what
-# it evicted, since a miss only costs a compile (about 60 us); 512
+# it evicted, since a miss only costs a compile (about 50 us); 512
 # entries measured no faster
 @lru_cache(maxsize=256)
 def _shape_factory(shape: str, count: int) -> Callable:

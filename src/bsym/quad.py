@@ -71,11 +71,11 @@ even-integrand mirror; it is the same identity regardless of which
 exponent class consumes it, so there is exactly one tag for it.)  Each
 identity reads B_{sigma*m} at -t and B_{ka*sigma*m} at t through
 `stepper.grid_values`, from one path per side of 0 carrying the
-multipliers read there.  Where `exponent.reflections` certifies the
-t-mirror, a read of B_mult at x < 0 is kb times B_{ka*mult} at -x, so one
-path answers every read: an identity residual is then a shared-path
-residual, 0 by construction, and evidence only through the parity
-certificate.
+multipliers read there, and the state at each distinct time read once.
+Where `exponent.reflections` certifies the t-mirror, a read of B_mult at
+x < 0 is kb times B_{ka*mult} at -x, so one path answers every read: an
+identity residual is then a shared-path residual, 0 by construction, and
+evidence only through the parity certificate.
 """
 
 from __future__ import annotations
@@ -222,9 +222,12 @@ def identity_residuals(
     on a grid that straddles 0, and one for Eq7 or a grid on one side of
     0: an identity residual is then a shared-path residual, exactly 0, and
     evidence only through the parity certificate.  With a sampled parity
-    each side of 0 integrates its own path.  Every residual is bit for bit
-    the one fresh paths of (a, b) per side give, and no path outlives the
-    call.
+    each side of 0 integrates its own path.  The state at each distinct
+    time is read once, and every read at that time takes its multiplier's
+    B from it: the benchmark's six times (+-0.5, +-1.5, +-3) read three
+    states under a certified mirror, not twelve.  Every residual is bit
+    for bit the one fresh paths of (a, b) per side give, and no path
+    outlives the call.
     Raises DomainError where n - 1 is no usable float
     (`exponent.minus_one`), then ParityViolation unless (a, b) carry the
     parities the identity assumes, then ValueError for a non-finite t,
@@ -259,6 +262,7 @@ def identity_residuals(
         mults = carried[side] = tuple(dict.fromkeys(u for u in (left, right) if u in here))
         return nested_path(a, b, mults, t_end)
 
-    states = grid_values(solve, [x for x, _, _ in reads])
-    got = [f * y[1 + carried[x >= 0.0].index(mult)] for (x, mult, f), y in zip(reads, states)]
+    times = list(dict.fromkeys(x for x, _, _ in reads))  # -0.0 is read as 0.0
+    state = dict(zip(times, grid_values(solve, times)))
+    got = [f * state[x][1 + carried[x >= 0.0].index(mult)] for x, mult, f in reads]
     return [abs(-bl + kb * br) for bl, br in zip(got[:len(ts)], got[len(ts):])]

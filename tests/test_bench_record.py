@@ -94,9 +94,10 @@ def worktrees(path: Path) -> list:
     return [line for line in out.splitlines() if line.startswith("worktree ")]
 
 
-def write_record(monkeypatch, tmp_path, capsys, fault, edit="src/bsym/m.py"):
-    """Run `main` on a fake tree with `fault`, whose file `edit` (relative
-    to the tree) is written after the parent is committed: (exit code,
+def write_record(monkeypatch, tmp_path, capsys, fault, edit="src/bsym/m.py", options=()):
+    """Run `main` with `options` after `--pr 7` on a fake tree with
+    `fault`, whose file `edit` (relative to the tree) is written after the
+    parent is committed: (exit code,
     record, calls, the stderr lines after the progress lines, one per
     fault, after the line that says the parent is paired with itself where
     it is)."""
@@ -108,7 +109,7 @@ def write_record(monkeypatch, tmp_path, capsys, fault, edit="src/bsym/m.py"):
     run, calls = fake_run(fault)
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "_run", run)
-    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--pr", "7"])
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--pr", "7", *options])
     code = bench_record.main()
     record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
     # one progress line per benchmark run, one per workload's pairs, one before tier-1
@@ -131,7 +132,7 @@ def test_the_record_holds_every_run_and_fails_on_an_incorrect_one(
     assert record["digests"] == {"1": "digest-1", "2": "digest-2"}
     assert record["manufactured"] == MANUFACTURED and calls[8] == bench_record.MANUFACTURED
     assert record["src_lines"] == {"wc": 4, "code": 1}
-    assert record["pr"] == 7 and record["cpu_count"] >= 1
+    assert record["pr"] == 7 and record["pair_seed"] == 1 and record["cpu_count"] >= 1
     assert record["tier1"] == {
         "command": [*bench_record.TIER1], "exit": 0, "seconds": 33.4, "passed": 1136, "skipped": 2, "failed": 0,
     }
@@ -207,6 +208,18 @@ def test_paired_runs_alternate_sides_and_say_who_won(monkeypatch, tmp_path, caps
         assert quartiles["latency_p50_ms"] == {"parent": [4.0, 4.0, 4.0], "head": [4.0, 4.0, 4.0]}
     # the parent's tree is gone, and git lists no worktree beside the checkout
     assert not Path(parent).exists() and len(worktrees(tmp_path)) == 1
+
+
+def test_paired_runs_read_the_seed_given(monkeypatch, tmp_path, capsys):
+    # `--seed 11` moves the pairs, and only the pairs, to input seed 11
+    code, record, calls, faults = write_record(monkeypatch, tmp_path, capsys, None, options=("--seed", "11"))
+    assert code == 0 and faults == [] and record["pair_seed"] == 11
+    assert all(run["command"][3] == "1" for run in record["runs"])
+    runs = calls[9:-2]
+    assert len(runs) == 2 * 10 * 3 and all(args[3:5] == ("--seed", "11") for args in runs)
+    for workload in bench_record.WORKLOADS:
+        command = ["--workload", workload, "--seed", "11", "--seconds", "30", "--trace", "0"]
+        assert record["pairs"][workload]["command"] == command
 
 
 def head(path: Path) -> str:

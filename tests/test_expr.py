@@ -484,6 +484,85 @@ def test_the_store_keeps_512_shapes_and_evicts_the_oldest(monkeypatch):
     assert "t ^ 0" not in expr._templates and "t ^ 1" in expr._templates
 
 
+# --- a parsed tree's record -----------------------------------------------------
+
+def _walked(text):
+    """The record the walk gives the parser's tree of text, repr'd so that
+    constants compare by type and sign too."""
+    consts = []
+    code, parity = expr._describe(expr._Parser(text).parse(), consts)
+    return repr((code, tuple(consts), parity))
+
+
+def _files_the_walks_record(texts):
+    """Parse each text that parses twice, a miss where its shape is new and
+    then a hit: each time the store holds the tree's record as soon as the
+    parse returns, with no walk, equal to the walk of the parser's tree,
+    and holds at most 32 records."""
+    for text in texts:
+        try:
+            expected = _walked(text)
+        except ExprSyntaxError:
+            continue
+        for _ in range(2):
+            tree = parse_expr(text)
+            assert repr(expr._records.get(tree)) == expected, text
+            assert repr(expr._tree(tree)) == expected, text
+            assert len(expr._records) <= 32
+
+
+def test_every_benchmark_text_is_filed_with_its_walks_record(monkeypatch):
+    monkeypatch.setattr(expr, "_templates", {})
+    monkeypatch.setattr(expr, "_records", {})
+    gen = bench_inputs()
+    _files_the_walks_record(text for seed in (1, 2, 3) for name, count in BENCH_OPS
+                            for item in getattr(gen, name)(seed, count) for text in (item.a, item.b))
+    assert len(expr._records) == expr._RECORDS == 32
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_texts, min_size=1, max_size=8))
+def test_a_parsed_tree_is_filed_with_its_walks_record(texts):
+    with patch.dict(expr._templates, clear=True), patch.dict(expr._records, clear=True):
+        _files_the_walks_record(texts)
+
+
+def test_texts_of_one_shape_keep_their_own_constants(monkeypatch):
+    monkeypatch.setattr(expr, "_templates", {})
+    monkeypatch.setattr(expr, "_records", {})
+    first, second = parse_expr("2*t + cos(3*t)"), parse_expr("5*t + cos(7*t)")
+    code = "((k0*t)+cos((k1*t)))"
+    assert expr._records == {first: (code, (2.0, 3.0), None), second: (code, (5.0, 7.0), None)}
+    assert first(1.0) == 2.0 + math.cos(3.0) and second(1.0) == 5.0 + math.cos(7.0)
+
+
+def test_a_parsed_tree_of_a_known_shape_is_not_walked(monkeypatch):
+    walked = []
+    describe = expr._describe
+    monkeypatch.setattr(expr, "_describe", lambda node, consts: walked.append(node) or describe(node, consts))
+    monkeypatch.setattr(expr, "_templates", {})
+    monkeypatch.setattr(expr, "_records", {})
+    parse_expr("0.5*t^2 - sin(t)/3")  # the shape's first tree, walked once
+    assert len(walked) > 0 and walked[0] == parse_expr("0.5*t^2 - sin(t)/3")
+    walked.clear()
+    tree = parse_expr("4*t^2 - sin(t)/9")
+    assert structural_parity(tree) is None and detect_parity(tree) is Parity.NEITHER
+    assert walked == []
+    # a tree no parse returned is walked once, then read from the store
+    partner = expr.negated(tree)
+    for _ in range(2):
+        assert structural_parity(partner) is None
+    assert walked[0] is partner and walked.count(partner) == 1
+
+
+def test_the_store_keeps_32_records_and_evicts_the_oldest(monkeypatch):
+    monkeypatch.setattr(expr, "_records", {})
+    trees = [parse_expr(f"{k}*t") for k in range(40)]
+    assert list(expr._records) == trees[8:]
+    parse_expr("9*t")  # filed again, in its place: nothing is evicted
+    assert list(expr._records) == trees[8:]
+
+
 # --- parity -------------------------------------------------------------------
 
 @pytest.mark.parametrize(

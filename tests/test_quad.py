@@ -17,15 +17,18 @@ from bsym import (
     problem,
     validity_interval,
 )
+from bsym import cli, quad
 from bsym.closedform import ProblemSpec
-from bsym.expr import BinOp, Const, Neg, negated
-from bsym.expr import as_callable, structural_parity
+from bsym.exponent import minus_one, reflection_signs, reflections
+from bsym.expr import BinOp, Const, Neg, Parity, negated
+from bsym.expr import as_callable, detect_parity, structural_parity
 from bsym.quad import QUAD_CONTROL, Identity, ab_values, nested_path
 from bsym.stepper import PathView, grid_values, integrate
 
 from helpers import (
     LEMMA_EXPONENTS,
     SPIKED_B,
+    bench_inputs,
     count_calls,
     dense_stage_failures,
     own_path,
@@ -37,6 +40,7 @@ from helpers import (
 
 N2 = classify_exponent(2, 1)
 N3 = classify_exponent(3, 1)
+BENCH_TS = (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0)  # the identities benchmark's times
 
 # int_0^1.2 sin(s)*exp(2*sin(s)) ds, fixed-step Simpson oracle at h=1e-5
 # (tests/helpers.py simpson; mpmath agrees to 2.6682115728975834678)
@@ -239,6 +243,107 @@ def test_identity_residuals_are_those_of_fresh_paths(ident, gen_a, gen_b):
                 assert got == [0.0] * len(ts)
             elif b.source == SPIKED_B and max(map(abs, ts)) > 1.0:
                 assert max(got) > 1e-3
+
+
+# --- one read per distinct time -----------------------------------------------
+
+def _twelve_reads(ident: str, a, b, n, ts) -> list:
+    """`identity_residuals` as it was when it read one state per read, 2 *
+    len(ts) of them (12 for the benchmark's grid), and not each distinct
+    time once: the reference the one-read body equals bit for bit."""
+    m = minus_one(n)
+    par_a, par_b, sigma = quad._IDENTITIES[Identity(ident)]
+    assert (detect_parity(a), detect_parity(b)) == (par_a, par_b)
+    ka, kb, _ = reflection_signs(None, -1, 1, par_a.sign, par_b.sign)
+    mirrored = bool(reflections(a, b))
+    left, right = sigma * m, ka * sigma * m
+    reads = [(-t, left, 1.0) for t in ts] + [(t, right, 1.0) for t in ts]
+    if mirrored:
+        reads = [(-x, ka * mult, kb) if x < 0.0 else (x, mult, 1.0) for x, mult, _ in reads]
+    carried = {}
+
+    def solve(t_end: float):
+        side = t_end >= 0.0
+        here = {mult for x, mult, _ in reads if (x >= 0.0) is side}
+        mults = carried[side] = tuple(dict.fromkeys(u for u in (left, right) if u in here))
+        return nested_path(a, b, mults, t_end)
+
+    states = grid_values(solve, [x for x, _, _ in reads])
+    got = [f * y[1 + carried[x >= 0.0].index(mult)] for (x, mult, f), y in zip(reads, states)]
+    return [abs(-bl + kb * br) for bl, br in zip(got[:len(ts)], got[len(ts):])]
+
+
+def _bench_identities(seed: int) -> list:
+    """The identities workload's first 400 operations at seed, as
+    (ident, a, b, n): all of them t-mirrored."""
+    return [(item.ident, parse_expr(item.a), parse_expr(item.b), classify_exponent(item.p, item.q))
+            for item in bench_inputs().identity_inputs(seed, 400)]
+
+
+def _states_read(monkeypatch) -> list:
+    """The number of times each `grid_values` call of `quad` reads."""
+    counts, orig = [], quad.grid_values
+
+    def counted(solve, ts):
+        counts.append(len(ts))
+        return orig(solve, ts)
+
+    monkeypatch.setattr(quad, "grid_values", counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_identity_residuals_equal_twelve_reads_on_the_benchmarks_inputs(seed):
+    for ident, a, b, n in _bench_identities(seed):
+        assert repr(identity_residuals(ident, a, b, n, BENCH_TS)) == repr(_twelve_reads(ident, a, b, n, BENCH_TS))
+
+
+def test_identity_residuals_equal_twelve_reads_where_only_sampling_finds_the_parity(monkeypatch):
+    # no mirror is certified, so each side of 0 that holds a read
+    # integrates its own path, and every time is read on its own side
+    a, b = parse_expr("cos(t)"), parse_expr(SPIKED_B)
+    assert reflections(a, b) == [] and detect_parity(b) is Parity.ODD
+    for ts in [BENCH_TS, *_GRIDS, [0.0, -0.0, 2.0, 2.0, -2.0, -0.0, -2.0]]:
+        calls = count_calls(monkeypatch, "bsym.quad", "nested_path")
+        got = identity_residuals("Eq4", a, b, N3, ts)
+        assert repr(got) == repr(_twelve_reads("Eq4", a, b, N3, ts))
+        assert len(calls) == len({x >= 0.0 for t in ts for x in (-t, t)})
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "a,b,n,code",
+    [("cos(t)", "sin(t)", "3", 0), ("t", "cos(t)", "3", 0), ("cos(t)", "cos(t)", "2", 0),
+     ("cos(t)", SPIKED_B, "3", 4)],
+)
+def test_identity_residuals_equal_twelve_reads_on_the_clis_times(monkeypatch, capsys, a, b, n, code):
+    # `bsym identities` reads --samples times in (0, --t-max], none below
+    # 0; the sampled parity's residuals exceed the tolerance, exit 4
+    seen, orig = [], cli.identity_residuals
+
+    def recorded(*args):
+        seen.append((args, orig(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "identity_residuals", recorded)
+    assert cli.main(["identities", a, b, n, "--samples", "8"]) == code
+    assert seen and all(len(ts) == 8 and min(ts) > 0.0 for (_, _, _, _, ts), _ in seen)
+    for (ident, *args), got in seen:
+        assert repr(got) == repr(_twelve_reads(ident.value, *args))
+
+
+def test_an_identities_op_reads_three_states(monkeypatch):
+    # the benchmark's six times are +-0.5, +-1.5 and +-3: under a certified
+    # mirror both sides' reads land on the three |t|, each read once where
+    # 12 states were read before; a sampled parity reads the six on their sides
+    counts = _states_read(monkeypatch)
+    ops = _bench_identities(1)
+    for ident, a, b, n in ops:
+        identity_residuals(ident, a, b, n, BENCH_TS)
+    assert counts == [3] * len(ops)
+    counts.clear()
+    identity_residuals("Eq4", parse_expr("cos(t)"), parse_expr(SPIKED_B), N3, BENCH_TS)
+    assert counts == [6]
 
 
 def test_identity_residuals_of_an_empty_grid_integrate_nothing(monkeypatch):

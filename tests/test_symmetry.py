@@ -155,7 +155,8 @@ def test_inapplicable_reasons_name_the_hypothesis():
 def test_parity_walks_each_tree_once(monkeypatch):
     # verify --case all asks for the parities of a and b per case, per path
     # side and per oracle request, and compiles both for the quadrature and
-    # the oracle; the tree record walks each tree once for all of them
+    # the oracle; a parsed tree of a known shape is filed with its record
+    # and never walked, and a tree no parse returned is walked once for all
     walk, depth, roots = expr._describe, [0], []
 
     def counting(node, consts):
@@ -167,20 +168,23 @@ def test_parity_walks_each_tree_once(monkeypatch):
         finally:
             depth[0] -= 1
 
+    for text in ("cos(t)", "sin(t)", SPIKED_B):  # known shapes
+        parse_expr(text)
     monkeypatch.setattr(expr, "_describe", counting)
-    for cache in (expr._tree, expr._coefficient, expr.detect_parity):
+    monkeypatch.setattr(expr, "_records", {})
+    for cache in (expr._coefficient, expr.detect_parity):
         cache.cache_clear()
     p = problem("cos(t)", "sin(t)", 2, 1.0)
     reports = verify_cases(p, applicable_cases(p))
     assert [r.passed for r in reports] == [True] * 3
-    assert roots == ["cos(t)", "sin(t)"]
+    assert roots == []
     # a b whose parity the rules leave open is sampled on the function
     # bound from the same record; no reflection is certified for it, so the
-    # cases' negated a and b are fresh trees, each walked once too
+    # cases' negated a and b are built partner trees, each walked once
     q = problem("cos(t)", SPIKED_B, 2, 1.0)
     verify_cases(q, applicable_cases(q))
     assert detect_parity(q.b) is Parity.ODD
-    assert roots == ["cos(t)", "sin(t)", q.b.source, "-(cos(t))", f"-({q.b.source})"]
+    assert roots == ["-(cos(t))", f"-({q.b.source})"]
 
 
 def test_wrong_class_reasons_are_exact():
