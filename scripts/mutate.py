@@ -510,6 +510,24 @@ MUTANTS = [
         ("tests/test_expr.py::test_every_benchmark_text_is_filed_with_its_walks_record",),
     ),
     Mutant(
+        "records-file-trees-with-a-zero",
+        "expr.py",
+        "if 0.0 not in record[1]:",
+        "if True:",
+        "a tree that holds a zero constant is filed, and its twin with the zero's"
+        " sign flipped, an equal tree, reads its record: -0.0*t evaluates as 0.0*t",
+        ("tests/test_expr.py::test_a_negative_zero_keeps_its_own_constants",),
+    ),
+    Mutant(
+        "shape-cache-keeps-256-shapes",
+        "expr.py",
+        "@lru_cache(maxsize=_TEMPLATES)\ndef _shape_factory",
+        "@lru_cache(maxsize=256)\ndef _shape_factory",
+        "the compiled shapes are bounded below the templates: seed 1's identities"
+        " texts compile 457 times for 278 shapes",
+        ("tests/test_checked.py::test_each_shape_of_the_identities_texts_compiles_once",),
+    ),
+    Mutant(
         "shape-key-folds-exponents",
         "expr.py",
         'if kind == "num" and not after_caret:',

@@ -46,15 +46,19 @@ later tree of the shape takes them from there with the constants its
 build read, with no walk.  The record (code, constants, parity) is kept
 per tree in a small store, `_tree`, which `parse_expr` fills and which
 walks a tree only where it holds no record: a tree no parse returned,
-such as a built partner, or one whose record was evicted.
+such as a built partner, or one whose record was evicted.  It is the
+one store of a tree's values, and keeps no tree that holds a zero
+constant, since trees compare equal up to a zero's sign: such a tree is
+walked for its own constants each time.
 
 Evaluation is generated code: one compile per shape, constants bound per
 tree.  Each shape compiles once
-into `lambda k0, ..: lambda t: <shape>`, kept in an LRU cache of 256
-shapes under a file name of its own (`<bsym.expr coefficient #N>`, so a
-profile shows the trees of one shape as one entry), and a tree's function
-is that factory called with the tree's constants, kept in a small LRU
-cache keyed on the tree and shared by every form.  A `CheckedForm` states
+into `lambda k0, ..: lambda t: <shape>`, kept in an LRU cache with the
+templates' bound of 512 shapes, under a file name of its own
+(`<bsym.expr coefficient #N>`, so a profile shows the trees of one shape
+as one entry), and a tree's function is that factory called with the
+constants of the tree's record, bound afresh for each form that reads
+the tree.  A `CheckedForm` states
 what the quadrature or the oracle computes: the state it reads, one value
 expression and its coefficient count.  `CheckedForm.source` renders its
 code at the time s: the coefficients called in order inside one try, each
@@ -74,7 +78,8 @@ its one coefficient.
 where the rules are inconclusive, compares f(t) with f(-t) at 64 fixed
 points of [-4, 4].  The points take no seed and no setting, so parity
 depends on the tree alone, and the result is memoized per tree in a small
-LRU cache.
+LRU cache.  The memo may key on the tree, as the records may not: a
+zero's sign changes no parity.
 """
 
 from __future__ import annotations
@@ -535,9 +540,13 @@ _records: dict = {}
 
 
 def _file(e: Expr, record: tuple) -> tuple:
-    _records[e] = record
-    if len(_records) > _RECORDS:
-        del _records[next(iter(_records))]
+    """Store e's record and return it; a tree that holds a zero constant
+    is never stored, since the tree that keys it equals its twin with the
+    zero's sign flipped (`-0.0 == 0.0`), so each is walked for its own."""
+    if 0.0 not in record[1]:
+        _records[e] = record
+        if len(_records) > _RECORDS:
+            del _records[next(iter(_records))]
     return record
 
 
@@ -637,27 +646,29 @@ _GLOBALS = dict({name: getattr(math, name) for name in FUNCTIONS}, _failed=_fail
 _compiled_count = itertools.count(1)
 
 
-# one entry per shape, a few hundred kilobytes at most: an identities run
-# of fresh problems (seed 1) meets 278 shapes, a tree and its negation
-# two, and compiles 459 times, 14 of them in its warm-up, recompiling what
-# it evicted, since a miss only costs a compile (about 50 us); 512
-# entries measured no faster
-@lru_cache(maxsize=256)
+# one entry per shape, bounded like the templates, so a shape whose
+# template is held compiles once (a compile is about 50 us): an
+# identities run (seed 1) meets 278 shapes in 8 400 texts and compiles
+# each once, and solve-dense meets 418
+@lru_cache(maxsize=_TEMPLATES)
 def _shape_factory(shape: str, count: int) -> Callable:
     """`lambda k0, .., k<count-1>: lambda t: <shape>`, compiled once per
     shape while it stays in the cache."""
     # a file name of its own per shape: profilers key functions by (file,
-    # line, name) and would merge every `<lambda>` under one name
+    # line, name) and would merge every `<lambda>` under one name; and the
+    # factory is named `bind`, apart from the function it returns on the
+    # same line, since every form that reads a tree calls it
     filename = f"<bsym.expr coefficient #{next(_compiled_count)}>"
     params = ", ".join(f"k{i}" for i in range(count))
-    return eval(compile(f"lambda {params}: lambda t: {shape}", filename, "eval"), _GLOBALS)  # noqa: S307
+    factory = eval(compile(f"lambda {params}: lambda t: {shape}", filename, "eval"), _GLOBALS)  # noqa: S307
+    factory.__code__ = factory.__code__.replace(co_name="bind")
+    return factory
 
 
-# bounded like the tree records
-@lru_cache(maxsize=32)
 def _coefficient(e: Expr) -> Callable[[float], float]:
     """The unchecked function t -> e(t): its shape's function, compiled
-    once per shape, bound to e's constants, and shared by every form.
+    once per shape, bound to the constants of e's record on each call, so
+    the record is the one store of a tree's values.
 
     The constants are read at run time where a literal would have been
     folded at compile time: folding runs the same IEEE operations, and
@@ -799,6 +810,9 @@ def sampled_parity(e: Expr) -> Parity:
     return Parity.EVEN if even else Parity.ODD
 
 
+# memoized per tree, where the records are not: a zero's sign can change
+# a value only between 0.0 and -0.0, which compare equal, and no error, so
+# trees equal up to a zero's sign share a parity
 @lru_cache(maxsize=32)
 def detect_parity(e: Expr) -> Parity:
     """Structural rules first; sampling at 64 fixed points of [-4, 4] as

@@ -2,7 +2,8 @@
 parity-conforming problem generators, the (A, B) path of a coefficient
 pair's own trees, two problems that fail only at a dense stage, the
 sign-split reference for comparing trees up to their top minuses, a call
-counter for work-count tests, the benchmark's input generator and the
+counter and a tree-walk counter for work-count tests, the benchmark's
+input generator and the
 environment for running `python -m bsym` in a child process.
 
 The Simpson integrator is deliberately primitive (fixed step, no adaptivity,
@@ -22,6 +23,7 @@ from pathlib import Path
 import bsym
 from bsym import (
     EvalError,
+    expr,
     ExponentClass,
     Parity,
     ProblemSpec,
@@ -222,6 +224,24 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
                 if value is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def counting_walks(monkeypatch) -> list:
+    """Record the source of every tree `expr._describe` walks from here
+    on, once per walk of a whole tree."""
+    walked, describe, depth = [], expr._describe, [0]
+
+    def counting(node, consts):
+        if not depth[0]:
+            walked.append(node.source)
+        depth[0] += 1
+        try:
+            return describe(node, consts)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "_describe", counting)
+    return walked
 
 
 # --- the benchmark's inputs -----------------------------------------------------

@@ -46,7 +46,7 @@ from bsym.oracle import ORACLE_CONTROL
 from bsym.quad import QUAD_CONTROL, nested_path
 from bsym.stepper import DOP853, DP5
 
-from helpers import SPIKED_B, random_source
+from helpers import SPIKED_B, bench_inputs, counting_walks, random_source
 from test_stepper import opened, reference_integrate
 
 _MATH = {name: getattr(math, name) for name in FUNCTIONS}
@@ -572,24 +572,31 @@ def sources(compiled, kind) -> list:
 
 def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     compiled = counting_compiles(monkeypatch)
-    expr._coefficient.cache_clear()
     expr._shape_factory.cache_clear()
     expr._wrapper.cache_clear()
-    # size + 8 trees of one shape compile once, each bound to its own
-    # constants; the per-tree cache keeps the last size of them, and a tree
-    # it evicted binds its constants again without a compile
-    size = expr._coefficient.cache_info().maxsize
-    trees = [parse_expr(f"{k + 1}*t - {k}") for k in range(size + 8)]
+    # size + 8 trees of one shape compile once, each bound to the constants
+    # of its record, the one store of a tree's values: no function is kept
+    # per tree, the store keeps the last size records, and a tree whose
+    # record it evicted is walked again and binds with no compile
+    assert not hasattr(expr._coefficient, "cache_info")
+    size = expr._RECORDS
+    trees = [parse_expr(f"{k + 1}*t - {k + 1}/8") for k in range(size + 8)]
     for k, e in enumerate(trees):
-        assert as_callable(e)(0.5) == (k + 1) * 0.5 - k
-    assert sources(compiled, "coefficient") == ["lambda k0, k1: lambda t: ((k0*t)-k1)"]
-    assert expr._coefficient.cache_info().currsize == size
-    assert as_callable(trees[0])(0.5) == 0.5
+        assert as_callable(e)(0.5) == (k + 1) * 0.5 - (k + 1) / 8
+    assert sources(compiled, "coefficient") == ["lambda k0, k1, k2: lambda t: ((k0*t)-(k1/k2))"]
+    assert list(expr._records) == trees[8:]
+    walked = counting_walks(monkeypatch)
+    assert as_callable(trees[-1])(0.5) == (size + 8) * 0.5 - (size + 8) / 8
+    assert walked == []
+    assert as_callable(trees[0])(0.5) == 0.5 - 1 / 8
+    assert walked == ["1 * t - 1 / 8"]
     assert len(sources(compiled, "coefficient")) == 1
 
-    # size + 8 shapes compile size + 8 times; a fresh tree of a shape still
-    # cached compiles nothing, and one of an evicted shape compiles again
+    # size + 8 shapes compile size + 8 times, the templates' bound; a
+    # fresh tree of a shape still cached compiles nothing, and one of an
+    # evicted shape compiles again
     shapes = expr._shape_factory.cache_info().maxsize
+    assert shapes == expr._TEMPLATES
     del compiled[:]
     for k in range(shapes + 8):
         assert as_callable(parse_expr(f"{k + 2}*t^{k}"))(0.5) == (k + 2) * 0.5**k
@@ -632,6 +639,22 @@ def test_the_compile_cache_is_bounded_and_shared(monkeypatch):
     assert len(wrappers) == 4 and len(set(wrappers)) == 4
     assert all("f0 = c0(s)" in w and "f1 = c1(s)" in w for w in wrappers)
     assert expr._wrapper.cache_info().currsize == 5
+
+
+def test_each_shape_of_the_identities_texts_compiles_once(monkeypatch):
+    # the identities benchmark's 8 400 texts at seed 1 hold 278 shapes,
+    # within the templates' bound, which bounds the compiled shapes too:
+    # parsed and bound from empty caches, each shape compiles once
+    monkeypatch.setattr(expr, "_templates", {})
+    monkeypatch.setattr(expr, "_records", {})
+    expr._shape_factory.cache_clear()
+    compiled = counting_compiles(monkeypatch)
+    texts = [text for item in bench_inputs().identity_inputs(1, 4200) for text in (item.a, item.b)]
+    for text in texts:
+        expr._coefficient(parse_expr(text))
+    shapes = sources(compiled, "coefficient")
+    assert len(texts) == 8400 and len(set(shapes)) == 278
+    assert len(shapes) == 278
 
 
 _UNTRACED_RUNS = [
@@ -734,7 +757,6 @@ def test_an_identity_compiles_one_shape_for_a_tree_and_one_for_its_negation(monk
     # residual, with a mirror certified and with b's parity sampled
     # (SPIKED_B, nonzero residuals) alike
     compiled = counting_compiles(monkeypatch)
-    expr._coefficient.cache_clear()
     expr._shape_factory.cache_clear()
     n, ts = parse_exponent("3"), [-1.5, 0.5, 2.0]
 
@@ -813,9 +835,13 @@ def test_profiles_see_each_coefficient_function_in_a_form_loop():
     stats = pstats.Stats(profile).stats
     coefficients = sorted(
         (stat[1], key[0]) for key, stat in stats.items()
-        if key[0].startswith("<bsym.expr coefficient #")
+        if key[0].startswith("<bsym.expr coefficient #") and key[2] == "<lambda>"
     )
     assert len({file for _, file in coefficients}) == 4
+    # each path binds its two trees once, and each binding shows apart
+    # from the function it returns, in the same file and on the same line
+    binds = [stat[1] for key, stat in stats.items() if key[2] == "bind"]
+    assert binds == [1] * 4 and {key[0] for key in stats if key[2] == "bind"} == {f for _, f in coefficients}
     # no step is rejected on these two paths: DOP853 evaluates a at
     # stages 2 to 12 and b, with no b at the head stages 2 to 5, at stages
     # 6 to 12; stage 13 reuses stage 12's values: 1 + 11 calls of a and
@@ -843,15 +869,19 @@ def test_profiles_see_each_coefficient_function_in_a_form_loop():
 def test_the_oracle_compiles_once_per_pair_up_to_sign(monkeypatch):
     # the partners of T2i, T2iv and T3i flip the signs of a and b; with the
     # signs bound to the oracle's wrapper, the validity search's (A, B)
-    # paths and the oracle's four problems share one function per tree,
-    # and a second pair of the same shapes compiles nothing
+    # paths and the oracle's four problems bind each tree from its record:
+    # the first pair's trees, of new shapes, are walked once each as they
+    # are parsed, and a second pair of the same shapes compiles nothing and
+    # walks nothing
     compiled = counting_compiles(monkeypatch)
-    expr._coefficient.cache_clear()
     expr._shape_factory.cache_clear()
+    monkeypatch.setattr(expr, "_templates", {})
+    monkeypatch.setattr(expr, "_records", {})
+    walked = counting_walks(monkeypatch)
     for a, b in (("0.5*cos(t)", "sin(t)/3"), ("2*cos(t)", "sin(t)/5")):
         reports = verify_cases(problem(a, b, 2, 1.0), ["T2i", "T2iv", "T3i"])
         assert [r.passed for r in reports] == [True] * 3
-    assert expr._coefficient.cache_info().misses == 4
+    assert walked == ["0.5 * cos(t)", "sin(t) / 3"]
     assert sources(compiled, "coefficient") == [
         "lambda k0: lambda t: (k0*cos(t))", "lambda k0: lambda t: (sin(t)/k0)",
     ]
@@ -916,7 +946,6 @@ def test_each_tree_of_a_shape_binds_its_own_constants(monkeypatch):
     assert len({shape_of(e) for e in SHAPE_TREES}) < len(set(SHAPE_TREES)) - len(SHAPE_PAIRS)
     # built in turn, then evaluated interleaved, tree after tree at each t
     compiled = counting_compiles(monkeypatch)
-    expr._coefficient.cache_clear()
     expr._shape_factory.cache_clear()
     fns = [as_callable(e) for e in SHAPE_TREES]
     assert len(sources(compiled, "coefficient")) == len({shape_of(e) for e in SHAPE_TREES})
@@ -953,19 +982,20 @@ _ORDER_RUNS = {
 
 
 @pytest.mark.parametrize("order", [("quad", "oracle"), ("oracle", "quad")])
-def test_shared_coefficient_functions_do_not_depend_on_build_order(order):
+def test_shared_coefficient_functions_do_not_depend_on_build_order(monkeypatch, order):
     fresh = {}
     for name, run in _ORDER_RUNS.items():
-        expr._coefficient.cache_clear()
+        expr._shape_factory.cache_clear()
         fresh[name] = outcome(run)
-    expr._coefficient.cache_clear()
+    expr._shape_factory.cache_clear()
+    compiled = counting_compiles(monkeypatch)
     got = {name: outcome(_ORDER_RUNS[name]) for name in order}
     assert got == fresh
-    assert expr._coefficient.cache_info().misses == 2  # one compile per tree
+    assert len(sources(compiled, "coefficient")) == 2  # one compile per shape
 
 
 @pytest.mark.parametrize("first,then", [(quad, oracle), (oracle, quad)])
-def test_a_wins_over_b_when_the_other_form_compiled_b_first(first, then):
+def test_a_wins_over_b_when_the_other_form_compiled_b_first(monkeypatch, first, then):
     # at t = 0, a divides by zero and b is infinite: b's function compiled
     # by one form, on its own, must not let b's error win in the other
     a, b = "1/t", "exp(700 + t)*exp(700 + t)"
@@ -973,12 +1003,13 @@ def test_a_wins_over_b_when_the_other_form_compiled_b_first(first, then):
         quad: lambda a, b: nested_path(parse_expr(a), parse_expr(b), (1.0,), 1.0),
         oracle: lambda a, b: rk_solve(problem(a, b, 2, 1.0), 1.0),
     }
-    expr._coefficient.cache_clear()
+    expr._shape_factory.cache_clear()
+    compiled = counting_compiles(monkeypatch)
     with pytest.raises(EvalError, match=r"^non-finite value at t=0\.0$"):
         runs[first]("1", b)
     with pytest.raises(EvalError, match=r"^division by zero at t=0\.0$"):
         runs[then](a, b)
-    assert expr._coefficient.cache_info().misses == 3
+    assert len(sources(compiled, "coefficient")) == 3  # one per shape
 
 
 # --- what the stepper hands the right-hand side ---------------------------------

@@ -35,7 +35,15 @@ from bsym.exponent import ExponentClass, minus_one, reflections
 from bsym.stepper import grid_values
 from bsym.symmetry import DEFAULT_SEARCH_RADIUS, explain_inapplicable
 
-from helpers import SPIKED_B, bench_inputs, conforming_problem, count_calls, random_problem, split_sign
+from helpers import (
+    SPIKED_B,
+    bench_inputs,
+    conforming_problem,
+    count_calls,
+    counting_walks,
+    random_problem,
+    split_sign,
+)
 
 _E, _O = Parity.EVEN, Parity.ODD
 
@@ -157,23 +165,11 @@ def test_parity_walks_each_tree_once(monkeypatch):
     # side and per oracle request, and compiles both for the quadrature and
     # the oracle; a parsed tree of a known shape is filed with its record
     # and never walked, and a tree no parse returned is walked once for all
-    walk, depth, roots = expr._describe, [0], []
-
-    def counting(node, consts):
-        if not depth[0]:
-            roots.append(node.source)
-        depth[0] += 1
-        try:
-            return walk(node, consts)
-        finally:
-            depth[0] -= 1
-
     for text in ("cos(t)", "sin(t)", SPIKED_B):  # known shapes
         parse_expr(text)
-    monkeypatch.setattr(expr, "_describe", counting)
+    roots = counting_walks(monkeypatch)
     monkeypatch.setattr(expr, "_records", {})
-    for cache in (expr._coefficient, expr.detect_parity):
-        cache.cache_clear()
+    expr.detect_parity.cache_clear()
     p = problem("cos(t)", "sin(t)", 2, 1.0)
     reports = verify_cases(p, applicable_cases(p))
     assert [r.passed for r in reports] == [True] * 3
